@@ -5,7 +5,8 @@ one measures *host* wall-clock throughput of the event loop itself:
 events popped per second across workloads that mirror what the fabric
 and Orca layers do millions of times per run — timeout chains, process
 spawning, already-fired-event resumes (the "kick" path), channel
-ping-pong and resource contention.
+ping-pong, resource contention and one-shot resource occupancies at
+busy and at quiet instants.
 
 Run standalone::
 
@@ -129,12 +130,45 @@ def wl_cpu_contention(n: int = 20_000, workers: int = 4):
     return sim, 4 * n * workers
 
 
+def wl_occupy_lockstep(n: int = 3_000, cpus: int = 60):
+    """60 CPUs stepping in lockstep: every charge lands at a busy
+    instant, so each occupancy takes the full deferred path (request,
+    grant, hold, completion — four heap entries).  The ``asp`` shape:
+    98 % of its 425 k occupancies per pass at 4x15 are of this kind."""
+    sim = Simulator()
+
+    def stepper(cpu):
+        for _ in range(n):
+            yield cpu.execute_ev(1e-3)
+
+    for i in range(cpus):
+        sim.spawn(stepper(CPU(sim, name=f"c{i}")))
+    sim.run()
+    return sim, 4 * n * cpus
+
+
+def wl_occupy_quiet(n: int = 200_000):
+    """One process charging one CPU back to back: every occupancy is
+    granted at a quiet instant — one hold entry, completed inline."""
+    sim = Simulator()
+    cpu = CPU(sim, name="c")
+
+    def proc():
+        for _ in range(n):
+            yield cpu.execute_ev(1e-3)
+
+    sim.run_process(proc())
+    return sim, n
+
+
 WORKLOADS = [
     ("timeout_chain", wl_timeout_chain),
     ("spawn_storm", wl_spawn_storm),
     ("processed_target", wl_processed_target),
     ("channel_pingpong", wl_channel_pingpong),
     ("cpu_contention", wl_cpu_contention),
+    ("occupy_lockstep", wl_occupy_lockstep),
+    ("occupy_quiet", wl_occupy_quiet),
 ]
 
 

@@ -15,7 +15,7 @@ Run standalone::
 
 or under pytest-benchmark along with the rest of the suite.  Results are
 persisted to ``benchmarks/out/bench_fabric_micro.txt``;
-``tools/bench_report.py`` turns them into the committed ``BENCH_fabric
+``repro bench --write`` turns them into the committed ``BENCH_fabric
 .json`` the CI perf-smoke job regresses against.
 """
 

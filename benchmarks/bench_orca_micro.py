@@ -16,9 +16,9 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_orca_micro.py --legacy
 
 or under pytest-benchmark along with the rest of the suite.  Results are
-persisted to ``benchmarks/out/bench_orca_micro.txt``; ``repro bench``
-(tools/bench_report.py) folds them into the committed ``BENCH_orca
-.json`` the CI perf-smoke job regresses against.
+persisted to ``benchmarks/out/bench_orca_micro.txt``; ``repro bench
+--write`` folds them into the committed ``BENCH_orca.json`` the CI
+perf-smoke job regresses against.
 """
 
 from __future__ import annotations

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Tuple
 
 __all__ = ["block_slices", "owner_of_index"]
+
+#: A probe ``(idx, _AFTER_ANY_STOP)`` sorts after every slice starting at
+#: ``idx``, whatever its stop.
+_AFTER_ANY_STOP = float("inf")
 
 
 def block_slices(n: int, p: int) -> List[Tuple[int, int]]:
@@ -26,8 +31,13 @@ def block_slices(n: int, p: int) -> List[Tuple[int, int]]:
 
 
 def owner_of_index(slices: List[Tuple[int, int]], idx: int) -> int:
-    """The block owning global index ``idx``."""
-    for b, (lo, hi) in enumerate(slices):
-        if lo <= idx < hi:
-            return b
+    """The block owning global index ``idx``.
+
+    ``slices`` must be ascending and non-overlapping, as
+    :func:`block_slices` returns them: the owner is then the last block
+    starting at or before ``idx``, found by bisection.
+    """
+    b = bisect_right(slices, (idx, _AFTER_ANY_STOP)) - 1
+    if b >= 0 and idx < slices[b][1]:
+        return b
     raise ValueError(f"index {idx} outside all slices")

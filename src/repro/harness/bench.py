@@ -1,8 +1,9 @@
 """Throughput measurement against the committed perf baselines.
 
-One entry point shared by humans and CI: the ``repro bench`` verb and
-the ``tools/bench_report.py`` shim both call :func:`main` here.  The
-repo commits three small JSON files at its root:
+One entry point shared by humans and CI: the ``repro bench`` verb calls
+:func:`main` here.  The repo commits five small JSON files at its root,
+each stamped with the ``host_cores`` and ``engine_tier`` it was written
+on:
 
 * ``BENCH_engine.json`` — events/s per engine micro-workload, one
   section per engine tier (``python`` always; ``compiled`` when the
@@ -269,10 +270,17 @@ def parse_suite_request(request: str) -> Tuple[List[str], Optional[str]]:
 # ---------------------------------------------------------- write / check
 
 def _payload(kind: str, results: dict) -> dict:
+    """A baseline file: the numbers plus the host geometry and the
+    engine tier ``auto`` resolved to where they were taken (the engine
+    suite measures every tier; its sections are named after them)."""
+    from ..sim.engine import ENGINE_TIER
+
     return {
         "bench": kind,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "host_cores": os.cpu_count(),
+        "engine_tier": ENGINE_TIER,
         "results": results,
     }
 

@@ -441,61 +441,25 @@ class Fabric:
                    size: int = 0, msg_id: int = -1) -> Event:
         """Hold ``res`` for ``seconds``; completion event, one ``link.busy``.
 
-        The callback-chained counterpart of :meth:`_occupy`: uncontended
-        occupancies at a quiet instant grant synchronously and schedule
-        one analytic timeout; when other events are pending at the
-        current instant the request/grant go through the heap at legacy
-        dispatch depths (see :meth:`Resource.occupy
-        <repro.sim.Resource.occupy>`), so same-instant races linearize
-        identically in both tiers.  The completion event is posted
-        after the release and trace emit, so chained continuations run
-        at the same dispatch position the legacy occupy *process*
-        resumed its parent leg at.
+        The callback-chained counterpart of :meth:`_occupy`:
+        :meth:`Resource.occupy <repro.sim.Resource.occupy>` runs the
+        whole request/grant/hold/release machine (see there for the
+        quiet- and busy-instant dispatch depths).  While tracing, its
+        ``on_release`` hook emits the ``link.busy`` record right after
+        the release and before the completion triggers — the point the
+        legacy occupy *process* emitted it at.
         """
-        sim = self.sim
-        done = Event(sim)
-        t_req = sim.now
-
-        def _granted(_ev: Event) -> None:
-            t0 = sim.now
-            hold = sim.timeout(seconds)
-            hold.callbacks.append(
-                lambda _ev2: self._finish_occupy(res, cls, size, msg_id,
-                                                 t_req, t0, done))
-
-        if sim.idle_at_now():
-            if res._in_use < res.capacity:
-                # Quiet + uncontended: grant inline, one analytic timeout.
-                res._account()
-                res._in_use += 1
-                hold = sim.timeout(seconds)
-                hold.callbacks.append(
-                    lambda _ev: self._finish_occupy(res, cls, size, msg_id,
-                                                    t_req, t_req, done))
-            else:
-                # Quiet + contended: join the FIFO inline.
-                res.request().callbacks.append(_granted)
-            return done
-
-        # Busy instant: request one dispatch later; request() posts the
-        # grant, putting the hold two dispatches out — legacy parity.
-        sim._n_fallback += 1
-        sim.after(0.0, lambda _ev: res.request().callbacks.append(_granted))
-        return done
-
-    def _finish_occupy(self, res: Resource, cls: str, size: int, msg_id: int,
-                       t_req: float, t0: float, done: Event) -> None:
-        res.release()
-        sim = self.sim
         tr = self.tracer
-        if tr.enabled:
+        if not tr.enabled:
+            return res.occupy(seconds)
+        sim = self.sim
+
+        def emit(t_req: float, t0: float, _qdepth: int) -> None:
             now = sim.now
             tr.emit(now, "link.busy", link=res.name, cls=cls, size=size,
                     wait=t0 - t_req, msg_id=msg_id, t0=t0, dur=now - t0)
-        if sim.idle_at_now():
-            fire(done, None)  # quiet: complete inline, skip one dispatch
-        else:
-            done.succeed(None)
+
+        return res.occupy(seconds, 0, emit)
 
     def _deposit_complete(self, msg: Message, done: Event) -> None:
         """Deposit ``msg`` and fire the delivery event (inline when quiet)."""
@@ -585,61 +549,35 @@ class Fabric:
                          then: Callable[[], None]) -> None:
         """Store-and-forward charge on one gateway CPU; one ``gw.forward``.
 
-        The queue-depth sample is atomic with the request — the queue
-        this forward actually joins, counting itself — and at a busy
-        instant the request is deferred one dispatch (the grant one
-        more), matching the spawn-deferred legacy :meth:`_gw_execute`
-        so same-instant forwards sample and schedule identically.
-        ``then()`` runs one dispatch after the charge completes, the
+        One :meth:`Resource.occupy <repro.sim.Resource.occupy>` on the
+        gateway CPU: its queue-depth sample is atomic with the request
+        — the queue this forward actually joins, counting itself — and
+        at a busy instant the request is deferred one dispatch (the
+        grant one more), matching the spawn-deferred legacy
+        :meth:`_gw_execute` so same-instant forwards sample and
+        schedule identically.  ``then()`` runs on the completion event,
+        one dispatch after the charge completes at a busy instant — the
         position the legacy ``_wan_leg`` process resumed at.
         """
-        sim = self.sim
         gw = self.gateways[cluster].cpu
         gwp = self.params.gateway
         cost = gwp.forward_cost + msg_size * gwp.per_byte_cost
-        t0 = sim.now
         tr = self.tracer
-
-        def granted(qd: int) -> None:
-            hold = sim.timeout(cost)
-
-            def emit_then(_e: Event) -> None:
-                if tr.enabled:
-                    now = sim.now
-                    tr.emit(now, "gw.forward", cluster=cluster,
-                            size=msg_size, qdepth=qd, msg_id=msg_id,
-                            t0=t0, dur=now - t0)
-                then()
-
-            def fin(_ev: Event) -> None:
-                gw.release()
-                if sim.idle_at_now():
-                    emit_then(_ev)  # quiet: skip the completion dispatch
-                else:
-                    fdone = Event(sim)
-                    fdone.callbacks.append(emit_then)
-                    fdone.succeed(None)
-
-            hold.callbacks.append(fin)
-
-        if sim.idle_at_now():
-            # Quiet instant: sample and grant (or enqueue) inline.
-            qd = gw.queue_length + gw.in_use + 1
-            if gw._in_use < gw.capacity:
-                gw._account()
-                gw._in_use += 1
-                granted(qd)
-            else:
-                gate = Event(sim)
-                gw._waiters.append(gate)
-                gate.callbacks.append(lambda _e, q=qd: granted(q))
+        if not tr.enabled:
+            gw.occupy(cost).callbacks.append(lambda _ev: then())
             return
+        sim = self.sim
+        t0 = sim.now
+        sampled: List[int] = []
 
-        def request_step(_ev: Event) -> None:
-            qd = gw.queue_length + gw.in_use + 1
-            gw.request().callbacks.append(lambda _e, q=qd: granted(q))
+        def emit_then(_ev: Event) -> None:
+            now = sim.now
+            tr.emit(now, "gw.forward", cluster=cluster, size=msg_size,
+                    qdepth=sampled[0], msg_id=msg_id, t0=t0, dur=now - t0)
+            then()
 
-        sim.after(0.0, request_step)
+        gw.occupy(cost, 0, lambda _t_req, _t_grant, qdepth:
+                  sampled.append(qdepth)).callbacks.append(emit_then)
 
     def _fast_wan_leg(self, msg_size: int, src_cluster: int, dst_cluster: int,
                       msg_id: int, then: Callable[[], None],

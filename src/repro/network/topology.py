@@ -56,14 +56,18 @@ class Topology:
 
     clusters: List[ClusterSpec]
     _starts: List[int] = field(init=False)
+    #: node id -> cluster index (``cluster_of`` runs once per message leg).
+    _cluster_of: List[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.clusters:
             raise ValueError("topology needs at least one cluster")
         self._starts = []
+        self._cluster_of = []
         acc = 0
-        for c in self.clusters:
+        for ci, c in enumerate(self.clusters):
             self._starts.append(acc)
+            self._cluster_of.extend([ci] * c.n_nodes)
             acc += c.n_nodes
         self._total = acc
 
@@ -77,13 +81,12 @@ class Topology:
 
     def cluster_of(self, node: int) -> int:
         """Cluster index owning global node id ``node``."""
-        if not 0 <= node < self._total:
-            raise ValueError(f"node id {node} out of range 0..{self._total - 1}")
-        # Clusters are few; linear scan is clearest and fast enough.
-        for ci in range(len(self.clusters) - 1, -1, -1):
-            if node >= self._starts[ci]:
-                return ci
-        raise AssertionError("unreachable")
+        if node >= 0:
+            try:
+                return self._cluster_of[node]
+            except IndexError:
+                pass
+        raise ValueError(f"node id {node} out of range 0..{self._total - 1}")
 
     def nodes_in(self, cluster: int) -> range:
         start = self._starts[cluster]

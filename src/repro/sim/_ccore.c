@@ -4,9 +4,9 @@
  * C-native storage: the heap is a struct-of-arrays binary heap
  * (parallel arrays of times, tie-break counters, item pointers and
  * item kinds), events are C structs, and the dispatch loop — including
- * the generator send/throw protocol of Process — runs without
- * re-entering the interpreter except to run user callbacks and
- * generator frames.
+ * the generator send/throw protocol of Process and the occupancy state
+ * machine of Resource — runs without re-entering the interpreter
+ * except to run user callbacks and generator frames.
  *
  * Semantics are transcribed from _pyengine.py, which is the readable
  * reference: same error messages, same tie-break counting (every heap
@@ -40,6 +40,10 @@ static PyObject *str_send, *str_throw, *str_value, *str_dunder_name;
 #define K_EVENT 0   /* boxed Event: fire-and-dispatch */
 #define K_CALL  1   /* bare callable: call with no args */
 #define K_START 2   /* Process bootstrap: first generator resume */
+/* Occupancy steps (Resource.occupy): the item is the completion event. */
+#define K_OCC_REQ   3   /* request deferred from a busy instant */
+#define K_OCC_GRANT 4   /* slot granted: start the hold */
+#define K_OCC_HOLD  5   /* hold expired: release, then complete */
 
 typedef struct {
     PyObject_HEAD
@@ -83,10 +87,45 @@ typedef struct {
     PyObject *resume_cb;    /* cached bound _resume (stable identity) */
 } ProcessObject;
 
+/* FIFO of waiters for one priority level of a Resource: a ring buffer
+ * of strong references.  Entries are the gate Events handed out by
+ * request(), or Occupancy events queued by occupy(). */
+typedef struct {
+    PyObject **buf;
+    Py_ssize_t head, len, cap;  /* cap is 0 or a power of two */
+} WaitQ;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *sim;          /* SimObject, strong */
+    PyObject *name;
+    long capacity;
+    long in_use;
+    double busy_time;       /* integral of in_use over time */
+    double last_change;
+    WaitQ q[2];             /* [0] urgent (priority <= 0), [1] background */
+} ResourceObject;
+
+/* The completion event of one Resource.occupy() call.  It doubles as
+ * the record of the occupancy state machine: the same object sits in
+ * the heap under K_OCC_REQ / K_OCC_GRANT / K_OCC_HOLD (or in a WaitQ)
+ * and finally under K_EVENT, so one occupy allocates one object. */
+typedef struct {
+    EventObject ev;
+    ResourceObject *res;    /* strong; dropped at completion */
+    PyObject *on_release;   /* callable(t_req, t_grant, qdepth) or NULL */
+    double seconds;
+    double t_req, t_grant;
+    long qdepth;            /* queue joined, counting itself + in_use */
+    int level;              /* index into res->q */
+} OccObject;
+
 static PyTypeObject SimType;
 static PyTypeObject EventType;
 static PyTypeObject TimeoutType;
 static PyTypeObject ProcessType;
+static PyTypeObject ResourceType;
+static PyTypeObject OccType;
 
 static int process_step(ProcessObject *self, PyObject *sendval, int ok);
 
@@ -234,6 +273,45 @@ event_complete(EventObject *ev, PyObject *value, int ok)
     Py_XSETREF(ev->value, Py_NewRef(value));
     ev->ok = (char)ok;
     return event_post(ev, 0.0);
+}
+
+/* Run and drop the event's callbacks (the dispatch of a fired event). */
+static int
+event_run_callbacks(EventObject *ev)
+{
+    PyObject *cbs = ev->callbacks;
+    ev->callbacks = NULL;  /* ownership moves to this frame */
+    if (cbs == NULL)
+        return 0;
+    /* Re-read the size every iteration, like the pure tier's list
+     * iterator — a callback may reattach this same list (kick reuse). */
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(cbs); i++) {
+        PyObject *cb = Py_NewRef(PyList_GET_ITEM(cbs, i));
+        PyObject *r = PyObject_CallOneArg(cb, (PyObject *)ev);
+        Py_DECREF(cb);
+        if (!r) {
+            Py_DECREF(cbs);
+            return -1;
+        }
+        Py_DECREF(r);
+    }
+    Py_DECREF(cbs);
+    return 0;
+}
+
+/* fire(): trigger and dispatch inline, bypassing the heap. */
+static int
+event_fire(EventObject *ev, PyObject *value)
+{
+    if (ev->value != Pending) {
+        PyErr_SetString(SimError, "event already triggered");
+        return -1;
+    }
+    Py_XSETREF(ev->value, Py_NewRef(value));
+    ev->ok = 1;
+    ev->scheduled = 1;
+    ((SimObject *)ev->sim)->n_fast += 1;
+    return event_run_callbacks(ev);
 }
 
 static int
@@ -827,6 +905,465 @@ static PyTypeObject ProcessType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Resource                                                            */
+/* ------------------------------------------------------------------ */
+
+/* Transcribed from _pyengine.Resource: every step that is a heap entry
+ * there (deferred request, posted grant, hold, posted completion) is
+ * one typed heap entry here, pushed at the same point, so the
+ * tie-break counter and same-instant order agree across tiers.  The
+ * difference is who runs the steps: here the dispatch loop does, and
+ * Python is entered only for an on_release hook or for callbacks
+ * waiting on the completion event. */
+
+static int
+waitq_push(WaitQ *q, PyObject *item)
+{
+    if (q->len == q->cap) {
+        Py_ssize_t ncap = q->cap ? q->cap * 2 : 8;
+        PyObject **nbuf = PyMem_Malloc((size_t)ncap * sizeof(PyObject *));
+        if (!nbuf) { PyErr_NoMemory(); return -1; }
+        for (Py_ssize_t i = 0; i < q->len; i++)
+            nbuf[i] = q->buf[(q->head + i) & (q->cap - 1)];
+        PyMem_Free(q->buf);
+        q->buf = nbuf;
+        q->head = 0;
+        q->cap = ncap;
+    }
+    q->buf[(q->head + q->len++) & (q->cap - 1)] = Py_NewRef(item);
+    return 0;
+}
+
+/* Pop the oldest waiter; returns an owned reference.  len must be > 0. */
+static PyObject *
+waitq_pop(WaitQ *q)
+{
+    PyObject *item = q->buf[q->head];
+    q->head = (q->head + 1) & (q->cap - 1);
+    q->len--;
+    return item;
+}
+
+static int
+res_ready(ResourceObject *r)
+{
+    if (!r->sim) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "Resource.__init__ was not called");
+        return -1;
+    }
+    return 0;
+}
+
+static void
+res_account(ResourceObject *r)
+{
+    double now = ((SimObject *)r->sim)->now;
+    r->busy_time += (double)r->in_use * (now - r->last_change);
+    r->last_change = now;
+}
+
+static void
+res_take_slot(ResourceObject *r)
+{
+    res_account(r);
+    r->in_use++;
+}
+
+static long
+res_qdepth(ResourceObject *r)
+{
+    return (long)(r->q[0].len + r->q[1].len) + r->in_use + 1;
+}
+
+/* release(): hand the slot to the next live waiter (urgent first) —
+ * one heap entry, the posted grant — or return it to the pool. */
+static int
+res_release(ResourceObject *r)
+{
+    SimObject *sim = (SimObject *)r->sim;
+    if (r->in_use <= 0) {
+        PyErr_Format(SimError, "release of idle resource %R", r->name);
+        return -1;
+    }
+    for (int lvl = 0; lvl < 2; lvl++) {
+        WaitQ *q = &r->q[lvl];
+        while (q->len) {
+            PyObject *w = waitq_pop(q);
+            int st;
+            if (Py_IS_TYPE(w, &OccType))
+                st = heap_push(sim, sim->now, w, K_OCC_GRANT);
+            else if (((EventObject *)w)->value != Pending) {
+                Py_DECREF(w);  /* interrupted/cancelled waiter: skip */
+                continue;
+            }
+            else
+                st = event_complete((EventObject *)w, (PyObject *)r, 1);
+            Py_DECREF(w);
+            return st;
+        }
+    }
+    res_account(r);
+    r->in_use--;
+    return 0;
+}
+
+/* One step of an occupancy popped off the heap. */
+static int
+occ_dispatch(SimObject *sim, OccObject *occ, int kind)
+{
+    ResourceObject *res = occ->res;
+    if (kind == K_OCC_REQ) {
+        occ->qdepth = res_qdepth(res);
+        if (res->in_use < res->capacity) {
+            res_take_slot(res);
+            return heap_push(sim, sim->now, (PyObject *)occ, K_OCC_GRANT);
+        }
+        return waitq_push(&res->q[occ->level], (PyObject *)occ);
+    }
+    if (kind == K_OCC_GRANT) {
+        occ->t_grant = sim->now;
+        return heap_push(sim, sim->now + occ->seconds, (PyObject *)occ,
+                         K_OCC_HOLD);
+    }
+    /* K_OCC_HOLD */
+    if (res_release(res) < 0)
+        return -1;
+    if (occ->on_release) {
+        PyObject *r = PyObject_CallFunction(occ->on_release, "ddl",
+                                            occ->t_req, occ->t_grant,
+                                            occ->qdepth);
+        if (!r)
+            return -1;
+        Py_DECREF(r);
+    }
+    Py_CLEAR(occ->res);
+    Py_CLEAR(occ->on_release);
+    if (sim->hlen == 0 || sim->ht[0] > sim->now)
+        return event_fire(&occ->ev, Py_None);  /* quiet: complete inline */
+    return event_complete(&occ->ev, Py_None, 1);
+}
+
+/* Fill out[0..nnames) from positional then keyword arguments of a
+ * METH_FASTCALL|METH_KEYWORDS call; absent optionals stay NULL. */
+static int
+parse_fastcall(const char *fname, PyObject *const *args, Py_ssize_t nargs,
+               PyObject *kwnames, const char *const *names, int nnames,
+               int nrequired, PyObject **out)
+{
+    if (nargs > nnames) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s() takes at most %d arguments (%zd given)",
+                     fname, nnames, nargs);
+        return -1;
+    }
+    for (int i = 0; i < nnames; i++)
+        out[i] = i < nargs ? args[i] : NULL;
+    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    for (Py_ssize_t k = 0; k < nkw; k++) {
+        PyObject *nm = PyTuple_GET_ITEM(kwnames, k);
+        int i = 0;
+        while (i < nnames && PyUnicode_CompareWithASCIIString(nm, names[i]))
+            i++;
+        if (i == nnames) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s() got an unexpected keyword argument %R",
+                         fname, nm);
+            return -1;
+        }
+        if (out[i]) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s() got multiple values for argument %R",
+                         fname, nm);
+            return -1;
+        }
+        out[i] = args[nargs + k];
+    }
+    for (int i = 0; i < nrequired; i++) {
+        if (!out[i]) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s() missing required argument '%s'",
+                         fname, names[i]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* Priority argument -> queue index (0 urgent, 1 background), -1 on error. */
+static int
+priority_level(PyObject *priority)
+{
+    if (!priority)
+        return 0;
+    long p = PyLong_AsLong(priority);
+    if (p == -1 && PyErr_Occurred())
+        return -1;
+    return p <= 0 ? 0 : 1;
+}
+
+static int
+Resource_init(ResourceObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *sim, *name = NULL;
+    long capacity = 1;
+    static char *kwlist[] = {"sim", "capacity", "name", NULL};
+    if (check_ready() < 0)
+        return -1;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!|lO", kwlist,
+                                     &SimType, &sim, &capacity, &name))
+        return -1;
+    if (capacity < 1) {
+        PyErr_Format(SimError, "resource capacity must be >= 1: %ld",
+                     capacity);
+        return -1;
+    }
+    Py_XSETREF(self->sim, Py_NewRef(sim));
+    if (name)
+        Py_XSETREF(self->name, Py_NewRef(name));
+    else {
+        PyObject *empty = PyUnicode_FromString("");
+        if (!empty)
+            return -1;
+        Py_XSETREF(self->name, empty);
+    }
+    self->capacity = capacity;
+    self->in_use = 0;
+    self->busy_time = self->last_change = 0.0;
+    return 0;
+}
+
+static int
+Resource_traverse(ResourceObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->sim);
+    Py_VISIT(self->name);
+    for (int lvl = 0; lvl < 2; lvl++) {
+        WaitQ *q = &self->q[lvl];
+        for (Py_ssize_t i = 0; i < q->len; i++)
+            Py_VISIT(q->buf[(q->head + i) & (q->cap - 1)]);
+    }
+    return 0;
+}
+
+static int
+Resource_clear(ResourceObject *self)
+{
+    Py_CLEAR(self->sim);
+    Py_CLEAR(self->name);
+    for (int lvl = 0; lvl < 2; lvl++) {
+        WaitQ *q = &self->q[lvl];
+        while (q->len) {
+            PyObject *w = waitq_pop(q);
+            Py_DECREF(w);
+        }
+    }
+    return 0;
+}
+
+static void
+Resource_dealloc(ResourceObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Resource_clear(self);
+    PyMem_Free(self->q[0].buf);
+    PyMem_Free(self->q[1].buf);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+Resource_request(ResourceObject *self, PyObject *const *args,
+                 Py_ssize_t nargs, PyObject *kwnames)
+{
+    static const char *const names[] = {"priority"};
+    PyObject *a[1];
+    if (res_ready(self) < 0 ||
+        parse_fastcall("request", args, nargs, kwnames, names, 1, 0, a) < 0)
+        return NULL;
+    int lvl = priority_level(a[0]);
+    if (lvl < 0)
+        return NULL;
+    EventObject *ev = event_new_bare(&EventType, (SimObject *)self->sim);
+    if (!ev)
+        return NULL;
+    int st;
+    if (self->in_use < self->capacity) {
+        res_take_slot(self);
+        st = event_complete(ev, (PyObject *)self, 1);
+    }
+    else
+        st = waitq_push(&self->q[lvl], (PyObject *)ev);
+    if (st < 0) {
+        Py_DECREF(ev);
+        return NULL;
+    }
+    return (PyObject *)ev;
+}
+
+static PyObject *
+Resource_release(ResourceObject *self, PyObject *noargs)
+{
+    if (res_ready(self) < 0 || res_release(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Resource_occupy(ResourceObject *self, PyObject *const *args,
+                Py_ssize_t nargs, PyObject *kwnames)
+{
+    static const char *const names[] = {"seconds", "priority", "on_release"};
+    PyObject *a[3];
+    if (res_ready(self) < 0 ||
+        parse_fastcall("occupy", args, nargs, kwnames, names, 3, 1, a) < 0)
+        return NULL;
+    double seconds = PyFloat_AsDouble(a[0]);
+    if (seconds == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (seconds < 0) {
+        PyErr_Format(SimError, "negative occupy time: %S", a[0]);
+        return NULL;
+    }
+    int lvl = priority_level(a[1]);
+    if (lvl < 0)
+        return NULL;
+    SimObject *sim = (SimObject *)self->sim;
+    OccObject *occ = (OccObject *)event_new_bare(&OccType, sim);
+    if (!occ)
+        return NULL;
+    occ->res = (ResourceObject *)Py_NewRef((PyObject *)self);
+    if (a[2] && a[2] != Py_None)
+        occ->on_release = Py_NewRef(a[2]);
+    occ->seconds = seconds;
+    occ->t_req = sim->now;
+    occ->level = lvl;
+    int st;
+    if (sim->hlen == 0 || sim->ht[0] > sim->now) {
+        /* Quiet instant: grant (or enqueue) synchronously. */
+        occ->qdepth = res_qdepth(self);
+        if (self->in_use < self->capacity) {
+            res_take_slot(self);
+            occ->t_grant = sim->now;
+            st = heap_push(sim, sim->now + seconds, (PyObject *)occ,
+                           K_OCC_HOLD);
+        }
+        else
+            st = waitq_push(&self->q[lvl], (PyObject *)occ);
+    }
+    else {
+        /* Busy instant: request one dispatch later, grant one more —
+         * the depths the request/timeout/release process used. */
+        sim->n_fallback += 1;
+        st = heap_push(sim, sim->now, (PyObject *)occ, K_OCC_REQ);
+    }
+    if (st < 0) {
+        Py_DECREF(occ);
+        return NULL;
+    }
+    return (PyObject *)occ;
+}
+
+static PyObject *
+Resource_busy_time(ResourceObject *self, PyObject *noargs)
+{
+    if (res_ready(self) < 0)
+        return NULL;
+    res_account(self);
+    return PyFloat_FromDouble(self->busy_time);
+}
+
+static PyObject *
+Resource_get_in_use(ResourceObject *self, void *closure)
+{
+    return PyLong_FromLong(self->in_use);
+}
+
+static PyObject *
+Resource_get_queue_length(ResourceObject *self, void *closure)
+{
+    return PyLong_FromSsize_t(self->q[0].len + self->q[1].len);
+}
+
+static PyMethodDef Resource_methods[] = {
+    {"request", (PyCFunction)(void (*)(void))Resource_request,
+     METH_FASTCALL | METH_KEYWORDS,
+     "Ask for one slot; the returned event fires when granted."},
+    {"release", (PyCFunction)Resource_release, METH_NOARGS,
+     "Return a slot; the next waiter (urgent first) is granted."},
+    {"occupy", (PyCFunction)(void (*)(void))Resource_occupy,
+     METH_FASTCALL | METH_KEYWORDS,
+     "One-shot request/hold/release; returns the completion event."},
+    {"busy_time", (PyCFunction)Resource_busy_time, METH_NOARGS,
+     "Integral of in-use servers over time."},
+    {NULL}
+};
+
+static PyGetSetDef Resource_getset[] = {
+    {"in_use", (getter)Resource_get_in_use, NULL, NULL, NULL},
+    {"queue_length", (getter)Resource_get_queue_length, NULL, NULL, NULL},
+    {NULL}
+};
+
+static PyMemberDef Resource_members[] = {
+    {"sim", T_OBJECT, offsetof(ResourceObject, sim), READONLY, NULL},
+    {"capacity", T_LONG, offsetof(ResourceObject, capacity), READONLY, NULL},
+    {"name", T_OBJECT, offsetof(ResourceObject, name), READONLY, NULL},
+    {NULL}
+};
+
+static PyTypeObject ResourceType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ccore.Resource",
+    .tp_basicsize = sizeof(ResourceObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "A counted resource with FIFO granting per priority level.",
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)Resource_init,
+    .tp_dealloc = (destructor)Resource_dealloc,
+    .tp_traverse = (traverseproc)Resource_traverse,
+    .tp_clear = (inquiry)Resource_clear,
+    .tp_methods = Resource_methods,
+    .tp_getset = Resource_getset,
+    .tp_members = Resource_members,
+};
+
+static int
+Occ_traverse(OccObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->res);
+    Py_VISIT(self->on_release);
+    return Event_traverse(&self->ev, visit, arg);
+}
+
+static int
+Occ_clear(OccObject *self)
+{
+    Py_CLEAR(self->res);
+    Py_CLEAR(self->on_release);
+    return Event_clear(&self->ev);
+}
+
+static void
+Occ_dealloc(OccObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Occ_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyTypeObject OccType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ccore.Occupancy",
+    .tp_basicsize = sizeof(OccObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Completion event of one Resource.occupy() call.",
+    .tp_base = &EventType,
+    .tp_dealloc = (destructor)Occ_dealloc,
+    .tp_traverse = (traverseproc)Occ_traverse,
+    .tp_clear = (inquiry)Occ_clear,
+};
+
+/* ------------------------------------------------------------------ */
 /* Dispatch                                                            */
 /* ------------------------------------------------------------------ */
 
@@ -847,29 +1384,14 @@ dispatch_item(SimObject *sim, PyObject *item, int kind)
             return 0;
         return process_step(p, Py_None, 1);
     }
+    if (kind != K_EVENT)
+        return occ_dispatch(sim, (OccObject *)item, kind);
     EventObject *ev = (EventObject *)item;
     if (ev->value == Pending) {
         /* Scheduled directly (Timeout): fire now with its default. */
         Py_XSETREF(ev->value, Py_NewRef(ev->defval));
     }
-    PyObject *cbs = ev->callbacks;
-    ev->callbacks = NULL;  /* ownership moves to this frame */
-    if (cbs == NULL)
-        return 0;
-    /* Re-read the size every iteration, like the pure tier's list
-     * iterator — a callback may reattach this same list (kick reuse). */
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(cbs); i++) {
-        PyObject *cb = Py_NewRef(PyList_GET_ITEM(cbs, i));
-        PyObject *r = PyObject_CallOneArg(cb, (PyObject *)ev);
-        Py_DECREF(cb);
-        if (!r) {
-            Py_DECREF(cbs);
-            return -1;
-        }
-        Py_DECREF(r);
-    }
-    Py_DECREF(cbs);
-    return 0;
+    return event_run_callbacks(ev);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1403,31 +1925,8 @@ mod_fire(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "fire() expects an Event");
         return NULL;
     }
-    EventObject *ev = (EventObject *)args[0];
-    PyObject *value = nargs == 2 ? args[1] : Py_None;
-    if (ev->value != Pending) {
-        PyErr_SetString(SimError, "event already triggered");
+    if (event_fire((EventObject *)args[0], nargs == 2 ? args[1] : Py_None) < 0)
         return NULL;
-    }
-    Py_XSETREF(ev->value, Py_NewRef(value));
-    ev->ok = 1;
-    ev->scheduled = 1;
-    ((SimObject *)ev->sim)->n_fast += 1;
-    PyObject *cbs = ev->callbacks;
-    ev->callbacks = NULL;
-    if (cbs != NULL) {
-        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(cbs); i++) {
-            PyObject *cb = Py_NewRef(PyList_GET_ITEM(cbs, i));
-            PyObject *r = PyObject_CallOneArg(cb, (PyObject *)ev);
-            Py_DECREF(cb);
-            if (!r) {
-                Py_DECREF(cbs);
-                return NULL;
-            }
-            Py_DECREF(r);
-        }
-        Py_DECREF(cbs);
-    }
     Py_RETURN_NONE;
 }
 
@@ -1505,7 +2004,8 @@ PyInit__ccore(void)
     if (!str_send || !str_throw || !str_value || !str_dunder_name)
         return NULL;
     if (PyType_Ready(&SimType) < 0 || PyType_Ready(&EventType) < 0 ||
-        PyType_Ready(&TimeoutType) < 0 || PyType_Ready(&ProcessType) < 0)
+        PyType_Ready(&TimeoutType) < 0 || PyType_Ready(&ProcessType) < 0 ||
+        PyType_Ready(&ResourceType) < 0 || PyType_Ready(&OccType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&ccoremodule);
     if (!m)
@@ -1513,7 +2013,8 @@ PyInit__ccore(void)
     if (PyModule_AddObjectRef(m, "Simulator", (PyObject *)&SimType) < 0 ||
         PyModule_AddObjectRef(m, "Event", (PyObject *)&EventType) < 0 ||
         PyModule_AddObjectRef(m, "Timeout", (PyObject *)&TimeoutType) < 0 ||
-        PyModule_AddObjectRef(m, "Process", (PyObject *)&ProcessType) < 0) {
+        PyModule_AddObjectRef(m, "Process", (PyObject *)&ProcessType) < 0 ||
+        PyModule_AddObjectRef(m, "Resource", (PyObject *)&ResourceType) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -1,10 +1,10 @@
 """Compiled tier: loads ``_ccore`` and finishes its Python-side wiring.
 
 The C extension implements the hot core (event store, dispatch loop,
-generator protocol); this module supplies the pieces that belong in
-Python — the shared exception types and PENDING sentinel (imported
-from ``_pyengine`` so ``isinstance`` and identity checks agree across
-tiers), the AllOf/AnyOf condition classes (Python subclasses of the C
+generator protocol, resource occupancy state machine); this module
+supplies the pieces that belong in Python — the shared exception
+types and PENDING sentinel (imported from ``_pyengine`` so
+``isinstance`` and identity checks agree across tiers), the AllOf/AnyOf condition classes (Python subclasses of the C
 Event via the shared factory), and the spawn-tracing hook — then
 injects them into the extension via ``_ccore._set_helpers``.
 
@@ -25,6 +25,7 @@ Event = _ccore.Event
 Timeout = _ccore.Timeout
 Process = _ccore.Process
 Simulator = _ccore.Simulator
+Resource = _ccore.Resource
 fire = _ccore.fire
 chain = _ccore.chain
 
@@ -37,6 +38,7 @@ __all__ = [
     "AnyOf",
     "Process",
     "Simulator",
+    "Resource",
     "Interrupt",
     "SimulationError",
     "chain",

@@ -40,7 +40,8 @@ other (``REPRO_ENGINE=python|compiled``).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Generator, Iterable, Optional
 
 from ._conditions import build_conditions
 
@@ -51,6 +52,7 @@ __all__ = [
     "AnyOf",
     "Process",
     "Simulator",
+    "Resource",
     "Interrupt",
     "SimulationError",
     "chain",
@@ -570,3 +572,185 @@ def chain(ev: Event, fn: Callable[[Event], None]) -> Event:
     else:
         cbs.append(fn)
     return ev
+
+
+class Resource:
+    """A counted resource with FIFO granting per priority level.
+
+    Two priority levels: 0 (urgent — protocol/interrupt work) and 1
+    (background — application compute).  Level-0 waiters are always
+    granted before level-1 waiters; within a level the order is FIFO.
+    This mirrors interrupt-driven message handling preempting user
+    compute between quanta on a real node.
+
+    Usage from a process::
+
+        grant = yield resource.request()
+        ...
+        resource.release()
+
+    Part of the event-store contract: this class is the readable
+    reference, and the compiled tier runs the same occupancy state
+    machine as typed heap entries inside its dispatch loop
+    (``_ccore.c``, *Resource*).  Every step that is a heap entry here
+    is exactly one heap entry there, in the same order.
+    """
+
+    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
+        if capacity < 1:
+            raise SimulationError(f"resource capacity must be >= 1: {capacity}")
+        self.sim = sim
+        self.capacity = capacity
+        self.name = name
+        self._in_use = 0
+        self._waiters: Deque[Event] = deque()       # priority 0
+        self._low_waiters: Deque[Event] = deque()   # priority 1
+        # Occupancy accounting (for utilization reports).
+        self._busy_time = 0.0
+        self._last_change = 0.0
+
+    @property
+    def in_use(self) -> int:
+        return self._in_use
+
+    @property
+    def queue_length(self) -> int:
+        return len(self._waiters) + len(self._low_waiters)
+
+    def _account(self) -> None:
+        now = self.sim.now
+        self._busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
+
+    def busy_time(self) -> float:
+        """Integral of in-use servers over time (divide by elapsed for util)."""
+        self._account()
+        return self._busy_time
+
+    def _qdepth(self) -> int:
+        """Depth of the queue a request arriving now joins, counting
+        itself and the slots in use (only sampled for a traced occupy)."""
+        return self.queue_length + self._in_use + 1
+
+    def request(self, priority: int = 0) -> Event:
+        """Ask for one slot; the returned event fires when granted."""
+        ev = Event(self.sim)
+        if self._in_use < self.capacity:
+            self._account()
+            self._in_use += 1
+            ev.succeed(self)
+        elif priority <= 0:
+            self._waiters.append(ev)
+        else:
+            self._low_waiters.append(ev)
+        return ev
+
+    def occupy(self, seconds: float, priority: int = 0,
+               on_release: Optional[Callable[[float, float, int], None]]
+               = None) -> Event:
+        """One-shot request/hold/release; returns the completion event.
+
+        The event-minimizing counterpart of the request/timeout/release
+        process pattern.  When a slot is free the grant is synchronous
+        and the hold is a single analytically-scheduled timeout — no
+        generator, no :class:`Process`.  When the resource is contended
+        it falls back to the queued path: the request joins the same
+        FIFO (per priority level) as :meth:`request`, so fast and
+        queued occupancies interleave with identical semantics.
+
+        The completion event is *posted* after the release (not the
+        hold timeout itself), so a waiter resumes one dispatch later —
+        the same position a process-based request/timeout/release
+        caller resumes at, after the slot has been handed to the next
+        waiter.
+
+        Dispatch-order parity: when other events are pending at the
+        current instant, the request and grant go through the heap at
+        the same dispatch depths the process pattern used (request one
+        dispatch after the call, hold scheduled one dispatch after the
+        grant), so same-instant races — a release racing a fresh
+        arrival, holds on different resources expiring together —
+        linearize identically in fast and process-based runs.  When
+        nothing else is scheduled at this instant the deferrals are
+        unobservable and are elided: one timeout, zero intermediate
+        dispatches.  Virtual-time behavior is identical to the process
+        pattern either way — only the host-side event count differs.
+
+        ``on_release(t_req, t_grant, qdepth)`` — pass it only while
+        tracing — runs right after the slot is released and before the
+        completion event triggers: ``t_req`` is the instant of the
+        call, ``t_grant`` the instant the slot was granted, and
+        ``qdepth`` the depth of the queue this occupancy joined,
+        counting itself and the slots in use, sampled atomically with
+        the request.
+        """
+        if seconds < 0:
+            raise SimulationError(f"negative occupy time: {seconds}")
+        sim = self.sim
+        done = Event(sim)
+        hook = None  # (on_release, t_req, qdepth), only while tracing
+        if sim.idle_at_now():
+            # Quiet instant: grant (or enqueue) synchronously.
+            if on_release is not None:
+                hook = (on_release, sim.now, self._qdepth())
+            if self._in_use < self.capacity:
+                self._account()
+                self._in_use += 1
+                self._occupy_granted(done, seconds, hook)
+            else:
+                gate = Event(sim)
+                if priority <= 0:
+                    self._waiters.append(gate)
+                else:
+                    self._low_waiters.append(gate)
+                gate.callbacks.append(
+                    lambda _ev: self._occupy_granted(done, seconds, hook))
+            return done
+
+        # Busy instant: request one dispatch later (request() posts the
+        # grant, putting the hold two dispatches out — process parity).
+        sim._n_fallback += 1
+        t_req = sim.now
+
+        def _request() -> None:
+            hook = None
+            if on_release is not None:
+                hook = (on_release, t_req, self._qdepth())
+            gate = self.request(priority)
+            gate.callbacks.append(
+                lambda _ev: self._occupy_granted(done, seconds, hook))
+
+        sim.after_call(0.0, _request)
+        return done
+
+    def _occupy_granted(self, done: Event, seconds: float,
+                        hook: Optional[tuple]) -> None:
+        # The hold is a bare call slot — one heap entry (same count as the
+        # timeout the process pattern scheduled), zero boxed events.
+        sim = self.sim
+        t_grant = sim.now
+
+        def _fin() -> None:
+            self.release()
+            if hook is not None:
+                on_release, t_req, qdepth = hook
+                on_release(t_req, t_grant, qdepth)
+            if sim.idle_at_now():
+                fire(done, None)  # quiet: complete inline, skip one dispatch
+            else:
+                done.succeed(None)
+
+        sim.after_call(seconds, _fin)
+
+    def release(self) -> None:
+        """Return a slot; the next waiter (urgent first) is granted."""
+        if self._in_use <= 0:
+            raise SimulationError(f"release of idle resource {self.name!r}")
+        for queue in (self._waiters, self._low_waiters):
+            while queue:
+                waiter = queue.popleft()
+                if not waiter.triggered:
+                    waiter.succeed(self)  # hand the slot over directly
+                    return
+        self._account()
+        self._in_use -= 1

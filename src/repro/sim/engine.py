@@ -1,8 +1,9 @@
 """Facade over the two-tier discrete-event core: selects and re-exports.
 
 The engine API (:class:`Event`, :class:`Timeout`, :class:`Process`,
-:class:`Simulator`, :func:`chain`, :func:`fire`, …) has two
-implementations of one shared *event store* contract — heap entries are
+:class:`Simulator`, :class:`Resource`, :func:`chain`, :func:`fire`, …)
+has two implementations of one shared *event store* contract — heap
+entries are
 compact ``(time, tiebreak, item)`` triples, same-instant entries drain
 in batched dispatch runs, and every entry bumps the tie-break counter
 exactly once so ``Simulator.stats()`` agrees across tiers:
@@ -49,6 +50,7 @@ __all__ = [
     "AnyOf",
     "Process",
     "Simulator",
+    "Resource",
     "Interrupt",
     "SimulationError",
     "chain",
@@ -85,5 +87,6 @@ AllOf = _impl.AllOf
 AnyOf = _impl.AnyOf
 Process = _impl.Process
 Simulator = _impl.Simulator
+Resource = _impl.Resource
 chain = _impl.chain
 fire = _impl.fire

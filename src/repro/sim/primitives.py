@@ -4,6 +4,11 @@ These are the building blocks the network and runtime layers use:
 
 * :class:`Channel` — an unbounded FIFO mailbox (message delivery).
 * :class:`Resource` — a counted FIFO resource (CPUs, link capacity).
+  Re-exported from the engine: like :class:`Event` and
+  :class:`Process` it is part of the event-store contract and is
+  implemented once per engine tier (``_pyengine.Resource`` is the
+  reference; the compiled tier runs the same occupancy state machine
+  inside its dispatch loop).
 * :class:`CPU` — a single-server resource with an ``execute(seconds)``
   convenience used to charge compute and protocol-overhead time.
 * :class:`Barrier` — rendezvous for a fixed number of parties.
@@ -14,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Generator, Optional
 
-from .engine import Event, SimulationError, Simulator, fire
+from .engine import Event, Resource, SimulationError, Simulator, fire
 
 __all__ = ["Channel", "Resource", "CPU", "Barrier"]
 
@@ -56,154 +61,6 @@ class Channel:
         return None
 
 
-class Resource:
-    """A counted resource with FIFO granting per priority level.
-
-    Two priority levels: 0 (urgent — protocol/interrupt work) and 1
-    (background — application compute).  Level-0 waiters are always
-    granted before level-1 waiters; within a level the order is FIFO.
-    This mirrors interrupt-driven message handling preempting user
-    compute between quanta on a real node.
-
-    Usage from a process::
-
-        grant = yield resource.request()
-        ...
-        resource.release()
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1: {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()       # priority 0
-        self._low_waiters: Deque[Event] = deque()   # priority 1
-        # Occupancy accounting (for utilization reports).
-        self._busy_time = 0.0
-        self._last_change = 0.0
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters) + len(self._low_waiters)
-
-    def _account(self) -> None:
-        now = self.sim.now
-        self._busy_time += self._in_use * (now - self._last_change)
-        self._last_change = now
-
-    def busy_time(self) -> float:
-        """Integral of in-use servers over time (divide by elapsed for util)."""
-        self._account()
-        return self._busy_time
-
-    def request(self, priority: int = 0) -> Event:
-        """Ask for one slot; the returned event fires when granted."""
-        ev = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._account()
-            self._in_use += 1
-            ev.succeed(self)
-        elif priority <= 0:
-            self._waiters.append(ev)
-        else:
-            self._low_waiters.append(ev)
-        return ev
-
-    def occupy(self, seconds: float, priority: int = 0) -> Event:
-        """One-shot request/hold/release; returns the completion event.
-
-        The event-minimizing counterpart of the request/timeout/release
-        process pattern.  When a slot is free the grant is synchronous
-        and the hold is a single analytically-scheduled timeout — no
-        generator, no :class:`~.engine.Process`.  When the resource is
-        contended it falls back to the queued path: the request joins
-        the same FIFO (per priority level) as :meth:`request`, so fast
-        and queued occupancies interleave with identical semantics.
-
-        The completion event is *posted* after the release (not the
-        hold timeout itself), so a waiter resumes one dispatch later —
-        the same position a process-based request/timeout/release
-        caller resumes at, after the slot has been handed to the next
-        waiter.
-
-        Dispatch-order parity: when other events are pending at the
-        current instant, the request and grant go through the heap at
-        the same dispatch depths the process pattern used (request one
-        dispatch after the call, hold scheduled one dispatch after the
-        grant), so same-instant races — a release racing a fresh
-        arrival, holds on different resources expiring together —
-        linearize identically in fast and process-based runs.  When
-        nothing else is scheduled at this instant the deferrals are
-        unobservable and are elided: one timeout, zero intermediate
-        dispatches.  Virtual-time behavior is identical to the process
-        pattern either way — only the host-side event count differs.
-        """
-        if seconds < 0:
-            raise SimulationError(f"negative occupy time: {seconds}")
-        sim = self.sim
-        done = Event(sim)
-        if sim.idle_at_now():
-            # Quiet instant: grant (or enqueue) synchronously.
-            if self._in_use < self.capacity:
-                self._account()
-                self._in_use += 1
-                self._occupy_granted(done, seconds)
-            else:
-                gate = Event(sim)
-                if priority <= 0:
-                    self._waiters.append(gate)
-                else:
-                    self._low_waiters.append(gate)
-                gate.callbacks.append(
-                    lambda _ev, d=done, s=seconds: self._occupy_granted(d, s))
-            return done
-
-        # Busy instant: request one dispatch later (request() posts the
-        # grant, putting the hold two dispatches out — process parity).
-        sim._n_fallback += 1
-
-        def _request() -> None:
-            gate = self.request(priority)
-            gate.callbacks.append(
-                lambda _e, d=done, s=seconds: self._occupy_granted(d, s))
-
-        sim.after_call(0.0, _request)
-        return done
-
-    def _occupy_granted(self, done: Event, seconds: float) -> None:
-        # The hold is a bare call slot — one heap entry (same count as the
-        # timeout the process pattern scheduled), zero boxed events.
-        def _fin(self=self, done=done) -> None:
-            self.release()
-            sim = self.sim
-            if sim.idle_at_now():
-                fire(done, None)  # quiet: complete inline, skip one dispatch
-            else:
-                done.succeed(None)
-
-        self.sim.after_call(seconds, _fin)
-
-    def release(self) -> None:
-        """Return a slot; the next waiter (urgent first) is granted."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        for queue in (self._waiters, self._low_waiters):
-            while queue:
-                waiter = queue.popleft()
-                if not waiter.triggered:
-                    waiter.succeed(self)  # hand the slot over directly
-                    return
-        self._account()
-        self._in_use -= 1
-
-
 class CPU(Resource):
     """A single-server CPU; ``execute`` charges busy time FIFO.
 
@@ -229,15 +86,13 @@ class CPU(Resource):
         finally:
             self.release()
 
-    def execute_ev(self, seconds: float, priority: int = 0) -> Event:
-        """One-shot ``execute``: returns the completion event directly.
-
-        Exactly :meth:`execute`'s virtual-time semantics without the
-        generator — uncontended charges schedule a single timeout (see
-        :meth:`Resource.occupy`).  The hot path for per-message protocol
-        overhead in the fabric and the Orca runtime.
-        """
-        return self.occupy(seconds, priority)
+    #: One-shot ``execute``: returns the completion event directly.
+    #: Exactly :meth:`execute`'s virtual-time semantics without the
+    #: generator — the hot path for per-message protocol overhead in
+    #: the fabric and the Orca runtime.  A class-level alias of
+    #: :meth:`Resource.occupy`, so a charge enters the engine without
+    #: a forwarding frame.
+    execute_ev = Resource.occupy
 
 
 class Barrier:

@@ -62,7 +62,10 @@ def test_committed_engine_baseline_is_sectioned_per_tier():
     assert "python" in results
     assert all(isinstance(v, dict) for v in results.values())
     for section in results.values():
-        assert "TOTAL" in section
+        assert {"TOTAL", "occupy_lockstep", "occupy_quiet"} <= set(section)
+    # Every baseline says what host and engine tier it was written on.
+    assert data["host_cores"] >= 1
+    assert data["engine_tier"] in ("python", "compiled")
 
 
 def test_parse_suite_request():

@@ -10,7 +10,12 @@ observable-for-observable:
 * ``repro.sim._cengine`` — the optional compiled core (skipped here
   when no C compiler is available).
 
-Three kinds of coverage:
+``Resource`` is part of the same contract: ``_pyengine.Resource`` is the
+reference, ``_ccore`` runs its occupancy state machine inside the
+dispatch loop, and the request/timeout/release *process* pattern on the
+frozen engine is the oracle both are held to.
+
+Four kinds of coverage:
 
 * hypothesis properties every tier must satisfy on its own
   (same-instant FIFO tie-break; recycled kick events never resurrect
@@ -19,16 +24,23 @@ Three kinds of coverage:
   value log, final clock and ``stats()`` counters must be identical —
   the counter-parity contract that keeps ``events_processed``
   comparable across tiers;
+* a hypothesis-generated resource program (request/release/occupy at
+  quiet and busy instants, cancelled waiters, traced occupancies) whose
+  whole log must be identical across the live tiers and equal to the
+  process pattern on the frozen engine;
 * subprocess runs of a full application under ``REPRO_ENGINE=python``
   vs ``REPRO_ENGINE=compiled`` whose trace streams must match record
   for record (tiers cannot be mixed in one process, so tier selection
   itself is always exercised via subprocesses).
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +56,10 @@ if compiler_available():
 
 _tier = pytest.mark.parametrize(
     "engine", [m for _, m in TIERS], ids=[n for n, _ in TIERS])
+
+#: The tiers that implement ``Resource`` (the frozen engine predates it).
+_resource_tier = pytest.mark.parametrize(
+    "engine", [m for _, m in TIERS[1:]], ids=[n for n, _ in TIERS[1:]])
 
 needs_cc = pytest.mark.skipif(
     not compiler_available(),
@@ -183,6 +199,9 @@ def test_tiers_share_sentinels_and_exceptions():
     for _, mod in TIERS:
         for n in names:
             assert hasattr(mod, n), n
+    for _, mod in TIERS[1:]:
+        assert hasattr(mod, "Resource")
+    assert engine.Resource is dict(TIERS)[engine.ENGINE_TIER].Resource
     assert engine.PENDING is _pyengine.PENDING
     assert engine.SimulationError is _pyengine.SimulationError
     assert engine.Interrupt is _pyengine.Interrupt
@@ -191,6 +210,200 @@ def test_tiers_share_sentinels_and_exceptions():
         assert _cengine.SimulationError is _pyengine.SimulationError
         assert _cengine.Interrupt is _pyengine.Interrupt
 
+
+
+# ------------------------------------- cross-tier resource equivalence
+
+
+class _ScanResource:
+    """request/release over any engine module — the two-priority FIFO
+    written out plainly, for the process pattern on the frozen engine
+    (which has no ``Resource`` of its own)."""
+
+    def __init__(self, engine, sim, capacity):
+        self.engine, self.sim, self.capacity = engine, sim, capacity
+        self.in_use = 0
+        self._queues = (deque(), deque())
+        self._busy = self._last = 0.0
+
+    @property
+    def queue_length(self):
+        return len(self._queues[0]) + len(self._queues[1])
+
+    def busy_time(self):
+        self._busy += self.in_use * (self.sim.now - self._last)
+        self._last = self.sim.now
+        return self._busy
+
+    def request(self, priority=0):
+        ev = self.engine.Event(self.sim)
+        if self.in_use < self.capacity:
+            self.busy_time()
+            self.in_use += 1
+            ev.succeed(self)
+        else:
+            self._queues[priority > 0].append(ev)
+        return ev
+
+    def release(self):
+        for queue in self._queues:
+            while queue:
+                waiter = queue.popleft()
+                if not waiter.triggered:
+                    waiter.succeed(self)
+                    return
+        self.busy_time()
+        self.in_use -= 1
+
+
+#: One op = (kind, resource, start, hold, priority, extra).  Starts and
+#: holds are integer-derived so colliding instants are common: the
+#: first of several launches at one instant sees a busy instant, the
+#: last a quiet one.  ``extra`` is the cancel delay of a ``cancel`` op
+#: and the traced flag of an ``occupy`` op.
+_RES_OPS = st.lists(
+    st.tuples(st.sampled_from(["occupy", "occupy", "request", "cancel"]),
+              st.integers(0, 2),
+              st.integers(0, 5).map(lambda t: t * 0.5),
+              st.integers(0, 6).map(lambda d: d * 0.25),
+              st.integers(0, 1),
+              st.integers(0, 3)),
+    min_size=1, max_size=14)
+
+
+def _run_resource_program(engine, capacities, ops, process_pattern=False):
+    """Run ``ops``; return (log, busy times, final clock, stats).
+
+    ``process_pattern`` replaces every ``occupy`` by a spawned
+    request/timeout/release process over :class:`_ScanResource` — what
+    ``occupy`` must be indistinguishable from.
+    """
+    sim = engine.Simulator()
+    if process_pattern:
+        resources = [_ScanResource(engine, sim, c) for c in capacities]
+    else:
+        resources = [engine.Resource(sim, c, name=f"r{i}")
+                     for i, c in enumerate(capacities)]
+    log = []
+
+    def sample(tag, i, res):
+        log.append((tag, i, sim.now, res.queue_length, res.in_use))
+
+    def hold_then_release(i, res, hold):
+        def release(_ev):
+            res.release()
+            sample("released", i, res)
+        sim.after(hold, release)
+
+    def worker(i, res, hold, priority, traced):
+        t_req = sim.now
+        qdepth = res.queue_length + res.in_use + 1
+        yield res.request(priority)
+        t_grant = sim.now
+        try:
+            yield sim.timeout(hold)
+        finally:
+            res.release()
+            if traced:
+                log.append(("hook", i, t_req, t_grant, qdepth, sim.now))
+
+    def launch(i, kind, res, hold, priority, extra):
+        sample("launch", i, res)
+        if kind == "occupy":
+            traced = bool(extra & 1)
+            # Completion is observed where a parent waiting on the
+            # occupancy resumes: on the worker's process event, which
+            # is what occupy()'s completion event stands in for.
+            if process_pattern:
+                done = sim.spawn(worker(i, res, hold, priority, traced))
+            else:
+                hook = None
+                if traced:
+                    def hook(t_req, t_grant, qdepth):
+                        log.append(("hook", i, t_req, t_grant, qdepth,
+                                    sim.now))
+                done = res.occupy(hold, priority, hook)
+            done.callbacks.append(lambda _ev: sample("done", i, res))
+            return
+        gate = res.request(priority)
+
+        def granted(ev):
+            if ev.value is res:  # not a cancelled waiter
+                sample("granted", i, res)
+                hold_then_release(i, res, hold)
+
+        gate.callbacks.append(granted)
+        if kind == "cancel":
+            def cancel(_ev):
+                # An interrupted waiter: triggered by someone else
+                # while still queued; release() must skip it.
+                if not gate.triggered:
+                    gate.succeed("cancelled")
+            sim.after(extra * 0.25, cancel)
+
+    for i, (kind, r, start, hold, priority, extra) in enumerate(ops):
+        res = resources[r % len(resources)]
+        sim.after(start, lambda _ev, a=(i, kind, res, hold, priority, extra):
+                  launch(*a))
+    sim.run()
+    assert all(res.in_use == 0 and res.queue_length == 0
+               for res in resources)
+    return log, [res.busy_time() for res in resources], sim.now, sim.stats()
+
+
+@settings(deadline=None, max_examples=120)
+@given(capacities=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+       ops=_RES_OPS)
+def test_resource_tiers_agree_with_process_pattern(capacities, ops):
+    """Grant order, completion times, hook arguments, ``busy_time()``
+    and the ``queue_length``/``in_use`` samples of a random resource
+    program are identical on every live tier — ``stats()`` included,
+    so each step of the occupancy machine is one heap entry on both —
+    and equal to the request/timeout/release process pattern run on
+    the frozen engine."""
+    ref_log, ref_busy, ref_now, _ = _run_resource_program(
+        _legacy, capacities, ops, process_pattern=True)
+    results = [(name, _run_resource_program(engine, capacities, ops))
+               for name, engine in TIERS[1:]]
+    for name, (log, busy, now, _stats) in results:
+        assert log == ref_log, name
+        assert busy == ref_busy, name
+        assert now == ref_now, name
+    for name, (_log, _busy, _now, stats) in results[1:]:
+        assert stats == results[0][1][3], name
+
+
+@_resource_tier
+def test_release_of_idle_resource_raises(engine):
+    sim = engine.Simulator()
+    res = engine.Resource(sim, name="idle")
+    with pytest.raises(engine.SimulationError, match="idle"):
+        res.release()
+    res.occupy(1.0)
+    sim.run()
+    with pytest.raises(engine.SimulationError, match="idle"):
+        res.release()
+
+
+@_resource_tier
+def test_resource_event_cycle_is_collected(engine):
+    """A resource, its queued waiters (a gate whose callback closes
+    over the resource, and a queued occupancy pointing back at it) and
+    the simulator holding a pending hold form reference cycles; the
+    collector must be able to traverse and clear them."""
+    class Tracked(engine.Resource):  # a heap subtype: weakref-able
+        pass
+
+    sim = engine.Simulator()
+    res = Tracked(sim, name="cyc")
+    res.occupy(1.0)                                  # sim heap -> hold
+    res.request().callbacks.append(lambda _ev: res)  # queue -> gate -> res
+    res.occupy(2.0, on_release=lambda *a: res)       # queue -> occupancy
+    assert res.queue_length == 2
+    probe = weakref.ref(res)
+    del sim, res
+    gc.collect()
+    assert probe() is None
 
 # ---------------------------------------------- tier selection (subproc)
 

@@ -39,6 +39,28 @@ def test_owner_of_index():
         owner_of_index(sl, 10)
 
 
+def _owner_by_scan(slices, idx):
+    """The linear scan ``owner_of_index`` replaced — the reference."""
+    for b, (lo, hi) in enumerate(slices):
+        if lo <= idx < hi:
+            return b
+    raise ValueError(idx)
+
+
+def test_owner_of_index_equals_scan():
+    """Bisection == scan for every n <= 200, p <= 64 and every index,
+    one step outside the range included (n < p leaves empty trailing
+    blocks)."""
+    for p in range(1, 65):
+        for n in range(201):
+            sl = block_slices(n, p)
+            for idx in range(n):
+                assert owner_of_index(sl, idx) == _owner_by_scan(sl, idx)
+            for idx in (-1, n):
+                with pytest.raises(ValueError):
+                    owner_of_index(sl, idx)
+
+
 # --------------------------------------------------------------------- rng
 
 
