@@ -1,0 +1,447 @@
+#!/usr/bin/env python3
+"""The golden manifest: committed fingerprints of virtual-time results.
+
+``tests/golden/manifest.json`` pins, per *cell* (one small simulation),
+a digest of everything the determinism contract promises: ``repr`` of
+the elapsed virtual time, the answer, the traffic counters, the app
+statistics, and the full non-``proc.*`` trace-record stream (time, kind,
+sorted detail) in emission order.  The manifest — not a second
+implementation kept alive to compare against — is the oracle: any
+change to the simulator must reproduce every cell bit for bit.
+
+A second section pins the host-side ``Simulator.stats()`` counters
+(``events_processed``, ``spawns``, ``fast_completions``, ``fallbacks``)
+per cell.  *Clean* cells (no scenario, flat single-stream routes) must
+match exactly; on impaired/shaped/striped cells ``events_processed`` and
+``spawns`` are upper bounds — host-side effort there may only fall.
+
+Usage::
+
+    python tools/golden.py --check            # every cell vs the manifest
+    python tools/golden.py --check -k fanout  # cells whose name contains
+    python tools/golden.py --list
+    python tools/golden.py --write            # regenerate (see below)
+
+``--write`` exists for *adding* cells or for a deliberate, reviewed
+change of simulated behaviour; a refactor never rewrites the manifest.
+``tests/test_golden_manifest.py`` runs :func:`check_cell` once per cell.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO, "src"))
+
+import numpy as np  # noqa: E402
+
+from repro.apps import PAPER_ORDER, make_app, small_params  # noqa: E402
+from repro.harness.experiment import run_app  # noqa: E402
+from repro.network import DAS_PARAMS, Fabric, uniform_clusters  # noqa: E402
+from repro.network.message import reset_ids  # noqa: E402
+from repro.orca import ObjectSpec, Operation, OrcaRuntime  # noqa: E402
+from repro.orca.broadcast import BB_THRESHOLD  # noqa: E402
+from repro.orca.runtime import reset_req_ids  # noqa: E402
+from repro.scenario import Impairment, Scenario, install  # noqa: E402
+from repro.sim import Simulator, Tracer  # noqa: E402
+from repro.tuner import (ContextModel, DecisionModel, FittedLine,  # noqa: E402
+                         crossover, tune)
+
+MANIFEST = os.path.join(REPO, "tests", "golden", "manifest.json")
+
+TOPOLOGIES = ((1, 4), (2, 3), (4, 2))
+STAT_KEYS = ("events_processed", "spawns", "fast_completions", "fallbacks")
+#: Host-side counters that are upper bounds (not equalities) on cells
+#: that are not clean.
+BOUNDED_KEYS = ("events_processed", "spawns")
+
+#: Every impairment model that perturbs the WAN transfer path.
+IMPAIRED = Scenario(
+    seed=11,
+    impairments=(Impairment.of("jitter", sigma=0.3),
+                 Impairment.of("loss", p=0.2, rto=0.01),
+                 Impairment.of("bw_dip", depth=0.5, period=0.02),
+                 Impairment.of("cross_traffic", load=0.5)))
+
+
+# ----------------------------------------------------------- fingerprints
+
+def _canon(obj: Any) -> Any:
+    """A repr-stable form: arrays by content hash, dicts/sets sorted."""
+    if isinstance(obj, np.ndarray):
+        data = np.ascontiguousarray(obj).tobytes()
+        return ("ndarray", str(obj.dtype), obj.shape,
+                hashlib.sha256(data).hexdigest())
+    if isinstance(obj, np.generic):
+        return repr(obj.item())
+    if isinstance(obj, dict):
+        return tuple(sorted((repr(k), _canon(v)) for k, v in obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return tuple(_canon(v) for v in obj)
+    if isinstance(obj, (set, frozenset)):
+        return tuple(sorted(repr(_canon(v)) for v in obj))
+    return repr(obj)
+
+
+def digest(obj: Any) -> str:
+    return hashlib.sha256(repr(_canon(obj)).encode()).hexdigest()[:16]
+
+
+def _records(tracer: Tracer) -> Dict[str, Any]:
+    """The non-``proc.*`` record stream, order included."""
+    h = hashlib.sha256()
+    n = 0
+    for r in tracer.records:
+        if r.kind.startswith("proc."):
+            continue
+        n += 1
+        h.update(repr((r.time, r.kind, _canon(r.detail))).encode())
+    return {"records": h.hexdigest()[:16], "n_records": n}
+
+
+def _stats(stats: Dict[str, int]) -> Dict[str, int]:
+    return {k: stats[k] for k in STAT_KEYS}
+
+
+def _app_print(result, tracer: Tracer) -> Dict[str, Any]:
+    out = {"elapsed": repr(result.elapsed),
+           "answer": digest(result.answer),
+           "traffic": digest(result.traffic),
+           "stats": digest(result.stats)}
+    out.update(_records(tracer))
+    return out
+
+
+# ------------------------------------------------------------------ cells
+#
+# A cell function returns ``(fingerprint, sim_stats)``.
+
+#: Tier selectors applied to every stack a cell builds.  Empty = the
+#: default tier; ``--write`` fills them to take the fingerprints from
+#: the generator (process-per-leg) tier.
+_FABRIC_TIER: Dict[str, Any] = {}
+_RUN_TIER: Dict[str, Any] = {}
+
+
+def _app_cell(app_name: str, variant: str, n_clusters: int, nodes: int,
+              **kwargs: Any) -> Tuple[Dict[str, Any], Dict[str, int]]:
+    tracer = Tracer()
+    result = run_app(make_app(app_name), variant, n_clusters, nodes,
+                     small_params(app_name), trace=True, tracer=tracer,
+                     **_RUN_TIER, **kwargs)
+    return _app_print(result, tracer), _stats(result.sim_stats)
+
+
+def _fanout_cell(scenario: Optional[Scenario], shape: str = "flat",
+                 streams: int = 1, n_clusters: int = 4, repeats: int = 4,
+                 size: int = 4096):
+    """``repeats`` back-to-back WAN fan-outs on a bare fabric."""
+    reset_ids()
+    sim = Simulator()
+    tracer = Tracer()
+    fabric = Fabric(sim, uniform_clusters(n_clusters, 3), DAS_PARAMS,
+                    tracer=tracer, **_FABRIC_TIER)
+    fabric.tracer.enabled = True
+    if scenario is not None:
+        install(sim, fabric, scenario)
+    times: List[float] = []
+    counts: List[int] = []
+
+    def driver():
+        for _ in range(repeats):
+            done = yield from fabric.wan_fanout_multicast(
+                0, size, shape=shape, streams=streams)
+            count = yield done
+            times.append(sim.now)
+            counts.append(count)
+
+    sim.run_process(driver())
+    out = {"times": repr(times), "counts": repr(counts),
+           "traffic": digest(fabric.meter.snapshot())}
+    out.update(_records(tracer))
+    return out, _stats(sim.stats())
+
+
+class _Streams:
+    """A decision stand-in that stripes every p2p WAN transfer ``k``-way."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def wan_streams(self, size: int, n_clusters: int) -> int:
+        return self.k
+
+
+def _p2p_cell(scenario: Optional[Scenario], streams: int = 1,
+              rounds: int = 3, size: int = 6000):
+    """Contended point-to-point WAN traffic on a bare fabric: every node
+    of a 3x2 machine sends to a node of the next cluster at the same
+    instants (async and awaited sends mixed), so access links, gateways
+    and PVCs all queue."""
+    reset_ids()
+    sim = Simulator()
+    tracer = Tracer()
+    topo = uniform_clusters(3, 2)
+    fabric = Fabric(sim, topo, DAS_PARAMS, tracer=tracer, **_FABRIC_TIER)
+    fabric.tracer.enabled = True
+    if scenario is not None:
+        install(sim, fabric, scenario)
+    if streams > 1:
+        fabric.decision = _Streams(streams)
+    n = topo.n_nodes
+    log: List[tuple] = []
+
+    def sender(src: int):
+        dst = (src + 2) % n  # first node -> next cluster, same offset
+        for r in range(rounds):
+            yield from fabric.send(src, dst, size + 17 * src, port="p")
+            msg = yield from fabric.send_and_wait(src, dst, size // 3,
+                                                  port="q")
+            log.append((src, r, sim.now, msg.recv_time))
+
+    def receiver(nid: int):
+        for _ in range(rounds):
+            msg = yield fabric.node(nid).port("p").get()
+            log.append(("rx", nid, msg.src, sim.now))
+
+    for nid in range(n):
+        sim.spawn(sender(nid))
+        sim.spawn(receiver(nid))
+    sim.run()
+    out = {"log": digest(log), "end": repr(sim.now),
+           "traffic": digest(fabric.meter.snapshot())}
+    out.update(_records(tracer))
+    return out, _stats(sim.stats())
+
+
+def _tuned_line_model(pb: FittedLine, bb: FittedLine) -> DecisionModel:
+    ctx = ContextModel(n_clusters=2, pb=pb, bb=bb,
+                       bb_threshold=crossover(pb, bb))
+    return DecisionModel(contexts=((2, ctx),), source="handmade")
+
+
+#: The PB->BB boundary cases of tests/test_orca_bb_threshold.py.
+BB_CASES = {
+    "fixed": (None, BB_THRESHOLD),
+    "tuned1024": (_tuned_line_model(FittedLine(0.0, 2.0 ** -18),
+                                    FittedLine(1024 * 2.0 ** -19,
+                                               2.0 ** -19)), 1024),
+    "tuned32768": (_tuned_line_model(FittedLine(0.0, 4e-6),
+                                     FittedLine(0.065536, 2e-6)), 32768),
+}
+
+
+def _bb_cell(case: str, side: int):
+    """One replicated write from cluster 1 at the PB/BB boundary."""
+    decision, threshold = BB_CASES[case]
+    reset_ids()
+    reset_req_ids()
+    sim = Simulator()
+    tracer = Tracer()
+    tracer.enabled = True
+    fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS, tracer=tracer,
+                    **_FABRIC_TIER)
+    rts = OrcaRuntime(sim, fabric, sequencer="centralized",
+                      decision=decision)
+    rts.register(ObjectSpec(
+        name="blob", state_factory=list,
+        operations={"put": Operation(fn=lambda st, n: st.append(n) or len(st),
+                                     writes=True, arg_bytes=lambda n: n,
+                                     result_bytes=8)},
+        replicated=True))
+
+    def writer():
+        result = yield from rts.invoke(2, "blob", "put", (threshold + side,))
+        return result
+
+    proc = sim.spawn(writer())
+    sim.run()
+    out = {"value": repr(proc.value), "end": repr(sim.now),
+           "traffic": digest(fabric.meter.snapshot())}
+    out.update(_records(tracer))
+    return out, _stats(sim.stats())
+
+
+def _tuned_cell(app_name: str, n_clusters: int, nodes: int):
+    """Tune a tiny model under IMPAIRED, then run an app with it."""
+    model = tune(sizes=(256, 16384), cluster_counts=(2,),
+                 nodes_per_cluster=2, scenarios=(IMPAIRED,), seeds=(0,),
+                 reps=1)
+    fp, stats = _app_cell(app_name, "original", n_clusters, nodes,
+                          scenario=IMPAIRED, decision=model)
+    fp["model"] = digest(model.to_json())
+    return fp, stats
+
+
+def _cells() -> Dict[str, Tuple[bool, Callable[[], tuple]]]:
+    """name -> (clean, thunk)."""
+    cells: Dict[str, Tuple[bool, Callable[[], tuple]]] = {}
+
+    def add(name: str, clean: bool, fn: Callable[..., tuple],
+            *args: Any, **kwargs: Any) -> None:
+        cells[name] = (clean, lambda: fn(*args, **kwargs))
+
+    # The eight applications, every variant, three topologies.
+    for app_name in PAPER_ORDER:
+        for variant in make_app(app_name).variants:
+            for c, n in TOPOLOGIES:
+                add(f"app/{app_name}/{variant}/{c}x{n}", True,
+                    _app_cell, app_name, variant, c, n)
+    # The token-ring deferred-shortcut apps (tests/test_sequencer_deferred).
+    for app_name in ("asp", "acp"):
+        add(f"app/{app_name}/original/2x2", True,
+            _app_cell, app_name, "original", 2, 2)
+    # WAN fan-out routes on a bare fabric.
+    for shape in ("flat", "chain", "binomial"):
+        for k in (1, 4):
+            add(f"fanout/impaired/{shape}/k{k}", False,
+                _fanout_cell, IMPAIRED, shape, k)
+    for shape in ("chain", "binomial"):
+        add(f"fanout/clean/{shape}/k1", False, _fanout_cell, None, shape)
+    add("fanout/clean/flat/k4", False, _fanout_cell, None, "flat", 4)
+    add("fanout/clean/flat/k1", True, _fanout_cell, None)
+    add("fanout/impaired/flat/k1/2c", False, _fanout_cell, IMPAIRED,
+        n_clusters=2)
+    # Contended point-to-point WAN routes on a bare fabric.
+    add("p2p/clean/k1", True, _p2p_cell, None)
+    add("p2p/clean/k4", False, _p2p_cell, None, 4)
+    add("p2p/impaired/k1", False, _p2p_cell, IMPAIRED)
+    add("p2p/impaired/k4", False, _p2p_cell, IMPAIRED, 4)
+    # The PB->BB switch, one byte below and exactly at the boundary.
+    for case in BB_CASES:
+        for side, label in ((-1, "pb"), (0, "bb")):
+            add(f"bb/{case}/{label}", True, _bb_cell, case, side)
+    # Whole applications under impairments, fixed and tuned strategy.
+    for app_name in ("ra", "sor", "tsp", "asp"):
+        variant = make_app(app_name).variants[0]
+        for c, n in ((2, 3), (4, 2)):
+            add(f"scenario/{app_name}/{variant}/{c}x{n}", False,
+                _app_cell, app_name, variant, c, n, scenario=IMPAIRED)
+    # The impaired cells tests/test_pdes_golden.py partitions: their
+    # single-process results are pinned here.
+    loss = Scenario(seed=3, impairments=(Impairment.of("loss", p=0.05),))
+    jitter = Scenario(seed=5,
+                      impairments=(Impairment.of("jitter", sigma=0.2),))
+    add("scenario-loss/sor/original/2x3", False,
+        _app_cell, "sor", "original", 2, 3, scenario=loss)
+    add("scenario-loss/sor/original/4x2", False,
+        _app_cell, "sor", "original", 4, 2, scenario=loss)
+    add("scenario-jitter/sor/splitphase/2x3", False,
+        _app_cell, "sor", "splitphase", 2, 3, scenario=jitter)
+    add("tuned/asp/2x2", False, _tuned_cell, "asp", 2, 2)
+    add("tuned/ra/4x2", False, _tuned_cell, "ra", 4, 2)
+    return cells
+
+
+CELLS = _cells()
+
+
+# ------------------------------------------------------------ write/check
+
+def load_manifest() -> Dict[str, Any]:
+    with open(MANIFEST) as fh:
+        return json.load(fh)
+
+
+def check_cell(name: str, manifest: Optional[Dict[str, Any]] = None
+               ) -> List[str]:
+    """Run ``name`` and compare with the manifest; returns the problems."""
+    manifest = manifest if manifest is not None else load_manifest()
+    clean, thunk = CELLS[name]
+    want = manifest["cells"].get(name)
+    if want is None:
+        return [f"{name}: not in the manifest"]
+    got, stats = thunk()
+    problems = [f"{name}: {key} {got.get(key)!r} != manifest {val!r}"
+                for key, val in want.items() if got.get(key) != val]
+    problems += [f"{name}: unexpected fingerprint field {key}"
+                 for key in got if key not in want]
+    pinned = manifest["sim_stats"][name]
+    for key in STAT_KEYS:
+        if clean:
+            if stats[key] != pinned[key]:
+                problems.append(f"{name}: sim_stats[{key}] {stats[key]} "
+                                f"!= manifest {pinned[key]}")
+        elif key in BOUNDED_KEYS and stats[key] > pinned[key]:
+            problems.append(f"{name}: sim_stats[{key}] {stats[key]} rose "
+                            f"above manifest {pinned[key]}")
+    return problems
+
+
+def _generator_tier(on: bool) -> None:
+    """Point every stack the cells build (the tuner's probe stacks
+    included) at the generator tier, or back at the default tier."""
+    import functools
+
+    from repro.tuner import driver
+
+    _FABRIC_TIER.clear()
+    _RUN_TIER.clear()
+    driver.Fabric = Fabric
+    if on:
+        _FABRIC_TIER.update(fast_paths=False)
+        _RUN_TIER.update(fast_paths=False, runtime_fast_paths=False)
+        driver.Fabric = functools.partial(Fabric, fast_paths=False)
+
+
+def write_manifest(names: List[str]) -> None:
+    """Fingerprints from the generator tier, ``sim_stats`` from the
+    default tier (which must already reproduce the fingerprints)."""
+    manifest = {"version": 1, "cells": {}, "sim_stats": {}}
+    if os.path.exists(MANIFEST) and len(names) != len(CELLS):
+        manifest = load_manifest()
+    for name in names:
+        _generator_tier(True)
+        try:
+            fp, _stats_gen = CELLS[name][1]()
+        finally:
+            _generator_tier(False)
+        fp_default, stats = CELLS[name][1]()
+        if fp_default != fp:
+            raise SystemExit(f"{name}: default tier differs from the "
+                             f"generator tier: {fp_default} != {fp}")
+        manifest["cells"][name] = fp
+        manifest["sim_stats"][name] = stats
+        print(f"wrote {name}")
+    os.makedirs(os.path.dirname(MANIFEST), exist_ok=True)
+    with open(MANIFEST, "w") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", action="store_true")
+    mode.add_argument("--write", action="store_true")
+    mode.add_argument("--list", action="store_true")
+    parser.add_argument("-k", default="", help="only cells containing this")
+    args = parser.parse_args(argv)
+    names = [name for name in CELLS if args.k in name]
+    if args.list:
+        print("\n".join(names))
+        return 0
+    if args.write:
+        write_manifest(names)
+        return 0
+    manifest = load_manifest()
+    stale = sorted(set(manifest["cells"]) - set(CELLS))
+    problems = [f"{name}: in the manifest but not a cell" for name in stale]
+    for name in names:
+        found = check_cell(name, manifest)
+        print(f"{'FAIL' if found else 'ok  '} {name}")
+        problems += found
+    for line in problems:
+        print(line, file=sys.stderr)
+    print(f"{len(names)} cells, {len(problems)} problems")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
