@@ -168,6 +168,56 @@ def _fanout_cell(scenario: Optional[Scenario], shape: str = "flat",
     return out, _stats(sim.stats())
 
 
+def _concurrent_cell(scenario: Optional[Scenario], shapes: Tuple[str, ...],
+                     streams: int = 1, n_clusters: int = 4, nodes: int = 2,
+                     repeats: int = 3, size: int = 4096, p2p: bool = False):
+    """Symmetric same-size fan-outs from several sources at the same
+    instants on a bare fabric: the first node of every cluster (and the
+    second node of cluster 0, sharing its access link) issues
+    ``repeats`` back-to-back fan-outs from t=0, source ``i`` with
+    ``shapes[i % len(shapes)]``; with ``p2p`` every node also sends
+    across the WAN meanwhile.  Same-instant races everywhere."""
+    reset_ids()
+    sim = Simulator()
+    tracer = Tracer()
+    topo = uniform_clusters(n_clusters, nodes)
+    fabric = Fabric(sim, topo, DAS_PARAMS, tracer=tracer, **_FABRIC_TIER)
+    fabric.tracer.enabled = True
+    if scenario is not None:
+        install(sim, fabric, scenario)
+    log: List[tuple] = []
+
+    def source(i: int, src: int):
+        shape = shapes[i % len(shapes)]
+        for r in range(repeats):
+            done = yield from fabric.wan_fanout_multicast(
+                src, size, shape=shape, streams=streams, port="f")
+            count = yield done
+            log.append((src, r, sim.now, count))
+
+    def sender(src: int):
+        dst = (src + nodes) % topo.n_nodes
+        for r in range(repeats):
+            yield from fabric.send(src, dst, size, port="p")
+            msg = yield from fabric.send_and_wait(src, dst, size // 4,
+                                                  port="q")
+            log.append(("p2p", src, r, sim.now, msg.recv_time))
+
+    srcs = [c * nodes for c in range(n_clusters)]
+    if nodes > 1:
+        srcs.append(1)
+    for i, src in enumerate(srcs):
+        sim.spawn(source(i, src))
+    if p2p:
+        for nid in range(topo.n_nodes):
+            sim.spawn(sender(nid))
+    sim.run()
+    out = {"log": digest(log), "end": repr(sim.now),
+           "traffic": digest(fabric.meter.snapshot())}
+    out.update(_records(tracer))
+    return out, _stats(sim.stats())
+
+
 class _Streams:
     """A decision stand-in that stripes every p2p WAN transfer ``k``-way."""
 
@@ -308,6 +358,28 @@ def _cells() -> Dict[str, Tuple[bool, Callable[[], tuple]]]:
     add("fanout/clean/flat/k1", True, _fanout_cell, None)
     add("fanout/impaired/flat/k1/2c", False, _fanout_cell, IMPAIRED,
         n_clusters=2)
+    # Concurrent fan-outs: several sources, symmetric sizes, tied instants.
+    for shapes in (("chain",), ("binomial",), ("chain", "binomial"),
+                   ("flat", "chain", "binomial")):
+        label = "+".join(shapes)
+        if "flat" not in shapes:  # clean flat runs at the chains' depth
+            add(f"concurrent/clean/{label}/k1", False,
+                _concurrent_cell, None, shapes)
+        add(f"concurrent/impaired/{label}/k1", False,
+            _concurrent_cell, IMPAIRED, shapes)
+    add("concurrent/clean/chain+binomial/k1/5x1", False,
+        _concurrent_cell, None, ("binomial", "chain"), n_clusters=5, nodes=1)
+    add("concurrent/clean/flat/k1", True, _concurrent_cell, None, ("flat",))
+    add("concurrent/clean/flat/k4", False, _concurrent_cell, None, ("flat",), 4)
+    add("concurrent/impaired/flat/k1", False,
+        _concurrent_cell, IMPAIRED, ("flat",))
+    add("concurrent/impaired/flat/k4", False,
+        _concurrent_cell, IMPAIRED, ("flat",), 4)
+    add("concurrent/impaired/flat/k1/p2p", False,
+        _concurrent_cell, IMPAIRED, ("flat",), p2p=True)
+    add("concurrent/impaired/flat+chain+binomial/k2/p2p", False,
+        _concurrent_cell, IMPAIRED, ("flat", "chain", "binomial"), 2,
+        p2p=True)
     # Contended point-to-point WAN routes on a bare fabric.
     add("p2p/clean/k1", True, _p2p_cell, None)
     add("p2p/clean/k4", False, _p2p_cell, None, 4)
