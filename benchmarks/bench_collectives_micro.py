@@ -4,10 +4,8 @@ Measures *host* wall-clock throughput of the parameterized collectives
 PR 8 added to the fabric — the chain and binomial WAN fan-out shapes,
 k-stream WAN striping — next to the flat fan-out they compete with, plus
 the tuner's own probe loop (probes per second through
-``repro.tuner.sweep``).  The shaped/striped paths always run as spawned
-legacy generator legs (that is what keeps the fast tier bit-identical),
-so unlike ``bench_fabric_micro`` there is no fast/legacy split here:
-one number per workload.
+``repro.tuner.sweep``).  Shapes and striping are continuations over
+the fabric's one chained WAN leg; one number per workload.
 
 Run standalone::
 

@@ -1,17 +1,15 @@
 """Micro-benchmark for the fabric's message paths: messages per second.
 
 Measures *host* wall-clock throughput of whole message deliveries —
-self, LAN, WAN and multicast, uncontended and contended — in both fabric
-tiers: the default callback-chained fast paths and the legacy per-leg
-process trees (``fast_paths=False``).  The speedup column is the direct
-payoff of the event-minimizing paths; the golden equivalence suite
-guarantees the two tiers produce identical virtual-time results, so this
-ratio is pure host-side overhead reduction.
+self, LAN, WAN and multicast, uncontended and contended, plus the WAN
+route under impairments (jitter + loss) and striped over four streams —
+on the fabric's one callback-chained message path.  Virtual-time results
+are pinned by the golden manifest (``tests/golden/manifest.json``); the
+numbers here are pure host-side cost.
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_fabric_micro.py [--repeat 3]
-    PYTHONPATH=src python benchmarks/bench_fabric_micro.py --legacy
 
 or under pytest-benchmark along with the rest of the suite.  Results are
 persisted to ``benchmarks/out/bench_fabric_micro.txt``;
@@ -26,18 +24,26 @@ import sys
 import time
 
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
+from repro.scenario import Impairment, Scenario, install
 from repro.sim import Simulator
 
+from bench_collectives_micro import _Stripes
 
-def _mk(fast: bool, n_clusters: int = 2, per: int = 4):
+#: The impaired WAN of the ``wan_impaired`` row: every transfer draws a
+#: latency factor, and one in ten pays a retransmit.
+IMPAIRED = Scenario(seed=7, impairments=(
+    Impairment.of("jitter", sigma=0.3), Impairment.of("loss", p=0.1)))
+
+
+def _mk(n_clusters: int = 2, per: int = 4):
     sim = Simulator()
     topo = uniform_clusters(n_clusters, per)
-    return sim, Fabric(sim, topo, DAS_PARAMS, fast_paths=fast)
+    return sim, Fabric(sim, topo, DAS_PARAMS)
 
 
-def wl_self(fast: bool, n: int = 20_000) -> int:
+def wl_self(n: int = 20_000) -> int:
     """Loopback deliveries, one in flight at a time."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def proc():
         for _ in range(n):
@@ -47,9 +53,9 @@ def wl_self(fast: bool, n: int = 20_000) -> int:
     return n
 
 
-def wl_lan(fast: bool, n: int = 20_000) -> int:
+def wl_lan(n: int = 20_000) -> int:
     """Uncontended LAN deliveries, one in flight at a time."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def proc():
         for _ in range(n):
@@ -59,9 +65,9 @@ def wl_lan(fast: bool, n: int = 20_000) -> int:
     return n
 
 
-def wl_lan_contended(fast: bool, n: int = 5_000) -> int:
+def wl_lan_contended(n: int = 5_000) -> int:
     """Three senders hammering one LAN delivery port (lan_in queueing)."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def worker(src):
         for _ in range(n):
@@ -73,21 +79,39 @@ def wl_lan_contended(fast: bool, n: int = 5_000) -> int:
     return 3 * n
 
 
-def wl_wan(fast: bool, n: int = 6_000) -> int:
-    """Uncontended WAN deliveries, one in flight at a time."""
-    sim, fab = _mk(fast)
-
+def _wl_wan_sized(sim, fab, n: int, size: int) -> int:
     def proc():
         for _ in range(n):
-            yield from fab.send_and_wait(0, 4, 64)
+            yield from fab.send_and_wait(0, 4, size)
 
     sim.run_process(proc())
     return n
 
 
-def wl_wan_contended(fast: bool, n: int = 2_000) -> int:
+def wl_wan(n: int = 6_000) -> int:
+    """Uncontended WAN deliveries, one in flight at a time."""
+    sim, fab = _mk()
+    return _wl_wan_sized(sim, fab, n, 64)
+
+
+def wl_wan_impaired(n: int = 6_000) -> int:
+    """WAN deliveries under jitter + loss: the plan draw, the perturbed
+    PVC stage and the retransmit occupancies ride the same chain."""
+    sim, fab = _mk()
+    install(sim, fab, IMPAIRED)
+    return _wl_wan_sized(sim, fab, n, 64)
+
+
+def wl_wan_striped(n: int = 4_000) -> int:
+    """4 KiB WAN deliveries striped over k = 4 parallel streams."""
+    sim, fab = _mk()
+    fab.decision = _Stripes(4)
+    return _wl_wan_sized(sim, fab, n, 4096)
+
+
+def wl_wan_contended(n: int = 2_000) -> int:
     """A whole cluster sending over one access link, gateway and PVC."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def worker(src):
         for _ in range(n):
@@ -99,9 +123,9 @@ def wl_wan_contended(fast: bool, n: int = 2_000) -> int:
     return 4 * n
 
 
-def wl_multicast(fast: bool, n: int = 4_000) -> int:
+def wl_multicast(n: int = 4_000) -> int:
     """LAN hardware multicasts to a 4-node cluster (counted per delivery)."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def proc():
         for _ in range(n):
@@ -112,9 +136,9 @@ def wl_multicast(fast: bool, n: int = 4_000) -> int:
     return 4 * n
 
 
-def wl_wan_multicast(fast: bool, n: int = 1_500) -> int:
+def wl_wan_multicast(n: int = 1_500) -> int:
     """WAN fan-out multicasts: PVC crossing + remote re-multicast."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def proc():
         for _ in range(n):
@@ -130,40 +154,28 @@ WORKLOADS = [
     ("lan", wl_lan),
     ("lan_contended", wl_lan_contended),
     ("wan", wl_wan),
+    ("wan_impaired", wl_wan_impaired),
+    ("wan_striped", wl_wan_striped),
     ("wan_contended", wl_wan_contended),
     ("multicast", wl_multicast),
     ("wan_multicast", wl_wan_multicast),
 ]
 
-MODES = (("fast", True), ("legacy", False))
 
-
-def run_suite(repeat: int = 3, modes=MODES):
+def run_suite(repeat: int = 3):
     """Return ``(text, data)``: a printable table and per-workload msgs/s."""
-    labels = [label for label, _fp in modes]
-    header = f"{'workload':>16}" + "".join(f" {l + ' msg/s':>14}"
-                                           for l in labels)
-    if len(labels) > 1:
-        header += f" {'speedup':>9}"
-    lines = ["fabric micro-benchmark: message delivery throughput", header]
+    lines = ["fabric micro-benchmark: message delivery throughput",
+             f"{'workload':>16} {'msg/s':>14}"]
     data = {}
     for name, fn in WORKLOADS:
-        entry = {}
-        for label, fp in modes:
-            best = float("inf")
-            msgs = 0
-            for _ in range(repeat):
-                t0 = time.perf_counter()
-                msgs = fn(fp)
-                dt = time.perf_counter() - t0
-                best = min(best, dt)
-            entry[label] = msgs / best
-        row = f"{name:>16}" + "".join(f" {entry[l]:>14.0f}" for l in labels)
-        if "fast" in entry and "legacy" in entry:
-            entry["speedup"] = entry["fast"] / entry["legacy"]
-            row += f" {entry['speedup']:>8.2f}x"
-        data[name] = entry
-        lines.append(row)
+        best = float("inf")
+        msgs = 0
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            msgs = fn()
+            best = min(best, time.perf_counter() - t0)
+        data[name] = {"msgs_per_s": msgs / best}
+        lines.append(f"{name:>16} {msgs / best:>14.0f}")
     return "\n".join(lines), data
 
 
@@ -179,17 +191,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3,
                         help="repetitions per workload (best is reported)")
-    parser.add_argument("--legacy", action="store_true",
-                        help="measure only the legacy process paths")
-    parser.add_argument("--fast", action="store_true",
-                        help="measure only the fast callback paths")
     args = parser.parse_args(argv)
-    modes = MODES
-    if args.legacy:
-        modes = (("legacy", False),)
-    elif args.fast:
-        modes = (("fast", True),)
-    text, _data = run_suite(repeat=args.repeat, modes=modes)
+    text, _data = run_suite(repeat=args.repeat)
     print(text)
     return 0
 

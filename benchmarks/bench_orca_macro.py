@@ -1,12 +1,10 @@
-"""Macro-benchmark: whole applications per second, fast vs legacy tiers.
+"""Macro-benchmark: whole applications per second.
 
 Where ``bench_orca_micro`` isolates single control-plane operations,
 this runs complete paper applications (test-sized problems) end to end
-through ``run_app`` and reports host-side runs per second in both
-tiers.  It answers the question the micro numbers cannot: how much of
-a *real* app's host time the callback-chained fabric + control plane
-actually saves, with application compute, barriers and mixed traffic
-in the loop.
+through ``run_app`` and reports host-side runs per second.  It answers
+the question the micro numbers cannot: what a *real* app's host time
+is, with application compute, barriers and mixed traffic in the loop.
 
 Run standalone::
 
@@ -34,39 +32,25 @@ APPS = [
     ("sor_2x3", "sor", 2, 3),
 ]
 
-MODES = (("fast", True), ("legacy", False))
-
-
-def _run(app_name: str, n_clusters: int, per: int, fast: bool):
+def _run(app_name: str, n_clusters: int, per: int):
     app = make_app(app_name)
     return run_app(app, app.variants[0], n_clusters, per,
-                   small_params(app_name), fast_paths=fast)
+                   small_params(app_name))
 
 
-def run_suite(repeat: int = 3, modes=MODES):
+def run_suite(repeat: int = 3):
     """Return ``(text, data)``: a printable table and per-app runs/s."""
-    labels = [label for label, _fp in modes]
-    header = f"{'app':>12}" + "".join(f" {l + ' runs/s':>14}"
-                                      for l in labels)
-    if len(labels) > 1:
-        header += f" {'speedup':>9}"
-    lines = ["orca macro-benchmark: whole-app host throughput", header]
+    lines = ["orca macro-benchmark: whole-app host throughput",
+             f"{'app':>12} {'runs/s':>14}"]
     data = {}
     for name, app_name, n_clusters, per in APPS:
-        entry = {}
-        for label, fp in modes:
-            best = float("inf")
-            for _ in range(repeat):
-                t0 = time.perf_counter()
-                _run(app_name, n_clusters, per, fp)
-                best = min(best, time.perf_counter() - t0)
-            entry[label] = 1.0 / best
-        row = f"{name:>12}" + "".join(f" {entry[l]:>14.2f}" for l in labels)
-        if "fast" in entry and "legacy" in entry:
-            entry["speedup"] = entry["fast"] / entry["legacy"]
-            row += f" {entry['speedup']:>8.2f}x"
-        data[name] = entry
-        lines.append(row)
+        best = float("inf")
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            _run(app_name, n_clusters, per)
+            best = min(best, time.perf_counter() - t0)
+        data[name] = {"ops_per_s": 1.0 / best}
+        lines.append(f"{name:>12} {1.0 / best:>14.2f}")
     return "\n".join(lines), data
 
 

@@ -2,18 +2,14 @@
 
 Measures *host* wall-clock throughput of whole Orca operations —
 totally-ordered broadcasts (PB and BB dissemination modes, LAN and WAN)
-and RPC round trips — in both control-plane tiers: the default callback
-chains (armed broadcast/RPC ports, holdback drain, ``try_acquire``
-analytic stamps, chained dissemination and replies) and the legacy
-generator/process tier (``fast_paths=False``, which also selects the
-fabric's process-per-leg paths).  The golden suites pin the two tiers
-bit-identical in virtual time, so the speedup column is pure host-side
-overhead reduction.
+and RPC round trips — on the control plane's callback chains (armed
+broadcast/RPC ports, holdback drain, ``try_acquire`` analytic stamps,
+chained dissemination and replies).  Virtual-time results are pinned by
+the golden manifest; the numbers here are pure host-side cost.
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_orca_micro.py [--repeat 3]
-    PYTHONPATH=src python benchmarks/bench_orca_micro.py --legacy
 
 or under pytest-benchmark along with the rest of the suite.  Results are
 persisted to ``benchmarks/out/bench_orca_micro.txt``; ``repro bench
@@ -38,21 +34,19 @@ from repro.sim import Simulator
 PB_BYTES = 64
 
 
-def _mk(fast: bool, n_clusters: int, per: int, sequencer: str):
+def _mk(n_clusters: int, per: int, sequencer: str):
     reset_ids()
     reset_req_ids()
     sim = Simulator()
-    fabric = Fabric(sim, uniform_clusters(n_clusters, per), DAS_PARAMS,
-                    fast_paths=fast)
-    # The runtime tier follows the fabric tier (the default inherit).
+    fabric = Fabric(sim, uniform_clusters(n_clusters, per), DAS_PARAMS)
     return sim, OrcaRuntime(sim, fabric, sequencer=sequencer)
 
 
-def _bcast_workload(fast: bool, n: int, n_clusters: int, per: int,
-                    size: int, sequencer: str = "distributed") -> int:
+def _bcast_workload(n: int, n_clusters: int, per: int, size: int,
+                    sequencer: str = "distributed") -> int:
     """``n`` ordered writes from node 1 (so PB mode genuinely ships the
     operation to the cluster's stamping node 0); counted per broadcast."""
-    sim, rts = _mk(fast, n_clusters, per, sequencer)
+    sim, rts = _mk(n_clusters, per, sequencer)
     rts.register(ObjectSpec(
         name="counter", state_factory=lambda: [0],
         operations={"add": Operation(
@@ -69,10 +63,9 @@ def _bcast_workload(fast: bool, n: int, n_clusters: int, per: int,
     return n
 
 
-def _rpc_workload(fast: bool, n: int, n_clusters: int, per: int,
-                  caller: int) -> int:
+def _rpc_workload(n: int, n_clusters: int, per: int, caller: int) -> int:
     """``n`` read RPC round trips to a non-replicated object on node 0."""
-    sim, rts = _mk(fast, n_clusters, per, sequencer="centralized")
+    sim, rts = _mk(n_clusters, per, sequencer="centralized")
     rts.register(ObjectSpec(
         name="cell", state_factory=lambda: [7],
         operations={"get": Operation(fn=lambda st: st[0],
@@ -88,29 +81,29 @@ def _rpc_workload(fast: bool, n: int, n_clusters: int, per: int,
     return n
 
 
-def wl_bcast_pb(fast: bool, n: int = 2_000) -> int:
+def wl_bcast_pb(n: int = 2_000) -> int:
     """Single-cluster PB broadcasts: ship to sequencer, it disseminates."""
-    return _bcast_workload(fast, n, 1, 4, PB_BYTES)
+    return _bcast_workload(n, 1, 4, PB_BYTES)
 
 
-def wl_bcast_bb(fast: bool, n: int = 2_000) -> int:
+def wl_bcast_bb(n: int = 2_000) -> int:
     """Single-cluster BB broadcasts: tiny seq request, sender disseminates."""
-    return _bcast_workload(fast, n, 1, 4, BB_THRESHOLD)
+    return _bcast_workload(n, 1, 4, BB_THRESHOLD)
 
 
-def wl_bcast_wan(fast: bool, n: int = 800) -> int:
+def wl_bcast_wan(n: int = 800) -> int:
     """Two-cluster PB broadcasts: LAN multicast + WAN fan-out delivery."""
-    return _bcast_workload(fast, n, 2, 3, PB_BYTES)
+    return _bcast_workload(n, 2, 3, PB_BYTES)
 
 
-def wl_rpc_lan(fast: bool, n: int = 4_000) -> int:
+def wl_rpc_lan(n: int = 4_000) -> int:
     """Uncontended same-cluster RPC round trips."""
-    return _rpc_workload(fast, n, 1, 4, caller=1)
+    return _rpc_workload(n, 1, 4, caller=1)
 
 
-def wl_rpc_wan(fast: bool, n: int = 1_500) -> int:
+def wl_rpc_wan(n: int = 1_500) -> int:
     """Cross-cluster RPC round trips (access links, gateways, PVC)."""
-    return _rpc_workload(fast, n, 2, 3, caller=3)
+    return _rpc_workload(n, 2, 3, caller=3)
 
 
 WORKLOADS = [
@@ -121,35 +114,21 @@ WORKLOADS = [
     ("rpc_wan", wl_rpc_wan),
 ]
 
-MODES = (("fast", True), ("legacy", False))
 
-
-def run_suite(repeat: int = 3, modes=MODES):
+def run_suite(repeat: int = 3):
     """Return ``(text, data)``: a printable table and per-workload ops/s."""
-    labels = [label for label, _fp in modes]
-    header = f"{'workload':>12}" + "".join(f" {l + ' op/s':>14}"
-                                           for l in labels)
-    if len(labels) > 1:
-        header += f" {'speedup':>9}"
-    lines = ["orca micro-benchmark: broadcast/RPC throughput", header]
+    lines = ["orca micro-benchmark: broadcast/RPC throughput",
+             f"{'workload':>12} {'op/s':>14}"]
     data = {}
     for name, fn in WORKLOADS:
-        entry = {}
-        for label, fp in modes:
-            best = float("inf")
-            ops = 0
-            for _ in range(repeat):
-                t0 = time.perf_counter()
-                ops = fn(fp)
-                dt = time.perf_counter() - t0
-                best = min(best, dt)
-            entry[label] = ops / best
-        row = f"{name:>12}" + "".join(f" {entry[l]:>14.0f}" for l in labels)
-        if "fast" in entry and "legacy" in entry:
-            entry["speedup"] = entry["fast"] / entry["legacy"]
-            row += f" {entry['speedup']:>8.2f}x"
-        data[name] = entry
-        lines.append(row)
+        best = float("inf")
+        ops = 0
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            ops = fn()
+            best = min(best, time.perf_counter() - t0)
+        data[name] = {"ops_per_s": ops / best}
+        lines.append(f"{name:>12} {ops / best:>14.0f}")
     return "\n".join(lines), data
 
 
@@ -165,17 +144,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3,
                         help="repetitions per workload (best is reported)")
-    parser.add_argument("--legacy", action="store_true",
-                        help="measure only the legacy generator tier")
-    parser.add_argument("--fast", action="store_true",
-                        help="measure only the fast callback tier")
     args = parser.parse_args(argv)
-    modes = MODES
-    if args.legacy:
-        modes = (("legacy", False),)
-    elif args.fast:
-        modes = (("fast", True),)
-    text, _data = run_suite(repeat=args.repeat, modes=modes)
+    text, _data = run_suite(repeat=args.repeat)
     print(text)
     return 0
 

@@ -84,7 +84,7 @@ class WaterApp(Application):
             "slices": slices,
             "pos0": pos,
             "vel0": vel,
-            "barrier": Barrier(rts.sim, parties=p, fast=rts.fast_paths),
+            "barrier": Barrier(rts.sim, parties=p),
             "final": {},
             "pairs": 0,
         }

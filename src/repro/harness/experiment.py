@@ -34,8 +34,6 @@ def run_app(app: Application, variant: str, n_clusters: int,
             dedicated_sequencer_node: bool = False,
             topology: Optional[Topology] = None,
             tracer: Optional[Tracer] = None,
-            fast_paths: bool = True,
-            runtime_fast_paths: Optional[bool] = None,
             scenario: Optional["Scenario"] = None,
             decision: Optional[Any] = None,
             pdes: Optional[str] = None,
@@ -55,15 +53,6 @@ def run_app(app: Application, variant: str, n_clusters: int,
     ``tracer`` supplies the collection buffer, letting a sweep share one
     tracer across grid points (call ``tracer.clear()`` between points —
     the profiler does).  Tracing never changes virtual-time results.
-
-    ``fast_paths=False`` selects the fabric's legacy process-per-leg
-    message paths — the reference implementation the golden equivalence
-    suite compares the default callback-chained paths against.
-    ``runtime_fast_paths`` independently selects the Orca control-plane
-    tier (broadcast delivery, RPC service); ``None`` inherits
-    ``fast_paths``.  Passing ``runtime_fast_paths=False`` with
-    ``fast_paths=True`` isolates the runtime layer for its golden
-    suite.
 
     ``scenario`` (a :class:`repro.scenario.Scenario`) applies WAN
     impairments, heterogeneity tweaks and timed faults to the run; a
@@ -108,8 +97,6 @@ def run_app(app: Application, variant: str, n_clusters: int,
                 network=network, sequencer=sequencer,
                 dedicated_sequencer_node=dedicated_sequencer_node,
                 topo=topo, trace=trace, tracer=tracer,
-                fast_paths=fast_paths,
-                runtime_fast_paths=runtime_fast_paths,
                 scenario=scenario, n_workers=width)
         if mode == "on":
             import sys
@@ -124,7 +111,7 @@ def run_app(app: Application, variant: str, n_clusters: int,
     reset_ids()
     reset_req_ids()
     sim = Simulator()
-    fabric = Fabric(sim, topo, network, tracer=tracer, fast_paths=fast_paths)
+    fabric = Fabric(sim, topo, network, tracer=tracer)
     if trace:
         fabric.tracer.enabled = True
         sim.obs = fabric.tracer  # process-lifecycle records
@@ -135,7 +122,7 @@ def run_app(app: Application, variant: str, n_clusters: int,
     seq_kind = sequencer if sequencer is not None else app.sequencer_for(variant)
     rts = OrcaRuntime(sim, fabric, sequencer=seq_kind,
                       dedicated_sequencer_node=dedicated_sequencer_node,
-                      fast_paths=runtime_fast_paths, decision=decision)
+                      decision=decision)
 
     shared = app.register(rts, params, variant)
     finished_at: List[float] = [0.0] * topo.n_nodes

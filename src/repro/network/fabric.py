@@ -20,20 +20,18 @@ Send semantics: :meth:`Fabric.send` is a generator to be driven by the
 synchronously, then the rest of the path proceeds in the background.  It
 returns the delivery event, so callers can also wait for arrival.
 
-Two implementations of every message path coexist (see
-``docs/ARCHITECTURE.md``, *The two-tier resource model*):
-
-* the default **fast path** drives each leg as a flat callback chain on
-  :meth:`Resource.occupy <repro.sim.Resource.occupy>` /
-  :meth:`CPU.execute_ev <repro.sim.CPU.execute_ev>` completion events —
-  an uncontended leg costs a single heap entry, no generator and no
-  :class:`~repro.sim.Process`;
-* the **legacy path** (``fast_paths=False``) is the original per-leg
-  process tree, kept as the executable reference for the determinism
-  contract: both tiers must produce bit-identical answers, virtual
-  times, traffic counters and (non-process) trace records.  The golden
-  equivalence suite in ``tests/test_fabric_fastpath_golden.py`` enforces
-  this for all eight applications.
+Every message path is implemented once, as a flat callback chain on
+:meth:`Resource.occupy <repro.sim.Resource.occupy>` /
+:meth:`CPU.execute_ev <repro.sim.CPU.execute_ev>` completion events: an
+uncontended leg costs a single heap entry, no generator and no
+:class:`~repro.sim.Process`.  Impairments, striping and the fan-out
+shapes are behaviours *of that one path* — the WAN leg draws its
+:class:`~repro.scenario.apply.WanImpairments` plan, stripes its PVC
+stage and chains its relays itself — so no traffic ever detours onto a
+second implementation.  What a chain defers at a busy instant, and why,
+is the determinism contract in ``docs/ARCHITECTURE.md`` (*The message
+path and its determinism contract*); ``tests/golden/manifest.json``
+pins its results.
 """
 
 from __future__ import annotations
@@ -51,7 +49,55 @@ __all__ = ["Node", "Gateway", "Fabric"]
 
 
 def _NO_THEN() -> None:
-    """Placeholder continuation for legs cut at a PDES boundary."""
+    """Placeholder continuation: nothing follows this leg here."""
+
+
+_Later = Callable[[int, Callable[[], None]], None]
+_Leg = Callable[[int, int, Callable[[], None]], None]
+_Mcast = Callable[[int], None]
+
+
+def _inline(_n: int, fn: Callable[[], None]) -> None:
+    """``later`` of a route that never defers: run ``fn()`` now."""
+    fn()
+
+
+def _relay_chain(later: _Later, leg: _Leg, mcast: _Mcast, order: List[int],
+                 i: int) -> None:
+    """Gateway relay over ``order``: each cluster forwards to the next
+    while its own multicast proceeds; the store-and-forward costs inside
+    the leg are the relay cost.  The relay resumes one dispatch after a
+    leg completes and starts the multicast and the next leg together,
+    one dispatch further out."""
+    if i + 1 < len(order):
+        to = order[i + 1]
+
+        def relayed() -> None:
+            mcast(to)
+            _relay_chain(later, leg, mcast, order, i + 1)
+
+        leg(order[i], to, lambda: later(2, relayed))
+
+
+def _relay_binomial(later: _Later, leg: _Leg, mcast: _Mcast,
+                    order: List[int], lo: int, hi: int) -> None:
+    """Recursive halving: ``order[lo]`` holds the payload and covers
+    ``order[lo+1:hi]``, farthest half first; each new holder
+    re-broadcasts into its own half — ceil(log2(n_clusters)) rounds of
+    parallel hops.  A holder starts its next leg one dispatch after the
+    previous one completes; the multicast and the new holder's branch
+    start one dispatch behind it, each one more before its first charge."""
+    if hi - lo > 1:
+        mid = (lo + hi + 1) // 2
+
+        def relayed() -> None:
+            later(1, lambda: later(1, lambda: mcast(order[mid])))
+            later(1, lambda: _relay_binomial(later, leg, mcast, order,
+                                             mid, hi))
+            _relay_binomial(later, leg, mcast, order, lo, mid)
+
+        later(1, lambda: leg(order[lo], order[mid],
+                             lambda: later(1, relayed)))
 
 
 class Node:
@@ -92,29 +138,23 @@ class Fabric:
 
     def __init__(self, sim: Simulator, topo: Topology, params: NetworkParams,
                  meter: Optional[TrafficMeter] = None,
-                 tracer: Optional[Tracer] = None,
-                 fast_paths: bool = True):
+                 tracer: Optional[Tracer] = None):
         self.sim = sim
         self.topo = topo
         self.params = params
         self.meter = meter if meter is not None else TrafficMeter()
         self.tracer = tracer if tracer is not None else Tracer()
-        #: True: callback-chained legs (the default).  False: the
-        #: original per-leg process trees — the executable reference
-        #: implementation the golden equivalence suite compares against.
-        self.fast_paths = fast_paths
         #: Optional :class:`repro.scenario.apply.WanImpairments`.  When
-        #: installed, every WAN path routes through the legacy generator
-        #: leg (even on the fast tier) so the impairment RNG draws in
-        #: deterministic event order — determinism is then *per seed*,
-        #: not cross-tier (see docs/SCENARIOS.md).
+        #: installed, every PVC stage draws one perturbation plan from
+        #: it — after the source-gateway forward, in transfer order per
+        #: directed pair — so a run is bit-identical *per seed* (see
+        #: docs/SCENARIOS.md).
         self.impair = None
         #: Optional :class:`repro.tuner.DecisionModel`.  When installed,
         #: point-to-point WAN transfers consult it for a striping factor
-        #: (MPWide-style parallel streams); striped transfers route
-        #: through the legacy generator leg like impaired ones.  ``None``
-        #: (the default tier) means one stream — bit-identical to the
-        #: pre-tuner fabric.  See docs/TUNING.md.
+        #: (MPWide-style parallel streams).  ``None`` (the default)
+        #: means one stream — bit-identical to the pre-tuner fabric.
+        #: See docs/TUNING.md.
         self.decision = None
         #: Optional :class:`repro.sim.pdes.PartitionBoundary`.  When a
         #: PDES worker installs one, point-to-point WAN deliveries whose
@@ -141,7 +181,7 @@ class Fabric:
         #: Per-cluster LAN parameters: a cluster spec naming a ``link``
         #: class uses it, everyone else shares ``params.lan`` (the very
         #: same object, so homogeneous runs are bit-identical to the
-        #: pre-heterogeneity fabric).  Both tiers read this table.
+        #: pre-heterogeneity fabric).
         for spec in topo.clusters:
             if spec.link is not None and spec.link not in LINK_CLASSES:
                 raise ValueError(
@@ -167,6 +207,7 @@ class Fabric:
             for pair in topo.cluster_pairs()
         }
 
+
     # ------------------------------------------------------------------ API
 
     def node(self, nid: int) -> Node:
@@ -191,43 +232,11 @@ class Fabric:
         caller will block on (:meth:`send_and_wait` sets it) — only the
         PDES boundary consumes it, to arm the delivery acknowledgment.
         """
-        msg = Message(src=src, dst=dst, size=size, payload=payload,
-                      port=port, kind=kind, send_time=self.sim.now)
-        local = self.topo.same_cluster(src, dst)
-        tr = self.tracer
-        if tr.enabled:
-            scope = "self" if src == dst else ("lan" if local else "wan")
-            tr.emit(self.sim.now, "msg.send", msg_id=msg.msg_id, src=src,
-                    dst=dst, size=size, msg_kind=kind, port=port, scope=scope)
-        link = self._cluster_lan[self.nodes[src].cluster] if local \
-            else self.params.access
-        cost = link.o_send + size * link.per_byte_cpu
+        msg, route, cost = self._new_message(src, dst, size, payload, port,
+                                             kind)
         # Sender-side CPU overhead, paid synchronously by the caller.
-        if self.fast_paths:
-            yield self.nodes[src].cpu.execute_ev(cost)
-            if src == dst:
-                return self._fast_self(msg)
-            if local:
-                return self._fast_lan(msg)
-            streams = self._p2p_streams(size)
-            if self.impair is not None or streams > 1:
-                # Impaired or striped WAN: the legacy leg draws and pays
-                # the perturbations (and chunk legs) in deterministic
-                # event order.
-                return self.sim.spawn(
-                    self._deliver_wan(msg, streams, wait=_wait),
-                    name="wanmsg")
-            return self._fast_wan(msg, wait=_wait)
-        yield self.sim.spawn(self.nodes[src].cpu.execute(cost))
-        if src == dst:
-            done = self.sim.spawn(self._deliver_self(msg), name="selfmsg")
-        elif local:
-            done = self.sim.spawn(self._deliver_lan(msg), name="lanmsg")
-        else:
-            done = self.sim.spawn(
-                self._deliver_wan(msg, self._p2p_streams(size), wait=_wait),
-                name="wanmsg")
-        return done
+        yield self.nodes[src].cpu.execute_ev(cost)
+        return route(msg, _wait)
 
     def send_and_wait(self, src: int, dst: int, size: int, payload: Any = None,
                       port: str = "default", kind: str = "msg") -> Generator:
@@ -245,44 +254,24 @@ class Fabric:
         Caller pays sender overhead; returns an event firing when *all*
         receivers have the message.
         """
-        lan = self._cluster_lan[self.nodes[src].cluster]
-        cost = lan.o_send + self.params.bcast_extra + size * lan.per_byte_cpu
-        if self.fast_paths:
-            yield self.nodes[src].cpu.execute_ev(cost)
-            return self._fast_multicast(src, self.topo.cluster_of(src), size,
-                                        payload, port, kind, include_self)
-        yield self.sim.spawn(self.nodes[src].cpu.execute(cost))
-        done = self.sim.spawn(
-            self._deliver_multicast(src, self.topo.cluster_of(src), size,
-                                    payload, port, kind, include_self),
-            name="mcast")
-        return done
+        cluster = self.topo.cluster_of(src)
+        yield self.nodes[src].cpu.execute_ev(
+            self._multicast_cost(cluster, size))
+        return self._multicast(src, cluster, size, payload, port, kind,
+                               include_self)
 
     def gateway_multicast(self, src: int, dst_cluster: int, size: int,
                           payload: Any = None, port: str = "default",
                           kind: str = "msg") -> Generator:
         """Send over the WAN to ``dst_cluster``'s gateway, which re-multicasts
-        to every node of that cluster (how Orca broadcasts cross the WAN)."""
-        if self.topo.cluster_of(src) == dst_cluster:
+        to every node of that cluster: a fan-out to one remote cluster."""
+        src_cluster = self.topo.cluster_of(src)
+        if src_cluster == dst_cluster:
             raise ValueError("gateway_multicast targets a *remote* cluster")
-        access = self.params.access
-        cost = access.o_send + size * access.per_byte_cpu
-        streams = self._p2p_streams(size)
-        if self.fast_paths:
-            yield self.nodes[src].cpu.execute_ev(cost)
-            if self.impair is not None or streams > 1:
-                return self.sim.spawn(
-                    self._deliver_wan_multicast(src, dst_cluster, size,
-                                                payload, port, kind, streams),
-                    name="wanmcast")
-            return self._fast_wan_multicast(src, dst_cluster, size, payload,
-                                            port, kind)
-        yield self.sim.spawn(self.nodes[src].cpu.execute(cost))
-        done = self.sim.spawn(
-            self._deliver_wan_multicast(src, dst_cluster, size, payload,
-                                        port, kind, streams),
-            name="wanmcast")
-        return done
+        yield self.nodes[src].cpu.execute_ev(self._access_send_cost(size))
+        return self._wan_fanout(src, src_cluster, [dst_cluster], size,
+                                payload, port, kind, "flat",
+                                self._p2p_streams(size), join=4)
 
     def wan_fanout_multicast(self, src: int, size: int, payload: Any = None,
                              port: str = "default", kind: str = "msg",
@@ -300,44 +289,35 @@ class Fabric:
         each cluster forwarding to the next while its local multicast
         proceeds; ``binomial``: recursive halving over the gateways).
         ``streams`` stripes each WAN transfer over that many parallel
-        chunks.  Non-default shapes/streams run on the legacy generator
-        legs even on the fast tier — the defaults are bit-identical to
-        the pre-tuner fabric."""
+        chunks.  The defaults are bit-identical to the pre-tuner
+        fabric."""
         src_cluster = self.topo.cluster_of(src)
         remote = [c for c in range(self.topo.n_clusters) if c != src_cluster]
         if not remote:
             done = Event(self.sim)
             done.succeed(0)
             return done
-        access = self.params.access
-        cost = access.o_send + size * access.per_byte_cpu
-        if self.fast_paths:
-            yield self.nodes[src].cpu.execute_ev(cost)
-            if self.impair is not None or shape != "flat" or streams > 1:
-                return self.sim.spawn(
-                    self._deliver_wan_fanout(src, src_cluster, remote, size,
-                                             payload, port, kind, shape,
-                                             streams),
-                    name="wanfanout")
-            return self._fast_wan_fanout(src, src_cluster, remote, size,
-                                         payload, port, kind)
-        yield self.sim.spawn(self.nodes[src].cpu.execute(cost))
-        done = self.sim.spawn(
-            self._deliver_wan_fanout(src, src_cluster, remote, size, payload,
-                                     port, kind, shape, streams),
-            name="wanfanout")
-        return done
+        yield self.nodes[src].cpu.execute_ev(self._access_send_cost(size))
+        return self._wan_fanout(src, src_cluster, remote, size, payload,
+                                port, kind, shape, streams)
 
     # ----------------------------------------------- chain-style entry points
     #
     # Non-generator counterparts of send / multicast_local /
     # wan_fanout_multicast for callers that are themselves callback
-    # chains (the Orca runtime's fast tier).  They charge the
-    # sender-side CPU exactly like the generator APIs, then launch the
-    # same fast delivery legs; ``then`` runs where a process driving
-    # the generator would resume.  Only meaningful on the fast tier —
-    # the Orca runtime refuses to combine its fast paths with a
-    # legacy-tier fabric.
+    # chains (the Orca runtime).  They charge the sender-side CPU
+    # exactly like the generator APIs, then launch the same route;
+    # ``then`` runs where a process driving the generator would resume.
+
+    def _charge_then(self, src: int, cost: float,
+                     launch: Callable[[], Event],
+                     then: Optional[Callable[[Event], None]]) -> None:
+        def _launch(_ev: Event) -> None:
+            done = launch()
+            if then is not None:
+                then(done)
+
+        self.nodes[src].cpu.execute_ev(cost).callbacks.append(_launch)
 
     def send_chain(self, src: int, dst: int, size: int, payload: Any = None,
                    port: str = "default", kind: str = "msg",
@@ -346,34 +326,9 @@ class Fabric:
         launch the delivery legs.  ``then(done)`` — if given — receives
         the delivery event once the sender-side overhead is paid, the
         point a driving process resumes at."""
-        msg = Message(src=src, dst=dst, size=size, payload=payload,
-                      port=port, kind=kind, send_time=self.sim.now)
-        local = self.topo.same_cluster(src, dst)
-        tr = self.tracer
-        if tr.enabled:
-            scope = "self" if src == dst else ("lan" if local else "wan")
-            tr.emit(self.sim.now, "msg.send", msg_id=msg.msg_id, src=src,
-                    dst=dst, size=size, msg_kind=kind, port=port, scope=scope)
-        link = self._cluster_lan[self.nodes[src].cluster] if local \
-            else self.params.access
-        cost = link.o_send + size * link.per_byte_cpu
-
-        def _launch(_ev: Event) -> None:
-            if src == dst:
-                done = self._fast_self(msg)
-            elif local:
-                done = self._fast_lan(msg)
-            else:
-                streams = self._p2p_streams(size)
-                if self.impair is not None or streams > 1:
-                    done = self.sim.spawn(self._deliver_wan(msg, streams),
-                                          name="wanmsg")
-                else:
-                    done = self._fast_wan(msg)
-            if then is not None:
-                then(done)
-
-        self.nodes[src].cpu.execute_ev(cost).callbacks.append(_launch)
+        msg, route, cost = self._new_message(src, dst, size, payload, port,
+                                             kind)
+        self._charge_then(src, cost, lambda: route(msg), then)
 
     def multicast_local_chain(self, src: int, size: int, payload: Any = None,
                               port: str = "default", kind: str = "msg",
@@ -384,16 +339,10 @@ class Fabric:
         :meth:`send_chain`); ``then(done)`` receives the all-delivered
         event."""
         cluster = self.topo.cluster_of(src)
-        lan = self._cluster_lan[cluster]
-        cost = lan.o_send + self.params.bcast_extra + size * lan.per_byte_cpu
-
-        def _launch(_ev: Event) -> None:
-            done = self._fast_multicast(src, cluster, size, payload, port,
-                                        kind, include_self)
-            if then is not None:
-                then(done)
-
-        self.nodes[src].cpu.execute_ev(cost).callbacks.append(_launch)
+        self._charge_then(
+            src, self._multicast_cost(cluster, size),
+            lambda: self._multicast(src, cluster, size, payload, port, kind,
+                                    include_self), then)
 
     def wan_fanout_multicast_chain(self, src: int, size: int,
                                    payload: Any = None,
@@ -411,43 +360,91 @@ class Fabric:
             if then is not None:
                 then(None)
             return
+        self._charge_then(
+            src, self._access_send_cost(size),
+            lambda: self._wan_fanout(src, src_cluster, remote, size, payload,
+                                     port, kind, shape, streams), then)
+
+    # -------------------------------------------------- shared launch helpers
+
+    def _new_message(self, src: int, dst: int, size: int, payload: Any,
+                     port: str, kind: str
+                     ) -> Tuple[Message, Callable[..., Event], float]:
+        """Build a point-to-point message, emit its ``msg.send`` record
+        and pick its route; returns ``(msg, route, sender CPU cost)``.
+        ``route(msg, wait=False)`` launches the delivery legs and
+        returns the delivery event."""
+        msg = Message(src=src, dst=dst, size=size, payload=payload,
+                      port=port, kind=kind, send_time=self.sim.now)
+        if src == dst:
+            scope, route = "self", self._route_self
+        elif self.topo.same_cluster(src, dst):
+            scope, route = "lan", self._route_lan
+        else:
+            scope, route = "wan", self._route_wan
+        tr = self.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, "msg.send", msg_id=msg.msg_id, src=src,
+                    dst=dst, size=size, msg_kind=kind, port=port, scope=scope)
+        link = self.params.access if scope == "wan" \
+            else self._cluster_lan[self.nodes[src].cluster]
+        return msg, route, link.o_send + size * link.per_byte_cpu
+
+    def _multicast_cost(self, cluster: int, size: int) -> float:
+        lan = self._cluster_lan[cluster]
+        return lan.o_send + self.params.bcast_extra + size * lan.per_byte_cpu
+
+    def _access_send_cost(self, size: int) -> float:
         access = self.params.access
-        cost = access.o_send + size * access.per_byte_cpu
+        return access.o_send + size * access.per_byte_cpu
 
-        def _launch(_ev: Event) -> None:
-            if self.impair is not None or shape != "flat" or streams > 1:
-                done = self.sim.spawn(
-                    self._deliver_wan_fanout(src, src_cluster, remote, size,
-                                             payload, port, kind, shape,
-                                             streams),
-                    name="wanfanout")
-            else:
-                done = self._fast_wan_fanout(src, src_cluster, remote, size,
-                                             payload, port, kind)
-            if then is not None:
-                then(done)
-
-        self.nodes[src].cpu.execute_ev(cost).callbacks.append(_launch)
-
-    # ------------------------------------------------- fast callback chains
+    # ------------------------------------------------------ the message legs
     #
-    # Each _fast_* builds the whole leg chain synchronously and returns
+    # Each route builds its whole leg chain synchronously and returns
     # (or drives) completion events; the only heap entries are the
-    # timeouts that genuinely advance virtual time.  Every trace emit
-    # and TrafficMeter call happens at the same virtual time, with the
-    # same fields, as on the legacy process path below.
+    # timeouts that genuinely advance virtual time.  At a *busy* instant
+    # (something else is scheduled now) a chain defers through the heap
+    # at the dispatch depth a process-per-leg tree would have resumed
+    # at, so same-instant races linearize the one way the golden
+    # manifest pins; at a quiet instant the deferrals are unobservable
+    # and elided.
+
+    def _later(self, n: int, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` ``n`` dispatches from now at a busy instant,
+        inline as soon as the instant is quiet."""
+        sim = self.sim
+        if n <= 0 or sim.idle_at_now():
+            fn()
+        else:
+            sim.after_call(0.0, lambda: self._later(n - 1, fn))
+
+    def _depth(self, shape: str, streams: int) -> _Later:
+        """The ``later`` of one WAN transfer.  The paper's route (flat,
+        one stream, clean PVCs) starts every step in the dispatch that
+        completes the previous one (:func:`_inline`).  Every other
+        transfer was pinned from a tree of one process per leg, relay
+        and join, and keeps that tree's depth at busy instants —
+        ``later(n, step)`` marks the ``n`` spawns and completions the
+        step sat behind — so concurrent transfers linearize their
+        same-instant races the way the golden manifest records them."""
+        if shape == "flat" and streams == 1 and self.impair is None:
+            return _inline
+        return self._later
 
     def _occupy_ev(self, res: Resource, seconds: float, cls: str = "",
                    size: int = 0, msg_id: int = -1) -> Event:
         """Hold ``res`` for ``seconds``; completion event, one ``link.busy``.
 
-        The callback-chained counterpart of :meth:`_occupy`:
         :meth:`Resource.occupy <repro.sim.Resource.occupy>` runs the
         whole request/grant/hold/release machine (see there for the
         quiet- and busy-instant dispatch depths).  While tracing, its
         ``on_release`` hook emits the ``link.busy`` record right after
-        the release and before the completion triggers — the point the
-        legacy occupy *process* emitted it at.
+        the release and before the completion triggers.
+        ``cls``/``size``/``msg_id`` only label the record (see
+        :func:`repro.obs.schema.classify_link` for the class names;
+        ``msg_id`` joins the span into the causal chains of
+        :mod:`repro.obs.chains`, -1 when the occupancy is shared between
+        several deliveries); with tracing disabled they cost nothing.
         """
         tr = self.tracer
         if not tr.enabled:
@@ -470,16 +467,19 @@ class Fabric:
         else:
             done.succeed(msg)
 
-    def _fast_self(self, msg: Message) -> Event:
+    def _route_self(self, msg: Message, wait: bool = False) -> Event:
         # Loopback: negligible wire, small fixed cost — one timeout.
         done = Event(self.sim)
         self.sim.after(1e-6,
                        lambda _ev: self._deposit_complete(msg, done))
         return done
 
-    def _fast_lan(self, msg: Message) -> Event:
-        # Cut-through: injection and delivery ports overlap (see
-        # _deliver_lan); the two legs join on a countdown.
+    def _route_lan(self, msg: Message, wait: bool = False) -> Event:
+        # Cut-through: the injection port and the delivery port are each
+        # occupied for one serialization time, but they overlap (the
+        # switch forwards as bytes arrive), so an uncontended transfer
+        # takes latency + size/bw, while endpoint contention still
+        # serializes.  The two legs join on a countdown.
         lan = self._cluster_lan[self.nodes[msg.src].cluster]
         tx = msg.size / lan.bandwidth
         sim = self.sim
@@ -492,12 +492,12 @@ class Fabric:
         def leg_done(_ev: Event) -> None:
             pending[0] -= 1
             if not pending[0]:
-                # Two deferred dispatches before the deposit, mirroring
-                # the legacy join (leg completion -> AllOf -> deliver
-                # process): deposits keep their relative dispatch depth
-                # — multicast, then WAN, then LAN — when arrivals on
-                # different path shapes land at the same instant.
-                # Elided at a quiet instant (nothing to race).
+                # Two deferred dispatches before the deposit (leg
+                # completion -> join -> deliver): deposits keep their
+                # relative dispatch depth — multicast, then WAN, then
+                # LAN — when arrivals on different path shapes land at
+                # the same instant.  Elided at a quiet instant (nothing
+                # to race).
                 if sim.idle_at_now():
                     arrive(_ev)
                 else:
@@ -517,17 +517,21 @@ class Fabric:
         sim.after(lan.latency, start_in)
         return done
 
-    def _fast_access_up(self, size: int, src_cluster: int, msg_id: int,
-                        then: Callable[[], None]) -> None:
-        """Node -> local gateway over the shared access link."""
+    def _access_up(self, size: int, src_cluster: int, msg_id: int,
+                   then: Callable[[], None]) -> None:
+        """Node -> local gateway over the shared access link.
+
+        Takes ``(size, src_cluster)`` directly — fan-out paths share one
+        access-link trip among many deliveries and must not fabricate a
+        :class:`Message` (which would burn a ``msg_id``) to ride the leg.
+        """
         access = self.params.access
         occ = self._occupy_ev(self._gw_access[src_cluster],
                               size / access.bandwidth, "access", size, msg_id)
         occ.callbacks.append(
             lambda _ev: self.sim.after(access.latency, lambda _ev2: then()))
 
-    def _fast_access_down(self, msg: Message,
-                          then: Callable[[], None]) -> None:
+    def _access_down(self, msg: Message, then: Callable[[], None]) -> None:
         """Remote gateway -> destination node."""
         access = self.params.access
         dst = msg.dst
@@ -545,19 +549,17 @@ class Fabric:
 
         occ.callbacks.append(after_occ)
 
-    def _fast_gw_forward(self, cluster: int, msg_size: int, msg_id: int,
-                         then: Callable[[], None]) -> None:
+    def _gw_forward(self, cluster: int, msg_size: int, msg_id: int,
+                    then: Callable[[], None]) -> None:
         """Store-and-forward charge on one gateway CPU; one ``gw.forward``.
 
         One :meth:`Resource.occupy <repro.sim.Resource.occupy>` on the
         gateway CPU: its queue-depth sample is atomic with the request
         — the queue this forward actually joins, counting itself — and
         at a busy instant the request is deferred one dispatch (the
-        grant one more), matching the spawn-deferred legacy
-        :meth:`_gw_execute` so same-instant forwards sample and
-        schedule identically.  ``then()`` runs on the completion event,
-        one dispatch after the charge completes at a busy instant — the
-        position the legacy ``_wan_leg`` process resumed at.
+        grant one more), so same-instant forwards sample and schedule
+        in arrival order.  ``then()`` runs on the completion event, one
+        dispatch after the charge completes at a busy instant.
         """
         gw = self.gateways[cluster].cpu
         gwp = self.params.gateway
@@ -579,58 +581,137 @@ class Fabric:
         gw.occupy(cost, 0, lambda _t_req, _t_grant, qdepth:
                   sampled.append(qdepth)).callbacks.append(emit_then)
 
-    def _fast_wan_leg(self, msg_size: int, src_cluster: int, dst_cluster: int,
-                      msg_id: int, then: Callable[[], None],
-                      export: Optional[Callable[[float], None]] = None
-                      ) -> None:
-        """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths).
+    def _pvc_stage(self, size: int, src_cluster: int, dst_cluster: int,
+                   msg_id: int, then: Callable[[], None],
+                   export: Optional[Callable[[float], None]] = None,
+                   plan: Any = None, lost: int = 0) -> None:
+        """One transfer of ``size`` bytes over the directed PVC; ``then()``
+        runs at its arrival at the remote gateway.
 
-        ``export`` — set only on a PDES partition boundary — cuts the
-        leg at the PVC: it is called at PVC *release* with the known
-        arrival time (release + latency), the ``wan.xfer`` record is
-        still emitted here (the PVC is source-owned), and the remote
-        gateway forward is left to the destination partition
-        (:meth:`pdes_arrive`) instead of running ``then``.  Exporting at
-        release rather than arrival is what gives the coordinator a full
-        WAN-latency lookahead window.
+        The PVC serializes transmissions; latency is pipeline delay.
+        With impairments installed the stage draws its plan *here* —
+        one draw per transfer, in transfer order on this directed pair —
+        and pays it itself: each lost transmission is a full (impaired)
+        serialization on the PVC plus the retransmit timeout, after
+        which the stage re-enters with the same ``plan`` and one fewer
+        copy ``lost``; queueing effects emerge from the resource model.
+        ``export`` — see :meth:`_wan_leg`.
         """
         wan = self.params.wan
         sim = self.sim
-        tr = self.tracer
+        pvc = self._wan[(src_cluster, dst_cluster)]
+        tx = size / wan.bandwidth
+        latency = wan.latency
+        if self.impair is not None:
+            if plan is None:
+                plan = self.impair.plan(src_cluster, dst_cluster, size, tx,
+                                        latency, msg_id)
+                lost = plan.retries
+            tx, latency = plan.tx, plan.latency
+            if lost:
+                def retry(_ev: Event) -> None:
+                    self._pvc_stage(size, src_cluster, dst_cluster, msg_id,
+                                    then, export, plan, lost - 1)
 
-        def after_fwd() -> None:
-            # PVC serializes transmissions; latency is pipeline delay.
-            tx = msg_size / wan.bandwidth
-            t1 = sim.now
-            occ = self._occupy_ev(self._wan[(src_cluster, dst_cluster)],
-                                  tx, "wan", msg_size, msg_id)
+                self._occupy_ev(pvc, tx, "wan", size, msg_id).callbacks.append(
+                    lambda _ev: sim.after(plan.rto, retry))
+                return
+        t0 = sim.now
+        occ = self._occupy_ev(pvc, tx, "wan", size, msg_id)
 
-            def after_occ(_ev2: Event) -> None:
-                self.meter.record_wan(msg_size)
-                if export is not None:
-                    export(sim.now + wan.latency)
+        def after_occ(_ev: Event) -> None:
+            self.meter.record_wan(size)
+            if export is not None:
+                export(sim.now + latency)
 
-                def after_lat(_ev3: Event) -> None:
-                    if tr.enabled:
-                        now = sim.now
-                        tr.emit(now, "wan.xfer", src_cluster=src_cluster,
-                                dst_cluster=dst_cluster, size=msg_size,
-                                tx=tx, msg_id=msg_id, t0=t1, dur=now - t1)
-                    if export is None:
-                        self._fast_gw_forward(dst_cluster, msg_size, msg_id,
-                                              then)
+            def after_lat(_ev2: Event) -> None:
+                tr = self.tracer
+                if tr.enabled:
+                    now = sim.now
+                    tr.emit(now, "wan.xfer", src_cluster=src_cluster,
+                            dst_cluster=dst_cluster, size=size, tx=tx,
+                            msg_id=msg_id, t0=t0, dur=now - t0)
+                then()
 
-                sim.after(wan.latency, after_lat)
+            sim.after(latency, after_lat)
 
-            occ.callbacks.append(after_occ)
+        occ.callbacks.append(after_occ)
 
-        self._fast_gw_forward(src_cluster, msg_size, msg_id, after_fwd)
+    def _striped_stage(self, size: int, k: int, src_cluster: int,
+                       dst_cluster: int, msg_id: int,
+                       then: Callable[[], None]) -> None:
+        """The PVC stage of one transfer striped over ``k`` chunks:
+        near-equal chunks, each drawing its own impairment plan, all in
+        flight at once, joined on a countdown.  At a busy instant each
+        chunk starts one dispatch out and the join resumes two
+        dispatches after the last arrival (the depths of a spawned leg
+        and its join)."""
+        base, rem = divmod(size, k)
+        pending = [k]
 
-    def _fast_wan(self, msg: Message, wait: bool = False) -> Event:
-        sim = self.sim
-        done = Event(sim)
+        def chunk_arrived() -> None:
+            pending[0] -= 1
+            if not pending[0]:
+                self._later(2, then)
+
+        for i in range(k):
+            def start(chunk: int = base + 1 if i < rem else base) -> None:
+                self._pvc_stage(chunk, src_cluster, dst_cluster, msg_id,
+                                chunk_arrived)
+
+            self._later(1, start)
+
+    def _wan_leg(self, msg_size: int, src_cluster: int, dst_cluster: int,
+                 msg_id: int, then: Callable[[], None], streams: int = 1,
+                 export: Optional[Callable[[float], None]] = None) -> None:
+        """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths).
+
+        ``msg_id`` labels the trace records with the point-to-point
+        message this leg serves; fan-out paths that share one leg among
+        many deliveries pass -1.  ``streams`` > 1 stripes the PVC stage
+        over that many parallel chunk transfers (MPWide-style): chunks
+        still serialize on the capacity-1 PVC, but their latencies and —
+        under loss impairment — retransmit timeouts overlap.  The
+        gateway forwards bracket the whole transfer either way.
+
+        ``export`` — set only on a PDES partition boundary — cuts the
+        leg at the PVC: it is called at PVC *release* with the known
+        (possibly impairment-perturbed) arrival time, the ``wan.xfer``
+        record is still emitted here (the PVC is source-owned), and the
+        remote gateway forward is left to the destination partition
+        (:meth:`pdes_arrive`) instead of running ``then``.  Exporting at
+        release rather than arrival is what gives the coordinator a full
+        WAN-latency lookahead window.  Striped transfers cannot be cut
+        (their chunks arrive independently); PDES eligibility excludes
+        them.
+        """
+        if export is not None:
+            arrived = _NO_THEN  # the owning partition forwards and delivers
+        else:
+            def arrived() -> None:
+                self._gw_forward(dst_cluster, msg_size, msg_id, then)
+
+        if streams > 1 and msg_size > 1:
+            if export is not None:
+                raise SimulationError(
+                    "striped WAN transfers cannot cross a PDES partition "
+                    "boundary (eligibility should have fallen back)")
+
+            def stage() -> None:
+                self._striped_stage(msg_size, min(streams, msg_size),
+                                    src_cluster, dst_cluster, msg_id, arrived)
+        else:
+            def stage() -> None:
+                self._pvc_stage(msg_size, src_cluster, dst_cluster, msg_id,
+                                arrived, export)
+
+        self._gw_forward(src_cluster, msg_size, msg_id, stage)
+
+    def _route_wan(self, msg: Message, wait: bool = False) -> Event:
+        done = Event(self.sim)
         src_cluster = self.topo.cluster_of(msg.src)
         dst_cluster = self.topo.cluster_of(msg.dst)
+        streams = self._p2p_streams(msg.size)
         bnd = self.pdes
         if bnd is not None and not bnd.owns(dst_cluster):
             # Partition boundary: run the source half, export the
@@ -638,35 +719,77 @@ class Fabric:
             # acks the deposit, which fires ``done`` at the delivery
             # time (only consumed when ``wait`` armed it).
             bnd.register(msg, done, wait)
-            self._fast_access_up(
-                msg.size, src_cluster, msg.msg_id,
-                lambda: self._fast_wan_leg(
-                    msg.size, src_cluster, dst_cluster, msg.msg_id,
-                    _NO_THEN,
-                    export=lambda arrival: bnd.export(msg, arrival, "fast")))
-            return done
+            tail = _NO_THEN
 
-        def arrive(_ev: Event) -> None:
+            def export(arrival: float) -> None:
+                bnd.export(msg, arrival)
+        else:
+            export = None
+
+            def tail() -> None:
+                self._wan_tail(msg, done)
+
+        def leg() -> None:
+            self._wan_leg(msg.size, src_cluster, dst_cluster, msg.msg_id,
+                          arrived, streams, export)
+
+        later = self._depth("flat", streams)
+        if later is _inline:
+            arrived = tail
+            self._access_up(msg.size, src_cluster, msg.msg_id, leg)
+        else:
+            def arrived() -> None:
+                later(2, tail)
+
+            later(2, lambda: self._access_up(
+                msg.size, src_cluster, msg.msg_id, lambda: later(2, leg)))
+        return done
+
+    def _wan_tail(self, msg: Message, done: Event) -> None:
+        """Access down -> deposit -> fire ``done``: the last legs of a
+        point-to-point WAN delivery, after the remote gateway forward."""
+        sim = self.sim
+
+        def arrive(_ev: Optional[Event]) -> None:
             self._deposit_complete(msg, done)
 
         def finish() -> None:
-            # One deferred dispatch (access-leg completion on the
-            # legacy path) so WAN deposits stay one dispatch shallower
-            # than LAN deposits — see _fast_lan.  Elided when quiet.
+            # One deferred dispatch (the access-leg completion) so WAN
+            # deposits stay one dispatch shallower than LAN deposits —
+            # see _route_lan.  Elided when quiet.
             if sim.idle_at_now():
                 arrive(None)
             else:
                 sim.after(0.0, arrive)
 
-        self._fast_access_up(
-            msg.size, src_cluster, msg.msg_id,
-            lambda: self._fast_wan_leg(
-                msg.size, src_cluster, dst_cluster, msg.msg_id,
-                lambda: self._fast_access_down(msg, finish)))
-        return done
+        self._access_down(msg, finish)
 
-    def _fast_multicast_recv(self, msg: Message, tx: float,
-                             then: Callable[[Event], None]) -> None:
+    # --------------------------------------------- PDES partition boundary
+
+    def pdes_arrive(self, msg: Message) -> None:
+        """Replay the destination half of a WAN delivery (PDES injection).
+
+        Called by the partition worker at the exported arrival instant —
+        the moment the payload clears the WAN PVC toward this
+        partition's gateway: gateway forward -> access down -> deposit,
+        at the dispatch depths the single-process run uses.  Deposits
+        always ack back through the boundary; the source partition fires
+        the sender's delivery event at that time (or drops the ack when
+        nobody waits).
+        """
+        sim = self.sim
+        done = Event(sim)
+        done.callbacks.append(
+            lambda _ev: self.pdes.export_ack(msg.msg_id, sim.now))
+        later = self._depth("flat", 1)
+        later(1, lambda: self._gw_forward(
+            self.topo.cluster_of(msg.dst), msg.size, msg.msg_id,
+            lambda: later(1, lambda: self._wan_tail(msg, done))))
+
+    # ------------------------------------------------------------ multicast
+
+    def _multicast_recv(self, msg: Message, tx: float,
+                        then: Callable[[Event], None]) -> None:
         lan = self._cluster_lan[self.nodes[msg.dst].cluster]
 
         def after_lat(_ev: Event) -> None:
@@ -687,8 +810,8 @@ class Fabric:
 
         self.sim.after(lan.latency, after_lat)
 
-    def _fast_multicast(self, src: int, cluster: int, size: int, payload: Any,
-                        port: str, kind: str, include_self: bool) -> Event:
+    def _multicast(self, src: int, cluster: int, size: int, payload: Any,
+                   port: str, kind: str, include_self: bool) -> Event:
         lan = self._cluster_lan[cluster]
         tx = size / lan.bandwidth
         sim = self.sim
@@ -709,12 +832,13 @@ class Fabric:
         for dst in dsts:
             msg = Message(src=src, dst=dst, size=size, payload=payload,
                           port=port, kind=kind, send_time=sim.now)
-            self._fast_multicast_recv(msg, tx, leg_done)
+            self._multicast_recv(msg, tx, leg_done)
         return done
 
-    def _fast_remote_gw_multicast(self, src: int, dst_cluster: int, size: int,
-                                  payload: Any, port: str, kind: str,
-                                  then: Callable[[int], None]) -> None:
+    def _remote_gw_multicast(self, src: int, dst_cluster: int, size: int,
+                             payload: Any, port: str, kind: str,
+                             then: Callable[[int], None],
+                             later: _Later) -> None:
         """Re-inject a WAN arrival as a local multicast in ``dst_cluster``."""
         lan = self._cluster_lan[dst_cluster]
         gw = self.gateways[dst_cluster]
@@ -733,498 +857,60 @@ class Fabric:
                 if not pending[0]:
                     then(len(dsts))
 
-            for dst in dsts:
-                msg = Message(src=src, dst=dst, size=size, payload=payload,
-                              port=port, kind=kind, send_time=self.sim.now)
-                self._fast_multicast_recv(msg, tx, recv_done)
+            now = self.sim.now
+            msgs = [Message(src=src, dst=dst, size=size, payload=payload,
+                            port=port, kind=kind, send_time=now)
+                    for dst in dsts]
+
+            def receive() -> None:
+                for msg in msgs:
+                    self._multicast_recv(msg, tx, recv_done)
+
+            later(1, receive)
 
         cpu.callbacks.append(after_cpu)
 
-    def _fast_wan_fanout(self, src: int, src_cluster: int, remote: List[int],
-                         size: int, payload: Any, port: str,
-                         kind: str) -> Event:
+    def _wan_fanout(self, src: int, src_cluster: int, remote: List[int],
+                    size: int, payload: Any, port: str, kind: str,
+                    shape: str, streams: int, join: int = 5) -> Event:
+        """One access-link trip, then WAN legs over the ``shape`` tree;
+        every remote gateway re-multicasts as its leg arrives.  The
+        returned event fires with the delivery count once every remote
+        cluster has the payload — ``join`` dispatches after the last
+        delivery (receivers, multicast, leg, the join over the legs,
+        the fan-out itself; a single-leg caller has no join over legs).
+        ``later`` — see :meth:`_depth`."""
         done = Event(self.sim)
         total = [0, len(remote)]
+        later = self._depth(shape, streams)
 
-        def leg_done(n: int) -> None:
+        def mcast_done(n: int) -> None:
             total[0] += n
             total[1] -= 1
             if not total[1]:
-                done.succeed(total[0])
+                later(join, lambda: done.succeed(total[0]))
 
-        def after_up() -> None:
-            for c in remote:
-                self._fast_wan_leg(
-                    size, src_cluster, c, -1,
-                    lambda c=c: self._fast_remote_gw_multicast(
-                        src, c, size, payload, port, kind, leg_done))
+        def mcast(to: int) -> None:
+            self._remote_gw_multicast(src, to, size, payload, port, kind,
+                                      mcast_done, later)
 
-        self._fast_access_up(size, src_cluster, -1, after_up)
-        return done
+        def leg(frm: int, to: int, then: Callable[[], None]) -> None:
+            self._wan_leg(size, frm, to, -1, then, streams)
 
-    def _fast_wan_multicast(self, src: int, dst_cluster: int, size: int,
-                            payload: Any, port: str, kind: str) -> Event:
-        done = Event(self.sim)
-        src_cluster = self.topo.cluster_of(src)
-
-        def after_up() -> None:
-            self._fast_wan_leg(
-                size, src_cluster, dst_cluster, -1,
-                lambda: self._fast_remote_gw_multicast(
-                    src, dst_cluster, size, payload, port, kind,
-                    done.succeed))
-
-        self._fast_access_up(size, src_cluster, -1, after_up)
-        return done
-
-    # ------------------------------------------- legacy path processes
-    #
-    # The original per-leg process trees, selected by ``fast_paths=
-    # False``.  They are the reference implementation of the fabric's
-    # timing semantics: the golden equivalence suite runs every app in
-    # both modes and requires identical results and traces.
-
-    def _occupy(self, res: Resource, seconds: float, cls: str = "",
-                size: int = 0, msg_id: int = -1) -> Generator:
-        """Hold ``res`` for ``seconds``; traced as one ``link.busy`` span.
-
-        ``cls``/``size``/``msg_id`` only label the trace record (see
-        :func:`repro.obs.schema.classify_link` for the class names;
-        ``msg_id`` joins the span into the causal chains of
-        :mod:`repro.obs.chains`, -1 when the occupancy is shared between
-        several deliveries); with tracing disabled they cost nothing.
-        """
-        t_req = self.sim.now
-        yield res.request()
-        t0 = self.sim.now
-        try:
-            if seconds > 0:
-                yield self.sim.timeout(seconds)
-        finally:
-            res.release()
-            tr = self.tracer
-            if tr.enabled:
-                now = self.sim.now
-                tr.emit(now, "link.busy", link=res.name, cls=cls, size=size,
-                        wait=t0 - t_req, msg_id=msg_id, t0=t0, dur=now - t0)
-
-    def _deliver_self(self, msg: Message) -> Generator:
-        # Loopback: negligible wire, small fixed cost.
-        yield self.sim.timeout(1e-6)
-        self._deposit(msg)
-        return msg
-
-    def _deliver_lan(self, msg: Message) -> Generator:
-        # Cut-through: the injection port and the delivery port are each
-        # occupied for one serialization time, but they overlap (the switch
-        # forwards as bytes arrive), so an uncontended transfer takes
-        # latency + size/bw, while endpoint contention still serializes.
-        lan = self._cluster_lan[self.nodes[msg.src].cluster]
-        tx = msg.size / lan.bandwidth
-        out_leg = self.sim.spawn(self._occupy(self._lan_out[msg.src], tx,
-                                              "lan_out", msg.size,
-                                              msg.msg_id))
-        in_leg = self.sim.spawn(self._lan_in_leg(msg, tx))
-        yield self.sim.all_of([out_leg, in_leg])
-        self._deposit(msg)
-        return msg
-
-    def _lan_in_leg(self, msg: Message, tx: float) -> Generator:
-        lan = self._cluster_lan[self.nodes[msg.dst].cluster]
-        yield self.sim.timeout(lan.latency)
-        yield self.sim.spawn(self._occupy(self._lan_in[msg.dst], tx,
-                                          "lan_in", msg.size, msg.msg_id))
-        yield self.sim.spawn(self.nodes[msg.dst].cpu.execute(
-            lan.o_recv + msg.size * lan.per_byte_cpu))
-
-    def _wan_leg(self, msg_size: int, src_cluster: int, dst_cluster: int,
-                 msg_id: int = -1, streams: int = 1,
-                 export: Optional[Callable[[float], None]] = None
-                 ) -> Generator:
-        """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths).
-
-        ``msg_id`` labels the trace records with the point-to-point
-        message this leg serves; fan-out paths that share one leg among
-        many deliveries pass -1.  ``streams`` > 1 stripes the PVC stage
-        over that many parallel chunk transfers (MPWide-style): chunks
-        still serialize on the capacity-1 PVC, but their latencies and —
-        under loss impairment — retransmit timeouts overlap.  The
-        gateway forwards bracket the whole transfer either way.
-
-        ``export`` cuts the leg at the PVC for a PDES partition
-        boundary, exactly like :meth:`_fast_wan_leg`: called at PVC
-        release with the (possibly impairment-perturbed) arrival time;
-        the remote gateway forward then belongs to the destination
-        partition.  Striped transfers cannot be cut (their chunks
-        arrive independently), and PDES eligibility excludes them.
-        """
-        if export is not None and streams > 1:
-            raise SimulationError(
-                "striped WAN transfers cannot cross a PDES partition "
-                "boundary (eligibility should have fallen back)")
-        gwp = self.params.gateway
-        wan = self.params.wan
-        tr = self.tracer
-        traced = tr.enabled
-        fwd_cost = gwp.forward_cost + msg_size * gwp.per_byte_cost
-        # Local gateway store-and-forward.
-        t0 = self.sim.now
-        qd = yield self.sim.spawn(self._gw_execute(src_cluster, fwd_cost))
-        if traced:
-            now = self.sim.now
-            tr.emit(now, "gw.forward", cluster=src_cluster, size=msg_size,
-                    qdepth=qd, msg_id=msg_id, t0=t0, dur=now - t0)
-        k = max(1, min(streams, msg_size))
-        if k > 1:
-            # Striped PVC stage: near-equal chunks, each drawing its own
-            # impairment plan, all in flight at once.
-            base, rem = divmod(msg_size, k)
-            chunks = [base + 1] * rem + [base] * (k - rem)
-            legs = [self.sim.spawn(
-                self._wan_stripe(chunk, src_cluster, dst_cluster, msg_id),
-                name="wanstripe") for chunk in chunks]
-            yield self.sim.all_of(legs)
-        else:
-            # The PVC serializes transmissions; latency is pipeline delay.
-            tx = msg_size / wan.bandwidth
-            latency = wan.latency
-            imp = self.impair
-            if imp is not None:
-                plan = imp.plan(src_cluster, dst_cluster, msg_size, tx,
-                                latency, msg_id)
-                tx, latency = plan.tx, plan.latency
-                # Each lost transmission pays a full (impaired)
-                # serialization on the PVC plus the retransmit timeout
-                # before the copy that gets through.
-                for _ in range(plan.retries):
-                    yield self.sim.spawn(self._occupy(
-                        self._wan[(src_cluster, dst_cluster)], tx, "wan",
-                        msg_size, msg_id))
-                    yield self.sim.timeout(plan.rto)
-            t0 = self.sim.now
-            yield self.sim.spawn(self._occupy(
-                self._wan[(src_cluster, dst_cluster)], tx, "wan", msg_size,
-                msg_id))
-            self.meter.record_wan(msg_size)
-            if export is not None:
-                export(self.sim.now + latency)
-            yield self.sim.timeout(latency)
-            if traced:
-                now = self.sim.now
-                tr.emit(now, "wan.xfer", src_cluster=src_cluster,
-                        dst_cluster=dst_cluster, size=msg_size, tx=tx,
-                        msg_id=msg_id, t0=t0, dur=now - t0)
-        if export is not None:
-            return  # remote gateway forward runs in the owning partition
-        # Remote gateway store-and-forward.
-        t0 = self.sim.now
-        qd = yield self.sim.spawn(self._gw_execute(dst_cluster, fwd_cost))
-        if traced:
-            now = self.sim.now
-            tr.emit(now, "gw.forward", cluster=dst_cluster, size=msg_size,
-                    qdepth=qd, msg_id=msg_id, t0=t0, dur=now - t0)
-
-    def _wan_stripe(self, chunk_size: int, src_cluster: int,
-                    dst_cluster: int, msg_id: int) -> Generator:
-        """One striped chunk of a WAN transfer: the PVC stage of
-        :meth:`_wan_leg` for ``chunk_size`` bytes."""
-        wan = self.params.wan
-        tr = self.tracer
-        tx = chunk_size / wan.bandwidth
-        latency = wan.latency
-        imp = self.impair
-        if imp is not None:
-            plan = imp.plan(src_cluster, dst_cluster, chunk_size, tx,
-                            latency, msg_id)
-            tx, latency = plan.tx, plan.latency
-            for _ in range(plan.retries):
-                yield self.sim.spawn(self._occupy(
-                    self._wan[(src_cluster, dst_cluster)], tx, "wan",
-                    chunk_size, msg_id))
-                yield self.sim.timeout(plan.rto)
-        t0 = self.sim.now
-        yield self.sim.spawn(self._occupy(
-            self._wan[(src_cluster, dst_cluster)], tx, "wan", chunk_size,
-            msg_id))
-        self.meter.record_wan(chunk_size)
-        yield self.sim.timeout(latency)
-        if tr.enabled:
-            now = self.sim.now
-            tr.emit(now, "wan.xfer", src_cluster=src_cluster,
-                    dst_cluster=dst_cluster, size=chunk_size, tx=tx,
-                    msg_id=msg_id, t0=t0, dur=now - t0)
-
-    def _gw_execute(self, cluster: int, cost: float) -> Generator:
-        """Charge ``cost`` to a gateway CPU; returns the queue depth.
-
-        Depth is sampled atomically with the request — the queue this
-        forward actually joins, counting itself — so fast and legacy
-        paths report identical ``qdepth`` even when several forwards
-        arrive at the same instant.
-        """
-        gw = self.gateways[cluster].cpu
-        qd = gw.queue_length + gw.in_use + 1
-        yield gw.request()
-        try:
-            yield self.sim.timeout(cost)
-        finally:
-            gw.release()
-        return qd
-
-    def _access_leg_up(self, size: int, src_cluster: int,
-                       msg_id: int = -1) -> Generator:
-        """Node -> local gateway over the shared access link.
-
-        Takes ``(size, src_cluster)`` directly — fan-out paths share one
-        access-link trip among many deliveries and must not fabricate a
-        :class:`Message` (which would burn a ``msg_id`` and skew the
-        run-local id-reset determinism guarantees) just to ride the leg.
-        """
-        access = self.params.access
-        tx = size / access.bandwidth
-        yield self.sim.spawn(self._occupy(self._gw_access[src_cluster], tx,
-                                          "access", size, msg_id))
-        yield self.sim.timeout(access.latency)
-
-    def _access_leg_down(self, msg: Message, dst: int) -> Generator:
-        """Remote gateway -> destination node."""
-        access = self.params.access
-        tx = msg.size / access.bandwidth
-        dst_cluster = self.topo.cluster_of(dst)
-        yield self.sim.spawn(self._occupy(self._gw_access[dst_cluster], tx,
-                                          "access", msg.size, msg.msg_id))
-        yield self.sim.timeout(access.latency)
-        yield self.sim.spawn(self.nodes[dst].cpu.execute(
-            access.o_recv + msg.size * access.per_byte_cpu))
-
-    def _deliver_wan(self, msg: Message, streams: int = 1,
-                     wait: bool = False) -> Generator:
-        src_cluster = self.topo.cluster_of(msg.src)
-        dst_cluster = self.topo.cluster_of(msg.dst)
-        bnd = self.pdes
-        if bnd is not None and not bnd.owns(dst_cluster):
-            # Partition boundary (legacy/impaired path): source half
-            # here, arrival exported at PVC release; the delivery ack
-            # fires ``gate`` at the deposit time so this process — the
-            # event send_and_wait callers block on — completes at the
-            # same virtual time the single-process run delivers at.
-            gate = Event(self.sim)
-            bnd.register(msg, gate, wait)
-            yield self.sim.spawn(self._access_leg_up(msg.size, src_cluster,
-                                                     msg.msg_id))
-            yield self.sim.spawn(self._wan_leg(
-                msg.size, src_cluster, dst_cluster, msg.msg_id, streams,
-                export=lambda arrival: bnd.export(msg, arrival, "legacy")))
-            yield gate
-            return msg
-        yield self.sim.spawn(self._access_leg_up(msg.size, src_cluster,
-                                                 msg.msg_id))
-        yield self.sim.spawn(self._wan_leg(msg.size, src_cluster, dst_cluster,
-                                           msg.msg_id, streams))
-        yield self.sim.spawn(self._access_leg_down(msg, msg.dst))
-        self._deposit(msg)
-        return msg
-
-    # --------------------------------------------- PDES partition boundary
-
-    def pdes_arrive(self, msg: Message, path: str) -> None:
-        """Replay the destination half of a WAN delivery (PDES injection).
-
-        Called by the partition worker at the exported arrival instant —
-        the moment the payload clears the WAN PVC toward this
-        partition's gateway.  ``path`` selects the tier the source half
-        ran on (``"fast"`` callback chains or ``"legacy"`` process
-        legs) so the remaining legs replay at identical dispatch depths
-        and virtual times.  Deposits always ack back through the
-        boundary; the source partition fires the sender's delivery
-        event at that time (or drops the ack when nobody waits).
-        """
-        if path == "fast":
-            self._pdes_fast_tail(msg)
-        else:
-            self.sim.spawn(self._pdes_legacy_tail(msg), name="wanmsg")
-
-    def _pdes_fast_tail(self, msg: Message) -> None:
-        """Remote half of :meth:`_fast_wan`: gateway forward -> access
-        down -> deposit, then the delivery ack."""
-        sim = self.sim
-        done = Event(sim)
-        done.callbacks.append(
-            lambda _ev: self.pdes.export_ack(msg.msg_id, sim.now))
-
-        def arrive(_ev: Optional[Event]) -> None:
-            self._deposit_complete(msg, done)
-
-        def finish() -> None:
-            # Same deferred dispatch as _fast_wan's finish (see there).
-            if sim.idle_at_now():
-                arrive(None)
+        def relay() -> None:
+            order = [src_cluster] + remote
+            if shape == "chain":
+                _relay_chain(later, leg, mcast, order, 0)
+            elif shape == "binomial":
+                _relay_binomial(later, leg, mcast, order, 0, len(order))
             else:
-                sim.after(0.0, arrive)
+                for c in remote:
+                    leg(src_cluster, c,
+                        lambda c=c: later(2, lambda: mcast(c)))
 
-        self._fast_gw_forward(
-            self.topo.cluster_of(msg.dst), msg.size, msg.msg_id,
-            lambda: self._fast_access_down(msg, finish))
-
-    def _pdes_legacy_tail(self, msg: Message) -> Generator:
-        """Remote half of :meth:`_deliver_wan` (via :meth:`_wan_leg`'s
-        remote gateway forward), then the delivery ack."""
-        gwp = self.params.gateway
-        fwd_cost = gwp.forward_cost + msg.size * gwp.per_byte_cost
-        dst_cluster = self.topo.cluster_of(msg.dst)
-        tr = self.tracer
-        t0 = self.sim.now
-        qd = yield self.sim.spawn(self._gw_execute(dst_cluster, fwd_cost))
-        if tr.enabled:
-            now = self.sim.now
-            tr.emit(now, "gw.forward", cluster=dst_cluster, size=msg.size,
-                    qdepth=qd, msg_id=msg.msg_id, t0=t0, dur=now - t0)
-        yield self.sim.spawn(self._access_leg_down(msg, msg.dst))
-        self._deposit(msg)
-        self.pdes.export_ack(msg.msg_id, self.sim.now)
-        return msg
-
-    def _deliver_multicast(self, src: int, cluster: int, size: int,
-                           payload: Any, port: str, kind: str,
-                           include_self: bool) -> Generator:
-        lan = self._cluster_lan[cluster]
-        tx = size / lan.bandwidth
-        # Injection overlaps delivery (spanning-tree forwarding in the NIC).
-        legs = [self.sim.spawn(self._occupy(self._lan_out[src], tx,
-                                            "lan_out", size))]
-        for dst in self.topo.nodes_in(cluster):
-            if dst == src and not include_self:
-                continue
-            msg = Message(src=src, dst=dst, size=size, payload=payload,
-                          port=port, kind=kind, send_time=self.sim.now)
-            legs.append(self.sim.spawn(self._multicast_recv(msg, tx)))
-        yield self.sim.all_of(legs)
-        return len(legs) - 1
-
-    def _multicast_recv(self, msg: Message, tx: float) -> Generator:
-        lan = self._cluster_lan[self.nodes[msg.dst].cluster]
-        yield self.sim.timeout(lan.latency)
-        yield self.sim.spawn(self._occupy(self._lan_in[msg.dst], tx,
-                                          "lan_in", msg.size, msg.msg_id))
-        yield self.sim.spawn(self.nodes[msg.dst].cpu.execute(
-            lan.o_recv + msg.size * lan.per_byte_cpu))
-        self._deposit(msg)
-
-    def _deliver_wan_fanout(self, src: int, src_cluster: int,
-                            remote: List[int], size: int, payload: Any,
-                            port: str, kind: str, shape: str = "flat",
-                            streams: int = 1) -> Generator:
-        yield self.sim.spawn(self._access_leg_up(size, src_cluster))
-        if shape == "chain":
-            total = yield self.sim.spawn(
-                self._fanout_chain(src, src_cluster, remote, size, payload,
-                                   port, kind, streams),
-                name="fanchain")
-            return total
-        if shape == "binomial":
-            total = yield self.sim.spawn(
-                self._fanout_binomial(src, src_cluster, remote, size,
-                                      payload, port, kind, streams),
-                name="fanbinom")
-            return total
-        legs = [self.sim.spawn(
-            self._wan_leg_and_remote_multicast(src, src_cluster, c, size,
-                                               payload, port, kind, streams))
-            for c in remote]
-        counts = yield self.sim.all_of(legs)
-        return sum(counts)
-
-    def _fanout_chain(self, src: int, src_cluster: int, remote: List[int],
-                      size: int, payload: Any, port: str, kind: str,
-                      streams: int) -> Generator:
-        """Gateway relay: each cluster's gateway forwards the payload to
-        the next remote cluster while its own local multicast proceeds in
-        the background.  One PVC hop per link of the chain; the store-
-        and-forward costs inside :meth:`_wan_leg` are the relay cost."""
-        mcasts = []
-        prev = src_cluster
-        for c in remote:
-            yield self.sim.spawn(self._wan_leg(size, prev, c, -1, streams))
-            mcasts.append(self.sim.spawn(
-                self._remote_gateway_multicast(src, c, size, payload, port,
-                                               kind)))
-            prev = c
-        counts = yield self.sim.all_of(mcasts)
-        return sum(counts)
-
-    def _fanout_binomial(self, src: int, src_cluster: int, remote: List[int],
-                         size: int, payload: Any, port: str, kind: str,
-                         streams: int) -> Generator:
-        """Recursive halving over the cluster gateways: the source covers
-        the farthest half first, then each new holder re-broadcasts into
-        its own half — ceil(log2(n_clusters)) rounds of parallel hops."""
-        order = [src_cluster] + remote
-        sim = self.sim
-        done = Event(sim)
-        state = [0, len(remote)]  # delivered count, outstanding multicasts
-
-        def mcast_then_count(dst_c: int) -> Generator:
-            n = yield sim.spawn(
-                self._remote_gateway_multicast(src, dst_c, size, payload,
-                                               port, kind))
-            state[0] += n
-            state[1] -= 1
-            if not state[1]:
-                done.succeed(state[0])
-
-        def branch(lo: int, hi: int) -> Generator:
-            # order[lo] holds the payload and covers order[lo+1:hi].
-            while hi - lo > 1:
-                mid = (lo + hi + 1) // 2
-                yield sim.spawn(self._wan_leg(size, order[lo], order[mid],
-                                              -1, streams))
-                sim.spawn(mcast_then_count(order[mid]), name="fanmcast")
-                if hi - mid > 1:
-                    sim.spawn(branch(mid, hi), name="fanbranch")
-                hi = mid
-
-        sim.spawn(branch(0, len(order)), name="fanbranch")
-        total = yield done
-        return total
-
-    def _wan_leg_and_remote_multicast(self, src: int, src_cluster: int,
-                                      dst_cluster: int, size: int,
-                                      payload: Any, port: str, kind: str,
-                                      streams: int = 1) -> Generator:
-        yield self.sim.spawn(self._wan_leg(size, src_cluster, dst_cluster,
-                                           -1, streams))
-        n = yield self.sim.spawn(
-            self._remote_gateway_multicast(src, dst_cluster, size, payload,
-                                           port, kind))
-        return n
-
-    def _remote_gateway_multicast(self, src: int, dst_cluster: int, size: int,
-                                  payload: Any, port: str,
-                                  kind: str) -> Generator:
-        """Re-inject a WAN arrival as a local multicast in ``dst_cluster``."""
-        lan = self._cluster_lan[dst_cluster]
-        gw = self.gateways[dst_cluster]
-        yield self.sim.spawn(gw.cpu.execute(lan.o_send + self.params.bcast_extra))
-        tx = size / lan.bandwidth
-        waits = []
-        for dst in self.topo.nodes_in(dst_cluster):
-            msg = Message(src=src, dst=dst, size=size, payload=payload,
-                          port=port, kind=kind, send_time=self.sim.now)
-            waits.append(self.sim.spawn(self._multicast_recv(msg, tx)))
-        if waits:
-            yield self.sim.all_of(waits)
-        return len(waits)
-
-    def _deliver_wan_multicast(self, src: int, dst_cluster: int, size: int,
-                               payload: Any, port: str, kind: str,
-                               streams: int = 1) -> Generator:
-        src_cluster = self.topo.cluster_of(src)
-        yield self.sim.spawn(self._access_leg_up(size, src_cluster))
-        n = yield self.sim.spawn(
-            self._wan_leg_and_remote_multicast(src, src_cluster, dst_cluster,
-                                               size, payload, port, kind,
-                                               streams))
-        return n
+        later(2, lambda: self._access_up(size, src_cluster, -1,
+                                         lambda: later(3, relay)))
+        return done
 
     # ---------------------------------------------------------------- util
 

@@ -61,24 +61,15 @@ class TotalOrderBroadcast:
 
     def __init__(self, sim: Simulator, fabric: Fabric,
                  protocol: SequencerProtocol,
-                 apply_fn: Callable[[int, BcastPayload], Generator],
+                 apply: Callable[[int, BcastPayload,
+                                       Callable[[Any], None]], None],
                  dedicated_sequencer_node: bool = False,
-                 fast_paths: bool = False,
-                 apply_fast: Optional[Callable[[int, BcastPayload,
-                                                Callable[[Any], None]],
-                                               None]] = None,
                  decision: Optional[Any] = None):
-        """``apply_fn(node, payload)`` is a generator provided by the
-        runtime that executes the operation on ``node``'s replica and
-        charges its CPU; it returns the op result.
-
-        With ``fast_paths=True`` delivery runs as flat callback chains
-        instead of per-node dispatcher processes, and ``apply_fast(node,
-        payload, k)`` — the chain counterpart of ``apply_fn``, calling
-        ``k(result)`` where the generator would return — must be
-        provided.  The two tiers are bit-identical in virtual time,
-        traffic, and trace records; see ``_arm`` for the parity
-        argument.
+        """``apply(node, payload, k)`` is provided by the runtime:
+        it executes the operation on ``node``'s replica, charges its
+        CPU, and calls ``k(result)`` once the charge completes.
+        Delivery runs as flat callback chains on armed ports (see
+        ``_arm``).
 
         ``decision`` is an optional :class:`repro.tuner.DecisionModel`:
         when installed, every broadcast asks it for the PB/BB protocol,
@@ -90,12 +81,8 @@ class TotalOrderBroadcast:
         self.fabric = fabric
         self.topo = fabric.topo
         self.protocol = protocol
-        self.apply_fn = apply_fn
+        self.apply = apply
         self.decision = decision
-        self.fast_paths = fast_paths
-        self.apply_fast = apply_fast
-        if fast_paths and apply_fast is None:
-            raise ValueError("fast_paths=True requires an apply_fast chain")
         self._delivery = [_NodeDeliveryState() for _ in range(self.topo.n_nodes)]
         # seq -> (sender node, completion event)
         self._completions: Dict[int, Tuple[int, Event]] = {}
@@ -111,13 +98,8 @@ class TotalOrderBroadcast:
         # cluster also runs the sequencer; the paper mentions using a
         # dedicated node as cluster sequencer as a further optimization.
         self._dedicated = dedicated_sequencer_node
-        if fast_paths:
-            for node in fabric.nodes:
-                self._arm(node.nid)
-        else:
-            for node in fabric.nodes:
-                sim.spawn(self._dispatcher(node.nid),
-                          name=f"bcastdisp{node.nid}")
+        for node in fabric.nodes:
+            self._arm(node.nid)
 
     # ----------------------------------------------------------------- API
 
@@ -188,27 +170,24 @@ class TotalOrderBroadcast:
                         t0=t0, dur=now - t0)
 
         # 2. Order.  Same-sender broadcasts take their tickets in issue
-        #    order; the acquire generator models token/migration delays.
+        #    order.  The stamp is analytic when ordering is local and
+        #    the instant is quiet; an uncontended remote token takes the
+        #    deferred shortcut (an analytic hop-delay event); contended
+        #    instants drive the acquire generator (it models the
+        #    token/migration delays), so same-instant races linearize
+        #    through the ring's waiter order.
         yield from self._await_issue_turn(sender, issue)
-        seq = None
-        if self.fast_paths:
-            # Analytic stamp when ordering is local and the instant is
-            # quiet; an uncontended remote token takes the deferred
-            # shortcut (an analytic hop-delay event); contended instants
-            # hand back to the acquire generator so same-instant races
-            # linearize identically.
-            seq = self.protocol.try_acquire(stamp_cluster)
-            if seq is not None:
+        seq = self.protocol.try_acquire(stamp_cluster)
+        if seq is not None:
+            self.sim._n_fast += 1
+        else:
+            ev = self.protocol.try_acquire_deferred(stamp_cluster)
+            if ev is not None:
                 self.sim._n_fast += 1
+                seq = yield ev
             else:
-                ev = self.protocol.try_acquire_deferred(stamp_cluster)
-                if ev is not None:
-                    self.sim._n_fast += 1
-                    seq = yield ev
-                else:
-                    self.sim._n_fallback += 1
-        if seq is None:
-            seq = yield from self.protocol.acquire(stamp_cluster)
+                self.sim._n_fallback += 1
+                seq = yield from self.protocol.acquire(stamp_cluster)
         self._advance_issue_turn(sender)
 
         payload = BcastPayload(seq=seq, obj_name=obj_name, op_name=op_name,
@@ -228,25 +207,16 @@ class TotalOrderBroadcast:
                         inter=not self.topo.same_cluster(sender, stamp_node),
                         t0=t0, dur=now - t0)
         origin = sender if bb_mode else stamp_node
-        origin_cluster = sender_cluster if bb_mode else stamp_cluster
 
         # 3. Disseminate from the origin node, in the background.
-        if self.fast_paths:
-            if self.sim.idle_at_now():
-                # Quiet instant: launch the chain inline — the spawn
-                # bootstrap a process-based dissemination would pay is
-                # unobservable here.
-                self._fast_disseminate(origin, payload, size, shape, streams)
-            else:
-                # Busy instant: defer one dispatch, the exact depth of
-                # the legacy spawn bootstrap.
-                self.sim._n_fallback += 1
-                self.sim.after(0.0, lambda _ev: self._fast_disseminate(
-                    origin, payload, size, shape, streams))
+        if self.sim.idle_at_now():
+            # Quiet instant: launch the chain inline.
+            self._disseminate(origin, payload, size, shape, streams)
         else:
-            self.sim.spawn(self._disseminate(origin, origin_cluster, payload,
-                                             size, shape, streams),
-                           name=f"dissem{seq}")
+            # Busy instant: the dissemination starts one dispatch out.
+            self.sim._n_fallback += 1
+            self.sim.after(0.0, lambda _ev: self._disseminate(
+                origin, payload, size, shape, streams))
 
         # 4./5. Wait until our own node applied it.
         result = yield done
@@ -258,74 +228,29 @@ class TotalOrderBroadcast:
         return result
 
     # ------------------------------------------------------------ internals
-
-    def _disseminate(self, stamp_node: int, stamp_cluster: int,
-                     payload: BcastPayload, size: int, shape: str = "flat",
-                     streams: int = 1) -> Generator:
-        waits = []
-        # Local multicast within the stamping cluster.
-        done = yield from self.fabric.multicast_local(
-            stamp_node, size, payload=payload, port=BCAST_PORT,
-            kind="bcast")
-        waits.append(done)
-        # One trip up the access link, then WAN transfers on the PVCs
-        # (tree shape and striping from the installed strategy); every
-        # remote gateway re-multicasts into its cluster.
-        if self.topo.n_clusters > 1:
-            done = yield from self.fabric.wan_fanout_multicast(
-                stamp_node, size, payload=payload, port=BCAST_PORT,
-                kind="bcast", shape=shape, streams=streams)
-            waits.append(done)
-        yield self.sim.all_of(waits)
-
-    def _dispatcher(self, node: int) -> Generator:
-        """Per-node delivery: hold back until in order, then apply."""
-        st = self._delivery[node]
-        port = self.fabric.nodes[node].port(BCAST_PORT)
-        while True:
-            msg = yield port.get()
-            payload: BcastPayload = msg.payload
-            st.holdback[payload.seq] = payload
-            while st.next_expected in st.holdback:
-                current = st.holdback.pop(st.next_expected)
-                result = yield from self.apply_fn(node, current)
-                tr = self.fabric.tracer
-                if tr.enabled:
-                    tr.emit(self.sim.now, "bcast.apply", node=node,
-                            seq=current.seq, sender=current.sender)
-                st.applied.append(current.seq)
-                st.next_expected += 1
-                completion = self._completions.get(current.seq)
-                if completion is not None and completion[0] == node:
-                    del self._completions[current.seq]
-                    completion[1].succeed(result)
-
-    # ----------------------------------------------------- fast delivery tier
     #
-    # The callback-chain counterpart of _disseminate/_dispatcher.  Parity
-    # with the process tier, flow by flow:
+    # Delivery and dissemination as callback chains, flow by flow:
     #
-    # * arrival — the armed getter's callback runs at the dispatch of the
-    #   same event a dispatcher process would resume on (the put-side
-    #   succeed, or the get-side immediate grant when a message was
-    #   already queued), so holdback mutation happens at the identical
-    #   dispatch position;
-    # * apply — ``apply_fast`` attaches its continuation to the same CPU
-    #   charge event the ``apply_fn`` generator yields on, so the
-    #   ``bcast.apply`` emit, applied-list append, and completion
-    #   succeed all run at the legacy dispatch;
-    # * re-arm — only after the drain stalls on a gap, exactly where the
-    #   dispatcher loops back to ``port.get()``;
-    # * dissemination — the chain charges the same sender CPU costs
+    # * arrival — the armed getter's callback runs at the dispatch of
+    #   the put-side succeed (or the get-side immediate grant when a
+    #   message was already queued), where the holdback map mutates;
+    # * apply — ``apply`` attaches its continuation to the CPU
+    #   charge event, so the ``bcast.apply`` emit, applied-list append,
+    #   and completion succeed all run at that dispatch;
+    # * re-arm — only after the drain stalls on a gap;
+    # * dissemination — the chain charges the sender CPU costs
     #   back-to-back (the WAN fan-out charge is requested only once the
     #   local-multicast charge completes, preserving FIFO order against
-    #   concurrent requesters) and launches the same fast legs.  The
-    #   legacy tail ``all_of`` wait is dropped: nothing ever waits on
-    #   the dissemination process, so it is unobservable.
+    #   concurrent requesters) and launches the fabric legs.  Nothing
+    #   waits on a dissemination as a whole.
 
-    def _fast_disseminate(self, origin: int, payload: BcastPayload,
-                          size: int, shape: str = "flat",
-                          streams: int = 1) -> None:
+    def _disseminate(self, origin: int, payload: BcastPayload,
+                     size: int, shape: str = "flat",
+                     streams: int = 1) -> None:
+        # Local multicast within the origin cluster; then one trip up
+        # the access link and WAN transfers on the PVCs (tree shape and
+        # striping from the installed strategy); every remote gateway
+        # re-multicasts into its cluster.
         fab = self.fabric
         if self.topo.n_clusters > 1:
             fab.multicast_local_chain(
@@ -340,15 +265,16 @@ class TotalOrderBroadcast:
     def _arm(self, node: int) -> None:
         """Park a one-shot delivery continuation on the node's bcast port."""
         ev = self.fabric.nodes[node].port(BCAST_PORT).get()
-        ev.callbacks.append(lambda _ev, n=node: self._fast_arrival(n, _ev._value))
+        ev.callbacks.append(lambda _ev, n=node: self._arrival(n, _ev._value))
 
-    def _fast_arrival(self, node: int, msg: Any) -> None:
+    def _arrival(self, node: int, msg: Any) -> None:
+        """Per-node delivery: hold back until in order, then apply."""
         st = self._delivery[node]
         payload: BcastPayload = msg.payload
         st.holdback[payload.seq] = payload
-        self._fast_drain(node, st)
+        self._drain(node, st)
 
-    def _fast_drain(self, node: int, st: _NodeDeliveryState) -> None:
+    def _drain(self, node: int, st: _NodeDeliveryState) -> None:
         if st.next_expected not in st.holdback:
             self._arm(node)  # stalled on a gap: wait for the next arrival
             return
@@ -374,15 +300,15 @@ class TotalOrderBroadcast:
         if i == len(run):
             # Batch done: arrivals that landed while applying (their
             # seqs are beyond the snapshot) drain next, or we re-arm.
-            self._fast_drain(node, st)
+            self._drain(node, st)
             return
         current = run[i]
-        self.apply_fast(
+        self.apply(
             node, current,
-            lambda result: self._fast_applied(node, st, run, i, result))
+            lambda result: self._applied(node, st, run, i, result))
 
-    def _fast_applied(self, node: int, st: _NodeDeliveryState,
-                      run: list, i: int, result: Any) -> None:
+    def _applied(self, node: int, st: _NodeDeliveryState,
+                 run: list, i: int, result: Any) -> None:
         current = run[i]
         tr = self.fabric.tracer
         if tr.enabled:

@@ -72,16 +72,10 @@ class OrcaRuntime:
     def __init__(self, sim: Simulator, fabric: Fabric,
                  sequencer: str = "distributed",
                  dedicated_sequencer_node: bool = False,
-                 fast_paths: Optional[bool] = None,
                  decision: Optional[Any] = None):
-        """``fast_paths`` selects the control-plane tier: ``True`` runs
-        broadcast delivery and RPC service as flat callback chains,
-        ``False`` as generator processes, ``None`` (default) inherits
-        the fabric's tier.  Both tiers are bit-identical in virtual
-        time, answers, traffic, and trace records; the fast tier only
-        reduces host-side event and process counts.  Runtime fast paths
-        require a fast-path fabric — the chains call the fabric's
-        chain-style entry points directly.
+        """Broadcast delivery and RPC service run as flat callback
+        chains over the fabric's chain-style entry points (armed ports,
+        no per-node server processes).
 
         ``decision`` is an optional :class:`repro.tuner.DecisionModel`
         consulted per broadcast for the PB/BB protocol, WAN fan-out
@@ -91,12 +85,6 @@ class OrcaRuntime:
         self.fabric = fabric
         self.topo = fabric.topo
         self.meter: TrafficMeter = fabric.meter
-        self.fast_paths = fabric.fast_paths if fast_paths is None else fast_paths
-        if self.fast_paths and not fabric.fast_paths:
-            raise ValueError(
-                "OrcaRuntime(fast_paths=True) requires Fabric(fast_paths="
-                "True): the runtime's callback chains use the fabric's "
-                "chain entry points")
         p = fabric.params
         hop = (p.wan.latency + 2 * p.access.latency
                + 2 * p.gateway.forward_cost)
@@ -106,19 +94,13 @@ class OrcaRuntime:
         self.tob = TotalOrderBroadcast(
             sim, fabric, self.protocol, self._apply_bcast,
             dedicated_sequencer_node=dedicated_sequencer_node,
-            fast_paths=self.fast_paths, apply_fast=self._apply_bcast_fast,
             decision=decision)
         self.specs: Dict[str, ObjectSpec] = {}
         # Replicated objects: one replica per node.  Non-replicated: the
         # owner's replica only, at [owner].
         self._replicas: Dict[str, Dict[int, Replica]] = {}
-        if self.fast_paths:
-            for node in fabric.nodes:
-                self._arm_rpc(node.nid)
-        else:
-            for node in fabric.nodes:
-                sim.spawn(self._rpc_server(node.nid),
-                          name=f"rpcserver{node.nid}")
+        for node in fabric.nodes:
+            self._arm_rpc(node.nid)
 
     # --------------------------------------------------------------- setup
 
@@ -158,11 +140,7 @@ class OrcaRuntime:
     # ------------------------------------------------------------ execution
 
     def _charge(self, node: int, seconds: float) -> Generator:
-        cpu = self.fabric.nodes[node].cpu
-        if self.fast_paths:
-            yield cpu.execute_ev(seconds)
-        else:
-            yield self.sim.spawn(cpu.execute(seconds))
+        yield self.fabric.nodes[node].cpu.execute_ev(seconds)
 
     def _execute_blocking(self, node: int, replica: Replica, op_name: str,
                           args: tuple) -> Generator:
@@ -193,104 +171,58 @@ class OrcaRuntime:
                 retries.append(item)
         if not retries:
             return
-        if self.fast_paths:
-            sim = self.sim
-            if sim.idle_at_now():
-                self._fast_retry(owner, replica, retries, 0)
-            else:
-                # Busy instant (e.g. guard waiters were just woken):
-                # defer one dispatch, the legacy spawn-bootstrap depth.
-                sim._n_fallback += 1
-                sim.after(0.0, lambda _ev: self._fast_retry(
-                    owner, replica, retries, 0))
+        sim = self.sim
+        if sim.idle_at_now():
+            self._retry_rpcs(owner, retries, 0)
         else:
-            self.sim.spawn(self._retry_rpcs(owner, replica, retries),
-                           name="rpcretry")
+            # Busy instant (e.g. guard waiters were just woken): the
+            # retries start one dispatch out.
+            sim._n_fallback += 1
+            sim.after(0.0, lambda _ev: self._retry_rpcs(owner, retries, 0))
 
-    def _retry_rpcs(self, owner: int, replica: Replica,
-                    requests: List[_RpcRequest]) -> Generator:
-        for req in requests:
-            yield from self._serve_request(owner, req)
-
-    def _fast_retry(self, owner: int, replica: Replica,
-                    requests: List[_RpcRequest], i: int) -> None:
-        """Chain counterpart of :meth:`_retry_rpcs`: strictly sequential —
-        request ``i+1`` starts where the generator would resume, after
-        ``i``'s reply send overhead (or guard-fail charge)."""
-        if i >= len(requests):
-            return
-        self._serve_chain(owner, requests[i],
-                          then=lambda: self._fast_retry(owner, replica,
-                                                        requests, i + 1))
+    def _retry_rpcs(self, owner: int, requests: List[_RpcRequest],
+                    i: int) -> None:
+        """Serve parked requests strictly sequentially: request ``i+1``
+        starts after ``i``'s reply send overhead (or guard-fail
+        charge)."""
+        if i < len(requests):
+            self._serve(owner, requests[i],
+                        then=lambda: self._retry_rpcs(owner, requests, i + 1))
 
     # ------------------------------------------------------------------ RPC
-
-    def _rpc_server(self, node: int) -> Generator:
-        port = self.fabric.nodes[node].port(RPC_PORT)
-        while True:
-            msg = yield port.get()
-            # Serve concurrently: the operation itself executes atomically
-            # on arrival (Python-level), while the CPU charge and the reply
-            # proceed in their own process.  A serial server would bound
-            # RPC throughput by the CPU-queue wait behind application
-            # compute quanta, which a real interrupt-driven RTS does not.
-            self.sim.spawn(self._serve_request(node, msg.payload),
-                           name=f"rpcserve{node}")
-
-    def _serve_request(self, node: int, req: _RpcRequest) -> Generator:
-        replica = self._replicas[req.obj_name].get(node)
-        if replica is None:
-            raise RuntimeError(
-                f"RPC for {req.obj_name!r} arrived at non-owner node {node}")
-        op = replica.spec.op(req.op_name)
-        try:
-            result = replica.execute(req.op_name, req.args)
-        except Blocked:
-            yield from self._charge(node, GUARD_EVAL_COST)
-            replica.parked.append(("rpc", req))
-            return
-        yield from self._charge(node, op.cost(req.args))
-        if op.writes:
-            self._kick(node, replica)
-        result_size = op.result_size(result)
-        yield from self.fabric.send(
-            node, req.caller, result_size, payload=(result, result_size),
-            port=req.result_port, kind="rpc")
-
-    # ------------------------------------------------------- RPC (fast tier)
     #
-    # Chain counterparts of _rpc_server/_serve_request.  Parity: the
-    # armed getter's continuation runs at the dispatch the server
-    # process would resume on; the serve body attaches to the same CPU
-    # charge events the generator yields on; a fresh arrival at a busy
-    # instant defers the serve one dispatch — the legacy spawn
-    # bootstrap — *before* re-arming, matching the server's
-    # spawn-then-get push order.
+    # The armed getter's continuation runs at the dispatch of the put
+    # that delivered the request.  Requests are served concurrently: the
+    # operation itself executes atomically on arrival, while the CPU
+    # charge and the reply proceed as their own chain — a serial server
+    # would bound RPC throughput by the CPU-queue wait behind
+    # application compute quanta, which a real interrupt-driven RTS
+    # does not.  A fresh arrival at a busy instant defers the serve one
+    # dispatch *before* re-arming.
 
     def _arm_rpc(self, node: int) -> None:
         ev = self.fabric.nodes[node].port(RPC_PORT).get()
         ev.callbacks.append(
-            lambda _ev, n=node: self._fast_rpc_arrival(n, _ev._value))
+            lambda _ev, n=node: self._rpc_arrival(n, _ev._value))
 
-    def _fast_rpc_arrival(self, node: int, msg: Message) -> None:
+    def _rpc_arrival(self, node: int, msg: Message) -> None:
         sim = self.sim
         req: _RpcRequest = msg.payload
         if sim.idle_at_now():
-            # Quiet instant: serve inline (the spawn bootstrap is
-            # unobservable), then re-arm.
+            # Quiet instant: serve inline (the deferral is unobservable),
+            # then re-arm.
             sim._n_fast += 1
-            self._serve_chain(node, req)
-            self._arm_rpc(node)
+            self._serve(node, req)
         else:
             sim._n_fallback += 1
-            sim.after(0.0, lambda _ev: self._serve_chain(node, req))
-            self._arm_rpc(node)
+            sim.after(0.0, lambda _ev: self._serve(node, req))
+        self._arm_rpc(node)
 
-    def _serve_chain(self, node: int, req: _RpcRequest,
-                     then: Optional[Any] = None) -> None:
-        """Chain counterpart of :meth:`_serve_request`; ``then()`` runs
-        where a driving generator would resume (after the reply's
-        sender-side overhead, or after the guard-fail charge)."""
+    def _serve(self, node: int, req: _RpcRequest,
+               then: Optional[Any] = None) -> None:
+        """Execute one RPC at its owner and send the reply; ``then()``
+        runs after the reply's sender-side overhead (or after the
+        guard-fail charge when the operation blocks and parks)."""
         replica = self._replicas[req.obj_name].get(node)
         if replica is None:
             raise RuntimeError(
@@ -349,20 +281,10 @@ class OrcaRuntime:
 
     # ------------------------------------------------------------ broadcast
 
-    def _apply_bcast(self, node: int, payload: BcastPayload) -> Generator:
-        """Apply one ordered write to this node's replica (function shipping)."""
-        replica = self._replicas[payload.obj_name][node]
-        op = replica.spec.op(payload.op_name)
-        result = replica.execute(payload.op_name, payload.args)
-        yield from self._charge(node, op.cost(payload.args))
-        self._kick(node, replica)
-        return result
-
-    def _apply_bcast_fast(self, node: int, payload: BcastPayload,
-                          k: Any) -> None:
-        """Chain counterpart of :meth:`_apply_bcast`: the continuation
-        ``k(result)`` attaches to the same CPU charge event the
-        generator yields on."""
+    def _apply_bcast(self, node: int, payload: BcastPayload,
+                     k: Any) -> None:
+        """Apply one ordered write to this node's replica (function
+        shipping); ``k(result)`` runs once its CPU charge completes."""
         replica = self._replicas[payload.obj_name][node]
         op = replica.spec.op(payload.op_name)
         result = replica.execute(payload.op_name, payload.args)
@@ -497,20 +419,12 @@ class Context:
         speeds = fabric.node_speed
         node = self.node
         remaining = seconds
-        if self.rts.fast_paths:
-            while remaining > 0:
-                step = remaining if remaining <= q else q
-                sp = 1.0 if speeds is None else speeds[node]
-                cost = step if sp == 1.0 else step / sp
-                yield cpu.execute_ev(cost, priority=1)
-                remaining -= step
-        else:
-            while remaining > 0:
-                step = remaining if remaining <= q else q
-                sp = 1.0 if speeds is None else speeds[node]
-                cost = step if sp == 1.0 else step / sp
-                yield self.sim.spawn(cpu.execute(cost, priority=1))
-                remaining -= step
+        while remaining > 0:
+            step = remaining if remaining <= q else q
+            sp = 1.0 if speeds is None else speeds[node]
+            cost = step if sp == 1.0 else step / sp
+            yield cpu.execute_ev(cost, priority=1)
+            remaining -= step
 
     def sleep(self, seconds: float) -> Generator:
         """Idle wait (no CPU occupancy)."""

@@ -73,7 +73,7 @@ class SequencerProtocol:
         raise NotImplementedError
 
     def try_acquire(self, cluster: int) -> Optional[int]:
-        """Analytic fast path: stamp synchronously, or ``None``.
+        """Analytic shortcut: stamp synchronously, or ``None``.
 
         Succeeds only when :meth:`acquire` would have returned at the
         current instant with no observable intermediate state — i.e.
@@ -81,8 +81,8 @@ class SequencerProtocol:
         for the token protocols, nothing else is scheduled at this
         instant that could race the grant.  On ``None`` the caller
         falls back to driving the :meth:`acquire` generator, so
-        same-instant contention linearizes exactly as on the legacy
-        path.  Emits the same ``seq.acquire`` record either way.
+        same-instant contention linearizes through the ring's waiter
+        order.  Emits the same ``seq.acquire`` record either way.
         """
         return None
 
@@ -94,7 +94,7 @@ class SequencerProtocol:
         is *k* hops away, so the acquire cannot complete at this
         instant.  Returns an event that fires with the sequence number
         after the analytic ``k * hop_latency`` delay, reproducing the
-        legacy grant's dispatch schedule exactly (one call-slot, one
+        generator grant's dispatch schedule exactly (one call-slot, one
         event dispatch, state changes in the same order); the ring
         invariant — waiters only accumulate while the token is held —
         makes the uncontended check sufficient.  ``None`` means the
@@ -121,9 +121,9 @@ class SequencerProtocol:
             fire(done, seq)
 
         def _slot() -> None:
-            # The legacy grant's ev.succeed: one posted event dispatch
-            # between the call-slot and the resume, so same-instant
-            # arrivals linearize at identical depths in both tiers.
+            # The generator grant's ev.succeed: one posted event
+            # dispatch between the call-slot and the resume, so
+            # same-instant arrivals linearize at identical depths.
             gate = Event(sim)
             gate.callbacks.append(_resume)
             gate.succeed(None)
@@ -155,8 +155,8 @@ class CentralizedSequencer(SequencerProtocol):
         return seq
 
     def try_acquire(self, cluster: int) -> Optional[int]:
-        # Stamping never yields, so the fast path is always available
-        # and needs no quiet-instant check.
+        # Stamping never yields, so the synchronous stamp is always
+        # available and needs no quiet-instant check.
         seq = self._stamp()
         self._trace_acquire(cluster, seq, self.sim.now)
         return seq
@@ -259,7 +259,7 @@ class DistributedSequencer(SequencerProtocol):
     def try_acquire(self, cluster: int) -> Optional[int]:
         ring = self._ring
         if ring.held or ring._distance(ring.at, cluster) != 0:
-            return None  # token away or departing: WAN hops, legacy path
+            return None  # token away or departing: WAN hops, not instant
         sim = self.sim
         if not sim.idle_at_now():
             return None  # busy instant: the grant dispatch is observable
@@ -322,7 +322,7 @@ class MigratingSequencer(SequencerProtocol):
     def try_acquire(self, cluster: int) -> Optional[int]:
         ring = self._ring
         if ring.held or ring.at != cluster:
-            return None  # a migration pays a WAN hop: legacy path
+            return None  # a migration pays a WAN hop: not instant
         sim = self.sim
         if not sim.idle_at_now():
             return None  # busy instant: the grant dispatch is observable
@@ -338,7 +338,7 @@ class MigratingSequencer(SequencerProtocol):
         ring = self._ring
         if ring.held or ring.at == cluster:
             return None  # held: ring's job; local: try_acquire's
-        # The migration bookkeeping the legacy acquire does at request
+        # The migration bookkeeping the generator acquire does at request
         # time, before the token travels.
         self.migrations += 1
         tr = self.tracer

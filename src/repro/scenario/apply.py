@@ -7,8 +7,7 @@ Three mechanisms, one per scenario axis (see docs/SCENARIOS.md):
   scenario's per-cluster tweaks (CPU speed, node count, LAN link class);
   the fabric reads the specs directly, so nothing else changes.
 * **WAN impairments** — :class:`WanImpairments` is installed on the
-  fabric (``fabric.impair``); every WAN PVC transfer then routes through
-  the legacy generator leg (even on the fast tier) and calls
+  fabric (``fabric.impair``); every WAN PVC stage then calls
   :meth:`WanImpairments.plan` to perturb its serialization time,
   latency, and retransmission count.  Randomness comes from one
   :func:`~repro.sim.rng.substream` per (model, directed cluster pair),

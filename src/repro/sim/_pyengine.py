@@ -273,11 +273,11 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self._n_spawned: int = 0
-        # Fast-path observability (see stats()): inline completions the
-        # fast tier performed without a heap dispatch, and the times a
-        # fast-path site had to defer through the heap (or hand a flow
-        # back to the legacy generator path) to preserve same-instant
-        # ordering.  Both are plain integer bumps on paths that already
+        # Chain observability (see stats()): inline completions a
+        # callback chain performed without a heap dispatch, and the
+        # times a chain site had to defer through the heap (or hand a
+        # flow to the sequencers' generator acquire) to preserve
+        # same-instant ordering.  Both are plain integer bumps on paths that already
         # branch, so the dispatch loop never sees them.
         self._n_fast: int = 0
         self._n_fallback: int = 0
@@ -402,22 +402,20 @@ class Simulator:
         This keeps the counter live mid-run without any cost in the
         dispatch loop.
 
-        The event-minimization counters make the two-tier model
-        observable per run:
+        The event-minimization counters make the callback chains'
+        quiet/busy behaviour observable per run:
 
-        * ``spawns`` — processes started (same value as the legacy
-          ``processes_spawned`` key, kept for compatibility).  A
-          fast-tier run spawns far fewer than a legacy run of the same
-          workload.
-        * ``fast_completions`` — completions the fast tier performed
-          inline at a quiet instant (every :func:`fire` call plus the
+        * ``spawns`` — processes started (same value as the older
+          ``processes_spawned`` key, kept for compatibility).
+        * ``fast_completions`` — completions a chain performed inline
+          at a quiet instant (every :func:`fire` call plus the
           sequencers' synchronous ``try_acquire`` stamps), i.e. heap
           dispatches that never happened.
-        * ``fallbacks`` — times a fast-path site found the current
-          instant busy (or the state contended) and deferred through
-          the heap at legacy dispatch depths — or handed the flow back
-          to the legacy generator path — so same-instant races
-          linearize identically in both tiers.
+        * ``fallbacks`` — times a chain site found the current instant
+          busy (or the state contended) and deferred through the heap
+          at process-pattern dispatch depths — or handed the flow to
+          the sequencers' generator ``acquire`` — so same-instant races
+          linearize the one way the golden manifest pins.
         """
         return {
             "events_processed": self._seq - len(self._heap),
@@ -539,7 +537,7 @@ def fire(ev: Event, value: Any = None) -> None:
     Equivalent to ``ev.succeed(value)`` followed immediately by the heap
     pop that would dispatch it — sound only when nothing else is
     scheduled at the current instant, so the skipped dispatch could not
-    have interleaved with anything.  The fabric's fast paths use it to
+    have interleaved with anything.  The fabric's chains use it to
     complete occupancies at quiet instants (checking the heap first); at
     busy instants they post through the heap like everything else.
     """

@@ -6,7 +6,7 @@ its own core, and the workers synchronize conservatively at WAN
 horizons — the WAN propagation latency is the lookahead
 (:mod:`.coordinator`).  Cross-partition sends become timestamped
 messages exported a full lookahead before they land (:mod:`.boundary`);
-everything inside a partition (LAN fast paths, the compiled event core,
+everything inside a partition (LAN chains, the compiled event core,
 tracing, scenarios) runs unchanged.
 
 The single-process engine stays the oracle: a PDES run produces

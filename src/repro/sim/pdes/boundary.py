@@ -109,10 +109,10 @@ class PartitionBoundary:
         if wait:
             self._armed[msg.msg_id] = (msg, done)
 
-    def export(self, msg, arrival: float, path: str) -> None:
+    def export(self, msg, arrival: float) -> None:
         """Source side, at PVC release: ship the message at ``arrival``."""
         dst_part = self.part[self.topo.cluster_of(msg.dst)]
-        self.outbox.append(("msg", dst_part, msg, arrival, path))
+        self.outbox.append(("msg", dst_part, msg, arrival))
         self.exported += 1
         if msg.msg_id in self._armed:
             self._floors[msg.msg_id] = (arrival, dst_part)
@@ -190,11 +190,11 @@ class PartitionBoundary:
             self._hold = [it for it in self._hold
                           if not (it[3] < cap or it[3] == gmin)]
         due.sort(key=_inject_key)
-        for _kind, _dst, msg, arrival, path in due:
+        for _kind, _dst, msg, arrival in due:
             self._ack_to[msg.msg_id] = self.part[self.topo.cluster_of(msg.src)]
             self.injected += 1
             self.sim.call_at(
-                arrival, lambda m=msg, p=path: self.fabric.pdes_arrive(m, p))
+                arrival, lambda m=msg: self.fabric.pdes_arrive(m))
 
     def held_min(self):
         """Earliest held arrival — part of this partition's frontier."""

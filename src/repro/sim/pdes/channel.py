@@ -13,7 +13,7 @@ Three pieces live here:
   worker and coordinator.  A *section* is one epoch's routed items for
   one destination partition, laid out struct-of-arrays (arrival and
   send/recv-time doubles, node ids, sizes, message ids, then a small
-  string table for port/kind/path names and *one* length-prefixed
+  string table for port/kind names and *one* length-prefixed
   pickle blob for the whole payload tuple — only the payload objects
   still meet pickle, and they amortize its fixed cost across the
   section).
@@ -170,9 +170,9 @@ def _encode_section(dst: int, items: Sequence[tuple]) -> bytes:
     min_time = INF
     arrivals, send_times, recv_times = [], [], []
     srcs, dsts, sizes, ids = [], [], [], []
-    port_idx, kind_idx, path_idx = [], [], []
+    port_idx, kind_idx = [], []
     payloads = []
-    for _tag, _dst, msg, arrival, path in msgs:
+    for _tag, _dst, msg, arrival in msgs:
         min_time = min(min_time, arrival)
         arrivals.append(arrival)
         send_times.append(msg.send_time)
@@ -183,7 +183,6 @@ def _encode_section(dst: int, items: Sequence[tuple]) -> bytes:
         ids.append(msg.msg_id)
         port_idx.append(sid(msg.port))
         kind_idx.append(sid(msg.kind))
-        path_idx.append(sid(path))
         payloads.append(msg.payload)
 
     ack_ids, ack_ts = [], []
@@ -210,7 +209,6 @@ def _encode_section(dst: int, items: Sequence[tuple]) -> bytes:
             struct.pack(f"<{nm}q", *ids),
             struct.pack(f"<{nm}H", *port_idx),
             struct.pack(f"<{nm}H", *kind_idx),
-            struct.pack(f"<{nm}H", *path_idx),
             _U32.pack(len(blob)), blob,
         ]
     if na:
@@ -256,7 +254,6 @@ def decode_section_items(raw: bytes) -> List[tuple]:
         ids = struct.unpack_from(f"<{nm}q", raw, off); off += 8 * nm
         ports = struct.unpack_from(f"<{nm}H", raw, off); off += 2 * nm
         kinds = struct.unpack_from(f"<{nm}H", raw, off); off += 2 * nm
-        paths = struct.unpack_from(f"<{nm}H", raw, off); off += 2 * nm
         (ln,) = _U32.unpack_from(raw, off)
         off += 4
         payloads = pickle.loads(raw[off:off + ln]) if ln else (None,) * nm
@@ -270,7 +267,7 @@ def decode_section_items(raw: bytes) -> List[tuple]:
                           payload=payloads[k], port=strs[ports[k]],
                           kind=strs[kinds[k]], msg_id=ids[k],
                           send_time=send_times[k], recv_time=recv_times[k])
-            items.append(("msg", dst, msg, arrivals[k], strs[paths[k]]))
+            items.append(("msg", dst, msg, arrivals[k]))
     if na:
         ack_ids = struct.unpack_from(f"<{na}q", raw, off); off += 8 * na
         ack_ts = struct.unpack_from(f"<{na}d", raw, off); off += 8 * na

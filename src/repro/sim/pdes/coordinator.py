@@ -94,7 +94,7 @@ INF = float("inf")
 # Routed items inside sections (built by PartitionBoundary.export /
 # export_ack; index 3 is always the item's virtual time, which
 # compute_caps relies on via the section's min_time):
-#   ("msg", dst_partition, Message, arrival, path)
+#   ("msg", dst_partition, Message, arrival)
 #   ("ack", dst_partition, msg_id, t_deposit)
 
 
@@ -113,8 +113,6 @@ class WorkerSpec:
     sequencer: str
     dedicated_sequencer_node: bool
     topology: Any                      # final Topology (scenario applied)
-    fast_paths: bool
-    runtime_fast_paths: Optional[bool]
     scenario: Any = None
     trace: Optional[TraceSpec] = None
     lookahead: float = 0.0
@@ -294,8 +292,7 @@ def _worker_run(conn, chan, spec: WorkerSpec) -> None:
     sim = Simulator()
     topo = spec.topology
     tracer = spec.trace.build() if spec.trace is not None else None
-    fabric = Fabric(sim, topo, spec.network, tracer=tracer,
-                    fast_paths=spec.fast_paths)
+    fabric = Fabric(sim, topo, spec.network, tracer=tracer)
     if tracer is not None:
         fabric.tracer.enabled = True
         sim.obs = fabric.tracer
@@ -307,8 +304,7 @@ def _worker_run(conn, chan, spec: WorkerSpec) -> None:
     boundary.fabric = fabric
     fabric.pdes = boundary
     rts = OrcaRuntime(sim, fabric, sequencer=spec.sequencer,
-                      dedicated_sequencer_node=spec.dedicated_sequencer_node,
-                      fast_paths=spec.runtime_fast_paths)
+                      dedicated_sequencer_node=spec.dedicated_sequencer_node)
 
     shared = app.register(rts, spec.params, spec.variant)
     local_nodes = [n for c in spec.clusters for n in topo.nodes_in(c)]
@@ -498,9 +494,7 @@ atexit.register(shutdown_pool)
 def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
                  params: Any, *, network, sequencer: Optional[str],
                  dedicated_sequencer_node: bool, topo, trace: bool,
-                 tracer, fast_paths: bool,
-                 runtime_fast_paths: Optional[bool], scenario,
-                 n_workers: int):
+                 tracer, scenario, n_workers: int):
     """Partitioned ``run_app``: same result, all host cores.
 
     ``topo`` is the final topology (scenario layout applied); callers
@@ -539,7 +533,6 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
         cluster_partition=part_map, app=app.name, variant=variant,
         params=params, network=network, sequencer=seq_kind,
         dedicated_sequencer_node=dedicated_sequencer_node, topology=topo,
-        fast_paths=fast_paths, runtime_fast_paths=runtime_fast_paths,
         scenario=scenario, trace=trace_spec, lookahead=lookahead)
         for pi, block in enumerate(blocks)]
 
@@ -695,10 +688,9 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
     reset_ids()
     reset_req_ids()
     fsim = Simulator()
-    ffabric = Fabric(fsim, topo, network, fast_paths=fast_paths)
+    ffabric = Fabric(fsim, topo, network)
     frts = OrcaRuntime(fsim, ffabric, sequencer=seq_kind,
-                       dedicated_sequencer_node=dedicated_sequencer_node,
-                       fast_paths=runtime_fast_paths)
+                       dedicated_sequencer_node=dedicated_sequencer_node)
     answer = app.finalize(frts, params, variant, merged_shared)
     stats = app.stats(frts, params, variant, merged_shared)
 

@@ -98,26 +98,22 @@ class CPU(Resource):
 class Barrier:
     """A reusable barrier for a fixed number of parties.
 
-    With ``fast=True`` the last arriver completes the episode
-    analytically: at a quiet instant (nothing else scheduled *now*) the
-    gate is fired inline, resuming every earlier arriver immediately
-    instead of one dispatch later.  The last arriver itself then waits
-    on an already-processed gate, which costs the usual recycled kick
-    event — so the heap sees exactly one entry per episode either way
-    and ``Simulator.stats()['events_processed']`` is unchanged.  At
-    busy instants the gate is posted through the heap at the legacy
-    dispatch depth (counted as a fallback), so same-instant races
-    linearize identically in fast and legacy runs.
+    The last arriver completes the episode analytically: at a quiet
+    instant (nothing else scheduled *now*) the gate is fired inline,
+    resuming every earlier arriver immediately instead of one dispatch
+    later.  The last arriver itself then waits on an already-processed
+    gate, which costs the usual recycled kick event — so the heap sees
+    exactly one entry per episode.  At busy instants the gate is posted
+    through the heap (counted as a fallback), so same-instant races
+    linearize in arrival order.
     """
 
-    def __init__(self, sim: Simulator, parties: int, name: str = "",
-                 fast: bool = False):
+    def __init__(self, sim: Simulator, parties: int, name: str = ""):
         if parties < 1:
             raise SimulationError(f"barrier parties must be >= 1: {parties}")
         self.sim = sim
         self.parties = parties
         self.name = name
-        self.fast = fast
         self._arrived = 0
         self._gate = Event(sim)
         self.generation = 0
@@ -131,10 +127,9 @@ class Barrier:
             self._arrived = 0
             self._gate = Event(sim)
             self.generation += 1
-            if self.fast and sim.idle_at_now():
+            if sim.idle_at_now():
                 fire(gate, self.generation)  # fire() counts the completion
             else:
-                if self.fast:
-                    sim._n_fallback += 1
+                sim._n_fallback += 1
                 gate.succeed(self.generation)
         return gate

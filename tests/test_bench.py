@@ -138,3 +138,14 @@ def test_committed_collectives_baseline_exists():
             "tune_probe"} <= names
     for entry in data["results"].values():
         assert entry["ops_per_s"] > 0
+
+
+def test_committed_fabric_baseline_has_impaired_and_striped_rows():
+    data = json.loads(bench.FABRIC_JSON.read_text())
+    assert {"wan", "wan_impaired", "wan_striped"} <= set(data["results"])
+    for doc in (data, json.loads(bench.ORCA_JSON.read_text())):
+        assert doc["host_cores"] >= 1
+        # Baselined on the slower tier: one floor for both engine tiers.
+        assert doc["engine_tier"] == "python"
+        for entry in doc["results"].values():
+            assert "speedup_vs_legacy" not in entry

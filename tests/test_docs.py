@@ -57,3 +57,13 @@ def test_checker_flags_undocumented_kind(check_docs):
     problems = check_docs.check_kinds({"docs/TRACING.md": text})
     assert problems == ["docs/TRACING.md: registered trace kind "
                         "'wan.xfer' is undocumented"]
+
+
+def test_no_tier_selector_reappears():
+    """There is one message path: no ``fast_paths`` selector and no
+    ``legacy path`` tier under the network, Orca or harness packages."""
+    for pkg in ("network", "orca", "harness"):
+        for path in sorted((REPO / "src" / "repro" / pkg).rglob("*.py")):
+            text = path.read_text()
+            assert "fast_paths" not in text, path
+            assert "legacy path" not in text, path

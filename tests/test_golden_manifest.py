@@ -38,3 +38,29 @@ def test_cell_matches_manifest(cell):
 def test_manifest_has_no_stale_cells():
     assert set(MANIFEST["cells"]) == set(golden.CELLS)
     assert set(MANIFEST["sim_stats"]) == set(golden.CELLS)
+
+
+def test_write_adds_cells_but_refuses_to_rebless(tmp_path, monkeypatch,
+                                                 capsys):
+    """``--write`` never silently re-blesses drift: a cell the manifest
+    holds with another fingerprint is refused (and named) until
+    ``--force``; absent cells are added."""
+    import json
+
+    names = ["bb/fixed/pb", "bb/fixed/bb"]
+    drifted = {"version": 1, "cells": {}, "sim_stats": {}}
+    drifted["cells"][names[0]] = dict(MANIFEST["cells"][names[0]], end="0.5")
+    drifted["sim_stats"][names[0]] = MANIFEST["sim_stats"][names[0]]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(drifted))
+    monkeypatch.setattr(golden, "MANIFEST", str(path))
+
+    assert golden.write_manifest(names) == 1
+    assert "REFUSED bb/fixed/pb" in capsys.readouterr().err
+    written = json.loads(path.read_text())
+    assert written["cells"][names[0]]["end"] == "0.5"
+    assert written["cells"][names[1]] == MANIFEST["cells"][names[1]]
+
+    assert golden.write_manifest(names, force=True) == 0
+    written = json.loads(path.read_text())
+    assert written["cells"][names[0]] == MANIFEST["cells"][names[0]]

@@ -7,8 +7,9 @@ with a small control message and the *sender* broadcasts the payload
 boundary is the hard-wired ``BB_THRESHOLD``; with a model installed it
 is that model's *fitted crossover* of the PB and BB cost lines.  This
 suite pins the boundary — one byte below vs exactly at the threshold —
-and the distinct traffic shapes of the two modes, on both control-plane
-tiers, parametrized over both decision sources.
+and the distinct traffic shapes of the two modes, parametrized over
+both decision sources.  (The full record streams on both sides of every
+boundary are pinned by the ``bb/*`` cells of the golden manifest.)
 """
 
 import pytest
@@ -49,14 +50,13 @@ DECISION_CASES = [
 ]
 
 
-def _run_write(size, fast, decision=None):
+def _run_write(size, decision=None):
     reset_ids()
     reset_req_ids()
     sim = Simulator()
     tracer = Tracer()
     tracer.enabled = True
-    fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS, tracer=tracer,
-                    fast_paths=fast)
+    fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS, tracer=tracer)
     rts = OrcaRuntime(sim, fabric, sequencer="centralized",
                       decision=decision)
     rts.register(ObjectSpec(
@@ -83,11 +83,10 @@ def _run_write(size, fast, decision=None):
     return records, by_kind
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "legacy"])
 @pytest.mark.parametrize("decision,threshold", DECISION_CASES)
-def test_pb_one_byte_below_threshold(fast, decision, threshold):
+def test_pb_one_byte_below_threshold(decision, threshold):
     size = threshold - 1
-    _records, by = _run_write(size, fast, decision)
+    _records, by = _run_write(size, decision)
     # The seq request carries the whole operation to the stamping site.
     (req,) = by["seq.request"]
     assert req["bb"] is False
@@ -101,11 +100,10 @@ def test_pb_one_byte_below_threshold(fast, decision, threshold):
     assert all(d["src"] == STAMP_NODE for d in delivers)
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "legacy"])
 @pytest.mark.parametrize("decision,threshold", DECISION_CASES)
-def test_bb_exactly_at_threshold(fast, decision, threshold):
+def test_bb_exactly_at_threshold(decision, threshold):
     size = threshold
-    _records, by = _run_write(size, fast, decision)
+    _records, by = _run_write(size, decision)
     # Only a small control message travels to the sequencer...
     (req,) = by["seq.request"]
     assert req["bb"] is True
@@ -119,17 +117,6 @@ def test_bb_exactly_at_threshold(fast, decision, threshold):
     assert all(d["src"] == SENDER for d in delivers)
 
 
-@pytest.mark.parametrize("decision,threshold", DECISION_CASES)
-@pytest.mark.parametrize("side", [-1, 0], ids=["pb", "bb"])
-def test_boundary_identical_across_tiers(decision, threshold, side):
-    """Fast and legacy tiers agree record-for-record on both sides of
-    the switch, whatever decides it."""
-    size = threshold + side
-    fast_records, _ = _run_write(size, True, decision)
-    legacy_records, _ = _run_write(size, False, decision)
-    assert fast_records == legacy_records
-
-
 def test_fixed_default_matches_no_model():
     """``decision=None`` and the boundary it implies are the same
     contract: a tuned model whose crossover equals ``BB_THRESHOLD``
@@ -138,8 +125,8 @@ def test_fixed_default_matches_no_model():
                     FittedLine(BB_THRESHOLD * 2e-6, 2e-6))
     assert pinned.context_for(2).bb_threshold == float(BB_THRESHOLD)
     for size in (BB_THRESHOLD - 1, BB_THRESHOLD):
-        none_records, _ = _run_write(size, True, None)
-        pinned_records, _ = _run_write(size, True, pinned)
+        none_records, _ = _run_write(size, None)
+        pinned_records, _ = _run_write(size, pinned)
         assert none_records == pinned_records, size
 
 
@@ -151,7 +138,7 @@ def test_bb_moves_fewer_payload_bytes_to_the_sequencer():
         return sum(d["size"] for d in by["msg.send"]
                    if d["msg_kind"] != "bcast" and d["scope"] == "wan")
 
-    _, pb = _run_write(BB_THRESHOLD - 1, True)
-    _, bb = _run_write(BB_THRESHOLD, True)
+    _, pb = _run_write(BB_THRESHOLD - 1)
+    _, bb = _run_write(BB_THRESHOLD)
     assert control_wan_bytes(pb) == BB_THRESHOLD - 1
     assert control_wan_bytes(bb) == 2 * SEQ_REQUEST_BYTES

@@ -9,8 +9,12 @@ every schedule the engine produces.
 from hypothesis import given, settings, strategies as st
 
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
+from repro.network.message import Message, reset_ids
 from repro.orca import ObjectSpec, Operation, OrcaRuntime
-from repro.sim import Simulator
+from repro.orca.broadcast import (BCAST_PORT, BcastPayload,
+                                  TotalOrderBroadcast)
+from repro.orca.sequencer import CentralizedSequencer
+from repro.sim import Event, Simulator
 
 
 def build(n_clusters, nodes_per_cluster, sequencer):
@@ -100,3 +104,87 @@ def test_holdback_never_leaves_gaps(sequencer, n_clusters):
     sim.run()
     for nid in range(rts.topo.n_nodes):
         assert rts.tob.applied_sequence(nid) == list(range(8))
+
+
+# --------------------------------------------------------------------------
+# Holdback delivery under adversarial arrival orders.
+#
+# Drives TotalOrderBroadcast directly: stamped payloads are deposited
+# into a node's broadcast port in a hypothesis-chosen permutation at
+# hypothesis-chosen (possibly colliding) instants.  Whatever the arrival
+# order, the node applies 0..n-1 exactly once, in order, one apply
+# charge after another, and the sender's completion fires exactly once,
+# at its own apply.
+
+_APPLY_COST = 1e-5
+
+
+def _drive_holdback(order, delays):
+    reset_ids()
+    sim = Simulator()
+    fabric = Fabric(sim, uniform_clusters(1, 2), DAS_PARAMS)
+    log = []
+
+    def apply(node, payload, k):
+        def _charged(_ev):
+            log.append((node, payload.seq, sim.now))
+            k(payload.seq)
+        fabric.nodes[node].cpu.execute_ev(
+            _APPLY_COST).callbacks.append(_charged)
+
+    tob = TotalOrderBroadcast(sim, fabric, CentralizedSequencer(sim, 1, 0.0),
+                              apply)
+    # Node 0 is the "sender" of every payload: its completion for seq s
+    # must fire once, with the apply result, at the apply of s.
+    completions = []
+    for seq in order:
+        done = Event(sim)
+        done.callbacks.append(
+            lambda ev, seq=seq: completions.append((seq, ev.value, sim.now)))
+        tob._completions[seq] = (0, done)
+    port = fabric.nodes[0].port(BCAST_PORT)
+    for seq, delay in zip(order, delays):
+        payload = BcastPayload(seq=seq, obj_name="o", op_name="w",
+                               args=(), sender=0)
+        msg = Message(src=1, dst=0, size=64, payload=payload,
+                      port=BCAST_PORT, kind="bcast")
+        sim.after(delay, lambda _ev, m=msg: port.put(m))
+    sim.run()
+    return log, tob.applied_sequence(0), completions
+
+
+def _assert_holdback_invariants(order, delays):
+    log, applied, completions = _drive_holdback(order, delays)
+    n = len(order)
+    # Total order restored, exactly once per payload.
+    assert applied == list(range(n))
+    assert [(node, seq) for node, seq, _t in log] == [(0, s) for s in range(n)]
+    arrival = dict(zip(order, delays))
+    prev = 0.0
+    for _node, seq, t in log:
+        # seq applies one charge after the later of: every arrival up to
+        # seq being in, and the previous apply finishing (serial CPU).
+        ready = max(max(arrival[s] for s in range(seq + 1)), prev)
+        assert abs(t - (ready + _APPLY_COST)) < 1e-12
+        prev = t
+    # The sender's completion fires once per payload, at its own apply.
+    assert sorted(completions) == [(seq, seq, t) for _n, seq, t in log]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.permutations(list(range(n))),
+        st.lists(st.integers(0, 4).map(lambda d: d * 0.25),
+                 min_size=n, max_size=n))))
+def test_holdback_delivery_invariants(order_delays):
+    order, delays = order_delays
+    _assert_holdback_invariants(order, delays)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(list(range(5))))
+def test_holdback_same_instant_burst(order):
+    """All arrivals in one instant: the drain applies the whole run in
+    one go once the gap closes."""
+    _assert_holdback_invariants(order, [0.0] * len(order))

@@ -55,7 +55,7 @@ def routed_items(draw, min_size=0):
                 port=draw(names), kind=draw(names),
                 msg_id=draw(st.integers(min_value=0, max_value=2**50)),
                 send_time=draw(finite_t), recv_time=draw(finite_t))
-            items.append(("msg", dst, msg, draw(finite_t), draw(names)))
+            items.append(("msg", dst, msg, draw(finite_t)))
         else:
             items.append(("ack", dst,
                           draw(st.integers(min_value=0, max_value=2**50)),

@@ -38,8 +38,7 @@ PDES_APPS = [name for name in PAPER_ORDER
              if make_app(name).pdes_capable]
 
 #: Process-lifecycle records differ by construction: each partition
-#: spawns only its own nodes' processes, and legacy-leg remote halves
-#: respawn in the owning partition.
+#: spawns only its own nodes' processes.
 PROCESS_KINDS = ("proc.",)
 
 
@@ -61,17 +60,15 @@ def _norm(records):
         for r in records if not r.kind.startswith(PROCESS_KINDS))
 
 
-def _pair(app_name, variant, n_clusters, per, *, fast_paths=True,
-          scenario=None, workers=None):
+def _pair(app_name, variant, n_clusters, per, *, scenario=None,
+          workers=None):
     """Run serial and partitioned; return both results and norm traces."""
     params = small_params(app_name)
     ts, tp = Tracer(), Tracer()
     serial = run_app(make_app(app_name), variant, n_clusters, per, params,
-                     trace=True, tracer=ts, fast_paths=fast_paths,
-                     scenario=scenario, pdes="off")
+                     trace=True, tracer=ts, scenario=scenario, pdes="off")
     pdes = run_app(make_app(app_name), variant, n_clusters, per, params,
-                   trace=True, tracer=tp, fast_paths=fast_paths,
-                   scenario=scenario, pdes="on",
+                   trace=True, tracer=tp, scenario=scenario, pdes="on",
                    pdes_workers=workers or min(n_clusters, 4))
     return serial, pdes, _norm(ts.records), _norm(tp.records)
 
@@ -104,13 +101,13 @@ def test_pdes_parity_all_apps(app_name, capsys):
 
 
 @pytest.mark.parametrize("app_name", PDES_APPS)
-def test_pdes_parity_all_variants_legacy_tier(app_name):
-    """Capable apps, every variant, on the legacy process-per-leg fabric."""
+def test_pdes_parity_all_variants(app_name):
+    """Capable apps, every variant (the serial side of each of these
+    cells is pinned by the golden manifest)."""
     for variant in make_app(app_name).variants:
-        serial, pdes, ns, npd = _pair(app_name, variant, 2, 3,
-                                      fast_paths=False)
+        serial, pdes, ns, npd = _pair(app_name, variant, 2, 3)
         _assert_parity(serial, pdes, ns, npd,
-                       f"{app_name}/{variant} 2x3 legacy")
+                       f"{app_name}/{variant} 2x3")
         assert pdes.sim_stats.get("pdes_partitions", 0) == 2
 
 

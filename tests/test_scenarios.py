@@ -32,10 +32,10 @@ from repro.sim import Tracer
 
 
 def _run(app="ra", variant="original", clusters=2, nodes=2, scenario=None,
-         trace=False, tracer=None, fast_paths=True):
+         trace=False, tracer=None):
     return run_app(make_app(app), variant, clusters, nodes,
                    small_params(app), scenario=scenario, trace=trace,
-                   tracer=tracer, fast_paths=fast_paths)
+                   tracer=tracer)
 
 
 # ------------------------------------------------------------ spec values
@@ -154,17 +154,16 @@ def test_scenario_topology_applies_tweaks():
 # ------------------------------------------------- no-op trace identity
 
 
-def _records(fast_paths, scenario):
+def _records(scenario):
     tracer = Tracer()
     res = _run("tsp", clusters=2, nodes=2, scenario=scenario, trace=True,
-               tracer=tracer, fast_paths=fast_paths)
+               tracer=tracer)
     return res, list(tracer.records)
 
 
-@pytest.mark.parametrize("fast_paths", [True, False])
-def test_noop_scenario_is_trace_identical_to_plain_run(fast_paths):
-    plain, plain_recs = _records(fast_paths, None)
-    noop, noop_recs = _records(fast_paths, Scenario(seed=42))
+def test_noop_scenario_is_trace_identical_to_plain_run():
+    plain, plain_recs = _records(None)
+    noop, noop_recs = _records(Scenario(seed=42))
     assert noop.elapsed == plain.elapsed
     assert noop.answer == plain.answer
     assert noop.traffic == plain.traffic

@@ -20,10 +20,13 @@ Usage::
     python tools/golden.py --check            # every cell vs the manifest
     python tools/golden.py --check -k fanout  # cells whose name contains
     python tools/golden.py --list
-    python tools/golden.py --write            # regenerate (see below)
+    python tools/golden.py --write            # add the missing cells
 
-``--write`` exists for *adding* cells or for a deliberate, reviewed
-change of simulated behaviour; a refactor never rewrites the manifest.
+``--write`` *adds* cells.  A cell the manifest already holds is re-run
+and compared; if anything moved it is refused and the changed fields
+are printed.  ``--write --force`` re-blesses such cells — only for a
+deliberate, reviewed change of simulated behaviour; a refactor never
+rewrites the manifest.
 ``tests/test_golden_manifest.py`` runs :func:`check_cell` once per cell.
 """
 
@@ -122,19 +125,13 @@ def _app_print(result, tracer: Tracer) -> Dict[str, Any]:
 #
 # A cell function returns ``(fingerprint, sim_stats)``.
 
-#: Tier selectors applied to every stack a cell builds.  Empty = the
-#: default tier; ``--write`` fills them to take the fingerprints from
-#: the generator (process-per-leg) tier.
-_FABRIC_TIER: Dict[str, Any] = {}
-_RUN_TIER: Dict[str, Any] = {}
-
 
 def _app_cell(app_name: str, variant: str, n_clusters: int, nodes: int,
               **kwargs: Any) -> Tuple[Dict[str, Any], Dict[str, int]]:
     tracer = Tracer()
     result = run_app(make_app(app_name), variant, n_clusters, nodes,
                      small_params(app_name), trace=True, tracer=tracer,
-                     **_RUN_TIER, **kwargs)
+                     **kwargs)
     return _app_print(result, tracer), _stats(result.sim_stats)
 
 
@@ -146,7 +143,7 @@ def _fanout_cell(scenario: Optional[Scenario], shape: str = "flat",
     sim = Simulator()
     tracer = Tracer()
     fabric = Fabric(sim, uniform_clusters(n_clusters, 3), DAS_PARAMS,
-                    tracer=tracer, **_FABRIC_TIER)
+                    tracer=tracer)
     fabric.tracer.enabled = True
     if scenario is not None:
         install(sim, fabric, scenario)
@@ -181,7 +178,7 @@ def _concurrent_cell(scenario: Optional[Scenario], shapes: Tuple[str, ...],
     sim = Simulator()
     tracer = Tracer()
     topo = uniform_clusters(n_clusters, nodes)
-    fabric = Fabric(sim, topo, DAS_PARAMS, tracer=tracer, **_FABRIC_TIER)
+    fabric = Fabric(sim, topo, DAS_PARAMS, tracer=tracer)
     fabric.tracer.enabled = True
     if scenario is not None:
         install(sim, fabric, scenario)
@@ -238,7 +235,7 @@ def _p2p_cell(scenario: Optional[Scenario], streams: int = 1,
     sim = Simulator()
     tracer = Tracer()
     topo = uniform_clusters(3, 2)
-    fabric = Fabric(sim, topo, DAS_PARAMS, tracer=tracer, **_FABRIC_TIER)
+    fabric = Fabric(sim, topo, DAS_PARAMS, tracer=tracer)
     fabric.tracer.enabled = True
     if scenario is not None:
         install(sim, fabric, scenario)
@@ -295,8 +292,7 @@ def _bb_cell(case: str, side: int):
     sim = Simulator()
     tracer = Tracer()
     tracer.enabled = True
-    fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS, tracer=tracer,
-                    **_FABRIC_TIER)
+    fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS, tracer=tracer)
     rts = OrcaRuntime(sim, fabric, sequencer="centralized",
                       decision=decision)
     rts.register(ObjectSpec(
@@ -446,38 +442,30 @@ def check_cell(name: str, manifest: Optional[Dict[str, Any]] = None
     return problems
 
 
-def _generator_tier(on: bool) -> None:
-    """Point every stack the cells build (the tuner's probe stacks
-    included) at the generator tier, or back at the default tier."""
-    import functools
-
-    from repro.tuner import driver
-
-    _FABRIC_TIER.clear()
-    _RUN_TIER.clear()
-    driver.Fabric = Fabric
-    if on:
-        _FABRIC_TIER.update(fast_paths=False)
-        _RUN_TIER.update(fast_paths=False, runtime_fast_paths=False)
-        driver.Fabric = functools.partial(Fabric, fast_paths=False)
-
-
-def write_manifest(names: List[str]) -> None:
-    """Fingerprints from the generator tier, ``sim_stats`` from the
-    default tier (which must already reproduce the fingerprints)."""
+def write_manifest(names: List[str], force: bool = False) -> int:
+    """Add the cells of ``names`` that the manifest lacks.  A cell it
+    already holds is re-run and compared: a difference is refused (the
+    changed fields are printed, nothing is written for that cell) unless
+    ``force`` re-blesses it."""
     manifest = {"version": 1, "cells": {}, "sim_stats": {}}
-    if os.path.exists(MANIFEST) and len(names) != len(CELLS):
+    if os.path.exists(MANIFEST):
         manifest = load_manifest()
+    refused = 0
     for name in names:
-        _generator_tier(True)
-        try:
-            fp, _stats_gen = CELLS[name][1]()
-        finally:
-            _generator_tier(False)
-        fp_default, stats = CELLS[name][1]()
-        if fp_default != fp:
-            raise SystemExit(f"{name}: default tier differs from the "
-                             f"generator tier: {fp_default} != {fp}")
+        fp, stats = CELLS[name][1]()
+        have = manifest["cells"].get(name)
+        if have is not None and not force:
+            pinned = manifest["sim_stats"][name]
+            changed = [f"{key}: {have.get(key)!r} -> {fp.get(key)!r}"
+                       for key in sorted(set(have) | set(fp))
+                       if have.get(key) != fp.get(key)]
+            changed += [f"sim_stats[{key}]: {pinned[key]} -> {stats[key]}"
+                        for key in STAT_KEYS if pinned[key] != stats[key]]
+            if changed:
+                refused += 1
+                print(f"REFUSED {name} (pass --force to re-bless): "
+                      + "; ".join(changed), file=sys.stderr)
+            continue
         manifest["cells"][name] = fp
         manifest["sim_stats"][name] = stats
         print(f"wrote {name}")
@@ -485,6 +473,8 @@ def write_manifest(names: List[str]) -> None:
     with open(MANIFEST, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    print(f"{refused} cells refused")
+    return 1 if refused else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -494,14 +484,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode.add_argument("--write", action="store_true")
     mode.add_argument("--list", action="store_true")
     parser.add_argument("-k", default="", help="only cells containing this")
+    parser.add_argument("--force", action="store_true",
+                        help="with --write: overwrite cells that differ")
     args = parser.parse_args(argv)
     names = [name for name in CELLS if args.k in name]
     if args.list:
         print("\n".join(names))
         return 0
     if args.write:
-        write_manifest(names)
-        return 0
+        return write_manifest(names, args.force)
     manifest = load_manifest()
     stale = sorted(set(manifest["cells"]) - set(CELLS))
     problems = [f"{name}: in the manifest but not a cell" for name in stale]
