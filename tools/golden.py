@@ -45,6 +45,7 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 import numpy as np  # noqa: E402
 
 from repro.apps import PAPER_ORDER, make_app, small_params  # noqa: E402
+from repro.apps.sor import SORParams  # noqa: E402
 from repro.harness.experiment import run_app  # noqa: E402
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters  # noqa: E402
 from repro.network.message import reset_ids  # noqa: E402
@@ -127,11 +128,12 @@ def _app_print(result, tracer: Tracer) -> Dict[str, Any]:
 
 
 def _app_cell(app_name: str, variant: str, n_clusters: int, nodes: int,
-              **kwargs: Any) -> Tuple[Dict[str, Any], Dict[str, int]]:
+              params: Any = None, **kwargs: Any
+              ) -> Tuple[Dict[str, Any], Dict[str, int]]:
     tracer = Tracer()
     result = run_app(make_app(app_name), variant, n_clusters, nodes,
-                     small_params(app_name), trace=True, tracer=tracer,
-                     **kwargs)
+                     params if params is not None else small_params(app_name),
+                     trace=True, tracer=tracer, **kwargs)
     return _app_print(result, tracer), _stats(result.sim_stats)
 
 
@@ -404,6 +406,30 @@ def _cells() -> Dict[str, Tuple[bool, Callable[[], tuple]]]:
         _app_cell, "sor", "splitphase", 2, 3, scenario=jitter)
     add("tuned/asp/2x2", False, _tuned_cell, "asp", 2, 2)
     add("tuned/ra/4x2", False, _tuned_cell, "ra", 4, 2)
+    # The corners of SOR's red/black stride logic: odd and even widths,
+    # consecutive nodes starting on different global row parities, one
+    # row per node, the narrowest grids with an interior, and chaotic
+    # relaxation on >= 2 clusters (stale ghost rows); ``precision`` makes
+    # the iteration count depend on the reduced max-diff.
+    def sor_edge(label: str, variant: str, c: int, n: int, n_rows: int,
+                 n_cols: int, **kw: Any) -> None:
+        params = SORParams(n_rows=n_rows, n_cols=n_cols,
+                           n_iterations=14).with_(**kw)
+        add(f"sor-edge/{label}/{variant}/{c}x{n}", True,
+            _app_cell, "sor", variant, c, n, params=params)
+
+    for variant in make_app("sor").variants:
+        # 21 rows over 6 nodes: row0 = 0,4,8,12,15,18 (e,e,e,e,o,e).
+        sor_edge("odd-cols", variant, 2, 3, 21, 17)
+        sor_edge("row-per-node", variant, 4, 2, 8, 9)
+    # 21 rows over 8 nodes: row0 = 0,3,6,9,12,15,17,19 (blocks of 3 and 2).
+    sor_edge("even-cols", "optimized", 4, 2, 21, 12)
+    sor_edge("row-per-node-even", "optimized", 2, 3, 6, 4)
+    sor_edge("one-interior-col", "optimized", 2, 2, 7, 3)
+    sor_edge("precision", "optimized", 4, 2, 19, 11,
+             n_iterations=200, precision=2e-3)
+    sor_edge("precision", "original", 2, 3, 19, 10,
+             n_iterations=200, precision=2e-3)
     return cells
 
 
