@@ -64,10 +64,11 @@ class SORApp(Application):
         lo, hi = shared["slices"][k]
         m = hi - lo
         cols = params.n_cols
-        block = gridmod.initial_grid(params)[lo:hi].copy()
-        top_bc, bottom_bc = gridmod.boundary_rows(params)
-        ghost_top = top_bc.copy()      # stale copies persist when skipping
-        ghost_bottom = bottom_bc.copy()
+        # One buffer per node: rows 0 and -1 are the ghost rows (the grid
+        # boundary at the edge nodes), so a skipped exchange simply leaves
+        # the stale neighbour row in place.
+        padded = gridmod.padded_block(params, lo, hi)
+        block = padded[1:-1]
         up = k - 1 if k > 0 else None
         down = k + 1 if k < p - 1 else None
         policy = (ChaoticExchange(keep_one_in=params.chaotic_keep_one_in)
@@ -108,16 +109,14 @@ class SORApp(Application):
                 # Collect the neighbours' rows (unless skipped).
                 if up is not None and not skip_up:
                     msg = yield from ctx.receive(port=FROM_UP)
-                    ghost_top = msg.payload
+                    padded[0] = msg.payload
                 if down is not None and not skip_down:
                     msg = yield from ctx.receive(port=FROM_DOWN)
-                    ghost_bottom = msg.payload
+                    padded[-1] = msg.payload
                 yield from ctx.compute(edge_cost if not blocking
                                        else half_cost)
-                top = ghost_top if up is not None else top_bc
-                bottom = ghost_bottom if down is not None else bottom_bc
                 maxdiff = max(maxdiff, gridmod.sweep_phase(
-                    block, top, bottom, parity, params.omega, lo))
+                    padded, parity, params.omega, lo))
             # Once per iteration: global convergence decision by node 0,
             # via hierarchical reduce + scatter (a per-iteration totally-
             # ordered broadcast would drag the WAN sequencer into every

@@ -8,6 +8,13 @@ computation is *bit-identical* to the sequential one for the full
 exchange policy (each cell always sees exactly the values the sequential
 sweep would).
 
+A row block lives in one *padded* ``(rows + 2) x n_cols`` buffer
+(:func:`padded_block`): ``padded[1:-1]`` is the block and rows ``0`` and
+``-1`` are its ghost rows - the neighbours' border rows, or the grid's
+fixed boundary at the two ends.  :func:`sweep_phase` is the one kernel:
+it updates the cells of one colour in place through stride-2 slices and
+only ever reads the ghost rows.
+
 Grid values are float32, matching the 4-byte elements implied by the
 paper's "5 ms" intercluster row-exchange cost.
 """
@@ -19,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["SORParams", "initial_grid", "boundary_rows", "sweep_phase",
+__all__ = ["SORParams", "padded_block", "sweep_phase",
            "sequential_reference", "ELEM_BYTES"]
 
 ELEM_BYTES = 4
@@ -38,7 +45,9 @@ class SORParams:
     elem_cost: float = 60e-9
     #: chaotic relaxation: keep 1 in N intercluster exchanges (paper: 3).
     chaotic_keep_one_in: int = 3
-    kernel: str = "real"  # numpy sweeps are fast enough at paper scale
+    #: never read: SOR has no synthetic mode, the strided sweep runs the
+    #: real 3500 x 900 grid (the field keeps the params uniform across apps).
+    kernel: str = "real"
 
     @staticmethod
     def paper() -> "SORParams":
@@ -58,55 +67,67 @@ class SORParams:
         return self.n_cols * ELEM_BYTES
 
 
-def initial_grid(params: SORParams) -> np.ndarray:
-    """Interior starts at zero; the hot boundary is the virtual row above
-    row 0 (all ones), so the solution is a smooth top-to-bottom gradient."""
-    return np.zeros((params.n_rows, params.n_cols), dtype=np.float32)
+def padded_block(params: SORParams, lo: int, hi: int) -> np.ndarray:
+    """The zeroed buffer of global rows ``lo..hi-1`` with its ghost rows.
 
-
-def boundary_rows(params: SORParams) -> Tuple[np.ndarray, np.ndarray]:
-    """(ghost row above the grid, ghost row below the grid)."""
-    top = np.ones(params.n_cols, dtype=np.float32)
-    bottom = np.zeros(params.n_cols, dtype=np.float32)
-    return top, bottom
-
-
-def sweep_phase(block: np.ndarray, top: np.ndarray, bottom: np.ndarray,
-                parity: int, omega: float, row0: int) -> float:
-    """One red (parity 0) or black (parity 1) half-sweep of a row block.
-
-    ``top``/``bottom`` are the ghost rows; ``row0`` is the global index of
-    the block's first row (checkerboard parity must be global).  The first
-    and last columns are fixed boundary.  Returns the max absolute change.
+    Interior cells start at zero.  The hot boundary is the virtual row
+    above row 0 (all ones), so the block that owns row 0 starts with it
+    as its top ghost row and the solution is a smooth top-to-bottom
+    gradient; the virtual row below the grid stays zero.
     """
-    rows, cols = block.shape
-    if rows == 0:
-        return 0.0
-    padded = np.vstack([top[None, :], block, bottom[None, :]])
-    nb = (padded[:-2, 1:-1] + padded[2:, 1:-1]
-          + padded[1:-1, :-2] + padded[1:-1, 2:])
-    om = np.float32(omega)
-    upd = (np.float32(1.0) - om) * block[:, 1:-1] + om * np.float32(0.25) * nb
-    gi = (np.arange(rows) + row0)[:, None]
-    jj = np.arange(1, cols - 1)[None, :]
-    mask = ((gi + jj) % 2) == parity
-    diff = np.abs(np.where(mask, upd - block[:, 1:-1], np.float32(0.0)))
-    block[:, 1:-1] = np.where(mask, upd, block[:, 1:-1])
-    return float(diff.max())
+    padded = np.zeros((hi - lo + 2, params.n_cols), dtype=np.float32)
+    if lo == 0:
+        padded[0] = 1.0
+    return padded
+
+
+def sweep_phase(padded: np.ndarray, parity: int, omega: float,
+                row0: int) -> float:
+    """One red (parity 0) or black (parity 1) half-sweep, in place.
+
+    ``padded[1:-1]`` is the row block, ``padded[0]``/``padded[-1]`` its
+    ghost rows (read, never written); ``row0`` is the global index of the
+    block's first row.  Only the cells with ``(global row + column) % 2
+    == parity`` change, and they read only cells of the other colour, so
+    each of the two row classes (block rows ``r``, ``r+2``, ... share a
+    first column) is one stride-2 slice updated in place.  The first and
+    last columns are fixed boundary.  Returns the max absolute change.
+    """
+    m, cols = padded.shape[0] - 2, padded.shape[1]
+    scale = np.float32(omega) * np.float32(0.25)
+    keep = np.float32(1.0) - np.float32(omega)
+    maxdiff = 0.0
+    for r in (0, 1):
+        c = 1 + (row0 + r + 1 + parity) % 2   # first column of the colour
+        rows, mid = slice(r + 1, m + 1, 2), slice(c, cols - 1, 2)
+        x = padded[rows, mid]
+        if x.size == 0:
+            continue
+        # Operation order is part of the result (float32 rounds each
+        # step): ((up + down) + left) + right, then keep*x + scale*nb.
+        nb = padded[r:m:2, mid] + padded[r + 2:m + 2:2, mid]
+        nb += padded[rows, c - 1:cols - 2:2]
+        nb += padded[rows, c + 1:cols:2]
+        nb *= scale
+        upd = keep * x
+        upd += nb
+        np.subtract(upd, x, out=nb)
+        np.abs(nb, out=nb)
+        maxdiff = max(maxdiff, float(nb.max()))
+        x[...] = upd
+    return maxdiff
 
 
 def sequential_reference(params: SORParams) -> Tuple[np.ndarray, int]:
     """Full-grid sweeps; returns (grid, iterations executed)."""
-    grid = initial_grid(params)
-    top, bottom = boundary_rows(params)
+    padded = padded_block(params, 0, params.n_rows)
     iterations = 0
     for it in range(params.n_iterations):
         maxdiff = 0.0
         for parity in (0, 1):
             maxdiff = max(maxdiff,
-                          sweep_phase(grid, top, bottom, parity,
-                                      params.omega, 0))
+                          sweep_phase(padded, parity, params.omega, 0))
         iterations += 1
         if params.precision is not None and maxdiff < params.precision:
             break
-    return grid, iterations
+    return padded[1:-1], iterations

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.sor import SORApp, SORParams
 from repro.apps.sor import grid as gridmod
@@ -11,17 +12,77 @@ from repro.harness import run_app
 # ----------------------------------------------------------------- domain
 
 
-def test_sweep_preserves_fixed_columns():
+def spec_sweep(padded, parity, omega, row0):
+    """The definition: a per-cell float32 red/black half-sweep."""
+    f32 = np.float32
+    keep, scale = f32(1.0) - f32(omega), f32(omega) * f32(0.25)
+    maxdiff = 0.0
+    for i in range(1, padded.shape[0] - 1):
+        for j in range(1, padded.shape[1] - 1):
+            if (row0 + i - 1 + j) % 2 != parity:
+                continue
+            x = padded[i, j]
+            nb = ((padded[i - 1, j] + padded[i + 1, j])
+                  + padded[i, j - 1]) + padded[i, j + 1]
+            upd = keep * x + scale * nb
+            maxdiff = max(maxdiff, float(abs(upd - x)))
+            padded[i, j] = upd
+    return maxdiff
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 9), cols=st.integers(2, 9),
+       row0=st.integers(0, 3), omega=st.floats(0.5, 1.95),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_phase_matches_per_cell_definition(rows, cols, row0, omega,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    start = rng.random((rows + 2, cols)).astype(np.float32)
+    got, want = start.copy(), start.copy()
+    for _ in range(3):
+        for parity in (0, 1):
+            d_got = gridmod.sweep_phase(got, parity, omega, row0)
+            d_want = spec_sweep(want, parity, omega, row0)
+            assert d_got == d_want
+            np.testing.assert_array_equal(got, want)
+    # Ghost rows and the fixed first/last columns are never written.
+    np.testing.assert_array_equal(got[[0, -1]], start[[0, -1]])
+    np.testing.assert_array_equal(got[:, [0, -1]], start[:, [0, -1]])
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (3, 2), (0, 6)])
+def test_sweep_without_interior_updates_nothing(shape):
+    padded = np.ones((shape[0] + 2, shape[1]), dtype=np.float32)
+    padded[0] = 5.0
+    before = padded.copy()
+    for parity in (0, 1):
+        assert gridmod.sweep_phase(padded, parity, 1.5, 0) == 0.0
+    np.testing.assert_array_equal(padded, before)
+
+
+def test_single_row_single_column_has_one_colour():
+    # One interior cell at global (row 2, column 1): odd, so black.
+    padded = np.zeros((3, 3), dtype=np.float32)
+    padded[0] = 1.0
+    assert gridmod.sweep_phase(padded, 0, 1.5, 2) == 0.0
+    assert padded[1, 1] == 0.0
+    assert gridmod.sweep_phase(padded, 1, 1.5, 2) == 0.375
+    assert padded[1, 1] == np.float32(0.375)
+
+
+def test_padded_block_holds_the_boundary_rows():
     params = SORParams.small()
-    g = gridmod.initial_grid(params)
-    top, bottom = gridmod.boundary_rows(params)
-    gridmod.sweep_phase(g, top, bottom, 0, params.omega, 0)
-    assert (g[:, 0] == 0).all() and (g[:, -1] == 0).all()
+    top = gridmod.padded_block(params, 0, 5)
+    assert top.shape == (7, params.n_cols) and top.dtype == np.float32
+    assert (top[0] == 1).all() and (top[1:] == 0).all()
+    assert (gridmod.padded_block(params, 5, 9) == 0).all()
 
 
 def test_sequential_reference_converges_toward_gradient():
     params = SORParams.small(n_rows=16, n_cols=12).with_(n_iterations=400)
     g, _ = gridmod.sequential_reference(params)
+    assert g.shape == (16, 12)
+    assert (g[:, 0] == 0).all() and (g[:, -1] == 0).all()
     interior = g[:, 1:-1]
     # Top rows (next to the hot boundary) are warmer than bottom rows.
     assert interior[0].mean() > interior[-1].mean()
@@ -37,11 +98,10 @@ def test_precision_mode_stops_early():
 
 def test_maxdiff_decreases():
     params = SORParams.small(n_rows=16, n_cols=12)
-    g = gridmod.initial_grid(params)
-    top, bottom = gridmod.boundary_rows(params)
+    padded = gridmod.padded_block(params, 0, params.n_rows)
     diffs = []
     for it in range(30):
-        d = max(gridmod.sweep_phase(g, top, bottom, par, params.omega, 0)
+        d = max(gridmod.sweep_phase(padded, par, params.omega, 0)
                 for par in (0, 1))
         diffs.append(d)
     assert diffs[-1] < diffs[0]
