@@ -316,6 +316,80 @@ def _bb_cell(case: str, side: int):
     return out, _stats(sim.stats())
 
 
+def _seq_cell(kind: str):
+    """Same-instant contention on one sequencer protocol, bare runtime.
+
+    A 3x3 machine, five writers — two in cluster 0 (same-cluster
+    waiters), one in cluster 1, two in cluster 2 — appending to one
+    replicated log.  Every writer fires two asynchronous writes and two
+    blocking ones from t=0 (several acquires in flight per cluster at
+    tied instants: waiter order, same-instant migrations), then all
+    restart at one later instant with back-to-back blocking writes, and
+    each writes alone in turn (quiet instants: local stamps, multi-hop
+    token trips, full-rotation waits after the token has departed) and
+    finally clusters 0 and 2 contend without cluster 1 (two-hop grants
+    to a waiter).  Run twice, the second time with
+    ``dedicated_sequencer_node=True``; the total order every replica
+    applied is part of the fingerprint."""
+    out: Dict[str, Any] = {}
+    stats = dict.fromkeys(STAT_KEYS, 0)
+    for dedicated in (False, True):
+        reset_ids()
+        reset_req_ids()
+        sim = Simulator()
+        tracer = Tracer()
+        tracer.enabled = True
+        fabric = Fabric(sim, uniform_clusters(3, 3), DAS_PARAMS,
+                        tracer=tracer)
+        rts = OrcaRuntime(sim, fabric, sequencer=kind,
+                          dedicated_sequencer_node=dedicated)
+        rts.register(ObjectSpec(
+            name="log", state_factory=list,
+            operations={"put": Operation(
+                fn=lambda st, tag: st.append(tag) or len(st),
+                writes=True, arg_bytes=64, result_bytes=8)},
+            replicated=True))
+        log: List[tuple] = []
+
+        def writer(nid: int, solo_at: float):
+            ctx = rts.context(nid)
+            pending = [ctx.invoke_async("log", "put", (nid, "a", i))
+                       for i in range(2)]
+            for i in range(2):
+                pos = yield from ctx.invoke("log", "put", (nid, "s", i))
+                log.append((nid, i, sim.now, pos))
+            for proc in pending:
+                yield proc
+            phases = [("r", 0.25), ("q", solo_at)]
+            if nid in (0, 6, 7):  # clusters 0 and 2 only: two-hop grants
+                phases.append(("p", 1.25))
+            for phase, start in phases:
+                yield sim.timeout(start - sim.now)
+                for i in range(3):
+                    pos = yield from ctx.invoke("log", "put",
+                                                (nid, phase, i))
+                    log.append((nid, phase, i, sim.now, pos))
+
+        for turn, nid in enumerate((0, 6, 3, 1, 7)):
+            sim.spawn(writer(nid, 0.5 + 0.1 * turn))
+        sim.run()
+        orders = {tuple(rts.state_of("log", n)) for n in range(9)}
+        assert len(orders) == 1, "replicas disagree on the total order"
+        label = "dedicated" if dedicated else "shared"
+        fp = {"log": digest(log), "order": digest(orders.pop()),
+              "end": repr(sim.now),
+              "traffic": digest(fabric.meter.snapshot())}
+        fp.update(_records(tracer))
+        fp["migrations"] = getattr(rts.protocol, "migrations", 0)
+        run_stats = sim.stats()
+        fp["events"] = run_stats["events_processed"]
+        fp["spawns"] = run_stats["spawns"]
+        out.update({f"{label}.{key}": val for key, val in fp.items()})
+        for key in STAT_KEYS:
+            stats[key] += run_stats[key]
+    return out, stats
+
+
 def _tuned_cell(app_name: str, n_clusters: int, nodes: int):
     """Tune a tiny model under IMPAIRED, then run an app with it."""
     model = tune(sizes=(256, 16384), cluster_counts=(2,),
@@ -404,6 +478,12 @@ def _cells() -> Dict[str, Tuple[bool, Callable[[], tuple]]]:
         _app_cell, "sor", "original", 4, 2, scenario=loss)
     add("scenario-jitter/sor/splitphase/2x3", False,
         _app_cell, "sor", "splitphase", 2, 3, scenario=jitter)
+    # Sequencer contention on a bare runtime.  Not "clean": the exact
+    # ``events``/``spawns`` ride in the fingerprint, while
+    # ``fast_completions``/``fallbacks`` (which count how a stamp was
+    # reached, not what was simulated) stay unpinned here.
+    for kind in ("centralized", "distributed", "migrating"):
+        add(f"seq/{kind}/contended", False, _seq_cell, kind)
     add("tuned/asp/2x2", False, _tuned_cell, "asp", 2, 2)
     add("tuned/ra/4x2", False, _tuned_cell, "ra", 4, 2)
     # The corners of SOR's red/black stride logic: odd and even widths,
