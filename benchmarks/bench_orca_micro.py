@@ -3,7 +3,7 @@
 Measures *host* wall-clock throughput of whole Orca operations —
 totally-ordered broadcasts (PB and BB dissemination modes, LAN and WAN)
 and RPC round trips — on the control plane's callback chains (armed
-broadcast/RPC ports, holdback drain, ``try_acquire`` analytic stamps,
+broadcast/RPC ports, holdback drain, the sequencer's inline stamps,
 chained dissemination and replies).  Virtual-time results are pinned by
 the golden manifest; the numbers here are pure host-side cost.
 

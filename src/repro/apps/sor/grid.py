@@ -46,7 +46,9 @@ class SORParams:
     #: chaotic relaxation: keep 1 in N intercluster exchanges (paper: 3).
     chaotic_keep_one_in: int = 3
     #: never read: SOR has no synthetic mode, the strided sweep runs the
-    #: real 3500 x 900 grid (the field keeps the params uniform across apps).
+    #: real 3500 x 900 grid.  It stays because ``repr(params)`` is hashed
+    #: into the request digests of ``benchmarks/e2e/expected.json``:
+    #: dropping it would silently unpin the SOR operations there.
     kernel: str = "real"
 
     @staticmethod

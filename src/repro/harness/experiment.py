@@ -16,13 +16,72 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..apps import ALL_APPS
 from ..apps.base import Application, AppResult
 from ..network import DAS_PARAMS, Fabric, NetworkParams, Topology, uniform_clusters
+from ..network.message import reset_ids
 from ..orca import OrcaRuntime
+from ..orca.runtime import reset_req_ids
 from ..sim import SimulationError, Simulator, Tracer
 
 __all__ = ["run_app", "speedup_curve", "CurvePoint", "PAPER_CPU_COUNTS"]
 
 #: CPU counts the paper plots on its speedup figures.
 PAPER_CPU_COUNTS = (1, 8, 16, 32, 60)
+
+
+def _build_stack(topo: Topology, network: NetworkParams, sequencer: str,
+                 dedicated_sequencer_node: bool = False, *,
+                 tracer: Optional[Tracer] = None, trace: bool = False,
+                 scenario: Optional["Scenario"] = None,
+                 decision: Optional[Any] = None):
+    """One fresh stack on ``topo``: ``(sim, fabric, rts)``.
+
+    The single place a simulation is assembled — ``run_app``, every
+    PDES partition worker and the coordinator's finalize stack start
+    here, so a partition cannot be built differently from the serial
+    run it must reproduce.  Message/request ids restart from zero:
+    traces (which join on them) come out identical no matter how many
+    runs preceded this one in the process.
+    """
+    reset_ids()
+    reset_req_ids()
+    sim = Simulator()
+    fabric = Fabric(sim, topo, network, tracer=tracer)
+    if trace:
+        fabric.tracer.enabled = True
+        sim.obs = fabric.tracer  # process-lifecycle records
+    if scenario is not None:
+        from ..scenario import install
+        install(sim, fabric, scenario)
+    if decision is not None:
+        fabric.decision = decision
+    rts = OrcaRuntime(sim, fabric, sequencer=sequencer,
+                      dedicated_sequencer_node=dedicated_sequencer_node,
+                      decision=decision)
+    return sim, fabric, rts
+
+
+def _spawn_workers(sim: Simulator, app: Application, rts: OrcaRuntime,
+                   params: Any, variant: str, shared: Any,
+                   nodes: Iterable[int], finished_at) -> list:
+    """Spawn ``app``'s process on each of ``nodes``; ``finished_at[nid]``
+    receives the virtual time node ``nid``'s process returned."""
+
+    def timed(nid):
+        value = yield from app.process(rts.context(nid), params, variant,
+                                       shared)
+        finished_at[nid] = sim.now
+        return value
+
+    return [sim.spawn(timed(nid), name=f"{app.name}{nid}") for nid in nodes]
+
+
+def _scan_workers(workers) -> Tuple[List[str], Optional[BaseException]]:
+    """Post-run check: the names of the processes that never finished
+    and the first failed process's exception (``None`` when none did).
+    A failure outranks a deadlock — it usually caused it."""
+    deadlocked = [w.name for w in workers if not w.triggered]
+    failure = next((w._value for w in workers if w.triggered and not w._ok),
+                   None)
+    return deadlocked, failure
 
 
 def run_app(app: Application, variant: str, n_clusters: int,
@@ -75,10 +134,10 @@ def run_app(app: Application, variant: str, n_clusters: int,
     topo = topology if topology is not None \
         else uniform_clusters(n_clusters, nodes_per_cluster)
     if scenario is not None:
-        from ..scenario import install, scenario_topology
+        from ..scenario import scenario_topology
         topo = scenario_topology(scenario, topo)
 
-    from ..sim.pdes import pdes_ineligible_reason, pdes_mode
+    from ..sim.pdes import PDES_ENV, pdes_ineligible_reason, pdes_mode
     mode = pdes_mode(pdes)
     if mode != "off":
         from ..sim.pdes import run_app_pdes
@@ -100,49 +159,29 @@ def run_app(app: Application, variant: str, n_clusters: int,
                 scenario=scenario, n_workers=width)
         if mode == "on":
             import sys
-            print(f"repro: warning: REPRO_PDES=on but {app.name}/{variant} "
+            asked = f"{PDES_ENV}=on" if pdes is None \
+                else "pdes='on' (--pdes on)"
+            print(f"repro: warning: {asked} but {app.name}/{variant} "
                   f"cannot be partitioned ({reason}); "
                   f"running single-process", file=sys.stderr)
 
-    # Run-local ids: traces (which join on message/request ids) come out
-    # identical no matter how many runs preceded this one in the process.
-    from ..network.message import reset_ids
-    from ..orca.runtime import reset_req_ids
-    reset_ids()
-    reset_req_ids()
-    sim = Simulator()
-    fabric = Fabric(sim, topo, network, tracer=tracer)
-    if trace:
-        fabric.tracer.enabled = True
-        sim.obs = fabric.tracer  # process-lifecycle records
-    if scenario is not None:
-        install(sim, fabric, scenario)
-    if decision is not None:
-        fabric.decision = decision
     seq_kind = sequencer if sequencer is not None else app.sequencer_for(variant)
-    rts = OrcaRuntime(sim, fabric, sequencer=seq_kind,
-                      dedicated_sequencer_node=dedicated_sequencer_node,
-                      decision=decision)
-
+    sim, fabric, rts = _build_stack(
+        topo, network, seq_kind, dedicated_sequencer_node, tracer=tracer,
+        trace=trace, scenario=scenario, decision=decision)
     shared = app.register(rts, params, variant)
     finished_at: List[float] = [0.0] * topo.n_nodes
-
-    def timed(nid):
-        value = yield from app.process(rts.context(nid), params, variant,
-                                       shared)
-        finished_at[nid] = sim.now
-        return value
-
-    workers = [sim.spawn(timed(nid), name=f"{app.name}{nid}")
-               for nid in range(topo.n_nodes)]
+    workers = _spawn_workers(sim, app, rts, params, variant, shared,
+                             range(topo.n_nodes), finished_at)
     sim.run()
-    for w in workers:
-        if not w.triggered:
-            raise SimulationError(
-                f"{app.name}/{variant} on {n_clusters}x{nodes_per_cluster}: "
-                f"worker {w.name} never finished (deadlock at t={sim.now})")
-        if not w._ok:
-            raise w._value
+    deadlocked, failure = _scan_workers(workers)
+    if failure is not None:
+        raise failure
+    if deadlocked:
+        raise SimulationError(
+            f"{app.name}/{variant} on {n_clusters}x{nodes_per_cluster}: "
+            f"worker {deadlocked[0]} never finished "
+            f"(deadlock at t={sim.now})")
     elapsed = max(finished_at)
     answer = app.finalize(rts, params, variant, shared)
     util = None

@@ -28,7 +28,6 @@ __all__ = [
     "PDES_WORKERS_ENV",
     "ACTIVE_JOBS_ENV",
     "env_int",
-    "env_choice",
     "default_jobs",
     "active_sweep_jobs",
     "pdes_auto_allowed",
@@ -62,22 +61,6 @@ def env_int(env: str, default: int, *, minimum: int = 1,
         print(f"repro: warning: ignoring unparsable {env}={raw!r} "
               f"(want an integer); {note}", file=sys.stderr)
         return default
-
-
-def env_choice(env: str, choices: tuple, default: str) -> str:
-    """Enum-valued environment variable with the same loud-fallback
-    contract as :func:`env_int`: unset/empty yields ``default``
-    silently, an unknown value yields ``default`` with a warning (the
-    PDES channel selector ``REPRO_PDES_CHANNEL`` resolves here)."""
-    raw = os.environ.get(env, "").strip().lower()
-    if not raw:
-        return default
-    if raw in choices:
-        return raw
-    print(f"repro: warning: ignoring unknown {env}={raw!r} "
-          f"(choose from {', '.join(choices)}); using {default!r}",
-          file=sys.stderr)
-    return default
 
 
 def default_jobs() -> int:

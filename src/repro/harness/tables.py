@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..apps import PAPER_ORDER, make_app
-from ..network import DAS_PARAMS, Fabric, NetworkParams, uniform_clusters
-from ..orca import ObjectSpec, Operation, OrcaRuntime
-from ..sim import Simulator
+from ..network import DAS_PARAMS, NetworkParams, uniform_clusters
+from ..orca import ObjectSpec, Operation
+from .experiment import _build_stack
 from .figures import bench_params
 from .sweeps import ParallelRunner, RunSpec
 
@@ -57,10 +57,10 @@ def _replicated_counter(name: str) -> ObjectSpec:
 
 def _build(n_clusters: int, nodes_per_cluster: int,
            network: NetworkParams):
-    sim = Simulator()
-    fabric = Fabric(sim, uniform_clusters(n_clusters, nodes_per_cluster),
-                    network)
-    return sim, OrcaRuntime(sim, fabric)
+    sim, _fabric, rts = _build_stack(
+        uniform_clusters(n_clusters, nodes_per_cluster), network,
+        "distributed")
+    return sim, rts
 
 
 def _rpc_latency(remote_node: int, n_clusters: int, per: int,

@@ -240,7 +240,7 @@ def format_pdes_summary(sim_stats: Dict[str, Any]) -> Optional[str]:
     ``sim_stats`` into the profile-style line ``repro app --pdes``
     prints: how many epochs the conservative protocol took, how many
     worker round-trips the quiescence coalescing elided, and what the
-    fast-lane channels actually carried.  Returns ``None`` when the
+    shared-memory rings actually carried.  Returns ``None`` when the
     stats do not come from a partitioned run (e.g. ``--pdes auto``
     fell back to the single-process oracle).
     """

@@ -170,24 +170,14 @@ class TotalOrderBroadcast:
                         t0=t0, dur=now - t0)
 
         # 2. Order.  Same-sender broadcasts take their tickets in issue
-        #    order.  The stamp is analytic when ordering is local and
-        #    the instant is quiet; an uncontended remote token takes the
-        #    deferred shortcut (an analytic hop-delay event); contended
-        #    instants drive the acquire generator (it models the
-        #    token/migration delays), so same-instant races linearize
-        #    through the ring's waiter order.
+        #    order.  The sequencer hands the stamp back directly when
+        #    ordering is local and the instant is quiet, else an event
+        #    that fires with it once the token arrives (the protocol
+        #    models the token/migration delays and linearizes
+        #    same-instant races through the ring's waiter order).
         yield from self._await_issue_turn(sender, issue)
-        seq = self.protocol.try_acquire(stamp_cluster)
-        if seq is not None:
-            self.sim._n_fast += 1
-        else:
-            ev = self.protocol.try_acquire_deferred(stamp_cluster)
-            if ev is not None:
-                self.sim._n_fast += 1
-                seq = yield ev
-            else:
-                self.sim._n_fallback += 1
-                seq = yield from self.protocol.acquire(stamp_cluster)
+        got = self.protocol.acquire(stamp_cluster)
+        seq = got if type(got) is int else (yield got)
         self._advance_issue_turn(sender)
 
         payload = BcastPayload(seq=seq, obj_name=obj_name, op_name=op_name,

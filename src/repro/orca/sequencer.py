@@ -23,8 +23,7 @@ stamped message where) is shared code in :class:`repro.orca.broadcast`.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Generator, List, Optional, Tuple
+from typing import List, Tuple, Union
 
 from ..sim import Event, Simulator, fire
 
@@ -40,9 +39,11 @@ __all__ = [
 class SequencerProtocol:
     """Interface: assign the next global sequence number to a request.
 
-    ``acquire(cluster)`` is a generator the broadcast layer drives from the
-    *stamping site*; it returns the sequence number once ordering is
-    established.  Timing differs per protocol; counting is shared.
+    ``acquire(cluster)`` is called by the broadcast layer at the
+    *stamping site*.  It returns the sequence number as an ``int`` when
+    ordering is established at this very instant with no observable
+    intermediate state, else an :class:`Event` that fires with it.
+    Timing differs per protocol; counting is shared.
     """
 
     name = "base"
@@ -57,79 +58,18 @@ class SequencerProtocol:
         #: records are emitted through it when enabled.
         self.tracer = tracer
 
-    def _stamp(self) -> int:
+    def _stamp(self, cluster: int, t0: float) -> int:
         seq = self._next_seq
         self._next_seq += 1
-        return seq
-
-    def _trace_acquire(self, cluster: int, seq: int, t0: float) -> None:
         tr = self.tracer
         if tr is not None and tr.enabled:
             now = self.sim.now
             tr.emit(now, "seq.acquire", cluster=cluster, seq=seq,
                     protocol=self.name, t0=t0, dur=now - t0)
+        return seq
 
-    def acquire(self, cluster: int) -> Generator:
+    def acquire(self, cluster: int) -> Union[int, Event]:
         raise NotImplementedError
-
-    def try_acquire(self, cluster: int) -> Optional[int]:
-        """Analytic shortcut: stamp synchronously, or ``None``.
-
-        Succeeds only when :meth:`acquire` would have returned at the
-        current instant with no observable intermediate state — i.e.
-        stamping is local (token already here / centralized stamp) and,
-        for the token protocols, nothing else is scheduled at this
-        instant that could race the grant.  On ``None`` the caller
-        falls back to driving the :meth:`acquire` generator, so
-        same-instant contention linearizes through the ring's waiter
-        order.  Emits the same ``seq.acquire`` record either way.
-        """
-        return None
-
-    def try_acquire_deferred(self, cluster: int) -> Optional[Event]:
-        """Analytic remote-token path: an event firing with the stamp.
-
-        The token-ring extension of :meth:`try_acquire` — succeeds when
-        the ring is uncontended (token parked, no holder) but the token
-        is *k* hops away, so the acquire cannot complete at this
-        instant.  Returns an event that fires with the sequence number
-        after the analytic ``k * hop_latency`` delay, reproducing the
-        generator grant's dispatch schedule exactly (one call-slot, one
-        event dispatch, state changes in the same order); the ring
-        invariant — waiters only accumulate while the token is held —
-        makes the uncontended check sufficient.  ``None`` means the
-        caller must drive :meth:`acquire`.
-        """
-        return None
-
-    def _deferred_grant(self, ring: "_TokenRing", cluster: int,
-                        dist: int) -> Event:
-        """Shared remote-token shortcut for the token protocols."""
-        sim = self.sim
-        t0 = sim.now
-        # Replicate _grant's state changes: the token is committed to
-        # the requester immediately, arrival is dist hops out.
-        ring.held = True
-        ring.at = cluster
-        ring._turn_done = False
-        done = Event(sim)
-
-        def _resume(_ev: Event) -> None:
-            seq = self._stamp()
-            ring.release()
-            self._trace_acquire(cluster, seq, t0)
-            fire(done, seq)
-
-        def _slot() -> None:
-            # The generator grant's ev.succeed: one posted event
-            # dispatch between the call-slot and the resume, so
-            # same-instant arrivals linearize at identical depths.
-            gate = Event(sim)
-            gate.callbacks.append(_resume)
-            gate.succeed(None)
-
-        sim.call_at(t0 + dist * self.hop_latency, _slot)
-        return done
 
 
 class CentralizedSequencer(SequencerProtocol):
@@ -145,21 +85,12 @@ class CentralizedSequencer(SequencerProtocol):
     def stamping_cluster(self, sender_cluster: int) -> int:
         return self.home
 
-    def acquire(self, cluster: int) -> Generator:
+    def acquire(self, cluster: int) -> int:
         # The request already traveled to the sequencer node (the broadcast
         # layer routes it there); stamping itself is immediate.
-        if False:  # pragma: no cover - make this a generator
-            yield None
-        seq = self._stamp()
-        self._trace_acquire(cluster, seq, self.sim.now)
-        return seq
-
-    def try_acquire(self, cluster: int) -> Optional[int]:
-        # Stamping never yields, so the synchronous stamp is always
-        # available and needs no quiet-instant check.
-        seq = self._stamp()
-        self._trace_acquire(cluster, seq, self.sim.now)
-        return seq
+        sim = self.sim
+        sim._n_fast += 1
+        return self._stamp(cluster, sim.now)
 
 
 class _TokenRing:
@@ -193,6 +124,16 @@ class _TokenRing:
             return 1
         return (dst - src) % self.n
 
+    def take(self, cluster: int) -> int:
+        """Commit the free token to ``cluster``; returns the hops it
+        travels (the token is the requester's from this instant, its
+        arrival is that many hop latencies out)."""
+        self.held = True
+        dist = self._distance(self.at, cluster)
+        self.at = cluster
+        self._turn_done = False
+        return dist
+
     def request(self, cluster: int) -> Event:
         ev = Event(self.sim)
         if not self.held:
@@ -202,10 +143,7 @@ class _TokenRing:
         return ev
 
     def _grant(self, cluster: int, ev: Event) -> None:
-        self.held = True
-        dist = self._distance(self.at, cluster)
-        self.at = cluster
-        self._turn_done = False
+        dist = self.take(cluster)
         if dist == 0:
             ev.succeed(cluster)
         else:
@@ -235,116 +173,90 @@ class _TokenRing:
         self._grant(cluster, ev)
 
 
-class DistributedSequencer(SequencerProtocol):
-    """One sequencer per cluster; clusters broadcast in (ring) turn."""
+class _TokenSequencer(SequencerProtocol):
+    """The token protocols: whoever holds the token stamps.
 
-    name = "distributed"
+    Subclasses pick how the token travels (``_direct``); taking,
+    waiting for and releasing it is the same for both.
+    """
+
+    _direct: bool
 
     def __init__(self, sim: Simulator, n_clusters: int, hop_latency: float,
                  tracer=None):
         super().__init__(sim, n_clusters, hop_latency, tracer=tracer)
-        self._ring = _TokenRing(sim, n_clusters, hop_latency, direct=False)
+        self._ring = _TokenRing(sim, n_clusters, hop_latency,
+                                direct=self._direct)
 
     def stamping_cluster(self, sender_cluster: int) -> int:
         return sender_cluster  # stamped by the sender's own cluster sequencer
 
-    def acquire(self, cluster: int) -> Generator:
-        t0 = self.sim.now
-        yield self._ring.request(cluster)
-        seq = self._stamp()
-        self._ring.release()
-        self._trace_acquire(cluster, seq, t0)
-        return seq
-
-    def try_acquire(self, cluster: int) -> Optional[int]:
+    def acquire(self, cluster: int) -> Union[int, Event]:
         ring = self._ring
-        if ring.held or ring._distance(ring.at, cluster) != 0:
-            return None  # token away or departing: WAN hops, not instant
         sim = self.sim
-        if not sim.idle_at_now():
-            return None  # busy instant: the grant dispatch is observable
         t0 = sim.now
-        # Replicate _grant's distance-0 state changes, minus the event.
-        ring.held = True
-        ring.at = cluster
-        ring._turn_done = False
-        seq = self._stamp()
-        ring.release()
-        self._trace_acquire(cluster, seq, t0)
-        return seq
+        if not ring.held and ring._distance(ring.at, cluster) == 0 \
+                and sim.idle_at_now():
+            # The token is here and free, and nothing else is scheduled
+            # at this instant that could race the grant: take, stamp and
+            # release without an event.
+            ring.take(cluster)
+            sim._n_fast += 1
+            seq = self._stamp(cluster, t0)
+            ring.release()
+            return seq
+        # The token is away (it travels ``dist`` hops), held (the ring's
+        # waiter order linearizes the contenders), or the instant is
+        # busy (the grant's dispatch is observable).
+        done = Event(sim)
 
-    def try_acquire_deferred(self, cluster: int) -> Optional[Event]:
-        ring = self._ring
-        if ring.held:
-            return None  # contended: waiter ordering is the ring's job
-        dist = ring._distance(ring.at, cluster)
-        if dist == 0:
-            return None  # local token: try_acquire's (cheaper) territory
-        return self._deferred_grant(ring, cluster, dist)
+        def _granted(_ev: Event) -> None:
+            seq = self._stamp(cluster, t0)
+            ring.release()
+            fire(done, seq)
+
+        ring.request(cluster).callbacks.append(_granted)
+        return done
+
+
+class DistributedSequencer(_TokenSequencer):
+    """One sequencer per cluster; clusters broadcast in (ring) turn."""
+
+    name = "distributed"
+    _direct = False
 
     @property
     def token_at(self) -> int:
         return self._ring.at
 
 
-class MigratingSequencer(SequencerProtocol):
+class MigratingSequencer(_TokenSequencer):
     """A single sequencer that migrates to the requesting cluster.
 
     Repeated broadcasts from one cluster (ASP's phases) pay the migration
     once and then get local-latency sequence numbers, pipelining the
-    remaining WAN transfers with computation.
+    remaining WAN transfers with computation.  The token is the
+    sequencer itself: it moves in one direct hop instead of round the
+    ring, and a cluster may keep it for back-to-back turns.
     """
 
     name = "migrating"
+    _direct = True
 
     def __init__(self, sim: Simulator, n_clusters: int, hop_latency: float,
                  tracer=None):
         super().__init__(sim, n_clusters, hop_latency, tracer=tracer)
-        self._ring = _TokenRing(sim, n_clusters, hop_latency, direct=True)
         self.migrations = 0
 
-    def stamping_cluster(self, sender_cluster: int) -> int:
-        return sender_cluster
-
-    def acquire(self, cluster: int) -> Generator:
-        t0 = self.sim.now
-        if self._ring.at != cluster:
+    def acquire(self, cluster: int) -> Union[int, Event]:
+        frm = self._ring.at
+        if frm != cluster:
+            # Counted at request time, before the token travels.
             self.migrations += 1
             tr = self.tracer
             if tr is not None and tr.enabled:
-                tr.emit(t0, "seq.migrate", frm=self._ring.at, to=cluster)
-        yield self._ring.request(cluster)
-        seq = self._stamp()
-        self._ring.release()
-        self._trace_acquire(cluster, seq, t0)
-        return seq
-
-    def try_acquire(self, cluster: int) -> Optional[int]:
-        ring = self._ring
-        if ring.held or ring.at != cluster:
-            return None  # a migration pays a WAN hop: not instant
-        sim = self.sim
-        if not sim.idle_at_now():
-            return None  # busy instant: the grant dispatch is observable
-        t0 = sim.now
-        ring.held = True
-        ring._turn_done = False
-        seq = self._stamp()
-        ring.release()
-        self._trace_acquire(cluster, seq, t0)
-        return seq
-
-    def try_acquire_deferred(self, cluster: int) -> Optional[Event]:
-        ring = self._ring
-        if ring.held or ring.at == cluster:
-            return None  # held: ring's job; local: try_acquire's
-        # The migration bookkeeping the generator acquire does at request
-        # time, before the token travels.
-        self.migrations += 1
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.emit(self.sim.now, "seq.migrate", frm=ring.at, to=cluster)
-        return self._deferred_grant(ring, cluster, 1)
+                tr.emit(self.sim.now, "seq.migrate", frm=frm, to=cluster)
+        return super().acquire(cluster)
 
     @property
     def located_at(self) -> int:

@@ -409,12 +409,11 @@ class Simulator:
           ``processes_spawned`` key, kept for compatibility).
         * ``fast_completions`` — completions a chain performed inline
           at a quiet instant (every :func:`fire` call plus the
-          sequencers' synchronous ``try_acquire`` stamps), i.e. heap
-          dispatches that never happened.
+          sequencers' inline stamps — an ``acquire`` that returned the
+          number itself), i.e. heap dispatches that never happened.
         * ``fallbacks`` — times a chain site found the current instant
           busy (or the state contended) and deferred through the heap
-          at process-pattern dispatch depths — or handed the flow to
-          the sequencers' generator ``acquire`` — so same-instant races
+          at process-pattern dispatch depths, so same-instant races
           linearize the one way the golden manifest pins.
         """
         return {

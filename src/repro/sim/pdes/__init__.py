@@ -30,8 +30,7 @@ import os
 
 from ..engine import SimulationError
 from .boundary import EpochBreak, PartitionBoundary
-from .channel import (CAPACITY_ENV, CHANNEL_ENV, PipeChannel, ShmChannel,
-                      ShmRing, channel_kind)
+from .channel import ShmChannel, ShmRing
 from .coordinator import (WorkerSpec, compute_caps, run_app_pdes, run_epoch,
                           shutdown_pool)
 from .plan import (channel_capacity, cluster_partition_map,
@@ -39,15 +38,11 @@ from .plan import (channel_capacity, cluster_partition_map,
 
 __all__ = [
     "PDES_ENV",
-    "CHANNEL_ENV",
-    "CAPACITY_ENV",
     "pdes_mode",
     "EpochBreak",
     "PartitionBoundary",
     "ShmRing",
     "ShmChannel",
-    "PipeChannel",
-    "channel_kind",
     "channel_capacity",
     "WorkerSpec",
     "compute_caps",

@@ -30,17 +30,15 @@ Three pieces live here:
   counted — to the setup pipe behind a 1-byte marker record so
   ordering is preserved.
 
-* **The channels** — :class:`ShmChannel` (rings + semaphores; the
-  default) and :class:`PipeChannel` (the ``REPRO_PDES_CHANNEL=pipe``
-  escape hatch: the *same* packed blocks over the pipe, no pickled
-  tuples), behind one interface.  Both keep a duplex pipe for
-  setup/final/error traffic; worker death and worker errors surface as
-  the same exceptions the PR-9 protocol raised.
+* **:class:`ShmChannel`** — the one transport: a ring and a semaphore
+  per direction, plus a duplex pipe for setup/final/error traffic (and
+  for the block that outgrows its ring).  Worker death and worker
+  errors surface as the same exceptions the PR-9 protocol raised.
 
 The codec changes no virtual-time behavior: it is a byte-level
 representation of exactly the items ``PartitionBoundary`` exported,
-and the golden parity suite pins both transports record-for-record
-against the single-process oracle.
+and the golden parity suite pins it record-for-record against the
+single-process oracle.
 """
 
 from __future__ import annotations
@@ -53,18 +51,12 @@ from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 from ..engine import SimulationError
 
 __all__ = [
-    "CHANNEL_ENV",
-    "CAPACITY_ENV",
     "GRANT",
     "REPORT",
     "FINISH",
     "Section",
     "ShmRing",
     "ShmChannel",
-    "PipeChannel",
-    "channel_kind",
-    "channel_capacity",
-    "make_channel",
     "encode_sections",
     "decode_section_items",
     "encode_grant",
@@ -73,17 +65,6 @@ __all__ = [
     "encode_report",
     "decode_report",
 ]
-
-#: Transport selection: ``shm`` (default) or ``pipe`` (escape hatch —
-#: same packed blocks, no shared memory; CI runs the golden subset
-#: under it so both transports stay pinned).
-CHANNEL_ENV = "REPRO_PDES_CHANNEL"
-#: Ring capacity per direction, in bytes (clamped to the minimum; a
-#: block that outgrows the ring falls back to the pipe, loudly).
-CAPACITY_ENV = "REPRO_PDES_CHANNEL_CAP"
-
-DEFAULT_CAPACITY = 1 << 17          # 128 KiB per direction
-MIN_CAPACITY = 64                   # floor: tests force the overflow path
 
 INF = float("inf")
 NAN = float("nan")
@@ -105,25 +86,6 @@ _SEC_HDR = struct.Struct("<HHHHdI")     # dst, n_msgs, n_acks, n_strs,
 _U32 = struct.Struct("<I")
 
 _Message = None                     # lazy class ref, bound on first decode
-
-
-def channel_kind() -> str:
-    """Transport from ``REPRO_PDES_CHANNEL`` (loud fallback on typos)."""
-    from ...harness.jobs import env_choice
-
-    return env_choice(CHANNEL_ENV, ("shm", "pipe"), "shm")
-
-
-def channel_capacity(default: Optional[int] = None) -> int:
-    """Ring bytes per direction: ``REPRO_PDES_CHANNEL_CAP`` wins, else
-    ``default`` (typically :func:`..plan.channel_capacity`'s
-    geometry-scaled figure), else :data:`DEFAULT_CAPACITY`."""
-    from ...harness.jobs import env_int
-
-    if default is None:
-        default = DEFAULT_CAPACITY
-    return env_int(CAPACITY_ENV, default, minimum=MIN_CAPACITY,
-                   fallback_note=f"using {default} bytes")
 
 
 # ------------------------------------------------------------------ codec
@@ -443,8 +405,13 @@ def _raise_worker_error(msg, part_id: int):
         f"unexpected pipe message {msg!r}")
 
 
-class _ChannelBase:
-    """Shared liveness/error plumbing; subclasses supply the transport.
+class ShmChannel:
+    """The fast lane: one ring + one semaphore per direction.
+
+    The protocol alternates strictly (a grant is answered by a report
+    before the next grant), so each ring holds at most one block — an
+    overflow can only mean the block outgrew the ring, in which case a
+    1-byte marker keeps ring ordering and the pipe carries the bytes.
 
     Parent-side calls: :meth:`send` / :meth:`recv` (plus ``conn`` for
     the ready/final handshakes).  Worker-side calls are the ``w_``
@@ -452,13 +419,15 @@ class _ChannelBase:
     kept parent-side only, where the coordinator reads them.
     """
 
-    kind = "?"
-
-    def __init__(self, ctx):
+    def __init__(self, ctx, capacity: int):
         self.conn, self.wconn = ctx.Pipe()
         self.bytes_out = 0
         self.bytes_in = 0
         self.overflows = 0
+        self._g_ring = ShmRing(capacity)    # parent -> worker (grants)
+        self._r_ring = ShmRing(capacity)    # worker -> parent (reports)
+        self._g_sem = ctx.Semaphore(0)
+        self._r_sem = ctx.Semaphore(0)
 
     def p_setup(self) -> None:
         """Parent, just after fork: drop the child's pipe end."""
@@ -486,57 +455,6 @@ class _ChannelBase:
             pass
         raise SimulationError(
             f"pdes: partition {part_id} worker died without reporting")
-
-
-class PipeChannel(_ChannelBase):
-    """Escape hatch: the packed blocks over the setup pipe itself."""
-
-    kind = "pipe"
-
-    def send(self, block: bytes) -> None:
-        self.bytes_out += len(block)
-        self.conn.send_bytes(block)
-
-    def recv(self, proc, part_id: int) -> bytes:
-        while not self.conn.poll(0.5):
-            if proc is not None and not proc.is_alive():
-                self._died(proc, part_id)
-        try:
-            block = self.conn.recv_bytes()
-        except EOFError:
-            self._died(proc, part_id)
-        if block[:1] == b"\x80":        # a pickled tuple: the error path
-            _raise_worker_error(pickle.loads(block), part_id)
-        self.bytes_in += len(block)
-        return block
-
-    def w_recv(self) -> bytes:
-        return self.wconn.recv_bytes()
-
-    def w_send(self, block: bytes) -> None:
-        self.wconn.send_bytes(block)
-
-    def w_post_error(self) -> None:
-        pass    # the error tuple is already on the (only) channel
-
-
-class ShmChannel(_ChannelBase):
-    """The fast lane: one ring + one semaphore per direction.
-
-    The protocol alternates strictly (a grant is answered by a report
-    before the next grant), so each ring holds at most one block — an
-    overflow can only mean the block outgrew the ring, in which case a
-    1-byte marker keeps ring ordering and the pipe carries the bytes.
-    """
-
-    kind = "shm"
-
-    def __init__(self, ctx, capacity: int):
-        super().__init__(ctx)
-        self._g_ring = ShmRing(capacity)    # parent -> worker (grants)
-        self._r_ring = ShmRing(capacity)    # worker -> parent (reports)
-        self._g_sem = ctx.Semaphore(0)
-        self._r_sem = ctx.Semaphore(0)
 
     # -- parent side ----------------------------------------------------
 
@@ -597,9 +515,3 @@ class ShmChannel(_ChannelBase):
                 self._r_sem.release()
         except Exception:
             pass
-
-
-def make_channel(kind: str, ctx, capacity: int) -> _ChannelBase:
-    if kind == "pipe":
-        return PipeChannel(ctx)
-    return ShmChannel(ctx, capacity)

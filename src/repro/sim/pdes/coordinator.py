@@ -43,8 +43,8 @@ does not own ``gmin``): granting it would route nothing, release no
 held arrival, and dispatch no event, so eliding the round-trip leaves
 the worker's state bit-identical and the next grant it does receive
 subsumes every elided epoch — a multi-epoch cap.  Workers are pooled:
-the forked processes persist across runs of the same width and
-transport, so a figure sweep re-synchronizes instead of re-forking.
+the forked processes persist across runs of the same width and ring
+capacity, so a figure sweep re-synchronizes instead of re-forking.
 
 Determinism: partitions allocate the same per-site message/request ids
 as the single-process run, impairment randomness is drawn from
@@ -66,12 +66,10 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..engine import SimulationError, Simulator
+from ..engine import SimulationError
 from ..trace import TraceSpec
-from . import channel
+from . import channel, plan
 from .boundary import EpochBreak, PartitionBoundary
-from .plan import (channel_capacity, cluster_partition_map,
-                   partition_clusters, wan_lookahead)
 
 __all__ = ["WorkerSpec", "compute_caps", "run_app_pdes", "run_epoch",
            "shutdown_pool"]
@@ -281,43 +279,25 @@ def _worker_run(conn, chan, spec: WorkerSpec) -> None:
     # already loaded; top-level imports here would cycle (apps -> orca
     # -> sim -> pdes).
     from ...apps import make_app
-    from ...network import Fabric
-    from ...network.message import reset_ids
-    from ...orca import OrcaRuntime
-    from ...orca.runtime import reset_req_ids
+    from ...harness.experiment import (_build_stack, _scan_workers,
+                                       _spawn_workers)
 
-    reset_ids()
-    reset_req_ids()
     app = make_app(spec.app)
-    sim = Simulator()
     topo = spec.topology
     tracer = spec.trace.build() if spec.trace is not None else None
-    fabric = Fabric(sim, topo, spec.network, tracer=tracer)
-    if tracer is not None:
-        fabric.tracer.enabled = True
-        sim.obs = fabric.tracer
-    if spec.scenario is not None:
-        from ...scenario import install
-        install(sim, fabric, spec.scenario)
+    sim, fabric, rts = _build_stack(
+        topo, spec.network, spec.sequencer, spec.dedicated_sequencer_node,
+        tracer=tracer, trace=tracer is not None, scenario=spec.scenario)
     boundary = PartitionBoundary(sim, topo, spec.cluster_partition,
                                  spec.part_id, lookahead=spec.lookahead)
     boundary.fabric = fabric
     fabric.pdes = boundary
-    rts = OrcaRuntime(sim, fabric, sequencer=spec.sequencer,
-                      dedicated_sequencer_node=spec.dedicated_sequencer_node)
 
     shared = app.register(rts, spec.params, spec.variant)
-    local_nodes = [n for c in spec.clusters for n in topo.nodes_in(c)]
     finished_at: Dict[int, float] = {}
-
-    def timed(nid):
-        value = yield from app.process(rts.context(nid), spec.params,
-                                       spec.variant, shared)
-        finished_at[nid] = sim.now
-        return value
-
-    workers = [sim.spawn(timed(nid), name=f"{app.name}{nid}")
-               for nid in local_nodes]
+    workers = _spawn_workers(
+        sim, app, rts, spec.params, spec.variant, shared,
+        [n for c in spec.clusters for n in topo.nodes_in(c)], finished_at)
 
     conn.send(("ready", sim.next_time()))
     blocked = 0.0
@@ -347,15 +327,12 @@ def _worker_run(conn, chan, spec: WorkerSpec) -> None:
             sim.now, frontier, boundary.pending(),
             encode_sections(outbox) if outbox else ()))
 
-    # Same post-run checks as run_app, reported instead of raised: the
+    # run_app's post-run check, reported instead of raised: the
     # coordinator re-raises with the partition attached.
-    deadlocked = [w.name for w in workers if not w.triggered]
-    failure = None
-    for w in workers:
-        if w.triggered and not w._ok:
-            failure = "".join(traceback.format_exception(
-                type(w._value), w._value, w._value.__traceback__))
-            break
+    deadlocked, failure = _scan_workers(workers)
+    if failure is not None:
+        failure = "".join(traceback.format_exception(
+            type(failure), failure, failure.__traceback__))
     conn.send(("final", {
         "part": spec.part_id,
         "clock": sim.now,
@@ -383,19 +360,18 @@ def _worker_run(conn, chan, spec: WorkerSpec) -> None:
 class _WorkerPool:
     """Persistent forked partition workers, one channel each.
 
-    Forked once per (width, transport, capacity) and reused across
-    runs: ``repro figure`` grid points and bench repeats of the same
-    topology re-synchronize over the existing channels instead of
-    re-forking the whole stack.  Any error retires the pool (the
-    failing worker has exited; the rest are terminated).
+    Forked once per (width, capacity) and reused across runs: ``repro
+    figure`` grid points and bench repeats of the same topology
+    re-synchronize over the existing channels instead of re-forking the
+    whole stack.  Any error retires the pool (the failing worker has
+    exited; the rest are terminated).
     """
 
-    def __init__(self, width: int, kind: str, capacity: int):
+    def __init__(self, width: int, capacity: int):
         ctx = mp.get_context("fork")
         self.width = width
-        self.kind = kind
         self.capacity = capacity
-        self.chans = [channel.make_channel(kind, ctx, capacity)
+        self.chans = [channel.ShmChannel(ctx, capacity)
                       for _ in range(width)]
         self.procs = []
         for i, chan in enumerate(self.chans):
@@ -455,17 +431,17 @@ class _WorkerPool:
 _POOL: Optional[_WorkerPool] = None
 
 
-def _acquire_pool(width: int, kind: str, capacity: int) -> _WorkerPool:
+def _acquire_pool(width: int, capacity: int) -> _WorkerPool:
     """The module-level pool singleton, re-forked only when the
-    geometry, transport, or ring capacity changes (or a worker died)."""
+    geometry or ring capacity changes (or a worker died)."""
     global _POOL
     if _POOL is not None and not (
-            _POOL.width == width and _POOL.kind == kind
-            and _POOL.capacity == capacity and _POOL.alive()):
+            _POOL.width == width and _POOL.capacity == capacity
+            and _POOL.alive()):
         _POOL.close()
         _POOL = None
     if _POOL is None:
-        _POOL = _WorkerPool(width, kind, capacity)
+        _POOL = _WorkerPool(width, capacity)
     return _POOL
 
 
@@ -504,15 +480,12 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
     ``sim_stats``.
     """
     from ...apps.base import AppResult
-    from ...network import Fabric
-    from ...network.message import reset_ids
-    from ...orca import OrcaRuntime
-    from ...orca.runtime import reset_req_ids
+    from ...harness.experiment import _build_stack
 
-    blocks = partition_clusters(topo.n_clusters, n_workers)
+    blocks = plan.partition_clusters(topo.n_clusters, n_workers)
     width = len(blocks)
-    part_map = cluster_partition_map(blocks)
-    lookahead = wan_lookahead(network, scenario)
+    part_map = plan.cluster_partition_map(blocks)
+    lookahead = plan.wan_lookahead(network, scenario)
     seq_kind = sequencer if sequencer is not None \
         else app.sequencer_for(variant)
 
@@ -536,9 +509,7 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
         scenario=scenario, trace=trace_spec, lookahead=lookahead)
         for pi, block in enumerate(blocks)]
 
-    pool = _acquire_pool(
-        width, channel.channel_kind(),
-        channel.channel_capacity(channel_capacity(width, topo.n_nodes)))
+    pool = _acquire_pool(width, plan.channel_capacity(width, topo.n_nodes))
     epochs = 0
     round_trips = 0
     coalesced = 0
@@ -685,12 +656,8 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
 
     # Fresh, never-run stack so finalize/stats see the usual interfaces
     # (topology, runtime) against the merged shared state.
-    reset_ids()
-    reset_req_ids()
-    fsim = Simulator()
-    ffabric = Fabric(fsim, topo, network)
-    frts = OrcaRuntime(fsim, ffabric, sequencer=seq_kind,
-                       dedicated_sequencer_node=dedicated_sequencer_node)
+    _fsim, _ffabric, frts = _build_stack(topo, network, seq_kind,
+                                         dedicated_sequencer_node)
     answer = app.finalize(frts, params, variant, merged_shared)
     stats = app.stats(frts, params, variant, merged_shared)
 

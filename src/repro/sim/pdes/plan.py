@@ -67,14 +67,12 @@ def channel_capacity(n_partitions: int, n_nodes: int) -> int:
     A grant must hold one round's worth of routed sections for one
     partition; traffic scales with the node count (every node's border
     exchange can land in one epoch), so wide topologies (the 64-cluster
-    demo) get proportionally bigger rings.  The figure is a planning
-    *default* — ``REPRO_PDES_CHANNEL_CAP`` overrides it, and a block
-    that still outgrows the ring falls back to the pipe, loudly, with
-    no correctness impact (see :mod:`.channel`).
+    demo) get proportionally bigger rings, never less than 128 KiB.
+    This is the only source of the figure; a block that still outgrows
+    the ring falls back to the setup pipe, loudly and counted, with no
+    correctness impact (see :mod:`.channel`).
     """
-    from .channel import DEFAULT_CAPACITY
-
-    return max(DEFAULT_CAPACITY, 2048 * n_nodes)
+    return max(1 << 17, 2048 * n_nodes)
 
 
 def pdes_ineligible_reason(app, n_clusters: int, *, scenario=None,

@@ -67,3 +67,21 @@ def test_no_tier_selector_reappears():
             text = path.read_text()
             assert "fast_paths" not in text, path
             assert "legacy path" not in text, path
+
+
+def test_checker_flags_env_table_drift(check_docs):
+    """The ``REPRO_*`` table and the literals under ``src/`` are held in
+    lockstep both ways: a variable the code names needs a row, and a
+    row needs a variable the code still names."""
+    doc = check_docs.ARCHITECTURE_DOC
+    text = (REPO / doc).read_text()
+    assert check_docs.check_env_vars({doc: text}) == []
+    row = "| `REPRO_PDES` |"
+    assert row in text
+    missing = check_docs.check_env_vars({doc: text.replace(row, "| gone |")})
+    assert missing == [f"{doc}: REPRO_PDES is named under src/ but has no "
+                       f"row in the Environment variables table"]
+    stale = check_docs.check_env_vars(
+        {doc: text + "\n| `REPRO_NO_SUCH_KNOB` | x | y | z |\n"})
+    assert stale == [f"{doc}: the Environment variables table documents "
+                     f"REPRO_NO_SUCH_KNOB, which nothing under src/ names"]

@@ -1,7 +1,7 @@
 """The PDES fast lane in isolation: codec round-trips and the ring.
 
 The golden suite (``test_pdes_golden.py``) pins the *end-to-end*
-contract — partitioned runs bit-identical to the oracle on either
+contract — partitioned runs bit-identical to the oracle over the one
 transport.  This file pins the transport pieces directly, where
 hypothesis can reach states real workloads rarely visit: every record
 kind and payload shape through the packing codec, ring wraparound at

@@ -141,11 +141,8 @@ def test_pdes_impaired_degenerate_tie_aggregates():
     assert [r[1] for r in ns] == [r[1] for r in npd]  # same kind profile
 
 
-def test_pdes_stats_aggregation(monkeypatch):
+def test_pdes_stats_aggregation():
     """Merged sim_stats cover all partitions plus the pdes counters."""
-    # Geometry-sized rings never overflow on this workload; drop any
-    # ambient capacity override so the zero-overflow assertion holds.
-    monkeypatch.delenv("REPRO_PDES_CHANNEL_CAP", raising=False)
     serial, pdes, _ns, _npd = _pair("sor", "original", 4, 2)
     for key in ("events_processed", "processes_spawned"):
         assert pdes.sim_stats[key] > serial.sim_stats[key] // 2
@@ -176,25 +173,15 @@ def test_pdes_summary_line():
     assert format_pdes_summary({"events_processed": 5}) is None
 
 
-# ----------------------------------------------------- transport variants
-
-
-def test_pdes_parity_pipe_transport(monkeypatch):
-    """The REPRO_PDES_CHANNEL=pipe escape hatch: same packed blocks over
-    the setup pipe, still record-for-record identical to the oracle."""
-    monkeypatch.setenv("REPRO_PDES_CHANNEL", "pipe")
-    serial, pdes, ns, npd = _pair("sor", "original", 2, 3)
-    _assert_parity(serial, pdes, ns, npd, "sor 2x3 pipe")
-    assert pdes.sim_stats["pdes_partitions"] == 2
-    assert pdes.sim_stats["pdes_channel_bytes"] > 0
+# ------------------------------------------------------- overflow fallback
 
 
 def test_pdes_parity_tiny_ring_overflow(monkeypatch):
     """A ring far too small for real blocks forces the loud pipe
     fallback on nearly every transfer — results stay bit-identical and
     the overflows are counted."""
-    monkeypatch.setenv("REPRO_PDES_CHANNEL", "shm")  # overflow is shm-only
-    monkeypatch.setenv("REPRO_PDES_CHANNEL_CAP", "64")
+    from repro.sim.pdes import plan
+    monkeypatch.setattr(plan, "channel_capacity", lambda _w, _n: 64)
     serial, pdes, ns, npd = _pair("sor", "original", 2, 3)
     _assert_parity(serial, pdes, ns, npd, "sor 2x3 cap=64")
     assert pdes.sim_stats["pdes_channel_overflows"] > 0

@@ -17,6 +17,11 @@ Two classes of check over the repo's markdown:
 4. **Tuner-primitive lockstep** — ``docs/TUNING.md`` and the tuner
    registry (``repro.tuner.PRIMITIVES``) must agree the same two ways.
 
+5. **Environment-variable lockstep** — the *Environment variables*
+   table of ``docs/ARCHITECTURE.md`` and the ``REPRO_*`` literals under
+   ``src/`` must agree the same two ways: every variable the code
+   names has a row, and every row names a variable the code reads.
+
 Usage::
 
     python tools/check_docs.py          # exit 0 = consistent
@@ -52,6 +57,12 @@ SCENARIOS_DOC = "docs/SCENARIOS.md"
 #: The tuner reference manual, kept in lockstep with the primitive
 #: registry: one ``### `primitive` `` section per registered primitive.
 TUNING_DOC = "docs/TUNING.md"
+
+#: Home of the one ``REPRO_*`` table.
+ARCHITECTURE_DOC = "docs/ARCHITECTURE.md"
+
+_ENV_NAME = re.compile(r"\bREPRO_[A-Z]+(?:_[A-Z]+)*\b")
+_ENV_ROW = re.compile(r"^\| `(REPRO_[A-Z_]+)` \|", re.M)
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _KIND_PREFIXES = sorted({name.split(".", 1)[0] for name in KINDS})
@@ -148,6 +159,27 @@ def check_tuner_primitives(texts: dict) -> list:
     return problems
 
 
+def check_env_vars(texts: dict) -> list:
+    """Both directions of the docs <-> ``REPRO_*`` literal lockstep."""
+    text = texts.get(ARCHITECTURE_DOC)
+    if text is None:
+        return [f"{ARCHITECTURE_DOC}: missing"]
+    documented = set(_ENV_ROW.findall(text))
+    read = set()
+    for path in (ROOT / "src").rglob("*"):
+        if path.suffix in (".py", ".c"):
+            read |= set(_ENV_NAME.findall(path.read_text(encoding="utf-8")))
+    problems = [
+        f"{ARCHITECTURE_DOC}: {name} is named under src/ but has no row "
+        f"in the Environment variables table"
+        for name in sorted(read - documented)]
+    problems += [
+        f"{ARCHITECTURE_DOC}: the Environment variables table documents "
+        f"{name}, which nothing under src/ names"
+        for name in sorted(documented - read)]
+    return problems
+
+
 def main() -> int:
     texts = {}
     problems = []
@@ -160,6 +192,7 @@ def main() -> int:
     problems += check_kinds(texts)
     problems += check_scenario_models(texts)
     problems += check_tuner_primitives(texts)
+    problems += check_env_vars(texts)
     if problems:
         for problem in problems:
             print(problem)
