@@ -24,10 +24,8 @@ import sys
 import time
 
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
-from repro.network.message import reset_ids
 from repro.orca import ObjectSpec, Operation, OrcaRuntime
 from repro.orca.broadcast import BB_THRESHOLD
-from repro.orca.runtime import reset_req_ids
 from repro.sim import Simulator
 
 #: Comfortably inside PB mode; BB workloads use BB_THRESHOLD itself.
@@ -35,8 +33,6 @@ PB_BYTES = 64
 
 
 def _mk(n_clusters: int, per: int, sequencer: str):
-    reset_ids()
-    reset_req_ids()
     sim = Simulator()
     fabric = Fabric(sim, uniform_clusters(n_clusters, per), DAS_PARAMS)
     return sim, OrcaRuntime(sim, fabric, sequencer=sequencer)

@@ -112,14 +112,16 @@ def _trace_spec(args) -> Tuple[Optional[TraceSpec], Optional[str]]:
 
 
 def _runner(args) -> ParallelRunner:
-    """Build the sweep runner from the shared --jobs/--no-cache and
-    --trace-* flags."""
-    cache = None if getattr(args, "no_cache", False) else ResultCache()
+    """Build the sweep runner from the shared --jobs/--no-cache,
+    --trace-* and --pdes flags.  Asking for a PDES mode bypasses the
+    result cache: a cached result says nothing about how it was run (it
+    carries no PDES counters), and the point of the flag is to run."""
+    pdes = getattr(args, "pdes", None)
+    uncached = getattr(args, "no_cache", False) or pdes in ("on", "auto")
     trace, trace_dir = _trace_spec(args)
-    return ParallelRunner(jobs=getattr(args, "jobs", None), cache=cache,
-                          trace=trace, trace_dir=trace_dir,
-                          batch=getattr(args, "batch", None),
-                          pdes=getattr(args, "pdes", None),
+    return ParallelRunner(jobs=getattr(args, "jobs", None),
+                          cache=None if uncached else ResultCache(),
+                          trace=trace, trace_dir=trace_dir, pdes=pdes,
                           pdes_workers=getattr(args, "pdes_workers", None))
 
 
@@ -212,12 +214,7 @@ def cmd_app(args) -> int:
     spec = RunSpec(args.app, args.variant, args.clusters, args.nodes, params,
                    decision=_load_decision(args), pdes=args.pdes,
                    pdes_workers=args.pdes_workers)
-    if args.pdes in ("on", "auto"):
-        # Execute in-process: a sweep-pool worker would claim the host
-        # cores for itself and the partition pool would resolve to one.
-        res = spec.execute()
-    else:
-        res = runner.run_one(spec)
+    res = runner.run_one(spec)
     print(f"{args.app}/{args.variant} on {args.clusters}x{args.nodes}: "
           f"{res.elapsed:.4f} virtual seconds")
     for key, row in sorted(res.traffic.items()):
@@ -535,10 +532,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for independent runs "
                              "(default: $REPRO_JOBS or 1)")
-    parser.add_argument("--batch", type=int, default=None, metavar="B",
-                        help="grid points per worker dispatch (default: "
-                             "auto — 1 for small batches, larger on big "
-                             "grids to amortize pool IPC)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",

@@ -1,9 +1,10 @@
 """Throughput measurement against the committed perf baselines.
 
-One entry point shared by humans and CI: the ``repro bench`` verb calls
-:func:`main` here.  The repo commits five small JSON files at its root,
-each stamped with the ``host_cores`` and ``engine_tier`` it was written
-on:
+One entry point shared by humans and CI: the ``repro bench`` verb
+(parsed in :mod:`repro.__main__`) calls :func:`write_baselines` /
+:func:`check_baselines` here.  The repo commits five small JSON files
+at its root, each stamped with the ``host_cores`` and ``engine_tier``
+it was written on:
 
 * ``BENCH_engine.json`` — events/s per engine micro-workload, one
   section per engine tier (``python`` always; ``compiled`` when the
@@ -47,7 +48,6 @@ Run from the repo root::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import pathlib
@@ -57,7 +57,7 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["main", "measure_engine", "measure_fabric", "measure_orca",
+__all__ = ["measure_engine", "measure_fabric", "measure_orca",
            "measure_collectives", "measure_pdes", "write_baselines",
            "check_baselines", "parse_suite_request", "SUITES"]
 
@@ -385,34 +385,3 @@ def check_baselines(repeat: int, threshold: float, suites: Sequence[str],
         return 1
     print("\nperf-smoke OK: all workloads within threshold")
     return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="measure throughput and write/check the committed "
-                    "BENCH_*.json perf baselines")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true",
-                      help="measure and (over)write the committed baselines")
-    mode.add_argument("--check", action="store_true",
-                      help="measure and fail on >threshold regressions")
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="repetitions per workload (best is reported)")
-    parser.add_argument("--threshold", type=float, default=0.30,
-                        help="allowed fractional drop vs baseline (0.30)")
-    parser.add_argument("--suite", default="all", metavar="SUITE[:TIER]",
-                        help="restrict to one baseline suite, optionally "
-                             "one tier of it, e.g. engine:compiled "
-                             "(default: all)")
-    args = parser.parse_args(argv)
-    try:
-        suites, tier = parse_suite_request(args.suite)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.write:
-        if tier is not None:
-            parser.error("--write refreshes whole suites; drop the "
-                         ":tier suffix")
-        return write_baselines(args.repeat, suites)
-    return check_baselines(args.repeat, args.threshold, suites, tier=tier)

@@ -16,9 +16,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..apps import ALL_APPS
 from ..apps.base import Application, AppResult
 from ..network import DAS_PARAMS, Fabric, NetworkParams, Topology, uniform_clusters
-from ..network.message import reset_ids
 from ..orca import OrcaRuntime
-from ..orca.runtime import reset_req_ids
 from ..sim import SimulationError, Simulator, Tracer
 
 __all__ = ["run_app", "speedup_curve", "CurvePoint", "PAPER_CPU_COUNTS"]
@@ -37,12 +35,11 @@ def _build_stack(topo: Topology, network: NetworkParams, sequencer: str,
     The single place a simulation is assembled — ``run_app``, every
     PDES partition worker and the coordinator's finalize stack start
     here, so a partition cannot be built differently from the serial
-    run it must reproduce.  Message/request ids restart from zero:
+    run it must reproduce.  Message/request ids live on the fabric and
+    the runtime built here, so every stack starts them from zero:
     traces (which join on them) come out identical no matter how many
     runs preceded this one in the process.
     """
-    reset_ids()
-    reset_req_ids()
     sim = Simulator()
     fabric = Fabric(sim, topo, network, tracer=tracer)
     if trace:
@@ -137,17 +134,14 @@ def run_app(app: Application, variant: str, n_clusters: int,
         from ..scenario import scenario_topology
         topo = scenario_topology(scenario, topo)
 
-    from ..sim.pdes import PDES_ENV, pdes_ineligible_reason, pdes_mode
+    from ..sim.pdes import PDES_ENV, pdes_mode, plan
     mode = pdes_mode(pdes)
     if mode != "off":
         from ..sim.pdes import run_app_pdes
-        from . import jobs
-        reason = pdes_ineligible_reason(
+        reason = plan.pdes_ineligible_reason(
             app, topo.n_clusters, scenario=scenario, decision=decision,
             utilization=utilization)
-        if reason is None and mode == "auto" and not jobs.pdes_auto_allowed():
-            reason = "auto declines to nest inside a sweep-pool worker"
-        width = jobs.pdes_workers(topo.n_clusters, requested=pdes_workers)
+        width = plan.pdes_workers(topo.n_clusters, pdes_workers)
         if reason is None and width < 2:
             reason = "only one partition worker resolved"
         if reason is None:
@@ -210,7 +204,6 @@ def speedup_curve(app: Application, variant: str, params: Any,
                   cpu_counts: Sequence[int] = PAPER_CPU_COUNTS,
                   network: NetworkParams = DAS_PARAMS,
                   sequencer: Optional[str] = None,
-                  baseline_elapsed: Optional[float] = None,
                   runner: Optional["ParallelRunner"] = None,
                   ) -> Dict[int, List[CurvePoint]]:
     """Speedup vs CPU count, one curve per cluster count (Figures 1-14).
@@ -238,30 +231,23 @@ def speedup_curve(app: Application, variant: str, params: Any,
                 continue
             grid.append((n_clusters, n_cpus, per))
 
+    # The 1x1 baseline rides last; the runner's dedup and cache skip it
+    # when the grid (or an earlier figure) already computed it.
+    points = [(c, per) for (c, _n, per) in grid] + [(1, 1)]
     if app.name in ALL_APPS:
         if runner is None:
             runner = ParallelRunner()
-        need_base = baseline_elapsed is None
-        specs = [RunSpec(app.name, variant, c, per, params, network=network,
-                         sequencer=sequencer) for (c, _n, per) in grid]
-        if need_base:
-            specs.append(RunSpec(app.name, variant, 1, 1, params,
-                                 network=network, sequencer=sequencer))
-        outcomes = runner.run(specs)
-        if need_base:
-            baseline_elapsed = outcomes[-1].elapsed
-            outcomes = outcomes[:-1]
+        outcomes = runner.run(
+            [RunSpec(app.name, variant, c, per, params, network=network,
+                     sequencer=sequencer) for (c, per) in points])
     else:  # unregistered app: run in-process
-        if baseline_elapsed is None:
-            baseline_elapsed = run_app(app, variant, 1, 1, params,
-                                       network=network,
-                                       sequencer=sequencer).elapsed
         outcomes = [run_app(app, variant, c, per, params, network=network,
-                            sequencer=sequencer) for (c, _n, per) in grid]
+                            sequencer=sequencer) for (c, per) in points]
+    baseline = outcomes.pop().elapsed
 
     curves: Dict[int, List[CurvePoint]] = {c: [] for c in cluster_counts}
     for (n_clusters, n_cpus, _per), res in zip(grid, outcomes):
-        speed = baseline_elapsed / res.elapsed if res.elapsed > 0 else 0.0
+        speed = baseline / res.elapsed if res.elapsed > 0 else 0.0
         curves[n_clusters].append(
             CurvePoint(n_clusters, n_cpus, res.elapsed, speed, res))
     return curves

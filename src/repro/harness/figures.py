@@ -86,21 +86,19 @@ def figure_curves(figure: str,
                   cpu_counts: Sequence[int] = QUICK_CPUS,
                   cluster_counts: Sequence[int] = (1, 2, 4),
                   network: NetworkParams = DAS_PARAMS,
-                  baseline_elapsed: Optional[float] = None,
                   runner: Optional[ParallelRunner] = None,
                   ) -> Dict[int, List[CurvePoint]]:
     """Regenerate one of Figures 1-14 as speedup curves.
 
-    ``runner`` parallelizes/caches the grid; ``baseline_elapsed`` skips
-    the 1x1 baseline run when the caller already has it (e.g. from a
-    sibling figure of the same app/variant).
+    ``runner`` parallelizes/caches the grid (a cached 1x1 baseline —
+    e.g. from a sibling figure of the same app/variant — is not re-run).
     """
     spec = SPEEDUP_FIGURES[figure]
     app = make_app(spec.app)
     return speedup_curve(app, spec.variant, bench_params(spec.app),
                          cluster_counts=cluster_counts,
                          cpu_counts=cpu_counts, network=network,
-                         baseline_elapsed=baseline_elapsed, runner=runner)
+                         runner=runner)
 
 
 # ------------------------------------------------------- summary figures

@@ -39,7 +39,6 @@ from ..apps.base import AppResult
 from ..network import DAS_PARAMS, NetworkParams
 from ..scenario import Scenario
 from ..sim.trace import TraceRecord, TraceSpec
-from . import jobs as jobs_mod
 
 __all__ = [
     "RunSpec",
@@ -50,9 +49,8 @@ __all__ = [
     "format_stragglers",
 ]
 
-#: Environment variable supplying the default worker count (parsed by
-#: the shared resolver in :mod:`repro.harness.jobs`).
-JOBS_ENV = jobs_mod.JOBS_ENV
+#: Environment variable supplying the default worker count.
+JOBS_ENV = "REPRO_JOBS"
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Salt mixed into every cache key.  Bump when a simulator change is
@@ -67,10 +65,24 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_SCHEMA = "3"
 
 
-#: Worker count from ``REPRO_JOBS`` — re-exported from the shared
-#: resolver (:mod:`repro.harness.jobs`), which the PDES partition pool
-#: uses too, so both layers parse the environment identically.
-default_jobs = jobs_mod.default_jobs
+def default_jobs() -> int:
+    """Sweep worker count from ``REPRO_JOBS`` (default 1 — fully serial).
+
+    An unset/empty variable is silent, and a parsable one clamps to at
+    least 1; an unparsable one also runs serially, but *loudly* — a
+    typo silently changing the parallelism a user asked for is a
+    debugging trap.
+    """
+    raw = os.environ.get(JOBS_ENV, "").strip()
+    if not raw:
+        return 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        print(f"repro: warning: ignoring unparsable {JOBS_ENV}={raw!r} "
+              f"(want an integer); running serially with 1 job",
+              file=sys.stderr)
+        return 1
 
 
 def default_cache_dir() -> str:
@@ -161,34 +173,34 @@ class RunSpec:
         return result
 
 
-def _mark_pool_worker(width: int) -> None:
-    """Pool initializer: record the sweep fan-out in the environment."""
-    os.environ[jobs_mod.ACTIVE_JOBS_ENV] = str(width)
-
-
-def _execute_spec(spec: RunSpec) -> AppResult:
-    """Module-level worker entry point (picklable for the pool)."""
-    return spec.execute()
-
-
 def _execute_timed(spec: RunSpec) -> Tuple[AppResult, float]:
-    """Worker entry point that also reports host wall-clock seconds."""
+    """Module-level worker entry point (picklable for the pool): the
+    result plus the host wall-clock seconds it took."""
     t0 = time.perf_counter()
     result = spec.execute()
     return result, time.perf_counter() - t0
 
 
-def _execute_timed_batch(
-        specs: Sequence[RunSpec]) -> List[Tuple[AppResult, float]]:
-    """Worker entry point for a *batch* of specs.
+def _nested(spec: RunSpec, n: int) -> RunSpec:
+    """``spec`` as one of ``n`` pool workers should run it.
 
-    One pool round-trip carries many small grid points, amortizing the
-    pickle/IPC cost that dominates sweeps of tiny simulations (the
-    fig15/fig16 grids are hundreds of sub-second points).  Each point
-    is still timed individually, so per-point ``sweep.point`` records
-    and straggler reports are exactly as precise as unbatched runs.
+    A worker that starts a PDES run multiplies the pools (points x
+    partitions processes on one host), and only the runner building the
+    pool knows its width — so the policy is applied here, in the
+    parent, and travels in the picklable spec: ``auto`` declines to
+    nest (the host is already busy running other grid points), and a
+    forced ``on`` without an explicit width gets this worker's share of
+    the cores.  An explicit ``pdes_workers`` is honoured as asked.
     """
-    return [_execute_timed(spec) for spec in specs]
+    from ..sim.pdes import pdes_mode
+
+    mode = pdes_mode(spec.pdes)
+    if mode == "auto":
+        return dataclasses.replace(spec, pdes="off")
+    if mode == "on" and spec.pdes_workers is None:
+        return dataclasses.replace(
+            spec, pdes_workers=max(1, (os.cpu_count() or 1) // n))
+    return spec
 
 
 class ResultCache:
@@ -250,14 +262,14 @@ class ParallelRunner:
     in-process — no pool, no pickling.  Results always come back in spec
     order, and duplicate specs within a batch are computed only once.
 
-    ``batch`` sets how many grid points ride in one worker dispatch.
-    Large sweeps of small points (fig15/fig16: hundreds of sub-second
-    simulations) spend real time on per-point pickle/IPC round-trips;
-    batching amortizes that without changing any result — batches are
-    sliced in spec order and flattened back in order, and every point
-    is still timed individually for ``sweep.point``/straggler reports.
-    The default (``None``) picks 1 until the grid is much larger than
-    the pool, then grows so each worker still gets ~4 dispatches.
+    Pool dispatch is chunked: one grid point per dispatch until the
+    grid is much larger than the pool (points are coarse and unevenly
+    sized, so fine-grained dispatch load-balances best), then several —
+    sized so each worker still gets ~4 dispatches — because large sweeps
+    of small points (fig15/fig16: hundreds of sub-second simulations)
+    otherwise spend real time on per-point pickle/IPC round-trips.
+    Chunking never changes a result, and every point is still timed
+    individually for ``sweep.point``/straggler reports.
 
     ``trace`` applies a :class:`~repro.sim.trace.TraceSpec` to every
     spec in a batch that does not already carry one, so whole figures
@@ -279,26 +291,21 @@ class ParallelRunner:
     PDES worker pool across consecutive grid points of the same
     topology (see :func:`repro.sim.pdes.shutdown_pool`), so a figure
     sweep pays the fork cost once per geometry, not once per point.
+    Points dispatched to the pool do not nest blindly: the runner
+    resolves the mode and width against the pool it builds and ships
+    the answer in each spec (see :func:`_nested`).
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  trace: Optional[TraceSpec] = None,
                  trace_dir: Optional[str] = None,
-                 batch: Optional[int] = None,
                  pdes: Optional[str] = None,
                  pdes_workers: Optional[int] = None):
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.cache = cache
         self.trace = trace
         self.trace_dir = trace_dir
-        #: Grid points per worker dispatch.  ``None`` (the default)
-        #: picks a size automatically: 1 for small batches (grid points
-        #: are coarse and unevenly sized, so fine-grained dispatch load
-        #: balances best), growing once the batch is much larger than
-        #: the pool so pickle/IPC overhead is amortized while each
-        #: worker still sees several dispatches for load balance.
-        self.batch = batch if batch is None else max(1, int(batch))
         self.pdes = pdes
         self.pdes_workers = pdes_workers
         self.trace_files: List[str] = []
@@ -398,30 +405,14 @@ class ParallelRunner:
         except ValueError:  # pragma: no cover - non-POSIX
             ctx = mp.get_context("spawn")
         n = min(self.jobs, len(work))
-        size = self._batch_size(len(work), n)
-        # Mark workers with the pool width: nested host-parallel layers
-        # (the PDES partition pool) read it and decline to multiply the
-        # fan-out (see repro.harness.jobs).
-        with ctx.Pool(processes=n, initializer=_mark_pool_worker,
-                      initargs=(n,)) as pool:
-            if size <= 1:
-                # chunksize=1: grid points are coarse and unevenly sized.
-                return pool.map(_execute_timed, work, chunksize=1)
-            batches = [work[i:i + size] for i in range(0, len(work), size)]
-            timed = pool.map(_execute_timed_batch, batches, chunksize=1)
-        return [pair for group in timed for pair in group]
-
-    def _batch_size(self, n_work: int, n_workers: int) -> int:
-        """Points per dispatch: explicit ``batch`` wins, else a heuristic.
-
-        The auto rule keeps at least four dispatches in flight per
-        worker, so batching never costs more than ~25% tail latency to
-        a straggler batch while cutting IPC round-trips by the batch
-        factor on large grids (``n_work <= 4 * jobs`` stays unbatched).
-        """
-        if self.batch is not None:
-            return self.batch
-        return max(1, n_work // (n_workers * 4))
+        work = [_nested(spec, n) for spec in work]
+        # At least four dispatches per worker: chunking never costs
+        # more than ~25% tail latency to a straggler chunk while cutting
+        # IPC round-trips by the chunk size on large grids
+        # (``len(work) <= 4 * n`` stays one point per dispatch).
+        with ctx.Pool(processes=n) as pool:
+            return pool.map(_execute_timed, work,
+                            chunksize=max(1, len(work) // (4 * n)))
 
 
 def format_stragglers(records: Sequence[TraceRecord],

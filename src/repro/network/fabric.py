@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from ..metrics.counters import TrafficMeter
 from ..sim import (CPU, Channel, Event, Resource, SimulationError, Simulator,
                    Tracer, fire)
-from .message import Message
+from .message import MSG_ID_STRIDE, Message
 from .params import LINK_CLASSES, NetworkParams
 from .topology import Topology
 
@@ -137,13 +137,16 @@ class Fabric:
     """Routes messages over the multilevel cluster."""
 
     def __init__(self, sim: Simulator, topo: Topology, params: NetworkParams,
-                 meter: Optional[TrafficMeter] = None,
                  tracer: Optional[Tracer] = None):
         self.sim = sim
         self.topo = topo
         self.params = params
-        self.meter = meter if meter is not None else TrafficMeter()
+        self.meter = TrafficMeter()
         self.tracer = tracer if tracer is not None else Tracer()
+        #: Next message sequence number per source node (see
+        #: :data:`~repro.network.message.MSG_ID_STRIDE`): ids are
+        #: run-scoped, so two fabrics never share allocation state.
+        self._msg_seq: List[int] = [0] * topo.n_nodes
         #: Optional :class:`repro.scenario.apply.WanImpairments`.  When
         #: installed, every PVC stage draws one perturbation plan from
         #: it — after the source-gateway forward, in transfer order per
@@ -247,9 +250,10 @@ class Fabric:
         return msg
 
     def multicast_local(self, src: int, size: int, payload: Any = None,
-                        port: str = "default", kind: str = "msg",
-                        include_self: bool = True) -> Generator:
-        """Myrinet-style LAN multicast from ``src`` to its whole cluster.
+                        port: str = "default", kind: str = "msg"
+                        ) -> Generator:
+        """Myrinet-style LAN multicast from ``src`` to its whole cluster
+        (the sender's own node included).
 
         Caller pays sender overhead; returns an event firing when *all*
         receivers have the message.
@@ -257,21 +261,7 @@ class Fabric:
         cluster = self.topo.cluster_of(src)
         yield self.nodes[src].cpu.execute_ev(
             self._multicast_cost(cluster, size))
-        return self._multicast(src, cluster, size, payload, port, kind,
-                               include_self)
-
-    def gateway_multicast(self, src: int, dst_cluster: int, size: int,
-                          payload: Any = None, port: str = "default",
-                          kind: str = "msg") -> Generator:
-        """Send over the WAN to ``dst_cluster``'s gateway, which re-multicasts
-        to every node of that cluster: a fan-out to one remote cluster."""
-        src_cluster = self.topo.cluster_of(src)
-        if src_cluster == dst_cluster:
-            raise ValueError("gateway_multicast targets a *remote* cluster")
-        yield self.nodes[src].cpu.execute_ev(self._access_send_cost(size))
-        return self._wan_fanout(src, src_cluster, [dst_cluster], size,
-                                payload, port, kind, "flat",
-                                self._p2p_streams(size), join=4)
+        return self._multicast(src, cluster, size, payload, port, kind)
 
     def wan_fanout_multicast(self, src: int, size: int, payload: Any = None,
                              port: str = "default", kind: str = "msg",
@@ -332,7 +322,6 @@ class Fabric:
 
     def multicast_local_chain(self, src: int, size: int, payload: Any = None,
                               port: str = "default", kind: str = "msg",
-                              include_self: bool = True,
                               then: Optional[Callable[[Event], None]] = None
                               ) -> None:
         """:meth:`multicast_local` as a callback chain (see
@@ -341,8 +330,8 @@ class Fabric:
         cluster = self.topo.cluster_of(src)
         self._charge_then(
             src, self._multicast_cost(cluster, size),
-            lambda: self._multicast(src, cluster, size, payload, port, kind,
-                                    include_self), then)
+            lambda: self._multicast(src, cluster, size, payload, port, kind),
+            then)
 
     def wan_fanout_multicast_chain(self, src: int, size: int,
                                    payload: Any = None,
@@ -375,7 +364,8 @@ class Fabric:
         ``route(msg, wait=False)`` launches the delivery legs and
         returns the delivery event."""
         msg = Message(src=src, dst=dst, size=size, payload=payload,
-                      port=port, kind=kind, send_time=self.sim.now)
+                      port=port, kind=kind, msg_id=self._next_msg_id(src),
+                      send_time=self.sim.now)
         if src == dst:
             scope, route = "self", self._route_self
         elif self.topo.same_cluster(src, dst):
@@ -389,6 +379,12 @@ class Fabric:
         link = self.params.access if scope == "wan" \
             else self._cluster_lan[self.nodes[src].cluster]
         return msg, route, link.o_send + size * link.per_byte_cpu
+
+    def _next_msg_id(self, src: int) -> int:
+        """The next message id for source node ``src``."""
+        seq = self._msg_seq[src]
+        self._msg_seq[src] = seq + 1
+        return src * MSG_ID_STRIDE + seq
 
     def _multicast_cost(self, cluster: int, size: int) -> float:
         lan = self._cluster_lan[cluster]
@@ -811,13 +807,12 @@ class Fabric:
         self.sim.after(lan.latency, after_lat)
 
     def _multicast(self, src: int, cluster: int, size: int, payload: Any,
-                   port: str, kind: str, include_self: bool) -> Event:
+                   port: str, kind: str) -> Event:
         lan = self._cluster_lan[cluster]
         tx = size / lan.bandwidth
         sim = self.sim
         done = Event(sim)
-        dsts = [d for d in self.topo.nodes_in(cluster)
-                if include_self or d != src]
+        dsts = self.topo.nodes_in(cluster)
         pending = [1 + len(dsts)]
         n = len(dsts)
 
@@ -831,7 +826,8 @@ class Fabric:
                         size).callbacks.append(leg_done)
         for dst in dsts:
             msg = Message(src=src, dst=dst, size=size, payload=payload,
-                          port=port, kind=kind, send_time=sim.now)
+                          port=port, kind=kind,
+                          msg_id=self._next_msg_id(src), send_time=sim.now)
             self._multicast_recv(msg, tx, leg_done)
         return done
 
@@ -859,7 +855,8 @@ class Fabric:
 
             now = self.sim.now
             msgs = [Message(src=src, dst=dst, size=size, payload=payload,
-                            port=port, kind=kind, send_time=now)
+                            port=port, kind=kind,
+                            msg_id=self._next_msg_id(src), send_time=now)
                     for dst in dsts]
 
             def receive() -> None:
@@ -872,14 +869,13 @@ class Fabric:
 
     def _wan_fanout(self, src: int, src_cluster: int, remote: List[int],
                     size: int, payload: Any, port: str, kind: str,
-                    shape: str, streams: int, join: int = 5) -> Event:
+                    shape: str, streams: int) -> Event:
         """One access-link trip, then WAN legs over the ``shape`` tree;
         every remote gateway re-multicasts as its leg arrives.  The
         returned event fires with the delivery count once every remote
-        cluster has the payload — ``join`` dispatches after the last
+        cluster has the payload — five dispatches after the last
         delivery (receivers, multicast, leg, the join over the legs,
-        the fan-out itself; a single-leg caller has no join over legs).
-        ``later`` — see :meth:`_depth`."""
+        the fan-out itself).  ``later`` — see :meth:`_depth`."""
         done = Event(self.sim)
         total = [0, len(remote)]
         later = self._depth(shape, streams)
@@ -888,7 +884,7 @@ class Fabric:
             total[0] += n
             total[1] -= 1
             if not total[1]:
-                later(join, lambda: done.succeed(total[0]))
+                later(5, lambda: done.succeed(total[0]))
 
         def mcast(to: int) -> None:
             self._remote_gw_multicast(src, to, size, payload, port, kind,

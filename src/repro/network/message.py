@@ -2,39 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any
 
-__all__ = ["Message", "reset_ids", "alloc_msg_id", "MSG_ID_STRIDE"]
+__all__ = ["Message", "MSG_ID_STRIDE"]
 
-#: Message ids are allocated *per source node*: ``src * STRIDE + seq``.
-#: Ids stay unique and deterministic like the old global counter, but
-#: they no longer depend on how sends from *different* nodes interleave
-#: — which is exactly what a partitioned (PDES) run cannot reproduce.
-#: Each partition allocates the same per-site sequences the
-#: single-process oracle does, so merged traces join on identical ids.
+#: Message ids are allocated *per source node*: ``src * STRIDE + seq``,
+#: from a table the :class:`~repro.network.fabric.Fabric` owns — ids are
+#: run-scoped, so every stack starts each site at sequence 0 no matter
+#: what else ran (or is still alive) in the process.  They do not depend
+#: on how sends from *different* nodes interleave either — which is
+#: exactly what a partitioned (PDES) run cannot reproduce: each
+#: partition allocates the same per-site sequences the single-process
+#: oracle does, so merged traces join on identical ids.  Ids only label
+#: trace records and join causal chains within one run.
 MSG_ID_STRIDE = 1_000_000
-
-_site_seq: Dict[int, int] = {}
-
-
-def alloc_msg_id(src: int) -> int:
-    """Next message id for source node ``src`` (deterministic per site)."""
-    seq = _site_seq.get(src, 0)
-    _site_seq[src] = seq + 1
-    return src * MSG_ID_STRIDE + seq
-
-
-def reset_ids() -> None:
-    """Restart message-id allocation (every site back to sequence 0).
-
-    Called by the experiment runner at the start of every run so trace
-    records carry run-local ids: a traced run produces the same records
-    no matter how many runs preceded it in the process (or which pool
-    worker it landed on).  Ids only label trace records and join causal
-    chains within one run — nothing matches them across runs.
-    """
-    _site_seq.clear()
 
 
 @dataclass
@@ -60,5 +42,3 @@ class Message:
     def __post_init__(self):
         if self.size < 0:
             raise ValueError(f"negative message size: {self.size}")
-        if self.msg_id < 0:
-            self.msg_id = alloc_msg_id(self.src)

@@ -27,32 +27,18 @@ from .broadcast import BcastPayload, TotalOrderBroadcast
 from .objects import Blocked, ObjectSpec, Operation, Replica
 from .sequencer import SequencerProtocol, make_sequencer
 
-__all__ = ["OrcaRuntime", "Context", "reset_req_ids"]
+__all__ = ["OrcaRuntime", "Context"]
 
 RPC_PORT = "orca.rpc"
 #: CPU cost of evaluating a guard that fails.
 GUARD_EVAL_COST = 1e-6
 
-#: Request ids are per *caller node* (``caller * STRIDE + seq``), like
-#: message ids — deterministic per site, so a partitioned (PDES) run
-#: allocates exactly the ids the single-process oracle does.
+#: Request ids are per *caller node* (``caller * STRIDE + seq``) from a
+#: table the runtime owns, like the fabric's message ids — run-scoped
+#: and deterministic per site, so a partitioned (PDES) run allocates
+#: exactly the ids the single-process oracle does.  They only pair an
+#: RPC with its reply port within one run.
 REQ_ID_STRIDE = 1_000_000
-
-_req_site_seq: Dict[int, int] = {}
-
-
-def _alloc_req_id(caller: int) -> int:
-    seq = _req_site_seq.get(caller, 0)
-    _req_site_seq[caller] = seq + 1
-    return caller * REQ_ID_STRIDE + seq
-
-
-def reset_req_ids() -> None:
-    """Restart RPC request-id allocation (see
-    :func:`repro.network.message.reset_ids` — same run-local-trace
-    rationale; request ids only pair an RPC with its reply port within
-    one run)."""
-    _req_site_seq.clear()
 
 
 @dataclass
@@ -99,6 +85,8 @@ class OrcaRuntime:
         # Replicated objects: one replica per node.  Non-replicated: the
         # owner's replica only, at [owner].
         self._replicas: Dict[str, Dict[int, Replica]] = {}
+        #: Next RPC request sequence number per caller node.
+        self._req_seq: List[int] = [0] * self.topo.n_nodes
         for node in fabric.nodes:
             self._arm_rpc(node.nid)
 
@@ -252,7 +240,9 @@ class OrcaRuntime:
 
     def _invoke_rpc(self, caller: int, spec: ObjectSpec, op: Operation,
                     op_name: str, args: tuple) -> Generator:
-        req_id = _alloc_req_id(caller)
+        seq = self._req_seq[caller]
+        self._req_seq[caller] = seq + 1
+        req_id = caller * REQ_ID_STRIDE + seq
         req = _RpcRequest(
             req_id=req_id, obj_name=spec.name, op_name=op_name, args=args,
             caller=caller, result_port=f"orca.rpcret.{req_id}",
@@ -267,7 +257,11 @@ class OrcaRuntime:
                     size=req.req_size, inter=inter)
         yield from self.fabric.send(caller, spec.owner, req.req_size,
                                     payload=req, port=RPC_PORT, kind="rpc")
-        msg = yield self.fabric.nodes[caller].port(req.result_port).get()
+        node = self.fabric.nodes[caller]
+        msg = yield node.port(req.result_port).get()
+        # The reply port is named after this one request: nothing will
+        # ever address it again, so it does not outlive the reply.
+        del node._ports[req.result_port]
         result, result_size = msg.payload
         self.meter.record("rpc", req.req_size + result_size,
                           intercluster=inter)
@@ -405,11 +399,11 @@ class Context:
     #: message handling preempts user code on a real node.
     COMPUTE_QUANTUM = 1e-3
 
-    def compute(self, seconds: float, quantum: Optional[float] = None) -> Generator:
+    def compute(self, seconds: float) -> Generator:
         """Charge application compute to this node's CPU, in quanta."""
         if seconds < 0:
             raise ValueError(f"negative compute time: {seconds}")
-        q = quantum if quantum is not None else self.COMPUTE_QUANTUM
+        q = self.COMPUTE_QUANTUM
         fabric = self.rts.fabric
         cpu = fabric.nodes[self.node].cpu
         # Heterogeneity/faults: per-quantum speed lookup, so a slow_node

@@ -9,7 +9,6 @@ from .engine import (
     SimulationError,
     Simulator,
     Timeout,
-    chain,
     fire,
 )
 from .primitives import CPU, Barrier, Channel, Resource
@@ -25,7 +24,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
-    "chain",
     "fire",
     "CPU",
     "Barrier",

@@ -1718,24 +1718,6 @@ Sim_stats(SimObject *self, PyObject *noargs)
 }
 
 static PyObject *
-Sim_step(SimObject *self, PyObject *noargs)
-{
-    if (self->hlen == 0) {
-        PyErr_SetString(PyExc_IndexError, "step from an empty schedule");
-        return NULL;
-    }
-    double when;
-    int kind;
-    PyObject *item = heap_pop(self, &when, &kind);
-    self->now = when;
-    int st = dispatch_item(self, item, kind);
-    Py_DECREF(item);
-    if (st < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 Sim_run(SimObject *self, PyObject *args, PyObject *kwds)
 {
     PyObject *untilobj = Py_None;
@@ -1874,8 +1856,6 @@ static PyMethodDef Sim_methods[] = {
      "True when nothing further is scheduled at the current instant."},
     {"stats", (PyCFunction)Sim_stats, METH_NOARGS,
      "Dispatch and fast-path counters."},
-    {"step", (PyCFunction)Sim_step, METH_NOARGS,
-     "Process the next scheduled event (advances the clock)."},
     {"run", (PyCFunction)(void (*)(void))Sim_run,
      METH_VARARGS | METH_KEYWORDS,
      "Run until the heap is empty or virtual time passes `until`."},
@@ -1931,30 +1911,6 @@ mod_fire(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-mod_chain(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "chain() takes exactly 2 arguments");
-        return NULL;
-    }
-    if (!PyObject_TypeCheck(args[0], &EventType)) {
-        PyErr_SetString(PyExc_TypeError, "chain() expects an Event");
-        return NULL;
-    }
-    EventObject *ev = (EventObject *)args[0];
-    PyObject *cbs = ev->callbacks;
-    if (cbs == NULL) {
-        PyObject *r = PyObject_CallOneArg(args[1], (PyObject *)ev);
-        if (!r)
-            return NULL;
-        Py_DECREF(r);
-    }
-    else if (PyList_Append(cbs, args[1]) < 0)
-        return NULL;
-    return Py_NewRef((PyObject *)ev);
-}
-
-static PyObject *
 mod_set_helpers(PyObject *mod, PyObject *args, PyObject *kwds)
 {
     PyObject *pending, *simerror, *interrupt, *allof, *anyof, *spawn_obs,
@@ -1978,8 +1934,6 @@ mod_set_helpers(PyObject *mod, PyObject *args, PyObject *kwds)
 static PyMethodDef mod_methods[] = {
     {"fire", (PyCFunction)(void (*)(void))mod_fire, METH_FASTCALL,
      "Trigger an event and run its callbacks inline, bypassing the heap."},
-    {"chain", (PyCFunction)(void (*)(void))mod_chain, METH_FASTCALL,
-     "Run fn(ev) when ev fires (immediately if already processed)."},
     {"_set_helpers", (PyCFunction)(void (*)(void))mod_set_helpers,
      METH_VARARGS | METH_KEYWORDS,
      "Inject the shared sentinel, exception types, and Python helpers."},

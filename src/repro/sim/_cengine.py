@@ -27,7 +27,6 @@ Process = _ccore.Process
 Simulator = _ccore.Simulator
 Resource = _ccore.Resource
 fire = _ccore.fire
-chain = _ccore.chain
 
 AllOf, AnyOf = build_conditions(Event)
 
@@ -41,7 +40,6 @@ __all__ = [
     "Resource",
     "Interrupt",
     "SimulationError",
-    "chain",
     "fire",
     "PENDING",
 ]

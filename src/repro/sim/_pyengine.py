@@ -55,7 +55,6 @@ __all__ = [
     "Resource",
     "Interrupt",
     "SimulationError",
-    "chain",
     "fire",
     "PENDING",
 ]
@@ -425,22 +424,6 @@ class Simulator:
         }
 
     # -- main loop --------------------------------------------------------
-    def step(self) -> None:
-        """Process the next scheduled event (advances the clock)."""
-        when, _seq, item = heapq.heappop(self._heap)
-        self.now = when
-        if not isinstance(item, Event):
-            item()  # call slot
-            return
-        if item._value is PENDING:  # scheduled directly (Timeout): fire now
-            item._value = item._default
-        callbacks = item.callbacks
-        item.callbacks = None
-        if callbacks is None:
-            return
-        for cb in callbacks:
-            cb(item)
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the heap is empty or virtual time passes ``until``.
 
@@ -449,7 +432,7 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        # The dispatch loop is inlined (no per-event step() frame) with
+        # The dispatch loop is inlined (no per-event method frame) with
         # hot globals bound to locals, and drains one *instant* per
         # outer iteration: the until-horizon check and the clock store
         # happen once per instant, then the inner loop pops every entry
@@ -551,24 +534,6 @@ def fire(ev: Event, value: Any = None) -> None:
     if callbacks is not None:
         for cb in callbacks:
             cb(ev)
-
-
-def chain(ev: Event, fn: Callable[[Event], None]) -> Event:
-    """Run ``fn(ev)`` when ``ev`` fires (immediately if already processed).
-
-    The building block of callback-chained state machines: where a
-    generator would ``yield ev`` and resume, a chain appends the next
-    step as a callback — no process object, no generator frame.  An
-    event that has already fired *and* been dispatched off the heap has
-    ``callbacks is None``; its value is final, so the continuation runs
-    inline.
-    """
-    cbs = ev.callbacks
-    if cbs is None:
-        fn(ev)
-    else:
-        cbs.append(fn)
-    return ev
 
 
 class Resource:

@@ -1,7 +1,7 @@
 """Facade over the two-tier discrete-event core: selects and re-exports.
 
 The engine API (:class:`Event`, :class:`Timeout`, :class:`Process`,
-:class:`Simulator`, :class:`Resource`, :func:`chain`, :func:`fire`, …)
+:class:`Simulator`, :class:`Resource`, :func:`fire`, …)
 has two implementations of one shared *event store* contract — heap
 entries are
 compact ``(time, tiebreak, item)`` triples, same-instant entries drain
@@ -33,7 +33,7 @@ Everything downstream (``primitives``, ``network.fabric``, ``orca.*``)
 is tier-agnostic: it sees the same classes, the same exception types
 (:class:`SimulationError` and :class:`Interrupt` are defined once in
 ``_pyengine`` and shared by the compiled tier), and the same fast-path
-hooks (``fire``/``chain``/``after_call``/``idle_at_now``).
+hooks (``fire``/``after_call``/``idle_at_now``).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "Resource",
     "Interrupt",
     "SimulationError",
-    "chain",
     "fire",
     "PENDING",
     "ENGINE_TIER",
@@ -88,5 +87,4 @@ AnyOf = _impl.AnyOf
 Process = _impl.Process
 Simulator = _impl.Simulator
 Resource = _impl.Resource
-chain = _impl.chain
 fire = _impl.fire

@@ -19,9 +19,9 @@ Selection mirrors ``REPRO_ENGINE``, via ``REPRO_PDES`` or the
 * ``off`` (default, also the empty string) — single-process always;
 * ``on`` — partition when the run is eligible; warn on stderr and fall
   back to single-process when it is not;
-* ``auto`` — partition eligible runs silently, staying off inside
-  sweep-pool workers (the host is already busy; see
-  :mod:`repro.harness.jobs`).
+* ``auto`` — partition eligible runs silently.  A sweep pool resolves
+  it to ``off`` for the specs it dispatches (the host is already busy;
+  see :class:`repro.harness.sweeps.ParallelRunner`).
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ single-process engine, which remains the oracle for every feature.
 
 from __future__ import annotations
 
+import os
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "cluster_partition_map",
     "channel_capacity",
     "pdes_ineligible_reason",
+    "pdes_workers",
     "wan_lookahead",
 ]
 
@@ -100,6 +102,26 @@ def pdes_ineligible_reason(app, n_clusters: int, *, scenario=None,
     if utilization:
         return "utilization collection reads one shared fabric"
     return None
+
+
+def pdes_workers(n_partitions: int, requested: Optional[int]) -> int:
+    """Partition-pool width: how many PDES workers to actually fork.
+
+    ``requested`` (``--pdes-workers`` / ``pdes_workers=``) is honoured as
+    asked, even beyond the host's cores — tests and demos need a fixed
+    partition count on any host, and oversubscribed workers still
+    compute the identical result, just slower; ``None`` means every
+    core.  Either way the width is capped at ``n_partitions`` (more
+    workers than partitions is pure overhead).  This rule knows nothing
+    about sweep pools: a :class:`~repro.harness.sweeps.ParallelRunner`
+    that fans specs out over ``n`` workers ships each pooled spec with
+    its share of the cores already filled in as ``requested``.
+    """
+    if requested is not None and requested > 0:
+        width = requested
+    else:
+        width = os.cpu_count() or 1
+    return max(1, min(width, n_partitions))
 
 
 def wan_lookahead(network, scenario=None) -> float:

@@ -87,10 +87,6 @@ def _probe_object() -> ObjectSpec:
 
 def _stack(n_clusters: int, nodes_per_cluster: int, scenario,
            tracer: Optional[Tracer], decision=None):
-    from ..network.message import reset_ids
-    from ..orca.runtime import reset_req_ids
-    reset_ids()
-    reset_req_ids()
     sim = Simulator()
     topo = uniform_clusters(n_clusters, nodes_per_cluster)
     if scenario is not None:

@@ -41,3 +41,31 @@ def test_cli_app_run(capsys):
 def test_cli_requires_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_app_pdes_runs_through_the_runner(tmp_path, monkeypatch, capsys):
+    """``--pdes on`` takes the same path as every other run: the trace
+    flags apply, and the (uncached) run reports its PDES counters —
+    also on a second invocation, which a result cache would have
+    answered without them."""
+    import json
+
+    from repro.apps import small_params
+    from repro.sim.pdes import shutdown_pool
+
+    monkeypatch.setattr("repro.__main__.bench_params", small_params)
+    traces = tmp_path / "traces"
+    argv = ["app", "sor", "--clusters", "2", "--nodes", "2", "--pdes", "on",
+            "--pdes-workers", "2", "--trace-dir", str(traces)]
+    try:
+        assert main(argv) == 0
+        assert main(argv[:-2]) == 0
+        assert main(argv[:-2]) == 0
+    finally:
+        shutdown_pool()
+    out = capsys.readouterr().out
+    assert out.count("sor/original on 2x2") == 3
+    assert out.count("pdes: 2 partitions,") == 3
+    (path,) = traces.glob("sor-original-2x2-*.trace.json")
+    events = json.loads(path.read_text())["traceEvents"]
+    assert {"M", "X"} <= {ev["ph"] for ev in events}

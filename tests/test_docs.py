@@ -69,6 +69,46 @@ def test_no_tier_selector_reappears():
             assert "legacy path" not in text, path
 
 
+#: Options and entry points deleted once a census found no caller (or
+#: only ever one value) for them.  Ids live on the run, pool nesting
+#: travels in the spec, dispatch is ``chunksize``.
+DELETED_SURFACE = (
+    "reset_ids", "reset_req_ids", "alloc_msg_id", "_alloc_req_id",
+    "_site_seq", "ACTIVE_JOBS", "PDES_WORKERS_ENV", "REPRO_PDES_WORKERS",
+    "pdes_auto_allowed", "active_sweep_jobs", "_mark_pool_worker",
+    "_execute_timed_batch", "_execute_spec", "_batch_size", "--batch",
+    "gateway_multicast", "include_self", "baseline_elapsed",
+    "harness.jobs", "harness import jobs",
+)
+
+
+def test_no_deleted_surface_reappears():
+    """None of the deleted names comes back under ``src/`` (the frozen
+    ``_legacy`` engine aside), the tools, the benchmark scripts, the
+    docs or CI; the engine tiers export no ``chain`` and no ``step``."""
+    paths = [p for p in (REPO / "src" / "repro").rglob("*")
+             if p.suffix in (".py", ".c") and p.name != "_legacy.py"]
+    paths += (REPO / "tools").glob("*.py")
+    paths += (REPO / "benchmarks").glob("bench_*.py")
+    paths += (REPO / "docs").glob("*.md")
+    paths += (REPO / ".github" / "workflows").glob("*.yml")
+    paths.append(REPO / "README.md")
+    for path in sorted(paths):
+        text = path.read_text()
+        for name in DELETED_SURFACE:
+            assert name not in text, (path, name)
+    assert not (REPO / "src" / "repro" / "harness" / "jobs.py").exists()
+
+    import repro.sim
+    from repro.sim import _pyengine, engine
+    for mod in (repro.sim, engine, _pyengine):
+        assert "chain" not in mod.__all__ and not hasattr(mod, "chain"), mod
+    assert not hasattr(engine.Simulator, "step")
+    assert not hasattr(_pyengine.Simulator, "step")
+    ccore = (REPO / "src" / "repro" / "sim" / "_ccore.c").read_text()
+    assert '{"chain"' not in ccore and '{"step"' not in ccore
+
+
 def test_checker_flags_env_table_drift(check_docs):
     """The ``REPRO_*`` table and the literals under ``src/`` are held in
     lockstep both ways: a variable the code names needs a row, and a

@@ -195,7 +195,7 @@ def test_tiers_share_sentinels_and_exceptions():
     from repro.sim import engine
 
     names = ["Event", "Timeout", "AllOf", "AnyOf", "Process", "Simulator",
-             "Interrupt", "SimulationError", "chain", "fire", "PENDING"]
+             "Interrupt", "SimulationError", "fire", "PENDING"]
     for _, mod in TIERS:
         for n in names:
             assert hasattr(mod, n), n

@@ -105,29 +105,45 @@ def test_duplicate_specs_computed_once():
     _same_results(results[:1], results[2:])
 
 
-def test_batched_pool_matches_serial_bit_identical():
-    """Batching many points per dispatch changes IPC, never results."""
-    specs = _grid_specs()
+def _chunked_grid():
+    """17 distinct tiny points: on two workers the runner dispatches
+    them two per round-trip (``17 // (4 * 2)``), with an odd one out."""
+    specs = [RunSpec(app, variant, c, n, small_params(app))
+             for app in ("water", "tsp", "atpg")
+             for variant in ("original", "optimized")
+             for c in (1, 2) for n in (1, 2)][:17]
+    assert len({spec.key() for spec in specs}) == 17
+    return specs
+
+
+def test_batched_pool_matches_serial_bit_identical(monkeypatch):
+    """Several points per dispatch changes IPC, never results."""
+    import multiprocessing.pool as mp_pool
+
+    chunks = []
+    real_map = mp_pool.Pool.map
+
+    def spy(self, func, iterable, chunksize=None):
+        chunks.append(chunksize)
+        return real_map(self, func, iterable, chunksize)
+
+    monkeypatch.setattr(mp_pool.Pool, "map", spy)
+    specs = _chunked_grid()
     serial = ParallelRunner(jobs=1).run(specs)
-    batched = ParallelRunner(jobs=2, batch=3).run(specs)  # uneven last batch
-    _same_results(serial, batched)
-    for spec, res in zip(specs, batched):
+    chunked = ParallelRunner(jobs=2).run(specs)
+    assert chunks == [2]          # the serial runner never built a pool
+    _same_results(serial, chunked)
+    for spec, res in zip(specs, chunked):
         assert (res.app, res.variant, res.n_clusters) == \
             (spec.app, spec.variant, spec.n_clusters)
-
-
-def test_batch_size_heuristic_and_override():
-    r = ParallelRunner(jobs=4)
-    assert r._batch_size(8, 4) == 1       # small grids stay unbatched
-    assert r._batch_size(16, 4) == 1      # = 4 dispatches/worker exactly
-    assert r._batch_size(320, 4) == 20    # big grids amortize IPC
-    assert ParallelRunner(jobs=4, batch=7)._batch_size(9999, 4) == 7
-    assert ParallelRunner(jobs=4, batch=0)._batch_size(8, 4) == 1  # clamps
+    # Small grids (<= 4 dispatches per worker) stay one point each.
+    ParallelRunner(jobs=2).run(specs[:8])
+    assert chunks == [2, 1]
 
 
 def test_batched_sweep_points_still_per_point():
-    specs = _grid_specs()
-    runner = ParallelRunner(jobs=2, batch=4)
+    specs = _chunked_grid()
+    runner = ParallelRunner(jobs=2)
     runner.run(specs)
     assert len(runner.point_records) == len(specs)
     assert all(r.kind == "sweep.point" and r.detail["host_s"] > 0
@@ -335,20 +351,6 @@ def test_speedup_curve_baseline_cached_across_calls(tmp_path):
     assert r2.hits == 1
 
 
-def test_speedup_curve_accepts_precomputed_baseline():
-    from repro.apps import make_app
-
-    app = make_app("tsp")
-    params = small_params("tsp")
-    runner = ParallelRunner(jobs=1)
-    curves = speedup_curve(app, "original", params, cluster_counts=(1,),
-                           cpu_counts=(2,), baseline_elapsed=1.0,
-                           runner=runner)
-    assert runner.computed == 1  # no baseline run
-    pt = curves[1][0]
-    assert pt.speedup == 1.0 / pt.elapsed
-
-
 def test_speedup_curve_unregistered_app_falls_back_serial():
     """Custom Application subclasses outside the registry still work."""
     from repro.apps import make_app
@@ -407,15 +409,6 @@ def test_cli_jobs_and_cache_flags(tmp_path, monkeypatch, capsys):
     assert main(["cache", "clear"]) == 0
     cleared = capsys.readouterr().out
     assert "removed" in cleared
-
-
-def test_cli_batch_flag(tmp_path, monkeypatch, capsys):
-    from repro.__main__ import main
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clicache"))
-    assert main(["figure", "fig7", "--cpus", "4", "--jobs", "2",
-                 "--batch", "2", "--no-cache"]) == 0
-    assert "fig7" in capsys.readouterr().out
 
 
 def test_cli_no_cache_flag(tmp_path, monkeypatch, capsys):

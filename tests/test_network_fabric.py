@@ -141,44 +141,38 @@ def test_multicast_local_reaches_whole_cluster():
     assert sorted(got) == [(i, "bc") for i in range(4)]
 
 
-def test_multicast_exclude_self():
-    sim, fab = make_fabric(n_clusters=1, nodes_per_cluster=3)
+def test_two_live_fabrics_allocate_independent_identical_ids():
+    """Message ids live on the fabric: two stacks alive in one process
+    each start every source node at sequence 0, whatever the other one
+    has sent — point-to-point, LAN multicast and WAN fan-out alike."""
+    from repro.network.message import MSG_ID_STRIDE
 
-    def sender():
-        done = yield from fab.multicast_local(0, 10, port="mc",
-                                              include_self=False)
-        n = yield done
-        return n
+    def traffic(sim, fab):
+        ids = []
 
-    assert sim.run_process(sender()) == 2
-    assert len(fab.nodes[0].port("mc")) == 0
+        def proc():
+            for dst in (1, 5):
+                msg = yield from fab.send_and_wait(2, dst, 64, port="p")
+                ids.append(msg.msg_id)
+            yield (yield from fab.multicast_local(2, 64, port="m"))
+            yield (yield from fab.wan_fanout_multicast(2, 64, port="m"))
+            msg = yield from fab.send_and_wait(2, 1, 64, port="p")
+            ids.append(msg.msg_id)
+            for nid in range(8):
+                port = fab.nodes[nid].port("m")
+                ids.extend(port.try_get().msg_id for _ in range(len(port)))
 
+        sim.run_process(proc())
+        return ids
 
-def test_gateway_multicast_reaches_remote_cluster_only():
-    sim, fab = make_fabric(n_clusters=2, nodes_per_cluster=3)
-
-    def sender():
-        done = yield from fab.gateway_multicast(0, 1, 256, payload="x",
-                                                port="mc")
-        n = yield done
-        return n
-
-    n = sim.run_process(sender())
-    assert n == 3
-    for nid in range(3, 6):
-        assert len(fab.nodes[nid].port("mc")) == 1
-    for nid in range(0, 3):
-        assert len(fab.nodes[nid].port("mc")) == 0
-
-
-def test_gateway_multicast_same_cluster_rejected():
-    sim, fab = make_fabric()
-
-    def sender():
-        yield from fab.gateway_multicast(0, 0, 10)
-
-    with pytest.raises(ValueError):
-        sim.run_process(sender())
+    sim_a, fab_a = make_fabric()
+    sim_b, fab_b = make_fabric()       # both alive before either sends
+    ids_a = traffic(sim_a, fab_a)
+    ids_b = traffic(sim_b, fab_b)
+    assert ids_b[0] == 2 * MSG_ID_STRIDE + 0
+    assert ids_b == ids_a
+    # 3 p2p + 4 LAN copies + 4 remote copies, one sequence per source.
+    assert sorted(ids_a) == [2 * MSG_ID_STRIDE + i for i in range(11)]
 
 
 def test_wan_byte_accounting():

@@ -15,10 +15,8 @@ boundary are pinned by the ``bb/*`` cells of the golden manifest.)
 import pytest
 
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
-from repro.network.message import reset_ids
 from repro.orca import ObjectSpec, Operation, OrcaRuntime
 from repro.orca.broadcast import BB_THRESHOLD, SEQ_REQUEST_BYTES
-from repro.orca.runtime import reset_req_ids
 from repro.sim import Simulator, Tracer
 from repro.tuner import ContextModel, DecisionModel, FittedLine, crossover
 
@@ -51,8 +49,6 @@ DECISION_CASES = [
 
 
 def _run_write(size, decision=None):
-    reset_ids()
-    reset_req_ids()
     sim = Simulator()
     tracer = Tracer()
     tracer.enabled = True

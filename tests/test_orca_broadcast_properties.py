@@ -9,7 +9,7 @@ every schedule the engine produces.
 from hypothesis import given, settings, strategies as st
 
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
-from repro.network.message import Message, reset_ids
+from repro.network.message import Message
 from repro.orca import ObjectSpec, Operation, OrcaRuntime
 from repro.orca.broadcast import (BCAST_PORT, BcastPayload,
                                   TotalOrderBroadcast)
@@ -120,7 +120,6 @@ _APPLY_COST = 1e-5
 
 
 def _drive_holdback(order, delays):
-    reset_ids()
     sim = Simulator()
     fabric = Fabric(sim, uniform_clusters(1, 2), DAS_PARAMS)
     log = []

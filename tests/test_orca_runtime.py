@@ -110,6 +110,62 @@ def test_rpc_null_roundtrip_lan_about_40us():
     assert rt == pytest.approx(40e-6, rel=0.25)
 
 
+def test_rpc_reply_ports_do_not_accumulate():
+    """Each RPC waits on a uniquely named reply port; it is dropped once
+    the reply is taken, so a node's port table stays bounded however
+    many RPCs it has issued (LAN and WAN callers, racing and alone)."""
+    sim, rts = make_rts()
+    rts.register(counter_spec(owner=0))
+    counts = {1: [], 4: []}
+
+    def caller(nid):
+        ctx = rts.context(nid)
+        for _ in range(50):
+            yield from ctx.invoke("counter", "incr", 1)
+            counts[nid].append(len(rts.fabric.nodes[nid]._ports))
+
+    for nid in counts:
+        sim.spawn(caller(nid))
+    sim.run()
+    assert rts.state_of("counter")["v"] == 100
+    for nid, seen in counts.items():
+        assert max(seen) == seen[0], (nid, seen)
+        assert not any(name.startswith("orca.rpcret.")
+                       for name in rts.fabric.nodes[nid]._ports)
+
+
+def test_two_live_runtimes_allocate_independent_request_ids():
+    """Request ids live on the runtime: a second stack alive in the same
+    process starts every caller at sequence 0, so its trace is the one a
+    fresh process would have produced."""
+    from repro.sim import Tracer
+
+    def stack():
+        sim = Simulator()
+        tracer = Tracer()
+        tracer.enabled = True
+        fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS,
+                        tracer=tracer)
+        rts = OrcaRuntime(sim, fabric)
+        rts.register(counter_spec(owner=0))
+        return sim, rts, tracer
+
+    def rpcs(sim, rts, tracer):
+        def proc():
+            for _ in range(3):
+                yield from rts.context(3).invoke("counter", "incr", 1)
+
+        sim.run_process(proc())
+        return [(r.kind, tuple(sorted(r.detail.items())))
+                for r in tracer.records]
+
+    a, b = stack(), stack()            # both alive before either runs
+    recs_a, recs_b = rpcs(*a), rpcs(*b)
+    issued = [dict(d)["req_id"] for kind, d in recs_b if kind == "rpc.issue"]
+    assert issued == [3_000_000, 3_000_001, 3_000_002]
+    assert recs_b == recs_a
+
+
 # ------------------------------------------------------------ replication
 
 

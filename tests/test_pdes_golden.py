@@ -222,13 +222,36 @@ def test_pdes_single_cluster_falls_back(capsys):
     assert "cannot be partitioned" in capsys.readouterr().err
 
 
-def test_pdes_auto_declines_inside_sweep_pool(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_ACTIVE_JOBS", "8")
-    res = run_app(make_app("sor"), "original", 2, 3, small_params("sor"),
-                  pdes="auto")
-    assert "pdes_partitions" not in res.sim_stats
-    # auto is quiet — declining is policy, not an error.
-    assert capsys.readouterr().err == ""
+def test_pdes_auto_declines_inside_sweep_pool(capfd):
+    """The runner resolves ``auto`` to ``off`` in the specs it pools
+    (the host is already fanned out): eligible runs come back
+    unpartitioned, bit-identical to serial ones."""
+    from repro.harness import ParallelRunner, RunSpec
+    specs = [RunSpec("sor", variant, 2, 3, small_params("sor"))
+             for variant in ("original", "optimized")]
+    serial = ParallelRunner(jobs=1).run(specs)
+    pooled = ParallelRunner(jobs=2, pdes="auto", pdes_workers=2).run(specs)
+    for one, other in zip(serial, pooled):
+        assert "pdes_partitions" not in other.sim_stats
+        assert (one.elapsed, one.traffic) == (other.elapsed, other.traffic)
+    # auto is quiet (the workers' stderr included) — declining is
+    # policy, not an error.
+    assert capfd.readouterr().err == ""
+
+
+def test_pdes_on_inside_sweep_pool_gets_its_share_of_cores(monkeypatch,
+                                                           capfd):
+    """A forced ``on`` without a width is shipped this worker's share of
+    the host: 3 cores over 2 pool workers is one partition worker each,
+    so the runs stay single-process — loudly, as ``on`` always does."""
+    from repro.harness import ParallelRunner, RunSpec
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    specs = [RunSpec("sor", variant, 2, 3, small_params("sor"))
+             for variant in ("original", "optimized")]
+    for res in ParallelRunner(jobs=2, pdes="on").run(specs):
+        assert "pdes_partitions" not in res.sim_stats
+    assert capfd.readouterr().err.count(
+        "only one partition worker resolved") == 2
 
 
 def test_pdes_faults_ineligible(capsys):

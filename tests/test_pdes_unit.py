@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness import jobs
+from repro.apps import small_params
+from repro.harness import ParallelRunner, RunSpec
 from repro.network import DAS_PARAMS
 from repro.scenario import Impairment, Scenario
 from repro.sim import SimulationError
@@ -26,6 +27,7 @@ from repro.sim.pdes import (
     partition_clusters,
     pdes_ineligible_reason,
     pdes_mode,
+    plan,
     wan_lookahead,
 )
 
@@ -117,31 +119,69 @@ def test_ineligible_reasons():
 
 
 def test_pdes_workers_explicit_honored_and_capped(monkeypatch):
-    monkeypatch.delenv("REPRO_PDES_WORKERS", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     # Explicit requests are honored even beyond the host's core count
     # (oversubscribed workers still compute the identical result)...
-    assert jobs.pdes_workers(8, requested=6) == 6
+    assert plan.pdes_workers(8, 6) == 6
     # ...but never beyond the partition count.
-    assert jobs.pdes_workers(4, requested=64) == 4
-    assert jobs.pdes_workers(4, requested=1) == 1
+    assert plan.pdes_workers(4, 64) == 4
+    assert plan.pdes_workers(4, 1) == 1
+    # No request: every core, under the same cap.
+    assert plan.pdes_workers(16, None) == 2
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert plan.pdes_workers(16, None) == 8
+    assert plan.pdes_workers(4, None) == 4
+
+
+def _shipped(monkeypatch, runner, specs):
+    """What ``runner`` hands its pool workers: ``(pdes, pdes_workers)``
+    per spec, read inside the workers themselves."""
+    monkeypatch.setattr(RunSpec, "execute",
+                        lambda self: (self.pdes, self.pdes_workers))
+    return runner.run(specs)
 
 
 def test_pdes_workers_derived_respects_sweep_pool(monkeypatch):
-    monkeypatch.delenv("REPRO_PDES_WORKERS", raising=False)
+    """The nesting policy travels in the spec: the runner building an
+    ``n``-wide pool fills in each ``on`` spec's share of the cores, and
+    leaves an explicit width (and ``off``) exactly as asked."""
+    specs = [RunSpec("sor", variant, 4, 2, small_params("sor"))
+             for variant in ("original", "optimized")]
+    monkeypatch.delenv("REPRO_PDES", raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 8)
-    monkeypatch.delenv(jobs.ACTIVE_JOBS_ENV, raising=False)
-    assert jobs.pdes_workers(16) == 8          # all cores
-    monkeypatch.setenv(jobs.ACTIVE_JOBS_ENV, "4")
-    assert jobs.pdes_workers(16) == 2          # cores // active jobs
-    monkeypatch.setenv(jobs.ACTIVE_JOBS_ENV, "32")
-    assert jobs.pdes_workers(16) == 1          # floor of one
+    assert _shipped(monkeypatch, ParallelRunner(jobs=2, pdes="on"),
+                    specs) == [("on", 4)] * 2        # cores // pool width
+    assert _shipped(monkeypatch, ParallelRunner(jobs=2, pdes="on",
+                                                pdes_workers=3),
+                    specs) == [("on", 3)] * 2        # explicit: as asked
+    assert _shipped(monkeypatch, ParallelRunner(jobs=2, pdes="off"),
+                    specs) == [("off", None)] * 2
+    assert _shipped(monkeypatch, ParallelRunner(jobs=2),
+                    specs) == [(None, None)] * 2
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    assert _shipped(monkeypatch, ParallelRunner(jobs=2, pdes="on"),
+                    specs) == [("on", 1)] * 2        # floor of one
+    # REPRO_PDES is read in the parent, where the pool is built.
+    monkeypatch.setenv("REPRO_PDES", "auto")
+    assert _shipped(monkeypatch, ParallelRunner(jobs=2),
+                    specs) == [("off", None)] * 2
+    # A serial runner builds no pool and resolves nothing.
+    assert _shipped(monkeypatch, ParallelRunner(jobs=1, pdes="auto"),
+                    specs) == [("auto", None)] * 2
 
 
-def test_pdes_auto_allowed(monkeypatch):
-    monkeypatch.delenv(jobs.ACTIVE_JOBS_ENV, raising=False)
-    assert jobs.pdes_auto_allowed()
-    monkeypatch.setenv(jobs.ACTIVE_JOBS_ENV, "8")
-    assert not jobs.pdes_auto_allowed()
+def test_pdes_auto_partitions_outside_a_pool():
+    """Outside a sweep pool nothing declines: a serial runner lets
+    ``auto`` partition an eligible run (the pooled side of the policy is
+    ``test_pdes_auto_declines_inside_sweep_pool``)."""
+    from repro.sim.pdes import shutdown_pool
+    spec = RunSpec("sor", "original", 2, 3, small_params("sor"))
+    try:
+        res = ParallelRunner(jobs=1, pdes="auto",
+                             pdes_workers=2).run_one(spec)
+    finally:
+        shutdown_pool()
+    assert res.sim_stats["pdes_partitions"] == 2
 
 
 # ----------------------------------------------------------- cap algebra

@@ -19,7 +19,6 @@ from repro.apps import make_app, small_params
 from repro.harness.experiment import run_app
 from repro.harness.sweeps import ParallelRunner, RunSpec
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
-from repro.network.message import reset_ids
 from repro.orca.broadcast import BB_THRESHOLD
 from repro.scenario import Impairment, Scenario, install
 from repro.sim import Simulator, Tracer
@@ -148,7 +147,6 @@ def test_no_model_is_bit_identical_to_pre_tuner_fixed_strategy():
 # ------------------------------------------------- the physics to find
 
 def _timed_send(streams, scenario, size=65536):
-    reset_ids()
     sim = Simulator()
     fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS)
     install(sim, fabric, scenario)

@@ -48,10 +48,8 @@ from repro.apps import PAPER_ORDER, make_app, small_params  # noqa: E402
 from repro.apps.sor import SORParams  # noqa: E402
 from repro.harness.experiment import run_app  # noqa: E402
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters  # noqa: E402
-from repro.network.message import reset_ids  # noqa: E402
 from repro.orca import ObjectSpec, Operation, OrcaRuntime  # noqa: E402
 from repro.orca.broadcast import BB_THRESHOLD  # noqa: E402
-from repro.orca.runtime import reset_req_ids  # noqa: E402
 from repro.scenario import Impairment, Scenario, install  # noqa: E402
 from repro.sim import Simulator, Tracer  # noqa: E402
 from repro.tuner import (ContextModel, DecisionModel, FittedLine,  # noqa: E402
@@ -141,7 +139,6 @@ def _fanout_cell(scenario: Optional[Scenario], shape: str = "flat",
                  streams: int = 1, n_clusters: int = 4, repeats: int = 4,
                  size: int = 4096):
     """``repeats`` back-to-back WAN fan-outs on a bare fabric."""
-    reset_ids()
     sim = Simulator()
     tracer = Tracer()
     fabric = Fabric(sim, uniform_clusters(n_clusters, 3), DAS_PARAMS,
@@ -176,7 +173,6 @@ def _concurrent_cell(scenario: Optional[Scenario], shapes: Tuple[str, ...],
     ``repeats`` back-to-back fan-outs from t=0, source ``i`` with
     ``shapes[i % len(shapes)]``; with ``p2p`` every node also sends
     across the WAN meanwhile.  Same-instant races everywhere."""
-    reset_ids()
     sim = Simulator()
     tracer = Tracer()
     topo = uniform_clusters(n_clusters, nodes)
@@ -233,7 +229,6 @@ def _p2p_cell(scenario: Optional[Scenario], streams: int = 1,
     of a 3x2 machine sends to a node of the next cluster at the same
     instants (async and awaited sends mixed), so access links, gateways
     and PVCs all queue."""
-    reset_ids()
     sim = Simulator()
     tracer = Tracer()
     topo = uniform_clusters(3, 2)
@@ -289,8 +284,6 @@ BB_CASES = {
 def _bb_cell(case: str, side: int):
     """One replicated write from cluster 1 at the PB/BB boundary."""
     decision, threshold = BB_CASES[case]
-    reset_ids()
-    reset_req_ids()
     sim = Simulator()
     tracer = Tracer()
     tracer.enabled = True
@@ -334,8 +327,6 @@ def _seq_cell(kind: str):
     out: Dict[str, Any] = {}
     stats = dict.fromkeys(STAT_KEYS, 0)
     for dedicated in (False, True):
-        reset_ids()
-        reset_req_ids()
         sim = Simulator()
         tracer = Tracer()
         tracer.enabled = True
