@@ -15,11 +15,13 @@ effort from the same deterministic streams without simulating the logic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ...sim.rng import substream
+from ..instance import INSTANCE_MEMO, InstanceTable
 
 __all__ = ["ATPGParams", "Circuit", "build_circuit", "generate_for_gate",
            "synthetic_gate_effort", "sequential_reference"]
@@ -146,27 +148,39 @@ def generate_for_gate(circuit: Circuit, gate: int,
     return patterns, covered, tries
 
 
+@lru_cache(maxsize=INSTANCE_MEMO)
+def _gate_effort(seed: int, max_tries: int) -> InstanceTable:
+    """gate -> (patterns, covered, tries); an ``eval_cost`` sweep shares
+    one table."""
+
+    def draw(gate: int) -> Tuple[int, int, int]:
+        rng = substream(seed, f"atpg.gate.{gate}")
+        patterns = 0
+        covered = 0
+        tries = 0
+        for _stuck in (0, 1):
+            # Per-fault detection probability; some faults are hard.
+            p_detect = float(rng.beta(1.2, 2.0))
+            t = int(rng.geometric(max(p_detect, 1e-3)))
+            if t <= max_tries:
+                tries += t
+                patterns += 1
+                covered += 1
+            else:
+                tries += max_tries
+        return patterns, covered, tries
+
+    return InstanceTable(draw)
+
+
 def synthetic_gate_effort(params: ATPGParams, gate: int) -> Tuple[int, int, int]:
     """Deterministic (patterns, covered, tries) without logic simulation.
 
     The tries distribution is geometric-flavored like real random-pattern
     ATPG: easy faults detect in a try or two, hard ones exhaust the budget.
+    One pair of draws per gate per process (``apps/instance.py``).
     """
-    rng = substream(params.seed, f"atpg.gate.{gate}")
-    patterns = 0
-    covered = 0
-    tries = 0
-    for _stuck in (0, 1):
-        # Per-fault detection probability; some faults are hard.
-        p_detect = float(rng.beta(1.2, 2.0))
-        t = int(rng.geometric(max(p_detect, 1e-3)))
-        if t <= params.max_tries:
-            tries += t
-            patterns += 1
-            covered += 1
-        else:
-            tries += params.max_tries
-    return patterns, covered, tries
+    return _gate_effort(params.seed, params.max_tries)[gate]
 
 
 def sequential_reference(params: ATPGParams) -> Tuple[int, int]:

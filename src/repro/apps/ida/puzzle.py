@@ -10,11 +10,13 @@ finds *all* solutions at that bound before the bound is increased.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ...sim.rng import substream
+from ..instance import INSTANCE_MEMO, InstanceTable
 
 __all__ = ["IDAParams", "PuzzleState", "scrambled", "manhattan", "expand",
            "dfs_count", "generate_jobs", "sequential_reference",
@@ -177,11 +179,27 @@ def sequential_reference(params: IDAParams) -> Tuple[int, int, int]:
     raise RuntimeError("no solution within the bound schedule")
 
 
+@lru_cache(maxsize=INSTANCE_MEMO)
+def _job_nodes(seed: int, base_nodes: float, sigma: float,
+               growth: float) -> InstanceTable:
+    """(job, iteration) -> subtree size; a ``node_cost`` or
+    ``max_steal_attempts`` sweep shares one table."""
+    mu = np.log(base_nodes) - sigma ** 2 / 2
+
+    def draw(key: Tuple[int, int]) -> int:
+        job_index, iteration = key
+        rng = substream(seed, f"ida.job.{job_index}.{iteration}")
+        base = rng.lognormal(mu, sigma)
+        return max(1, int(base * growth ** iteration))
+
+    return InstanceTable(draw)
+
+
 def synthetic_job_nodes(params: IDAParams, job_index: int,
                         iteration: int) -> int:
     """Deterministic per-(job, iteration) subtree size for the synthetic
-    kernel: heavy-tailed across jobs, growing geometrically per iteration."""
-    rng = substream(params.seed, f"ida.job.{job_index}.{iteration}")
-    mu = np.log(params.synth_base_nodes) - params.synth_sigma ** 2 / 2
-    base = rng.lognormal(mu, params.synth_sigma)
-    return max(1, int(base * params.synth_growth ** iteration))
+    kernel: heavy-tailed across jobs, growing geometrically per iteration.
+    One draw per (job, iteration) per process (``apps/instance.py``)."""
+    return _job_nodes(params.seed, params.synth_base_nodes,
+                      params.synth_sigma,
+                      params.synth_growth)[job_index, iteration]

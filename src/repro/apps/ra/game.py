@@ -14,11 +14,13 @@ of predecessor positions — exactly RA's irregular fine-grain pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from typing import List, Tuple
 
 import numpy as np
 
 from ...sim.rng import substream
+from ..instance import INSTANCE_MEMO
 
 __all__ = ["RAParams", "GameGraph", "build_game", "sequential_reference",
            "UNDETERMINED", "WIN", "LOSS", "UPDATE_BYTES"]
@@ -69,21 +71,15 @@ class GameGraph:
         return sum(len(s) for s in self.succs)
 
 
-_GAME_CACHE: Dict[RAParams, GameGraph] = {}
-_GAME_CACHE_MAX = 4
-
-
+@lru_cache(maxsize=INSTANCE_MEMO)
 def build_game(params: RAParams) -> GameGraph:
     """Deterministic forward DAG: succ(v) in (v, v+span].
 
     The graph is a pure function of the (frozen, hashable) params and
     is never mutated by a run — values live in separate tables — so it
-    is memoized: every PDES partition worker, sweep repeat and bench
-    iteration over the same point reuses one build.
+    is memoized (``apps/instance.py``): every PDES partition worker,
+    sweep repeat and bench iteration over the same point reuses one build.
     """
-    cached = _GAME_CACHE.get(params)
-    if cached is not None:
-        return cached
     rng = substream(params.seed, "ra.game")
     n = params.n_positions
     succs: List[np.ndarray] = []
@@ -100,10 +96,7 @@ def build_game(params: RAParams) -> GameGraph:
         succs.append(s)
         for w in s:
             preds[int(w)].append(v)
-    if len(_GAME_CACHE) >= _GAME_CACHE_MAX:
-        _GAME_CACHE.clear()
-    g = _GAME_CACHE[params] = GameGraph(n, succs, preds)
-    return g
+    return GameGraph(n, succs, preds)
 
 
 def sequential_reference(params: RAParams) -> np.ndarray:

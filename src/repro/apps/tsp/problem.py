@@ -10,11 +10,13 @@ so pruning behaves identically in every configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ...sim.rng import derive_seed, substream
+from ..instance import INSTANCE_MEMO, InstanceTable
 
 __all__ = ["TSPParams", "distance_matrix", "generate_jobs", "search_job",
            "optimal_tour", "synthetic_job_nodes", "JOB_BYTES"]
@@ -166,11 +168,23 @@ def optimal_tour(dist: np.ndarray) -> Tuple[int, Tuple[int, ...]]:
     return best_len, best_tour
 
 
+@lru_cache(maxsize=INSTANCE_MEMO)
+def _job_nodes(seed: int, mean_nodes: float, sigma: float) -> InstanceTable:
+    """prefix -> subtree size; a ``node_cost`` or ``job_depth`` sweep
+    shares one table."""
+    mu = np.log(mean_nodes) - sigma ** 2 / 2
+
+    def draw(prefix: Tuple[int, ...]) -> int:
+        rng = substream(seed, f"tsp.job.{prefix}")
+        return max(1, int(rng.lognormal(mu, sigma)))
+
+    return InstanceTable(draw)
+
+
 def synthetic_job_nodes(params: TSPParams, prefix: Tuple[int, ...]) -> int:
     """Deterministic heavy-tailed subtree size for the synthetic kernel.
 
     Keyed by the job prefix so every variant/configuration sees the same
-    per-job cost."""
-    rng = substream(params.seed, f"tsp.job.{prefix}")
-    mu = np.log(params.synth_mean_nodes) - params.synth_sigma ** 2 / 2
-    return max(1, int(rng.lognormal(mu, params.synth_sigma)))
+    per-job cost — one draw per prefix per process (``apps/instance.py``)."""
+    return _job_nodes(params.seed, params.synth_mean_nodes,
+                      params.synth_sigma)[prefix]

@@ -134,7 +134,7 @@ def run_app(app: Application, variant: str, n_clusters: int,
         from ..scenario import scenario_topology
         topo = scenario_topology(scenario, topo)
 
-    from ..sim.pdes import PDES_ENV, pdes_mode, plan
+    from ..sim.pdes import forced_on_by, pdes_mode, plan
     mode = pdes_mode(pdes)
     if mode != "off":
         from ..sim.pdes import run_app_pdes
@@ -153,11 +153,9 @@ def run_app(app: Application, variant: str, n_clusters: int,
                 scenario=scenario, n_workers=width)
         if mode == "on":
             import sys
-            asked = f"{PDES_ENV}=on" if pdes is None \
-                else "pdes='on' (--pdes on)"
-            print(f"repro: warning: {asked} but {app.name}/{variant} "
-                  f"cannot be partitioned ({reason}); "
-                  f"running single-process", file=sys.stderr)
+            print(f"repro: warning: {forced_on_by(pdes)} but "
+                  f"{app.name}/{variant} cannot be partitioned "
+                  f"({reason}); running single-process", file=sys.stderr)
 
     seq_kind = sequencer if sequencer is not None else app.sequencer_for(variant)
     sim, fabric, rts = _build_stack(

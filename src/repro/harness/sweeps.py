@@ -181,26 +181,36 @@ def _execute_timed(spec: RunSpec) -> Tuple[AppResult, float]:
     return result, time.perf_counter() - t0
 
 
-def _nested(spec: RunSpec, n: int) -> RunSpec:
-    """``spec`` as one of ``n`` pool workers should run it.
+def _nested(work: List[RunSpec]) -> List[RunSpec]:
+    """``work`` as the workers of a sweep pool should run it.
 
-    A worker that starts a PDES run multiplies the pools (points x
-    partitions processes on one host), and only the runner building the
-    pool knows its width — so the policy is applied here, in the
-    parent, and travels in the picklable spec: ``auto`` declines to
-    nest (the host is already busy running other grid points), and a
-    forced ``on`` without an explicit width gets this worker's share of
-    the cores.  An explicit ``pdes_workers`` is honoured as asked.
+    A pool worker cannot start a PDES run: ``multiprocessing.Pool``
+    workers are daemonic and may not fork the partition workers, and
+    nesting would multiply the pools anyway (points x partitions
+    processes on one host).  Only the runner building the pool knows a
+    spec is about to be pooled — so the policy is applied here, in the
+    parent, and travels in the picklable spec: every PDES mode ships as
+    ``pdes="off"``.  ``auto`` declines quietly (the host is already busy
+    running other grid points); a forced ``on`` says so once per pool,
+    as ``on`` always does when it cannot be honoured.
     """
-    from ..sim.pdes import pdes_mode
+    from ..sim.pdes import forced_on_by, pdes_mode
 
-    mode = pdes_mode(spec.pdes)
-    if mode == "auto":
-        return dataclasses.replace(spec, pdes="off")
-    if mode == "on" and spec.pdes_workers is None:
-        return dataclasses.replace(
-            spec, pdes_workers=max(1, (os.cpu_count() or 1) // n))
-    return spec
+    forced = None
+    shipped = []
+    for spec in work:
+        mode = pdes_mode(spec.pdes)
+        if mode != "off":
+            if mode == "on" and forced is None:
+                forced = spec
+            spec = dataclasses.replace(spec, pdes="off")
+        shipped.append(spec)
+    if forced is not None:
+        print(f"repro: warning: {forced_on_by(forced.pdes)} but these "
+              f"{len(work)} points run in a sweep pool (pool workers "
+              f"cannot fork partition workers); running each "
+              f"single-process", file=sys.stderr)
+    return shipped
 
 
 class ResultCache:
@@ -291,9 +301,8 @@ class ParallelRunner:
     PDES worker pool across consecutive grid points of the same
     topology (see :func:`repro.sim.pdes.shutdown_pool`), so a figure
     sweep pays the fork cost once per geometry, not once per point.
-    Points dispatched to the pool do not nest blindly: the runner
-    resolves the mode and width against the pool it builds and ships
-    the answer in each spec (see :func:`_nested`).
+    Points dispatched to the pool never nest: the runner ships them
+    ``pdes="off"`` and a forced ``on`` warns once (see :func:`_nested`).
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -405,7 +414,7 @@ class ParallelRunner:
         except ValueError:  # pragma: no cover - non-POSIX
             ctx = mp.get_context("spawn")
         n = min(self.jobs, len(work))
-        work = [_nested(spec, n) for spec in work]
+        work = _nested(work)
         # At least four dispatches per worker: chunking never costs
         # more than ~25% tail latency to a straggler chunk while cutting
         # IPC round-trips by the chunk size on large grids

@@ -39,6 +39,7 @@ from .plan import (channel_capacity, cluster_partition_map,
 __all__ = [
     "PDES_ENV",
     "pdes_mode",
+    "forced_on_by",
     "EpochBreak",
     "PartitionBoundary",
     "ShmRing",
@@ -74,3 +75,9 @@ def pdes_mode(explicit=None) -> str:
             f"unknown {PDES_ENV} value {raw!r} "
             f"(expected 'off', 'on', or 'auto')")
     return mode
+
+
+def forced_on_by(explicit=None) -> str:
+    """How a forced ``on`` was asked for — what the warnings that
+    decline it name, so the user knows which knob to turn."""
+    return f"{PDES_ENV}=on" if explicit is None else "pdes='on' (--pdes on)"

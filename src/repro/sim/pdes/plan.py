@@ -114,8 +114,8 @@ def pdes_workers(n_partitions: int, requested: Optional[int]) -> int:
     core.  Either way the width is capped at ``n_partitions`` (more
     workers than partitions is pure overhead).  This rule knows nothing
     about sweep pools: a :class:`~repro.harness.sweeps.ParallelRunner`
-    that fans specs out over ``n`` workers ships each pooled spec with
-    its share of the cores already filled in as ``requested``.
+    that fans specs out over a pool ships each pooled spec ``pdes="off"``,
+    so this is only reached outside one.
     """
     if requested is not None and requested > 0:
         width = requested

@@ -1,0 +1,228 @@
+"""Instance tables (``repro.apps.instance``): per-job grain and RA's game
+graph are pure functions of the frozen params, built once per process.
+
+The references below are the per-call draws the tables replaced, kept
+here — label format, draw order and clamp — as the spec the lookups
+must equal for every seed and key.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps import make_app
+from repro.apps.atpg import ATPGParams
+from repro.apps.atpg import circuit
+from repro.apps.ida import IDAParams
+from repro.apps.ida import puzzle
+from repro.apps.instance import INSTANCE_MEMO, InstanceTable
+from repro.apps.ra import RAParams
+from repro.apps.ra import game
+from repro.apps.tsp import TSPParams
+from repro.apps.tsp import problem
+from repro.harness import run_app
+from repro.sim.rng import substream
+
+#: every memoised builder of ``repro.apps`` (ARCHITECTURE, *Process-level
+#: state*) with a maker of distinct memo keys.
+BUILDERS = {
+    "tsp": (problem._job_nodes, lambda i: (i, 2000.0, 0.6)),
+    "atpg": (circuit._gate_effort, lambda i: (i, 24)),
+    "ida": (puzzle._job_nodes, lambda i: (i, 400.0, 0.6, 5.0)),
+    "ra": (game.build_game, lambda i: (RAParams.small(40).with_(seed=i),)),
+}
+
+
+@pytest.fixture(autouse=True)
+def _empty_memos():
+    for builder, _ in BUILDERS.values():
+        builder.cache_clear()
+    yield
+    for builder, _ in BUILDERS.values():
+        builder.cache_clear()
+
+
+# ------------------------------------------ (a) lookups equal the draws
+
+seeds = st.integers(min_value=0, max_value=2 ** 63 - 1)
+
+
+def _ref_tsp(p: TSPParams, prefix) -> int:
+    rng = substream(p.seed, f"tsp.job.{prefix}")
+    mu = np.log(p.synth_mean_nodes) - p.synth_sigma ** 2 / 2
+    return max(1, int(rng.lognormal(mu, p.synth_sigma)))
+
+
+def _ref_atpg(p: ATPGParams, gate: int):
+    rng = substream(p.seed, f"atpg.gate.{gate}")
+    patterns = covered = tries = 0
+    for _stuck in (0, 1):
+        p_detect = float(rng.beta(1.2, 2.0))
+        t = int(rng.geometric(max(p_detect, 1e-3)))
+        if t <= p.max_tries:
+            tries += t
+            patterns += 1
+            covered += 1
+        else:
+            tries += p.max_tries
+    return patterns, covered, tries
+
+
+def _ref_ida(p: IDAParams, job: int, iteration: int) -> int:
+    rng = substream(p.seed, f"ida.job.{job}.{iteration}")
+    mu = np.log(p.synth_base_nodes) - p.synth_sigma ** 2 / 2
+    base = rng.lognormal(mu, p.synth_sigma)
+    return max(1, int(base * p.synth_growth ** iteration))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds,
+       prefix=st.lists(st.integers(0, 16), min_size=1, max_size=5).map(tuple))
+def test_tsp_lookup_equals_the_draw(seed, prefix):
+    p = TSPParams.paper().with_(seed=seed)
+    # One field the draw reads, one it does not, next to the original.
+    for q in (p, p.with_(synth_sigma=1.1), p.with_(node_cost=1e-3), p):
+        assert problem.synthetic_job_nodes(q, prefix) == _ref_tsp(q, prefix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, gate=st.integers(0, 4095))
+def test_atpg_lookup_equals_the_draw(seed, gate):
+    p = ATPGParams.paper().with_(seed=seed)
+    for q in (p, p.with_(max_tries=2), p.with_(eval_cost=1.0), p):
+        assert circuit.synthetic_gate_effort(q, gate) == _ref_atpg(q, gate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, job=st.integers(0, 1023), iteration=st.integers(0, 5))
+def test_ida_lookup_equals_the_draw(seed, job, iteration):
+    p = IDAParams.paper().with_(seed=seed)
+    for q in (p, p.with_(synth_growth=3.0), p.with_(synth_sigma=0.2),
+              p.with_(max_steal_attempts=2), p):
+        assert puzzle.synthetic_job_nodes(q, job, iteration) \
+            == _ref_ida(q, job, iteration)
+
+
+def test_fields_the_draw_does_not_read_share_a_table():
+    """The memo key is exactly what the draw reads: a cost or geometry
+    sweep builds one table, a distribution change builds another."""
+    for lookup, builder, params, unread, read in (
+            (lambda q: problem.synthetic_job_nodes(q, (0, 1)),
+             problem._job_nodes, TSPParams.paper(),
+             dict(node_cost=1.0, job_depth=2, n_cities=9),
+             dict(synth_mean_nodes=10.0)),
+            (lambda q: circuit.synthetic_gate_effort(q, 3),
+             circuit._gate_effort, ATPGParams.paper(),
+             dict(eval_cost=1.0, n_gates=8), dict(max_tries=1)),
+            (lambda q: puzzle.synthetic_job_nodes(q, 1, 1),
+             puzzle._job_nodes, IDAParams.paper(),
+             dict(node_cost=1.0, synth_jobs=4, max_steal_attempts=1),
+             dict(synth_base_nodes=7.0))):
+        lookup(params)
+        lookup(params.with_(**unread))
+        assert builder.cache_info().currsize == 1
+        lookup(params.with_(**read))
+        assert builder.cache_info().currsize == 2
+
+
+# --------------------------------------------------- (b) cold vs warm
+
+#: the synthetic kernels, scaled down to a fraction of a second at 2x3.
+SCALED = {
+    "tsp": TSPParams.paper().with_(n_cities=7, job_depth=2),
+    "atpg": ATPGParams.paper().with_(n_gates=48),
+    "ida": IDAParams.paper().with_(synth_jobs=18, synth_iterations=3),
+}
+#: per-job draws one cold run of each instance makes.
+DRAWS = {"tsp": 6 * 5, "atpg": 48, "ida": 18 * 3}
+
+
+def _count_job_streams(monkeypatch):
+    """Count every per-job ``Generator`` the three domains construct."""
+    made = []
+
+    def counting(seed, label):
+        if label.startswith(("tsp.job.", "atpg.gate.", "ida.job.")):
+            made.append(label)
+        return substream(seed, label)
+
+    for mod in (problem, circuit, puzzle):
+        monkeypatch.setattr(mod, "substream", counting)
+    return made
+
+
+@pytest.mark.parametrize("app", sorted(SCALED))
+def test_warm_run_equals_cold_run_and_draws_nothing(app, monkeypatch):
+    made = _count_job_streams(monkeypatch)
+
+    def both_variants():
+        return [pickle.dumps(run_app(make_app(app), variant, 2, 3,
+                                     SCALED[app]))
+                for variant in ("original", "optimized")]
+
+    cold = both_variants()
+    # One draw per job for the whole process: ``optimized`` already
+    # reuses the table ``original`` filled.
+    assert len(made) == len(set(made)) == DRAWS[app]
+    warm = both_variants()
+    assert len(made) == DRAWS[app]
+    # elapsed, answer, stats, traffic, sim_stats: byte for byte.
+    assert warm == cold
+
+
+# ------------------------------------------------------- (c) bounded
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_memo_is_bounded_and_evicts_the_oldest(name):
+    builder, key = BUILDERS[name]
+    assert builder.cache_info().maxsize == INSTANCE_MEMO
+    held = [builder(*key(i)) for i in range(INSTANCE_MEMO + 1)]
+    assert builder.cache_info().currsize == INSTANCE_MEMO
+    # Instances 1..bound are still the objects built above...
+    for i in range(1, INSTANCE_MEMO + 1):
+        assert builder(*key(i)) is held[i]
+    # ...and only the oldest was dropped (rebuilt equal, not identical).
+    assert builder(*key(0)) is not held[0]
+
+
+# ------------------------------------------------- (d) RA's game graph
+
+
+def test_build_game_memoises_and_evicts_least_recently_used():
+    params = [RAParams.small(40).with_(seed=i)
+              for i in range(INSTANCE_MEMO + 1)]
+    graphs = [game.build_game(p) for p in params[:INSTANCE_MEMO]]
+    assert game.build_game(RAParams.small(40).with_(seed=0)) is graphs[0]
+    # Full.  One more instance evicts the least recently used (seed 1;
+    # seed 0 was just touched) and nothing else.
+    game.build_game(params[INSTANCE_MEMO])
+    assert game.build_game.cache_info().currsize == INSTANCE_MEMO
+    for i in (0, *range(2, INSTANCE_MEMO)):
+        assert game.build_game(params[i]) is graphs[i]
+    assert game.build_game(params[1]) is not graphs[1]
+
+
+# ------------------------------------- (e) reference and run, either order
+
+
+def test_atpg_reference_and_run_agree_whoever_fills_the_table():
+    params = SCALED["atpg"]
+    ran = run_app(make_app("atpg"), "original", 2, 3, params).answer
+    assert circuit.sequential_reference(params) == ran
+    circuit._gate_effort.cache_clear()
+    ref = circuit.sequential_reference(params)
+    assert run_app(make_app("atpg"), "optimized", 2, 3, params).answer == ref
+    assert ref == ran == tuple(
+        sum(_ref_atpg(params, g)[k] for g in range(params.n_gates))
+        for k in (0, 1))
+
+
+def test_instance_table_fills_on_miss_only():
+    calls = []
+    table = InstanceTable(lambda key: calls.append(key) or key * 2)
+    assert (table[3], table[3], table[4]) == (6, 6, 8)
+    assert calls == [3, 4] and dict(table) == {3: 6, 4: 8}

@@ -125,3 +125,43 @@ def test_checker_flags_env_table_drift(check_docs):
         {doc: text + "\n| `REPRO_NO_SUCH_KNOB` | x | y | z |\n"})
     assert stale == [f"{doc}: the Environment variables table documents "
                      f"REPRO_NO_SUCH_KNOB, which nothing under src/ names"]
+
+
+def test_checker_flags_undeclared_process_cache(check_docs, tmp_path):
+    """State that outlives a run is declared in ARCHITECTURE's
+    *Process-level state* table or does not exist: a planted memo (any
+    decorator spelling, or a module-level ``*_CACHE``) is flagged, and
+    so is a row whose builder is gone."""
+    doc = check_docs.ARCHITECTURE_DOC
+    text = (REPO / doc).read_text()
+    assert check_docs.check_process_caches({doc: text}) == []
+    pkg = tmp_path / "repro"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "sub" / "planted.py").write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "_PLANTED_CACHE: dict = {}\n"
+        "CACHE_SCHEMA = '3'\n"
+        "@lru_cache(maxsize=2)\n"
+        "def a(x): return x\n"
+        "@functools.lru_cache\n"
+        "def b(x): return x\n"
+        "class K:\n"
+        "    @cache\n"
+        "    def c(self): return 1\n")
+    flagged = [p for p in check_docs.check_process_caches({doc: text}, pkg)
+               if "has no row" in p]
+    assert flagged == [
+        f"{doc}: repro.sub.planted.{name} keeps values across runs but has "
+        f"no row in the Process-level state table"
+        for name in ("_PLANTED_CACHE", "a", "b", "c")]
+    row = "| `repro.apps.ra.game.build_game` |"
+    assert row in text
+    stale = check_docs.check_process_caches(
+        {doc: text.replace(row, "| `repro.apps.ra.game.no_such_memo` |")})
+    assert stale == [
+        f"{doc}: repro.apps.ra.game.build_game keeps values across runs but "
+        f"has no row in the Process-level state table",
+        f"{doc}: the Process-level state table documents "
+        f"repro.apps.ra.game.no_such_memo, which is not a memoised builder "
+        f"under src/repro"]

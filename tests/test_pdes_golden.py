@@ -239,19 +239,36 @@ def test_pdes_auto_declines_inside_sweep_pool(capfd):
     assert capfd.readouterr().err == ""
 
 
-def test_pdes_on_inside_sweep_pool_gets_its_share_of_cores(monkeypatch,
-                                                           capfd):
-    """A forced ``on`` without a width is shipped this worker's share of
-    the host: 3 cores over 2 pool workers is one partition worker each,
-    so the runs stay single-process — loudly, as ``on`` always does."""
+def test_pdes_on_inside_sweep_pool_runs_serial_with_one_warning(monkeypatch,
+                                                               capfd):
+    """A forced ``on`` on pooled points used to die in the daemonic pool
+    worker (``AssertionError: daemonic processes are not allowed to have
+    children``) whenever its share of the cores reached two.  The parent
+    now declines for the whole pool: one warning, complete runs,
+    bit-identical to serial ones."""
     from repro.harness import ParallelRunner, RunSpec
-    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    from repro.sim.pdes import shutdown_pool
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
     specs = [RunSpec("sor", variant, 2, 3, small_params("sor"))
              for variant in ("original", "optimized")]
-    for res in ParallelRunner(jobs=2, pdes="on").run(specs):
-        assert "pdes_partitions" not in res.sim_stats
-    assert capfd.readouterr().err.count(
-        "only one partition worker resolved") == 2
+    serial = ParallelRunner(jobs=1).run(specs)
+    capfd.readouterr()
+    for pooled in (ParallelRunner(jobs=2, pdes="on"),
+                   ParallelRunner(jobs=2, pdes="on", pdes_workers=2)):
+        for one, other in zip(serial, pooled.run(specs)):
+            assert "pdes_partitions" not in other.sim_stats
+            assert (one.elapsed, one.traffic) == (other.elapsed,
+                                                  other.traffic)
+        err = capfd.readouterr().err
+        assert err.count("repro: warning") == 1
+        assert "pool workers cannot fork partition workers" in err
+    # Outside a pool ``on`` still partitions (jobs=1, run_one).
+    try:
+        res = ParallelRunner(jobs=1, pdes="on",
+                             pdes_workers=2).run_one(specs[0])
+    finally:
+        shutdown_pool()
+    assert res.sim_stats["pdes_partitions"] == 2
 
 
 def test_pdes_faults_ineligible(capsys):

@@ -141,33 +141,42 @@ def _shipped(monkeypatch, runner, specs):
     return runner.run(specs)
 
 
-def test_pdes_workers_derived_respects_sweep_pool(monkeypatch):
-    """The nesting policy travels in the spec: the runner building an
-    ``n``-wide pool fills in each ``on`` spec's share of the cores, and
-    leaves an explicit width (and ``off``) exactly as asked."""
+def test_pdes_workers_derived_respects_sweep_pool(monkeypatch, capfd):
+    """The nesting policy travels in the spec: pool workers are daemonic
+    and cannot fork partition workers, so the runner building the pool
+    ships every PDES mode as ``off`` — whatever the cores or the asked
+    width — and a forced ``on`` says so once, naming how it was asked."""
     specs = [RunSpec("sor", variant, 4, 2, small_params("sor"))
              for variant in ("original", "optimized")]
     monkeypatch.delenv("REPRO_PDES", raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 8)
-    assert _shipped(monkeypatch, ParallelRunner(jobs=2, pdes="on"),
-                    specs) == [("on", 4)] * 2        # cores // pool width
-    assert _shipped(monkeypatch, ParallelRunner(jobs=2, pdes="on",
-                                                pdes_workers=3),
-                    specs) == [("on", 3)] * 2        # explicit: as asked
+    for runner in (ParallelRunner(jobs=2, pdes="on"),
+                   ParallelRunner(jobs=2, pdes="on", pdes_workers=3)):
+        capfd.readouterr()
+        width = runner.pdes_workers
+        assert _shipped(monkeypatch, runner, specs) == [("off", width)] * 2
+        err = capfd.readouterr().err
+        assert err.count("repro: warning: pdes='on' (--pdes on) but") == 1
+        assert "pool workers cannot fork partition workers" in err
     assert _shipped(monkeypatch, ParallelRunner(jobs=2, pdes="off"),
                     specs) == [("off", None)] * 2
     assert _shipped(monkeypatch, ParallelRunner(jobs=2),
                     specs) == [(None, None)] * 2
-    monkeypatch.setattr("os.cpu_count", lambda: 1)
-    assert _shipped(monkeypatch, ParallelRunner(jobs=2, pdes="on"),
-                    specs) == [("on", 1)] * 2        # floor of one
     # REPRO_PDES is read in the parent, where the pool is built.
     monkeypatch.setenv("REPRO_PDES", "auto")
     assert _shipped(monkeypatch, ParallelRunner(jobs=2),
                     specs) == [("off", None)] * 2
+    assert capfd.readouterr().err == ""             # auto declines quietly
+    monkeypatch.setenv("REPRO_PDES", "on")
+    assert _shipped(monkeypatch, ParallelRunner(jobs=2),
+                    specs) == [("off", None)] * 2
+    assert capfd.readouterr().err.count(
+        "repro: warning: REPRO_PDES=on but") == 1
     # A serial runner builds no pool and resolves nothing.
-    assert _shipped(monkeypatch, ParallelRunner(jobs=1, pdes="auto"),
-                    specs) == [("auto", None)] * 2
+    monkeypatch.delenv("REPRO_PDES")
+    assert _shipped(monkeypatch, ParallelRunner(jobs=1, pdes="on"),
+                    specs) == [("on", None)] * 2
+    assert capfd.readouterr().err == ""
 
 
 def test_pdes_auto_partitions_outside_a_pool():

@@ -21,6 +21,12 @@ Two classes of check over the repo's markdown:
    table of ``docs/ARCHITECTURE.md`` and the ``REPRO_*`` literals under
    ``src/`` must agree the same two ways: every variable the code
    names has a row, and every row names a variable the code reads.
+6. **Process-level state lockstep** — the *Process-level state* table
+   of ``docs/ARCHITECTURE.md`` and the memoised builders under
+   ``src/repro`` (every ``functools.lru_cache`` / ``functools.cache``
+   decorator, every module-level ``*_CACHE`` name) must agree the same
+   two ways: state that outlives a run is declared, with its key and
+   its bound, or it does not exist.
 
 Usage::
 
@@ -33,6 +39,7 @@ so module paths like ``repro.sim.engine`` never false-positive.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -63,6 +70,10 @@ ARCHITECTURE_DOC = "docs/ARCHITECTURE.md"
 
 _ENV_NAME = re.compile(r"\bREPRO_[A-Z]+(?:_[A-Z]+)*\b")
 _ENV_ROW = re.compile(r"^\| `(REPRO_[A-Z_]+)` \|", re.M)
+
+#: The package whose process-level state the table declares.
+PACKAGE = ROOT / "src" / "repro"
+_CACHE_ROW = re.compile(r"^\| `(repro\.[A-Za-z_][\w.]*)` \|", re.M)
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _KIND_PREFIXES = sorted({name.split(".", 1)[0] for name in KINDS})
@@ -180,6 +191,51 @@ def check_env_vars(texts: dict) -> list:
     return problems
 
 
+def _memoised(package: Path) -> set:
+    """Dotted names of everything under ``package`` that keeps values
+    across runs: ``lru_cache``/``cache``-decorated functions and
+    module-level ``*_CACHE`` names."""
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(
+            path.relative_to(package.parent).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    name = dec.attr if isinstance(dec, ast.Attribute) \
+                        else getattr(dec, "id", None)
+                    if name in ("lru_cache", "cache"):
+                        found.add(f"{module}.{node.name}")
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) \
+                        and target.id.endswith("_CACHE"):
+                    found.add(f"{module}.{target.id}")
+    return found
+
+
+def check_process_caches(texts: dict, package: Path = PACKAGE) -> list:
+    """Both directions of the docs <-> memoised-builder lockstep."""
+    text = texts.get(ARCHITECTURE_DOC)
+    if text is None:
+        return [f"{ARCHITECTURE_DOC}: missing"]
+    documented = set(_CACHE_ROW.findall(text))
+    present = _memoised(package)
+    problems = [
+        f"{ARCHITECTURE_DOC}: {name} keeps values across runs but has no "
+        f"row in the Process-level state table"
+        for name in sorted(present - documented)]
+    problems += [
+        f"{ARCHITECTURE_DOC}: the Process-level state table documents "
+        f"{name}, which is not a memoised builder under src/repro"
+        for name in sorted(documented - present)]
+    return problems
+
+
 def main() -> int:
     texts = {}
     problems = []
@@ -193,6 +249,7 @@ def main() -> int:
     problems += check_scenario_models(texts)
     problems += check_tuner_primitives(texts)
     problems += check_env_vars(texts)
+    problems += check_process_caches(texts)
     if problems:
         for problem in problems:
             print(problem)
