@@ -11,11 +11,14 @@ count the performance model charges.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ...sim.rng import substream
+from ..instance import INSTANCE_MEMO
 
 __all__ = ["ACPParams", "Network", "build_network", "revise",
            "sequential_reference", "popcount"]
@@ -30,7 +33,9 @@ class ACPParams:
     seed: int = 23
     #: seconds per support check (scan of the support bitset on the PPro).
     check_cost: float = 4.0e-6
-    kernel: str = "real"  # bitmask revision is cheap enough at paper scale
+    #: never read: bitmask revision is cheap enough at paper scale that
+    #: ACP has no synthetic mode; kept because ``repr(params)`` is hashed.
+    kernel: str = "real"
 
     @staticmethod
     def paper() -> "ACPParams":
@@ -49,43 +54,61 @@ class ACPParams:
         return (1 << self.domain_size) - 1
 
 
-@dataclass
+#: ``(y, supports)``: the values of y compatible with each value of x.
+Arc = Tuple[int, Tuple[int, ...]]
+
+
+@dataclass(frozen=True)
 class Network:
     """Constraint network with per-arc support masks.
 
     ``arcs[x]`` lists ``(y, supports)`` pairs constraining variable x;
     ``supports[a]`` is the bitmask of y-values compatible with x=a, so
     value a of x survives while ``supports[a] & dom(y) != 0``.
+
+    One instance serves every run of its problem in the process
+    (:func:`build_network` is memoised), so all of it is immutable.
     """
 
     n_vars: int
     domain_size: int
-    arcs: Dict[int, List[Tuple[int, List[int]]]]
+    arcs: Mapping[int, Tuple[Arc, ...]]
     #: some variables start with restricted domains (the propagation seeds).
-    initial_domains: List[int]
+    initial_domains: Tuple[int, ...]
 
-    def arcs_of(self, x: int) -> List[Tuple[int, List[int]]]:
-        return self.arcs.get(x, [])
+    def arcs_of(self, x: int) -> Tuple[Arc, ...]:
+        return self.arcs.get(x, ())
 
 
 def build_network(params: ACPParams) -> Network:
-    rng = substream(params.seed, "acp.network")
-    n, d = params.n_vars, params.domain_size
-    arcs: Dict[int, List[Tuple[int, List[int]]]] = {}
-    for _ in range(params.n_constraints):
+    """The instance ``params`` names, built once per process
+    (``apps/instance.py``): the six bars of a figure, the points of a
+    speedup curve and ``sequential_reference`` share one build."""
+    return _network(params.seed, params.n_vars, params.domain_size,
+                    params.n_constraints, params.tightness)
+
+
+def _row_masks(allowed: np.ndarray) -> Tuple[int, ...]:
+    """Each row of a boolean matrix as the int whose bit b is column b."""
+    packed = np.packbits(allowed, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+@lru_cache(maxsize=INSTANCE_MEMO)
+def _network(seed: int, n: int, d: int, n_constraints: int,
+             tightness: float) -> Network:
+    rng = substream(seed, "acp.network")
+    arcs: Dict[int, List[Arc]] = {}
+    for _ in range(n_constraints):
         x = int(rng.integers(0, n))
         y = int(rng.integers(0, n))
         if x == y:
             continue
-        allowed = rng.random((d, d)) >= params.tightness
+        allowed = rng.random((d, d)) >= tightness
         # Support masks in both directions (a constraint yields two arcs).
-        sup_xy = [int(sum(1 << b for b in range(d) if allowed[a, b]))
-                  for a in range(d)]
-        sup_yx = [int(sum(1 << a for a in range(d) if allowed[a, b]))
-                  for b in range(d)]
-        arcs.setdefault(x, []).append((y, sup_xy))
-        arcs.setdefault(y, []).append((x, sup_yx))
-    domains = [params.full_domain] * n
+        arcs.setdefault(x, []).append((y, _row_masks(allowed)))
+        arcs.setdefault(y, []).append((x, _row_masks(allowed.T)))
+    domains = [(1 << d) - 1] * n
     # Seed the propagation: clamp a few variables to small domains.
     n_seeds = max(1, n // 20)
     for _ in range(n_seeds):
@@ -95,14 +118,17 @@ def build_network(params: ACPParams) -> Network:
         while popcount(mask) < keep:
             mask |= 1 << int(rng.integers(0, d))
         domains[v] = mask
-    return Network(n, d, arcs, domains)
+    return Network(n, d,
+                   MappingProxyType({x: tuple(a) for x, a in arcs.items()}),
+                   tuple(domains))
 
 
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def revise(dom_x: int, dom_y: int, supports: List[int]) -> Tuple[int, int]:
+def revise(dom_x: int, dom_y: int,
+           supports: Sequence[int]) -> Tuple[int, int]:
     """Prune values of x without support in dom(y).
 
     Returns ``(new_dom_x, checks)`` where checks counts the support tests

@@ -3,8 +3,9 @@
 The paper keeps every application's input identical across 1, 2 and 4
 clusters, so per-job work is a property of the *problem*, not of the
 run.  The host side holds it the same way: everything that is a pure
-function of an app's frozen params — RA's game graph, the synthetic
-kernels' per-job grain — is obtained from a builder memoised with
+function of an app's frozen params — RA's game graph, ACP's constraint
+network, the synthetic kernels' per-job grain — is obtained from a
+builder memoised with
 ``functools.lru_cache(maxsize=INSTANCE_MEMO)``, so the 13 machine
 configurations of a speedup curve (or the two variants of one figure
 bar) that run one instance in one process derive it once.

@@ -12,8 +12,12 @@ A row block lives in one *padded* ``(rows + 2) x n_cols`` buffer
 (:func:`padded_block`): ``padded[1:-1]`` is the block and rows ``0`` and
 ``-1`` are its ghost rows - the neighbours' border rows, or the grid's
 fixed boundary at the two ends.  :func:`sweep_phase` is the one kernel:
-it updates the cells of one colour in place through stride-2 slices and
-only ever reads the ghost rows.
+it updates the cells of one colour in place and only ever reads the
+ghost rows.  It has one reference, :func:`sweep_phase_reference` (numpy,
+stride-2 slices), and one compiled form in the engine extension that
+rounds every float32 step the same way; ``sweep_phase`` is whichever the
+loaded engine tier provides (``repro.sim.engine``), so SOR runs its real
+kernel at every scale and needs no synthetic mode.
 
 Grid values are float32, matching the 4-byte elements implied by the
 paper's "5 ms" intercluster row-exchange cost.
@@ -26,8 +30,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ...sim import engine
+
 __all__ = ["SORParams", "padded_block", "sweep_phase",
-           "sequential_reference", "ELEM_BYTES"]
+           "sweep_phase_reference", "sequential_reference", "ELEM_BYTES"]
 
 ELEM_BYTES = 4
 
@@ -45,10 +51,10 @@ class SORParams:
     elem_cost: float = 60e-9
     #: chaotic relaxation: keep 1 in N intercluster exchanges (paper: 3).
     chaotic_keep_one_in: int = 3
-    #: never read: SOR has no synthetic mode, the strided sweep runs the
-    #: real 3500 x 900 grid.  It stays because ``repr(params)`` is hashed
-    #: into the request digests of ``benchmarks/e2e/expected.json``:
-    #: dropping it would silently unpin the SOR operations there.
+    #: never read.  Decided (ROADMAP 2b): SOR has no synthetic mode
+    #: because its real kernel is compiled and cheap at paper scale.  The
+    #: field stays only because ``repr(params)`` is hashed into
+    #: ``benchmarks/e2e/expected.json``.
     kernel: str = "real"
 
     @staticmethod
@@ -83,8 +89,8 @@ def padded_block(params: SORParams, lo: int, hi: int) -> np.ndarray:
     return padded
 
 
-def sweep_phase(padded: np.ndarray, parity: int, omega: float,
-                row0: int) -> float:
+def sweep_phase_reference(padded: np.ndarray, parity: int, omega: float,
+                          row0: int) -> float:
     """One red (parity 0) or black (parity 1) half-sweep, in place.
 
     ``padded[1:-1]`` is the row block, ``padded[0]``/``padded[-1]`` its
@@ -118,6 +124,11 @@ def sweep_phase(padded: np.ndarray, parity: int, omega: float,
         maxdiff = max(maxdiff, float(nb.max()))
         x[...] = upd
     return maxdiff
+
+
+#: the kernel every caller uses.  The compiled form takes only a
+#: writable C-contiguous 2-D float32 buffer (``TypeError`` otherwise).
+sweep_phase = engine.sweep_phase or sweep_phase_reference
 
 
 def sequential_reference(params: SORParams) -> Tuple[np.ndarray, int]:

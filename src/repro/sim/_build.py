@@ -69,8 +69,10 @@ def _build() -> None:
     include = sysconfig.get_paths()["include"]
     out = _ext_path()
     tmp = out.with_name(f"{out.stem}.build{os.getpid()}{out.suffix}")
-    cmd = [cc, "-O2", "-fPIC", "-shared", f"-I{include}",
-           str(_SRC), "-o", str(tmp)]
+    # -ffp-contract=off: sweep_phase must round ``keep*x`` before adding,
+    # as numpy does; an FMA-capable target may otherwise fuse the two.
+    cmd = [cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared",
+           f"-I{include}", str(_SRC), "-o", str(tmp)]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:

@@ -17,6 +17,11 @@
  * they are injected once via _set_helpers() so isinstance checks and
  * identity tests work across the facade.
  *
+ * One function here is not engine: sweep_phase, SOR's numerical kernel.
+ * It lives in this file because the repository has one native artefact
+ * (one build, one stamp, one fallback rule), not because the simulator
+ * needs it.
+ *
  * Built on demand by _build.py with the system C compiler; see
  * engine.py for tier selection.
  */
@@ -1931,9 +1936,80 @@ mod_set_helpers(PyObject *mod, PyObject *args, PyObject *kwds)
     Py_RETURN_NONE;
 }
 
+/* SOR's red/black half-sweep (apps/sor/grid.py:sweep_phase_reference is
+ * the reference and documents the layout).  Every float32 step rounds as
+ * numpy's does there — ((up + down) + left) + right, * scale, keep * x,
+ * + nb, |upd - x| — which needs -ffp-contract=off (_build.py): a fused
+ * keep * x + nb would round once.  Like the reference's two stride-2
+ * slices, each row class keeps its own maximum and a class whose maximum
+ * is NaN contributes nothing. */
+static PyObject *
+mod_sweep_phase(PyObject *mod, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"padded", "parity", "omega", "row0", NULL};
+    PyObject *padded;
+    long long parity, row0;
+    double omega;
+    Py_buffer view;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OLdL", kwlist,
+                                     &padded, &parity, &omega, &row0))
+        return NULL;
+    int ok = PyObject_GetBuffer(padded, &view, PyBUF_WRITABLE | PyBUF_FORMAT |
+                                                   PyBUF_C_CONTIGUOUS) == 0;
+    if (ok) {
+        const char *fmt = view.format ? view.format : "B";
+        if (*fmt == '@' || *fmt == '=')
+            fmt++;
+        ok = view.ndim == 2 && view.itemsize == sizeof(float) &&
+             strcmp(fmt, "f") == 0;
+        if (!ok)
+            PyBuffer_Release(&view);
+    }
+    if (!ok) {
+        PyErr_SetString(PyExc_TypeError,
+                        "sweep_phase() needs a writable C-contiguous 2-D "
+                        "float32 buffer");
+        return NULL;
+    }
+    const Py_ssize_t m = view.shape[0] - 2, cols = view.shape[1];
+    const float scale = (float)omega * 0.25f, keep = 1.0f - (float)omega;
+    const int first = (int)((row0 & 1) + (parity & 1));
+    float cls[2] = {0.0f, 0.0f};
+    for (Py_ssize_t i = 1; i <= m; i++) {
+        float *x = (float *)view.buf + i * cols;
+        const float *up = x - cols, *down = x + cols;
+        float big = cls[(i - 1) & 1], sum = 0.0f;
+        for (Py_ssize_t j = 1 + ((first + i) & 1); j < cols - 1; j += 2) {
+            float nb = ((up[j] + down[j]) + x[j - 1]) + x[j + 1];
+            nb *= scale;
+            float upd = keep * x[j];
+            upd += nb;
+            float d = fabsf(upd - x[j]);
+            if (d > big)
+                big = d;
+            sum += d;
+            x[j] = upd;
+        }
+        /* ndarray.max() is NaN if any element is, and a sum of
+         * non-negative terms is NaN exactly then; testing d itself in
+         * the loop costs a fifth of the kernel. */
+        cls[(i - 1) & 1] = sum != sum ? sum : big;
+    }
+    PyBuffer_Release(&view);
+    float maxdiff = 0.0f;
+    for (int r = 0; r < 2; r++)
+        if (cls[r] > maxdiff)
+            maxdiff = cls[r];
+    return PyFloat_FromDouble((double)maxdiff);
+}
+
 static PyMethodDef mod_methods[] = {
     {"fire", (PyCFunction)(void (*)(void))mod_fire, METH_FASTCALL,
      "Trigger an event and run its callbacks inline, bypassing the heap."},
+    {"sweep_phase", (PyCFunction)(void (*)(void))mod_sweep_phase,
+     METH_VARARGS | METH_KEYWORDS,
+     "sweep_phase(padded, parity, omega, row0): one red/black SOR "
+     "half-sweep in place; returns the max absolute change."},
     {"_set_helpers", (PyCFunction)(void (*)(void))mod_set_helpers,
      METH_VARARGS | METH_KEYWORDS,
      "Inject the shared sentinel, exception types, and Python helpers."},

@@ -1,7 +1,8 @@
 """Compiled tier: loads ``_ccore`` and finishes its Python-side wiring.
 
 The C extension implements the hot core (event store, dispatch loop,
-generator protocol, resource occupancy state machine); this module
+generator protocol, resource occupancy state machine) and the one
+compiled application kernel (SOR's ``sweep_phase``); this module
 supplies the pieces that belong in Python — the shared exception
 types and PENDING sentinel (imported from ``_pyengine`` so
 ``isinstance`` and identity checks agree across tiers), the AllOf/AnyOf condition classes (Python subclasses of the C
@@ -27,6 +28,9 @@ Process = _ccore.Process
 Simulator = _ccore.Simulator
 Resource = _ccore.Resource
 fire = _ccore.fire
+#: bound here, not looked up by its caller, so that an extension without
+#: it fails the whole tier at import rather than loading half of one.
+sweep_phase = _ccore.sweep_phase
 
 AllOf, AnyOf = build_conditions(Event)
 
@@ -41,6 +45,7 @@ __all__ = [
     "Interrupt",
     "SimulationError",
     "fire",
+    "sweep_phase",
     "PENDING",
 ]
 

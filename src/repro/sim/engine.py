@@ -23,6 +23,11 @@ Selection happens once at import via ``REPRO_ENGINE``:
 * ``python`` — force the pure-Python tier (the reference engine for
   differential runs and for debugging with readable tracebacks).
 
+The tier also decides one application kernel: SOR's ``sweep_phase`` is
+a C function of the same extension on the compiled tier and the numpy
+reference in ``repro.apps.sor.grid`` on the python tier — one build,
+one fallback rule, no selector of its own.
+
 ``ENGINE_TIER`` names the tier that actually loaded (``"python"`` or
 ``"compiled"``).  Mixing tiers in one process is not supported: all
 callers import from this module (or :mod:`repro.sim`), so one process
@@ -54,6 +59,7 @@ __all__ = [
     "Interrupt",
     "SimulationError",
     "fire",
+    "sweep_phase",
     "PENDING",
     "ENGINE_TIER",
 ]
@@ -88,3 +94,7 @@ Process = _impl.Process
 Simulator = _impl.Simulator
 Resource = _impl.Resource
 fire = _impl.fire
+#: SOR's half-sweep (``repro.apps.sor.grid`` binds it): the C function on
+#: the compiled tier, ``None`` on the python tier, whose implementation
+#: is the numpy reference that lives with the application.
+sweep_phase = getattr(_impl, "sweep_phase", None)

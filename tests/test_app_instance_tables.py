@@ -1,11 +1,13 @@
-"""Instance tables (``repro.apps.instance``): per-job grain and RA's game
-graph are pure functions of the frozen params, built once per process.
+"""Instance tables (``repro.apps.instance``): per-job grain, RA's game
+graph and ACP's constraint network are pure functions of the frozen
+params, built once per process.
 
 The references below are the per-call draws the tables replaced, kept
 here — label format, draw order and clamp — as the spec the lookups
 must equal for every seed and key.
 """
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -14,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import make_app
+from repro.apps.acp import ACPParams
+from repro.apps.acp import csp
 from repro.apps.atpg import ATPGParams
 from repro.apps.atpg import circuit
 from repro.apps.ida import IDAParams
@@ -33,6 +37,7 @@ BUILDERS = {
     "atpg": (circuit._gate_effort, lambda i: (i, 24)),
     "ida": (puzzle._job_nodes, lambda i: (i, 400.0, 0.6, 5.0)),
     "ra": (game.build_game, lambda i: (RAParams.small(40).with_(seed=i),)),
+    "acp": (csp._network, lambda i: (i, 30, 16, 60, 0.45)),
 }
 
 
@@ -120,7 +125,10 @@ def test_fields_the_draw_does_not_read_share_a_table():
             (lambda q: puzzle.synthetic_job_nodes(q, 1, 1),
              puzzle._job_nodes, IDAParams.paper(),
              dict(node_cost=1.0, synth_jobs=4, max_steal_attempts=1),
-             dict(synth_base_nodes=7.0))):
+             dict(synth_base_nodes=7.0)),
+            (csp.build_network, csp._network, ACPParams.small(),
+             dict(check_cost=1.0, kernel="synthetic"),
+             dict(tightness=0.5))):
         lookup(params)
         lookup(params.with_(**unread))
         assert builder.cache_info().currsize == 1
@@ -206,7 +214,79 @@ def test_build_game_memoises_and_evicts_least_recently_used():
     assert game.build_game(params[1]) is not graphs[1]
 
 
-# ------------------------------------- (e) reference and run, either order
+# ------------------------------------------ (e) ACP's constraint network
+
+
+def _network_digest(net: csp.Network) -> str:
+    """sha256 over every arc, support mask and initial domain, container
+    types erased (the parent's builder made lists, this one tuples)."""
+    h = hashlib.sha256()
+    h.update(repr((net.n_vars, net.domain_size)).encode())
+    for x in sorted(net.arcs):
+        h.update(repr((x, [(y, list(s)) for y, s in net.arcs[x]])).encode())
+    h.update(repr(list(net.initial_domains)).encode())
+    return h.hexdigest()
+
+
+#: recorded with the function above from the per-bit builder (36.9 M
+#: ``allowed[a, b]`` tests at paper scale) before it was replaced.
+PARENT_NETWORKS = {
+    "small-0": (ACPParams.small().with_(seed=0),
+                "584a3aa023b8277fa84f9c3f35d0c68cd4bb5a77"
+                "3ba3cb49297d7900e3e6c081"),
+    "small-23": (ACPParams.small(),
+                 "82246b219ffd156ace857bbc8622e7471231ed64"
+                 "73d7dc0e33e1c3682d6a7e95"),
+    # Wider than a machine word: the masks are Python ints, not uint64.
+    "small-977-d70": (ACPParams.small().with_(seed=977, domain_size=70),
+                      "eafb6e0baed0ddfac748759a18dc783c113a2ad9"
+                      "37337de407bad7475af7ddb3"),
+    "paper": (ACPParams.paper(),
+              "1eb4f749a5e9228d94a9d9f384f4591a150f330a"
+              "23ee546080f9b254c1f06bbf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_NETWORKS))
+def test_network_equals_the_per_bit_builders(name):
+    params, digest = PARENT_NETWORKS[name]
+    assert _network_digest(csp.build_network(params)) == digest
+
+
+def test_build_network_memoises_and_evicts_least_recently_used():
+    params = [ACPParams.small(30, 60).with_(seed=i)
+              for i in range(INSTANCE_MEMO + 1)]
+    nets = [csp.build_network(p) for p in params[:INSTANCE_MEMO]]
+    assert csp.build_network(ACPParams.small(30, 60).with_(seed=0)) is nets[0]
+    csp.build_network(params[INSTANCE_MEMO])
+    assert csp._network.cache_info().currsize == INSTANCE_MEMO
+    for i in (0, *range(2, INSTANCE_MEMO)):
+        assert csp.build_network(params[i]) is nets[i]
+    assert csp.build_network(params[1]) is not nets[1]
+
+
+def test_network_hands_out_nothing_mutable():
+    """Every run of the instance in this process reads the same object."""
+    net = csp.build_network(ACPParams.small())
+    with pytest.raises(AttributeError):
+        net.initial_domains = ()
+    with pytest.raises(TypeError):
+        net.arcs[0] = ()
+    assert type(net.initial_domains) is tuple and net.arcs_of(-1) == ()
+    for x, arcs in net.arcs.items():
+        assert type(arcs) is tuple and arcs is net.arcs_of(x)
+        assert all(type(arc) is tuple and type(arc[1]) is tuple
+                   for arc in arcs)
+    # A run leaves it as it found it, and a second run sees the same.
+    before = _network_digest(net)
+    first = run_app(make_app("acp"), "original", 2, 2, ACPParams.small())
+    assert _network_digest(net) == before
+    again = run_app(make_app("acp"), "original", 2, 2, ACPParams.small())
+    assert pickle.dumps(again) == pickle.dumps(first)
+    assert csp.sequential_reference(ACPParams.small()) == first.answer
+
+
+# ------------------------------------- (f) reference and run, either order
 
 
 def test_atpg_reference_and_run_agree_whoever_fills_the_table():

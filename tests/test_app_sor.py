@@ -7,9 +7,30 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.sor import SORApp, SORParams
 from repro.apps.sor import grid as gridmod
 from repro.harness import run_app
+from repro.sim import engine
+from repro.sim._build import compiler_available
+
+#: both implementations of ``sweep_phase`` by name, whichever of them the
+#: loaded engine tier bound: a host with a compiler never *runs* the
+#: numpy reference otherwise, and ``REPRO_ENGINE=python`` never the C one.
+KERNELS = {"reference": gridmod.sweep_phase_reference}
+if compiler_available():
+    from repro.sim import _cengine
+
+    KERNELS["compiled"] = _cengine.sweep_phase
+
+needs_cc = pytest.mark.skipif("compiled" not in KERNELS,
+                              reason="no C compiler: no compiled kernel")
 
 
 # ----------------------------------------------------------------- domain
+
+
+def test_sweep_phase_is_the_loaded_tiers_kernel():
+    compiled = engine.ENGINE_TIER == "compiled"
+    assert engine.sweep_phase is (KERNELS["compiled"] if compiled else None)
+    assert gridmod.sweep_phase is KERNELS["compiled" if compiled
+                                          else "reference"]
 
 
 def spec_sweep(padded, parity, omega, row0):
@@ -38,36 +59,102 @@ def test_sweep_phase_matches_per_cell_definition(rows, cols, row0, omega,
                                                  seed):
     rng = np.random.default_rng(seed)
     start = rng.random((rows + 2, cols)).astype(np.float32)
-    got, want = start.copy(), start.copy()
-    for _ in range(3):
-        for parity in (0, 1):
-            d_got = gridmod.sweep_phase(got, parity, omega, row0)
-            d_want = spec_sweep(want, parity, omega, row0)
-            assert d_got == d_want
-            np.testing.assert_array_equal(got, want)
-    # Ghost rows and the fixed first/last columns are never written.
-    np.testing.assert_array_equal(got[[0, -1]], start[[0, -1]])
-    np.testing.assert_array_equal(got[:, [0, -1]], start[:, [0, -1]])
+    for name, kernel in KERNELS.items():
+        got, want = start.copy(), start.copy()
+        for _ in range(3):
+            for parity in (0, 1):
+                d_got = kernel(got, parity, omega, row0)
+                d_want = spec_sweep(want, parity, omega, row0)
+                assert d_got == d_want, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+        # Ghost rows and the fixed first/last columns are never written.
+        np.testing.assert_array_equal(got[[0, -1]], start[[0, -1]], name)
+        np.testing.assert_array_equal(got[:, [0, -1]], start[:, [0, -1]],
+                                      name)
 
 
-@pytest.mark.parametrize("shape", [(3, 1), (3, 2), (0, 6)])
+@pytest.mark.parametrize("shape", [(3, 1), (3, 2), (0, 6), (-1, 6), (2, 0)])
 def test_sweep_without_interior_updates_nothing(shape):
     padded = np.ones((shape[0] + 2, shape[1]), dtype=np.float32)
-    padded[0] = 5.0
+    padded[:1] = 5.0
     before = padded.copy()
-    for parity in (0, 1):
-        assert gridmod.sweep_phase(padded, parity, 1.5, 0) == 0.0
-    np.testing.assert_array_equal(padded, before)
+    for name, kernel in KERNELS.items():
+        for parity in (0, 1):
+            got = kernel(padded, parity, 1.5, 0)
+            assert type(got) is float and got == 0.0, name
+        np.testing.assert_array_equal(padded, before, err_msg=name)
 
 
 def test_single_row_single_column_has_one_colour():
-    # One interior cell at global (row 2, column 1): odd, so black.
-    padded = np.zeros((3, 3), dtype=np.float32)
-    padded[0] = 1.0
-    assert gridmod.sweep_phase(padded, 0, 1.5, 2) == 0.0
-    assert padded[1, 1] == 0.0
-    assert gridmod.sweep_phase(padded, 1, 1.5, 2) == 0.375
-    assert padded[1, 1] == np.float32(0.375)
+    for name, kernel in KERNELS.items():
+        # One interior cell at global (row 2, column 1): odd, so black.
+        padded = np.zeros((3, 3), dtype=np.float32)
+        padded[0] = 1.0
+        assert kernel(padded, 0, 1.5, 2) == 0.0, name
+        assert padded[1, 1] == 0.0, name
+        assert kernel(padded, 1, 1.5, 2) == 0.375, name
+        assert padded[1, 1] == np.float32(0.375), name
+
+
+@needs_cc
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(2, 33),
+       parity=st.integers(0, 1), row0=st.integers(-2 ** 40, 2 ** 40),
+       omega=st.floats(0, 2, exclude_min=True, exclude_max=True),
+       wild=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_compiled_kernel_equals_reference_bit_for_bit(rows, cols, parity,
+                                                      row0, omega, wild,
+                                                      seed):
+    """Buffer bytes and the returned float, not values within a
+    tolerance: ``tools/golden.py`` and ``expected.json`` hash them.
+
+    A ``wild`` share of the cells holds arbitrary float32 bit patterns —
+    denormals, both zeros, infinities, magnitudes whose neighbour sums
+    overflow and then meet as ``inf - inf`` — among ordinary values.
+    Only NaN *inputs* are left out: which operand's payload a NaN + NaN
+    keeps is numpy's vector loop's business.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (rows + 2, cols)
+    bits = rng.integers(0, 2 ** 32, size=shape, dtype=np.uint32)
+    start = np.where(rng.random(shape) < wild, bits.view(np.float32),
+                     rng.random(shape, dtype=np.float32) * 2 - 1)
+    start[np.isnan(start)] = -0.0
+    ref, got = start.copy(), start.copy()
+    with np.errstate(all="ignore"):
+        for par in (parity, 1 - parity, parity):
+            d_ref = gridmod.sweep_phase_reference(ref, par, omega, row0)
+            d_got = KERNELS["compiled"](got, par, omega, row0)
+            assert type(d_got) is float and d_got.hex() == d_ref.hex()
+            assert got.tobytes() == ref.tobytes()
+
+
+@needs_cc
+@pytest.mark.parametrize("bad", [
+    np.zeros((4, 6)),                                  # float64
+    np.zeros((4, 6), dtype=np.int32),                  # 4 bytes, not "f"
+    np.zeros((4, 6), dtype=np.float32).astype(">f4"),  # foreign byte order
+    np.zeros((4, 12), dtype=np.float32)[:, ::2],       # not contiguous
+    np.zeros((6, 4), dtype=np.float32).T,              # Fortran order
+    np.zeros(24, dtype=np.float32),                    # 1-D
+    np.zeros((2, 3, 4), dtype=np.float32),             # 3-D
+    [[0.0] * 6] * 4,                                   # no buffer at all
+], ids=["float64", "int32", "big-endian", "strided", "fortran", "1-d",
+        "3-d", "list"])
+def test_compiled_kernel_takes_only_a_float32_c_buffer(bad):
+    """A ``TypeError``, never a per-call fallback to numpy."""
+    with pytest.raises(TypeError, match="float32"):
+        KERNELS["compiled"](bad, 0, 1.5, 0)
+
+
+@needs_cc
+def test_compiled_kernel_refuses_a_read_only_buffer_untouched():
+    padded = np.random.default_rng(0).random((5, 7)).astype(np.float32)
+    before = padded.copy()
+    padded.flags.writeable = False
+    with pytest.raises(TypeError, match="writable"):
+        KERNELS["compiled"](padded, 0, 1.5, 0)
+    np.testing.assert_array_equal(padded, before)
 
 
 def test_padded_block_holds_the_boundary_rows():

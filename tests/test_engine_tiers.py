@@ -15,7 +15,7 @@ reference, ``_ccore`` runs its occupancy state machine inside the
 dispatch loop, and the request/timeout/release *process* pattern on the
 frozen engine is the oracle both are held to.
 
-Four kinds of coverage:
+Five kinds of coverage:
 
 * hypothesis properties every tier must satisfy on its own
   (same-instant FIFO tie-break; recycled kick events never resurrect
@@ -31,12 +31,18 @@ Four kinds of coverage:
 * subprocess runs of a full application under ``REPRO_ENGINE=python``
   vs ``REPRO_ENGINE=compiled`` whose trace streams must match record
   for record (tiers cannot be mixed in one process, so tier selection
-  itself is always exercised via subprocesses).
+  itself is always exercised via subprocesses);
+* host faults of the one native artefact (``_ccore``: the event core
+  *and* SOR's ``sweep_phase``), each in a private copy of the package:
+  a failing C build, a stale extension, an extension that lacks a
+  symbol — every one ends in a whole tier or a typed error.
 """
 
 import gc
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import weakref
@@ -408,12 +414,14 @@ def test_resource_event_cycle_is_collected(engine):
 # ---------------------------------------------- tier selection (subproc)
 
 
-def _subprocess(code, tier):
+_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
+def _subprocess(code, tier, src=_SRC, **extra_env):
     """Run a snippet under a forced REPRO_ENGINE tier; return the result."""
-    env = dict(os.environ)
+    env = dict(os.environ, **extra_env)
     env["REPRO_ENGINE"] = tier
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
@@ -473,3 +481,92 @@ def test_trace_streams_identical_across_tiers():
     assert a["traffic"] == b["traffic"]
     assert len(a["records"]) == len(b["records"])
     assert a["records"] == b["records"]
+
+
+# --------------------------------------- host faults of the C build
+
+# One SOR run: which tier loaded, which ``sweep_phase`` the app bound,
+# and the answer down to the grid's bytes.
+_SOR_SCRIPT = """
+import hashlib, json
+from repro.apps.sor import SORApp, SORParams, grid
+from repro.harness import run_app
+from repro.sim import engine
+
+res = run_app(SORApp(), "optimized", 2, 2, SORParams.small())
+print(json.dumps({
+    "tier": engine.ENGINE_TIER,
+    "kernel": ("reference" if grid.sweep_phase is grid.sweep_phase_reference
+               else "compiled"),
+    "answer": [res.elapsed, res.answer["iterations"],
+               hashlib.sha256(res.answer["grid"].tobytes()).hexdigest()]}))
+"""
+
+
+def _sor(tier, src=_SRC, **env):
+    out = _subprocess(_SOR_SCRIPT, tier, src, **env)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+@pytest.fixture
+def private_src(tmp_path):
+    """A copy of the package with no built extension.  ``_build`` writes
+    next to the source it compiles, so faults injected here never touch
+    the extension the rest of the suite is running on."""
+    shutil.copytree(
+        os.path.join(_SRC, "repro"), tmp_path / "repro",
+        ignore=shutil.ignore_patterns("__pycache__", "_ccore*.so",
+                                      "_ccore*.pyd", "_ccore.stamp",
+                                      "_ccore.build*"))
+    return str(tmp_path)
+
+
+def test_failed_build_under_auto_is_the_whole_python_tier(private_src):
+    want = _sor("python")
+    assert (want["tier"], want["kernel"]) == ("python", "reference")
+    # ``false`` stands in for a compiler that is installed and broken.
+    assert _sor("auto", private_src, CC="false") == want
+
+
+def test_failed_build_under_compiled_is_a_typed_error(private_src):
+    out = _subprocess(_SOR_SCRIPT, "compiled", private_src, CC="false")
+    assert out.returncode != 0
+    assert "SimulationError: REPRO_ENGINE=compiled but the compiled core " \
+        "is unavailable" in out.stderr
+
+
+@needs_cc
+def test_stale_extension_is_rebuilt_and_a_partial_one_never_loads(
+        private_src, tmp_path):
+    source = tmp_path / "repro" / "sim" / "_ccore.c"
+    current = source.read_text(encoding="utf-8")
+    # The extension as a checkout from before ``sweep_phase`` built it.
+    older = re.sub(r' *\{"sweep_phase",.*?\},\n', "", current, flags=re.S)
+    assert older != current
+    source.write_text(older, encoding="utf-8")
+    out = _subprocess(
+        "from repro.sim._build import _ext_path, load_ccore\n"
+        "print(hasattr(load_ccore(), 'sweep_phase'), _ext_path())",
+        "python", private_src)
+    assert out.returncode == 0, out.stderr
+    has_symbol, ext = out.stdout.split()
+    assert has_symbol == "False"
+    with open(ext, "rb") as fh:
+        older_ext = fh.read()
+
+    # Stale: the stamp no longer matches the source, so it is rebuilt.
+    source.write_text(current, encoding="utf-8")
+    want = _sor("python")
+    got = _sor("compiled", private_src)
+    assert (got["tier"], got["kernel"]) == ("compiled", "compiled")
+    assert got["answer"] == want["answer"]
+
+    # Worse than stale: an extension without the symbol under a stamp
+    # that vouches for it.  The tier loads whole or not at all.
+    with open(ext, "wb") as fh:
+        fh.write(older_ext)
+    assert _sor("auto", private_src) == want
+    out = _subprocess(_SOR_SCRIPT, "compiled", private_src)
+    assert out.returncode != 0
+    assert "SimulationError" in out.stderr and "sweep_phase" in out.stderr
