@@ -11,9 +11,7 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_collectives_micro.py [--repeat 3]
 
-or under pytest-benchmark along with the rest of the suite.  Results
-are persisted to ``benchmarks/out/bench_collectives_micro.txt``; the
-``repro bench`` verb turns them into the committed
+The ``repro bench`` verb turns the numbers into the committed
 ``BENCH_collectives.json`` the CI perf-smoke job regresses against.
 """
 
@@ -121,14 +119,6 @@ def run_suite(repeat: int = 3):
         data[name] = {"ops_per_s": ops / best}
         lines.append(f"{name:>16} {ops / best:>12.0f}")
     return "\n".join(lines), data
-
-
-def test_collectives_micro(benchmark):
-    """pytest-benchmark entry point: one pass over every workload."""
-    from conftest import emit, run_once
-
-    text, _data = run_once(benchmark, lambda: run_suite(repeat=1))
-    emit("bench_collectives_micro", text)
 
 
 def main(argv=None) -> int:

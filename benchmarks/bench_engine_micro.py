@@ -12,9 +12,7 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine_micro.py [--repeat 3]
 
-or under pytest-benchmark along with the rest of the suite.  Results are
-persisted to ``benchmarks/out/bench_engine_micro.txt`` so EXPERIMENTS.md
-can record before/after numbers for engine optimization passes.
+(``repro bench --suite engine`` measures both engine tiers this way).
 """
 
 from __future__ import annotations
@@ -193,14 +191,6 @@ def run_suite(repeat: int = 3) -> str:
     lines.append(f"{'TOTAL':>18} {total_events:>10} {total_best:>9.3f} "
                  f"{total_events / total_best:>12.0f}")
     return "\n".join(lines)
-
-
-def test_engine_micro(benchmark):
-    """pytest-benchmark entry point: one pass over every workload."""
-    from conftest import emit, run_once
-
-    text = run_once(benchmark, lambda: run_suite(repeat=1))
-    emit("bench_engine_micro", text)
 
 
 def main(argv=None) -> int:

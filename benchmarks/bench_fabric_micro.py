@@ -11,10 +11,8 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_fabric_micro.py [--repeat 3]
 
-or under pytest-benchmark along with the rest of the suite.  Results are
-persisted to ``benchmarks/out/bench_fabric_micro.txt``;
-``repro bench --write`` turns them into the committed ``BENCH_fabric
-.json`` the CI perf-smoke job regresses against.
+``repro bench --write`` turns the numbers into the committed
+``BENCH_fabric.json`` the CI perf-smoke job regresses against.
 """
 
 from __future__ import annotations
@@ -177,14 +175,6 @@ def run_suite(repeat: int = 3):
         data[name] = {"msgs_per_s": msgs / best}
         lines.append(f"{name:>16} {msgs / best:>14.0f}")
     return "\n".join(lines), data
-
-
-def test_fabric_micro(benchmark):
-    """pytest-benchmark entry point: one pass over every workload."""
-    from conftest import emit, run_once
-
-    text, _data = run_once(benchmark, lambda: run_suite(repeat=1))
-    emit("bench_fabric_micro", text)
 
 
 def main(argv=None) -> int:

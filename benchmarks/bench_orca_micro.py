@@ -11,10 +11,8 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_orca_micro.py [--repeat 3]
 
-or under pytest-benchmark along with the rest of the suite.  Results are
-persisted to ``benchmarks/out/bench_orca_micro.txt``; ``repro bench
---write`` folds them into the committed ``BENCH_orca.json`` the CI
-perf-smoke job regresses against.
+``repro bench --write`` turns the numbers into the committed
+``BENCH_orca.json`` the CI perf-smoke job regresses against.
 """
 
 from __future__ import annotations
@@ -126,14 +124,6 @@ def run_suite(repeat: int = 3):
         data[name] = {"ops_per_s": ops / best}
         lines.append(f"{name:>12} {ops / best:>14.0f}")
     return "\n".join(lines), data
-
-
-def test_orca_micro(benchmark):
-    """pytest-benchmark entry point: one pass over every workload."""
-    from conftest import emit, run_once
-
-    text, _data = run_once(benchmark, lambda: run_suite(repeat=1))
-    emit("bench_orca_micro", text)
 
 
 def main(argv=None) -> int:

@@ -25,10 +25,8 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_pdes_micro.py [--repeat 3]
 
-or under pytest-benchmark along with the rest of the suite.  Results
-are persisted to ``benchmarks/out/bench_pdes_micro.txt``; the ``repro
-bench`` verb turns them into the committed ``BENCH_pdes.json`` the CI
-perf-smoke job regresses against.
+The ``repro bench`` verb turns the numbers into the committed
+``BENCH_pdes.json`` the CI perf-smoke job regresses against.
 """
 
 from __future__ import annotations
@@ -95,14 +93,6 @@ def run_suite(repeat: int = 3):
                      f"{1 / best_serial:>9.2f} {1 / best_pdes:>8.2f} "
                      f"{speedup:>7.2f}x")
     return "\n".join(lines), data
-
-
-def test_pdes_micro(benchmark):
-    """pytest-benchmark entry point: one pass over every workload."""
-    from conftest import emit, run_once
-
-    text, _data = run_once(benchmark, lambda: run_suite(repeat=1))
-    emit("bench_pdes_micro", text)
 
 
 def main(argv=None) -> int:

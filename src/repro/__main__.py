@@ -50,18 +50,10 @@ from .harness import (
     ResultCache,
     RunSpec,
     bench_params,
-    figure15_bars_many,
-    figure16_bars_many,
     figure_curves,
-    format_bars,
     format_curves,
-    format_table1,
-    format_table2,
-    format_traffic,
-    table1_microbenchmarks,
-    table2_row,
-    traffic_row,
 )
+from .harness.claims import EXHIBITS
 from .sim import TraceSpec
 from .tuner import DEFAULT_CLUSTERS, DEFAULT_SIZES
 
@@ -133,32 +125,24 @@ def cmd_list(_args) -> int:
     return 0
 
 
+#: ``repro table N`` -> the exhibit that prints it (4 and 5 share one).
+_TABLE_EXHIBITS = {1: "table1", 2: "table2", 4: "table4_5", 5: "table4_5"}
+#: The summary figures; Figures 1-14 take ``--cpus``/``--plot`` instead.
+_FIGURE_EXHIBITS = {"fig15": "fig15_summary", "fig16": "fig16_twocluster"}
+
+
+def _print_exhibit(name: str, runner: ParallelRunner) -> None:
+    exhibit = EXHIBITS[name]
+    print(exhibit.render(exhibit.compute(runner)))
+
+
 def cmd_table(args) -> int:
     """Regenerate one of the paper's tables."""
-    runner = _runner(args)
-    if args.number == 1:
-        print(format_table1(table1_microbenchmarks()))
-    elif args.number == 2:
-        rows = []
-        for name in PAPER_ORDER:
-            print(f"running {name}...", file=sys.stderr)
-            rows.append(table2_row(name, runner=runner))
-        print(format_table2(rows))
-    elif args.number in (4, 5):
-        before, after = [], []
-        for name in PAPER_ORDER:
-            print(f"running {name}...", file=sys.stderr)
-            before.append(traffic_row(name, "original", runner=runner))
-            after.append(traffic_row(name, "optimized", runner=runner))
-        print(format_traffic("Table 4: intercluster traffic before "
-                             "optimization (P=60, C=4)", before))
-        print()
-        print(format_traffic("Table 5: intercluster traffic after "
-                             "optimization (P=60, C=4)", after))
-    else:
+    if args.number not in _TABLE_EXHIBITS:
         print(f"no such table: {args.number} (choose 1, 2 or 4)",
               file=sys.stderr)
         return 2
+    _print_exhibit(_TABLE_EXHIBITS[args.number], _runner(args))
     return 0
 
 
@@ -166,18 +150,10 @@ def cmd_figure(args) -> int:
     """Regenerate one of the paper's figures."""
     fig = args.figure
     runner = _runner(args)
-    if fig == "fig15":
+    if fig in _FIGURE_EXHIBITS:
         print(f"running {len(PAPER_ORDER)} apps "
               f"({runner.jobs} jobs)...", file=sys.stderr)
-        bars = figure15_bars_many(PAPER_ORDER, runner=runner)
-        print(format_bars("Figure 15: four-cluster performance improvements",
-                          bars))
-    elif fig == "fig16":
-        print(f"running {len(PAPER_ORDER)} apps "
-              f"({runner.jobs} jobs)...", file=sys.stderr)
-        bars = figure16_bars_many(PAPER_ORDER, runner=runner)
-        print(format_bars("Figure 16: two-cluster performance improvements",
-                          bars))
+        _print_exhibit(_FIGURE_EXHIBITS[fig], runner)
     elif fig in SPEEDUP_FIGURES:
         curves = figure_curves(fig, cpu_counts=tuple(args.cpus),
                                runner=runner)

@@ -5,14 +5,11 @@ from .plot import ascii_speedup_plot
 from .sweeps import (ParallelRunner, ResultCache, RunSpec, default_jobs,
                      format_stragglers)
 from .figures import (
-    FULL_CPUS,
     QUICK_CPUS,
     SPEEDUP_FIGURES,
     FigureSpec,
     bench_params,
-    figure15_bars,
     figure15_bars_many,
-    figure16_bars,
     figure16_bars_many,
     figure_curves,
     format_bars,
@@ -40,13 +37,10 @@ __all__ = [
     "default_jobs",
     "figure15_bars_many",
     "figure16_bars_many",
-    "FULL_CPUS",
     "QUICK_CPUS",
     "SPEEDUP_FIGURES",
     "FigureSpec",
     "bench_params",
-    "figure15_bars",
-    "figure16_bars",
     "figure_curves",
     "format_bars",
     "format_curves",

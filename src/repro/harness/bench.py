@@ -13,7 +13,7 @@ it was written on:
 * ``BENCH_fabric.json`` — messages/s per fabric path (clean, impaired
   and striped WAN routes included)
 * ``BENCH_orca.json``   — broadcasts/RPCs/s per control-plane workload
-  (micro) plus whole-app runs/s (macro)
+  (whole-app host time is ``benchmarks/e2e``'s, at paper scale)
 * ``BENCH_collectives.json`` — collectives/s per tuner primitive (the
   shaped/striped WAN paths) plus the tuner probe loop
 * ``BENCH_pdes.json``   — per-epoch protocol overhead of the
@@ -148,20 +148,13 @@ def measure_fabric(repeat: int = 3) -> dict:
 
 
 def measure_orca(repeat: int = 3) -> dict:
-    """Orca control-plane throughput: micro (broadcasts/RPCs per second)
-    and macro (whole apps per second)."""
+    """Orca control-plane throughput: broadcasts/RPCs per second."""
     _import_benchmarks()
-    from bench_orca_macro import run_suite as run_macro
-    from bench_orca_micro import run_suite as run_micro
+    from bench_orca_micro import run_suite
 
-    results = {}
-    _text, micro = run_micro(repeat=repeat)
-    for name, entry in micro.items():
-        results[f"micro/{name}"] = {"ops_per_s": round(entry["ops_per_s"])}
-    _text, macro = run_macro(repeat=repeat)
-    for name, entry in macro.items():
-        results[f"macro/{name}"] = {"ops_per_s": round(entry["ops_per_s"], 2)}
-    return results
+    _text, data = run_suite(repeat=repeat)
+    return {f"micro/{name}": {"ops_per_s": round(entry["ops_per_s"])}
+            for name, entry in data.items()}
 
 
 def measure_collectives(repeat: int = 3) -> dict:

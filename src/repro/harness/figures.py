@@ -23,18 +23,15 @@ __all__ = [
     "SPEEDUP_FIGURES",
     "bench_params",
     "figure_curves",
-    "figure15_bars",
     "figure15_bars_many",
-    "figure16_bars",
     "figure16_bars_many",
     "format_curves",
     "format_bars",
     "QUICK_CPUS",
-    "FULL_CPUS",
 ]
 
+#: The committed exhibits' sweep; ``PAPER_CPU_COUNTS`` adds the 1-CPU point.
 QUICK_CPUS = (8, 16, 32, 60)
-FULL_CPUS = (1, 8, 16, 32, 60)
 
 
 @dataclass(frozen=True)
@@ -161,34 +158,12 @@ def _bars_many(app_names: Sequence[str], bars, network: NetworkParams,
     return out
 
 
-def figure15_bars(app_name: str,
-                  network: NetworkParams = DAS_PARAMS,
-                  runner: Optional[ParallelRunner] = None
-                  ) -> Dict[str, float]:
-    """Figure 15: four bars for one application (4-cluster study).
-
-    lower bound = original on 1x15; original/optimized on 4x15;
-    upper bound = optimized on 1x60.  Values are speedups relative to the
-    variant's own single-processor run, as in the paper.
-    """
-    return _bars_many([app_name], _FIG15_BARS, network, runner)[app_name]
-
-
 def figure15_bars_many(app_names: Sequence[str],
                        network: NetworkParams = DAS_PARAMS,
                        runner: Optional[ParallelRunner] = None
                        ) -> Dict[str, Dict[str, float]]:
     """Figure 15 bars for several apps as one parallel batch."""
     return _bars_many(app_names, _FIG15_BARS, network, runner)
-
-
-def figure16_bars(app_name: str,
-                  network: NetworkParams = DAS_PARAMS,
-                  runner: Optional[ParallelRunner] = None
-                  ) -> Dict[str, float]:
-    """Figure 16: the two-cluster (Delft + VU Amsterdam) study: original on
-    16/1, original and optimized on 32/2, optimized on 32/1."""
-    return _bars_many([app_name], _FIG16_BARS, network, runner)[app_name]
 
 
 def figure16_bars_many(app_names: Sequence[str],

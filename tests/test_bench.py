@@ -149,3 +149,18 @@ def test_committed_fabric_baseline_has_impaired_and_striped_rows():
         assert doc["engine_tier"] == "python"
         for entry in doc["results"].values():
             assert "speedup_vs_legacy" not in entry
+
+
+def test_committed_orca_baseline_is_the_micro_suite(monkeypatch):
+    """BENCH_orca.json holds exactly what ``measure_orca`` measures: one
+    ``micro/<workload>`` row per ``bench_orca_micro`` workload (whole-app
+    host time is the end-to-end benchmark's, not this file's)."""
+    bench._import_benchmarks()
+    import bench_orca_micro
+
+    monkeypatch.setattr(
+        bench_orca_micro, "run_suite",
+        lambda repeat: ("", {name: {"ops_per_s": 1.0}
+                             for name, _fn in bench_orca_micro.WORKLOADS}))
+    committed = json.loads(bench.ORCA_JSON.read_text())["results"]
+    assert set(bench.measure_orca(repeat=1)) == set(committed)

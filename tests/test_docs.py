@@ -79,6 +79,8 @@ DELETED_SURFACE = (
     "_execute_timed_batch", "_execute_spec", "_batch_size", "--batch",
     "gateway_multicast", "include_self", "baseline_elapsed",
     "harness.jobs", "harness import jobs",
+    "REPRO_BENCH_SCALE", "bench_cpu_counts", "FULL_CPUS", "figure15_bars(",
+    "figure16_bars(", "bench_orca_macro", "--benchmark-only",
 )
 
 
@@ -92,7 +94,7 @@ def test_no_deleted_surface_reappears():
     paths += (REPO / "benchmarks").glob("bench_*.py")
     paths += (REPO / "docs").glob("*.md")
     paths += (REPO / ".github" / "workflows").glob("*.yml")
-    paths.append(REPO / "README.md")
+    paths += [REPO / "README.md", REPO / "DESIGN.md"]
     for path in sorted(paths):
         text = path.read_text()
         for name in DELETED_SURFACE:
@@ -110,21 +112,27 @@ def test_no_deleted_surface_reappears():
 
 
 def test_checker_flags_env_table_drift(check_docs):
-    """The ``REPRO_*`` table and the literals under ``src/`` are held in
-    lockstep both ways: a variable the code names needs a row, and a
-    row needs a variable the code still names."""
+    """The ``REPRO_*`` table and the literals in the code — the package,
+    the tools and the benchmark scripts — are held in lockstep both
+    ways: a variable the code names needs a row, and a row needs a
+    variable the code still names."""
+    scanned = {str(p.relative_to(REPO)) for p in check_docs.env_sources()}
+    assert {"src/repro/harness/sweeps.py", "src/repro/sim/_ccore.c",
+            "tools/golden.py", "benchmarks/bench_paper.py"} <= scanned
+    assert not any(p.startswith("benchmarks/e2e") for p in scanned)
     doc = check_docs.ARCHITECTURE_DOC
     text = (REPO / doc).read_text()
     assert check_docs.check_env_vars({doc: text}) == []
     row = "| `REPRO_PDES` |"
     assert row in text
     missing = check_docs.check_env_vars({doc: text.replace(row, "| gone |")})
-    assert missing == [f"{doc}: REPRO_PDES is named under src/ but has no "
+    assert missing == [f"{doc}: REPRO_PDES is named in the code but has no "
                        f"row in the Environment variables table"]
     stale = check_docs.check_env_vars(
         {doc: text + "\n| `REPRO_NO_SUCH_KNOB` | x | y | z |\n"})
     assert stale == [f"{doc}: the Environment variables table documents "
-                     f"REPRO_NO_SUCH_KNOB, which nothing under src/ names"]
+                     f"REPRO_NO_SUCH_KNOB, which nothing under src/, tools/ "
+                     f"or benchmarks/ names"]
 
 
 def test_checker_flags_undeclared_process_cache(check_docs, tmp_path):
@@ -165,3 +173,22 @@ def test_checker_flags_undeclared_process_cache(check_docs, tmp_path):
         f"{doc}: the Process-level state table documents "
         f"repro.apps.ra.game.no_such_memo, which is not a memoised builder "
         f"under src/repro"]
+
+
+def test_checker_flags_edited_measured_block(check_docs):
+    """A tagged block of EXPERIMENTS.md is its ``benchmarks/out`` file
+    verbatim, and every such file is included: an edited digit, a block
+    naming no file and a dropped block are each flagged."""
+    doc = check_docs.EXPERIMENTS_DOC
+    out = check_docs.OUT_DIR
+    text = (REPO / doc).read_text()
+    assert check_docs.check_out_blocks({doc: text}, out) == []
+    assert "     42.0us     2.68ms" in text
+    edited = text.replace("     42.0us     2.68ms", "     42.0us     2.69ms")
+    assert check_docs.check_out_blocks({doc: edited}, out) == [
+        f"{doc}: block out:table1 differs from benchmarks/out/table1.txt"]
+    renamed = text.replace("out:table1 -->", "out:table9 -->")
+    assert check_docs.check_out_blocks({doc: renamed}, out) == [
+        f"{doc}: block out:table9 names no file under benchmarks/out",
+        f"{doc}: benchmarks/out/table1.txt is not included as an "
+        f"out:table1 block"]

@@ -10,7 +10,6 @@ from repro.harness import (
     ResultCache,
     RunSpec,
     default_jobs,
-    figure15_bars,
     figure15_bars_many,
     figure_curves,
     speedup_curve,
@@ -363,7 +362,8 @@ def test_speedup_curve_unregistered_app_falls_back_serial():
 
 
 def test_figure15_bars_single_matches_batched(tmp_path, monkeypatch):
-    """Batched (CLI) and per-app figure-15 paths agree bar for bar."""
+    """One app's bars cut out of a several-app flat batch are the bars
+    of that app run alone."""
     import repro.harness.figures as figures
 
     # Shrink the bar grid's problem size: the real bench_params sizes
@@ -372,10 +372,10 @@ def test_figure15_bars_single_matches_batched(tmp_path, monkeypatch):
     monkeypatch.setattr(figures, "bench_params",
                         lambda name: small_params(name))
     cache = ResultCache(str(tmp_path / "c"))
-    many = figure15_bars_many(["tsp"],
+    many = figure15_bars_many(["atpg", "tsp"],
                               runner=ParallelRunner(jobs=2, cache=cache))
-    single = figure15_bars("tsp", runner=ParallelRunner(jobs=1, cache=cache))
-    assert many["tsp"] == single
+    single = figure15_bars_many(["tsp"], runner=ParallelRunner(jobs=1))
+    assert many["tsp"] == single["tsp"]
 
 
 def test_figure_curves_accepts_runner_and_cache(tmp_path):

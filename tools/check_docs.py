@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checker (run by the CI docs job).
 
-Two classes of check over the repo's markdown:
+The checks over the repo's markdown:
 
 1. **Internal links** — every relative markdown link in the scanned
    files must point at a file or directory that exists in the repo.
@@ -19,14 +19,21 @@ Two classes of check over the repo's markdown:
 
 5. **Environment-variable lockstep** — the *Environment variables*
    table of ``docs/ARCHITECTURE.md`` and the ``REPRO_*`` literals under
-   ``src/`` must agree the same two ways: every variable the code
-   names has a row, and every row names a variable the code reads.
+   ``src/``, ``tools/`` and ``benchmarks/*.py`` must agree the same two
+   ways: every variable the code names has a row, and every row names a
+   variable the code reads.
 6. **Process-level state lockstep** — the *Process-level state* table
    of ``docs/ARCHITECTURE.md`` and the memoised builders under
    ``src/repro`` (every ``functools.lru_cache`` / ``functools.cache``
    decorator, every module-level ``*_CACHE`` name) must agree the same
    two ways: state that outlives a run is declared, with its key and
    its bound, or it does not exist.
+7. **Measured-block lockstep** — every ``<!-- out:NAME -->`` fenced
+   block in the scanned docs is ``benchmarks/out/NAME.txt`` verbatim,
+   and ``EXPERIMENTS.md`` includes every such file: the measured
+   numbers of the paper exhibits exist once, as the committed
+   expectations ``benchmarks/bench_paper.py`` checks (this check reads
+   files only — it runs no simulation).
 
 Usage::
 
@@ -70,6 +77,13 @@ ARCHITECTURE_DOC = "docs/ARCHITECTURE.md"
 
 _ENV_NAME = re.compile(r"\bREPRO_[A-Z]+(?:_[A-Z]+)*\b")
 _ENV_ROW = re.compile(r"^\| `(REPRO_[A-Z_]+)` \|", re.M)
+
+#: The committed renderings of the paper exhibits, and the doc that must
+#: include every one of them.
+OUT_DIR = ROOT / "benchmarks" / "out"
+EXPERIMENTS_DOC = "EXPERIMENTS.md"
+_OUT_BLOCK = re.compile(
+    r"^<!-- out:(\w+) -->\n```\n(.*?)```\n<!-- /out:\1 -->$", re.M | re.S)
 
 #: The package whose process-level state the table declares.
 PACKAGE = ROOT / "src" / "repro"
@@ -170,6 +184,17 @@ def check_tuner_primitives(texts: dict) -> list:
     return problems
 
 
+def env_sources() -> list:
+    """The files whose ``REPRO_*`` literals the table must cover: the
+    package, the tools and the benchmark scripts (``benchmarks/e2e`` is
+    the frozen instrument, hermetic by construction)."""
+    sources = [p for p in (ROOT / "src").rglob("*")
+               if p.suffix in (".py", ".c")]
+    sources += (ROOT / "tools").glob("*.py")
+    sources += (ROOT / "benchmarks").glob("*.py")
+    return sources
+
+
 def check_env_vars(texts: dict) -> list:
     """Both directions of the docs <-> ``REPRO_*`` literal lockstep."""
     text = texts.get(ARCHITECTURE_DOC)
@@ -177,17 +202,39 @@ def check_env_vars(texts: dict) -> list:
         return [f"{ARCHITECTURE_DOC}: missing"]
     documented = set(_ENV_ROW.findall(text))
     read = set()
-    for path in (ROOT / "src").rglob("*"):
-        if path.suffix in (".py", ".c"):
-            read |= set(_ENV_NAME.findall(path.read_text(encoding="utf-8")))
+    for path in env_sources():
+        read |= set(_ENV_NAME.findall(path.read_text(encoding="utf-8")))
     problems = [
-        f"{ARCHITECTURE_DOC}: {name} is named under src/ but has no row "
+        f"{ARCHITECTURE_DOC}: {name} is named in the code but has no row "
         f"in the Environment variables table"
         for name in sorted(read - documented)]
     problems += [
         f"{ARCHITECTURE_DOC}: the Environment variables table documents "
-        f"{name}, which nothing under src/ names"
+        f"{name}, which nothing under src/, tools/ or benchmarks/ names"
         for name in sorted(documented - read)]
+    return problems
+
+
+def check_out_blocks(texts: dict, out_dir: Path) -> list:
+    """Tagged measured blocks are their ``benchmarks/out`` files."""
+    problems = []
+    included = set()
+    for rel, text in texts.items():
+        for name, body in _OUT_BLOCK.findall(text):
+            path = out_dir / f"{name}.txt"
+            if not path.exists():
+                problems.append(f"{rel}: block out:{name} names no file "
+                                f"under {_rel(out_dir)}")
+            elif body != path.read_text(encoding="utf-8"):
+                problems.append(f"{rel}: block out:{name} differs from "
+                                f"{_rel(path)}")
+            if rel == EXPERIMENTS_DOC:
+                included.add(name)
+    problems += [
+        f"{EXPERIMENTS_DOC}: {_rel(path)} is not included as an "
+        f"out:{path.stem} block"
+        for path in sorted(out_dir.glob("*.txt"))
+        if path.stem not in included]
     return problems
 
 
@@ -250,6 +297,7 @@ def main() -> int:
     problems += check_tuner_primitives(texts)
     problems += check_env_vars(texts)
     problems += check_process_caches(texts)
+    problems += check_out_blocks(texts, OUT_DIR)
     if problems:
         for problem in problems:
             print(problem)
