@@ -7,19 +7,15 @@ the tuner's own probe loop (probes per second through
 ``repro.tuner.sweep``).  Shapes and striping are continuations over
 the fabric's one chained WAN leg; one number per workload.
 
-Run standalone::
+Each workload returns the operations it completed.  Run it with::
 
-    PYTHONPATH=src python benchmarks/bench_collectives_micro.py [--repeat 3]
+    PYTHONPATH=src python -m repro bench --suite collectives [--repeat 3]
 
-The ``repro bench`` verb turns the numbers into the committed
+``repro bench --write`` turns the numbers into the committed
 ``BENCH_collectives.json`` the CI perf-smoke job regresses against.
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
-import time
 
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
 from repro.sim import Simulator
@@ -102,34 +98,3 @@ WORKLOADS = [
     ("tune_probe", wl_tune_probe),
 ]
 
-
-def run_suite(repeat: int = 3):
-    """Return ``(text, data)``: a printable table and per-workload ops/s."""
-    header = f"{'workload':>16} {'ops/s':>12}"
-    lines = ["collectives micro-benchmark: primitive throughput", header]
-    data = {}
-    for name, fn in WORKLOADS:
-        best = float("inf")
-        ops = 0
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            ops = fn()
-            dt = time.perf_counter() - t0
-            best = min(best, dt)
-        data[name] = {"ops_per_s": ops / best}
-        lines.append(f"{name:>16} {ops / best:>12.0f}")
-    return "\n".join(lines), data
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="repetitions per workload (best is reported)")
-    args = parser.parse_args(argv)
-    text, _data = run_suite(repeat=args.repeat)
-    print(text)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,34 +8,20 @@ spawning, already-fired-event resumes (the "kick" path), channel
 ping-pong, resource contention and one-shot resource occupancies at
 busy and at quiet instants.
 
-Run standalone::
+Each workload returns the events its simulator popped.  Run it with::
 
-    PYTHONPATH=src python benchmarks/bench_engine_micro.py [--repeat 3]
+    PYTHONPATH=src python -m repro bench --suite engine [--repeat 3]
 
-(``repro bench --suite engine`` measures both engine tiers this way).
+which measures every engine tier this host can build, one subprocess
+per tier (``repro.harness.bench`` owns the timing loop).
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import time
-
 from repro.sim import CPU, Channel, Event, Simulator
 
 
-def _events_processed(sim: Simulator, fallback: int) -> int:
-    """Events popped, via Simulator.stats() when available."""
-    stats = getattr(sim, "stats", None)
-    if callable(stats):
-        try:
-            return stats()["events_processed"]
-        except (KeyError, TypeError):
-            pass
-    return fallback
-
-
-def wl_timeout_chain(n: int = 200_000):
+def wl_timeout_chain(n: int = 200_000) -> int:
     """One process yielding a long chain of timeouts (heap churn)."""
     sim = Simulator()
 
@@ -45,10 +31,10 @@ def wl_timeout_chain(n: int = 200_000):
             yield timeout(1.0)
 
     sim.run_process(proc())
-    return sim, n
+    return sim.stats()["events_processed"]
 
 
-def wl_spawn_storm(n: int = 60_000):
+def wl_spawn_storm(n: int = 60_000) -> int:
     """Spawn many tiny children and wait on each (the fabric send shape)."""
     sim = Simulator()
 
@@ -63,10 +49,10 @@ def wl_spawn_storm(n: int = 60_000):
         return total
 
     assert sim.run_process(proc()) == n
-    return sim, 3 * n
+    return sim.stats()["events_processed"]
 
 
-def wl_processed_target(n: int = 600_000):
+def wl_processed_target(n: int = 600_000) -> int:
     """Yield an already-processed event repeatedly (the kick fast path).
 
     Sized so the compiled tier still runs tens of milliseconds: at
@@ -90,10 +76,10 @@ def wl_processed_target(n: int = 600_000):
 
     sim.spawn(toucher())
     sim.run_process(proc())
-    return sim, 2 * n
+    return sim.stats()["events_processed"]
 
 
-def wl_channel_pingpong(n: int = 60_000):
+def wl_channel_pingpong(n: int = 60_000) -> int:
     """Two processes exchanging messages over channels."""
     sim = Simulator()
     a, b = Channel(sim, "a"), Channel(sim, "b")
@@ -110,10 +96,10 @@ def wl_channel_pingpong(n: int = 60_000):
 
     sim.spawn(right())
     sim.run_process(left())
-    return sim, 2 * n
+    return sim.stats()["events_processed"]
 
 
-def wl_cpu_contention(n: int = 20_000, workers: int = 4):
+def wl_cpu_contention(n: int = 20_000, workers: int = 4) -> int:
     """Several processes serialized through one CPU resource."""
     sim = Simulator()
     cpu = CPU(sim, name="c")
@@ -125,10 +111,10 @@ def wl_cpu_contention(n: int = 20_000, workers: int = 4):
     procs = [sim.spawn(worker()) for _ in range(workers)]
     sim.run()
     assert all(p.triggered for p in procs)
-    return sim, 4 * n * workers
+    return sim.stats()["events_processed"]
 
 
-def wl_occupy_lockstep(n: int = 3_000, cpus: int = 60):
+def wl_occupy_lockstep(n: int = 3_000, cpus: int = 60) -> int:
     """60 CPUs stepping in lockstep: every charge lands at a busy
     instant, so each occupancy takes the full deferred path (request,
     grant, hold, completion — four heap entries).  The ``asp`` shape:
@@ -142,10 +128,10 @@ def wl_occupy_lockstep(n: int = 3_000, cpus: int = 60):
     for i in range(cpus):
         sim.spawn(stepper(CPU(sim, name=f"c{i}")))
     sim.run()
-    return sim, 4 * n * cpus
+    return sim.stats()["events_processed"]
 
 
-def wl_occupy_quiet(n: int = 200_000):
+def wl_occupy_quiet(n: int = 200_000) -> int:
     """One process charging one CPU back to back: every occupancy is
     granted at a quiet instant — one hold entry, completed inline."""
     sim = Simulator()
@@ -156,7 +142,7 @@ def wl_occupy_quiet(n: int = 200_000):
             yield cpu.execute_ev(1e-3)
 
     sim.run_process(proc())
-    return sim, n
+    return sim.stats()["events_processed"]
 
 
 WORKLOADS = [
@@ -169,39 +155,3 @@ WORKLOADS = [
     ("occupy_quiet", wl_occupy_quiet),
 ]
 
-
-def run_suite(repeat: int = 3) -> str:
-    lines = ["engine micro-benchmark: event dispatch throughput",
-             f"{'workload':>18} {'events':>10} {'best(s)':>9} {'events/s':>12}"]
-    total_events = 0
-    total_best = 0.0
-    for name, fn in WORKLOADS:
-        best = float("inf")
-        events = 0
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            sim, approx = fn()
-            dt = time.perf_counter() - t0
-            events = _events_processed(sim, approx)
-            best = min(best, dt)
-        total_events += events
-        total_best += best
-        lines.append(f"{name:>18} {events:>10} {best:>9.3f} "
-                     f"{events / best:>12.0f}")
-    lines.append(f"{'TOTAL':>18} {total_events:>10} {total_best:>9.3f} "
-                 f"{total_events / total_best:>12.0f}")
-    return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="repetitions per workload (best is reported)")
-    args = parser.parse_args(argv)
-    text = run_suite(repeat=args.repeat)
-    print(text)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

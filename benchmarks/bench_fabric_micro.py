@@ -7,19 +7,15 @@ on the fabric's one callback-chained message path.  Virtual-time results
 are pinned by the golden manifest (``tests/golden/manifest.json``); the
 numbers here are pure host-side cost.
 
-Run standalone::
+Each workload returns the deliveries it made.  Run it with::
 
-    PYTHONPATH=src python benchmarks/bench_fabric_micro.py [--repeat 3]
+    PYTHONPATH=src python -m repro bench --suite fabric [--repeat 3]
 
 ``repro bench --write`` turns the numbers into the committed
 ``BENCH_fabric.json`` the CI perf-smoke job regresses against.
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
-import time
 
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
 from repro.scenario import Impairment, Scenario, install
@@ -159,33 +155,3 @@ WORKLOADS = [
     ("wan_multicast", wl_wan_multicast),
 ]
 
-
-def run_suite(repeat: int = 3):
-    """Return ``(text, data)``: a printable table and per-workload msgs/s."""
-    lines = ["fabric micro-benchmark: message delivery throughput",
-             f"{'workload':>16} {'msg/s':>14}"]
-    data = {}
-    for name, fn in WORKLOADS:
-        best = float("inf")
-        msgs = 0
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            msgs = fn()
-            best = min(best, time.perf_counter() - t0)
-        data[name] = {"msgs_per_s": msgs / best}
-        lines.append(f"{name:>16} {msgs / best:>14.0f}")
-    return "\n".join(lines), data
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="repetitions per workload (best is reported)")
-    args = parser.parse_args(argv)
-    text, _data = run_suite(repeat=args.repeat)
-    print(text)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

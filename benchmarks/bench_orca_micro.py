@@ -7,19 +7,15 @@ broadcast/RPC ports, holdback drain, the sequencer's inline stamps,
 chained dissemination and replies).  Virtual-time results are pinned by
 the golden manifest; the numbers here are pure host-side cost.
 
-Run standalone::
+Each workload returns the operations it completed.  Run it with::
 
-    PYTHONPATH=src python benchmarks/bench_orca_micro.py [--repeat 3]
+    PYTHONPATH=src python -m repro bench --suite orca [--repeat 3]
 
 ``repro bench --write`` turns the numbers into the committed
 ``BENCH_orca.json`` the CI perf-smoke job regresses against.
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
-import time
 
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
 from repro.orca import ObjectSpec, Operation, OrcaRuntime
@@ -108,33 +104,3 @@ WORKLOADS = [
     ("rpc_wan", wl_rpc_wan),
 ]
 
-
-def run_suite(repeat: int = 3):
-    """Return ``(text, data)``: a printable table and per-workload ops/s."""
-    lines = ["orca micro-benchmark: broadcast/RPC throughput",
-             f"{'workload':>12} {'op/s':>14}"]
-    data = {}
-    for name, fn in WORKLOADS:
-        best = float("inf")
-        ops = 0
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            ops = fn()
-            best = min(best, time.perf_counter() - t0)
-        data[name] = {"ops_per_s": ops / best}
-        lines.append(f"{name:>12} {ops / best:>14.0f}")
-    return "\n".join(lines), data
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="repetitions per workload (best is reported)")
-    args = parser.parse_args(argv)
-    text, _data = run_suite(repeat=args.repeat)
-    print(text)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,8 +16,8 @@ Examples::
     python -m repro figure fig5 --jobs 4 --trace-dir traces \
         --trace-ring 20000                    # traced parallel sweep
     python -m repro cache clear               # drop the result cache
+    python -m repro bench --suite orca        # measure, print, write nothing
     python -m repro bench --check             # regress vs BENCH_*.json
-    python -m repro bench --write --suite orca  # refresh one baseline
     python -m repro scenario ra --wan-jitter lognormal:0.3 \
         --fault gw_outage@2.0s+0.5s           # impaired vs clean run
     python -m repro scenario ra asp --wan-loss 0.02 --seeds 3 --jobs 4
@@ -52,22 +52,27 @@ from .harness import (
     bench_params,
     figure_curves,
     format_curves,
+    format_stragglers,
+    run_app,
 )
 from .harness.claims import EXHIBITS
-from .sim import TraceSpec
-from .tuner import DEFAULT_CLUSTERS, DEFAULT_SIZES
+from .scenario import Impairment, Scenario, parse_cluster_tweak, parse_fault
+from .sim import Tracer, TraceSpec
+from .tuner import (DEFAULT_CLUSTERS, DEFAULT_SIZES, DecisionModel,
+                    format_model, tune)
 
 
 class _CLIError(Exception):
     """A user-facing argument error (printed, exit code 2)."""
 
 
-def _parse_sample(text: str) -> Tuple[Tuple[str, int], ...]:
-    """Parse ``kind=k,kind2=k2`` into sampling pairs, validated."""
+def _parse_sample(text: Optional[str]) -> Tuple[Tuple[str, int], ...]:
+    """Parse ``kind=k,kind2=k2`` into sampling pairs, validated (none
+    when the flag was not given)."""
     from .obs import KINDS
 
     pairs = []
-    for part in text.split(","):
+    for part in (text or "").split(","):
         part = part.strip()
         if not part:
             continue
@@ -89,32 +94,48 @@ def _parse_sample(text: str) -> Tuple[Tuple[str, int], ...]:
     return tuple(pairs)
 
 
-def _trace_spec(args) -> Tuple[Optional[TraceSpec], Optional[str]]:
-    """(trace spec, trace dir) from the shared --trace-* flags."""
-    trace_dir = getattr(args, "trace_dir", None)
-    ring = getattr(args, "trace_ring", None)
-    sample = getattr(args, "trace_sample", None)
-    if not trace_dir:
-        if ring is not None or sample:
-            raise _CLIError("--trace-ring/--trace-sample require --trace-dir")
-        return None, None
-    spec = TraceSpec(ring=ring,
-                     sample=_parse_sample(sample) if sample else ())
-    return spec, trace_dir
-
-
 def _runner(args) -> ParallelRunner:
     """Build the sweep runner from the shared --jobs/--no-cache,
-    --trace-* and --pdes flags.  Asking for a PDES mode bypasses the
-    result cache: a cached result says nothing about how it was run (it
-    carries no PDES counters), and the point of the flag is to run."""
+    --trace-* and (where the verb has them) --pdes flags.  Asking for a
+    PDES mode bypasses the result cache: a cached result says nothing
+    about how it was run (it carries no PDES counters), and the point of
+    the flag is to run."""
+    trace = None
+    if args.trace_dir:
+        trace = TraceSpec(ring=args.trace_ring,
+                          sample=_parse_sample(args.trace_sample))
+    elif args.trace_ring is not None or args.trace_sample:
+        raise _CLIError("--trace-ring/--trace-sample require --trace-dir")
     pdes = getattr(args, "pdes", None)
-    uncached = getattr(args, "no_cache", False) or pdes in ("on", "auto")
-    trace, trace_dir = _trace_spec(args)
-    return ParallelRunner(jobs=getattr(args, "jobs", None),
+    uncached = args.no_cache or pdes in ("on", "auto")
+    return ParallelRunner(jobs=args.jobs,
                           cache=None if uncached else ResultCache(),
-                          trace=trace, trace_dir=trace_dir, pdes=pdes,
+                          trace=trace, trace_dir=args.trace_dir or None,
+                          pdes=pdes,
                           pdes_workers=getattr(args, "pdes_workers", None))
+
+
+def _spec(args, app: str, **over) -> RunSpec:
+    """The grid point the parsed arguments describe for ``app``; ``over``
+    holds what the verb decides itself (scenario, decision, geometry)."""
+    fields = dict(variant=args.variant, n_clusters=args.clusters,
+                  nodes_per_cluster=args.nodes, params=bench_params(app),
+                  pdes=getattr(args, "pdes", None),
+                  pdes_workers=getattr(args, "pdes_workers", None))
+    return RunSpec(app, **{**fields, **over})
+
+
+def _footer(runner: ParallelRunner) -> None:
+    """What the sweep did, on stderr: stdout stays byte-identical
+    between cold and warm, serial and pooled runs."""
+    if runner.hits:
+        print(f"({runner.hits} cached, {runner.computed} simulated)",
+              file=sys.stderr)
+    if runner.trace_files:
+        print(f"(wrote {len(runner.trace_files)} Perfetto traces to "
+              f"{runner.trace_dir})", file=sys.stderr)
+    if runner.jobs > 1 and runner.point_records:
+        print(format_stragglers(runner.point_records), file=sys.stderr)
 
 
 def cmd_list(_args) -> int:
@@ -139,9 +160,7 @@ def _print_exhibit(name: str, runner: ParallelRunner) -> None:
 def cmd_table(args) -> int:
     """Regenerate one of the paper's tables."""
     if args.number not in _TABLE_EXHIBITS:
-        print(f"no such table: {args.number} (choose 1, 2 or 4)",
-              file=sys.stderr)
-        return 2
+        raise _CLIError(f"no such table: {args.number} (choose 1, 2 or 4)")
     _print_exhibit(_TABLE_EXHIBITS[args.number], _runner(args))
     return 0
 
@@ -164,17 +183,8 @@ def cmd_figure(args) -> int:
         else:
             print(format_curves(fig, curves))
     else:
-        print(f"no such figure: {fig}", file=sys.stderr)
-        return 2
-    if runner.hits:
-        print(f"({runner.hits} cached, {runner.computed} simulated)",
-              file=sys.stderr)
-    if runner.trace_files:
-        print(f"(wrote {len(runner.trace_files)} Perfetto traces to "
-              f"{runner.trace_dir})", file=sys.stderr)
-    if runner.jobs > 1 and runner.point_records:
-        from .harness import format_stragglers
-        print(format_stragglers(runner.point_records), file=sys.stderr)
+        raise _CLIError(f"no such figure: {fig}")
+    _footer(runner)
     return 0
 
 
@@ -183,14 +193,9 @@ def cmd_app(args) -> int:
     try:
         make_app(args.app).check_variant(args.variant)
     except ValueError as exc:
-        print(f"repro app: error: {exc}", file=sys.stderr)
-        return 2
-    runner = _runner(args)
-    params = bench_params(args.app)
-    spec = RunSpec(args.app, args.variant, args.clusters, args.nodes, params,
-                   decision=_load_decision(args), pdes=args.pdes,
-                   pdes_workers=args.pdes_workers)
-    res = runner.run_one(spec)
+        raise _CLIError(str(exc)) from None
+    res = _runner(args).run_one(
+        _spec(args, args.app, decision=_load_decision(args)))
     print(f"{args.app}/{args.variant} on {args.clusters}x{args.nodes}: "
           f"{res.elapsed:.4f} virtual seconds")
     for key, row in sorted(res.traffic.items()):
@@ -211,32 +216,24 @@ def cmd_profile(args) -> int:
     """Run apps traced and print the wide-area bottleneck breakdown."""
     from .obs import (format_bottleneck, format_profile_diff,
                       format_profile_table, profile_app)
-    from .sim import Tracer
 
     names = PAPER_ORDER if args.app == "all" else [args.app]
-    sample = dict(_parse_sample(args.sample)) if args.sample else None
     # Shared across apps; profile_app clears it per run.  Bounds (ring /
     # sampling) are built in here because profile_app only applies its
     # own ring/sample arguments when it creates the tracer itself.
-    tracer = Tracer(ring=args.ring, sample=sample)
-    if args.diff:
-        before_variant, after_variant = args.diff
-        for name in names:
-            print(f"profiling {name} {before_variant} vs {after_variant} "
-                  f"on {args.clusters}x{args.nodes}...", file=sys.stderr)
-            before = profile_app(name, before_variant, args.clusters,
-                                 args.nodes, tracer=tracer)
-            after = profile_app(name, after_variant, args.clusters,
-                                args.nodes, tracer=tracer)
-            print(format_profile_diff(before, after))
-            print()
-        return 0
+    tracer = Tracer(ring=args.ring, sample=dict(_parse_sample(args.sample)))
+    variants = args.diff or [args.variant]
     reports = []
     for name in names:
-        print(f"profiling {name}/{args.variant} on "
+        print(f"profiling {name}/{' vs '.join(variants)} on "
               f"{args.clusters}x{args.nodes}...", file=sys.stderr)
-        reports.append(profile_app(
-            name, args.variant, args.clusters, args.nodes, tracer=tracer))
+        runs = [profile_app(name, variant, args.clusters, args.nodes,
+                            tracer=tracer) for variant in variants]
+        if args.diff:
+            print(format_profile_diff(*runs))
+            print()
+        else:
+            reports += runs
     for report in reports:
         print(format_bottleneck(report))
         print()
@@ -251,8 +248,6 @@ _TRACE_EXT = {"chrome": "trace.json", "jsonl": "trace.jsonl",
 
 def cmd_trace(args) -> int:
     """Run one app traced and export the trace (JSONL, Chrome or folded)."""
-    from .apps import make_app
-    from .harness import bench_params, run_app
     from .obs import KINDS, write_chrome, write_folded, write_jsonl
 
     kinds = None
@@ -260,12 +255,10 @@ def cmd_trace(args) -> int:
         kinds = frozenset(k.strip() for k in args.kinds.split(",") if k.strip())
         unknown = kinds - set(KINDS)
         if unknown:
-            print(f"repro trace: unknown kinds {sorted(unknown)}; "
-                  f"see docs/TRACING.md", file=sys.stderr)
-            return 2
-    from .sim import Tracer
-    sample = dict(_parse_sample(args.sample)) if args.sample else None
-    tracer = Tracer(kinds=kinds, ring=args.ring, sample=sample)
+            raise _CLIError(f"unknown kinds {sorted(unknown)}; "
+                            f"see docs/TRACING.md")
+    tracer = Tracer(kinds=kinds, ring=args.ring,
+                    sample=dict(_parse_sample(args.sample)))
     res = run_app(make_app(args.app), args.variant, args.clusters,
                   args.nodes, bench_params(args.app), trace=True,
                   tracer=tracer)
@@ -293,10 +286,7 @@ def cmd_trace(args) -> int:
 
 def cmd_chains(args) -> int:
     """Reconstruct causal message chains with per-hop latency attribution."""
-    from .apps import make_app
-    from .harness import bench_params, run_app
     from .obs import CHAIN_KINDS, build_chains, format_chains
-    from .sim import Tracer
 
     tracer = Tracer(kinds=CHAIN_KINDS)
     res = run_app(make_app(args.app), args.variant, args.clusters,
@@ -310,7 +300,8 @@ def cmd_chains(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Measure throughput and write/check the committed perf baselines."""
+    """Measure host throughput; print it, or write/check the committed
+    perf baselines."""
     from .harness import bench
 
     try:
@@ -322,87 +313,74 @@ def cmd_bench(args) -> int:
             raise _CLIError("--write refreshes whole suites; drop the "
                             ":tier suffix")
         return bench.write_baselines(args.repeat, suites)
-    return bench.check_baselines(args.repeat, args.threshold, suites,
-                                 tier=tier)
+    if args.check:
+        return bench.check_baselines(args.repeat, args.threshold, suites,
+                                     tier=tier)
+    return bench.show(args.repeat, suites, tier)
 
 
 def _load_decision(args):
     """The :class:`~repro.tuner.DecisionModel` named by ``--decision``,
     or ``None`` (the fixed default strategy)."""
-    path = getattr(args, "decision", None)
-    if not path:
+    if not args.decision:
         return None
-    from .tuner import DecisionModel
-
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.decision, "r", encoding="utf-8") as fh:
             return DecisionModel.from_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
-        raise _CLIError(f"cannot load decision model {path!r}: {exc}")
+        raise _CLIError(
+            f"cannot load decision model {args.decision!r}: {exc}")
 
 
-def _scenario_parts(args):
-    """(impairments, faults, tweaks) from the ``repro scenario`` flags."""
-    from .scenario import Impairment, parse_cluster_tweak, parse_fault
-
+def _scenarios(args):
+    """``(seeds, scenarios)``: the ``--seed``/``--seeds`` range and what
+    the impairment flags describe, once per seed."""
     impairments = []
-    if args.wan_jitter:
-        dist, sep, sigma = args.wan_jitter.partition(":")
-        if not sep or dist != "lognormal":
-            raise _CLIError(f"bad --wan-jitter {args.wan_jitter!r} "
-                            "(want lognormal:SIGMA, e.g. lognormal:0.3)")
-        impairments.append(Impairment.of("jitter", sigma=float(sigma)))
-    if args.wan_loss:
-        p, _sep, rto = args.wan_loss.partition(":")
-        kw = {"p": float(p)}
-        if rto:
-            kw["rto"] = float(rto)
-        impairments.append(Impairment.of("loss", **kw))
-    if args.wan_dip:
-        bits = args.wan_dip.split(":")
-        if len(bits) > 3:
-            raise _CLIError(f"bad --wan-dip {args.wan_dip!r} "
-                            "(want DEPTH[:PERIOD[:DUTY]])")
-        keys = ("depth", "period", "duty")
-        impairments.append(Impairment.of(
-            "bw_dip", **{k: float(v) for k, v in zip(keys, bits)}))
-    if args.cross_traffic is not None:
-        impairments.append(Impairment.of("cross_traffic",
-                                         load=args.cross_traffic))
     try:
+        if args.wan_jitter:
+            dist, sep, sigma = args.wan_jitter.partition(":")
+            if not sep or dist != "lognormal":
+                raise _CLIError(f"bad --wan-jitter {args.wan_jitter!r} (want "
+                                "lognormal:SIGMA, e.g. lognormal:0.3)")
+            impairments.append(Impairment.of("jitter", sigma=float(sigma)))
+        if args.wan_loss:
+            p, _sep, rto = args.wan_loss.partition(":")
+            kw = {"p": float(p)}
+            if rto:
+                kw["rto"] = float(rto)
+            impairments.append(Impairment.of("loss", **kw))
+        if args.wan_dip:
+            bits = args.wan_dip.split(":")
+            if len(bits) > 3:
+                raise _CLIError(f"bad --wan-dip {args.wan_dip!r} "
+                                "(want DEPTH[:PERIOD[:DUTY]])")
+            keys = ("depth", "period", "duty")
+            impairments.append(Impairment.of(
+                "bw_dip", **{k: float(v) for k, v in zip(keys, bits)}))
+        if args.cross_traffic is not None:
+            impairments.append(Impairment.of("cross_traffic",
+                                             load=args.cross_traffic))
         faults = tuple(parse_fault(text) for text in (args.fault or []))
         tweaks = tuple(parse_cluster_tweak(text)
                        for text in (args.cluster or []))
     except ValueError as exc:
         raise _CLIError(str(exc)) from None
-    return tuple(impairments), faults, tweaks
+    seeds = [args.seed + i for i in range(max(1, args.seeds))]
+    return seeds, [Scenario(seed=s, impairments=tuple(impairments),
+                            faults=faults, clusters=tweaks) for s in seeds]
 
 
 def cmd_scenario(args) -> int:
     """Run apps clean and under a scenario; print the elapsed comparison."""
-    from .scenario import Scenario
-
-    try:
-        impairments, faults, tweaks = _scenario_parts(args)
-    except ValueError as exc:
-        raise _CLIError(str(exc)) from None
-    seeds = [args.seed + i for i in range(max(1, args.seeds))]
-    scenarios = [Scenario(seed=s, impairments=impairments, faults=faults,
-                          clusters=tweaks) for s in seeds]
+    seeds, scenarios = _scenarios(args)
     print(f"scenario: {scenarios[0].describe()}"
           + (f" (+{len(seeds) - 1} more seeds)" if len(seeds) > 1 else ""),
           file=sys.stderr)
 
     runner = _runner(args)
     decision = _load_decision(args)
-    specs = []
-    for app in args.apps:
-        params = bench_params(app)
-        specs.append(RunSpec(app, args.variant, args.clusters, args.nodes,
-                             params, decision=decision))
-        specs.extend(RunSpec(app, args.variant, args.clusters, args.nodes,
-                             params, scenario=scn, decision=decision)
-                     for scn in scenarios)
+    specs = [_spec(args, app, scenario=scn, decision=decision)
+             for app in args.apps for scn in [None] + scenarios]
     results = runner.run(specs)
 
     width = 1 + len(scenarios)
@@ -419,37 +397,24 @@ def cmd_scenario(args) -> int:
         print(f"{app:<8} {clean.elapsed:>9.4f}s  "
               + "  ".join(f"{r.elapsed:>9.4f}s" for r in impaired)
               + f"  {slow:>7.2f}x")
-    if runner.hits:
-        print(f"({runner.hits} cached, {runner.computed} simulated)",
-              file=sys.stderr)
-    if runner.jobs > 1 and runner.point_records:
-        from .harness import format_stragglers
-        print(format_stragglers(runner.point_records), file=sys.stderr)
+    _footer(runner)
     return 0
 
 
 def cmd_tune(args) -> int:
     """Calibrate a decision model; optionally save it and show the
     before/after effect on the applications."""
-    from .scenario import Scenario
-    from .tuner import format_model, tune
-
-    try:
-        impairments, faults, tweaks = _scenario_parts(args)
-    except ValueError as exc:
-        raise _CLIError(str(exc)) from None
-    scenario = None
-    if impairments or faults or tweaks:
-        scenario = Scenario(seed=args.seed, impairments=impairments,
-                            faults=faults, clusters=tweaks)
+    seeds, scenarios = _scenarios(args)
+    scenario = scenarios[0]  # --seeds only widens the probes' seeds
+    if scenario.impairments or scenario.faults or scenario.clusters:
         print(f"calibrating under: {scenario.describe()}", file=sys.stderr)
-    seeds = tuple(args.seed + i for i in range(max(1, args.seeds)))
+    else:
+        scenario = None  # calibrate (and --apply) on the clean model
     print(f"probing {len(args.sizes)} sizes x {len(args.clusters)} cluster "
           f"counts x {args.reps} reps...", file=sys.stderr)
     model = tune(sizes=tuple(args.sizes), cluster_counts=tuple(args.clusters),
                  nodes_per_cluster=args.nodes,
-                 scenarios=(scenario,) if scenario is not None else (None,),
-                 seeds=seeds, reps=args.reps)
+                 scenarios=(scenario,), seeds=tuple(seeds), reps=args.reps)
     print(format_model(model))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -463,13 +428,10 @@ def cmd_tune(args) -> int:
     runner = _runner(args)
     apps = args.apps or list(PAPER_ORDER)
     n_clusters = max(args.clusters)
-    specs = []
-    for app in apps:
-        params = bench_params(app)
-        specs.append(RunSpec(app, args.variant, n_clusters, args.apply_nodes,
-                             params, scenario=scenario))
-        specs.append(RunSpec(app, args.variant, n_clusters, args.apply_nodes,
-                             params, scenario=scenario, decision=model))
+    specs = [_spec(args, app, n_clusters=n_clusters,
+                   nodes_per_cluster=args.apply_nodes, scenario=scenario,
+                   decision=decision)
+             for app in apps for decision in (None, model)]
     print(f"applying to {len(apps)} apps on {n_clusters}x{args.apply_nodes} "
           f"({runner.jobs} jobs)...", file=sys.stderr)
     results = runner.run(specs)
@@ -496,15 +458,47 @@ def cmd_cache(args) -> int:
         print(f"removed {removed} cached results from {cache.root}")
     else:
         import os
-        count = sum(
-            name.endswith(".pkl")
-            for _dir, _dirs, files in os.walk(cache.root) for name in files
-        ) if os.path.isdir(cache.root) else 0
+        count = sum(name.endswith(".pkl")
+                    for _dir, _dirs, files in os.walk(cache.root)
+                    for name in files)  # no directory yet: walks nothing
         print(f"cache: {cache.root} ({count} results)")
     return 0
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+def _group(add):
+    """Make ``add(parser, *args)`` a factory of argparse *parents*: the
+    flag groups the verbs share, declared once each."""
+    def parent(*args) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(add_help=False)
+        add(parser, *args)
+        return parser
+    return parent
+
+
+@_group
+def _geometry_flags(parser, nodes: int) -> None:
+    parser.add_argument("--variant", default="original")
+    parser.add_argument("--clusters", type=int, default=4)
+    parser.add_argument("--nodes", type=int, default=nodes)
+
+
+@_group
+def _decision_flags(parser) -> None:
+    parser.add_argument("--decision", default=None, metavar="PATH",
+                        help="install a tuned DecisionModel (JSON from "
+                             "'repro tune --out'; default: fixed strategy)")
+
+
+@_group
+def _seed_flags(parser, seeds_help: str) -> None:
+    parser.add_argument("--seed", type=int, default=0,
+                        help="base scenario seed (default 0)")
+    parser.add_argument("--seeds", type=int, default=1, metavar="K",
+                        help=seeds_help)
+
+
+@_group
+def _sweep_flags(parser) -> None:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for independent runs "
                              "(default: $REPRO_JOBS or 1)")
@@ -522,7 +516,8 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                              "each listed kind (deterministic)")
 
 
-def _add_pdes_flags(parser: argparse.ArgumentParser) -> None:
+@_group
+def _pdes_flags(parser) -> None:
     parser.add_argument("--pdes", choices=["off", "on", "auto"], default=None,
                         help="partitioned (per-cluster) execution across "
                              "host cores; identical results (default: "
@@ -532,7 +527,8 @@ def _add_pdes_flags(parser: argparse.ArgumentParser) -> None:
                              "cluster, capped at host cores)")
 
 
-def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
+@_group
+def _bound_flags(parser) -> None:
     parser.add_argument("--ring", type=int, default=None, metavar="N",
                         help="keep only the last N trace records "
                              "(ring buffer)")
@@ -541,7 +537,8 @@ def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
                              "(deterministic; e.g. msg.send=8)")
 
 
-def _add_impairment_flags(parser: argparse.ArgumentParser) -> None:
+@_group
+def _impairment_flags(parser) -> None:
     parser.add_argument("--wan-jitter", default=None, metavar="lognormal:S",
                         help="latency jitter: median-preserving lognormal "
                              "with shape S, e.g. lognormal:0.3")
@@ -576,50 +573,39 @@ def main(argv=None) -> int:
 
     sub.add_parser("list", help="list apps, figures, tables")
 
-    p_table = sub.add_parser("table", help="regenerate a table")
+    p_table = sub.add_parser("table", help="regenerate a table",
+                             parents=[_sweep_flags()])
     p_table.add_argument("number", type=int)
-    _add_sweep_flags(p_table)
 
-    p_fig = sub.add_parser("figure", help="regenerate a figure")
+    p_fig = sub.add_parser("figure", help="regenerate a figure",
+                           parents=[_pdes_flags(), _sweep_flags()])
     p_fig.add_argument("figure")
     p_fig.add_argument("--cpus", type=int, nargs="+",
                        default=list(QUICK_CPUS))
     p_fig.add_argument("--plot", action="store_true",
                        help="render as an ASCII chart")
-    _add_pdes_flags(p_fig)
-    _add_sweep_flags(p_fig)
 
-    p_app = sub.add_parser("app", help="run one application once")
+    p_app = sub.add_parser(
+        "app", help="run one application once",
+        parents=[_geometry_flags(15), _decision_flags(), _pdes_flags(),
+                 _sweep_flags()])
     p_app.add_argument("app", choices=PAPER_ORDER)
-    p_app.add_argument("--variant", default="original")
-    p_app.add_argument("--clusters", type=int, default=4)
-    p_app.add_argument("--nodes", type=int, default=15)
-    p_app.add_argument("--decision", default=None, metavar="PATH",
-                       help="install a tuned DecisionModel (JSON from "
-                            "'repro tune --out'; default: fixed strategy)")
-    _add_pdes_flags(p_app)
-    _add_sweep_flags(p_app)
 
     p_prof = sub.add_parser(
         "profile", help="trace a run and print the wide-area bottleneck "
-                        "breakdown (docs/TRACING.md)")
+                        "breakdown (docs/TRACING.md)",
+        parents=[_geometry_flags(8), _bound_flags()])
     p_prof.add_argument("app", choices=PAPER_ORDER + ["all"])
-    p_prof.add_argument("--variant", default="original")
     p_prof.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="profile two variants and print them side by "
                              "side, e.g. --diff original optimized")
-    p_prof.add_argument("--clusters", type=int, default=4)
-    p_prof.add_argument("--nodes", type=int, default=8)
-    _add_bound_flags(p_prof)
 
     p_trace = sub.add_parser(
         "trace", help="trace a run and export it (JSONL, Chrome "
                       "trace_event for Perfetto, or folded stacks for "
-                      "flame-graph tools)")
+                      "flame-graph tools)",
+        parents=[_geometry_flags(8), _bound_flags()])
     p_trace.add_argument("app", choices=PAPER_ORDER)
-    p_trace.add_argument("--variant", default="original")
-    p_trace.add_argument("--clusters", type=int, default=4)
-    p_trace.add_argument("--nodes", type=int, default=8)
     p_trace.add_argument("--format", choices=["jsonl", "chrome", "folded"],
                          default="chrome")
     p_trace.add_argument("--out", default=None, metavar="PATH",
@@ -628,15 +614,12 @@ def main(argv=None) -> int:
     p_trace.add_argument("--kinds", default=None, metavar="K1,K2",
                          help="emit-time filter: comma-separated record "
                               "kinds to keep (default: all)")
-    _add_bound_flags(p_trace)
 
     p_chains = sub.add_parser(
         "chains", help="reconstruct causal message chains with per-hop "
-                       "latency attribution (docs/TRACING.md)")
+                       "latency attribution (docs/TRACING.md)",
+        parents=[_geometry_flags(8)])
     p_chains.add_argument("app", choices=PAPER_ORDER)
-    p_chains.add_argument("--variant", default="original")
-    p_chains.add_argument("--clusters", type=int, default=4)
-    p_chains.add_argument("--nodes", type=int, default=8)
     p_chains.add_argument("--sequencer", default=None,
                           choices=["centralized", "distributed", "migrating"],
                           help="override the variant's sequencer protocol "
@@ -646,10 +629,10 @@ def main(argv=None) -> int:
                           help="slowest intercluster chains to print")
 
     p_bench = sub.add_parser(
-        "bench", help="measure host throughput and write/check the "
-                      "committed BENCH_*.json perf baselines (the CI "
-                      "perf-smoke entry point)")
-    b_mode = p_bench.add_mutually_exclusive_group(required=True)
+        "bench", help="measure host throughput and print it next to the "
+                      "committed BENCH_*.json perf baselines, or --write "
+                      "/ --check them (the CI perf-smoke entry point)")
+    b_mode = p_bench.add_mutually_exclusive_group()
     b_mode.add_argument("--write", action="store_true",
                         help="measure and (over)write the baselines")
     b_mode.add_argument("--check", action="store_true",
@@ -666,26 +649,21 @@ def main(argv=None) -> int:
     p_scn = sub.add_parser(
         "scenario", help="run apps clean and under WAN impairments, "
                          "faults and heterogeneity tweaks "
-                         "(docs/SCENARIOS.md)")
+                         "(docs/SCENARIOS.md)",
+        parents=[_geometry_flags(8), _impairment_flags(), _decision_flags(),
+                 _seed_flags("run K consecutive seeds starting at --seed"),
+                 _sweep_flags()])
     p_scn.add_argument("apps", nargs="+", choices=PAPER_ORDER,
                        metavar="APP",
                        help=f"applications to run ({', '.join(PAPER_ORDER)})")
-    p_scn.add_argument("--variant", default="original")
-    p_scn.add_argument("--clusters", type=int, default=4)
-    p_scn.add_argument("--nodes", type=int, default=8)
-    _add_impairment_flags(p_scn)
-    p_scn.add_argument("--decision", default=None, metavar="PATH",
-                       help="install a tuned DecisionModel (JSON from "
-                            "'repro tune --out'; default: fixed strategy)")
-    p_scn.add_argument("--seed", type=int, default=0,
-                       help="base scenario seed (default 0)")
-    p_scn.add_argument("--seeds", type=int, default=1, metavar="K",
-                       help="run K consecutive seeds starting at --seed")
-    _add_sweep_flags(p_scn)
 
     p_tune = sub.add_parser(
         "tune", help="calibrate collective primitives inside the simulator "
-                     "and fit a DecisionModel (docs/TUNING.md)")
+                     "and fit a DecisionModel (docs/TUNING.md)",
+        parents=[_impairment_flags(),
+                 _seed_flags("average probes over K consecutive seeds "
+                             "(impaired scenarios only)"),
+                 _sweep_flags()])
     p_tune.add_argument("--sizes", type=int, nargs="+",
                         default=list(DEFAULT_SIZES), metavar="BYTES",
                         help="message sizes to probe "
@@ -698,12 +676,6 @@ def main(argv=None) -> int:
                         help="nodes per cluster in probe topologies (4)")
     p_tune.add_argument("--reps", type=int, default=3,
                         help="repetitions per probe point (3)")
-    _add_impairment_flags(p_tune)
-    p_tune.add_argument("--seed", type=int, default=0,
-                        help="base scenario seed (default 0)")
-    p_tune.add_argument("--seeds", type=int, default=1, metavar="K",
-                        help="average probes over K consecutive seeds "
-                             "(impaired scenarios only)")
     p_tune.add_argument("--out", default=None, metavar="PATH",
                         help="write the fitted DecisionModel as JSON")
     p_tune.add_argument("--apply", action="store_true",
@@ -718,7 +690,6 @@ def main(argv=None) -> int:
     p_tune.add_argument("--apply-nodes", type=int, default=8, metavar="N",
                         help="with --apply: nodes per cluster (8); the "
                              "cluster count is max(--clusters)")
-    _add_sweep_flags(p_tune)
 
     p_cache = sub.add_parser("cache", help="inspect or clear the result cache")
     p_cache.add_argument("action", choices=["info", "clear"], nargs="?",

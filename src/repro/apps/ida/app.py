@@ -6,8 +6,9 @@ highest-numbered processes of a cluster start stealing *remotely* first.
 Idle/active transitions are broadcast for termination detection.
 
 Optimized: (1) steal from the own cluster first, and (2) the "remember
-empty" heuristic — skip victims known (from the termination-detection
-broadcasts) to be idle.  As in the paper, this halves the intercluster
+empty" heuristic — skip victims known to be idle: a local read of
+``idle_set`` on the replicated ``ida.status`` board the
+termination-detection broadcasts keep current.  As in the paper, this halves the intercluster
 steal requests but barely moves the speedup, because the load balance is
 already good.
 """

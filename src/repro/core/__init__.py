@@ -20,7 +20,6 @@ from .cluster_cache import ClusterCache
 from .combining import ClusterCombiner, CombinerConfig
 from .job_queue import (
     DONE,
-    IdleTracker,
     cluster_first_order,
     fifo_queue_spec,
     partition_static,
@@ -36,7 +35,6 @@ __all__ = [
     "ClusterCombiner",
     "CombinerConfig",
     "DONE",
-    "IdleTracker",
     "cluster_first_order",
     "fifo_queue_spec",
     "partition_static",

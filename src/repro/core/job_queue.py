@@ -10,7 +10,9 @@ Three schemes from the paper:
 * **Work stealing** (IDA*): per-node queues; an idle node steals from
   victims.  The original victim order is the paper's fixed
   power-of-two-offset sequence; the optimization steals *cluster-local
-  first* and remembers which victims were idle.
+  first* and skips victims known to be idle — which the app reads off
+  its replicated termination board (``ida.status``'s ``idle_set``), so
+  there is nothing to keep here.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "partition_static",
     "power_of_two_order",
     "cluster_first_order",
-    "IdleTracker",
 ]
 
 #: Sentinel returned by a queue ``get`` once closed and drained.
@@ -140,33 +141,3 @@ def cluster_first_order(topo: Topology, me: int,
     local = [v for v in base if topo.cluster_of(v) == my_cluster]
     remote = [v for v in base if topo.cluster_of(v) != my_cluster]
     return local + remote
-
-
-class IdleTracker:
-    """The "remember empty" heuristic.
-
-    IDA*'s termination detection already broadcasts idle/active
-    transitions, so each process can track which peers are idle for free
-    and skip them when choosing steal victims.
-    """
-
-    def __init__(self, n_nodes: int):
-        self.n_nodes = n_nodes
-        self._idle: Set[int] = set()
-
-    def mark_idle(self, node: int) -> None:
-        self._idle.add(node)
-
-    def mark_active(self, node: int) -> None:
-        self._idle.discard(node)
-
-    def is_idle(self, node: int) -> bool:
-        return node in self._idle
-
-    @property
-    def idle_count(self) -> int:
-        return len(self._idle)
-
-    def filter(self, victims: Iterable[int]) -> List[int]:
-        """Victims worth asking: the ones not known to be idle."""
-        return [v for v in victims if v not in self._idle]

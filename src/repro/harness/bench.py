@@ -1,53 +1,59 @@
-"""Throughput measurement against the committed perf baselines.
+"""Host-throughput suites against the committed perf baselines.
 
-One entry point shared by humans and CI: the ``repro bench`` verb
-(parsed in :mod:`repro.__main__`) calls :func:`write_baselines` /
-:func:`check_baselines` here.  The repo commits five small JSON files
-at its root, each stamped with the ``host_cores`` and ``engine_tier``
-it was written on:
+The five suites are the ``WORKLOADS`` tables of
+``benchmarks/bench_<suite>_micro.py``; this module owns everything
+else: the one measuring loop (``count / best-of-repeat seconds``), the
+one subprocess per engine tier, and the one ledger shape.  Each suite
+has a ``BENCH_<suite>.json`` at the repo root::
 
-* ``BENCH_engine.json`` — events/s per engine micro-workload, one
-  section per engine tier (``python`` always; ``compiled`` when the
-  optional C core builds — checking on a compiler-less machine skips
-  the compiled section with a log line instead of failing)
-* ``BENCH_fabric.json`` — messages/s per fabric path (clean, impaired
-  and striped WAN routes included)
-* ``BENCH_orca.json``   — broadcasts/RPCs/s per control-plane workload
+    {"bench": suite, "python": ..., "machine": ..., "host_cores": ...,
+     "engine_tier": ..., "results": {metric: number}, "info": {...}}
+
+``results`` is flat and holds only *checked* numbers; ``info`` holds
+what rides along unchecked; the stamp says where they were taken.
+
+* ``engine``      — ``<tier>/<workload>`` events/s plus ``<tier>/TOTAL``,
+  for every engine tier the host can build (``python`` always,
+  ``compiled`` when the C core builds)
+* ``fabric``      — ``<workload>`` messages/s per fabric path (clean,
+  impaired and striped WAN routes included)
+* ``orca``        — ``<workload>`` broadcasts/RPCs per second
   (whole-app host time is ``benchmarks/e2e``'s, at paper scale)
-* ``BENCH_collectives.json`` — collectives/s per tuner primitive (the
-  shaped/striped WAN paths) plus the tuner probe loop
-* ``BENCH_pdes.json``   — per-epoch protocol overhead of the
-  partitioned engine over the single-process oracle (µs/epoch,
-  lower-is-better: the check enforces a *ceiling*), plus informational
-  throughput, epoch counts, the wall-clock speedup and the
-  ``host_cores`` geometry it was measured on
+* ``collectives`` — ``<workload>`` collectives/s per tuner primitive
+  plus the tuner probe loop
+* ``pdes``        — ``<workload>/overhead_us_per_epoch`` of the
+  partitioned engine over the single-process oracle: a *cost*, so the
+  check enforces a ceiling; epochs, round trips, runs/s, speedup and
+  worker count are its ``info``
 
-``--suite`` accepts a suite name or ``suite:tier`` (e.g.
-``engine:compiled``).  An *explicitly* requested suite or tier that has
-no committed baseline section, or that this host cannot measure, is a
-hard failure under ``--check``; only auto-discovered tiers (``--suite
-all`` / bare ``engine``) skip-loudly when the host cannot build them.
-The other suites hold one number per workload, baselined on the slower
-``python`` engine tier (the stamped ``engine_tier``): only regressions
-fail, so the same floor is checked under both ``REPRO_ENGINE`` tiers.
+The ``repro bench`` verb (parsed in :mod:`repro.__main__`) has three
+modes.  Bare, it measures and prints the table next to the committed
+numbers, writes nothing and exits 0.  ``--write`` refreshes the files
+from a local run (do this on the machine that defines the baseline,
+after a deliberate perf change).  ``--check`` re-measures and fails if
+any metric is more than ``--threshold`` (default 30%) worse than its
+committed number — the CI perf-smoke job, so event-path regressions
+surface in review rather than in a 10x slower figure sweep three PRs
+later.  The non-engine suites are baselined on the slower ``python``
+tier (the stamped ``engine_tier``): only regressions fail, so the same
+floor is checked under both ``REPRO_ENGINE`` tiers.
 
-``--write`` refreshes them from a local run (do this on the machine
-that defines the baseline, typically CI hardware, after a deliberate
-perf change).  ``--check`` re-measures and prints a per-metric delta
-table, failing if any workload dropped more than ``--threshold``
-(default 30%) below its committed number — the CI perf-smoke job runs
-this so event-path regressions surface in review rather than in a 10x
-slower figure sweep three PRs later.
+``--suite`` accepts a suite name or ``suite:tier`` (``engine:compiled``),
+a prefix filter on the flat keys.  Under ``--check`` an *explicitly*
+requested tier that has no committed numbers, or that this host cannot
+measure, is a hard failure; only auto-discovered tiers (``--suite all``
+/ bare ``engine``) skip loudly when the host cannot build them.
 
 Run from the repo root::
 
+    PYTHONPATH=src python -m repro bench --suite orca
     PYTHONPATH=src python -m repro bench --write
-    PYTHONPATH=src python -m repro bench --check
-    PYTHONPATH=src python -m repro bench --check --suite orca
+    PYTHONPATH=src python -m repro bench --check --suite engine:python
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import pathlib
@@ -57,169 +63,108 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["measure_engine", "measure_fabric", "measure_orca",
-           "measure_collectives", "measure_pdes", "write_baselines",
-           "check_baselines", "parse_suite_request", "SUITES"]
+__all__ = ["SUITES", "baseline_path", "measure", "show", "write_baselines",
+           "check_baselines", "parse_suite_request"]
 
 ROOT = pathlib.Path(__file__).resolve().parents[3]
 
-ENGINE_JSON = ROOT / "BENCH_engine.json"
-FABRIC_JSON = ROOT / "BENCH_fabric.json"
-ORCA_JSON = ROOT / "BENCH_orca.json"
-COLLECTIVES_JSON = ROOT / "BENCH_collectives.json"
-PDES_JSON = ROOT / "BENCH_pdes.json"
+Numbers = Dict[str, float]
 
 
-def _import_benchmarks() -> None:
-    """Make the repo's ``benchmarks/`` modules importable."""
+def baseline_path(suite: str) -> pathlib.Path:
+    return ROOT / f"BENCH_{suite}.json"
+
+
+def _module(suite: str):
+    """``benchmarks/bench_<suite>_micro.py``, imported from the repo."""
     bdir = str(ROOT / "benchmarks")
     if bdir not in sys.path:
         sys.path.insert(0, bdir)
+    return importlib.import_module(f"bench_{suite}_micro")
 
 
 # ------------------------------------------------------------- measurement
 
-def _engine_numbers(repeat: int = 3) -> dict:
-    """Events/s per engine micro-workload, for the tier loaded in *this*
-    process (see bench_engine_micro).  Callers wanting a specific tier
-    must set ``REPRO_ENGINE`` before the first ``repro.sim`` import —
-    which is why :func:`measure_engine` shells out per tier."""
-    _import_benchmarks()
-    from bench_engine_micro import WORKLOADS, _events_processed
-
-    results = {}
-    total_events = 0
-    total_best = 0.0
-    for name, fn in WORKLOADS:
+def _time(workloads, repeat: int) -> List[Tuple[str, int, float]]:
+    """The measuring loop: ``(name, count, best-of-repeat seconds)`` per
+    ``(name, fn)`` workload, ``fn()`` returning the count it performed."""
+    timed = []
+    for name, fn in workloads:
         best = float("inf")
-        events = 0
         for _ in range(repeat):
             t0 = time.perf_counter()
-            sim, approx = fn()
-            dt = time.perf_counter() - t0
-            events = _events_processed(sim, approx)
-            best = min(best, dt)
-        total_events += events
-        total_best += best
-        results[name] = round(events / best)
-    results["TOTAL"] = round(total_events / total_best)
-    return results
+            count = fn()
+            best = min(best, time.perf_counter() - t0)
+        timed.append((name, count, best))
+    return timed
 
 
-def _measure_engine_tier(tier: str, repeat: int) -> dict:
-    """Run :func:`_engine_numbers` in a subprocess pinned to one tier."""
+def _rates(suite: str, repeat: int) -> Tuple[Numbers, dict]:
+    timed = _time(_module(suite).WORKLOADS, repeat)
+    return {name: round(count / best) for name, count, best in timed}, {}
+
+
+def _time_in_tier(suite: str, tier: str,
+                  repeat: int) -> List[Tuple[str, int, float]]:
+    """:func:`_time` over ``suite`` in a subprocess pinned to one engine
+    tier (``REPRO_ENGINE`` is read at the first ``repro.sim`` import)."""
     env = dict(os.environ)
     env["REPRO_ENGINE"] = tier
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get(
         "PYTHONPATH", "")
     code = ("import json\n"
-            "from repro.harness.bench import _engine_numbers\n"
-            f"print(json.dumps(_engine_numbers({int(repeat)})))\n")
+            "from repro.harness import bench\n"
+            "print(json.dumps(bench._time("
+            f"bench._module({suite!r}).WORKLOADS, {int(repeat)})))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     if out.returncode != 0:
-        raise RuntimeError(f"engine bench subprocess (tier {tier}) failed:\n"
+        raise RuntimeError(f"{suite} bench subprocess (tier {tier}) failed:\n"
                            f"{out.stderr}")
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def measure_engine(repeat: int = 3) -> dict:
-    """Events/s per engine micro-workload, one section per engine tier.
-
-    Returns ``{"python": {...}, "compiled": {...}}``; the compiled
-    section is present only when the compiled core builds on this
-    machine, so baselines written on CI hardware stay checkable (with a
-    skip line) on compiler-less machines.
-    """
+def _rates_per_tier(suite: str, repeat: int) -> Tuple[Numbers, dict]:
+    """``<tier>/<workload>`` for every tier this machine can build, so
+    baselines written where the compiled core builds stay checkable
+    (with a skip line) on compiler-less machines."""
     from ..sim._build import compiler_available
 
-    tiers = ["python"] + (["compiled"] if compiler_available() else [])
-    return {tier: _measure_engine_tier(tier, repeat) for tier in tiers}
+    results = {}
+    for tier in ["python"] + (["compiled"] if compiler_available() else []):
+        timed = _time_in_tier(suite, tier, repeat)
+        timed.append(("TOTAL", sum(count for _n, count, _b in timed),
+                      sum(best for _n, _c, best in timed)))
+        results.update({f"{tier}/{name}": round(count / best)
+                        for name, count, best in timed})
+    return results, {}
 
 
-def measure_fabric(repeat: int = 3) -> dict:
-    """Messages/s per fabric path."""
-    _import_benchmarks()
-    from bench_fabric_micro import run_suite
-
-    _text, data = run_suite(repeat=repeat)
-    return {name: {"msgs_per_s": round(entry["msgs_per_s"])}
-            for name, entry in data.items()}
-
-
-def measure_orca(repeat: int = 3) -> dict:
-    """Orca control-plane throughput: broadcasts/RPCs per second."""
-    _import_benchmarks()
-    from bench_orca_micro import run_suite
-
-    _text, data = run_suite(repeat=repeat)
-    return {f"micro/{name}": {"ops_per_s": round(entry["ops_per_s"])}
-            for name, entry in data.items()}
+def _overheads(suite: str, repeat: int) -> Tuple[Numbers, dict]:
+    """Per-epoch protocol overhead only.  Raw throughput and the speedup
+    ratio depend on the measuring host's geometry, so they are ``info``;
+    overhead per epoch is the one number that isolates the
+    synchronization protocol from the work the oracle does anyway."""
+    module = _module(suite)
+    results, info = {}, {}
+    for name, *geometry in module.WORKLOADS:
+        overhead, extra = module.serial_vs_pdes(*geometry, repeat)
+        results[f"{name}/overhead_us_per_epoch"] = overhead
+        info.update({f"{name}/{key}": v for key, v in extra.items()})
+    return results, info
 
 
-def measure_collectives(repeat: int = 3) -> dict:
-    """Collectives/s per tuner primitive: the shaped/striped WAN paths
-    next to the flat default, plus the tuner's own probe loop."""
-    _import_benchmarks()
-    from bench_collectives_micro import run_suite
-
-    _text, data = run_suite(repeat=repeat)
-    return {name: {"ops_per_s": round(entry["ops_per_s"], 2)}
-            for name, entry in data.items()}
-
-
-def measure_pdes(repeat: int = 3) -> dict:
-    """Partitioned-engine whole-run throughput vs the single-process
-    oracle (one forked worker per cluster), plus ``host_cores``."""
-    _import_benchmarks()
-    from bench_pdes_micro import run_suite
-
-    _text, data = run_suite(repeat=repeat)
-    return data
-
-
-def _flat_pdes(results: dict) -> Dict[str, float]:
-    """Per-epoch protocol overhead only (µs/epoch, lower-is-better).
-
-    Raw throughput, the speedup ratio and the core count depend on the
-    measuring host's geometry, so they ride along unchecked; overhead
-    per epoch is the one number that isolates the synchronization
-    protocol from the work the oracle does anyway."""
-    flat = {}
-    for name, entry in results.items():
-        if not isinstance(entry, dict):
-            continue  # host_cores and other scalars: informational
-        flat[f"{name}/overhead_us_per_epoch"] = entry["overhead_us_per_epoch"]
-    return flat
-
-
-def _flat_engine(results: dict) -> Dict[str, float]:
-    if any(not isinstance(v, dict) for v in results.values()):
-        return dict(results)  # pre-tier flat layout (old baselines)
-    return {f"{tier}/{name}": v
-            for tier, section in results.items()
-            for name, v in section.items()}
-
-
-def _flat_fabric(results: dict) -> Dict[str, float]:
-    return {k: v["msgs_per_s"] for k, v in results.items()}
-
-
-def _flat_orca(results: dict) -> Dict[str, float]:
-    return {k: v["ops_per_s"] for k, v in results.items()}
-
-
-#: suite name -> (baseline path, measure fn, flatten-to-numbers fn).
-SUITES: Dict[str, Tuple[pathlib.Path, Callable[[int], dict],
-                        Callable[[dict], Dict[str, float]]]] = {
-    "engine": (ENGINE_JSON, measure_engine, _flat_engine),
-    "fabric": (FABRIC_JSON, measure_fabric, _flat_fabric),
-    "orca": (ORCA_JSON, measure_orca, _flat_orca),
-    "collectives": (COLLECTIVES_JSON, measure_collectives, _flat_orca),
-    "pdes": (PDES_JSON, measure_pdes, _flat_pdes),
+#: suite -> how ``benchmarks/bench_<suite>_micro.py`` is measured:
+#: ``fn(suite, repeat) -> (results, info)``.
+SUITES: Dict[str, Callable[[str, int], Tuple[Numbers, dict]]] = {
+    "collectives": _rates,
+    "engine": _rates_per_tier,
+    "fabric": _rates,
+    "orca": _rates,
+    "pdes": _overheads,
 }
 
-#: suites whose baseline JSON has one section per tier (``suite:tier``
+#: suites whose metrics are ``<tier>/<workload>`` (``suite:tier``
 #: requests are only meaningful for these).
 TIERED_SUITES = ("engine",)
 
@@ -229,8 +174,13 @@ TIERED_SUITES = ("engine",)
 LOWER_IS_BETTER_SUFFIXES = ("overhead_us_per_epoch",)
 
 
-def _lower_is_better(name: str) -> bool:
-    return name.endswith(LOWER_IS_BETTER_SUFFIXES)
+def measure(suite: str, repeat: int) -> Tuple[Numbers, dict]:
+    """``(results, info)`` of one suite, measured now on this host."""
+    return SUITES[suite](suite, repeat)
+
+
+def _tier_of(metric: str) -> str:
+    return metric.partition("/")[0]
 
 
 def parse_suite_request(request: str) -> Tuple[List[str], Optional[str]]:
@@ -259,30 +209,58 @@ def parse_suite_request(request: str) -> Tuple[List[str], Optional[str]]:
     return [suite], tier
 
 
-# ---------------------------------------------------------- write / check
+# --------------------------------------------------- show / write / check
 
-def _payload(kind: str, results: dict) -> dict:
-    """A baseline file: the numbers plus the host geometry and the
-    engine tier ``auto`` resolved to where they were taken (the engine
-    suite measures every tier; its sections are named after them)."""
-    from ..sim.engine import ENGINE_TIER
+Row = Tuple[str, Optional[float], Optional[float], str]
 
-    return {
-        "bench": kind,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "host_cores": os.cpu_count(),
-        "engine_tier": ENGINE_TIER,
-        "results": results,
-    }
+
+def _print_table(rows: Sequence[Row]) -> None:
+    width = max((len(metric) for metric, *_ in rows), default=20)
+    print(f"{'metric':<{width}} {'baseline':>12} {'current':>12} "
+          f"{'delta':>7}  status")
+    for metric, base, cur, status in rows:
+        delta = "-" if None in (base, cur) else f"{cur / base - 1.0:+.0%}"
+        print(f"{metric:<{width}} {'-' if base is None else base:>12} "
+              f"{'-' if cur is None else round(cur, 2):>12} "
+              f"{delta:>7}  {status}".rstrip())
+
+
+def show(repeat: int, suites: Sequence[str], tier: Optional[str]) -> int:
+    """Measure ``suites`` and print them next to whatever baseline is
+    committed.  Writes nothing, fails nothing."""
+    rows: List[Row] = []
+    for suite in suites:
+        path = baseline_path(suite)
+        committed = (json.loads(path.read_text())["results"]
+                     if path.exists() else {})
+        results, _info = measure(suite, repeat)
+        rows += [(f"{suite}/{name}", committed.get(name), cur, "")
+                 for name, cur in results.items()
+                 if tier is None or _tier_of(name) == tier]
+    _print_table(rows)
+    return 0
 
 
 def write_baselines(repeat: int, suites: Sequence[str]) -> int:
+    from ..sim.engine import ENGINE_TIER
+
     for suite in suites:
-        path, measure, flatten = SUITES[suite]
-        results = measure(repeat)
-        path.write_text(json.dumps(_payload(suite, results), indent=2) + "\n")
-        print(f"wrote {path.name}: {flatten(results)}")
+        results, info = measure(suite, repeat)
+        # The stamp: host geometry and the engine tier ``auto`` resolved
+        # to in this process (the engine suite measures every tier; its
+        # metrics are prefixed with them).
+        doc = {
+            "bench": suite,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "host_cores": os.cpu_count(),
+            "engine_tier": ENGINE_TIER,
+            "results": results,
+            "info": info,
+        }
+        path = baseline_path(suite)
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"wrote {path.name}: {results}")
     return 0
 
 
@@ -291,86 +269,67 @@ def check_baselines(repeat: int, threshold: float, suites: Sequence[str],
     """Re-measure ``suites`` and fail on regressions vs the committed
     baselines.
 
-    ``tier`` (from an explicit ``suite:tier`` request) pins one baseline
-    tier of a tiered suite: it must then exist in the committed file AND
-    be measurable on this host, or the check fails — the skip-loudly
+    ``tier`` (from an explicit ``suite:tier`` request) pins one tier of
+    a tiered suite: it must then exist in the committed file AND be
+    measurable on this host, or the check fails — the skip-loudly
     escape hatch is only for tiers the user did not ask for by name.
     """
     failures: List[str] = []
-    rows: List[Tuple[str, str, float, Optional[float], str]] = []
+    rows: List[Row] = []
 
     for suite in suites:
-        path, measure, flatten = SUITES[suite]
+        path = baseline_path(suite)
         if not path.exists():
             failures.append(f"{path.name} not found — run --write first")
             continue
-        committed_raw = json.loads(path.read_text())["results"]
-        current_raw = measure(repeat)
+        committed = json.loads(path.read_text())["results"]
+        current, _info = measure(suite, repeat)
         if suite in TIERED_SUITES:
-            if tier is not None:
-                # Explicit suite:tier request — no silent narrowing.
-                if tier not in committed_raw:
-                    failures.append(
-                        f"{suite}:{tier}: no committed baseline section "
-                        f"in {path.name} — run --write on a machine with "
-                        f"that tier")
-                    continue
-                if tier not in current_raw:
-                    failures.append(
-                        f"{suite}:{tier}: tier unavailable on this "
-                        f"machine (no C compiler?) — explicitly requested "
-                        f"tiers fail instead of skipping")
-                    continue
-                committed_raw = {tier: committed_raw[tier]}
-                current_raw = {tier: current_raw[tier]}
-            else:
+            measurable = {_tier_of(name) for name in current}
+            baselined = {_tier_of(name) for name in committed}
+            if tier is None:
                 # A baseline written where the compiled core builds is
                 # still checkable on a compiler-less machine: skip
                 # (loudly) the auto-discovered tiers this machine cannot
                 # measure instead of failing.
-                for t in [t for t, sec in committed_raw.items()
-                          if isinstance(sec, dict) and t not in current_raw]:
+                for t in sorted(baselined - measurable):
                     print(f"{suite}: {t} tier unavailable on this machine "
                           f"(no C compiler?); skipping its baselines")
-                    committed_raw = {u: sec for u, sec in
-                                     committed_raw.items() if u != t}
-        committed = flatten(committed_raw)
-        current = flatten(current_raw)
+                wanted = measurable
+            elif tier not in baselined:
+                failures.append(
+                    f"{suite}:{tier}: no committed baseline for that tier "
+                    f"in {path.name} — run --write on a machine with it")
+                continue
+            elif tier not in measurable:
+                failures.append(
+                    f"{suite}:{tier}: tier unavailable on this machine "
+                    f"(no C compiler?) — explicitly requested tiers fail "
+                    f"instead of skipping")
+                continue
+            else:
+                wanted = {tier}  # explicit request — no silent narrowing
+            committed = {name: base for name, base in committed.items()
+                         if _tier_of(name) in wanted}
         for name, base in committed.items():
+            metric = f"{suite}/{name}"
             cur = current.get(name)
             if cur is None:
-                failures.append(f"{suite}/{name}: missing from current run")
-                rows.append((suite, name, base, None, "MISSING"))
+                failures.append(f"{metric}: missing from current run")
+                rows.append((metric, base, None, "MISSING"))
                 continue
-            if _lower_is_better(name):
-                ceiling = base * (1.0 + threshold)
-                status = "ok" if cur <= ceiling else "REGRESSION"
-                rows.append((suite, name, base, cur, status))
-                if cur > ceiling:
-                    failures.append(
-                        f"{suite}/{name}: {cur} is {cur / base - 1:.0%} "
-                        f"above baseline {base} (lower is better, "
-                        f"threshold {threshold:.0%})")
-                continue
-            floor = base * (1.0 - threshold)
-            status = "ok" if cur >= floor else "REGRESSION"
-            rows.append((suite, name, base, cur, status))
-            if cur < floor:
+            lower = name.endswith(LOWER_IS_BETTER_SUFFIXES)
+            worse = (cur / base - 1.0) * (1.0 if lower else -1.0)
+            rows.append((metric, base, cur,
+                         "ok" if worse <= threshold else "REGRESSION"))
+            if worse > threshold:
                 failures.append(
-                    f"{suite}/{name}: {cur}/s is {1 - cur / base:.0%} below "
-                    f"baseline {base}/s (threshold {threshold:.0%})")
+                    f"{metric}: {cur} is {worse:.0%} "
+                    f"{'above' if lower else 'below'} baseline {base} "
+                    f"({'lower' if lower else 'higher'} is better, "
+                    f"threshold {threshold:.0%})")
 
-    width = max((len(f"{s}/{n}") for s, n, *_ in rows), default=20)
-    print(f"{'metric':<{width}} {'baseline':>12} {'current':>12} "
-          f"{'delta':>7}  status")
-    for suite, name, base, cur, status in rows:
-        metric = f"{suite}/{name}"
-        if cur is None:
-            print(f"{metric:<{width}} {base:>12} {'-':>12} {'-':>7}  {status}")
-        else:
-            print(f"{metric:<{width}} {base:>12} {round(cur, 2):>12} "
-                  f"{cur / base - 1.0:>+6.0%}  {status}")
-
+    _print_table(rows)
     if failures:
         print("\nperf-smoke FAILED:")
         for f in failures:

@@ -62,7 +62,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: "3": RunSpec grew the ``decision`` field (tuned protocol selection —
 #: see docs/TUNING.md), and integer-typed scenario parameters are now
 #: stored as ints (``max_retries=8``, not ``8.0``).
-CACHE_SCHEMA = "3"
+#: "4": entries end in a SHA-256 trailer; older ones would read as misses.
+CACHE_SCHEMA = "4"
 
 
 def default_jobs() -> int:
@@ -213,12 +214,20 @@ def _nested(work: List[RunSpec]) -> List[RunSpec]:
     return shipped
 
 
+#: Length of the SHA-256 trailer of a cache entry.
+_DIGEST_BYTES = hashlib.sha256().digest_size
+
+
 class ResultCache:
-    """On-disk result cache: one pickle per content-hash key.
+    """On-disk result cache: one pickle per content-hash key, followed
+    by the SHA-256 of the pickle.
 
     Writes are atomic (tempfile + rename), so a crashed or parallel
-    writer can never leave a truncated entry; unreadable entries are
-    treated as misses and overwritten.
+    writer can never leave a truncated entry.  An entry is trusted only
+    if its trailer matches and it unpickles to an :class:`AppResult`:
+    whatever else is on disk (truncated, bit-flipped, foreign, written
+    by other code) is a miss and gets overwritten — never a traceback,
+    never a different number.
     """
 
     def __init__(self, root: Optional[str] = None):
@@ -230,17 +239,25 @@ class ResultCache:
     def get(self, key: str) -> Optional[AppResult]:
         try:
             with open(self._path(key), "rb") as fh:
-                return pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
+                blob = fh.read()
+            body, trailer = blob[:-_DIGEST_BYTES], blob[-_DIGEST_BYTES:]
+            if hashlib.sha256(body).digest() != trailer:
+                return None
+            result = pickle.loads(body)
+        except Exception:  # unreadable, however: a miss
             return None
+        return result if isinstance(result, AppResult) else None
 
     def put(self, key: str, result: AppResult) -> None:
+        body = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                # A trailer, not a header: ``pickle.load`` from offset 0
+                # still reads the entry (it stops at the pickle's end).
+                fh.write(body + hashlib.sha256(body).digest())
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -250,16 +267,17 @@ class ResultCache:
             raise
 
     def clear(self) -> int:
-        """Remove every cached entry; returns the number removed."""
+        """Remove every cached entry (and any ``*.tmp`` a killed writer
+        left behind); returns the number of entries removed."""
         removed = 0
         if not os.path.isdir(self.root):
             return 0
         for dirpath, _dirs, files in os.walk(self.root):
             for name in files:
-                if name.endswith(".pkl"):
+                if name.endswith((".pkl", ".tmp")):
                     try:
                         os.unlink(os.path.join(dirpath, name))
-                        removed += 1
+                        removed += name.endswith(".pkl")
                     except OSError:
                         pass
         return removed

@@ -69,3 +69,70 @@ def test_cli_app_pdes_runs_through_the_runner(tmp_path, monkeypatch, capsys):
     (path,) = traces.glob("sor-original-2x2-*.trace.json")
     events = json.loads(path.read_text())["traceEvents"]
     assert {"M", "X"} <= {ev["ph"] for ev in events}
+
+
+# ------------------------------------------------- the option surface
+
+_SWEEP = "--jobs --no-cache --trace-dir --trace-ring --trace-sample"
+_PDES = "--pdes --pdes-workers"
+_GEOMETRY = "--variant --clusters --nodes"
+_BOUND = "--ring --sample"
+_IMPAIR = ("--wan-jitter --wan-loss --wan-dip --cross-traffic --fault "
+           "--cluster")
+_SEEDS = "--seed --seeds"
+
+#: verb -> (positionals, every option string it accepts).  Pinned at the
+#: commit before the flag groups became shared argparse parents.
+VERB_SURFACE = {
+    "list": ("", ""),
+    "table": ("number", _SWEEP),
+    "figure": ("figure", f"--cpus --plot {_PDES} {_SWEEP}"),
+    "app": ("app", f"{_GEOMETRY} --decision {_PDES} {_SWEEP}"),
+    "profile": ("app", f"{_GEOMETRY} --diff {_BOUND}"),
+    "trace": ("app", f"{_GEOMETRY} --format --out --kinds {_BOUND}"),
+    "chains": ("app", f"{_GEOMETRY} --sequencer --limit"),
+    "bench": ("", "--write --check --repeat --threshold --suite"),
+    "scenario": ("apps",
+                 f"{_GEOMETRY} {_IMPAIR} --decision {_SEEDS} {_SWEEP}"),
+    "tune": ("", f"--sizes --clusters --nodes --reps {_IMPAIR} {_SEEDS} "
+                 f"--out --apply --apps --variant --apply-nodes {_SWEEP}"),
+    "cache": ("action", ""),
+}
+
+#: verb -> (--clusters, --nodes) defaults; --nodes differs per verb.
+GEOMETRY_DEFAULTS = {"app": (4, 15), "profile": (4, 8), "trace": (4, 8),
+                     "chains": (4, 8), "scenario": (4, 8),
+                     "tune": ([2, 4], 4)}
+
+
+def _subparsers(monkeypatch):
+    """{verb: its argparse subparser}, captured from a real ``main()``
+    call at the moment it parses."""
+    import argparse
+
+    seen = []
+
+    def capture(self, argv=None):
+        seen.append(self)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(SystemExit):
+        main([])
+    (sub,) = [a for a in seen[0]._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_cli_option_surface_is_pinned(monkeypatch):
+    verbs = _subparsers(monkeypatch)
+    assert set(verbs) == set(VERB_SURFACE)
+    for verb, (positionals, options) in VERB_SURFACE.items():
+        actions = [a for a in verbs[verb]._actions if a.dest != "help"]
+        assert [a.dest for a in actions if not a.option_strings] \
+            == positionals.split(), verb
+        assert sorted(s for a in actions for s in a.option_strings) \
+            == sorted(options.split()), verb
+    for verb, geometry in GEOMETRY_DEFAULTS.items():
+        assert (verbs[verb].get_default("clusters"),
+                verbs[verb].get_default("nodes")) == geometry, verb

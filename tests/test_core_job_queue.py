@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.core import (
     DONE,
-    IdleTracker,
     cluster_first_order,
     fifo_queue_spec,
     partition_static,
@@ -189,18 +188,3 @@ def test_cluster_first_order_highest_numbered_node_fixed():
     assert topo.cluster_of(original[0]) != 0  # original starts remote
     fixed = cluster_first_order(topo, me, original)
     assert topo.cluster_of(fixed[0]) == 0
-
-
-# ------------------------------------------------------------- idle tracker
-
-
-def test_idle_tracker_filtering():
-    tr = IdleTracker(8)
-    tr.mark_idle(3)
-    tr.mark_idle(5)
-    assert tr.filter([1, 3, 5, 7]) == [1, 7]
-    tr.mark_active(3)
-    assert tr.filter([1, 3, 5, 7]) == [1, 3, 7]
-    assert tr.idle_count == 1
-    assert tr.is_idle(5)
-    assert not tr.is_idle(0)

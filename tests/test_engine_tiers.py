@@ -509,17 +509,41 @@ def _sor(tier, src=_SRC, **env):
     return json.loads(out.stdout)
 
 
+def _copy_package(dest):
+    """The package as a fresh checkout has it: no built extension."""
+    shutil.copytree(
+        os.path.join(_SRC, "repro"), dest,
+        ignore=shutil.ignore_patterns("__pycache__", "_ccore*.so",
+                                      "_ccore*.pyd", "_ccore.stamp",
+                                      "_ccore.build*"))
+
+
 @pytest.fixture
 def private_src(tmp_path):
     """A copy of the package with no built extension.  ``_build`` writes
     next to the source it compiles, so faults injected here never touch
     the extension the rest of the suite is running on."""
-    shutil.copytree(
-        os.path.join(_SRC, "repro"), tmp_path / "repro",
-        ignore=shutil.ignore_patterns("__pycache__", "_ccore*.so",
-                                      "_ccore*.pyd", "_ccore.stamp",
-                                      "_ccore.build*"))
+    _copy_package(tmp_path / "repro")
     return str(tmp_path)
+
+
+def test_a_built_package_ships_the_c_source(tmp_path):
+    """``_build`` compiles ``_ccore.c`` from next to ``_build.py``, so a
+    non-editable install has a compiled tier only if the C file is
+    package data; without it ``auto`` runs the python tier, silently."""
+    pytest.importorskip("setuptools")
+    repo = os.path.dirname(_SRC)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(os.path.join(repo, name), tmp_path / name)
+    _copy_package(tmp_path / "src" / "repro")
+    out = subprocess.run(
+        [sys.executable, "-c", "import setuptools; setuptools.setup()",
+         "build_py", "--build-lib", "lib"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    built = tmp_path / "lib" / "repro" / "sim"
+    assert (built / "_build.py").is_file()
+    assert (built / "_ccore.c").is_file()
 
 
 def test_failed_build_under_auto_is_the_whole_python_tier(private_src):

@@ -177,11 +177,78 @@ def test_cache_corrupt_entry_is_a_miss(tmp_path):
     _same_results([cache.get(key)], [result])
 
 
+@pytest.fixture(scope="module")
+def cached_entry(tmp_path_factory):
+    """(cache, key, result, entry bytes) of one small real entry."""
+    cache = ResultCache(str(tmp_path_factory.mktemp("entry")))
+    spec = RunSpec("tsp", "original", 2, 2, small_params("tsp"))
+    result = spec.execute()
+    cache.put(spec.key(), result)
+    with open(cache._path(spec.key()), "rb") as fh:
+        return cache, spec.key(), result, fh.read()
+
+
+def _damaged_reads(cached_entry, damaged):
+    """``get`` after each of ``damaged``'s byte strings replaced the
+    entry: it may only miss or return the original — it never raises
+    (the test would error) and never returns anything else."""
+    cache, key, result, blob = cached_entry
+    path = cache._path(key)
+    try:
+        for bad in damaged:
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            got = cache.get(key)
+            if got is not None:
+                _same_results([got], [result])
+                assert got.stats == result.stats
+            yield got
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(blob)
+
+
+@pytest.mark.parametrize("bit", range(8))
+def test_cache_entry_with_any_single_bit_flipped_is_a_miss(cached_entry, bit):
+    blob = cached_entry[3]
+    flipped = (blob[:i] + bytes([blob[i] ^ (1 << bit)]) + blob[i + 1:]
+               for i in range(len(blob)))
+    assert all(got is None for got in _damaged_reads(cached_entry, flipped))
+
+
+def test_cache_entry_truncated_at_any_length_is_a_miss(cached_entry):
+    blob = cached_entry[3]
+    cut = (blob[:n] for n in range(len(blob)))
+    assert all(got is None for got in _damaged_reads(cached_entry, cut))
+
+
+def test_cache_entry_that_is_not_a_result_is_a_miss(cached_entry):
+    """A well-formed entry (valid trailer) holding some other object, and
+    a bare pickle without a trailer (what schema "3" wrote)."""
+    import hashlib
+
+    cache, key, result, _blob = cached_entry
+    foreign = pickle.dumps({"elapsed": 1.0})
+    bare = pickle.dumps(result)
+    damaged = [foreign + hashlib.sha256(foreign).digest(), bare, b""]
+    assert list(_damaged_reads(cached_entry, damaged)) == [None] * 3
+    # The next put restores the entry, and code that reads it with a
+    # plain pickle.load from offset 0 (benchmarks/e2e does) still can.
+    cache.put(key, result)
+    _same_results([cache.get(key)], [result])
+    with open(cache._path(key), "rb") as fh:
+        _same_results([pickle.load(fh)], [result])
+
+
 def test_cache_clear(tmp_path):
     cache = ResultCache(str(tmp_path))
     spec = RunSpec("tsp", "original", 1, 2, small_params("tsp"))
     cache.put(spec.key(), spec.execute())
+    # What a writer killed between mkstemp and rename leaves behind.
+    orphan = tmp_path / spec.key()[:2] / "tmpkilled.tmp"
+    orphan.write_bytes(b"half an entry")
     assert cache.clear() == 1
+    assert not orphan.exists()
     assert cache.get(spec.key()) is None
     assert cache.clear() == 0
 

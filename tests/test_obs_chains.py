@@ -178,7 +178,7 @@ def test_chains_join_on_run_local_ids_across_repeat_runs():
 def test_cli_chains(capsys, monkeypatch):
     from repro.__main__ import main
 
-    monkeypatch.setattr("repro.harness.bench_params", small_params)
+    monkeypatch.setattr("repro.__main__.bench_params", small_params)
     assert main(["chains", "water", "--clusters", "2", "--nodes", "2",
                  "--limit", "2"]) == 0
     out = capsys.readouterr().out
@@ -191,7 +191,7 @@ def test_cli_chains_centralized_sequencer_for_broadcast_app(capsys,
                                                             monkeypatch):
     from repro.__main__ import main
 
-    monkeypatch.setattr("repro.harness.bench_params", small_params)
+    monkeypatch.setattr("repro.__main__.bench_params", small_params)
     assert main(["chains", "asp", "--clusters", "2", "--nodes", "2",
                  "--sequencer", "centralized"]) == 0
     out = capsys.readouterr().out

@@ -124,8 +124,8 @@ def test_cli_profile_diff(capsys, monkeypatch):
 
 
 def test_cli_trace_chrome(tmp_path, capsys, monkeypatch):
-    # cmd_trace binds the re-export, not the defining module
-    monkeypatch.setattr("repro.harness.bench_params", small_params)
+    # the CLI binds bench_params once, at import
+    monkeypatch.setattr("repro.__main__.bench_params", small_params)
     out_file = tmp_path / "tsp.trace.json"
     assert main(["trace", "tsp", "--clusters", "2", "--nodes", "2",
                  "--out", str(out_file)]) == 0
@@ -137,7 +137,7 @@ def test_cli_trace_chrome(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_trace_jsonl_with_kind_filter(tmp_path, monkeypatch):
-    monkeypatch.setattr("repro.harness.bench_params", small_params)
+    monkeypatch.setattr("repro.__main__.bench_params", small_params)
     out_file = tmp_path / "tsp.trace.jsonl"
     assert main(["trace", "tsp", "--clusters", "2", "--nodes", "2",
                  "--format", "jsonl", "--kinds", "msg.send,msg.deliver",
