@@ -67,9 +67,6 @@ class GameGraph:
     succs: List[np.ndarray]        # forward edges (to higher indices)
     preds: List[List[int]]         # reverse adjacency
 
-    def n_edges(self) -> int:
-        return sum(len(s) for s in self.succs)
-
 
 @lru_cache(maxsize=INSTANCE_MEMO)
 def build_game(params: RAParams) -> GameGraph:

@@ -63,7 +63,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: see docs/TUNING.md), and integer-typed scenario parameters are now
 #: stored as ints (``max_retries=8``, not ``8.0``).
 #: "4": entries end in a SHA-256 trailer; older ones would read as misses.
-CACHE_SCHEMA = "4"
+#: "5": ``sim_stats`` has four keys; older entries carry a fifth, a
+#: duplicate of ``spawns``.
+CACHE_SCHEMA = "5"
 
 
 def default_jobs() -> int:

@@ -86,7 +86,6 @@ class TotalOrderBroadcast:
         self._delivery = [_NodeDeliveryState() for _ in range(self.topo.n_nodes)]
         # seq -> (sender node, completion event)
         self._completions: Dict[int, Tuple[int, Event]] = {}
-        self._stat_broadcasts = 0
         # Per-sender issue tickets: broadcasts from one node acquire their
         # global sequence numbers in the order the node *issued* them, so
         # asynchronous writes keep program order even when a later
@@ -138,7 +137,6 @@ class TotalOrderBroadcast:
         """Sender-side flow; returns the op result from the sender's replica."""
         if issue is None:
             issue = self.next_issue(sender)
-        self._stat_broadcasts += 1
         sender_cluster = self.topo.cluster_of(sender)
         stamp_cluster = self.protocol.stamping_cluster(sender_cluster)
         stamp_node = self.stamping_node(stamp_cluster)
@@ -316,7 +314,3 @@ class TotalOrderBroadcast:
 
     def applied_sequence(self, node: int) -> list:
         return list(self._delivery[node].applied)
-
-    @property
-    def broadcasts_sent(self) -> int:
-        return self._stat_broadcasts

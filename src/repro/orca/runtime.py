@@ -389,10 +389,6 @@ class Context:
         msg = yield self.rts.fabric.nodes[self.node].port(port).get()
         return msg
 
-    def try_receive(self, port: str = "app") -> Optional[Message]:
-        """Non-blocking receive: the next message or ``None``."""
-        return self.rts.fabric.nodes[self.node].port(port).try_get()
-
     # -- compute -------------------------------------------------------------
     #: compute is charged in quanta so incoming protocol work (RPC service,
     #: broadcast application) interleaves with it, the way interrupt-driven

@@ -258,10 +258,6 @@ class MigratingSequencer(_TokenSequencer):
                 tr.emit(self.sim.now, "seq.migrate", frm=frm, to=cluster)
         return super().acquire(cluster)
 
-    @property
-    def located_at(self) -> int:
-        return self._ring.at
-
 
 def make_sequencer(kind: str, sim: Simulator, n_clusters: int,
                    hop_latency: float, tracer=None) -> SequencerProtocol:

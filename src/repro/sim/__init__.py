@@ -2,13 +2,10 @@
 
 from .engine import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
-    Timeout,
     fire,
 )
 from .primitives import CPU, Barrier, Channel, Resource
@@ -17,13 +14,10 @@ from .trace import TraceRecord, Tracer, TraceSpec
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Simulator",
-    "Timeout",
     "fire",
     "CPU",
     "Barrier",

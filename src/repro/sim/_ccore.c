@@ -12,10 +12,11 @@
  * reference: same error messages, same tie-break counting (every heap
  * entry bumps the counter exactly once, so Simulator.stats() agrees
  * across tiers record-for-record), same kick-event recycling, same
- * batched same-instant drain.  Exception types (SimulationError,
- * Interrupt) and the PENDING sentinel are *shared* with the pure tier:
- * they are injected once via _set_helpers() so isinstance checks and
- * identity tests work across the facade.
+ * batched same-instant drain, and the same contract — no more than the
+ * simulated machine calls (engine.py lists it).  SimulationError and the
+ * PENDING sentinel are *shared* with the pure tier: they are injected
+ * once via _set_helpers() so isinstance checks and identity tests work
+ * across the facade.
  *
  * One function here is not engine: sweep_phase, SOR's numerical kernel.
  * It lives in this file because the repository has one native artefact
@@ -33,9 +34,7 @@
 /* Injected from _cengine.py via _set_helpers(). */
 static PyObject *Pending;       /* the shared PENDING sentinel */
 static PyObject *SimError;      /* SimulationError class */
-static PyObject *InterruptCls;  /* Interrupt class */
 static PyObject *AllOfCls;      /* AllOf (Python subclass of our Event) */
-static PyObject *AnyOfCls;      /* AnyOf */
 static PyObject *SpawnObsHook;  /* callable(sim, proc) -> None */
 static PyObject *DropArgHelper; /* callable(fn) -> (lambda _ev: fn()) */
 
@@ -72,21 +71,14 @@ typedef struct {
     PyObject *sim;          /* SimObject, strong */
     PyObject *callbacks;    /* PyList, or NULL once processed */
     PyObject *value;        /* Pending sentinel until triggered */
-    PyObject *defval;       /* value assumed when fired off the heap */
     char ok;
     char scheduled;
 } EventObject;
 
 typedef struct {
     EventObject ev;
-    double delay;
-} TimeoutObject;
-
-typedef struct {
-    EventObject ev;
     PyObject *gen;
     PyObject *name;         /* str */
-    PyObject *waiting_on;   /* Event or NULL */
     PyObject *kick;         /* recycled kick Event or NULL */
     PyObject *kick_cbs;     /* the kick's callback list, or NULL */
     PyObject *resume_cb;    /* cached bound _resume (stable identity) */
@@ -127,7 +119,6 @@ typedef struct {
 
 static PyTypeObject SimType;
 static PyTypeObject EventType;
-static PyTypeObject TimeoutType;
 static PyTypeObject ProcessType;
 static PyTypeObject ResourceType;
 static PyTypeObject OccType;
@@ -248,14 +239,16 @@ event_new_bare(PyTypeObject *type, SimObject *sim)
     ev->callbacks = PyList_New(0);
     if (!ev->callbacks) { Py_DECREF(ev); return NULL; }
     ev->value = Py_NewRef(Pending);
-    ev->defval = Py_NewRef(Py_None);
     ev->ok = 1;
     ev->scheduled = 0;
     return ev;
 }
 
+/* Put a triggered event on the heap for dispatch at the current instant
+ * (_pyengine._schedule).  A timeout is on the heap from birth, so
+ * triggering one by hand is refused. */
 static int
-event_post(EventObject *ev, double delay)
+event_schedule(EventObject *ev)
 {
     if (ev->scheduled) {
         PyErr_SetString(SimError, "event already scheduled");
@@ -263,11 +256,10 @@ event_post(EventObject *ev, double delay)
     }
     ev->scheduled = 1;
     SimObject *sim = (SimObject *)ev->sim;
-    return heap_push(sim, sim->now + delay, (PyObject *)ev, K_EVENT);
+    return heap_push(sim, sim->now, (PyObject *)ev, K_EVENT);
 }
 
-/* Internal succeed/fail: no "already triggered" possible at call sites
- * that checked; callers that may race use event_complete_checked. */
+/* succeed()/fail() without the argument checks. */
 static int
 event_complete(EventObject *ev, PyObject *value, int ok)
 {
@@ -277,7 +269,7 @@ event_complete(EventObject *ev, PyObject *value, int ok)
     }
     Py_XSETREF(ev->value, Py_NewRef(value));
     ev->ok = (char)ok;
-    return event_post(ev, 0.0);
+    return event_schedule(ev);
 }
 
 /* Run and drop the event's callbacks (the dispatch of a fired event). */
@@ -335,7 +327,6 @@ Event_init(EventObject *self, PyObject *args, PyObject *kwds)
         return -1;
     Py_XSETREF(self->callbacks, cbs);
     Py_XSETREF(self->value, Py_NewRef(Pending));
-    Py_XSETREF(self->defval, Py_NewRef(Py_None));
     self->ok = 1;
     self->scheduled = 0;
     return 0;
@@ -347,7 +338,6 @@ Event_traverse(EventObject *self, visitproc visit, void *arg)
     Py_VISIT(self->sim);
     Py_VISIT(self->callbacks);
     Py_VISIT(self->value);
-    Py_VISIT(self->defval);
     return 0;
 }
 
@@ -357,7 +347,6 @@ Event_clear(EventObject *self)
     Py_CLEAR(self->sim);
     Py_CLEAR(self->callbacks);
     Py_CLEAR(self->value);
-    Py_CLEAR(self->defval);
     return 0;
 }
 
@@ -395,7 +384,7 @@ Event_fail(EventObject *self, PyObject *exc)
     }
     Py_XSETREF(self->value, Py_NewRef(exc));
     self->ok = 0;
-    if (event_post(self, 0.0) < 0)
+    if (event_schedule(self) < 0)
         return NULL;
     return Py_NewRef((PyObject *)self);
 }
@@ -404,12 +393,6 @@ static PyObject *
 Event_get_triggered(EventObject *self, void *closure)
 {
     return PyBool_FromLong(self->value != Pending);
-}
-
-static PyObject *
-Event_get_processed(EventObject *self, void *closure)
-{
-    return PyBool_FromLong(self->callbacks == NULL);
 }
 
 static PyObject *
@@ -467,18 +450,6 @@ Event_get_rawok(EventObject *self, void *closure)
     return PyBool_FromLong(self->ok);
 }
 
-static PyObject *
-Event_get_scheduled(EventObject *self, void *closure)
-{
-    return PyBool_FromLong(self->scheduled);
-}
-
-static PyObject *
-Event_get_default(EventObject *self, void *closure)
-{
-    return Py_NewRef(self->defval);
-}
-
 static PyMethodDef Event_methods[] = {
     {"succeed", (PyCFunction)(void (*)(void))Event_succeed, METH_FASTCALL,
      "Trigger the event; the value is sent to every waiting process."},
@@ -489,15 +460,12 @@ static PyMethodDef Event_methods[] = {
 
 static PyGetSetDef Event_getset[] = {
     {"triggered", (getter)Event_get_triggered, NULL, NULL, NULL},
-    {"processed", (getter)Event_get_processed, NULL, NULL, NULL},
     {"ok", (getter)Event_get_ok, NULL, NULL, NULL},
     {"value", (getter)Event_get_value, NULL, NULL, NULL},
     {"callbacks", (getter)Event_get_callbacks, (setter)Event_set_callbacks,
      NULL, NULL},
     {"_value", (getter)Event_get_rawvalue, NULL, NULL, NULL},
     {"_ok", (getter)Event_get_rawok, NULL, NULL, NULL},
-    {"_scheduled", (getter)Event_get_scheduled, NULL, NULL, NULL},
-    {"_default", (getter)Event_get_default, NULL, NULL, NULL},
     {NULL}
 };
 
@@ -523,60 +491,6 @@ static PyTypeObject EventType = {
 };
 
 /* ------------------------------------------------------------------ */
-/* Timeout                                                             */
-/* ------------------------------------------------------------------ */
-
-static int
-Timeout_init(TimeoutObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *sim, *dobj, *value = Py_None;
-    static char *kwlist[] = {"sim", "delay", "value", NULL};
-    if (check_ready() < 0)
-        return -1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!O|O", kwlist,
-                                     &SimType, &sim, &dobj, &value))
-        return -1;
-    double delay = PyFloat_AsDouble(dobj);
-    if (delay == -1.0 && PyErr_Occurred())
-        return -1;
-    if (delay < 0) {
-        PyErr_Format(SimError, "negative timeout delay: %S", dobj);
-        return -1;
-    }
-    EventObject *ev = &self->ev;
-    Py_XSETREF(ev->sim, Py_NewRef(sim));
-    PyObject *cbs = PyList_New(0);
-    if (!cbs)
-        return -1;
-    Py_XSETREF(ev->callbacks, cbs);
-    Py_XSETREF(ev->value, Py_NewRef(Pending));
-    Py_XSETREF(ev->defval, Py_NewRef(value));
-    ev->ok = 1;
-    ev->scheduled = 0;
-    self->delay = delay;
-    return event_post(ev, delay);
-}
-
-static PyMemberDef Timeout_members[] = {
-    {"delay", T_DOUBLE, offsetof(TimeoutObject, delay), READONLY, NULL},
-    {NULL}
-};
-
-static PyTypeObject TimeoutType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.sim._ccore.Timeout",
-    .tp_basicsize = sizeof(TimeoutObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "An event that fires after a fixed virtual-time delay.",
-    .tp_base = &EventType,
-    .tp_init = (initproc)Timeout_init,
-    .tp_dealloc = (destructor)Event_dealloc,
-    .tp_traverse = (traverseproc)Event_traverse,
-    .tp_clear = (inquiry)Event_clear,
-    .tp_members = Timeout_members,
-};
-
-/* ------------------------------------------------------------------ */
 /* Process                                                             */
 /* ------------------------------------------------------------------ */
 
@@ -584,13 +498,10 @@ static PyObject *
 Process_resume_impl(PyObject *self_obj, PyObject *evobj)
 {
     ProcessObject *self = (ProcessObject *)self_obj;
-    if (self->ev.value != Pending)  /* finished (e.g. interrupted mid-wait) */
-        Py_RETURN_NONE;
     if (!PyObject_TypeCheck(evobj, &EventType)) {
         PyErr_SetString(PyExc_TypeError, "_resume expects an Event");
         return NULL;
     }
-    Py_CLEAR(self->waiting_on);
     EventObject *ev = (EventObject *)evobj;
     if (process_step(self, ev->value, ev->ok) < 0)
         return NULL;
@@ -627,7 +538,6 @@ Process_init(ProcessObject *self, PyObject *args, PyObject *kwds)
         return -1;
     Py_XSETREF(ev->callbacks, cbs);
     Py_XSETREF(ev->value, Py_NewRef(Pending));
-    Py_XSETREF(ev->defval, Py_NewRef(Py_None));
     ev->ok = 1;
     ev->scheduled = 0;
 
@@ -645,7 +555,6 @@ Process_init(ProcessObject *self, PyObject *args, PyObject *kwds)
         }
         Py_XSETREF(self->name, gname);
     }
-    Py_CLEAR(self->waiting_on);
     Py_CLEAR(self->kick);
     Py_CLEAR(self->kick_cbs);
     PyObject *resume = PyCFunction_New(&Process_resume_def, (PyObject *)self);
@@ -666,10 +575,8 @@ Process_traverse(ProcessObject *self, visitproc visit, void *arg)
     Py_VISIT(self->ev.sim);
     Py_VISIT(self->ev.callbacks);
     Py_VISIT(self->ev.value);
-    Py_VISIT(self->ev.defval);
     Py_VISIT(self->gen);
     Py_VISIT(self->name);
-    Py_VISIT(self->waiting_on);
     Py_VISIT(self->kick);
     Py_VISIT(self->kick_cbs);
     Py_VISIT(self->resume_cb);
@@ -682,7 +589,6 @@ Process_clear(ProcessObject *self)
     Event_clear(&self->ev);
     Py_CLEAR(self->gen);
     Py_CLEAR(self->name);
-    Py_CLEAR(self->waiting_on);
     Py_CLEAR(self->kick);
     Py_CLEAR(self->kick_cbs);
     Py_CLEAR(self->resume_cb);
@@ -776,119 +682,37 @@ process_step(ProcessObject *self, PyObject *sendval, int ok)
     }
 
     EventObject *tev = (EventObject *)target;
+    int st;
     if (tev->callbacks == NULL) {
         /* Already fired and processed: resume next tick via the
-         * recycled per-process kick event. */
+         * recycled per-process kick event.  A process waits on one
+         * event at a time, so its kick has always been dispatched by
+         * the time it is needed again. */
+        SimObject *sim = (SimObject *)self->ev.sim;
         EventObject *kick = (EventObject *)self->kick;
-        if (kick == NULL || kick->callbacks != NULL) {
-            /* First use, or the previous kick is still in the heap
-             * (an interrupt resumed us early): allocate. */
-            kick = event_new_bare(&EventType, (SimObject *)self->ev.sim);
-            if (!kick) { Py_DECREF(target); return -1; }
-            if (PyList_Append(kick->callbacks, self->resume_cb) < 0) {
-                Py_DECREF(kick);
+        if (kick == NULL) {
+            kick = event_new_bare(&EventType, sim);
+            if (!kick || PyList_Append(kick->callbacks, self->resume_cb) < 0) {
+                Py_XDECREF(kick);
                 Py_DECREF(target);
                 return -1;
             }
-            Py_XSETREF(self->kick, (PyObject *)kick);
-            Py_XSETREF(self->kick_cbs, Py_NewRef(kick->callbacks));
+            self->kick = (PyObject *)kick;
+            self->kick_cbs = Py_NewRef(kick->callbacks);
         }
-        else {
-            kick->scheduled = 0;
+        else
             Py_XSETREF(kick->callbacks, Py_NewRef(self->kick_cbs));
-        }
         Py_XSETREF(kick->value, Py_NewRef(tev->value));
         kick->ok = tev->ok;
-        if (event_post(kick, 0.0) < 0) { Py_DECREF(target); return -1; }
-        Py_XSETREF(self->waiting_on, Py_NewRef((PyObject *)kick));
+        st = heap_push(sim, sim->now, (PyObject *)kick, K_EVENT);
     }
-    else {
-        if (PyList_Append(tev->callbacks, self->resume_cb) < 0) {
-            Py_DECREF(target);
-            return -1;
-        }
-        Py_XSETREF(self->waiting_on, Py_NewRef(target));
-    }
+    else
+        st = PyList_Append(tev->callbacks, self->resume_cb);
     Py_DECREF(target);
-    return 0;
+    return st;
 }
-
-static PyObject *
-Process_interrupt(ProcessObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs > 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "interrupt() takes at most 1 argument");
-        return NULL;
-    }
-    PyObject *cause = nargs ? args[0] : Py_None;
-    if (self->ev.value != Pending)
-        Py_RETURN_NONE;
-    PyObject *waited = self->waiting_on;
-    if (waited) {
-        EventObject *wev = (EventObject *)waited;
-        if (wev->value == Pending && wev->callbacks != NULL) {
-            /* Detach from the event we were waiting on (mirrors the
-             * pure tier's list.remove, ignoring absence). */
-            Py_ssize_t n = PyList_GET_SIZE(wev->callbacks);
-            for (Py_ssize_t i = 0; i < n; i++) {
-                if (PyList_GET_ITEM(wev->callbacks, i) == self->resume_cb) {
-                    if (PyList_SetSlice(wev->callbacks, i, i + 1, NULL) < 0)
-                        return NULL;
-                    break;
-                }
-            }
-        }
-    }
-    Py_CLEAR(self->waiting_on);
-    EventObject *kick = event_new_bare(&EventType, (SimObject *)self->ev.sim);
-    if (!kick)
-        return NULL;
-    if (PyList_Append(kick->callbacks, self->resume_cb) < 0) {
-        Py_DECREF(kick);
-        return NULL;
-    }
-    PyObject *exc = PyObject_CallOneArg(InterruptCls, cause);
-    if (!exc) {
-        Py_DECREF(kick);
-        return NULL;
-    }
-    Py_XSETREF(kick->value, exc);  /* steals exc */
-    kick->ok = 0;
-    int st = event_post(kick, 0.0);
-    Py_DECREF(kick);
-    if (st < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Process_get_is_alive(ProcessObject *self, void *closure)
-{
-    return PyBool_FromLong(self->ev.value == Pending);
-}
-
-static PyObject *
-Process_get_resume(ProcessObject *self, void *closure)
-{
-    return Py_NewRef(self->resume_cb);
-}
-
-static PyMethodDef Process_methods[] = {
-    {"interrupt", (PyCFunction)(void (*)(void))Process_interrupt,
-     METH_FASTCALL,
-     "Throw Interrupt into the process at the current instant."},
-    {NULL}
-};
-
-static PyGetSetDef Process_getset[] = {
-    {"is_alive", (getter)Process_get_is_alive, NULL, NULL, NULL},
-    {"_resume", (getter)Process_get_resume, NULL, NULL, NULL},
-    {NULL}
-};
 
 static PyMemberDef Process_members[] = {
-    {"gen", T_OBJECT, offsetof(ProcessObject, gen), READONLY, NULL},
     {"name", T_OBJECT, offsetof(ProcessObject, name), READONLY, NULL},
     {NULL}
 };
@@ -904,8 +728,6 @@ static PyTypeObject ProcessType = {
     .tp_dealloc = (destructor)Process_dealloc,
     .tp_traverse = (traverseproc)Process_traverse,
     .tp_clear = (inquiry)Process_clear,
-    .tp_methods = Process_methods,
-    .tp_getset = Process_getset,
     .tp_members = Process_members,
 };
 
@@ -999,7 +821,7 @@ res_release(ResourceObject *r)
             if (Py_IS_TYPE(w, &OccType))
                 st = heap_push(sim, sim->now, w, K_OCC_GRANT);
             else if (((EventObject *)w)->value != Pending) {
-                Py_DECREF(w);  /* interrupted/cancelled waiter: skip */
+                Py_DECREF(w);  /* cancelled waiter: skip */
                 continue;
             }
             else
@@ -1383,19 +1205,13 @@ dispatch_item(SimObject *sim, PyObject *item, int kind)
         Py_DECREF(r);
         return 0;
     }
-    if (kind == K_START) {
-        ProcessObject *p = (ProcessObject *)item;
-        if (p->ev.value != Pending)  /* interrupted before bootstrap */
-            return 0;
-        return process_step(p, Py_None, 1);
-    }
+    if (kind == K_START)
+        return process_step((ProcessObject *)item, Py_None, 1);
     if (kind != K_EVENT)
         return occ_dispatch(sim, (OccObject *)item, kind);
     EventObject *ev = (EventObject *)item;
-    if (ev->value == Pending) {
-        /* Scheduled directly (Timeout): fire now with its default. */
-        Py_XSETREF(ev->value, Py_NewRef(ev->defval));
-    }
+    if (ev->value == Pending)  /* a timeout: fires with None */
+        Py_SETREF(ev->value, Py_NewRef(Py_None));
     return event_run_callbacks(ev);
 }
 
@@ -1453,62 +1269,39 @@ Sim_dealloc(SimObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
+/* timeout(delay): a pending event on the heap `delay` seconds out; the
+ * dispatch loop fires it with None.  The hottest boxed allocation. */
 static PyObject *
-Sim_event(SimObject *self, PyObject *noargs)
+Sim_timeout(SimObject *self, PyObject *dobj)
 {
-    if (check_ready() < 0)
-        return NULL;
-    return (PyObject *)event_new_bare(&EventType, self);
-}
-
-/* timeout(delay, value=None) — the hottest boxed allocation. */
-static PyObject *
-Sim_timeout(SimObject *self, PyObject *const *args, Py_ssize_t nargs,
-            PyObject *kwnames)
-{
-    PyObject *value = Py_None;
-    Py_ssize_t npos = nargs;
-    if (kwnames) {
-        Py_ssize_t nkw = PyTuple_GET_SIZE(kwnames);
-        for (Py_ssize_t i = 0; i < nkw; i++) {
-            PyObject *nm = PyTuple_GET_ITEM(kwnames, i);
-            if (PyUnicode_CompareWithASCIIString(nm, "value") == 0)
-                value = args[nargs + i];
-            else {
-                PyErr_Format(PyExc_TypeError,
-                             "timeout() got an unexpected keyword argument "
-                             "%R", nm);
-                return NULL;
-            }
-        }
-    }
-    if (npos < 1 || npos > 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "timeout() takes 1 or 2 positional arguments");
-        return NULL;
-    }
-    if (npos == 2)
-        value = args[1];
-    double delay = PyFloat_AsDouble(args[0]);
+    double delay = PyFloat_AsDouble(dobj);
     if (delay == -1.0 && PyErr_Occurred())
         return NULL;
     if (delay < 0) {
-        PyErr_Format(SimError, "negative timeout delay: %S", args[0]);
+        PyErr_Format(SimError, "negative timeout delay: %S", dobj);
         return NULL;
     }
     if (check_ready() < 0)
         return NULL;
-    TimeoutObject *ev = (TimeoutObject *)event_new_bare(&TimeoutType, self);
+    EventObject *ev = event_new_bare(&EventType, self);
     if (!ev)
         return NULL;
-    Py_XSETREF(ev->ev.defval, Py_NewRef(value));
-    ev->delay = delay;
-    ev->ev.scheduled = 1;
+    ev->scheduled = 1;
     if (heap_push(self, self->now + delay, (PyObject *)ev, K_EVENT) < 0) {
         Py_DECREF(ev);
         return NULL;
     }
     return (PyObject *)ev;
+}
+
+/* A fresh timeout with `cb` already on its callbacks (after, call_at). */
+static PyObject *
+sim_timeout_with(SimObject *self, PyObject *dobj, PyObject *cb)
+{
+    PyObject *ev = Sim_timeout(self, dobj);
+    if (ev && PyList_Append(((EventObject *)ev)->callbacks, cb) < 0)
+        Py_CLEAR(ev);
+    return ev;
 }
 
 static PyObject *
@@ -1532,40 +1325,13 @@ Sim_after_call(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-Sim_after(SimObject *self, PyObject *const *args, Py_ssize_t nargs,
-          PyObject *kwnames)
+Sim_after(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *value = Py_None;
-    if (kwnames) {
-        Py_ssize_t nkw = PyTuple_GET_SIZE(kwnames);
-        for (Py_ssize_t i = 0; i < nkw; i++) {
-            PyObject *nm = PyTuple_GET_ITEM(kwnames, i);
-            if (PyUnicode_CompareWithASCIIString(nm, "value") == 0)
-                value = args[nargs + i];
-            else {
-                PyErr_Format(PyExc_TypeError,
-                             "after() got an unexpected keyword argument %R",
-                             nm);
-                return NULL;
-            }
-        }
-    }
-    if (nargs < 2 || nargs > 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "after() takes 2 or 3 positional arguments");
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "after() takes exactly 2 arguments");
         return NULL;
     }
-    if (nargs == 3)
-        value = args[2];
-    PyObject *targs[3] = {args[0], value, NULL};
-    PyObject *ev = Sim_timeout(self, targs, 2, NULL);
-    if (!ev)
-        return NULL;
-    if (PyList_Append(((EventObject *)ev)->callbacks, args[1]) < 0) {
-        Py_DECREF(ev);
-        return NULL;
-    }
-    return ev;
+    return sim_timeout_with(self, args[0], args[1]);
 }
 
 static PyObject *
@@ -1591,14 +1357,9 @@ Sim_call_at(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (!wrapper)
         return NULL;
     PyObject *dobj = PyFloat_FromDouble(when - self->now);
-    if (!dobj) { Py_DECREF(wrapper); return NULL; }
-    PyObject *targs[1] = {dobj};
-    PyObject *ev = Sim_timeout(self, targs, 1, NULL);
-    Py_DECREF(dobj);
-    if (!ev) { Py_DECREF(wrapper); return NULL; }
-    int st = PyList_Append(((EventObject *)ev)->callbacks, wrapper);
+    PyObject *ev = dobj ? sim_timeout_with(self, dobj, wrapper) : NULL;
+    Py_XDECREF(dobj);
     Py_DECREF(wrapper);
-    if (st < 0) { Py_DECREF(ev); return NULL; }
     return ev;
 }
 
@@ -1660,31 +1421,6 @@ Sim_all_of(SimObject *self, PyObject *events)
 }
 
 static PyObject *
-Sim_any_of(SimObject *self, PyObject *events)
-{
-    if (!AnyOfCls) {
-        PyErr_SetString(PyExc_RuntimeError, "_ccore helpers not initialized");
-        return NULL;
-    }
-    return PyObject_CallFunctionObjArgs(AnyOfCls, (PyObject *)self, events,
-                                        NULL);
-}
-
-static PyObject *
-Sim_post(SimObject *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *ev;
-    double delay = 0.0;
-    static char *kwlist[] = {"event", "delay", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!|d", kwlist,
-                                     &EventType, &ev, &delay))
-        return NULL;
-    if (event_post((EventObject *)ev, delay) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 Sim_idle_at_now(SimObject *self, PyObject *noargs)
 {
     return PyBool_FromLong(self->hlen == 0 || self->ht[0] > self->now);
@@ -1713,13 +1449,50 @@ Sim_stats(SimObject *self, PyObject *noargs)
         Py_XDECREF(v); \
     } while (0)
     SET("events_processed", self->seq - (long long)self->hlen);
-    SET("processes_spawned", self->n_spawned);
     SET("spawns", self->n_spawned);
     SET("fast_completions", self->n_fast);
     SET("fallbacks", self->n_fallback);
 #undef SET
     if (bad) { Py_DECREF(d); return NULL; }
     return d;
+}
+
+/* The one dispatch loop: drain the heap one instant at a time — the
+ * clock store and the `until` horizon check happen once per instant,
+ * then every entry scheduled for it is popped and dispatched.  With a
+ * `stop` process the loop ends as soon as that process has finished,
+ * so orphaned timers do not advance the clock further. */
+static int
+sim_drain(SimObject *self, int has_until, double until, ProcessObject *stop)
+{
+    if (self->running) {
+        PyErr_SetString(SimError, "simulator is not reentrant");
+        return -1;
+    }
+    self->running = 1;
+    int err = 0;
+#define STOPPED (stop && stop->ev.value != Pending)
+    while (self->hlen && !STOPPED) {
+        double when = self->ht[0];
+        if (has_until && when > until) {
+            self->now = until;
+            break;
+        }
+        self->now = when;
+        while (self->hlen && self->ht[0] == when && !STOPPED) {
+            double t;
+            int kind;
+            PyObject *item = heap_pop(self, &t, &kind);
+            err = dispatch_item(self, item, kind);
+            Py_DECREF(item);
+            if (err)
+                goto done;
+        }
+    }
+#undef STOPPED
+done:
+    self->running = 0;
+    return err;
 }
 
 static PyObject *
@@ -1736,34 +1509,7 @@ Sim_run(SimObject *self, PyObject *args, PyObject *kwds)
         if (until == -1.0 && PyErr_Occurred())
             return NULL;
     }
-    if (self->running) {
-        PyErr_SetString(SimError, "simulator is not reentrant");
-        return NULL;
-    }
-    self->running = 1;
-    int err = 0;
-    while (self->hlen) {
-        double when = self->ht[0];
-        if (has_until && when > until) {
-            self->now = until;
-            break;
-        }
-        self->now = when;
-        /* Batched same-instant drain: clock store + horizon check once
-         * per instant. */
-        while (self->hlen && self->ht[0] == when) {
-            double t;
-            int kind;
-            PyObject *item = heap_pop(self, &t, &kind);
-            err = dispatch_item(self, item, kind);
-            Py_DECREF(item);
-            if (err)
-                goto done;
-        }
-    }
-done:
-    self->running = 0;
-    if (err)
+    if (sim_drain(self, has_until, until, NULL) < 0)
         return NULL;
     return PyFloat_FromDouble(self->now);
 }
@@ -1780,32 +1526,7 @@ Sim_run_process(SimObject *self, PyObject *args, PyObject *kwds)
     if (!procobj)
         return NULL;
     ProcessObject *proc = (ProcessObject *)procobj;
-    if (self->running) {
-        Py_DECREF(procobj);
-        PyErr_SetString(SimError, "simulator is not reentrant");
-        return NULL;
-    }
-    self->running = 1;
-    int err = 0;
-    /* Stop as soon as the process completes so orphaned timers do not
-     * advance the clock further. */
-    while (self->hlen && proc->ev.value == Pending) {
-        double when = self->ht[0];
-        self->now = when;
-        while (self->hlen && self->ht[0] == when &&
-               proc->ev.value == Pending) {
-            double t;
-            int kind;
-            PyObject *item = heap_pop(self, &t, &kind);
-            err = dispatch_item(self, item, kind);
-            Py_DECREF(item);
-            if (err)
-                goto done;
-        }
-    }
-done:
-    self->running = 0;
-    if (err) {
+    if (sim_drain(self, 0, 0.0, proc) < 0) {
         Py_DECREF(procobj);
         return NULL;
     }
@@ -1833,15 +1554,11 @@ done:
 }
 
 static PyMethodDef Sim_methods[] = {
-    {"event", (PyCFunction)Sim_event, METH_NOARGS,
-     "Return a fresh pending event."},
-    {"timeout", (PyCFunction)(void (*)(void))Sim_timeout,
-     METH_FASTCALL | METH_KEYWORDS,
-     "Return an event that fires after a fixed delay."},
+    {"timeout", (PyCFunction)Sim_timeout, METH_O,
+     "Return an event that fires with None after a fixed delay."},
     {"after_call", (PyCFunction)(void (*)(void))Sim_after_call, METH_FASTCALL,
      "Schedule bare fn() as a call slot, delay seconds out."},
-    {"after", (PyCFunction)(void (*)(void))Sim_after,
-     METH_FASTCALL | METH_KEYWORDS,
+    {"after", (PyCFunction)(void (*)(void))Sim_after, METH_FASTCALL,
      "Schedule fn(event) to run delay seconds from now."},
     {"call_at", (PyCFunction)(void (*)(void))Sim_call_at, METH_FASTCALL,
      "Run fn at absolute virtual time when (>= now)."},
@@ -1850,11 +1567,6 @@ static PyMethodDef Sim_methods[] = {
      "Start a new simulation process from a generator."},
     {"all_of", (PyCFunction)Sim_all_of, METH_O,
      "An event that fires when all the given events have fired."},
-    {"any_of", (PyCFunction)Sim_any_of, METH_O,
-     "An event that fires when any of the given events fires."},
-    {"_post", (PyCFunction)(void (*)(void))Sim_post,
-     METH_VARARGS | METH_KEYWORDS,
-     "Schedule a triggered event for dispatch delay seconds out."},
     {"next_time", (PyCFunction)Sim_next_time, METH_NOARGS,
      PyDoc_STR("Time of the earliest scheduled entry, or None.")},
     {"idle_at_now", (PyCFunction)Sim_idle_at_now, METH_NOARGS,
@@ -1918,19 +1630,16 @@ mod_fire(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 mod_set_helpers(PyObject *mod, PyObject *args, PyObject *kwds)
 {
-    PyObject *pending, *simerror, *interrupt, *allof, *anyof, *spawn_obs,
-        *drop_arg;
-    static char *kwlist[] = {"pending", "simerror", "interrupt", "allof",
-                             "anyof", "spawn_obs", "drop_arg", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOOOO", kwlist,
-                                     &pending, &simerror, &interrupt, &allof,
-                                     &anyof, &spawn_obs, &drop_arg))
+    PyObject *pending, *simerror, *allof, *spawn_obs, *drop_arg;
+    static char *kwlist[] = {"pending", "simerror", "allof", "spawn_obs",
+                             "drop_arg", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOO", kwlist,
+                                     &pending, &simerror, &allof,
+                                     &spawn_obs, &drop_arg))
         return NULL;
     Py_XSETREF(Pending, Py_NewRef(pending));
     Py_XSETREF(SimError, Py_NewRef(simerror));
-    Py_XSETREF(InterruptCls, Py_NewRef(interrupt));
     Py_XSETREF(AllOfCls, Py_NewRef(allof));
-    Py_XSETREF(AnyOfCls, Py_NewRef(anyof));
     Py_XSETREF(SpawnObsHook, Py_NewRef(spawn_obs));
     Py_XSETREF(DropArgHelper, Py_NewRef(drop_arg));
     Py_RETURN_NONE;
@@ -2034,15 +1743,14 @@ PyInit__ccore(void)
     if (!str_send || !str_throw || !str_value || !str_dunder_name)
         return NULL;
     if (PyType_Ready(&SimType) < 0 || PyType_Ready(&EventType) < 0 ||
-        PyType_Ready(&TimeoutType) < 0 || PyType_Ready(&ProcessType) < 0 ||
-        PyType_Ready(&ResourceType) < 0 || PyType_Ready(&OccType) < 0)
+        PyType_Ready(&ProcessType) < 0 || PyType_Ready(&ResourceType) < 0 ||
+        PyType_Ready(&OccType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&ccoremodule);
     if (!m)
         return NULL;
     if (PyModule_AddObjectRef(m, "Simulator", (PyObject *)&SimType) < 0 ||
         PyModule_AddObjectRef(m, "Event", (PyObject *)&EventType) < 0 ||
-        PyModule_AddObjectRef(m, "Timeout", (PyObject *)&TimeoutType) < 0 ||
         PyModule_AddObjectRef(m, "Process", (PyObject *)&ProcessType) < 0 ||
         PyModule_AddObjectRef(m, "Resource", (PyObject *)&ResourceType) < 0) {
         Py_DECREF(m);

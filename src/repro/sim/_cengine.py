@@ -3,11 +3,12 @@
 The C extension implements the hot core (event store, dispatch loop,
 generator protocol, resource occupancy state machine) and the one
 compiled application kernel (SOR's ``sweep_phase``); this module
-supplies the pieces that belong in Python — the shared exception
-types and PENDING sentinel (imported from ``_pyengine`` so
-``isinstance`` and identity checks agree across tiers), the AllOf/AnyOf condition classes (Python subclasses of the C
-Event via the shared factory), and the spawn-tracing hook — then
-injects them into the extension via ``_ccore._set_helpers``.
+supplies the pieces that belong in Python — the shared
+:class:`SimulationError` type and PENDING sentinel (imported from
+``_pyengine`` so ``isinstance`` and identity checks agree across
+tiers), the :class:`AllOf` join (a Python subclass of the C Event via
+the shared factory), and the spawn-tracing hook — then injects them
+into the extension via ``_ccore._set_helpers``.
 
 Importing this module raises when no compiler/headers are available;
 ``engine.py`` turns that into a fallback (``REPRO_ENGINE=auto``) or a
@@ -18,12 +19,11 @@ from __future__ import annotations
 
 from ._build import load_ccore
 from ._conditions import build_conditions
-from ._pyengine import PENDING, Interrupt, SimulationError
+from ._pyengine import PENDING, SimulationError
 
 _ccore = load_ccore()
 
 Event = _ccore.Event
-Timeout = _ccore.Timeout
 Process = _ccore.Process
 Simulator = _ccore.Simulator
 Resource = _ccore.Resource
@@ -32,17 +32,14 @@ fire = _ccore.fire
 #: it fails the whole tier at import rather than loading half of one.
 sweep_phase = _ccore.sweep_phase
 
-AllOf, AnyOf = build_conditions(Event)
+AllOf = build_conditions(Event)
 
 __all__ = [
     "Event",
-    "Timeout",
     "AllOf",
-    "AnyOf",
     "Process",
     "Simulator",
     "Resource",
-    "Interrupt",
     "SimulationError",
     "fire",
     "sweep_phase",
@@ -75,9 +72,7 @@ def _drop_arg(fn):
 _ccore._set_helpers(
     pending=PENDING,
     simerror=SimulationError,
-    interrupt=Interrupt,
     allof=AllOf,
-    anyof=AnyOf,
     spawn_obs=_spawn_obs,
     drop_arg=_drop_arg,
 )

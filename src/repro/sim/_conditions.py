@@ -1,13 +1,13 @@
-"""Composite events (AllOf / AnyOf), parameterized over the Event base.
+"""The all-of join, parameterized over the Event base.
 
-The condition classes are ordinary Python subclasses of :class:`Event`
-— they only use the public event surface (``triggered``, ``_value``,
-``_ok``, ``callbacks``, ``succeed``/``fail``), so the same definitions
-work over either tier's Event: :func:`build_conditions` is called once
-by ``_pyengine`` with the pure-Python base and once by ``_cengine``
-with the compiled base.  Conditions are control-plane objects (a
-handful per collective episode, not per message), so a Python-level
-implementation costs nothing measurable even on the compiled tier.
+:class:`AllOf` is an ordinary Python subclass of :class:`Event` — it
+only uses the public event surface (``triggered``, ``_value``, ``_ok``,
+``callbacks``, ``succeed``/``fail``), so the same definition works over
+either tier's Event: :func:`build_conditions` is called once by
+``_pyengine`` with the pure-Python base and once by ``_cengine`` with
+the compiled base.  Joins are control-plane objects (a handful per
+collective episode, not per message), so a Python-level implementation
+costs nothing measurable even on the compiled tier.
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ __all__ = ["build_conditions"]
 
 
 def build_conditions(Event):
-    """Return ``(AllOf, AnyOf)`` subclasses of the given Event base."""
+    """Return the ``AllOf`` subclass of the given Event base."""
 
-    class _Condition(Event):
-        """Base for AllOf/AnyOf composite events."""
+    class AllOf(Event):
+        """Fires when *all* component events have fired; value is their values.
+
+        The first component to fail fails the join with its exception.
+        """
 
         __slots__ = ("events", "_n_fired")
 
@@ -36,14 +39,6 @@ def build_conditions(Event):
                 else:
                     ev.callbacks.append(self._on_fire)
 
-        def _on_fire(self, ev):  # pragma: no cover - overridden
-            raise NotImplementedError
-
-    class AllOf(_Condition):
-        """Fires when *all* component events have fired; value is their values."""
-
-        __slots__ = ()
-
         def _on_fire(self, ev):
             if self.triggered:
                 return
@@ -54,17 +49,4 @@ def build_conditions(Event):
             if self._n_fired == len(self.events):
                 self.succeed([e._value for e in self.events])
 
-    class AnyOf(_Condition):
-        """Fires as soon as *any* component fires; value is (event, value)."""
-
-        __slots__ = ()
-
-        def _on_fire(self, ev):
-            if self.triggered:
-                return
-            if not ev._ok:
-                self.fail(ev._value)
-                return
-            self.succeed((ev, ev._value))
-
-    return AllOf, AnyOf
+    return AllOf

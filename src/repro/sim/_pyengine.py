@@ -17,14 +17,21 @@ share:
   ``item`` is either a boxed :class:`Event` **or a bare callable** — a
   *call slot*.  Engine-internal one-shot steps (process bootstraps,
   analytic resource holds, deferred chain launches) schedule a call
-  slot via :meth:`Simulator.after_call` instead of boxing a Timeout,
-  so the hottest schedule sites allocate no event object at all;
+  slot via :meth:`Simulator.after_call` instead of boxing a timeout
+  event, so the hottest schedule sites allocate no event object at all;
+* a timeout is a plain :class:`Event` put on the heap still pending; the
+  dispatch loop fires it with ``None`` when it pops;
 * the run loop drains all events of one instant in a batched dispatch
   run: the clock store and the ``until`` horizon check happen once per
   *instant*, not once per event;
-* a finished process's recycled kick event (slot reuse for the
-  already-processed-target resume) is retained from the previous
-  engine and generalized by the call-slot store above.
+* a process waiting on an already-processed event resumes through its
+  one recycled kick event (allocated on first use, re-armed after).
+
+The contract is what the simulated machine calls: processes, timeouts,
+callbacks and call slots, all-of joins, FIFO resources, and the
+``fire``/``idle_at_now`` quiet-instant hooks.  Nothing preempts a
+process or waits for the first of several events, so neither tier
+implements either.
 
 Counter contract: every heap entry — boxed or call slot — bumps the
 tie-break counter exactly once, so ``Simulator.stats()`` reports the
@@ -47,13 +54,10 @@ from ._conditions import build_conditions
 
 __all__ = [
     "Event",
-    "Timeout",
     "AllOf",
-    "AnyOf",
     "Process",
     "Simulator",
     "Resource",
-    "Interrupt",
     "SimulationError",
     "fire",
     "PENDING",
@@ -62,14 +66,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation API (not for modeled failures)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 PENDING = object()
@@ -83,7 +79,7 @@ class Event:
     into every waiting process.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "_default")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -91,15 +87,10 @@ class Event:
         self._value: Any = PENDING
         self._ok: bool = True
         self._scheduled = False
-        self._default: Any = None  # value assumed when fired straight off the heap
 
     @property
     def triggered(self) -> bool:
         return self._value is not PENDING
-
-    @property
-    def processed(self) -> bool:
-        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -119,7 +110,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._value = value
         self._ok = True
-        self.sim._post(self)
+        _schedule(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -130,25 +121,24 @@ class Event:
             raise SimulationError("fail() requires an exception instance")
         self._value = exception
         self._ok = False
-        self.sim._post(self)
+        _schedule(self)
         return self
 
 
-class Timeout(Event):
-    """An event that fires after a fixed virtual-time delay."""
+def _schedule(ev: Event) -> None:
+    """Put triggered ``ev`` on the heap for dispatch at the current instant.
 
-    __slots__ = ("delay",)
+    A timeout is on the heap from birth, so triggering one by hand is
+    refused rather than giving it a second entry."""
+    if ev._scheduled:
+        raise SimulationError("event already scheduled")
+    ev._scheduled = True
+    sim = ev.sim
+    sim._seq = seq = sim._seq + 1
+    heapq.heappush(sim._heap, (sim.now, seq, ev))
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._default = value
-        sim._post(self, delay=delay)
 
-
-AllOf, AnyOf = build_conditions(Event)
+AllOf = build_conditions(Event)
 
 
 class Process(Event):
@@ -159,15 +149,14 @@ class Process(Event):
     exceptions, so processes can use ordinary ``try/except``.
     """
 
-    __slots__ = ("gen", "name", "_waiting_on", "_kick", "_kick_cbs")
+    __slots__ = ("_gen", "name", "_kick", "_kick_cbs")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
         if not hasattr(gen, "send"):
             raise SimulationError(f"Process requires a generator, got {gen!r}")
-        self.gen = gen
+        self._gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         self._kick: Optional[Event] = None
         self._kick_cbs: Optional[list] = None
         sim._n_spawned += 1
@@ -177,40 +166,15 @@ class Process(Event):
         sim._seq = seq = sim._seq + 1
         heapq.heappush(sim._heap, (sim.now, seq, self._start))
 
-    @property
-    def is_alive(self) -> bool:
-        return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant."""
-        if self._value is not PENDING:
-            return
-        waited = self._waiting_on
-        if waited is not None and waited._value is PENDING:
-            # Detach from the event we were waiting on.
-            try:
-                waited.callbacks.remove(self._resume)
-            except (ValueError, AttributeError):
-                pass
-        self._waiting_on = None
-        kick = Event(self.sim)
-        kick.callbacks.append(self._resume)
-        kick.fail(Interrupt(cause))
-
     def _start(self) -> None:
         """Call-slot bootstrap: first resume, at the spawn instant."""
-        if self._value is not PENDING:  # interrupted before the bootstrap ran
-            return
         self._step(None, True)
 
     def _resume(self, ev: Event) -> None:
-        if self._value is not PENDING:  # finished (e.g. interrupted mid-wait)
-            return
-        self._waiting_on = None
         self._step(ev._value, ev._ok)
 
     def _step(self, value: Any, ok: bool) -> None:
-        gen = self.gen
+        gen = self._gen
         while True:
             try:
                 if ok:
@@ -238,24 +202,22 @@ class Process(Event):
         if target.callbacks is None:
             # Already fired and processed: resume immediately (next tick)
             # via a recycled per-process kick event instead of allocating
-            # a fresh one for every such resume.
+            # a fresh one for every such resume.  A process waits on one
+            # event at a time, so its kick has always been dispatched by
+            # the time it is needed again.
             kick = self._kick
-            if kick is None or kick.callbacks is not None:
-                # First use, or the previous kick is still in the heap
-                # (an interrupt resumed us early): allocate.
-                kick = Event(self.sim)
-                self._kick = kick
+            if kick is None:
+                kick = self._kick = Event(self.sim)
                 self._kick_cbs = kick.callbacks = [self._resume]
             else:
-                kick._scheduled = False
                 kick.callbacks = self._kick_cbs
             kick._value = target._value
             kick._ok = target._ok
-            self.sim._post(kick)
-            self._waiting_on = kick
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            heapq.heappush(sim._heap, (sim.now, seq, kick))
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
 
 
 class Simulator:
@@ -286,33 +248,27 @@ class Simulator:
         self.obs = None
 
     # -- event factory helpers -------------------------------------------
-    def event(self) -> Event:
-        return Event(self)
+    def timeout(self, delay: float) -> Event:
+        """An event that fires with ``None`` ``delay`` seconds from now.
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        # Fast path: build the Timeout and schedule it inline (this is the
-        # single most-called boxed allocation in the simulator).
-        # Equivalent to Timeout(self, delay, value) without the two
-        # __init__ frames and the _post call.
+        The single most-called boxed allocation in the simulator, so the
+        event is built and pushed inline: a plain :class:`Event`, on the
+        heap while still pending.
+        """
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        ev = Event.__new__(Timeout)
+        ev = Event.__new__(Event)
         ev.sim = self
         ev.callbacks = []
         ev._value = PENDING
         ev._ok = True
         ev._scheduled = True
-        ev._default = value
-        ev.delay = delay
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (self.now + delay, seq, ev))
         return ev
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new simulation process from a generator."""
@@ -329,13 +285,6 @@ class Simulator:
         return proc
 
     # -- scheduling -------------------------------------------------------
-    def _post(self, event: Event, delay: float = 0.0) -> None:
-        if event._scheduled:
-            raise SimulationError("event already scheduled")
-        event._scheduled = True
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
-
     def after_call(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule bare ``fn()`` as a *call slot*, ``delay`` seconds out.
 
@@ -357,15 +306,14 @@ class Simulator:
         ev.callbacks.append(lambda _ev: fn())
         return ev
 
-    def after(self, delay: float, fn: Callable[[Event], None],
-              value: Any = None) -> Timeout:
+    def after(self, delay: float, fn: Callable[[Event], None]) -> Event:
         """Schedule ``fn(event)`` to run ``delay`` virtual seconds from now.
 
         The callback-chain counterpart of ``yield sim.timeout(delay)``: one
         heap entry, no generator.  Returns the timeout so further callbacks
         can be chained onto the same instant.
         """
-        ev = self.timeout(delay, value)
+        ev = self.timeout(delay)
         ev.callbacks.append(fn)
         return ev
 
@@ -404,8 +352,7 @@ class Simulator:
         The event-minimization counters make the callback chains'
         quiet/busy behaviour observable per run:
 
-        * ``spawns`` — processes started (same value as the older
-          ``processes_spawned`` key, kept for compatibility).
+        * ``spawns`` — processes started.
         * ``fast_completions`` — completions a chain performed inline
           at a quiet instant (every :func:`fire` call plus the
           sequencers' inline stamps — an ``acquire`` that returned the
@@ -417,7 +364,6 @@ class Simulator:
         """
         return {
             "events_processed": self._seq - len(self._heap),
-            "processes_spawned": self._n_spawned,
             "spawns": self._n_spawned,
             "fast_completions": self._n_fast,
             "fallbacks": self._n_fallback,
@@ -437,9 +383,9 @@ class Simulator:
         # outer iteration: the until-horizon check and the clock store
         # happen once per instant, then the inner loop pops every entry
         # scheduled for it.  An event triggered by succeed/fail already
-        # carries its value, so only heap-fired events (Timeouts) take
-        # the PENDING branch, and ``_ok`` needs no write (fail() always
-        # sets the value, so a PENDING pop is always ok).
+        # carries its value, so only heap-fired events (timeouts) take
+        # the PENDING branch and fire with None, and ``_ok`` needs no
+        # write (fail() always sets the value, so a PENDING pop is ok).
         heappop = heapq.heappop
         heap = self._heap
         _event = Event
@@ -457,7 +403,7 @@ class Simulator:
                         item()  # call slot
                         continue
                     if item._value is _pending:
-                        item._value = item._default
+                        item._value = None
                     callbacks = item.callbacks
                     item.callbacks = None
                     if callbacks is not None:
@@ -495,7 +441,7 @@ class Simulator:
                         item()
                         continue
                     if item._value is _pending:
-                        item._value = item._default
+                        item._value = None
                     callbacks = item.callbacks
                     item.callbacks = None
                     if callbacks is not None:

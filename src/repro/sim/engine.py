@@ -1,12 +1,24 @@
 """Facade over the two-tier discrete-event core: selects and re-exports.
 
-The engine API (:class:`Event`, :class:`Timeout`, :class:`Process`,
-:class:`Simulator`, :class:`Resource`, :func:`fire`, …)
-has two implementations of one shared *event store* contract — heap
-entries are
-compact ``(time, tiebreak, item)`` triples, same-instant entries drain
-in batched dispatch runs, and every entry bumps the tie-break counter
-exactly once so ``Simulator.stats()`` agrees across tiers:
+The engine API has two implementations of one shared *event store*
+contract — heap entries are compact ``(time, tiebreak, item)`` triples,
+same-instant entries drain in batched dispatch runs, and every entry
+bumps the tie-break counter exactly once so ``Simulator.stats()`` agrees
+across tiers.  The contract is what the simulated machine calls, and no
+more:
+
+* :class:`Event` — ``succeed``/``fail``, ``triggered``/``ok``/``value``,
+  a ``callbacks`` list;
+* :class:`Process` — a generator resumed by the events it yields;
+* :class:`Simulator` — ``timeout`` (a plain :class:`Event` that fires
+  with ``None``), ``after``/``after_call``/``call_at``, ``spawn``,
+  ``all_of``, ``run``/``run_process``, ``idle_at_now``/``next_time``
+  and ``stats()`` (``events_processed``, ``spawns``,
+  ``fast_completions``, ``fallbacks``);
+* :class:`AllOf`, :class:`Resource` (two-priority FIFO with
+  ``request``/``release``/``occupy``) and :func:`fire`.
+
+The tiers:
 
 * ``_pyengine`` — the portable pure-Python tier.  Always available.
 * ``_cengine`` — the compiled tier: the same store as a C extension
@@ -35,10 +47,11 @@ has one engine.  Cross-tier differential tests run the second tier in a
 subprocess with ``REPRO_ENGINE`` set.
 
 Everything downstream (``primitives``, ``network.fabric``, ``orca.*``)
-is tier-agnostic: it sees the same classes, the same exception types
-(:class:`SimulationError` and :class:`Interrupt` are defined once in
-``_pyengine`` and shared by the compiled tier), and the same fast-path
-hooks (``fire``/``after_call``/``idle_at_now``).
+is tier-agnostic: it sees the same classes, the same exception type
+(:class:`SimulationError` is defined once in ``_pyengine`` and shared by
+the compiled tier), and the same fast-path hooks
+(``fire``/``after_call``/``idle_at_now``).  The frozen ``_legacy``
+engine is a superset of this contract that only tests import.
 """
 
 from __future__ import annotations
@@ -46,17 +59,14 @@ from __future__ import annotations
 import os
 
 from . import _pyengine
-from ._pyengine import PENDING, Interrupt, SimulationError
+from ._pyengine import PENDING, SimulationError
 
 __all__ = [
     "Event",
-    "Timeout",
     "AllOf",
-    "AnyOf",
     "Process",
     "Simulator",
     "Resource",
-    "Interrupt",
     "SimulationError",
     "fire",
     "sweep_phase",
@@ -87,9 +97,7 @@ def _select():
 _impl, ENGINE_TIER = _select()
 
 Event = _impl.Event
-Timeout = _impl.Timeout
 AllOf = _impl.AllOf
-AnyOf = _impl.AnyOf
 Process = _impl.Process
 Simulator = _impl.Simulator
 Resource = _impl.Resource

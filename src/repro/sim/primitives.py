@@ -17,7 +17,7 @@ These are the building blocks the network and runtime layers use:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator
 
 from .engine import Event, Resource, SimulationError, Simulator, fire
 
@@ -40,7 +40,7 @@ class Channel:
         """Deposit an item; wakes the oldest waiting getter, if any."""
         while self._getters:
             getter = self._getters.popleft()
-            if not getter.triggered:  # skip interrupted/cancelled getters
+            if not getter.triggered:  # skip cancelled getters
                 getter.succeed(item)
                 return
         self._items.append(item)
@@ -53,12 +53,6 @@ class Channel:
         else:
             self._getters.append(ev)
         return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: an item or ``None``."""
-        if self._items:
-            return self._items.popleft()
-        return None
 
 
 class CPU(Resource):

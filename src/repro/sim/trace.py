@@ -45,8 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Tuple)
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 __all__ = ["TraceRecord", "Tracer", "TraceSpec"]
 
@@ -103,19 +102,6 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def select(self, kind: str, pred: Optional[Callable[[TraceRecord], bool]] = None
-               ) -> List[TraceRecord]:
-        out = [r for r in self.records if r.kind == kind]
-        if pred is not None:
-            out = [r for r in out if pred(r)]
-        return out
-
-    def span(self) -> Tuple[float, float]:
-        """(first, last) record times; (0, 0) when empty."""
-        if not self.records:
-            return (0.0, 0.0)
-        return (self.records[0].time, self.records[-1].time)
 
     def clear(self) -> None:
         """Drop all collected records and reset the sampling state

@@ -71,7 +71,9 @@ def test_no_tier_selector_reappears():
 
 #: Options and entry points deleted once a census found no caller (or
 #: only ever one value) for them.  Ids live on the run, pool nesting
-#: travels in the spec, dispatch is ``chunksize``.
+#: travels in the spec, dispatch is ``chunksize``; the engine is what the
+#: simulated machine calls (no first-of waits, no duplicate stats key)
+#: and so are the layers above it.
 DELETED_SURFACE = (
     "reset_ids", "reset_req_ids", "alloc_msg_id", "_alloc_req_id",
     "_site_seq", "ACTIVE_JOBS", "PDES_WORKERS_ENV", "REPRO_PDES_WORKERS",
@@ -81,7 +83,14 @@ DELETED_SURFACE = (
     "harness.jobs", "harness import jobs",
     "REPRO_BENCH_SCALE", "bench_cpu_counts", "FULL_CPUS", "figure15_bars(",
     "figure16_bars(", "bench_orca_macro", "--benchmark-only",
+    "any_of", "AnyOf", "processes_spawned", "try_get", "try_receive",
+    "located_at", "broadcasts_sent", "n_edges",
 )
+
+#: Engine members neither live tier has: preemption, first-of waits, the
+#: bare-event factory, and what only the other tier or nobody read.
+DELETED_ENGINE_MEMBERS = ("interrupt", "is_alive", "processed", "event",
+                          "any_of", "_post")
 
 
 def test_no_deleted_surface_reappears():
@@ -109,6 +118,30 @@ def test_no_deleted_surface_reappears():
     assert not hasattr(_pyengine.Simulator, "step")
     ccore = (REPO / "src" / "repro" / "sim" / "_ccore.c").read_text()
     assert '{"chain"' not in ccore and '{"step"' not in ccore
+
+    for name in DELETED_ENGINE_MEMBERS:
+        assert '{"%s"' % name not in ccore, name
+    tiers = [_pyengine]
+    from repro.sim._build import compiler_available
+    if compiler_available():
+        from repro.sim import _cengine
+        tiers.append(_cengine)
+    for mod in (repro.sim, engine, *tiers):
+        for name in ("Interrupt", "AnyOf", "Timeout"):
+            assert name not in mod.__all__ and not hasattr(mod, name), (
+                mod, name)
+    for tier in tiers:
+        sim = tier.Simulator()
+        for obj in (tier.Simulator, tier.Process, tier.Event, sim,
+                    tier.Event(sim)):
+            for name in DELETED_ENGINE_MEMBERS:
+                assert not hasattr(obj, name), (tier, obj, name)
+        # One-valued: timeouts fire with None, so nothing takes a value.
+        with pytest.raises(TypeError):
+            sim.timeout(1.0, "v")
+        with pytest.raises(TypeError):
+            sim.after(1.0, lambda _ev: None, "v")
+        assert "processes_spawned" not in sim.stats()
 
 
 def test_checker_flags_env_table_drift(check_docs):

@@ -117,31 +117,3 @@ def test_guard_waiter_starvation_is_a_detectable_deadlock():
 
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_process(consumer())
-
-
-def test_interrupt_cancels_a_blocked_worker_cleanly():
-    """Interrupting a parked worker releases it without corrupting the
-    runtime (the canonical way a harness would impose timeouts)."""
-    from repro.sim import Interrupt
-
-    sim = Simulator()
-    fabric = Fabric(sim, uniform_clusters(1, 2), DAS_PARAMS)
-    rts = OrcaRuntime(sim, fabric)
-
-    def waiter():
-        ctx = rts.context(1)
-        try:
-            yield from ctx.receive(port="silent")
-            return "got message"
-        except Interrupt:
-            return "timed out"
-
-    p = sim.spawn(waiter())
-
-    def killer():
-        yield sim.timeout(0.5)
-        p.interrupt("timeout")
-
-    sim.spawn(killer())
-    sim.run()
-    assert p.value == "timed out"

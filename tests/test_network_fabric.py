@@ -160,7 +160,8 @@ def test_two_live_fabrics_allocate_independent_identical_ids():
             ids.append(msg.msg_id)
             for nid in range(8):
                 port = fab.nodes[nid].port("m")
-                ids.extend(port.try_get().msg_id for _ in range(len(port)))
+                for _ in range(len(port)):
+                    ids.append((yield port.get()).msg_id)
 
         sim.run_process(proc())
         return ids

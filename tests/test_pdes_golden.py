@@ -144,7 +144,7 @@ def test_pdes_impaired_degenerate_tie_aggregates():
 def test_pdes_stats_aggregation():
     """Merged sim_stats cover all partitions plus the pdes counters."""
     serial, pdes, _ns, _npd = _pair("sor", "original", 4, 2)
-    for key in ("events_processed", "processes_spawned"):
+    for key in ("events_processed", "spawns"):
         assert pdes.sim_stats[key] > serial.sim_stats[key] // 2
     ss = pdes.sim_stats
     assert ss["pdes_partitions"] == 4

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import (
-    Interrupt,
+    Event,
     SimulationError,
     Simulator,
 )
@@ -21,19 +21,32 @@ def test_timeout_advances_clock():
 
 
 def test_timeout_value_passthrough():
+    """A timeout fires with ``None``; a value reaches a waiter through
+    an event the timeout's callback succeeds."""
     sim = Simulator()
+    ev = Event(sim)
+    sim.after(1.0, lambda _t: ev.succeed("hello"))
 
     def proc():
-        v = yield sim.timeout(1.0, value="hello")
-        return v
+        assert (yield sim.timeout(0.5)) is None
+        return (yield ev)
 
     assert sim.run_process(proc()) == "hello"
+    assert sim.now == pytest.approx(1.0)
 
 
 def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.timeout(-1.0)
+
+
+def test_timeout_cannot_be_triggered_by_hand():
+    """A timeout is on the heap from birth: ``succeed`` on it is refused
+    instead of giving it a second heap entry."""
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="already scheduled"):
+        sim.timeout(1.0).succeed()
 
 
 def test_same_time_events_fire_in_schedule_order():
@@ -96,7 +109,7 @@ def test_uncaught_process_exception_raises_from_run_process():
 
 def test_event_succeed_wakes_waiter():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
 
     def waiter():
         v = yield ev
@@ -115,7 +128,7 @@ def test_event_succeed_wakes_waiter():
 
 def test_event_double_trigger_rejected():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     ev.succeed(1)
     with pytest.raises(SimulationError):
         ev.succeed(2)
@@ -123,14 +136,14 @@ def test_event_double_trigger_rejected():
 
 def test_event_fail_requires_exception():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     with pytest.raises(SimulationError):
         ev.fail("not an exception")
 
 
 def test_waiting_on_already_processed_event():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     ev.succeed("early")
     sim.run()  # process the event so callbacks are consumed
 
@@ -144,11 +157,14 @@ def test_waiting_on_already_processed_event():
 def test_all_of_waits_for_every_event():
     sim = Simulator()
 
+    def tagged(delay, tag):
+        yield sim.timeout(delay)
+        return tag
+
     def proc():
-        t1 = sim.timeout(1.0, "a")
-        t2 = sim.timeout(3.0, "b")
-        t3 = sim.timeout(2.0, "c")
-        vals = yield sim.all_of([t1, t2, t3])
+        evs = [sim.spawn(tagged(d, tag))
+               for d, tag in ((1.0, "a"), (3.0, "b"), (2.0, "c"))]
+        vals = yield sim.all_of(evs)
         return vals
 
     assert sim.run_process(proc()) == ["a", "b", "c"]
@@ -164,56 +180,6 @@ def test_all_of_empty_fires_immediately():
 
     assert sim.run_process(proc()) == []
     assert sim.now == 0.0
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-
-    def proc():
-        t1 = sim.timeout(5.0, "slow")
-        t2 = sim.timeout(1.0, "fast")
-        ev, val = yield sim.any_of([t1, t2])
-        assert ev is t2
-        return val
-
-    assert sim.run_process(proc()) == "fast"
-    assert sim.now == pytest.approx(1.0)
-
-
-def test_interrupt_thrown_into_waiting_process():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            return "slept"
-        except Interrupt as intr:
-            return f"interrupted:{intr.cause}"
-
-    def interrupter(target):
-        yield sim.timeout(2.0)
-        target.interrupt("wakeup")
-
-    p = sim.spawn(sleeper())
-    sim.spawn(interrupter(p))
-    sim.run()
-    assert p.value == "interrupted:wakeup"
-    # The interrupt itself happened at t=2; the orphaned 100 s timer may
-    # still drain the heap afterwards, which is fine — what matters is the
-    # process observed the interrupt, not the final clock value.
-
-
-def test_interrupt_finished_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-        return "done"
-
-    p = sim.spawn(quick())
-    sim.run()
-    p.interrupt("late")  # must not raise
-    assert p.value == "done"
 
 
 def test_run_until_stops_clock():
@@ -232,7 +198,7 @@ def test_deadlock_detection_in_run_process():
     sim = Simulator()
 
     def stuck():
-        yield sim.event()  # never fired
+        yield Event(sim)  # never fired
 
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_process(stuck())
@@ -355,8 +321,8 @@ def test_non_event_yield_failure_reaches_waiting_parent():
 
 def test_stats_counters():
     sim = Simulator()
-    assert sim.stats() == {"events_processed": 0, "processes_spawned": 0,
-                           "spawns": 0, "fast_completions": 0, "fallbacks": 0}
+    assert sim.stats() == {"events_processed": 0, "spawns": 0,
+                           "fast_completions": 0, "fallbacks": 0}
 
     def child():
         yield sim.timeout(1.0)
@@ -367,7 +333,7 @@ def test_stats_counters():
 
     sim.run_process(proc())
     stats = sim.stats()
-    assert stats["processes_spawned"] == 2
+    assert stats["spawns"] == 2
     # Two bootstraps, two timeouts, and the process-completion events.
     assert stats["events_processed"] >= 5
 
@@ -376,7 +342,7 @@ def test_stats_counts_kick_resumes():
     """Waiting on an already-processed event costs exactly one extra
     (recycled) kick event per resume."""
     sim = Simulator()
-    fired = sim.event()
+    fired = Event(sim)
     fired.succeed("v")
 
     def proc():
@@ -390,32 +356,3 @@ def test_stats_counts_kick_resumes():
     # 3 kick events, each popped once (plus nothing else in the heap).
     assert sim.run_process(proc()) == 3
     assert sim.now == pytest.approx(1.0)
-
-
-def test_interrupt_while_waiting_on_processed_event():
-    """Interrupting a process parked on a recycled kick keeps both the
-    interrupt and subsequent waits working."""
-    sim = Simulator()
-    fired = sim.event()
-    fired.succeed("v")
-    log = []
-
-    def victim():
-        yield sim.timeout(1.0)
-        try:
-            while True:
-                yield fired  # spins on the kick path until interrupted
-        except Interrupt as intr:
-            log.append(intr.cause)
-        yield sim.timeout(1.0)
-        return "done"
-
-    def interrupter(p):
-        yield sim.timeout(1.0)
-        p.interrupt("stop-spinning")
-
-    p = sim.spawn(victim())
-    sim.spawn(interrupter(p))
-    sim.run()
-    assert p.value == "done"
-    assert log == ["stop-spinning"]

@@ -77,15 +77,6 @@ def test_channel_getters_served_fifo():
     assert got == {"first": "a", "second": "b"}
 
 
-def test_channel_try_get():
-    sim = Simulator()
-    ch = Channel(sim)
-    assert ch.try_get() is None
-    ch.put(7)
-    assert ch.try_get() == 7
-    assert len(ch) == 0
-
-
 # ---------------------------------------------------------------- Resource
 
 
