@@ -706,6 +706,10 @@ def main(argv=None) -> int:
     except _CLIError as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # Sweep points finished before it are already cached.
+        print("repro: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ from .tables import (
     format_table2,
     format_traffic,
     table1_microbenchmarks,
-    table2_row,
-    traffic_row,
+    table2_rows,
+    traffic_rows,
 )
 
 __all__ = [
@@ -48,6 +48,6 @@ __all__ = [
     "format_table2",
     "format_traffic",
     "table1_microbenchmarks",
-    "table2_row",
-    "traffic_row",
+    "table2_rows",
+    "traffic_rows",
 ]

@@ -35,7 +35,7 @@ from .figures import (bench_params, figure15_bars_many, figure16_bars_many,
                       figure_curves, format_bars, format_curves)
 from .sweeps import ParallelRunner, RunSpec
 from .tables import (format_table1, format_table2, format_traffic,
-                     table1_microbenchmarks, table2_row, traffic_row)
+                     table1_microbenchmarks, table2_rows, traffic_rows)
 
 __all__ = ["Claim", "Exhibit", "EXHIBITS", "OUT_DIR", "evaluate"]
 
@@ -164,16 +164,6 @@ def _fig15_gains(bars) -> Dict[str, float]:
 
 
 # ------------------------------------------------------------- the tables
-
-
-def _table2(runner: ParallelRunner):
-    return {name: table2_row(name, runner=runner) for name in PAPER_ORDER}
-
-
-def _table4_5(runner: ParallelRunner):
-    return tuple({name: traffic_row(name, variant, runner=runner)
-                  for name in PAPER_ORDER}
-                 for variant in _VARIANTS)
 
 
 def _format_table4_5(data) -> str:
@@ -501,7 +491,7 @@ EXHIBITS: Dict[str, Exhibit] = {exhibit.name: exhibit for exhibit in (
         Claim("table1/bcast-wan-bandwidth", "Table 1: 4.53 Mbit/s",
               lambda d: 3.5e6 < d["bcast"]["wan_bandwidth"] < 5.5e6),
     )),
-    Exhibit("table2", _table2, lambda d: format_table2(d.values()), (
+    Exhibit("table2", table2_rows, lambda d: format_table2(d.values()), (
         # Every application runs "reasonably efficient" on one cluster
         # (efficiencies between 40.5% and 98%) — except RA, whose
         # communication-bound profile is the paper's own worst case.
@@ -642,7 +632,7 @@ EXHIBITS: Dict[str, Exhibit] = {exhibit.name: exhibit for exhibit in (
               / d[0]["water"]["optimized_32_1"]
               > d[1]["original_60_4"] / d[1]["upper_bound_60_1"]),
     )),
-    Exhibit("table4_5", _table4_5, _format_table4_5, (
+    Exhibit("table4_5", traffic_rows, _format_table4_5, (
         Claim("table4_5/water-rpc-bytes-cut", "Tables 4/5",
               lambda d: d[1]["water"]["rpc_kbytes"]
               < 0.3 * d[0]["water"]["rpc_kbytes"]),

@@ -24,15 +24,17 @@ Properties the rest of the harness relies on:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import os
 import pickle
+import signal
 import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..apps import ALL_APPS, make_app
 from ..apps.base import AppResult
@@ -187,15 +189,14 @@ def _execute_timed(spec: RunSpec) -> Tuple[AppResult, float]:
 def _nested(work: List[RunSpec]) -> List[RunSpec]:
     """``work`` as the workers of a sweep pool should run it.
 
-    A pool worker cannot start a PDES run: ``multiprocessing.Pool``
-    workers are daemonic and may not fork the partition workers, and
-    nesting would multiply the pools anyway (points x partitions
-    processes on one host).  Only the runner building the pool knows a
-    spec is about to be pooled — so the policy is applied here, in the
-    parent, and travels in the picklable spec: every PDES mode ships as
-    ``pdes="off"``.  ``auto`` declines quietly (the host is already busy
-    running other grid points); a forced ``on`` says so once per pool,
-    as ``on`` always does when it cannot be honoured.
+    A pool worker does not start a PDES run: nesting would multiply the
+    processes (points x partitions on one host, each pool sized for the
+    whole machine) while the sweep already keeps every core busy.  Only
+    the runner building the pool knows a spec is about to be pooled —
+    so the policy is applied here, in the parent, and travels in the
+    picklable spec: every PDES mode ships as ``pdes="off"``.  ``auto``
+    declines quietly; a forced ``on`` says so once per pool, as ``on``
+    always does when it cannot be honoured.
     """
     from ..sim.pdes import forced_on_by, pdes_mode
 
@@ -381,16 +382,14 @@ class ParallelRunner:
             dkey = (key, spec.trace)
             todo.setdefault(dkey, []).append(i)
             keyed[dkey] = spec
-        if todo:
-            dkeys = list(todo)
-            work = [keyed[k] for k in dkeys]
-            if self.jobs > 1 and len(work) > 1:
-                computed = self._run_pool(work)
-            else:
-                computed = [_execute_timed(spec) for spec in work]
-            self.computed += len(work)
-            for dkey, (result, host_s) in zip(dkeys, computed):
+        dkeys = list(todo)
+        # Each result is recorded and cached as it arrives, so a sweep
+        # that is interrupted (or loses a worker) keeps every point
+        # finished before it.
+        with self._executed([keyed[k] for k in dkeys]) as executed:
+            for dkey, (result, host_s) in zip(dkeys, executed):
                 spec = keyed[dkey]
+                self.computed += 1
                 self._record_point(spec, host_s, cached=False)
                 if self.cache is not None and spec.trace is None:
                     self.cache.put(dkey[0], result)
@@ -424,8 +423,25 @@ class ParallelRunner:
         self.trace_files.append(path)
         return path
 
-    def _run_pool(self, work: List[RunSpec]) -> List[Tuple[AppResult, float]]:
+    @contextlib.contextmanager
+    def _executed(self, work: List[RunSpec]
+                  ) -> Iterator[Iterator[Tuple[AppResult, float]]]:
+        """``(result, host seconds)`` of each spec of ``work``, in order,
+        as each arrives: in this process for one job or one point, else
+        over a process pool.
+
+        A pool worker that dies ends the sweep in ``BrokenProcessPool``
+        (``multiprocessing.Pool`` would wait for its lost task forever),
+        and leaving the block — normally, on that error or on Ctrl-C —
+        cancels the points not yet started and reaps every worker.
+        Workers take SIGINT's default action, so a Ctrl-C at the
+        terminal ends them at once, without a traceback each.
+        """
+        if self.jobs == 1 or len(work) <= 1:
+            yield map(_execute_timed, work)
+            return
         import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
 
         # fork shares the already-imported package with the workers;
         # spawn (macOS/Windows default) re-imports it from sys.path.
@@ -435,13 +451,18 @@ class ParallelRunner:
             ctx = mp.get_context("spawn")
         n = min(self.jobs, len(work))
         work = _nested(work)
-        # At least four dispatches per worker: chunking never costs
-        # more than ~25% tail latency to a straggler chunk while cutting
-        # IPC round-trips by the chunk size on large grids
-        # (``len(work) <= 4 * n`` stays one point per dispatch).
-        with ctx.Pool(processes=n) as pool:
-            return pool.map(_execute_timed, work,
-                            chunksize=max(1, len(work) // (4 * n)))
+        pool = ProcessPoolExecutor(max_workers=n, mp_context=ctx,
+                                   initializer=signal.signal,
+                                   initargs=(signal.SIGINT, signal.SIG_DFL))
+        try:
+            # At least four dispatches per worker: chunking never costs
+            # more than ~25% tail latency to a straggler chunk while
+            # cutting IPC round-trips by the chunk size on large grids
+            # (``len(work) <= 4 * n`` stays one point per dispatch).
+            yield pool.map(_execute_timed, work,
+                           chunksize=max(1, len(work) // (4 * n)))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def format_stragglers(records: Sequence[TraceRecord],

@@ -11,9 +11,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Tuple
 
 from ..apps import PAPER_ORDER, make_app
+from ..apps.base import AppResult
 from ..network import DAS_PARAMS, NetworkParams, uniform_clusters
 from ..orca import ObjectSpec, Operation
 from .experiment import _build_stack
@@ -22,8 +23,8 @@ from .sweeps import ParallelRunner, RunSpec
 
 __all__ = [
     "table1_microbenchmarks",
-    "table2_row",
-    "traffic_row",
+    "table2_rows",
+    "traffic_rows",
     "format_table1",
     "format_table2",
     "format_traffic",
@@ -161,66 +162,64 @@ def table1_microbenchmarks(network: NetworkParams = DAS_PARAMS
 # ------------------------------------------------------------- Table 2
 
 
-def table2_row(app_name: str,
-               network: NetworkParams = DAS_PARAMS,
-               runner: Optional[ParallelRunner] = None) -> Dict[str, Any]:
+def _traffic(res: AppResult, kind: str) -> Dict[str, int]:
+    return res.traffic.get(kind, {"count": 0, "bytes": 0})
+
+
+def table2_rows(runner: ParallelRunner) -> Dict[str, Dict[str, Any]]:
     """Application characteristics on one 60-node cluster (the paper's
-    64-node column, minus the nodes our experiments reserve as gateways)."""
-    if runner is None:
-        runner = ParallelRunner()
-    params = bench_params(app_name)
-    base, res = runner.run([
-        RunSpec(app_name, "original", 1, 1, params, network=network),
-        RunSpec(app_name, "original", 1, 60, params, network=network),
-    ])
-    el = max(res.elapsed, 1e-12)
+    64-node column, minus the nodes our experiments reserve as
+    gateways): one row per application, all run as one batch."""
+    results = runner.run([
+        RunSpec(name, "original", 1, nodes, bench_params(name))
+        for name in PAPER_ORDER for nodes in (1, 60)])
+    rows = {}
+    for i, name in enumerate(PAPER_ORDER):
+        base, res = results[2 * i:2 * i + 2]
+        el = max(res.elapsed, 1e-12)
 
-    def rate(kind, field):
-        row = res.traffic.get(f"intra.{kind}", {"count": 0, "bytes": 0})
-        value = row[field] / el
-        return value / 1024.0 if field == "bytes" else value
+        def rate(kind, field):
+            value = _traffic(res, f"intra.{kind}")[field] / el
+            return value / 1024.0 if field == "bytes" else value
 
-    return {
-        "app": app_name,
-        "rpc_per_s": rate("rpc", "count") + rate("msg", "count"),
-        "rpc_kbytes_per_s": rate("rpc", "bytes") + rate("msg", "bytes"),
-        "bcast_per_s": rate("bcast", "count"),
-        "bcast_kbytes_per_s": rate("bcast", "bytes"),
-        "speedup": base.elapsed / el,
-    }
+        rows[name] = {
+            "app": name,
+            "rpc_per_s": rate("rpc", "count") + rate("msg", "count"),
+            "rpc_kbytes_per_s": rate("rpc", "bytes") + rate("msg", "bytes"),
+            "bcast_per_s": rate("bcast", "count"),
+            "bcast_kbytes_per_s": rate("bcast", "bytes"),
+            "speedup": base.elapsed / el,
+        }
+    return rows
 
 
 # ---------------------------------------------------------- Tables 4/5
 
 
-def traffic_row(app_name: str, variant: str,
-                network: NetworkParams = DAS_PARAMS,
-                runner: Optional[ParallelRunner] = None) -> Dict[str, Any]:
-    """One row of Table 4 (original) or Table 5 (optimized): intercluster
-    traffic on four 15-node clusters."""
-    app = make_app(app_name)
-    if variant not in app.variants:
-        variant = "original"
-    if runner is None:
-        runner = ParallelRunner()
-    params = bench_params(app_name)
-    res = runner.run_one(
-        RunSpec(app_name, variant, 4, 15, params, network=network))
-
-    def get(kind):
-        return res.traffic.get(f"inter.{kind}", {"count": 0, "bytes": 0})
-
-    rpc = get("rpc")
-    msg = get("msg")
-    bcast = get("bcast")
-    return {
-        "app": app_name,
-        "variant": variant,
-        "rpc_count": rpc["count"] + msg["count"],
-        "rpc_kbytes": (rpc["bytes"] + msg["bytes"]) / 1024.0,
-        "bcast_count": bcast["count"],
-        "bcast_kbytes": bcast["bytes"] / 1024.0,
-    }
+def traffic_rows(runner: ParallelRunner
+                 ) -> Tuple[Dict[str, Dict[str, Any]], ...]:
+    """Tables 4 (original) and 5 (optimized): intercluster traffic on
+    four 15-node clusters, one row per application (an app without an
+    optimized variant repeats its original), all run as one batch."""
+    grid = [(name, variant if variant in make_app(name).variants
+             else "original")
+            for variant in ("original", "optimized") for name in PAPER_ORDER]
+    results = runner.run([RunSpec(name, variant, 4, 15, bench_params(name))
+                          for name, variant in grid])
+    tables: Tuple[Dict[str, Dict[str, Any]], ...] = ({}, {})
+    for i, ((name, variant), res) in enumerate(zip(grid, results)):
+        rpc = _traffic(res, "inter.rpc")
+        msg = _traffic(res, "inter.msg")
+        bcast = _traffic(res, "inter.bcast")
+        tables[i // len(PAPER_ORDER)][name] = {
+            "app": name,
+            "variant": variant,
+            "rpc_count": rpc["count"] + msg["count"],
+            "rpc_kbytes": (rpc["bytes"] + msg["bytes"]) / 1024.0,
+            "bcast_count": bcast["count"],
+            "bcast_kbytes": bcast["bytes"] / 1024.0,
+        }
+    return tables
 
 
 # ------------------------------------------------------------ formatting

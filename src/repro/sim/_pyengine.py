@@ -9,9 +9,8 @@ order (a monotonically increasing tie-break counter guarantees this).
 
 This module is the **portable tier** of a two-tier core (see
 ``engine.py`` for tier selection and ``_ccore.c`` for the compiled
-tier).  Relative to the historical boxed engine (``_legacy.py``) the
-hot path is reorganized around the *event store* contract both tiers
-share:
+tier).  The hot path is organized around the *event store* contract
+both tiers share:
 
 * heap entries are compact ``(time, tiebreak, item)`` triples where
   ``item`` is either a boxed :class:`Event` **or a bare callable** — a
@@ -35,13 +34,14 @@ implements either.
 
 Counter contract: every heap entry — boxed or call slot — bumps the
 tie-break counter exactly once, so ``Simulator.stats()`` reports the
-same ``events_processed`` for a given workload as the legacy engine
-(each legacy boxed entry maps to exactly one entry here).
+same ``events_processed`` for a given workload on either tier.
 
 The compiled tier implements this same store with C-native parallel
 arrays (times / tie-breaks / items) and a C event record; the two tiers
-are drop-in interchangeable and golden-suite verified against each
-other (``REPRO_ENGINE=python|compiled``).
+are drop-in interchangeable.  Both are held to the committed golden
+manifest (``REPRO_ENGINE=python|compiled``), whose ``engine/*`` cells
+pin this contract directly: value logs, clocks, ``busy_time()`` and
+``stats()`` of fixed corpora of differential programs.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ class Process(Event):
         self._kick_cbs: Optional[list] = None
         sim._n_spawned += 1
         # Bootstrap: resume the generator at the current instant via a
-        # call slot — one heap entry (the same count the legacy engine's
-        # born-triggered start event cost) and zero boxed events.
+        # call slot — one heap entry (the count the manifest's
+        # ``events_processed`` pins) and zero boxed events.
         sim._seq = seq = sim._seq + 1
         heapq.heappush(sim._heap, (sim.now, seq, self._start))
 

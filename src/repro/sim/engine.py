@@ -50,8 +50,11 @@ Everything downstream (``primitives``, ``network.fabric``, ``orca.*``)
 is tier-agnostic: it sees the same classes, the same exception type
 (:class:`SimulationError` is defined once in ``_pyengine`` and shared by
 the compiled tier), and the same fast-path hooks
-(``fire``/``after_call``/``idle_at_now``).  The frozen ``_legacy``
-engine is a superset of this contract that only tests import.
+(``fire``/``after_call``/``idle_at_now``).  The contract's oracle is
+recorded: the ``engine/*`` cells of the golden manifest
+(``tools/golden.py``) pin the value logs, clocks, ``busy_time()`` and
+``stats()`` of fixed corpora of differential programs, and both tiers
+must reproduce every one.
 """
 
 from __future__ import annotations

@@ -1,6 +1,13 @@
-"""Tests for the parallel sweep subsystem (runner, cache, determinism)."""
+"""Tests for the parallel sweep subsystem (runner, cache, determinism,
+host faults)."""
 
+import os
 import pickle
+import re
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -117,16 +124,17 @@ def _chunked_grid():
 
 def test_batched_pool_matches_serial_bit_identical(monkeypatch):
     """Several points per dispatch changes IPC, never results."""
-    import multiprocessing.pool as mp_pool
+    from concurrent.futures import ProcessPoolExecutor
 
     chunks = []
-    real_map = mp_pool.Pool.map
+    real_map = ProcessPoolExecutor.map
 
-    def spy(self, func, iterable, chunksize=None):
+    def spy(self, fn, *iterables, timeout=None, chunksize=1):
         chunks.append(chunksize)
-        return real_map(self, func, iterable, chunksize)
+        return real_map(self, fn, *iterables, timeout=timeout,
+                        chunksize=chunksize)
 
-    monkeypatch.setattr(mp_pool.Pool, "map", spy)
+    monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
     specs = _chunked_grid()
     serial = ParallelRunner(jobs=1).run(specs)
     chunked = ParallelRunner(jobs=2).run(specs)
@@ -555,3 +563,119 @@ def test_sweep_points_recorded_under_pool():
     runner.run(specs)
     assert len(runner.point_records) == len(specs)
     assert all(r.detail["host_s"] > 0 for r in runner.point_records)
+
+
+# ------------------------------------------------------- host faults
+#
+# Each fault runs a sweep in a child process of its own process group,
+# so a hang fails the test after a timeout instead of hanging it, and
+# any process the sweep leaves behind is found (and killed) as a member
+# of that group.
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
+def _start(args, cache_dir):
+    env = dict(os.environ, REPRO_CACHE_DIR=str(cache_dir))
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen([sys.executable, *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+
+
+def _finish(proc, timeout=10.0):
+    """``proc``'s (exit code, stdout, stderr) within ``timeout`` seconds;
+    fails if it takes longer or leaves a process of its group alive."""
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"still running {timeout} s after the fault")
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        return proc.returncode, out, err
+    pytest.fail("a process of the sweep outlived it")
+
+
+def _wait_for(found, proc, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not found():
+        if proc.poll() is not None or time.monotonic() > deadline:
+            os.killpg(proc.pid, signal.SIGKILL)
+            pytest.fail(f"never got there: {proc.communicate()}")
+        time.sleep(0.01)
+    return found()
+
+
+def _children(pid):
+    """The pids whose parent is ``pid``."""
+    kids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                # "pid (comm) state ppid ...": comm may hold spaces.
+                ppid = fh.read().rpartition(")")[2].split()[1]
+        except OSError:  # exited meanwhile
+            continue
+        if int(ppid) == pid:
+            kids.append(int(entry))
+    return kids
+
+
+def _intact_entries(root):
+    """How many entries ``root`` holds; every one must read back, and no
+    write may be left half done."""
+    assert not list(root.rglob("*.tmp"))
+    entries = list(root.rglob("*.pkl"))
+    cache = ResultCache(str(root))
+    assert all(cache.get(path.stem) is not None for path in entries)
+    return len(entries)
+
+
+_KILLED_WORKER_SWEEP = """
+from concurrent.futures.process import BrokenProcessPool
+from repro.harness import ParallelRunner, ResultCache, RunSpec, bench_params
+
+specs = [RunSpec("ra", variant, c, n, bench_params("ra"))
+         for variant in ("original", "optimized")
+         for c in (1, 2) for n in (2, 4)]
+try:
+    ParallelRunner(jobs=2, cache=ResultCache()).run(specs)
+except BrokenProcessPool:
+    print("BrokenProcessPool")
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="finds the pool workers through /proc")
+def test_killed_pool_worker_is_a_typed_error_not_a_hang(tmp_path):
+    proc = _start(["-c", _KILLED_WORKER_SWEEP], tmp_path)
+    workers = _wait_for(lambda: _children(proc.pid), proc)
+    time.sleep(0.3)  # each worker is now inside its first ~0.6 s point
+    os.kill(workers[0], signal.SIGKILL)
+    code, out, err = _finish(proc)
+    assert (code, out) == (0, "BrokenProcessPool\n"), err
+    _intact_entries(tmp_path)
+
+
+def test_ctrl_c_mid_sweep_exits_130_and_keeps_finished_points(tmp_path):
+    argv = ["-m", "repro", "figure", "fig9", "--cpus", "4", "--jobs", "2"]
+    cache = tmp_path / "cache"
+    proc = _start(argv, cache)
+    _wait_for(lambda: list(cache.rglob("*.pkl")), proc)
+    os.killpg(proc.pid, signal.SIGINT)
+    code, out, err = _finish(proc)
+    assert (code, out, err) == (130, "", "repro: interrupted\n")
+    kept = _intact_entries(cache)
+
+    code, rerun, err = _finish(_start(argv, cache), timeout=60.0)
+    assert code == 0, err
+    hits = re.search(r"\((\d+) cached, \d+ simulated\)", err)
+    assert hits and int(hits[1]) >= kept, err
+    code, cold, err = _finish(_start(argv + ["--no-cache"], cache),
+                              timeout=60.0)
+    assert code == 0, err
+    assert rerun == cold

@@ -142,10 +142,11 @@ def _shipped(monkeypatch, runner, specs):
 
 
 def test_pdes_workers_derived_respects_sweep_pool(monkeypatch, capfd):
-    """The nesting policy travels in the spec: pool workers are daemonic
-    and cannot fork partition workers, so the runner building the pool
-    ships every PDES mode as ``off`` — whatever the cores or the asked
-    width — and a forced ``on`` says so once, naming how it was asked."""
+    """The nesting policy travels in the spec: pool workers do not fork
+    partition workers (that would multiply processes), so the runner
+    building the pool ships every PDES mode as ``off`` — whatever the
+    cores or the asked width — and a forced ``on`` says so once, naming
+    how it was asked."""
     specs = [RunSpec("sor", variant, 4, 2, small_params("sor"))
              for variant in ("original", "optimized")]
     monkeypatch.delenv("REPRO_PDES", raising=False)
