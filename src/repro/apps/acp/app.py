@@ -68,6 +68,9 @@ class ACPApp(Application):
 
     name = "acp"
 
+    def build_instance(self, params: ACPParams) -> None:
+        csp.build_network(params)
+
     def register(self, rts: OrcaRuntime, params: ACPParams,
                  variant: str) -> Dict[str, Any]:
         rts.register(_domains_spec(params))

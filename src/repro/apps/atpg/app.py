@@ -44,6 +44,11 @@ class ATPGApp(Application):
 
     name = "atpg"
 
+    def build_instance(self, params: ATPGParams) -> None:
+        if params.kernel != KERNEL_REAL:
+            for gate in range(params.n_gates):
+                circuit_mod.synthetic_gate_effort(params, gate)
+
     def register(self, rts: OrcaRuntime, params: ATPGParams,
                  variant: str) -> Dict[str, Any]:
         rts.register(_stats_object_spec())

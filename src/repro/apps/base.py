@@ -91,6 +91,16 @@ class Application:
     def sequencer_for(self, variant: str) -> str:
         return self.sequencers.get(variant, "distributed")
 
+    def build_instance(self, params: Any) -> None:
+        """Build every process-level table a run of ``params`` reads.
+
+        The tables are the builders of docs/ARCHITECTURE.md, *Process-level
+        state* (``apps/instance.py``).  A sweep parent calls this before
+        it forks its pool, so the workers inherit the filled tables
+        instead of each deriving them again.  Apps without a table keep
+        this default, which does nothing.
+        """
+
     # -- to be implemented by subclasses ------------------------------------
 
     def register(self, rts: OrcaRuntime, params: Any, variant: str) -> Any:

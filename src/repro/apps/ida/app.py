@@ -89,6 +89,12 @@ class IDAApp(Application):
 
     name = "ida"
 
+    def build_instance(self, params: IDAParams) -> None:
+        if params.kernel != KERNEL_REAL:
+            for j in range(params.synth_jobs):
+                for iteration in range(params.synth_iterations):
+                    puzzle.synthetic_job_nodes(params, j, iteration)
+
     def register(self, rts: OrcaRuntime, params: IDAParams,
                  variant: str) -> Dict[str, Any]:
         p = rts.topo.n_nodes

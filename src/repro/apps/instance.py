@@ -8,7 +8,10 @@ network, the synthetic kernels' per-job grain — is obtained from a
 builder memoised with
 ``functools.lru_cache(maxsize=INSTANCE_MEMO)``, so the 13 machine
 configurations of a speedup curve (or the two variants of one figure
-bar) that run one instance in one process derive it once.
+bar) that run one instance in one process derive it once.  A pooled
+sweep derives it once for the whole pool: the parent fills every table
+a run of the pooled params reads (``Application.build_instance``) before
+it forks, and the workers inherit the tables copy-on-write.
 
 Four invariants hold for every such builder (docs/ARCHITECTURE.md,
 *Process-level state*, lists the builders):

@@ -35,6 +35,9 @@ class RAApp(Application):
     #: broadcasts, so per-cluster partitioning works.
     pdes_capable = True
 
+    def build_instance(self, params: RAParams) -> None:
+        game.build_game(params)
+
     def register(self, rts: OrcaRuntime, params: RAParams,
                  variant: str) -> Dict[str, Any]:
         g = game.build_game(params)

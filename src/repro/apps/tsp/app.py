@@ -48,6 +48,11 @@ class TSPApp(Application):
 
     name = "tsp"
 
+    def build_instance(self, params: TSPParams) -> None:
+        if params.kernel != KERNEL_REAL:
+            for prefix in problem.generate_jobs(params):
+                problem.synthetic_job_nodes(params, prefix)
+
     def register(self, rts: OrcaRuntime, params: TSPParams,
                  variant: str) -> Dict[str, Any]:
         dist = problem.distance_matrix(params)

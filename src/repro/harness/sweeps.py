@@ -3,9 +3,10 @@
 Every paper artifact is a grid of *fully independent* :func:`run_app`
 simulations, so the sweep layer parallelizes them the obvious way: a
 :class:`RunSpec` is a small picklable description of one grid point, a
-:class:`ParallelRunner` maps a list of specs over a ``multiprocessing``
-pool (each worker rebuilds the full simulator stack from the spec and
-returns the slim :class:`AppResult`), and a :class:`ResultCache` keyed by
+:class:`ParallelRunner` maps a list of specs over a forked process pool
+(each worker inherits the problem instances the parent built, rebuilds
+the simulator stack from the spec and returns the slim
+:class:`AppResult`), and a :class:`ResultCache` keyed by
 a content hash of the spec — problem parameters and network parameters
 included — lets a re-run of a figure skip every already-computed point.
 
@@ -38,6 +39,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..apps import ALL_APPS, make_app
 from ..apps.base import AppResult
+from ..apps.instance import INSTANCE_MEMO
 from ..network import DAS_PARAMS, NetworkParams
 from ..scenario import Scenario
 from ..sim.trace import TraceRecord, TraceSpec
@@ -217,6 +219,26 @@ def _nested(work: List[RunSpec]) -> List[RunSpec]:
     return shipped
 
 
+def _build_instances(work: List[RunSpec]) -> None:
+    """Build, in this process, every instance table ``work`` reads.
+
+    Called by the parent just before it forks a sweep pool: the workers
+    inherit the filled tables copy-on-write, so an instance is derived
+    once per sweep instead of once per worker.  An app whose batch names
+    more distinct params than ``INSTANCE_MEMO`` is skipped — its tables
+    could not all stay in the memo, and the parent would evict what it
+    had just built.
+    """
+    instances: Dict[str, set] = {}
+    for spec in work:
+        instances.setdefault(spec.app, set()).add(spec.params)
+    for name, params in instances.items():
+        if len(params) <= INSTANCE_MEMO:
+            app = make_app(name)
+            for p in params:
+                app.build_instance(p)
+
+
 #: Length of the SHA-256 trailer of a cache entry.
 _DIGEST_BYTES = hashlib.sha256().digest_size
 
@@ -301,6 +323,12 @@ class ParallelRunner:
     otherwise spend real time on per-point pickle/IPC round-trips.
     Chunking never changes a result, and every point is still timed
     individually for ``sweep.point``/straggler reports.
+
+    Before it forks the pool, the runner builds each pooled app's
+    problem instance in this process (:func:`_build_instances`), so the
+    workers inherit the instance tables instead of each deriving them
+    again.  The tables are pure, so this moves host time, never a
+    result; the serial path builds nothing ahead.
 
     ``trace`` applies a :class:`~repro.sim.trace.TraceSpec` to every
     spec in a batch that does not already carry one, so whole figures
@@ -428,7 +456,8 @@ class ParallelRunner:
                   ) -> Iterator[Iterator[Tuple[AppResult, float]]]:
         """``(result, host seconds)`` of each spec of ``work``, in order,
         as each arrives: in this process for one job or one point, else
-        over a process pool.
+        over a process pool forked after this process built the pooled
+        instances (:func:`_build_instances`).
 
         A pool worker that dies ends the sweep in ``BrokenProcessPool``
         (``multiprocessing.Pool`` would wait for its lost task forever),
@@ -451,6 +480,7 @@ class ParallelRunner:
             ctx = mp.get_context("spawn")
         n = min(self.jobs, len(work))
         work = _nested(work)
+        _build_instances(work)
         pool = ProcessPoolExecutor(max_workers=n, mp_context=ctx,
                                    initializer=signal.signal,
                                    initargs=(signal.SIGINT, signal.SIG_DFL))

@@ -1,6 +1,7 @@
 """Instance tables (``repro.apps.instance``): per-job grain, RA's game
 graph and ACP's constraint network are pure functions of the frozen
-params, built once per process.
+params, built once per process — on demand by a run, or ahead of one by
+``Application.build_instance``.
 
 The references below are the per-call draws the tables replaced, kept
 here — label format, draw order and clamp — as the spec the lookups
@@ -20,6 +21,7 @@ from repro.apps.acp import ACPParams
 from repro.apps.acp import csp
 from repro.apps.atpg import ATPGParams
 from repro.apps.atpg import circuit
+from repro.apps.base import Application
 from repro.apps.ida import IDAParams
 from repro.apps.ida import puzzle
 from repro.apps.instance import INSTANCE_MEMO, InstanceTable
@@ -179,6 +181,33 @@ def test_warm_run_equals_cold_run_and_draws_nothing(app, monkeypatch):
     assert len(made) == DRAWS[app]
     # elapsed, answer, stats, traffic, sim_stats: byte for byte.
     assert warm == cold
+
+
+#: an instance of every app with a table, each run in a fraction of a
+#: second at 2x3.
+BUILT = {**SCALED, "ra": RAParams.small(), "acp": ACPParams.small()}
+
+
+@pytest.mark.parametrize("app", sorted(BUILT))
+def test_build_instance_covers_every_table_a_run_reads(app, monkeypatch):
+    """After ``build_instance`` a cold run of either variant constructs
+    no per-job Generator and misses in no builder: the hook builds what
+    a sweep parent must hand its forked workers."""
+    made = _count_job_streams(monkeypatch)
+    make_app(app).build_instance(BUILT[app])
+    made.clear()
+    misses = {name: builder.cache_info().misses
+              for name, (builder, _) in BUILDERS.items()}
+    for variant in ("original", "optimized"):
+        run_app(make_app(app), variant, 2, 3, BUILT[app])
+    assert made == []
+    assert {name: builder.cache_info().misses
+            for name, (builder, _) in BUILDERS.items()} == misses
+
+
+@pytest.mark.parametrize("app", ["asp", "sor", "water"])
+def test_apps_without_a_table_keep_the_no_op_hook(app):
+    assert type(make_app(app)).build_instance is Application.build_instance
 
 
 # ------------------------------------------------------- (c) bounded

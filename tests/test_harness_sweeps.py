@@ -8,10 +8,12 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from repro.apps import small_params
+from repro.apps.instance import INSTANCE_MEMO
 from repro.harness import (
     ParallelRunner,
     ResultCache,
@@ -23,6 +25,8 @@ from repro.harness import (
 )
 from repro.harness.sweeps import default_cache_dir
 from repro.network import INTERNET_PARAMS
+
+from .test_app_instance_tables import BUILDERS, DRAWS, SCALED
 
 
 def _grid_specs():
@@ -563,6 +567,67 @@ def test_sweep_points_recorded_under_pool():
     runner.run(specs)
     assert len(runner.point_records) == len(specs)
     assert all(r.detail["host_s"] > 0 for r in runner.point_records)
+
+
+# ---------------------------------------- instances built before the fork
+
+
+@pytest.fixture
+def job_draws(tmp_path, monkeypatch):
+    """Cold instance memos, and the per-job ``substream`` of the three
+    synthetic domains wrapped so that every call — in this process or a
+    forked pool worker — logs ``(pid, label)``; returns the log reader."""
+    from repro.apps.atpg import circuit
+    from repro.apps.ida import puzzle
+    from repro.apps.tsp import problem
+    from repro.sim.rng import substream
+
+    log = tmp_path / "draws.log"
+    log.touch()
+
+    def logged(seed, label):
+        if label.startswith(("tsp.job.", "atpg.gate.", "ida.job.")):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {label}\n")
+        return substream(seed, label)
+
+    def read():
+        lines = log.read_text().splitlines()
+        return [(int(pid), label)
+                for pid, label in (line.split(" ", 1) for line in lines)]
+
+    for mod in (problem, circuit, puzzle):
+        monkeypatch.setattr(mod, "substream", logged)
+    for builder, _ in BUILDERS.values():
+        builder.cache_clear()
+    yield read
+    for builder, _ in BUILDERS.values():
+        builder.cache_clear()
+
+
+def test_pool_workers_inherit_the_instances_the_parent_built(job_draws):
+    specs = [RunSpec(app, variant, 2, 3, SCALED[app])
+             for app in sorted(SCALED) for variant in ("original", "optimized")]
+    pooled = ParallelRunner(jobs=2).run(specs)
+    draws = job_draws()
+    # Every per-job draw happened in the parent, once per job of each
+    # instance; the workers drew nothing.
+    assert {pid for pid, _ in draws} == {os.getpid()}
+    assert len({label for _, label in draws}) == len(draws)
+    assert Counter(label.split(".")[0] for _, label in draws) == DRAWS
+    for builder, _ in BUILDERS.values():
+        builder.cache_clear()
+    serial = ParallelRunner(jobs=1).run(specs)
+    assert [pickle.dumps(r) for r in pooled] == \
+        [pickle.dumps(r) for r in serial]
+
+
+def test_pool_past_the_memo_bound_builds_no_instance_ahead(job_draws):
+    specs = [RunSpec("tsp", "original", 2, 3, SCALED["tsp"].with_(seed=s))
+             for s in range(INSTANCE_MEMO + 1)]
+    ParallelRunner(jobs=2).run(specs)
+    pids = {pid for pid, _ in job_draws()}
+    assert pids and os.getpid() not in pids
 
 
 # ------------------------------------------------------- host faults
