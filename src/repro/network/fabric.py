@@ -52,52 +52,42 @@ def _NO_THEN() -> None:
     """Placeholder continuation: nothing follows this leg here."""
 
 
-_Later = Callable[[int, Callable[[], None]], None]
 _Leg = Callable[[int, int, Callable[[], None]], None]
 _Mcast = Callable[[int], None]
 
 
-def _inline(_n: int, fn: Callable[[], None]) -> None:
-    """``later`` of a route that never defers: run ``fn()`` now."""
-    fn()
-
-
-def _relay_chain(later: _Later, leg: _Leg, mcast: _Mcast, order: List[int],
-                 i: int) -> None:
+def _relay_chain(leg: _Leg, mcast: _Mcast, order: List[int], i: int) -> None:
     """Gateway relay over ``order``: each cluster forwards to the next
     while its own multicast proceeds; the store-and-forward costs inside
-    the leg are the relay cost.  The relay resumes one dispatch after a
-    leg completes and starts the multicast and the next leg together,
-    one dispatch further out."""
+    the leg are the relay cost.  A leg's arrival starts the multicast and
+    then the next leg, in the dispatch that completes the leg."""
     if i + 1 < len(order):
         to = order[i + 1]
 
         def relayed() -> None:
             mcast(to)
-            _relay_chain(later, leg, mcast, order, i + 1)
+            _relay_chain(leg, mcast, order, i + 1)
 
-        leg(order[i], to, lambda: later(2, relayed))
+        leg(order[i], to, relayed)
 
 
-def _relay_binomial(later: _Later, leg: _Leg, mcast: _Mcast,
-                    order: List[int], lo: int, hi: int) -> None:
+def _relay_binomial(leg: _Leg, mcast: _Mcast, order: List[int], lo: int,
+                    hi: int) -> None:
     """Recursive halving: ``order[lo]`` holds the payload and covers
     ``order[lo+1:hi]``, farthest half first; each new holder
     re-broadcasts into its own half — ceil(log2(n_clusters)) rounds of
-    parallel hops.  A holder starts its next leg one dispatch after the
-    previous one completes; the multicast and the new holder's branch
-    start one dispatch behind it, each one more before its first charge."""
+    parallel hops.  A leg's arrival starts, in the dispatch that
+    completes it, the new holder's multicast, the new holder's branch
+    and the old holder's next leg, in that order."""
     if hi - lo > 1:
         mid = (lo + hi + 1) // 2
 
         def relayed() -> None:
-            later(1, lambda: later(1, lambda: mcast(order[mid])))
-            later(1, lambda: _relay_binomial(later, leg, mcast, order,
-                                             mid, hi))
-            _relay_binomial(later, leg, mcast, order, lo, mid)
+            mcast(order[mid])
+            _relay_binomial(leg, mcast, order, mid, hi)
+            _relay_binomial(leg, mcast, order, lo, mid)
 
-        later(1, lambda: leg(order[lo], order[mid],
-                             lambda: later(1, relayed)))
+        leg(order[lo], order[mid], relayed)
 
 
 class Node:
@@ -398,34 +388,13 @@ class Fabric:
     #
     # Each route builds its whole leg chain synchronously and returns
     # (or drives) completion events; the only heap entries are the
-    # timeouts that genuinely advance virtual time.  At a *busy* instant
-    # (something else is scheduled now) a chain defers through the heap
-    # at the dispatch depth a process-per-leg tree would have resumed
-    # at, so same-instant races linearize the one way the golden
-    # manifest pins; at a quiet instant the deferrals are unobservable
-    # and elided.
-
-    def _later(self, n: int, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` ``n`` dispatches from now at a busy instant,
-        inline as soon as the instant is quiet."""
-        sim = self.sim
-        if n <= 0 or sim.idle_at_now():
-            fn()
-        else:
-            sim.after_call(0.0, lambda: self._later(n - 1, fn))
-
-    def _depth(self, shape: str, streams: int) -> _Later:
-        """The ``later`` of one WAN transfer.  The paper's route (flat,
-        one stream, clean PVCs) starts every step in the dispatch that
-        completes the previous one (:func:`_inline`).  Every other
-        transfer was pinned from a tree of one process per leg, relay
-        and join, and keeps that tree's depth at busy instants —
-        ``later(n, step)`` marks the ``n`` spawns and completions the
-        step sat behind — so concurrent transfers linearize their
-        same-instant races the way the golden manifest records them."""
-        if shape == "flat" and streams == 1 and self.impair is None:
-            return _inline
-        return self._later
+    # timeouts that genuinely advance virtual time.  A step starts in
+    # the dispatch that completes the step before it, whatever the
+    # shape, striping or impairments.  At a *busy* instant (something
+    # else is scheduled now) only the occupancies, the LAN join and the
+    # WAN deposit defer through the heap, so same-instant races
+    # linearize the one way the golden manifest pins; at a quiet instant
+    # those deferrals are unobservable and elided.
 
     def _occupy_ev(self, res: Resource, seconds: float, cls: str = "",
                    size: int = 0, msg_id: int = -1) -> Event:
@@ -638,24 +607,19 @@ class Fabric:
                        then: Callable[[], None]) -> None:
         """The PVC stage of one transfer striped over ``k`` chunks:
         near-equal chunks, each drawing its own impairment plan, all in
-        flight at once, joined on a countdown.  At a busy instant each
-        chunk starts one dispatch out and the join resumes two
-        dispatches after the last arrival (the depths of a spawned leg
-        and its join)."""
+        flight at once, joined on a countdown; ``then()`` runs in the
+        dispatch of the last chunk's arrival."""
         base, rem = divmod(size, k)
         pending = [k]
 
         def chunk_arrived() -> None:
             pending[0] -= 1
             if not pending[0]:
-                self._later(2, then)
+                then()
 
         for i in range(k):
-            def start(chunk: int = base + 1 if i < rem else base) -> None:
-                self._pvc_stage(chunk, src_cluster, dst_cluster, msg_id,
-                                chunk_arrived)
-
-            self._later(1, start)
+            self._pvc_stage(base + 1 if i < rem else base, src_cluster,
+                            dst_cluster, msg_id, chunk_arrived)
 
     def _wan_leg(self, msg_size: int, src_cluster: int, dst_cluster: int,
                  msg_id: int, then: Callable[[], None], streams: int = 1,
@@ -727,18 +691,9 @@ class Fabric:
 
         def leg() -> None:
             self._wan_leg(msg.size, src_cluster, dst_cluster, msg.msg_id,
-                          arrived, streams, export)
+                          tail, streams, export)
 
-        later = self._depth("flat", streams)
-        if later is _inline:
-            arrived = tail
-            self._access_up(msg.size, src_cluster, msg.msg_id, leg)
-        else:
-            def arrived() -> None:
-                later(2, tail)
-
-            later(2, lambda: self._access_up(
-                msg.size, src_cluster, msg.msg_id, lambda: later(2, leg)))
+        self._access_up(msg.size, src_cluster, msg.msg_id, leg)
         return done
 
     def _wan_tail(self, msg: Message, done: Event) -> None:
@@ -768,7 +723,7 @@ class Fabric:
         Called by the partition worker at the exported arrival instant —
         the moment the payload clears the WAN PVC toward this
         partition's gateway: gateway forward -> access down -> deposit,
-        at the dispatch depths the single-process run uses.  Deposits
+        exactly as the single-process run continues there.  Deposits
         always ack back through the boundary; the source partition fires
         the sender's delivery event at that time (or drops the ack when
         nobody waits).
@@ -777,10 +732,8 @@ class Fabric:
         done = Event(sim)
         done.callbacks.append(
             lambda _ev: self.pdes.export_ack(msg.msg_id, sim.now))
-        later = self._depth("flat", 1)
-        later(1, lambda: self._gw_forward(
-            self.topo.cluster_of(msg.dst), msg.size, msg.msg_id,
-            lambda: later(1, lambda: self._wan_tail(msg, done))))
+        self._gw_forward(self.topo.cluster_of(msg.dst), msg.size, msg.msg_id,
+                         lambda: self._wan_tail(msg, done))
 
     # ------------------------------------------------------------ multicast
 
@@ -833,8 +786,7 @@ class Fabric:
 
     def _remote_gw_multicast(self, src: int, dst_cluster: int, size: int,
                              payload: Any, port: str, kind: str,
-                             then: Callable[[int], None],
-                             later: _Later) -> None:
+                             then: Callable[[int], None]) -> None:
         """Re-inject a WAN arrival as a local multicast in ``dst_cluster``."""
         lan = self._cluster_lan[dst_cluster]
         gw = self.gateways[dst_cluster]
@@ -854,16 +806,11 @@ class Fabric:
                     then(len(dsts))
 
             now = self.sim.now
-            msgs = [Message(src=src, dst=dst, size=size, payload=payload,
-                            port=port, kind=kind,
-                            msg_id=self._next_msg_id(src), send_time=now)
-                    for dst in dsts]
-
-            def receive() -> None:
-                for msg in msgs:
-                    self._multicast_recv(msg, tx, recv_done)
-
-            later(1, receive)
+            for dst in dsts:
+                msg = Message(src=src, dst=dst, size=size, payload=payload,
+                              port=port, kind=kind,
+                              msg_id=self._next_msg_id(src), send_time=now)
+                self._multicast_recv(msg, tx, recv_done)
 
         cpu.callbacks.append(after_cpu)
 
@@ -871,24 +818,22 @@ class Fabric:
                     size: int, payload: Any, port: str, kind: str,
                     shape: str, streams: int) -> Event:
         """One access-link trip, then WAN legs over the ``shape`` tree;
-        every remote gateway re-multicasts as its leg arrives.  The
-        returned event fires with the delivery count once every remote
-        cluster has the payload — five dispatches after the last
-        delivery (receivers, multicast, leg, the join over the legs,
-        the fan-out itself).  ``later`` — see :meth:`_depth`."""
+        every remote gateway re-multicasts as its leg arrives.  Each step
+        starts in the dispatch that completes the one before it, on every
+        shape.  The returned event is triggered with the delivery count
+        in the dispatch of the last remote delivery."""
         done = Event(self.sim)
         total = [0, len(remote)]
-        later = self._depth(shape, streams)
 
         def mcast_done(n: int) -> None:
             total[0] += n
             total[1] -= 1
             if not total[1]:
-                later(5, lambda: done.succeed(total[0]))
+                done.succeed(total[0])
 
         def mcast(to: int) -> None:
             self._remote_gw_multicast(src, to, size, payload, port, kind,
-                                      mcast_done, later)
+                                      mcast_done)
 
         def leg(frm: int, to: int, then: Callable[[], None]) -> None:
             self._wan_leg(size, frm, to, -1, then, streams)
@@ -896,16 +841,14 @@ class Fabric:
         def relay() -> None:
             order = [src_cluster] + remote
             if shape == "chain":
-                _relay_chain(later, leg, mcast, order, 0)
+                _relay_chain(leg, mcast, order, 0)
             elif shape == "binomial":
-                _relay_binomial(later, leg, mcast, order, 0, len(order))
+                _relay_binomial(leg, mcast, order, 0, len(order))
             else:
                 for c in remote:
-                    leg(src_cluster, c,
-                        lambda c=c: later(2, lambda: mcast(c)))
+                    leg(src_cluster, c, lambda c=c: mcast(c))
 
-        later(2, lambda: self._access_up(size, src_cluster, -1,
-                                         lambda: later(3, relay)))
+        self._access_up(size, src_cluster, -1, relay)
         return done
 
     # ---------------------------------------------------------------- util

@@ -87,6 +87,8 @@ DELETED_SURFACE = (
     "figure16_bars(", "bench_orca_macro", "--benchmark-only",
     "any_of", "AnyOf", "processes_spawned", "try_get", "try_receive",
     "located_at", "broadcasts_sent", "n_edges",
+    "def _later(", "def _depth(", "def _inline(", "_Later", "Fabric._later",
+    "Fabric._depth", "later(n, step)",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the
