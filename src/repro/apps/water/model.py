@@ -6,7 +6,7 @@ molecules, and each timestep exchanges molecule data with the next p/2
 processors.  We keep exactly that computation/communication structure with
 a simplified pair force (softened inverse-square), which preserves the
 operation counts and message sizes — the quantities the experiments
-measure — while remaining verifiable against a sequential reference.
+measure — and stays verifiable against a sequential reference.
 """
 
 from __future__ import annotations

@@ -60,15 +60,20 @@ def _spawn_workers(sim: Simulator, app: Application, rts: OrcaRuntime,
                    params: Any, variant: str, shared: Any,
                    nodes: Iterable[int], finished_at) -> list:
     """Spawn ``app``'s process on each of ``nodes``; ``finished_at[nid]``
-    receives the virtual time node ``nid``'s process returned."""
+    receives the virtual time node ``nid``'s process returned, from a
+    callback on the process event (it dispatches at that instant)."""
 
-    def timed(nid):
-        value = yield from app.process(rts.context(nid), params, variant,
-                                       shared)
-        finished_at[nid] = sim.now
-        return value
+    def finished(nid: int, proc) -> None:
+        if proc._ok:
+            finished_at[nid] = sim.now
 
-    return [sim.spawn(timed(nid), name=f"{app.name}{nid}") for nid in nodes]
+    workers = []
+    for nid in nodes:
+        proc = sim.spawn(app.process(rts.context(nid), params, variant,
+                                     shared), name=f"{app.name}{nid}")
+        proc.callbacks.append(lambda ev, nid=nid: finished(nid, ev))
+        workers.append(proc)
+    return workers
 
 
 def _scan_workers(workers) -> Tuple[List[str], Optional[BaseException]]:

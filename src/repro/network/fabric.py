@@ -289,7 +289,7 @@ class Fabric:
     # exactly like the generator APIs, then launch the same route;
     # ``then`` runs where a process driving the generator would resume.
 
-    def _charge_then(self, src: int, cost: float,
+    def _overhead_then(self, src: int, cost: float,
                      launch: Callable[[], Event],
                      then: Optional[Callable[[Event], None]]) -> None:
         def _launch(_ev: Event) -> None:
@@ -308,7 +308,7 @@ class Fabric:
         point a driving process resumes at."""
         msg, route, cost = self._new_message(src, dst, size, payload, port,
                                              kind)
-        self._charge_then(src, cost, lambda: route(msg), then)
+        self._overhead_then(src, cost, lambda: route(msg), then)
 
     def multicast_local_chain(self, src: int, size: int, payload: Any = None,
                               port: str = "default", kind: str = "msg",
@@ -318,7 +318,7 @@ class Fabric:
         :meth:`send_chain`); ``then(done)`` receives the all-delivered
         event."""
         cluster = self.topo.cluster_of(src)
-        self._charge_then(
+        self._overhead_then(
             src, self._multicast_cost(cluster, size),
             lambda: self._multicast(src, cluster, size, payload, port, kind),
             then)
@@ -339,7 +339,7 @@ class Fabric:
             if then is not None:
                 then(None)
             return
-        self._charge_then(
+        self._overhead_then(
             src, self._access_send_cost(size),
             lambda: self._wan_fanout(src, src_cluster, remote, size, payload,
                                      port, kind, shape, streams), then)

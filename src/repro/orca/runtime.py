@@ -17,6 +17,7 @@ simulation process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -127,23 +128,21 @@ class OrcaRuntime:
 
     # ------------------------------------------------------------ execution
 
-    def _charge(self, node: int, seconds: float) -> Generator:
-        yield self.fabric.nodes[node].cpu.execute_ev(seconds)
-
     def _execute_blocking(self, node: int, replica: Replica, op_name: str,
                           args: tuple) -> Generator:
         """Execute locally, waiting on the guard if necessary."""
         op = replica.spec.op(op_name)
+        cpu = self.fabric.nodes[node].cpu
         while True:
             try:
                 result = replica.execute(op_name, args)
             except Blocked:
-                yield from self._charge(node, GUARD_EVAL_COST)
+                yield cpu.execute_ev(GUARD_EVAL_COST)
                 gate = Event(self.sim)
                 replica.parked.append(("ev", gate))
                 yield gate
                 continue
-            yield from self._charge(node, op.cost(args))
+            yield cpu.execute_ev(op.cost(args))
             return result
 
     def _kick(self, owner: int, replica: Replica) -> None:
@@ -227,7 +226,7 @@ class OrcaRuntime:
             cpu.execute_ev(GUARD_EVAL_COST).callbacks.append(_parked)
             return
 
-        def _charged(_ev: Event) -> None:
+        def _executed(_ev: Event) -> None:
             if op.writes:
                 self._kick(node, replica)
             result_size = op.result_size(result)
@@ -236,7 +235,7 @@ class OrcaRuntime:
                 port=req.result_port, kind="rpc",
                 then=None if then is None else (lambda _done: then()))
 
-        cpu.execute_ev(op.cost(req.args)).callbacks.append(_charged)
+        cpu.execute_ev(op.cost(req.args)).callbacks.append(_executed)
 
     def _invoke_rpc(self, caller: int, spec: ObjectSpec, op: Operation,
                     op_name: str, args: tuple) -> Generator:
@@ -283,12 +282,12 @@ class OrcaRuntime:
         op = replica.spec.op(payload.op_name)
         result = replica.execute(payload.op_name, payload.args)
 
-        def _charged(_ev: Event) -> None:
+        def _executed(_ev: Event) -> None:
             self._kick(node, replica)
             k(result)
 
         self.fabric.nodes[node].cpu.execute_ev(
-            op.cost(payload.args)).callbacks.append(_charged)
+            op.cost(payload.args)).callbacks.append(_executed)
 
     # ----------------------------------------------------------- public ops
 
@@ -335,9 +334,11 @@ class Context:
 
     # -- Orca shared objects ------------------------------------------------
     def invoke(self, obj_name: str, op_name: str, *args: Any) -> Generator:
-        """The Orca shared-object abstraction (see :meth:`OrcaRuntime.invoke`)."""
-        result = yield from self.rts.invoke(self.node, obj_name, op_name, args)
-        return result
+        """The Orca shared-object abstraction (see :meth:`OrcaRuntime.invoke`).
+
+        Returns the runtime's own generator, so a caller's ``yield from``
+        drives it without a forwarding frame."""
+        return self.rts.invoke(self.node, obj_name, op_name, args)
 
     def invoke_async(self, obj_name: str, op_name: str, *args: Any):
         """Asynchronous write to a replicated object (the paper's proposed
@@ -396,25 +397,22 @@ class Context:
     COMPUTE_QUANTUM = 1e-3
 
     def compute(self, seconds: float) -> Generator:
-        """Charge application compute to this node's CPU, in quanta."""
-        if seconds < 0:
-            raise ValueError(f"negative compute time: {seconds}")
-        q = self.COMPUTE_QUANTUM
-        fabric = self.rts.fabric
-        cpu = fabric.nodes[self.node].cpu
-        # Heterogeneity/faults: per-quantum speed lookup, so a slow_node
-        # window changes only the quanta inside it.  ``node_speed`` is
-        # None on the clean model; the 1.0 guard keeps the arithmetic
-        # bit-identical to the unscaled path.
-        speeds = fabric.node_speed
-        node = self.node
-        remaining = seconds
-        while remaining > 0:
-            step = remaining if remaining <= q else q
-            sp = 1.0 if speeds is None else speeds[node]
-            cost = step if sp == 1.0 else step / sp
-            yield cpu.execute_ev(cost, priority=1)
-            remaining -= step
+        """Charge application compute to this node's CPU, in quanta.
+
+        One engine occupancy (``Resource.occupy_quanta``) holds the CPU
+        at priority 1 a quantum at a time, so urgent protocol work gets
+        the CPU at every quantum boundary.  Heterogeneity and faults: each
+        quantum reads the node's speed as it starts, so a slow_node
+        window changes only the quanta inside it (``node_speed`` is None
+        on the clean model)."""
+        if not 0 <= seconds < math.inf:
+            raise ValueError(
+                f"compute time must be finite and non-negative: {seconds}")
+        if seconds > 0:
+            fabric = self.rts.fabric
+            yield fabric.nodes[self.node].cpu.occupy_quanta(
+                seconds, self.COMPUTE_QUANTUM, 1, fabric.node_speed,
+                self.node)
 
     def sleep(self, seconds: float) -> Generator:
         """Idle wait (no CPU occupancy)."""

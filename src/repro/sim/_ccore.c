@@ -48,6 +48,8 @@ static PyObject *str_send, *str_throw, *str_value, *str_dunder_name;
 #define K_OCC_REQ   3   /* request deferred from a busy instant */
 #define K_OCC_GRANT 4   /* slot granted: start the hold */
 #define K_OCC_HOLD  5   /* hold expired: release, then complete */
+#define K_OCC_NEXT  6   /* occupy_quanta: next segment posted from a busy
+                         * instant (the loop's posted completion) */
 
 typedef struct {
     PyObject_HEAD
@@ -103,16 +105,22 @@ typedef struct {
     WaitQ q[2];             /* [0] urgent (priority <= 0), [1] background */
 } ResourceObject;
 
-/* The completion event of one Resource.occupy() call.  It doubles as
- * the record of the occupancy state machine: the same object sits in
- * the heap under K_OCC_REQ / K_OCC_GRANT / K_OCC_HOLD (or in a WaitQ)
- * and finally under K_EVENT, so one occupy allocates one object. */
+/* The completion event of one Resource.occupy() or occupy_quanta()
+ * call.  It doubles as the record of the occupancy state machine: the
+ * same object sits in the heap under K_OCC_REQ / K_OCC_GRANT /
+ * K_OCC_HOLD / K_OCC_NEXT (or in a WaitQ) and finally under K_EVENT, so
+ * one occupy — every segment of an occupy_quanta included — allocates
+ * one object. */
 typedef struct {
     EventObject ev;
     ResourceObject *res;    /* strong; dropped at completion */
     PyObject *on_release;   /* callable(t_req, t_grant, qdepth) or NULL */
-    double seconds;
+    PyObject *speeds;       /* occupy_quanta's speed table, or NULL */
+    double seconds;         /* hold of the current segment */
     double t_req, t_grant;
+    double remaining;       /* occupy_quanta: work after this segment */
+    double quantum;         /* occupy_quanta: segment size; 0 for occupy */
+    Py_ssize_t index;       /* occupy_quanta: this resource's speed entry */
     long qdepth;            /* queue joined, counting itself + in_use */
     int level;              /* index into res->q */
 } OccObject;
@@ -835,11 +843,70 @@ res_release(ResourceObject *r)
     return 0;
 }
 
+/* Start one hold of occ->seconds: grant (or enqueue) synchronously at
+ * a quiet instant; at a busy one request one dispatch later, grant one
+ * more — the depths the request/timeout/release process used. */
+static int
+occ_start(SimObject *sim, OccObject *occ)
+{
+    ResourceObject *res = occ->res;
+    occ->t_req = sim->now;
+    if (sim->hlen == 0 || sim->ht[0] > sim->now) {
+        occ->qdepth = res_qdepth(res);
+        if (res->in_use < res->capacity) {
+            res_take_slot(res);
+            occ->t_grant = sim->now;
+            return heap_push(sim, sim->now + occ->seconds, (PyObject *)occ,
+                             K_OCC_HOLD);
+        }
+        return waitq_push(&res->q[occ->level], (PyObject *)occ);
+    }
+    sim->n_fallback += 1;
+    return heap_push(sim, sim->now, (PyObject *)occ, K_OCC_REQ);
+}
+
+/* Start the next segment of an occupy_quanta(): the body of the loop it
+ * replaces, in the same double arithmetic, reading the speed now. */
+static int
+occ_start_quantum(SimObject *sim, OccObject *occ)
+{
+    double step = occ->remaining <= occ->quantum ? occ->remaining
+                                                 : occ->quantum;
+    double sp = 1.0;
+    if (occ->speeds) {
+        PyObject *v = PySequence_GetItem(occ->speeds, occ->index);
+        if (!v)
+            return -1;
+        sp = PyFloat_AsDouble(v);
+        Py_DECREF(v);
+        if (sp == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    if (sp == 0.0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        return -1;
+    }
+    double cost = sp == 1.0 ? step : step / sp;
+    if (!(cost >= 0)) {
+        PyObject *c = PyFloat_FromDouble(cost);
+        if (c) {
+            PyErr_Format(SimError, "negative occupy time: %R", c);
+            Py_DECREF(c);
+        }
+        return -1;
+    }
+    occ->seconds = cost;
+    occ->remaining -= step;
+    return occ_start(sim, occ);
+}
+
 /* One step of an occupancy popped off the heap. */
 static int
 occ_dispatch(SimObject *sim, OccObject *occ, int kind)
 {
     ResourceObject *res = occ->res;
+    if (kind == K_OCC_NEXT)
+        return occ_start_quantum(sim, occ);
     if (kind == K_OCC_REQ) {
         occ->qdepth = res_qdepth(res);
         if (res->in_use < res->capacity) {
@@ -864,10 +931,20 @@ occ_dispatch(SimObject *sim, OccObject *occ, int kind)
             return -1;
         Py_DECREF(r);
     }
+    int quiet = sim->hlen == 0 || sim->ht[0] > sim->now;
+    if (occ->remaining > 0) {
+        /* occupy_quanta between segments: where the loop's process
+         * resumed, start the next one inline or post it. */
+        if (!quiet)
+            return heap_push(sim, sim->now, (PyObject *)occ, K_OCC_NEXT);
+        sim->n_fast += 1;
+        return occ_start_quantum(sim, occ);
+    }
     Py_CLEAR(occ->res);
     Py_CLEAR(occ->on_release);
-    if (sim->hlen == 0 || sim->ht[0] > sim->now)
-        return event_fire(&occ->ev, Py_None);  /* quiet: complete inline */
+    Py_CLEAR(occ->speeds);
+    if (quiet)
+        return event_fire(&occ->ev, Py_None);  /* complete inline */
     return event_complete(&occ->ev, Py_None, 1);
 }
 
@@ -1047,7 +1124,7 @@ Resource_occupy(ResourceObject *self, PyObject *const *args,
     double seconds = PyFloat_AsDouble(a[0]);
     if (seconds == -1.0 && PyErr_Occurred())
         return NULL;
-    if (seconds < 0) {
+    if (!(seconds >= 0)) {
         PyErr_Format(SimError, "negative occupy time: %S", a[0]);
         return NULL;
     }
@@ -1062,28 +1139,61 @@ Resource_occupy(ResourceObject *self, PyObject *const *args,
     if (a[2] && a[2] != Py_None)
         occ->on_release = Py_NewRef(a[2]);
     occ->seconds = seconds;
-    occ->t_req = sim->now;
     occ->level = lvl;
-    int st;
-    if (sim->hlen == 0 || sim->ht[0] > sim->now) {
-        /* Quiet instant: grant (or enqueue) synchronously. */
-        occ->qdepth = res_qdepth(self);
-        if (self->in_use < self->capacity) {
-            res_take_slot(self);
-            occ->t_grant = sim->now;
-            st = heap_push(sim, sim->now + seconds, (PyObject *)occ,
-                           K_OCC_HOLD);
-        }
-        else
-            st = waitq_push(&self->q[lvl], (PyObject *)occ);
+    if (occ_start(sim, occ) < 0) {
+        Py_DECREF(occ);
+        return NULL;
     }
-    else {
-        /* Busy instant: request one dispatch later, grant one more —
-         * the depths the request/timeout/release process used. */
-        sim->n_fallback += 1;
-        st = heap_push(sim, sim->now, (PyObject *)occ, K_OCC_REQ);
+    return (PyObject *)occ;
+}
+
+static PyObject *
+Resource_occupy_quanta(ResourceObject *self, PyObject *const *args,
+                       Py_ssize_t nargs, PyObject *kwnames)
+{
+    static const char *const names[] = {"seconds", "quantum", "priority",
+                                        "speeds", "index"};
+    PyObject *a[5];
+    if (res_ready(self) < 0 ||
+        parse_fastcall("occupy_quanta", args, nargs, kwnames, names, 5, 2,
+                       a) < 0)
+        return NULL;
+    double seconds = PyFloat_AsDouble(a[0]);
+    if (seconds == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(seconds >= 0 && seconds < Py_HUGE_VAL)) {
+        PyErr_Format(SimError, "occupy_quanta time must be finite and "
+                     "non-negative: %S", a[0]);
+        return NULL;
     }
-    if (st < 0) {
+    double quantum = PyFloat_AsDouble(a[1]);
+    if (quantum == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(quantum > 0)) {
+        PyErr_Format(SimError, "occupy_quanta quantum must be > 0: %S", a[1]);
+        return NULL;
+    }
+    int lvl = a[2] ? priority_level(a[2]) : 1;
+    if (lvl < 0)
+        return NULL;
+    Py_ssize_t index = 0;
+    if (a[4]) {
+        index = PyNumber_AsSsize_t(a[4], PyExc_IndexError);
+        if (index == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    SimObject *sim = (SimObject *)self->sim;
+    OccObject *occ = (OccObject *)event_new_bare(&OccType, sim);
+    if (!occ)
+        return NULL;
+    occ->res = (ResourceObject *)Py_NewRef((PyObject *)self);
+    if (a[3] && a[3] != Py_None)
+        occ->speeds = Py_NewRef(a[3]);
+    occ->remaining = seconds;
+    occ->quantum = quantum;
+    occ->index = index;
+    occ->level = lvl;
+    if (occ_start_quantum(sim, occ) < 0) {
         Py_DECREF(occ);
         return NULL;
     }
@@ -1120,6 +1230,10 @@ static PyMethodDef Resource_methods[] = {
     {"occupy", (PyCFunction)(void (*)(void))Resource_occupy,
      METH_FASTCALL | METH_KEYWORDS,
      "One-shot request/hold/release; returns the completion event."},
+    {"occupy_quanta", (PyCFunction)(void (*)(void))Resource_occupy_quanta,
+     METH_FASTCALL | METH_KEYWORDS,
+     "seconds of work held in quantum-sized segments; returns the "
+     "completion event of the last one."},
     {"busy_time", (PyCFunction)Resource_busy_time, METH_NOARGS,
      "Integral of in-use servers over time."},
     {NULL}
@@ -1159,6 +1273,7 @@ Occ_traverse(OccObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->res);
     Py_VISIT(self->on_release);
+    Py_VISIT(self->speeds);
     return Event_traverse(&self->ev, visit, arg);
 }
 
@@ -1167,6 +1282,7 @@ Occ_clear(OccObject *self)
 {
     Py_CLEAR(self->res);
     Py_CLEAR(self->on_release);
+    Py_CLEAR(self->speeds);
     return Event_clear(&self->ev);
 }
 
@@ -1277,7 +1393,7 @@ Sim_timeout(SimObject *self, PyObject *dobj)
     double delay = PyFloat_AsDouble(dobj);
     if (delay == -1.0 && PyErr_Occurred())
         return NULL;
-    if (delay < 0) {
+    if (!(delay >= 0)) {
         PyErr_Format(SimError, "negative timeout delay: %S", dobj);
         return NULL;
     }
@@ -1315,7 +1431,7 @@ Sim_after_call(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
     double delay = PyFloat_AsDouble(args[0]);
     if (delay == -1.0 && PyErr_Occurred())
         return NULL;
-    if (delay < 0) {
+    if (!(delay >= 0)) {
         PyErr_Format(SimError, "negative after_call delay: %S", args[0]);
         return NULL;
     }
@@ -1344,7 +1460,7 @@ Sim_call_at(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
     double when = PyFloat_AsDouble(args[0]);
     if (when == -1.0 && PyErr_Occurred())
         return NULL;
-    if (when < self->now) {
+    if (!(when >= self->now)) {
         PyObject *nowobj = PyFloat_FromDouble(self->now);
         if (nowobj) {
             PyErr_Format(SimError, "call_at past time %S < now %S",

@@ -255,7 +255,7 @@ class Simulator:
         event is built and pushed inline: a plain :class:`Event`, on the
         heap while still pending.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         ev = Event.__new__(Event)
         ev.sim = self
@@ -293,14 +293,14 @@ class Simulator:
         callback list.  Nothing can wait on a call slot — use
         :meth:`after` when the completion must be observable.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative after_call delay: {delay}")
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (self.now + delay, seq, fn))
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Run ``fn`` at absolute virtual time ``when`` (>= now)."""
-        if when < self.now:
+        if not when >= self.now:
             raise SimulationError(f"call_at past time {when} < now {self.now}")
         ev = self.timeout(when - self.now)
         ev.callbacks.append(lambda _ev: fn())
@@ -482,6 +482,18 @@ def fire(ev: Event, value: Any = None) -> None:
             cb(ev)
 
 
+def _complete(done: Event) -> None:
+    """Complete an occupancy after its release: inline at a quiet
+    instant (skipping one dispatch), else posted."""
+    if done.sim.idle_at_now():
+        fire(done, None)
+    else:
+        done.succeed(None)
+
+
+_INF = float("inf")
+
+
 class Resource:
     """A counted resource with FIFO granting per priority level.
 
@@ -592,10 +604,70 @@ class Resource:
         counting itself and the slots in use, sampled atomically with
         the request.
         """
-        if seconds < 0:
+        if not seconds >= 0:
             raise SimulationError(f"negative occupy time: {seconds}")
+        done = Event(self.sim)
+        self._occupy_start(done, seconds, priority, on_release, None)
+        return done
+
+    def occupy_quanta(self, seconds: float, quantum: float,
+                      priority: int = 1, speeds: Optional[list] = None,
+                      index: int = 0) -> Event:
+        """``seconds`` of work held in ``quantum``-sized segments; returns
+        the one completion event of the last segment.
+
+        Exactly a process that, while work is left, takes ``step =
+        min(left, quantum)``, yields ``occupy(step / speeds[index],
+        priority)`` and subtracts ``step`` (speed ``1.0`` when ``speeds``
+        is None; the division is skipped at speed ``1.0``), with the same
+        heap entries and counters: the speed is read as a segment starts
+        and each segment starts with :meth:`occupy`'s quiet/busy logic.
+        Where that process resumed between segments, a quiet instant
+        starts the next segment inline (one ``fast_completions``, as the
+        ``fire`` it stands for) and a busy one posts it as one heap entry
+        (the posted completion it stands for).  So a priority-1 holder
+        yields to urgent waiters at every segment boundary.  ``seconds ==
+        0`` is one zero-length segment.
+        """
+        if not 0 <= seconds < _INF:
+            raise SimulationError(f"occupy_quanta time must be finite and "
+                                  f"non-negative: {seconds}")
+        if not quantum > 0:
+            raise SimulationError(f"occupy_quanta quantum must be > 0: "
+                                  f"{quantum}")
         sim = self.sim
         done = Event(sim)
+        remaining = seconds
+
+        def _segment() -> None:
+            nonlocal remaining
+            step = remaining if remaining <= quantum else quantum
+            sp = 1.0 if speeds is None else speeds[index]
+            cost = step if sp == 1.0 else step / sp
+            if not cost >= 0:
+                raise SimulationError(f"negative occupy time: {cost}")
+            remaining -= step
+            self._occupy_start(done, cost, priority, None, _held)
+
+        def _held() -> None:
+            if remaining <= 0:
+                _complete(done)
+            elif sim.idle_at_now():
+                sim._n_fast += 1
+                _segment()
+            else:
+                sim.after_call(0.0, _segment)
+
+        _segment()
+        return done
+
+    def _occupy_start(self, done: Event, seconds: float, priority: int,
+                      on_release: Optional[Callable[[float, float, int],
+                                                    None]],
+                      then: Optional[Callable[[], None]]) -> None:
+        """Request one hold of ``seconds``; after its release, ``then()``
+        runs if given, else ``done`` completes."""
+        sim = self.sim
         hook = None  # (on_release, t_req, qdepth), only while tracing
         if sim.idle_at_now():
             # Quiet instant: grant (or enqueue) synchronously.
@@ -604,16 +676,16 @@ class Resource:
             if self._in_use < self.capacity:
                 self._account()
                 self._in_use += 1
-                self._occupy_granted(done, seconds, hook)
+                self._occupy_granted(done, seconds, hook, then)
             else:
                 gate = Event(sim)
                 if priority <= 0:
                     self._waiters.append(gate)
                 else:
                     self._low_waiters.append(gate)
-                gate.callbacks.append(
-                    lambda _ev: self._occupy_granted(done, seconds, hook))
-            return done
+                gate.callbacks.append(lambda _ev: self._occupy_granted(
+                    done, seconds, hook, then))
+            return
 
         # Busy instant: request one dispatch later (request() posts the
         # grant, putting the hold two dispatches out — process parity).
@@ -625,14 +697,14 @@ class Resource:
             if on_release is not None:
                 hook = (on_release, t_req, self._qdepth())
             gate = self.request(priority)
-            gate.callbacks.append(
-                lambda _ev: self._occupy_granted(done, seconds, hook))
+            gate.callbacks.append(lambda _ev: self._occupy_granted(
+                done, seconds, hook, then))
 
         sim.after_call(0.0, _request)
-        return done
 
     def _occupy_granted(self, done: Event, seconds: float,
-                        hook: Optional[tuple]) -> None:
+                        hook: Optional[tuple],
+                        then: Optional[Callable[[], None]]) -> None:
         # The hold is a bare call slot — one heap entry (same count as the
         # timeout the process pattern scheduled), zero boxed events.
         sim = self.sim
@@ -643,10 +715,10 @@ class Resource:
             if hook is not None:
                 on_release, t_req, qdepth = hook
                 on_release(t_req, t_grant, qdepth)
-            if sim.idle_at_now():
-                fire(done, None)  # quiet: complete inline, skip one dispatch
+            if then is not None:
+                then()
             else:
-                done.succeed(None)
+                _complete(done)
 
         sim.after_call(seconds, _fin)
 

@@ -16,7 +16,8 @@ more:
   and ``stats()`` (``events_processed``, ``spawns``,
   ``fast_completions``, ``fallbacks``);
 * :class:`AllOf`, :class:`Resource` (two-priority FIFO with
-  ``request``/``release``/``occupy``) and :func:`fire`.
+  ``request``/``release``/``occupy``/``occupy_quanta``) and
+  :func:`fire`.
 
 The tiers:
 

@@ -74,7 +74,8 @@ def test_no_tier_selector_reappears():
 #: travels in the spec, dispatch is ``chunksize``; the engine is what the
 #: simulated machine calls (no first-of waits, no duplicate stats key)
 #: and so are the layers above it; the engine's oracle is the manifest's
-#: ``engine/*`` cells, not a third engine.
+#: ``engine/*`` cells, not a third engine; an app process, an Orca wait
+#: and a compute charge each run without a forwarding generator frame.
 DELETED_SURFACE = (
     "_legacy",
     "reset_ids", "reset_req_ids", "alloc_msg_id", "_alloc_req_id",
@@ -89,6 +90,7 @@ DELETED_SURFACE = (
     "located_at", "broadcasts_sent", "n_edges",
     "def _later(", "def _depth(", "def _inline(", "_Later", "Fabric._later",
     "Fabric._depth", "later(n, step)",
+    "def timed(", "def _charge(",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the
