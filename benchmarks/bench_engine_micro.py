@@ -5,8 +5,9 @@ one measures *host* wall-clock throughput of the event loop itself:
 events popped per second across workloads that mirror what the fabric
 and Orca layers do millions of times per run — timeout chains, process
 spawning, already-fired-event resumes (the "kick" path), channel
-ping-pong, resource contention and one-shot resource occupancies at
-busy and at quiet instants.
+ping-pong, resource contention, one-shot resource occupancies at
+busy and at quiet instants, and quantized compute charges preempted by
+urgent work.
 
 Each workload returns the events its simulator popped.  Run it with::
 
@@ -145,6 +146,33 @@ def wl_occupy_quiet(n: int = 200_000) -> int:
     return sim.stats()["events_processed"]
 
 
+def wl_compute_quanta(n: int = 300, cpus: int = 60) -> int:
+    """60 CPUs, each running ``n`` application computes of 2.5 ms in
+    1 ms quanta (``Context.compute``'s charge: one ``occupy_quanta`` at
+    priority 1) against a stream of 10 us urgent occupancies, one every
+    0.7 ms per CPU.  The quanta end in lockstep, so most segment starts
+    are at busy instants and cost one posted entry each."""
+    sim = Simulator()
+    every = 7e-4
+    bursts = int(n * 2.5e-3 / every)
+
+    def computer(cpu):
+        for _ in range(n):
+            yield cpu.occupy_quanta(2.5e-3, 1e-3, 1)
+
+    def interrupts(cpu):
+        for _ in range(bursts):
+            yield sim.timeout(every)
+            cpu.execute_ev(1e-5)
+
+    for i in range(cpus):
+        cpu = CPU(sim, name=f"c{i}")
+        sim.spawn(computer(cpu))
+        sim.spawn(interrupts(cpu))
+    sim.run()
+    return sim.stats()["events_processed"]
+
+
 WORKLOADS = [
     ("timeout_chain", wl_timeout_chain),
     ("spawn_storm", wl_spawn_storm),
@@ -153,5 +181,6 @@ WORKLOADS = [
     ("cpu_contention", wl_cpu_contention),
     ("occupy_lockstep", wl_occupy_lockstep),
     ("occupy_quiet", wl_occupy_quiet),
+    ("compute_quanta", wl_compute_quanta),
 ]
 
