@@ -5,7 +5,8 @@
 a digest of everything the determinism contract promises: ``repr`` of
 the elapsed virtual time, the answer, the traffic counters, the app
 statistics, and the full non-``proc.*`` trace-record stream (time, kind,
-sorted detail) in emission order.  The manifest — not a second
+sorted detail) in emission order and, as ``records_set``, sorted (so a
+re-bless can tell a new tie order from new records).  The manifest — not a second
 implementation kept alive to compare against — is the oracle: any
 change to the simulator must reproduce every cell bit for bit.
 
@@ -111,15 +112,18 @@ def digest(obj: Any) -> str:
 
 
 def _records(tracer: Tracer) -> Dict[str, Any]:
-    """The non-``proc.*`` record stream, order included."""
-    h = hashlib.sha256()
-    n = 0
-    for r in tracer.records:
-        if r.kind.startswith("proc."):
-            continue
-        n += 1
-        h.update(repr((r.time, r.kind, _canon(r.detail))).encode())
-    return {"records": h.hexdigest()[:16], "n_records": n}
+    """The non-``proc.*`` record stream: ``records`` in emission order,
+    ``records_set`` sorted — the same records at the same times, whatever
+    order same-instant ties were dispatched in."""
+    rows = [repr((r.time, r.kind, _canon(r.detail))).encode()
+            for r in tracer.records if not r.kind.startswith("proc.")]
+    ordered, unordered = hashlib.sha256(), hashlib.sha256()
+    for row in rows:
+        ordered.update(row)
+    for row in sorted(rows):
+        unordered.update(row)
+    return {"records": ordered.hexdigest()[:16],
+            "records_set": unordered.hexdigest()[:16], "n_records": len(rows)}
 
 
 def _stats(stats: Dict[str, int]) -> Dict[str, int]:
