@@ -451,22 +451,10 @@ class Fabric:
         done = Event(sim)
         pending = [2]
 
-        def arrive(_ev: Event) -> None:
-            self._deposit_complete(msg, done)
-
         def leg_done(_ev: Event) -> None:
             pending[0] -= 1
             if not pending[0]:
-                # Two deferred dispatches before the deposit (leg
-                # completion -> join -> deliver): deposits keep their
-                # relative dispatch depth — multicast, then WAN, then
-                # LAN — when arrivals on different path shapes land at
-                # the same instant.  Elided at a quiet instant (nothing
-                # to race).
-                if sim.idle_at_now():
-                    arrive(_ev)
-                else:
-                    sim.after(0.0, lambda _e: sim.after(0.0, arrive))
+                self._deposit_complete(msg, done)
 
         self._occupy_ev(self._lan_out[msg.src], tx, "lan_out", msg.size,
                         msg.msg_id).callbacks.append(leg_done)
@@ -699,21 +687,7 @@ class Fabric:
     def _wan_tail(self, msg: Message, done: Event) -> None:
         """Access down -> deposit -> fire ``done``: the last legs of a
         point-to-point WAN delivery, after the remote gateway forward."""
-        sim = self.sim
-
-        def arrive(_ev: Optional[Event]) -> None:
-            self._deposit_complete(msg, done)
-
-        def finish() -> None:
-            # One deferred dispatch (the access-leg completion) so WAN
-            # deposits stay one dispatch shallower than LAN deposits —
-            # see _route_lan.  Elided when quiet.
-            if sim.idle_at_now():
-                arrive(None)
-            else:
-                sim.after(0.0, arrive)
-
-        self._access_down(msg, finish)
+        self._access_down(msg, lambda: self._deposit_complete(msg, done))
 
     # --------------------------------------------- PDES partition boundary
 

@@ -197,14 +197,7 @@ class TotalOrderBroadcast:
         origin = sender if bb_mode else stamp_node
 
         # 3. Disseminate from the origin node, in the background.
-        if self.sim.idle_at_now():
-            # Quiet instant: launch the chain inline.
-            self._disseminate(origin, payload, size, shape, streams)
-        else:
-            # Busy instant: the dissemination starts one dispatch out.
-            self.sim._n_fallback += 1
-            self.sim.after(0.0, lambda _ev: self._disseminate(
-                origin, payload, size, shape, streams))
+        self._disseminate(origin, payload, size, shape, streams)
 
         # 4./5. Wait until our own node applied it.
         result = yield done

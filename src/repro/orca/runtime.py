@@ -184,8 +184,7 @@ class OrcaRuntime:
     # charge and the reply proceed as their own chain — a serial server
     # would bound RPC throughput by the CPU-queue wait behind
     # application compute quanta, which a real interrupt-driven RTS
-    # does not.  A fresh arrival at a busy instant defers the serve one
-    # dispatch *before* re-arming.
+    # does not.
 
     def _arm_rpc(self, node: int) -> None:
         ev = self.fabric.nodes[node].port(RPC_PORT).get()
@@ -193,16 +192,7 @@ class OrcaRuntime:
             lambda _ev, n=node: self._rpc_arrival(n, _ev._value))
 
     def _rpc_arrival(self, node: int, msg: Message) -> None:
-        sim = self.sim
-        req: _RpcRequest = msg.payload
-        if sim.idle_at_now():
-            # Quiet instant: serve inline (the deferral is unobservable),
-            # then re-arm.
-            sim._n_fast += 1
-            self._serve(node, req)
-        else:
-            sim._n_fallback += 1
-            sim.after(0.0, lambda _ev: self._serve(node, req))
+        self._serve(node, msg.payload)
         self._arm_rpc(node)
 
     def _serve(self, node: int, req: _RpcRequest,
