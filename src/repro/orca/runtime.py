@@ -164,7 +164,6 @@ class OrcaRuntime:
         else:
             # Busy instant (e.g. guard waiters were just woken): the
             # retries start one dispatch out.
-            sim._n_fallback += 1
             sim.after(0.0, lambda _ev: self._retry_rpcs(owner, retries, 0))
 
     def _retry_rpcs(self, owner: int, requests: List[_RpcRequest],

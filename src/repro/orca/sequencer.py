@@ -88,9 +88,7 @@ class CentralizedSequencer(SequencerProtocol):
     def acquire(self, cluster: int) -> int:
         # The request already traveled to the sequencer node (the broadcast
         # layer routes it there); stamping itself is immediate.
-        sim = self.sim
-        sim._n_fast += 1
-        return self._stamp(cluster, sim.now)
+        return self._stamp(cluster, self.sim.now)
 
 
 class _TokenRing:
@@ -201,7 +199,6 @@ class _TokenSequencer(SequencerProtocol):
             # at this instant that could race the grant: take, stamp and
             # release without an event.
             ring.take(cluster)
-            sim._n_fast += 1
             seq = self._stamp(cluster, t0)
             ring.release()
             return seq

@@ -1703,8 +1703,6 @@ static PyMemberDef Sim_members[] = {
     {"obs", T_OBJECT, offsetof(SimObject, obs), 0, NULL},
     {"_seq", T_LONGLONG, offsetof(SimObject, seq), READONLY, NULL},
     {"_n_spawned", T_LONGLONG, offsetof(SimObject, n_spawned), 0, NULL},
-    {"_n_fast", T_LONGLONG, offsetof(SimObject, n_fast), 0, NULL},
-    {"_n_fallback", T_LONGLONG, offsetof(SimObject, n_fallback), 0, NULL},
     {NULL}
 };
 

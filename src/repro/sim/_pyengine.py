@@ -349,18 +349,13 @@ class Simulator:
         This keeps the counter live mid-run without any cost in the
         dispatch loop.
 
-        The event-minimization counters make the callback chains'
-        quiet/busy behaviour observable per run:
+        The other counters are the engine's own; nothing outside the
+        two tiers bumps them:
 
         * ``spawns`` — processes started.
-        * ``fast_completions`` — completions a chain performed inline
-          at a quiet instant (every :func:`fire` call plus the
-          sequencers' inline stamps — an ``acquire`` that returned the
-          number itself), i.e. heap dispatches that never happened.
-        * ``fallbacks`` — times a chain site found the current instant
-          busy (or the state contended) and deferred through the heap
-          at process-pattern dispatch depths, so same-instant races
-          linearize the one way the golden manifest pins.
+        * ``fast_completions`` — a completion or quantum segment the
+          engine ran inline at a quiet instant.
+        * ``fallbacks`` — an occupancy requested at a busy instant.
         """
         return {
             "events_processed": self._seq - len(self._heap),

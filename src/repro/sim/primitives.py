@@ -98,8 +98,7 @@ class Barrier:
     later.  The last arriver itself then waits on an already-processed
     gate, which costs the usual recycled kick event — so the heap sees
     exactly one entry per episode.  At busy instants the gate is posted
-    through the heap (counted as a fallback), so same-instant races
-    linearize in arrival order.
+    through the heap, so same-instant races linearize in arrival order.
     """
 
     def __init__(self, sim: Simulator, parties: int, name: str = ""):
@@ -122,8 +121,7 @@ class Barrier:
             self._gate = Event(sim)
             self.generation += 1
             if sim.idle_at_now():
-                fire(gate, self.generation)  # fire() counts the completion
+                fire(gate, self.generation)
             else:
-                sim._n_fallback += 1
                 gate.succeed(self.generation)
         return gate

@@ -818,8 +818,8 @@ def _cells() -> Dict[str, Tuple[bool, Callable[[], tuple]]]:
         _app_cell, "water", "original", 2, 3, scenario=half)
     # Sequencer contention on a bare runtime.  Not "clean": the exact
     # ``events``/``spawns`` ride in the fingerprint, while
-    # ``fast_completions``/``fallbacks`` (which count how a stamp was
-    # reached, not what was simulated) stay unpinned here.
+    # ``fast_completions``/``fallbacks`` (which count how the engine
+    # dispatched ties, not what was simulated) stay unpinned here.
     for kind in ("centralized", "distributed", "migrating"):
         add(f"seq/{kind}/contended", False, _seq_cell, kind)
     add("tuned/asp/2x2", False, _tuned_cell, "asp", 2, 2)
