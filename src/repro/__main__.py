@@ -475,11 +475,19 @@ def _group(add):
     return parent
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be >= 1 (geometry, repeats)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} must be >= 1")
+    return value
+
+
 @_group
 def _geometry_flags(parser, nodes: int) -> None:
     parser.add_argument("--variant", default="original")
-    parser.add_argument("--clusters", type=int, default=4)
-    parser.add_argument("--nodes", type=int, default=nodes)
+    parser.add_argument("--clusters", type=_positive_int, default=4)
+    parser.add_argument("--nodes", type=_positive_int, default=nodes)
 
 
 @_group
@@ -637,7 +645,7 @@ def main(argv=None) -> int:
                         help="measure and (over)write the baselines")
     b_mode.add_argument("--check", action="store_true",
                         help="measure and fail on >threshold regressions")
-    p_bench.add_argument("--repeat", type=int, default=3,
+    p_bench.add_argument("--repeat", type=_positive_int, default=3,
                          help="repetitions per workload (best is reported)")
     p_bench.add_argument("--threshold", type=float, default=0.30,
                          help="allowed fractional drop vs baseline (0.30)")
@@ -668,11 +676,11 @@ def main(argv=None) -> int:
                         default=list(DEFAULT_SIZES), metavar="BYTES",
                         help="message sizes to probe "
                              f"(default: {' '.join(map(str, DEFAULT_SIZES))})")
-    p_tune.add_argument("--clusters", type=int, nargs="+",
+    p_tune.add_argument("--clusters", type=_positive_int, nargs="+",
                         default=list(DEFAULT_CLUSTERS), metavar="N",
                         help="cluster counts to probe (default: "
                              f"{' '.join(map(str, DEFAULT_CLUSTERS))})")
-    p_tune.add_argument("--nodes", type=int, default=4,
+    p_tune.add_argument("--nodes", type=_positive_int, default=4,
                         help="nodes per cluster in probe topologies (4)")
     p_tune.add_argument("--reps", type=int, default=3,
                         help="repetitions per probe point (3)")

@@ -43,6 +43,26 @@ def test_cli_requires_command():
         main([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["app", "tsp", "--clusters", "0"],
+    ["profile", "tsp", "--clusters", "0"],
+    ["trace", "tsp", "--clusters", "0"],
+    ["chains", "tsp", "--clusters", "0"],
+    ["scenario", "tsp", "--clusters", "0"],
+    ["tune", "--nodes", "0"],
+    ["bench", "--repeat", "0"],
+])
+def test_cli_rejects_non_positive_counts(argv, capsys):
+    """A zero geometry or repeat count is a usage error (exit 2), not a
+    traceback from deep inside the run."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro {argv[0]}: error: argument {argv[-2]}: 0 must be >= 1" \
+        in err
+
+
 def test_cli_app_pdes_runs_through_the_runner(tmp_path, monkeypatch, capsys):
     """``--pdes on`` takes the same path as every other run: the trace
     flags apply, and the (uncached) run reports its PDES counters —
