@@ -150,6 +150,27 @@ def test_no_deleted_surface_reappears():
         assert "processes_spawned" not in sim.stats()
 
 
+def test_the_machine_defers_at_zero_delay_only_to_retry_parked_rpcs():
+    """Outside the engine, a chain continues in the dispatch that
+    completes its previous step; the one zero-delay deferral left in the
+    simulated machine is the parked-RPC retry in ``OrcaRuntime._kick``.
+    The busy-instant counters are the engine's own: no module but the
+    two engine tiers touches them."""
+    src = REPO / "src" / "repro"
+    deferrals = [
+        (path.relative_to(src).as_posix(), line.strip())
+        for pkg in ("network", "orca", "core", "apps")
+        for path in sorted((src / pkg).rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if "after(0.0" in line or "after_call(0.0" in line]
+    assert deferrals == [("orca/runtime.py", "sim.after(0.0, lambda _ev: "
+                          "self._retry_rpcs(owner, retries, 0))")]
+    for path in src.rglob("*.py"):
+        if path.name != "_pyengine.py":
+            text = path.read_text()
+            assert "_n_fast" not in text and "_n_fallback" not in text, path
+
+
 def test_checker_flags_env_table_drift(check_docs):
     """The ``REPRO_*`` table and the literals in the code — the package,
     the tools and the benchmark scripts — are held in lockstep both
