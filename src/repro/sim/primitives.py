@@ -121,7 +121,7 @@ class Barrier:
             self._gate = Event(sim)
             self.generation += 1
             if sim.idle_at_now():
-                fire(gate, self.generation)
+                fire(gate, self.generation)  # fire() counts the completion
             else:
                 gate.succeed(self.generation)
         return gate
