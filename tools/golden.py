@@ -6,9 +6,10 @@ a digest of everything the determinism contract promises: ``repr`` of
 the elapsed virtual time, the answer, the traffic counters, the app
 statistics, and the full non-``proc.*`` trace-record stream (time, kind,
 sorted detail) in emission order and, as ``records_set``, sorted (so a
-re-bless can tell a new tie order from new records).  The manifest — not a second
-implementation kept alive to compare against — is the oracle: any
-change to the simulator must reproduce every cell bit for bit.
+re-bless can tell a new tie order from new records).  The manifest —
+not a second implementation kept alive to compare against — is the
+oracle: any change to the simulator must reproduce every cell bit for
+bit.
 
 The ``engine/*`` cells pin the event core itself: fixed, seeded corpora
 of differential programs (op programs over timeouts, pre-triggered
@@ -123,7 +124,8 @@ def _records(tracer: Tracer) -> Dict[str, Any]:
     for row in sorted(rows):
         unordered.update(row)
     return {"records": ordered.hexdigest()[:16],
-            "records_set": unordered.hexdigest()[:16], "n_records": len(rows)}
+            "records_set": unordered.hexdigest()[:16],
+            "n_records": len(rows)}
 
 
 def _stats(stats: Dict[str, int]) -> Dict[str, int]:
