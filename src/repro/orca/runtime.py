@@ -128,14 +128,13 @@ class OrcaRuntime:
 
     # ------------------------------------------------------------ execution
 
-    def _execute_blocking(self, node: int, replica: Replica, op_name: str,
+    def _execute_blocking(self, node: int, replica: Replica, op: Operation,
                           args: tuple) -> Generator:
         """Execute locally, waiting on the guard if necessary."""
-        op = replica.spec.op(op_name)
         cpu = self.fabric.nodes[node].cpu
         while True:
             try:
-                result = replica.execute(op_name, args)
+                result = op.fn(replica.state, *args)
             except Blocked:
                 yield cpu.execute_ev(GUARD_EVAL_COST)
                 gate = Event(self.sim)
@@ -144,6 +143,14 @@ class OrcaRuntime:
                 continue
             yield cpu.execute_ev(op.cost(args))
             return result
+
+    def _invoke_local(self, node: int, replica: Replica, op: Operation,
+                      args: tuple) -> Generator:
+        """An operation on a non-replicated object this node owns."""
+        result = yield from self._execute_blocking(node, replica, op, args)
+        if op.writes:
+            self._kick(node, replica)
+        return result
 
     def _kick(self, owner: int, replica: Replica) -> None:
         """A write succeeded: wake guard waiters, retry parked RPCs."""
@@ -206,7 +213,7 @@ class OrcaRuntime:
         op = replica.spec.op(req.op_name)
         cpu = self.fabric.nodes[node].cpu
         try:
-            result = replica.execute(req.op_name, req.args)
+            result = op.fn(replica.state, *req.args)
         except Blocked:
             def _parked(_ev: Event) -> None:
                 replica.parked.append(("rpc", req))
@@ -269,46 +276,47 @@ class OrcaRuntime:
         shipping); ``k(result)`` runs once its CPU charge completes."""
         replica = self._replicas[payload.obj_name][node]
         op = replica.spec.op(payload.op_name)
-        result = replica.execute(payload.op_name, payload.args)
+        result = op.fn(replica.state, *payload.args)
 
         def _executed(_ev: Event) -> None:
-            self._kick(node, replica)
+            if replica.parked:
+                self._kick(node, replica)
             k(result)
 
         self.fabric.nodes[node].cpu.execute_ev(
             op.cost(payload.args)).callbacks.append(_executed)
+
+    def _invoke_bcast(self, node: int, spec: ObjectSpec, op: Operation,
+                      op_name: str, args: tuple) -> Generator:
+        """A write to a replicated object: one totally-ordered broadcast."""
+        size = op.args_size(args)
+        self.meter.record("bcast", size,
+                          intercluster=self.topo.n_clusters > 1)
+        issue = self.tob.next_issue(node)
+        return (yield from self.tob.broadcast(
+            node, spec.name, op_name, args, size, issue=issue))
 
     # ----------------------------------------------------------- public ops
 
     def invoke(self, node: int, obj_name: str, op_name: str,
                args: tuple) -> Generator:
         """Perform an Orca operation from ``node``, choosing the protocol:
-        local call, RPC to the owner, or totally-ordered broadcast."""
+        local call, RPC to the owner, or totally-ordered broadcast.
+
+        Returns the chosen protocol's own generator (the caller's
+        ``yield from`` drives it directly), so an unknown object or
+        operation raises here, at the call."""
         spec = self.specs[obj_name]
         op = spec.op(op_name)
         if spec.replicated:
             if op.writes:
-                size = op.args_size(args)
-                self.meter.record("bcast", size,
-                                  intercluster=self.topo.n_clusters > 1)
-                issue = self.tob.next_issue(node)
-                result = yield from self.tob.broadcast(
-                    node, obj_name, op_name, args, size, issue=issue)
-                return result
-            replica = self._replicas[obj_name][node]
-            result = yield from self._execute_blocking(
-                node, replica, op_name, args)
-            return result
-        # Non-replicated.
+                return self._invoke_bcast(node, spec, op, op_name, args)
+            return self._execute_blocking(
+                node, self._replicas[obj_name][node], op, args)
         if spec.owner == node:
-            replica = self._replicas[obj_name][node]
-            result = yield from self._execute_blocking(
-                node, replica, op_name, args)
-            if op.writes:
-                self._kick(node, replica)
-            return result
-        result = yield from self._invoke_rpc(node, spec, op, op_name, args)
-        return result
+            return self._invoke_local(
+                node, self._replicas[obj_name][node], op, args)
+        return self._invoke_rpc(node, spec, op, op_name, args)
 
 
 class Context:

@@ -75,7 +75,9 @@ def test_no_tier_selector_reappears():
 #: simulated machine calls (no first-of waits, no duplicate stats key)
 #: and so are the layers above it; the engine's oracle is the manifest's
 #: ``engine/*`` cells, not a third engine; an app process, an Orca wait
-#: and a compute charge each run without a forwarding generator frame.
+#: and a compute charge each run without a forwarding generator frame;
+#: a broadcast applies in order as one chain per replica application,
+#: with no drain pass, batch snapshot or apply log beside it.
 DELETED_SURFACE = (
     "_legacy",
     "reset_ids", "reset_req_ids", "alloc_msg_id", "_alloc_req_id",
@@ -91,6 +93,7 @@ DELETED_SURFACE = (
     "def _later(", "def _depth(", "def _inline(", "_Later", "Fabric._later",
     "Fabric._depth", "later(n, step)",
     "def timed(", "def _charge(",
+    "def _drain(", "def _apply_run(", "def _applied(", "applied_sequence",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the

@@ -14,13 +14,15 @@ from repro.orca import ObjectSpec, Operation, OrcaRuntime
 from repro.orca.broadcast import (BCAST_PORT, BcastPayload,
                                   TotalOrderBroadcast)
 from repro.orca.sequencer import CentralizedSequencer
-from repro.sim import Event, Simulator
+from repro.sim import Event, Simulator, Tracer
 
 
 def build(n_clusters, nodes_per_cluster, sequencer):
     sim = Simulator()
+    # Each node's apply order is read off its ``bcast.apply`` records.
     fabric = Fabric(sim, uniform_clusters(n_clusters, nodes_per_cluster),
-                    DAS_PARAMS)
+                    DAS_PARAMS, tracer=Tracer(
+                        enabled=True, kinds=frozenset({"bcast.apply"})))
     rts = OrcaRuntime(sim, fabric, sequencer=sequencer)
 
     def append(state, item):
@@ -32,6 +34,12 @@ def build(n_clusters, nodes_per_cluster, sequencer):
                              arg_bytes=lambda item: 16 + 64 * (item[1] % 3))},
         replicated=True))
     return sim, rts
+
+
+def applied(rts, node):
+    """The sequence numbers ``node`` applied, in apply order."""
+    return [r.detail["seq"] for r in rts.fabric.tracer.records
+            if r.detail["node"] == node]
 
 
 @settings(max_examples=25, deadline=None)
@@ -71,7 +79,7 @@ def test_total_order_invariants(sequencer, n_clusters, per, sends):
     # Identical order on every replica.
     for nid in range(n_nodes):
         assert rts.state_of("log", nid) == reference
-        assert rts.tob.applied_sequence(nid) == list(range(total))
+        assert applied(rts, nid) == list(range(total))
     # Per-sender program order.
     for node, items in by_sender.items():
         seq = [i for (snd, i) in reference if snd == node]
@@ -103,7 +111,7 @@ def test_holdback_never_leaves_gaps(sequencer, n_clusters):
     sim.spawn(small_writer(rts.topo.n_nodes - 1))
     sim.run()
     for nid in range(rts.topo.n_nodes):
-        assert rts.tob.applied_sequence(nid) == list(range(8))
+        assert applied(rts, nid) == list(range(8))
 
 
 # --------------------------------------------------------------------------
@@ -149,15 +157,15 @@ def _drive_holdback(order, delays):
                       port=BCAST_PORT, kind="bcast")
         sim.after(delay, lambda _ev, m=msg: port.put(m))
     sim.run()
-    return log, tob.applied_sequence(0), completions
+    return log, tob._delivery[0], completions
 
 
 def _assert_holdback_invariants(order, delays):
-    log, applied, completions = _drive_holdback(order, delays)
+    log, delivery, completions = _drive_holdback(order, delays)
     n = len(order)
-    # Total order restored, exactly once per payload.
-    assert applied == list(range(n))
+    # Total order restored, exactly once per payload, nothing left held.
     assert [(node, seq) for node, seq, _t in log] == [(0, s) for s in range(n)]
+    assert delivery.next_expected == n and not delivery.holdback
     arrival = dict(zip(order, delays))
     prev = 0.0
     for _node, seq, t in log:
@@ -184,6 +192,6 @@ def test_holdback_delivery_invariants(order_delays):
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(list(range(5))))
 def test_holdback_same_instant_burst(order):
-    """All arrivals in one instant: the drain applies the whole run in
-    one go once the gap closes."""
+    """All arrivals in one instant: once the gap closes, the held run
+    applies back to back."""
     _assert_holdback_invariants(order, [0.0] * len(order))

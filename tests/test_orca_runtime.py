@@ -4,15 +4,25 @@ import pytest
 
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
 from repro.orca import Blocked, ObjectSpec, Operation, OrcaRuntime
-from repro.sim import Simulator
+from repro.sim import Simulator, Tracer
 
 
 def make_rts(n_clusters=2, nodes_per_cluster=4, sequencer="distributed",
              params=DAS_PARAMS):
+    """A runtime whose tracer keeps only ``bcast.apply`` records: the
+    witness :func:`applied` reads each node's apply order from."""
     sim = Simulator()
-    fabric = Fabric(sim, uniform_clusters(n_clusters, nodes_per_cluster), params)
+    tracer = Tracer(enabled=True, kinds=frozenset({"bcast.apply"}))
+    fabric = Fabric(sim, uniform_clusters(n_clusters, nodes_per_cluster),
+                    params, tracer=tracer)
     rts = OrcaRuntime(sim, fabric, sequencer=sequencer)
     return sim, rts
+
+
+def applied(rts, node):
+    """The sequence numbers ``node`` applied, in apply order."""
+    return [r.detail["seq"] for r in rts.fabric.tracer.records
+            if r.detail["node"] == node]
 
 
 def counter_spec(name="counter", replicated=False, owner=0):
@@ -138,8 +148,6 @@ def test_two_live_runtimes_allocate_independent_request_ids():
     """Request ids live on the runtime: a second stack alive in the same
     process starts every caller at sequence 0, so its trace is the one a
     fresh process would have produced."""
-    from repro.sim import Tracer
-
     def stack():
         sim = Simulator()
         tracer = Tracer()
@@ -164,6 +172,29 @@ def test_two_live_runtimes_allocate_independent_request_ids():
     issued = [dict(d)["req_id"] for kind, d in recs_b if kind == "rpc.issue"]
     assert issued == [3_000_000, 3_000_001, 3_000_002]
     assert recs_b == recs_a
+
+
+def test_invoke_returns_the_protocol_body_itself():
+    """``invoke`` dispatches and returns the protocol's own generator, so
+    the caller's ``yield from`` runs it without a forwarding frame; a bad
+    name raises at the call."""
+    sim, rts = make_rts()
+    rts.register(counter_spec("rc", replicated=True))
+    rts.register(counter_spec(owner=0))
+    cases = [(0, "rc", "read", "_execute_blocking"),
+             (0, "rc", "incr", "_invoke_bcast"),
+             (0, "counter", "incr", "_invoke_local"),
+             (5, "counter", "incr", "_invoke_rpc")]
+    for node, obj, op, body in cases:
+        args = () if op == "read" else (1,)
+        gen = rts.invoke(node, obj, op, args)
+        assert gen.gi_code.co_name == body, (obj, op)
+        sim.run_process(gen)
+    sim.run()
+    assert rts.state_of("rc", 7)["v"] == 1
+    assert rts.state_of("counter")["v"] == 2
+    with pytest.raises(KeyError, match="no operation"):
+        rts.invoke(0, "rc", "nonsense", ())
 
 
 # ------------------------------------------------------------ replication
@@ -219,7 +250,7 @@ def test_total_order_is_global_across_objects():
     # Every node applied the exact same global sequence 0..14.
     expect = list(range(15))
     for nid in range(rts.topo.n_nodes):
-        assert rts.tob.applied_sequence(nid) == expect
+        assert applied(rts, nid) == expect
     assert rts.state_of("a", 5)["v"] == 10
     assert rts.state_of("b", 5)["v"] == 5
 
@@ -345,7 +376,7 @@ def test_all_sequencers_deliver_total_order(kind):
     sim.run()
     expect = list(range(24))
     for nid in range(6):
-        assert rts.tob.applied_sequence(nid) == expect
+        assert applied(rts, nid) == expect
         assert rts.state_of("rc", nid)["v"] == 24
 
 
