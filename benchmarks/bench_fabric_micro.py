@@ -2,8 +2,9 @@
 
 Measures *host* wall-clock throughput of whole message deliveries —
 self, LAN, WAN and multicast, uncontended and contended, plus the WAN
-route under impairments (jitter + loss) and striped over four streams —
-on the fabric's one callback-chained message path.  Virtual-time results
+route under impairments (jitter + loss) and striped over four streams,
+and one writer's LAN multicast plus WAN fan-out into the paper's 4 x 15
+geometry — on the fabric's one callback-chained message path.  Virtual-time results
 are pinned by the golden manifest (``tests/golden/manifest.json``); the
 numbers here are pure host-side cost.
 
@@ -143,6 +144,21 @@ def wl_wan_multicast(n: int = 1_500) -> int:
     return 4 * n
 
 
+def wl_mcast_4x15(n: int = 400) -> int:
+    """One writer's LAN multicast plus WAN fan-out into 4 x 15 — the
+    per-receiver legs at paper geometry (counted per delivery)."""
+    sim, fab = _mk(4, 15)
+
+    def proc():
+        for _ in range(n):
+            local = yield from fab.multicast_local(0, 64)
+            remote = yield from fab.wan_fanout_multicast(0, 64)
+            yield sim.all_of([local, remote])
+
+    sim.run_process(proc())
+    return 60 * n
+
+
 WORKLOADS = [
     ("self", wl_self),
     ("lan", wl_lan),
@@ -153,5 +169,6 @@ WORKLOADS = [
     ("wan_contended", wl_wan_contended),
     ("multicast", wl_multicast),
     ("wan_multicast", wl_wan_multicast),
+    ("mcast_4x15", wl_mcast_4x15),
 ]
 
