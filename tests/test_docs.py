@@ -94,6 +94,7 @@ DELETED_SURFACE = (
     "Fabric._depth", "later(n, step)",
     "def timed(", "def _charge(",
     "def _drain(", "def _apply_run(", "def _applied(", "applied_sequence",
+    "def start_in(", "_multicast_recv",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the

@@ -27,8 +27,10 @@ Five kinds of coverage:
 * hypothesis-drawn resource programs (request/release/occupy at quiet
   and busy instants, cancelled waiters, traced occupancies) whose whole
   log must be identical across the tiers and equal to the process
-  pattern run on the python tier, and quantized-compute programs whose
-  ``occupy_quanta`` must equal the loop of ``occupy`` calls it replaced;
+  pattern run on the python tier, quantized-compute programs whose
+  ``occupy_quanta`` must equal the loop of ``occupy`` calls it replaced,
+  and delivery-leg programs whose ``Simulator.leg`` must equal the
+  closure chain of ``after``/``occupy`` calls it replaced;
 * subprocess runs of a full application under ``REPRO_ENGINE=python``
   vs ``REPRO_ENGINE=compiled`` whose trace streams must match record
   for record (tiers cannot be mixed in one process, so tier selection
@@ -191,6 +193,7 @@ def test_tiers_expose_one_surface():
     for name in py:
         assert _public(py[name]) == _public(cc[name]), name
     assert {"occupy", "occupy_quanta"} <= _public(cc["Resource"])
+    assert "leg" in _public(cc["Simulator"])
 
 
 # ------------------------------------- cross-tier resource equivalence
@@ -231,6 +234,20 @@ def test_occupy_quanta_equals_the_loop_of_occupies(engine, rng):
 
 
 @_tier
+@settings(deadline=None, max_examples=80)
+@given(rng=_randoms)
+def test_leg_equals_the_closure_chain(engine, rng):
+    """One ``Simulator.leg`` is the closure chain of ``after`` and
+    priority-0 ``occupy`` calls it replaced, to the heap entry: the same
+    log (hook arguments, completion values and times, queue samples),
+    ``busy_time()``s, final clock and all four ``stats()`` counters, for
+    every step shape racing plain occupies and quantized computes."""
+    program = golden._leg_program(rng)
+    assert (golden._run_leg_program(engine, *program)
+            == golden._run_leg_program(engine, *program, loop=True))
+
+
+@_tier
 def test_release_of_idle_resource_raises(engine):
     sim = engine.Simulator()
     res = engine.Resource(sim, name="idle")
@@ -245,9 +262,11 @@ def test_release_of_idle_resource_raises(engine):
 @_tier
 def test_resource_event_cycle_is_collected(engine):
     """A resource, its queued waiters (a gate whose callback closes
-    over the resource, and a queued occupancy pointing back at it) and
-    the simulator holding a pending hold form reference cycles; the
-    collector must be able to traverse and clear them."""
+    over the resource, and a queued occupancy pointing back at it), a
+    leg waiting out its first delay (its steps name the resource, its
+    callback closes over the leg) and the simulator holding a pending
+    hold form reference cycles; the collector must be able to traverse
+    and clear them."""
     class Tracked(engine.Resource):  # a heap subtype: weakref-able
         pass
 
@@ -256,6 +275,9 @@ def test_resource_event_cycle_is_collected(engine):
     res.occupy(1.0)                                  # sim heap -> hold
     res.request().callbacks.append(lambda _ev: res)  # queue -> gate -> res
     res.occupy(2.0, on_release=lambda *a: res)       # queue -> occupancy
+    leg = sim.leg((0.5, (res, 1.0, None)))           # sim heap -> steps -> res
+    leg.callbacks.append(lambda _ev: leg)            # leg -> callback -> leg
+    del leg
     assert res.queue_length == 2
     probe = weakref.ref(res)
     del sim, res
@@ -312,6 +334,8 @@ _NONFINITE = {
     "call_at": ("sim.call_at(nan, lambda: None)", "SimulationError"),
     "occupy": ("cpu.occupy(nan)", "SimulationError"),
     "occupy_quanta": ("cpu.occupy_quanta(nan, 1e-3)", "SimulationError"),
+    "leg-delay": ("sim.leg((nan, (cpu, 1e-3, None)))", "SimulationError"),
+    "leg-seconds": ("sim.leg((1e-3, (cpu, nan, None)))", "SimulationError"),
     "compute-nan": ("sim.run_process(ctx.compute(nan))", "ValueError"),
     "compute-inf": ("sim.run_process(ctx.compute(math.inf))", "ValueError"),
 }
