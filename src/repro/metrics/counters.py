@@ -60,6 +60,12 @@ class TrafficMeter:
         self._bucket(intercluster, kind).add(size)
 
     def record_wan(self, size: int) -> None:
+        """Count one WAN transfer (a stripe chunk counts as one; lost
+        copies do not).  The fabric counts it when its PVC stage starts,
+        at the end of the source-gateway forward, not at its arrival:
+        ``sim.run()`` drains the heap, so a run's totals are the same,
+        and under PDES the count stays in the source partition, which
+        owns the PVC."""
         self.wan_messages += 1
         self.wan_bytes += size
 

@@ -24,13 +24,15 @@ Every message path is implemented once, as a flat callback chain on
 engine completion events: :meth:`Resource.occupy
 <repro.sim.Resource.occupy>` / :meth:`CPU.execute_ev
 <repro.sim.CPU.execute_ev>` for one occupancy, and ``Simulator.leg``
-for a receive or access leg — wire latency, delivery port or access
-link, receive overhead — run as one engine call.  An uncontended step
+for a leg — wire latency, ports, access links, gateway forwards, PVC
+copies, receive overhead — run as one engine call.  An uncontended step
 costs a single heap entry, no generator and no
-:class:`~repro.sim.Process`; Python runs between occupancies only where
-the model does work there, in the WAN PVC stage and the gateway
-forwards.  Impairments, striping and the fan-out shapes are behaviours
-*of that one path* — the WAN leg draws its
+:class:`~repro.sim.Process`.  A WAN transfer is two legs: Python runs
+between them only where the model does work, at the end of the
+source-gateway forward (the impairment draw, the traffic count), and
+the trace records ride as call steps that exist only while tracing.
+Impairments, striping and the fan-out shapes are behaviours *of that one
+path* — the WAN leg draws its
 :class:`~repro.scenario.apply.WanImpairments` plan, stripes its PVC
 stage and chains its relays itself — so no traffic ever detours onto a
 second implementation.  What a chain defers at a busy instant, and why,
@@ -41,6 +43,7 @@ pins its results.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..metrics.counters import TrafficMeter
@@ -53,11 +56,7 @@ from .topology import Topology
 __all__ = ["Node", "Gateway", "Fabric"]
 
 
-def _NO_THEN() -> None:
-    """Placeholder continuation: nothing follows this leg here."""
-
-
-_Leg = Callable[[int, int, Callable[[], None]], None]
+_Leg = Callable[[int, int, Callable[[Event], None]], None]
 _Mcast = Callable[[int], None]
 
 
@@ -69,7 +68,7 @@ def _relay_chain(leg: _Leg, mcast: _Mcast, order: List[int], i: int) -> None:
     if i + 1 < len(order):
         to = order[i + 1]
 
-        def relayed() -> None:
+        def relayed(_ev: Event) -> None:
             mcast(to)
             _relay_chain(leg, mcast, order, i + 1)
 
@@ -87,12 +86,82 @@ def _relay_binomial(leg: _Leg, mcast: _Mcast, order: List[int], lo: int,
     if hi - lo > 1:
         mid = (lo + hi + 1) // 2
 
-        def relayed() -> None:
+        def relayed(_ev: Event) -> None:
             mcast(order[mid])
             _relay_binomial(leg, mcast, order, mid, hi)
             _relay_binomial(leg, mcast, order, lo, mid)
 
         leg(order[lo], order[mid], relayed)
+
+
+class _LinkBusy:
+    """The ``on_release`` hook of one traced occupancy (see
+    :meth:`Fabric._link_busy`): a call emits its ``link.busy`` record.
+    Trace spans hold their state in slots, not closure cells, so a
+    traced transfer allocates a few objects rather than dozens."""
+
+    __slots__ = ("tr", "sim", "res", "cls", "size", "msg_id")
+
+    def __init__(self, tr: Tracer, sim: Simulator, res: Resource, cls: str,
+                 size: int, msg_id: int):
+        self.tr, self.sim, self.res = tr, sim, res
+        self.cls, self.size, self.msg_id = cls, size, msg_id
+
+    def __call__(self, t_req: float, t0: float, _qdepth: int) -> None:
+        now = self.sim.now
+        self.tr.emit(now, "link.busy", link=self.res.name, cls=self.cls,
+                     size=self.size, wait=t0 - t_req, msg_id=self.msg_id,
+                     t0=t0, dur=now - t0)
+
+
+class _WanXfer(_LinkBusy):
+    """The traced delivered copy of one PVC transfer: as its occupancy
+    hook it emits ``link.busy`` and keeps its request instant; ``emit``
+    writes the transfer's ``wan.xfer`` record at its arrival."""
+
+    __slots__ = ("src_cluster", "dst_cluster", "tx", "t_req")
+
+    def __init__(self, tr: Tracer, sim: Simulator, res: Resource, size: int,
+                 msg_id: int, src_cluster: int, dst_cluster: int,
+                 tx: float):
+        _LinkBusy.__init__(self, tr, sim, res, "wan", size, msg_id)
+        self.src_cluster, self.dst_cluster, self.tx = (
+            src_cluster, dst_cluster, tx)
+
+    def __call__(self, t_req: float, t0: float, qdepth: int) -> None:
+        self.t_req = t_req
+        _LinkBusy.__call__(self, t_req, t0, qdepth)
+
+    def emit(self, _ev: Optional[Event] = None) -> None:
+        now = self.sim.now
+        t0 = self.t_req
+        self.tr.emit(now, "wan.xfer", src_cluster=self.src_cluster,
+                     dst_cluster=self.dst_cluster, size=self.size,
+                     tx=self.tx, msg_id=self.msg_id, t0=t0, dur=now - t0)
+
+
+class _GwForward:
+    """One traced gateway forward: ``sample`` is its occupancy hook,
+    keeping the request instant and the depth of the queue the forward
+    joined (counting itself); ``emit`` writes its ``gw.forward``
+    record."""
+
+    __slots__ = ("tr", "sim", "cluster", "size", "msg_id", "t0", "qdepth")
+
+    def __init__(self, tr: Tracer, sim: Simulator, cluster: int, size: int,
+                 msg_id: int):
+        self.tr, self.sim = tr, sim
+        self.cluster, self.size, self.msg_id = cluster, size, msg_id
+
+    def sample(self, t_req: float, _t_grant: float, qdepth: int) -> None:
+        self.t0, self.qdepth = t_req, qdepth
+
+    def emit(self, _ev: Optional[Event] = None) -> None:
+        now = self.sim.now
+        t0 = self.t0
+        self.tr.emit(now, "gw.forward", cluster=self.cluster, size=self.size,
+                     qdepth=self.qdepth, msg_id=self.msg_id, t0=t0,
+                     dur=now - t0)
 
 
 class Node:
@@ -211,13 +280,6 @@ class Fabric:
     def node(self, nid: int) -> Node:
         """The compute node with global id ``nid``."""
         return self.nodes[nid]
-
-    def _p2p_streams(self, size: int) -> int:
-        """Striping factor for one point-to-point WAN transfer (1 =
-        no decision model installed = the fixed default)."""
-        if self.decision is None:
-            return 1
-        return max(1, self.decision.wan_streams(size, self.topo.n_clusters))
 
     def send(self, src: int, dst: int, size: int, payload: Any = None,
              port: str = "default", kind: str = "msg", *,
@@ -397,10 +459,10 @@ class Fabric:
     # the dispatch that completes the step before it, whatever the
     # shape, striping or impairments.  At a *busy* instant (something
     # else is scheduled now) only the occupancies (a leg's step after
-    # one included), the LAN join and the WAN deposit defer through the
-    # heap, so same-instant races linearize the one way the golden
-    # manifest pins; at a quiet instant those deferrals are unobservable
-    # and elided.
+    # one included; a call step never defers), the LAN join and the WAN
+    # deposit defer through the heap, so same-instant races linearize
+    # the one way the golden manifest pins; at a quiet instant those
+    # deferrals are unobservable and elided.
 
     def _link_busy(self, res: Resource, cls: str, size: int,
                    msg_id: int) -> Callable[[float, float, int], None]:
@@ -411,15 +473,7 @@ class Fabric:
         names; ``msg_id`` joins the span into the causal chains of
         :mod:`repro.obs.chains`, -1 when the occupancy is shared between
         several deliveries).  Built only while tracing."""
-        tr = self.tracer
-        sim = self.sim
-
-        def emit(t_req: float, t0: float, _qdepth: int) -> None:
-            now = sim.now
-            tr.emit(now, "link.busy", link=res.name, cls=cls, size=size,
-                    wait=t0 - t_req, msg_id=msg_id, t0=t0, dur=now - t0)
-
-        return emit
+        return _LinkBusy(self.tracer, self.sim, res, cls, size, msg_id)
 
     def _occupy_ev(self, res: Resource, seconds: float, cls: str = "",
                    size: int = 0, msg_id: int = -1) -> Event:
@@ -434,8 +488,11 @@ class Fabric:
             return res.occupy(seconds)
         return res.occupy(seconds, 0, self._link_busy(res, cls, size, msg_id))
 
-    def _deposit_complete(self, msg: Message, done: Event) -> None:
-        """Deposit ``msg`` and fire the delivery event (inline when quiet)."""
+    def _deposit_complete(self, msg: Message, done: Event,
+                          _ev: Optional[Event] = None) -> None:
+        """Deposit ``msg`` and fire the delivery event (inline when quiet).
+        ``_ev`` lets ``partial(self._deposit_complete, msg, done)`` be a
+        leg's completion callback."""
         self._deposit(msg)
         sim = self.sim
         if sim.idle_at_now():
@@ -446,8 +503,7 @@ class Fabric:
     def _route_self(self, msg: Message, wait: bool = False) -> Event:
         # Loopback: negligible wire, small fixed cost — one timeout.
         done = Event(self.sim)
-        self.sim.after(1e-6,
-                       lambda _ev: self._deposit_complete(msg, done))
+        self.sim.after(1e-6, partial(self._deposit_complete, msg, done))
         return done
 
     def _route_lan(self, msg: Message, wait: bool = False) -> Event:
@@ -479,10 +535,21 @@ class Fabric:
                      ).callbacks.append(leg_done)
         return done
 
-    def _access_up(self, size: int, src_cluster: int, msg_id: int,
-                   then: Callable[[Event], None]) -> None:
-        """Node -> local gateway over the shared access link: one leg,
-        the access link then its latency; ``then`` is its callback.
+    # ---------------------------------------------------------- the WAN path
+    #
+    # A WAN transfer is two legs.  Leg A runs the access link up and its
+    # latency (point-to-point only: a fan-out shares one access trip),
+    # then the source-gateway forward.  Its completion callback draws
+    # the impairment plan and counts the transfer (:meth:`_pvc_steps`),
+    # then starts leg B: the PVC copies, the WAN latency, the
+    # destination-gateway forward and the caller's tail.  The
+    # ``wan.xfer`` and ``gw.forward`` records ride as call steps (or on
+    # a completion callback, where a record would end a leg), built only
+    # while tracing, like the ``link.busy`` hooks.
+
+    def _up_steps(self, size: int, src_cluster: int, msg_id: int) -> tuple:
+        """Node -> local gateway as leg steps: the shared access link,
+        then its latency.
 
         Takes ``(size, src_cluster)`` directly — fan-out paths share one
         access-link trip among many deliveries and must not fabricate a
@@ -492,182 +559,175 @@ class Fabric:
         link = self._gw_access[src_cluster]
         hook = (self._link_busy(link, "access", size, msg_id)
                 if self.tracer.enabled else None)
-        self.sim.leg(((link, size / access.bandwidth, hook), access.latency)
-                     ).callbacks.append(then)
+        return ((link, size / access.bandwidth, hook), access.latency)
 
-    def _access_down(self, msg: Message,
-                     then: Callable[[Event], None]) -> None:
-        """Remote gateway -> destination node: one leg, the access link,
-        its latency, then the node's receive overhead; ``then`` is its
-        callback."""
+    def _down_steps(self, msg: Message, dst_cluster: int) -> tuple:
+        """Remote gateway -> destination node as leg steps: the access
+        link, its latency, then the node's receive overhead."""
         access = self.params.access
         dst, size = msg.dst, msg.size
-        link = self._gw_access[self.topo.cluster_of(dst)]
+        link = self._gw_access[dst_cluster]
         hook = (self._link_busy(link, "access", size, msg.msg_id)
                 if self.tracer.enabled else None)
-        self.sim.leg(((link, size / access.bandwidth, hook), access.latency,
-                      (self.nodes[dst].cpu,
-                       access.o_recv + size * access.per_byte_cpu, None))
-                     ).callbacks.append(then)
+        return ((link, size / access.bandwidth, hook), access.latency,
+                (self.nodes[dst].cpu,
+                 access.o_recv + size * access.per_byte_cpu, None))
 
-    def _gw_forward(self, cluster: int, msg_size: int, msg_id: int,
-                    then: Callable[[], None]) -> None:
-        """Store-and-forward charge on one gateway CPU; one ``gw.forward``.
+    def _gw_leg(self, head: tuple, cluster: int, size: int, msg_id: int,
+                tail: tuple, then: Callable[[Event], None]) -> None:
+        """Start one leg: ``head``, the store-and-forward charge on
+        ``cluster``'s gateway CPU, then ``tail``; ``then`` is its
+        callback.
 
-        One :meth:`Resource.occupy <repro.sim.Resource.occupy>` on the
-        gateway CPU: its queue-depth sample is atomic with the request
-        — the queue this forward actually joins, counting itself — and
-        at a busy instant the request is deferred one dispatch (the
-        grant one more), so same-instant forwards sample and schedule
-        in arrival order.  ``then()`` runs on the completion event, one
-        dispatch after the charge completes at a busy instant.
+        The charge is a priority-0 occupancy of the gateway CPU.  While
+        tracing, its hook keeps the request instant and the depth of the
+        queue the forward joined (counting itself), sampled atomically
+        with the request, and the ``gw.forward`` record is emitted where
+        the forward's completion is observed: by a call step before
+        ``tail``, or first on the completion event when nothing follows.
         """
         gw = self.gateways[cluster].cpu
         gwp = self.params.gateway
-        cost = gwp.forward_cost + msg_size * gwp.per_byte_cost
+        cost = gwp.forward_cost + size * gwp.per_byte_cost
         tr = self.tracer
         if not tr.enabled:
-            gw.occupy(cost).callbacks.append(lambda _ev: then())
+            self.sim.leg(head + ((gw, cost, None),) + tail).callbacks.append(
+                then)
             return
         sim = self.sim
-        t0 = sim.now
-        sampled: List[int] = []
+        fwd = _GwForward(tr, sim, cluster, size, msg_id)
+        steps = head + ((gw, cost, fwd.sample),)
+        if tail:
+            sim.leg(steps + (fwd.emit,) + tail).callbacks.append(then)
+            return
+        sim.leg(steps).callbacks.extend((fwd.emit, then))
 
-        def emit_then(_ev: Event) -> None:
-            now = sim.now
-            tr.emit(now, "gw.forward", cluster=cluster, size=msg_size,
-                    qdepth=sampled[0], msg_id=msg_id, t0=t0, dur=now - t0)
-            then()
+    def _pvc_steps(self, size: int, src_cluster: int, dst_cluster: int,
+                   msg_id: int) -> Tuple[tuple, float, Optional[Callable]]:
+        """One transfer of ``size`` bytes over the directed PVC as leg
+        steps; returns ``(steps, latency, xfer)``.
 
-        gw.occupy(cost, 0, lambda _t_req, _t_grant, qdepth:
-                  sampled.append(qdepth)).callbacks.append(emit_then)
-
-    def _pvc_stage(self, size: int, src_cluster: int, dst_cluster: int,
-                   msg_id: int, then: Callable[[], None],
-                   export: Optional[Callable[[float], None]] = None,
-                   plan: Any = None, lost: int = 0) -> None:
-        """One transfer of ``size`` bytes over the directed PVC; ``then()``
-        runs at its arrival at the remote gateway.
-
-        The PVC serializes transmissions; latency is pipeline delay.
-        With impairments installed the stage draws its plan *here* —
-        one draw per transfer, in transfer order on this directed pair —
-        and pays it itself: each lost transmission is a full (impaired)
-        serialization on the PVC plus the retransmit timeout, after
-        which the stage re-enters with the same ``plan`` and one fewer
-        copy ``lost``; queueing effects emerge from the resource model.
-        ``export`` — see :meth:`_wan_leg`.
+        The PVC serializes transmissions; ``latency`` is the pipeline
+        delay that follows the steps.  With impairments installed the
+        plan is drawn *here* — one draw per transfer, in transfer order
+        on this directed pair — and each lost copy is a full (impaired)
+        serialization on the PVC plus the retransmit timeout before the
+        next; queueing effects emerge from the resource model.  The
+        transfer is counted here too (:meth:`TrafficMeter.record_wan`).
+        ``xfer`` — None unless tracing — emits the ``wan.xfer`` record
+        of the delivered copy at its arrival.
         """
         wan = self.params.wan
-        sim = self.sim
         pvc = self._wan[(src_cluster, dst_cluster)]
         tx = size / wan.bandwidth
         latency = wan.latency
+        plan = None
         if self.impair is not None:
-            if plan is None:
-                plan = self.impair.plan(src_cluster, dst_cluster, size, tx,
-                                        latency, msg_id)
-                lost = plan.retries
+            plan = self.impair.plan(src_cluster, dst_cluster, size, tx,
+                                    latency, msg_id)
             tx, latency = plan.tx, plan.latency
-            if lost:
-                def retry(_ev: Event) -> None:
-                    self._pvc_stage(size, src_cluster, dst_cluster, msg_id,
-                                    then, export, plan, lost - 1)
+        self.meter.record_wan(size)
+        traced = self.tracer.enabled
+        xfer = None
+        delivered = (pvc, tx, None)
+        if traced:
+            span = _WanXfer(self.tracer, self.sim, pvc, size, msg_id,
+                            src_cluster, dst_cluster, tx)
+            delivered = (pvc, tx, span)
+            xfer = span.emit
+        if plan is None or not plan.retries:
+            return (delivered,), latency, xfer
+        lost = (pvc, tx, self._link_busy(pvc, "wan", size, msg_id)
+                if traced else None)
+        return (lost, plan.rto) * plan.retries + (delivered,), latency, xfer
 
-                self._occupy_ev(pvc, tx, "wan", size, msg_id).callbacks.append(
-                    lambda _ev: sim.after(plan.rto, retry))
-                return
-        t0 = sim.now
-        occ = self._occupy_ev(pvc, tx, "wan", size, msg_id)
-
-        def after_occ(_ev: Event) -> None:
-            self.meter.record_wan(size)
-            if export is not None:
-                export(sim.now + latency)
-
-            def after_lat(_ev2: Event) -> None:
-                tr = self.tracer
-                if tr.enabled:
-                    now = sim.now
-                    tr.emit(now, "wan.xfer", src_cluster=src_cluster,
-                            dst_cluster=dst_cluster, size=size, tx=tx,
-                            msg_id=msg_id, t0=t0, dur=now - t0)
-                then()
-
-            sim.after(latency, after_lat)
-
-        occ.callbacks.append(after_occ)
-
-    def _striped_stage(self, size: int, k: int, src_cluster: int,
-                       dst_cluster: int, msg_id: int,
-                       then: Callable[[], None]) -> None:
-        """The PVC stage of one transfer striped over ``k`` chunks:
-        near-equal chunks, each drawing its own impairment plan, all in
-        flight at once, joined on a countdown; ``then()`` runs in the
-        dispatch of the last chunk's arrival."""
-        base, rem = divmod(size, k)
-        pending = [k]
-
-        def chunk_arrived() -> None:
-            pending[0] -= 1
-            if not pending[0]:
-                then()
-
-        for i in range(k):
-            self._pvc_stage(base + 1 if i < rem else base, src_cluster,
-                            dst_cluster, msg_id, chunk_arrived)
-
-    def _wan_leg(self, msg_size: int, src_cluster: int, dst_cluster: int,
-                 msg_id: int, then: Callable[[], None], streams: int = 1,
+    def _wan_leg(self, size: int, src_cluster: int, dst_cluster: int,
+                 msg_id: int, head: tuple, tail: tuple,
+                 then: Optional[Callable[[Event], None]], streams: int = 1,
                  export: Optional[Callable[[float], None]] = None) -> None:
-        """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths).
+        """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths):
+        leg A is ``head`` and the source-gateway forward, leg B the PVC
+        stage, the remote-gateway forward and ``tail``; ``then`` is leg
+        B's callback (None with ``export``).
 
         ``msg_id`` labels the trace records with the point-to-point
         message this leg serves; fan-out paths that share one leg among
         many deliveries pass -1.  ``streams`` > 1 stripes the PVC stage
-        over that many parallel chunk transfers (MPWide-style): chunks
-        still serialize on the capacity-1 PVC, but their latencies and —
-        under loss impairment — retransmit timeouts overlap.  The
-        gateway forwards bracket the whole transfer either way.
+        over that many near-equal chunks, each drawing its own plan, all
+        in flight at once (MPWide-style): chunks still serialize on the
+        capacity-1 PVC, but their latencies and — under loss impairment
+        — retransmit timeouts overlap.  Each chunk is its own leg, joined
+        on a countdown; the last arrival starts one leg, the remote
+        forward and ``tail``.
 
-        ``export`` — set only on a PDES partition boundary — cuts the
-        leg at the PVC: it is called at PVC *release* with the known
-        (possibly impairment-perturbed) arrival time, the ``wan.xfer``
-        record is still emitted here (the PVC is source-owned), and the
-        remote gateway forward is left to the destination partition
-        (:meth:`pdes_arrive`) instead of running ``then``.  Exporting at
+        ``export`` — set only on a PDES partition boundary — cuts leg B
+        at the PVC: a call step hands it the known (possibly
+        impairment-perturbed) arrival time at PVC *release*, leg B ends
+        with the latency and emits its ``wan.xfer`` record there (the
+        PVC is source-owned), and the remote gateway forward is left to
+        the destination partition (:meth:`pdes_arrive`).  Exporting at
         release rather than arrival is what gives the coordinator a full
         WAN-latency lookahead window.  Striped transfers cannot be cut
         (their chunks arrive independently); PDES eligibility excludes
         them.
         """
-        if export is not None:
-            arrived = _NO_THEN  # the owning partition forwards and delivers
-        else:
-            def arrived() -> None:
-                self._gw_forward(dst_cluster, msg_size, msg_id, then)
+        if streams > 1 and size > 1 and export is not None:
+            raise SimulationError(
+                "striped WAN transfers cannot cross a PDES partition "
+                "boundary (eligibility should have fallen back)")
+        self._gw_leg(head, src_cluster, size, msg_id, (),
+                     partial(self._pvc_leg, size, src_cluster, dst_cluster,
+                             msg_id, tail, then, streams, export))
 
-        if streams > 1 and msg_size > 1:
-            if export is not None:
-                raise SimulationError(
-                    "striped WAN transfers cannot cross a PDES partition "
-                    "boundary (eligibility should have fallen back)")
+    def _pvc_leg(self, size: int, src_cluster: int, dst_cluster: int,
+                 msg_id: int, tail: tuple,
+                 then: Optional[Callable[[Event], None]], streams: int,
+                 export: Optional[Callable[[float], None]],
+                 _ev: Event) -> None:
+        """Leg A's completion: start leg B (see :meth:`_wan_leg`), or the
+        chunk legs of a striped stage."""
+        sim = self.sim
+        if streams <= 1 or size <= 1:
+            steps, latency, xfer = self._pvc_steps(size, src_cluster,
+                                                   dst_cluster, msg_id)
+            if export is None:
+                self._gw_leg(steps + ((latency, xfer) if xfer else
+                                      (latency,)),
+                             dst_cluster, size, msg_id, tail, then)
+                return
+            done = sim.leg(steps + (lambda: export(sim.now + latency),
+                                    latency))
+            if xfer is not None:
+                done.callbacks.append(xfer)
+            return
+        k = min(streams, size)
+        base, rem = divmod(size, k)
+        pending = [k]
 
-            def stage() -> None:
-                self._striped_stage(msg_size, min(streams, msg_size),
-                                    src_cluster, dst_cluster, msg_id, arrived)
-        else:
-            def stage() -> None:
-                self._pvc_stage(msg_size, src_cluster, dst_cluster, msg_id,
-                                arrived, export)
+        def chunk_arrived(_ev: Event) -> None:
+            pending[0] -= 1
+            if not pending[0]:
+                self._gw_leg((), dst_cluster, size, msg_id, tail, then)
 
-        self._gw_forward(src_cluster, msg_size, msg_id, stage)
+        for i in range(k):
+            steps, latency, xfer = self._pvc_steps(
+                base + 1 if i < rem else base, src_cluster, dst_cluster,
+                msg_id)
+            done = sim.leg(steps + (latency,))
+            if xfer is not None:
+                done.callbacks.append(xfer)
+            done.callbacks.append(chunk_arrived)
 
     def _route_wan(self, msg: Message, wait: bool = False) -> Event:
         done = Event(self.sim)
-        src_cluster = self.topo.cluster_of(msg.src)
-        dst_cluster = self.topo.cluster_of(msg.dst)
-        streams = self._p2p_streams(msg.size)
+        size, msg_id = msg.size, msg.msg_id
+        src_cluster = self.nodes[msg.src].cluster
+        dst_cluster = self.nodes[msg.dst].cluster
+        # Striping factor: 1 without a decision model (the fixed default).
+        decision = self.decision
+        streams = 1 if decision is None else max(
+            1, decision.wan_streams(size, self.topo.n_clusters))
+        head = self._up_steps(size, src_cluster, msg_id)
         bnd = self.pdes
         if bnd is not None and not bnd.owns(dst_cluster):
             # Partition boundary: run the source half, export the
@@ -675,28 +735,14 @@ class Fabric:
             # acks the deposit, which fires ``done`` at the delivery
             # time (only consumed when ``wait`` armed it).
             bnd.register(msg, done, wait)
-            tail = _NO_THEN
-
-            def export(arrival: float) -> None:
-                bnd.export(msg, arrival)
-        else:
-            export = None
-
-            def tail() -> None:
-                self._wan_tail(msg, done)
-
-        def leg(_ev: Event) -> None:
-            self._wan_leg(msg.size, src_cluster, dst_cluster, msg.msg_id,
-                          tail, streams, export)
-
-        self._access_up(msg.size, src_cluster, msg.msg_id, leg)
+            self._wan_leg(size, src_cluster, dst_cluster, msg_id, head, (),
+                          None, streams,
+                          lambda arrival: bnd.export(msg, arrival))
+            return done
+        self._wan_leg(size, src_cluster, dst_cluster, msg_id, head,
+                      self._down_steps(msg, dst_cluster),
+                      partial(self._deposit_complete, msg, done), streams)
         return done
-
-    def _wan_tail(self, msg: Message, done: Event) -> None:
-        """Access down -> deposit -> fire ``done``: the last legs of a
-        point-to-point WAN delivery, after the remote gateway forward."""
-        self._access_down(msg,
-                          lambda _ev: self._deposit_complete(msg, done))
 
     # --------------------------------------------- PDES partition boundary
 
@@ -705,18 +751,20 @@ class Fabric:
 
         Called by the partition worker at the exported arrival instant —
         the moment the payload clears the WAN PVC toward this
-        partition's gateway: gateway forward -> access down -> deposit,
-        exactly as the single-process run continues there.  Deposits
-        always ack back through the boundary; the source partition fires
-        the sender's delivery event at that time (or drops the ack when
-        nobody waits).
+        partition's gateway: one leg, gateway forward -> access down,
+        then the deposit, exactly as the single-process run continues
+        there.  Deposits always ack back through the boundary; the
+        source partition fires the sender's delivery event at that time
+        (or drops the ack when nobody waits).
         """
         sim = self.sim
         done = Event(sim)
         done.callbacks.append(
             lambda _ev: self.pdes.export_ack(msg.msg_id, sim.now))
-        self._gw_forward(self.topo.cluster_of(msg.dst), msg.size, msg.msg_id,
-                         lambda: self._wan_tail(msg, done))
+        dst_cluster = self.nodes[msg.dst].cluster
+        self._gw_leg((), dst_cluster, msg.size, msg.msg_id,
+                     self._down_steps(msg, dst_cluster),
+                     partial(self._deposit_complete, msg, done))
 
     # ------------------------------------------------------------ multicast
 
@@ -816,8 +864,8 @@ class Fabric:
             self._remote_gw_multicast(src, to, size, payload, port, kind,
                                       mcast_done)
 
-        def leg(frm: int, to: int, then: Callable[[], None]) -> None:
-            self._wan_leg(size, frm, to, -1, then, streams)
+        def leg(frm: int, to: int, then: Callable[[Event], None]) -> None:
+            self._wan_leg(size, frm, to, -1, (), (), then, streams)
 
         def relay(_ev: Event) -> None:
             order = [src_cluster] + remote
@@ -827,9 +875,10 @@ class Fabric:
                 _relay_binomial(leg, mcast, order, 0, len(order))
             else:
                 for c in remote:
-                    leg(src_cluster, c, lambda c=c: mcast(c))
+                    leg(src_cluster, c, lambda _ev, c=c: mcast(c))
 
-        self._access_up(size, src_cluster, -1, relay)
+        self.sim.leg(self._up_steps(size, src_cluster, -1)).callbacks.append(
+            relay)
         return done
 
     # ---------------------------------------------------------------- util

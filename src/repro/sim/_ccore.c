@@ -906,15 +906,28 @@ occ_start_quantum(SimObject *sim, OccObject *occ)
     return occ_start(sim, occ);
 }
 
-/* Start the next step of a leg: a delay is one heap entry — the
- * completion event itself, as a timeout, when it is the last step — and
- * an occupancy starts like occupy() at priority 0.  The steps tuple is
- * dropped as its last step starts. */
+/* Start the next step of a leg: call steps run here, one after another
+ * (no heap entry, no counter), until a delay or an occupancy starts.  A
+ * delay is one heap entry — the completion event itself, as a timeout,
+ * when it is the last step — and an occupancy starts like occupy() at
+ * priority 0.  The steps tuple is dropped as its last step starts. */
 static int
 leg_start(SimObject *sim, OccObject *occ)
 {
-    PyObject *step = PyTuple_GET_ITEM(occ->steps, occ->pc);
-    int last = ++occ->pc == PyTuple_GET_SIZE(occ->steps);
+    PyObject *step;
+    int last;
+    for (;;) {
+        step = PyTuple_GET_ITEM(occ->steps, occ->pc);
+        last = ++occ->pc == PyTuple_GET_SIZE(occ->steps);
+        if (PyTuple_Check(step) || !PyCallable_Check(step))
+            break;
+        Py_INCREF(step);
+        PyObject *r = PyObject_CallNoArgs(step);
+        Py_DECREF(step);
+        if (!r)
+            return -1;
+        Py_DECREF(r);
+    }
     if (PyTuple_Check(step)) {
         PyObject *on_release = PyTuple_GET_ITEM(step, 2);
         double seconds = PyFloat_AsDouble(PyTuple_GET_ITEM(step, 1));
@@ -1505,7 +1518,8 @@ Sim_after(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* leg(steps): the steps are checked whole before the first one starts,
- * so a bad step is an error at the call, never inside the dispatch. */
+ * so a bad step is an error at the call, never inside the dispatch (an
+ * exception raised by a call step propagates as a callback's does). */
 static PyObject *
 Sim_leg(SimObject *self, PyObject *steps)
 {
@@ -1542,6 +1556,13 @@ Sim_leg(SimObject *self, PyObject *steps)
                 return NULL;
             if (!(seconds >= 0)) {
                 PyErr_Format(SimError, "negative occupy time: %S", sec);
+                return NULL;
+            }
+        }
+        else if (PyCallable_Check(step)) {
+            if (i == n - 1) {
+                PyErr_SetString(SimError,
+                                "a leg cannot end with a call step");
                 return NULL;
             }
         }
@@ -1795,8 +1816,8 @@ static PyMethodDef Sim_methods[] = {
     {"call_at", (PyCFunction)(void (*)(void))Sim_call_at, METH_FASTCALL,
      "Run fn at absolute virtual time when (>= now)."},
     {"leg", (PyCFunction)Sim_leg, METH_O,
-     "Run delays and priority-0 occupancies one after another; returns "
-     "the one completion event."},
+     "Run delays, priority-0 occupancies and call steps one after "
+     "another; returns the one completion event."},
     {"spawn", (PyCFunction)(void (*)(void))Sim_spawn,
      METH_FASTCALL | METH_KEYWORDS,
      "Start a new simulation process from a generator."},

@@ -28,7 +28,7 @@ both tiers share:
 
 The contract is what the simulated machine calls: processes, timeouts,
 callbacks and call slots, all-of joins, FIFO resources, delivery legs
-(delays and occupancies in sequence on one event), and the
+(delays, occupancies and call steps in sequence on one event), and the
 ``fire``/``idle_at_now`` quiet-instant hooks.  Nothing preempts a
 process or waits for the first of several events, so neither tier
 implements either.
@@ -230,18 +230,24 @@ class _Leg(Event):
     __slots__ = ("_steps", "_k")
 
     def _next(self) -> None:
-        """Start the next step.  A delay is one heap entry: a call slot,
-        or this event itself (a timeout) when it is the last step."""
-        k = self._k = self._k + 1
+        """Start the next step.  Call steps run here, one after another,
+        until an occupancy or a delay starts.  A delay is one heap entry:
+        a call slot, or this event itself (a timeout) when it is the
+        last step."""
         steps = self._steps
-        step = steps[k]
-        last = k == len(steps) - 1
-        if isinstance(step, tuple):
-            res, seconds, on_release = step
-            res._occupy_start(self, seconds, 0, on_release,
-                              None if last else self._held)
-            return
-        if last:
+        while True:
+            k = self._k = self._k + 1
+            step = steps[k]
+            if isinstance(step, tuple):
+                res, seconds, on_release = step
+                res._occupy_start(self, seconds, 0, on_release,
+                                  None if k == len(steps) - 1
+                                  else self._held)
+                return
+            if not callable(step):
+                break
+            step()
+        if k == len(steps) - 1:
             item = self
             self._scheduled = True
         else:
@@ -363,19 +369,25 @@ class Simulator:
     def leg(self, steps: tuple) -> Event:
         """Run ``steps`` one after another; returns the one completion event.
 
-        A step is a delay in seconds or an occupancy ``(resource,
+        A step is a delay in seconds, an occupancy ``(resource,
         seconds, on_release)`` at priority 0 (``on_release`` as for
-        :meth:`Resource.occupy`, or None).  Exactly the callback chain
-        that starts each step on the completion event of the step before
-        — ``after(delay, ...)`` or ``resource.occupy(seconds, 0,
-        on_release)`` — with the same heap entries and counters: each
+        :meth:`Resource.occupy`, or None) or a *call step*, a
+        zero-argument callable.  Exactly the callback chain that starts
+        each step on the completion event of the step before —
+        ``after(delay, ...)``, ``resource.occupy(seconds, 0,
+        on_release)``, or a call followed by the next step in the same
+        callback — with the same heap entries and counters: each
         occupancy starts with :meth:`Resource.occupy`'s quiet/busy logic,
         and where the chain's callback ran on a completed occupancy, a
         quiet instant starts the next step inline (one
         ``fast_completions``, the ``fire`` it stands for) and a busy one
         posts it as one heap entry (the posted completion).  A delay
         starts the next step in its own timer's dispatch; a final delay
-        is the completion event's own timer.  The event fires with
+        is the completion event's own timer.  A call step runs where the
+        step before it finished (at the call, for a first step) and adds
+        no heap entry and no counter; an exception it raises propagates
+        as a callback's does.  The last step is never a call step: the
+        completion event's callbacks serve there.  The event fires with
         ``None``.
         """
         if not isinstance(steps, tuple):
@@ -389,8 +401,10 @@ class Simulator:
                     raise TypeError(f"leg occupies a Resource, got {res!r}")
                 if not seconds >= 0:
                     raise SimulationError(f"negative occupy time: {seconds}")
-            elif not step >= 0:
+            elif not callable(step) and not step >= 0:
                 raise SimulationError(f"negative leg delay: {step}")
+        if callable(steps[-1]):
+            raise SimulationError("a leg cannot end with a call step")
         done = _Leg.__new__(_Leg)  # built inline, as timeout() does
         done.sim = self
         done.callbacks = []

@@ -11,9 +11,10 @@ more:
   a ``callbacks`` list;
 * :class:`Process` — a generator resumed by the events it yields;
 * :class:`Simulator` — ``timeout`` (a plain :class:`Event` that fires
-  with ``None``), ``after``/``after_call``/``call_at``, ``leg`` (delays
-  and priority-0 occupancies run in sequence on one event), ``spawn``,
-  ``all_of``, ``run``/``run_process``, ``idle_at_now``/``next_time``
+  with ``None``), ``after``/``after_call``/``call_at``, ``leg`` (delays,
+  priority-0 occupancies and call steps run in sequence on one event),
+  ``spawn``, ``all_of``, ``run``/``run_process``,
+  ``idle_at_now``/``next_time``
   and ``stats()`` (``events_processed``, ``spawns``,
   ``fast_completions``, ``fallbacks``);
 * :class:`AllOf`, :class:`Resource` (two-priority FIFO with

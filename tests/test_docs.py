@@ -95,6 +95,9 @@ DELETED_SURFACE = (
     "def timed(", "def _charge(",
     "def _drain(", "def _apply_run(", "def _applied(", "applied_sequence",
     "def start_in(", "_multicast_recv",
+    "def _pvc_stage(", "def _gw_forward(", "def _wan_tail(",
+    "def _striped_stage(", "def _access_up(", "def _access_down(",
+    "def _p2p_streams(", "_NO_THEN",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the

@@ -30,7 +30,8 @@ Five kinds of coverage:
   pattern run on the python tier, quantized-compute programs whose
   ``occupy_quanta`` must equal the loop of ``occupy`` calls it replaced,
   and delivery-leg programs whose ``Simulator.leg`` must equal the
-  closure chain of ``after``/``occupy`` calls it replaced;
+  closure chain of ``after``/``occupy`` calls (and call steps run in
+  the same callback) it replaced;
 * subprocess runs of a full application under ``REPRO_ENGINE=python``
   vs ``REPRO_ENGINE=compiled`` whose trace streams must match record
   for record (tiers cannot be mixed in one process, so tier selection
@@ -248,6 +249,60 @@ def test_leg_equals_the_closure_chain(engine, rng):
 
 
 @_tier
+@settings(deadline=None, max_examples=80)
+@given(rng=_randoms)
+def test_leg_with_call_steps_equals_the_closure_chain(engine, rng):
+    """A leg with call steps is the closure chain whose callback runs
+    the call and starts the next step in the same dispatch: the same
+    log (call instants and queue samples there, hook arguments,
+    completion values and times), ``busy_time()``s, final clock and all
+    four ``stats()`` counters — a call step adds no heap entry and no
+    counter, wherever it stands."""
+    program = golden._leg_program(
+        rng, golden.LEG_SHAPES + golden.CALL_LEG_SHAPES)
+    assert (golden._run_leg_program(engine, *program)
+            == golden._run_leg_program(engine, *program, loop=True))
+
+
+@_tier
+def test_leg_rejects_a_final_call_step_and_an_unknown_step(engine):
+    """The completion event's callbacks serve after the last step, so a
+    call step there is refused; a step that is no occupancy tuple,
+    delay or callable is a ``TypeError``.  Both at the call, before any
+    step runs."""
+    sim = engine.Simulator()
+    res = engine.Resource(sim)
+    ran = []
+    for steps in ((lambda: ran.append(1),),
+                  (1.0, (res, 1.0, None), lambda: ran.append(1))):
+        with pytest.raises(engine.SimulationError, match="call step"):
+            sim.leg(steps)
+    for bad in ("1.0", None, [res, 1.0, None]):
+        with pytest.raises(TypeError):
+            sim.leg((lambda: ran.append(1), bad, 1.0))
+    assert not ran and sim.stats()["events_processed"] == 0
+    assert sim.next_time() is None and res.in_use == 0
+
+
+@_tier
+@pytest.mark.parametrize("before", ["delay", "occupancy"])
+def test_call_step_exception_surfaces_from_run(engine, before):
+    """An exception raised by a call step propagates out of
+    ``sim.run()`` as a callback's does, whether the call follows a
+    delay (the timer's dispatch) or an occupancy (the hold's)."""
+    sim = engine.Simulator()
+    res = engine.Resource(sim)
+
+    def boom():
+        raise ValueError("call step failed")
+
+    first = 0.5 if before == "delay" else (res, 0.5, None)
+    sim.leg((first, boom, 1.0))
+    with pytest.raises(ValueError, match="call step failed"):
+        sim.run()
+
+
+@_tier
 def test_release_of_idle_resource_raises(engine):
     sim = engine.Simulator()
     res = engine.Resource(sim, name="idle")
@@ -264,9 +319,10 @@ def test_resource_event_cycle_is_collected(engine):
     """A resource, its queued waiters (a gate whose callback closes
     over the resource, and a queued occupancy pointing back at it), a
     leg waiting out its first delay (its steps name the resource, its
-    callback closes over the leg) and the simulator holding a pending
-    hold form reference cycles; the collector must be able to traverse
-    and clear them."""
+    callback closes over the leg), a leg whose call step closes over
+    the leg itself and the simulator holding a pending hold form
+    reference cycles; the collector must be able to traverse and clear
+    them."""
     class Tracked(engine.Resource):  # a heap subtype: weakref-able
         pass
 
@@ -277,7 +333,9 @@ def test_resource_event_cycle_is_collected(engine):
     res.occupy(2.0, on_release=lambda *a: res)       # queue -> occupancy
     leg = sim.leg((0.5, (res, 1.0, None)))           # sim heap -> steps -> res
     leg.callbacks.append(lambda _ev: leg)            # leg -> callback -> leg
-    del leg
+    mine = []
+    mine.append(sim.leg((0.5, lambda: mine, (res, 1.0, None))))
+    del leg, mine                                    # leg -> steps -> call -> leg
     assert res.queue_length == 2
     probe = weakref.ref(res)
     del sim, res

@@ -28,14 +28,17 @@ from repro.scenario import (
     parse_fault,
     scenario_topology,
 )
-from repro.sim import Tracer
+from repro.network import DAS_PARAMS, Fabric, uniform_clusters
+from repro.scenario.apply import install
+from repro.sim import Simulator, Tracer
+from repro.tuner import ContextModel, DecisionModel, FittedLine
 
 
 def _run(app="ra", variant="original", clusters=2, nodes=2, scenario=None,
-         trace=False, tracer=None):
+         trace=False, tracer=None, decision=None):
     return run_app(make_app(app), variant, clusters, nodes,
                    small_params(app), scenario=scenario, trace=trace,
-                   tracer=tracer)
+                   tracer=tracer, decision=decision)
 
 
 # ------------------------------------------------------------ spec values
@@ -329,12 +332,64 @@ def test_fault_windows_unit():
     assert win.covers(1.0) and win.covers(2.5) and not win.covers(3.5)
 
 
+def _striping_model():
+    """A decision model under which every point-to-point WAN transfer
+    of a small run is striped over four streams."""
+    line = FittedLine(0.0, 1e-6)
+    ctx = ContextModel(n_clusters=2, pb=line, bb=line, bb_threshold=0.0,
+                       streams=((1, line), (4, FittedLine(0.0, 1e-7))))
+    return DecisionModel(contexts=((2, ctx),), source="test")
+
+
 def test_traced_impaired_run_matches_untraced():
+    """Tracing adds records, never work: the impaired WAN path run with
+    its trace hooks and call steps and without them ends at the same
+    instant with the same traffic, app stats and engine counters — one
+    stream, striped, and ASP's broadcasts across four clusters."""
     scn = _impaired_scenario()
-    untraced = _run(scenario=scn)
-    traced = _run(scenario=scn, trace=True, tracer=Tracer())
-    assert traced.elapsed == untraced.elapsed
-    assert traced.traffic == untraced.traffic
+    cases = (dict(), dict(decision=_striping_model()),
+             dict(app="asp", clusters=4, nodes=2))
+    for kwargs in cases:
+        untraced = _run(scenario=scn, **kwargs)
+        traced = _run(scenario=scn, trace=True, tracer=Tracer(), **kwargs)
+        for field in ("elapsed", "traffic", "stats", "sim_stats"):
+            assert getattr(traced, field) == getattr(untraced, field), (
+                kwargs, field)
+        assert set(untraced.sim_stats) >= {
+            "events_processed", "spawns", "fast_completions", "fallbacks"}
+    assert _striping_model().wan_streams(64, 2) == 4
+
+
+@pytest.mark.parametrize("shape", ["chain", "binomial"])
+def test_traced_wan_fanout_matches_untraced(shape):
+    """A WAN fan-out relayed over a ``chain`` or ``binomial`` tree on
+    an impaired bare fabric — forwards, PVC copies and relays at tied
+    instants — delivers at the same instants with the same traffic and
+    engine counters traced and untraced."""
+    def run(traced):
+        sim = Simulator()
+        fabric = Fabric(sim, uniform_clusters(4, 3), DAS_PARAMS,
+                        tracer=Tracer())
+        fabric.tracer.enabled = traced
+        install(sim, fabric, _impaired_scenario())
+        times = []
+
+        def source(src):
+            for _ in range(3):
+                done = yield from fabric.wan_fanout_multicast(
+                    src, 4096, shape=shape, streams=2)
+                times.append((src, sim.now, (yield done)))
+
+        for src in (0, 1, 3):
+            sim.spawn(source(src))
+        sim.run()
+        return (times, fabric.meter.snapshot(), sim.stats(),
+                len(fabric.tracer.records))
+
+    *untraced, no_records = run(False)
+    *traced, records = run(True)
+    assert traced == untraced
+    assert no_records == 0 < records
 
 
 # ------------------------------------------------------- sweeps and cache
