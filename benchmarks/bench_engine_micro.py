@@ -19,7 +19,7 @@ per tier (``repro.harness.bench`` owns the timing loop).
 
 from __future__ import annotations
 
-from repro.sim import CPU, Channel, Event, Simulator
+from repro.sim import Channel, Event, Resource, Simulator
 
 
 def wl_timeout_chain(n: int = 200_000) -> int:
@@ -100,14 +100,24 @@ def wl_channel_pingpong(n: int = 60_000) -> int:
     return sim.stats()["events_processed"]
 
 
+def _execute(sim: Simulator, cpu: Resource, seconds: float):
+    """Hold ``cpu`` for ``seconds`` as a process: request, timeout,
+    release (the pattern ``Resource.occupy`` stands for)."""
+    yield cpu.request()
+    try:
+        yield sim.timeout(seconds)
+    finally:
+        cpu.release()
+
+
 def wl_cpu_contention(n: int = 20_000, workers: int = 4) -> int:
     """Several processes serialized through one CPU resource."""
     sim = Simulator()
-    cpu = CPU(sim, name="c")
+    cpu = Resource(sim, name="c")
 
     def worker():
         for _ in range(n):
-            yield sim.spawn(cpu.execute(1e-6))
+            yield sim.spawn(_execute(sim, cpu, 1e-6))
 
     procs = [sim.spawn(worker()) for _ in range(workers)]
     sim.run()
@@ -124,10 +134,10 @@ def wl_occupy_lockstep(n: int = 3_000, cpus: int = 60) -> int:
 
     def stepper(cpu):
         for _ in range(n):
-            yield cpu.execute_ev(1e-3)
+            yield cpu.occupy(1e-3)
 
     for i in range(cpus):
-        sim.spawn(stepper(CPU(sim, name=f"c{i}")))
+        sim.spawn(stepper(Resource(sim, name=f"c{i}")))
     sim.run()
     return sim.stats()["events_processed"]
 
@@ -136,11 +146,11 @@ def wl_occupy_quiet(n: int = 200_000) -> int:
     """One process charging one CPU back to back: every occupancy is
     granted at a quiet instant — one hold entry, completed inline."""
     sim = Simulator()
-    cpu = CPU(sim, name="c")
+    cpu = Resource(sim, name="c")
 
     def proc():
         for _ in range(n):
-            yield cpu.execute_ev(1e-3)
+            yield cpu.occupy(1e-3)
 
     sim.run_process(proc())
     return sim.stats()["events_processed"]
@@ -163,10 +173,10 @@ def wl_compute_quanta(n: int = 300, cpus: int = 60) -> int:
     def interrupts(cpu):
         for _ in range(bursts):
             yield sim.timeout(every)
-            cpu.execute_ev(1e-5)
+            cpu.occupy(1e-5)
 
     for i in range(cpus):
-        cpu = CPU(sim, name=f"c{i}")
+        cpu = Resource(sim, name=f"c{i}")
         sim.spawn(computer(cpu))
         sim.spawn(interrupts(cpu))
     sim.run()

@@ -58,7 +58,7 @@ def collect_utilization(fabric: "Fabric", elapsed: float) -> UtilizationReport:
     if elapsed <= 0:
         elapsed = 1e-12
     cpu = [min(1.0, node.cpu.busy_time() / elapsed) for node in fabric.nodes]
-    gateway = [min(1.0, gw.cpu.busy_time() / elapsed)
+    gateway = [min(1.0, gw.busy_time() / elapsed)
                for gw in fabric.gateways]
     wan = {pair: min(1.0, link.busy_time() / elapsed)
            for pair, link in fabric._wan.items()}

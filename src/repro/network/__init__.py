@@ -1,6 +1,6 @@
 """Multilevel (LAN + WAN) cluster network substrate."""
 
-from .fabric import Fabric, Gateway, Node
+from .fabric import Fabric, Node
 from .message import Message
 from .params import (
     ATM_DAS,
@@ -28,7 +28,6 @@ from .topology import (
 
 __all__ = [
     "Fabric",
-    "Gateway",
     "Node",
     "Message",
     "ATM_DAS",

@@ -22,10 +22,11 @@ returns the delivery event, so callers can also wait for arrival.
 
 Every message path is implemented once, as a flat callback chain on
 engine completion events: :meth:`Resource.occupy
-<repro.sim.Resource.occupy>` / :meth:`CPU.execute_ev
-<repro.sim.CPU.execute_ev>` for one occupancy, and ``Simulator.leg``
-for a leg — wire latency, ports, access links, gateway forwards, PVC
-copies, receive overhead — run as one engine call.  An uncontended step
+<repro.sim.Resource.occupy>` for one occupancy (a node or gateway CPU
+is a capacity-1 :class:`~repro.sim.Resource` like any link), and
+``Simulator.leg`` for a leg — wire latency, ports, access links,
+gateway forwards, PVC copies, receive overhead — run as one engine
+call.  An uncontended step
 costs a single heap entry, no generator and no
 :class:`~repro.sim.Process`.  A WAN transfer is two legs: Python runs
 between them only where the model does work, at the end of the
@@ -47,13 +48,13 @@ from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..metrics.counters import TrafficMeter
-from ..sim import (CPU, Channel, Event, Resource, SimulationError, Simulator,
+from ..sim import (Channel, Event, Resource, SimulationError, Simulator,
                    Tracer, fire)
 from .message import MSG_ID_STRIDE, Message
 from .params import LINK_CLASSES, LinkParams, NetworkParams
 from .topology import Topology
 
-__all__ = ["Node", "Gateway", "Fabric"]
+__all__ = ["Node", "Fabric"]
 
 
 _Leg = Callable[[int, int, Callable[[Event], None]], None]
@@ -171,7 +172,7 @@ class Node:
         self.sim = sim
         self.nid = nid
         self.cluster = cluster
-        self.cpu = CPU(sim, name=f"cpu{nid}")
+        self.cpu = Resource(sim, 1, name=f"cpu{nid}")
         self._ports: Dict[str, Channel] = {}
 
     def port(self, name: str = "default") -> Channel:
@@ -183,18 +184,6 @@ class Node:
 
     def __repr__(self) -> str:
         return f"Node({self.nid}@c{self.cluster})"
-
-
-class Gateway:
-    """A dedicated store-and-forward gateway for one cluster."""
-
-    def __init__(self, sim: Simulator, cluster: int):
-        self.sim = sim
-        self.cluster = cluster
-        self.cpu = CPU(sim, name=f"gw{cluster}")
-
-    def __repr__(self) -> str:
-        return f"Gateway(c{self.cluster})"
 
 
 class Fabric:
@@ -258,9 +247,6 @@ class Fabric:
             params.lan if spec.link is None else LINK_CLASSES[spec.link]
             for spec in topo.clusters
         ]
-        self.gateways: List[Gateway] = [
-            Gateway(sim, ci) for ci in range(topo.n_clusters)
-        ]
         # Per-node LAN ports: injection (out) and delivery (in).
         self._lan_out = [Resource(sim, name=f"lanout{n}") for n in range(topo.n_nodes)]
         self._lan_in = [Resource(sim, name=f"lanin{n}") for n in range(topo.n_nodes)]
@@ -268,6 +254,9 @@ class Fabric:
         # the DAS gateways hang off Fast Ethernet, a genuine bottleneck).
         self._gw_access = [Resource(sim, name=f"gwaccess{c}")
                            for c in range(topo.n_clusters)]
+        #: Per-cluster dedicated store-and-forward gateway CPUs.
+        self.gateways = [Resource(sim, 1, name=f"gw{c}")
+                         for c in range(topo.n_clusters)]
         # Directed WAN PVCs between cluster pairs.
         self._wan: Dict[Tuple[int, int], Resource] = {
             pair: Resource(sim, name=f"wan{pair}")
@@ -295,7 +284,7 @@ class Fabric:
         msg, route, cost = self._new_message(src, dst, size, payload, port,
                                              kind)
         # Sender-side CPU overhead, paid synchronously by the caller.
-        yield self.nodes[src].cpu.execute_ev(cost)
+        yield self.nodes[src].cpu.occupy(cost)
         return route(msg, _wait)
 
     def send_and_wait(self, src: int, dst: int, size: int, payload: Any = None,
@@ -316,7 +305,7 @@ class Fabric:
         receivers have the message.
         """
         cluster = self.topo.cluster_of(src)
-        yield self.nodes[src].cpu.execute_ev(
+        yield self.nodes[src].cpu.occupy(
             self._multicast_cost(cluster, size))
         return self._multicast(src, cluster, size, payload, port, kind)
 
@@ -344,7 +333,7 @@ class Fabric:
             done = Event(self.sim)
             done.succeed(0)
             return done
-        yield self.nodes[src].cpu.execute_ev(self._access_send_cost(size))
+        yield self.nodes[src].cpu.occupy(self._access_send_cost(size))
         return self._wan_fanout(src, src_cluster, remote, size, payload,
                                 port, kind, shape, streams)
 
@@ -364,7 +353,7 @@ class Fabric:
             if then is not None:
                 then(done)
 
-        self.nodes[src].cpu.execute_ev(cost).callbacks.append(_launch)
+        self.nodes[src].cpu.occupy(cost).callbacks.append(_launch)
 
     def send_chain(self, src: int, dst: int, size: int, payload: Any = None,
                    port: str = "default", kind: str = "msg",
@@ -475,19 +464,6 @@ class Fabric:
         several deliveries).  Built only while tracing."""
         return _LinkBusy(self.tracer, self.sim, res, cls, size, msg_id)
 
-    def _occupy_ev(self, res: Resource, seconds: float, cls: str = "",
-                   size: int = 0, msg_id: int = -1) -> Event:
-        """Hold ``res`` for ``seconds``; completion event, one ``link.busy``.
-
-        :meth:`Resource.occupy <repro.sim.Resource.occupy>` runs the
-        whole request/grant/hold/release machine (see there for the
-        quiet- and busy-instant dispatch depths); while tracing it
-        carries the :meth:`_link_busy` hook.
-        """
-        if not self.tracer.enabled:
-            return res.occupy(seconds)
-        return res.occupy(seconds, 0, self._link_busy(res, cls, size, msg_id))
-
     def _deposit_complete(self, msg: Message, done: Event,
                           _ev: Optional[Event] = None) -> None:
         """Deposit ``msg`` and fire the delivery event (inline when quiet).
@@ -501,9 +477,10 @@ class Fabric:
             done.succeed(msg)
 
     def _route_self(self, msg: Message, wait: bool = False) -> Event:
-        # Loopback: negligible wire, small fixed cost — one timeout.
+        # Loopback: negligible wire, small fixed cost — one delay.
         done = Event(self.sim)
-        self.sim.after(1e-6, partial(self._deposit_complete, msg, done))
+        self.sim.leg((1e-6,)).callbacks.append(
+            partial(self._deposit_complete, msg, done))
         return done
 
     def _route_lan(self, msg: Message, wait: bool = False) -> Event:
@@ -524,8 +501,10 @@ class Fabric:
             if not pending[0]:
                 self._deposit_complete(msg, done)
 
-        self._occupy_ev(self._lan_out[src], tx, "lan_out", size,
-                        msg.msg_id).callbacks.append(leg_done)
+        lan_out = self._lan_out[src]
+        hook = (self._link_busy(lan_out, "lan_out", size, msg.msg_id)
+                if self.tracer.enabled else None)
+        lan_out.occupy(tx, 0, hook).callbacks.append(leg_done)
         lan_in = self._lan_in[dst]
         hook = (self._link_busy(lan_in, "lan_in", size, msg.msg_id)
                 if self.tracer.enabled else None)
@@ -586,7 +565,7 @@ class Fabric:
         the forward's completion is observed: by a call step before
         ``tail``, or first on the completion event when nothing follows.
         """
-        gw = self.gateways[cluster].cpu
+        gw = self.gateways[cluster]
         gwp = self.params.gateway
         cost = gwp.forward_cost + size * gwp.per_byte_cost
         tr = self.tracer
@@ -812,8 +791,11 @@ class Fabric:
                 done.succeed(n)
 
         # Injection overlaps delivery (spanning-tree forwarding in the NIC).
-        self._occupy_ev(self._lan_out[src], size / lan.bandwidth, "lan_out",
-                        size).callbacks.append(leg_done)
+        lan_out = self._lan_out[src]
+        hook = (self._link_busy(lan_out, "lan_out", size, -1)
+                if self.tracer.enabled else None)
+        lan_out.occupy(size / lan.bandwidth, 0, hook).callbacks.append(
+            leg_done)
         self._lan_receive(src, dsts, lan, size, payload, port, kind,
                           leg_done)
         return done
@@ -823,8 +805,8 @@ class Fabric:
                              then: Callable[[int], None]) -> None:
         """Re-inject a WAN arrival as a local multicast in ``dst_cluster``."""
         lan = self._cluster_lan[dst_cluster]
-        gw = self.gateways[dst_cluster]
-        cpu = gw.cpu.execute_ev(lan.o_send + self.params.bcast_extra)
+        cpu = self.gateways[dst_cluster].occupy(
+            lan.o_send + self.params.bcast_extra)
 
         def after_cpu(_ev: Event) -> None:
             dsts = self.topo.nodes_in(dst_cluster)

@@ -136,12 +136,12 @@ class OrcaRuntime:
             try:
                 result = op.fn(replica.state, *args)
             except Blocked:
-                yield cpu.execute_ev(GUARD_EVAL_COST)
+                yield cpu.occupy(GUARD_EVAL_COST)
                 gate = Event(self.sim)
                 replica.parked.append(("ev", gate))
                 yield gate
                 continue
-            yield cpu.execute_ev(op.cost(args))
+            yield cpu.occupy(op.cost(args))
             return result
 
     def _invoke_local(self, node: int, replica: Replica, op: Operation,
@@ -171,7 +171,8 @@ class OrcaRuntime:
         else:
             # Busy instant (e.g. guard waiters were just woken): the
             # retries start one dispatch out.
-            sim.after(0.0, lambda _ev: self._retry_rpcs(owner, retries, 0))
+            sim.leg((0.0,)).callbacks.append(
+                lambda _ev: self._retry_rpcs(owner, retries, 0))
 
     def _retry_rpcs(self, owner: int, requests: List[_RpcRequest],
                     i: int) -> None:
@@ -219,7 +220,7 @@ class OrcaRuntime:
                 replica.parked.append(("rpc", req))
                 if then is not None:
                     then()
-            cpu.execute_ev(GUARD_EVAL_COST).callbacks.append(_parked)
+            cpu.occupy(GUARD_EVAL_COST).callbacks.append(_parked)
             return
 
         def _executed(_ev: Event) -> None:
@@ -231,7 +232,7 @@ class OrcaRuntime:
                 port=req.result_port, kind="rpc",
                 then=None if then is None else (lambda _done: then()))
 
-        cpu.execute_ev(op.cost(req.args)).callbacks.append(_executed)
+        cpu.occupy(op.cost(req.args)).callbacks.append(_executed)
 
     def _invoke_rpc(self, caller: int, spec: ObjectSpec, op: Operation,
                     op_name: str, args: tuple) -> Generator:
@@ -283,7 +284,7 @@ class OrcaRuntime:
                 self._kick(node, replica)
             k(result)
 
-        self.fabric.nodes[node].cpu.execute_ev(
+        self.fabric.nodes[node].cpu.occupy(
             op.cost(payload.args)).callbacks.append(_executed)
 
     def _invoke_bcast(self, node: int, spec: ObjectSpec, op: Operation,

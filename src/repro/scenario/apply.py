@@ -228,7 +228,7 @@ def _emit_fault(fabric: Fabric, fault: Fault, target_label: str,
 def _gw_outage(fabric: Fabric, fault: Fault, cluster: int) -> Generator:
     sim = fabric.sim
     yield sim.timeout(fault.at)
-    cpu = fabric.gateways[cluster].cpu
+    cpu = fabric.gateways[cluster]
     # Seize the gateway CPU with a plain request: forwards already in
     # service drain first (the outage begins when the gateway goes
     # quiet), then everything queues behind the outage until recovery.

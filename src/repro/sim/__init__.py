@@ -8,7 +8,7 @@ from .engine import (
     Simulator,
     fire,
 )
-from .primitives import CPU, Barrier, Channel, Resource
+from .primitives import Barrier, Channel, Resource
 from .rng import derive_seed, substream
 from .trace import TraceRecord, Tracer, TraceSpec
 
@@ -19,7 +19,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "fire",
-    "CPU",
     "Barrier",
     "Channel",
     "Resource",

@@ -36,7 +36,6 @@ static PyObject *Pending;       /* the shared PENDING sentinel */
 static PyObject *SimError;      /* SimulationError class */
 static PyObject *AllOfCls;      /* AllOf (Python subclass of our Event) */
 static PyObject *SpawnObsHook;  /* callable(sim, proc) -> None */
-static PyObject *DropArgHelper; /* callable(fn) -> (lambda _ev: fn()) */
 
 static PyObject *str_send, *str_throw, *str_value, *str_dunder_name;
 
@@ -1477,46 +1476,6 @@ Sim_timeout(SimObject *self, PyObject *dobj)
     return (PyObject *)ev;
 }
 
-/* A fresh timeout with `cb` already on its callbacks (after, call_at). */
-static PyObject *
-sim_timeout_with(SimObject *self, PyObject *dobj, PyObject *cb)
-{
-    PyObject *ev = Sim_timeout(self, dobj);
-    if (ev && PyList_Append(((EventObject *)ev)->callbacks, cb) < 0)
-        Py_CLEAR(ev);
-    return ev;
-}
-
-static PyObject *
-Sim_after_call(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "after_call() takes exactly 2 arguments");
-        return NULL;
-    }
-    double delay = PyFloat_AsDouble(args[0]);
-    if (delay == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (!(delay >= 0)) {
-        PyErr_Format(SimError, "negative after_call delay: %S", args[0]);
-        return NULL;
-    }
-    if (heap_push(self, self->now + delay, args[1], K_CALL) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Sim_after(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "after() takes exactly 2 arguments");
-        return NULL;
-    }
-    return sim_timeout_with(self, args[0], args[1]);
-}
-
 /* leg(steps): the steps are checked whole before the first one starts,
  * so a bad step is an error at the call, never inside the dispatch (an
  * exception raised by a call step propagates as a callback's does). */
@@ -1587,6 +1546,10 @@ Sim_leg(SimObject *self, PyObject *steps)
     return (PyObject *)occ;
 }
 
+/* call_at(when, fn): bare fn() as a call slot at absolute time `when`.
+ * A past time is refused (the PDES boundary's no-early-delivery check).
+ * The slot lands at now + (when - now), as on the python tier: that
+ * can differ from `when` in the last bit, and runs depend on it. */
 static PyObject *
 Sim_call_at(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1594,6 +1557,8 @@ Sim_call_at(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "call_at() takes exactly 2 arguments");
         return NULL;
     }
+    if (check_ready() < 0)
+        return NULL;
     double when = PyFloat_AsDouble(args[0]);
     if (when == -1.0 && PyErr_Occurred())
         return NULL;
@@ -1606,14 +1571,14 @@ Sim_call_at(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
         }
         return NULL;
     }
-    PyObject *wrapper = PyObject_CallOneArg(DropArgHelper, args[1]);
-    if (!wrapper)
+    if (!PyCallable_Check(args[1])) {
+        PyErr_Format(PyExc_TypeError, "call_at needs a callable, got %R",
+                     args[1]);
         return NULL;
-    PyObject *dobj = PyFloat_FromDouble(when - self->now);
-    PyObject *ev = dobj ? sim_timeout_with(self, dobj, wrapper) : NULL;
-    Py_XDECREF(dobj);
-    Py_DECREF(wrapper);
-    return ev;
+    }
+    if (heap_push(self, self->now + (when - self->now), args[1], K_CALL) < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -1809,12 +1774,8 @@ Sim_run_process(SimObject *self, PyObject *args, PyObject *kwds)
 static PyMethodDef Sim_methods[] = {
     {"timeout", (PyCFunction)Sim_timeout, METH_O,
      "Return an event that fires with None after a fixed delay."},
-    {"after_call", (PyCFunction)(void (*)(void))Sim_after_call, METH_FASTCALL,
-     "Schedule bare fn() as a call slot, delay seconds out."},
-    {"after", (PyCFunction)(void (*)(void))Sim_after, METH_FASTCALL,
-     "Schedule fn(event) to run delay seconds from now."},
     {"call_at", (PyCFunction)(void (*)(void))Sim_call_at, METH_FASTCALL,
-     "Run fn at absolute virtual time when (>= now)."},
+     "Schedule bare fn() as a call slot at absolute time when (>= now)."},
     {"leg", (PyCFunction)Sim_leg, METH_O,
      "Run delays, priority-0 occupancies and call steps one after "
      "another; returns the one completion event."},
@@ -1884,18 +1845,17 @@ mod_fire(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 mod_set_helpers(PyObject *mod, PyObject *args, PyObject *kwds)
 {
-    PyObject *pending, *simerror, *allof, *spawn_obs, *drop_arg;
+    PyObject *pending, *simerror, *allof, *spawn_obs;
     static char *kwlist[] = {"pending", "simerror", "allof", "spawn_obs",
-                             "drop_arg", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOO", kwlist,
+                             NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOO", kwlist,
                                      &pending, &simerror, &allof,
-                                     &spawn_obs, &drop_arg))
+                                     &spawn_obs))
         return NULL;
     Py_XSETREF(Pending, Py_NewRef(pending));
     Py_XSETREF(SimError, Py_NewRef(simerror));
     Py_XSETREF(AllOfCls, Py_NewRef(allof));
     Py_XSETREF(SpawnObsHook, Py_NewRef(spawn_obs));
-    Py_XSETREF(DropArgHelper, Py_NewRef(drop_arg));
     Py_RETURN_NONE;
 }
 

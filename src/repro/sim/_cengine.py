@@ -64,15 +64,9 @@ def _spawn_obs(sim, proc):
             sim.now, "proc.finish", pid=i, name=p.name, ok=p._ok))
 
 
-def _drop_arg(fn):
-    """Adapt a zero-arg fn into an event callback (for call_at)."""
-    return lambda _ev: fn()
-
-
 _ccore._set_helpers(
     pending=PENDING,
     simerror=SimulationError,
     allof=AllOf,
     spawn_obs=_spawn_obs,
-    drop_arg=_drop_arg,
 )

@@ -15,9 +15,10 @@ both tiers share:
 * heap entries are compact ``(time, tiebreak, item)`` triples where
   ``item`` is either a boxed :class:`Event` **or a bare callable** — a
   *call slot*.  Engine-internal one-shot steps (process bootstraps,
-  analytic resource holds, deferred chain launches) schedule a call
-  slot via :meth:`Simulator.after_call` instead of boxing a timeout
-  event, so the hottest schedule sites allocate no event object at all;
+  analytic resource holds, deferred requests) and
+  :meth:`Simulator.call_at` push a call slot instead of boxing a
+  timeout event, so the hottest schedule sites allocate no event
+  object at all;
 * a timeout is a plain :class:`Event` put on the heap still pending; the
   dispatch loop fires it with ``None`` when it pops;
 * the run loop drains all events of one instant in a batched dispatch
@@ -48,6 +49,7 @@ pin this contract directly: value logs, clocks, ``busy_time()`` and
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import deque
 from typing import Any, Callable, Deque, Generator, Iterable, Optional
 
@@ -274,7 +276,7 @@ class Simulator:
 
     The heap holds ``(time, tiebreak, item)`` triples; ``item`` is a
     boxed :class:`Event` or a bare callable (a *call slot*, see
-    :meth:`after_call`).  Dispatch drains one instant per batch.
+    :meth:`call_at`).  Dispatch drains one instant per batch.
     """
 
     def __init__(self):
@@ -334,37 +336,22 @@ class Simulator:
         return proc
 
     # -- scheduling -------------------------------------------------------
-    def after_call(self, delay: float, fn: Callable[[], None]) -> None:
-        """Schedule bare ``fn()`` as a *call slot*, ``delay`` seconds out.
+    def call_at(self, when: float, fn: Callable[[], None]) -> None:
+        """Schedule bare ``fn()`` as a *call slot* at absolute virtual
+        time ``when`` (>= now): one heap entry, no event object.
 
-        The unboxed counterpart of :meth:`after` for engine-internal
-        one-shot steps: one compact heap entry, no event object, no
-        callback list.  Nothing can wait on a call slot — use
-        :meth:`after` when the completion must be observable.
+        The slot lands at ``now + (when - now)``, which can differ from
+        ``when`` in the last bit; both tiers compute it so.  Nothing can
+        wait on a call slot; an exception ``fn`` raises propagates out
+        of :meth:`run`.  A past ``when`` is refused — the PDES boundary
+        relies on that as its no-early-delivery check.
         """
-        if not delay >= 0:
-            raise SimulationError(f"negative after_call delay: {delay}")
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (self.now + delay, seq, fn))
-
-    def call_at(self, when: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn`` at absolute virtual time ``when`` (>= now)."""
         if not when >= self.now:
             raise SimulationError(f"call_at past time {when} < now {self.now}")
-        ev = self.timeout(when - self.now)
-        ev.callbacks.append(lambda _ev: fn())
-        return ev
-
-    def after(self, delay: float, fn: Callable[[Event], None]) -> Event:
-        """Schedule ``fn(event)`` to run ``delay`` virtual seconds from now.
-
-        The callback-chain counterpart of ``yield sim.timeout(delay)``: one
-        heap entry, no generator.  Returns the timeout so further callbacks
-        can be chained onto the same instant.
-        """
-        ev = self.timeout(delay)
-        ev.callbacks.append(fn)
-        return ev
+        if not callable(fn):
+            raise TypeError(f"call_at needs a callable, got {fn!r}")
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (self.now + (when - self.now), seq, fn))
 
     def leg(self, steps: tuple) -> Event:
         """Run ``steps`` one after another; returns the one completion event.
@@ -373,8 +360,8 @@ class Simulator:
         seconds, on_release)`` at priority 0 (``on_release`` as for
         :meth:`Resource.occupy`, or None) or a *call step*, a
         zero-argument callable.  Exactly the callback chain that starts
-        each step on the completion event of the step before —
-        ``after(delay, ...)``, ``resource.occupy(seconds, 0,
+        each step on the completion event of the step before — a
+        ``timeout(delay)`` callback, ``resource.occupy(seconds, 0,
         on_release)``, or a call followed by the next step in the same
         callback — with the same heap entries and counters: each
         occupancy starts with :meth:`Resource.occupy`'s quiet/busy logic,
@@ -576,6 +563,14 @@ def fire(ev: Event, value: Any = None) -> None:
             cb(ev)
 
 
+def _call_in(sim: Simulator, delay: float, fn: Callable[[], None]) -> None:
+    """Push bare ``fn()`` as a call slot ``delay`` seconds out: the
+    occupancy machine's one-shot steps (``delay`` is checked by the
+    caller)."""
+    sim._seq = seq = sim._seq + 1
+    heapq.heappush(sim._heap, (sim.now + delay, seq, fn))
+
+
 def _complete(done: Event) -> None:
     """Complete an occupancy after its release: inline at a quiet
     instant (skipping one dispatch), else posted."""
@@ -611,6 +606,7 @@ class Resource:
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
+        capacity = operator.index(capacity)  # an int, as the C tier parses it
         if capacity < 1:
             raise SimulationError(f"resource capacity must be >= 1: {capacity}")
         self.sim = sim
@@ -750,7 +746,7 @@ class Resource:
                 sim._n_fast += 1
                 _segment()
             else:
-                sim.after_call(0.0, _segment)
+                _call_in(sim, 0.0, _segment)
 
         _segment()
         return done
@@ -794,7 +790,7 @@ class Resource:
             gate.callbacks.append(lambda _ev: self._occupy_granted(
                 done, seconds, hook, then))
 
-        sim.after_call(0.0, _request)
+        _call_in(sim, 0.0, _request)
 
     def _occupy_granted(self, done: Event, seconds: float,
                         hook: Optional[tuple],
@@ -814,7 +810,7 @@ class Resource:
             else:
                 _complete(done)
 
-        sim.after_call(seconds, _fin)
+        _call_in(sim, seconds, _fin)
 
     def release(self) -> None:
         """Return a slot; the next waiter (urgent first) is granted."""

@@ -11,8 +11,9 @@ more:
   a ``callbacks`` list;
 * :class:`Process` — a generator resumed by the events it yields;
 * :class:`Simulator` — ``timeout`` (a plain :class:`Event` that fires
-  with ``None``), ``after``/``after_call``/``call_at``, ``leg`` (delays,
-  priority-0 occupancies and call steps run in sequence on one event),
+  with ``None``), ``call_at`` (a bare callback at an absolute time, one
+  heap entry, a past time refused), ``leg`` (delays, priority-0
+  occupancies and call steps run in sequence on one event),
   ``spawn``, ``all_of``, ``run``/``run_process``,
   ``idle_at_now``/``next_time``
   and ``stats()`` (``events_processed``, ``spawns``,
@@ -53,7 +54,7 @@ Everything downstream (``primitives``, ``network.fabric``, ``orca.*``)
 is tier-agnostic: it sees the same classes, the same exception type
 (:class:`SimulationError` is defined once in ``_pyengine`` and shared by
 the compiled tier), and the same fast-path hooks
-(``fire``/``after_call``/``idle_at_now``).  The contract's oracle is
+(``fire``/``idle_at_now``).  The contract's oracle is
 recorded: the ``engine/*`` cells of the golden manifest
 (``tools/golden.py``) pin the value logs, clocks, ``busy_time()`` and
 ``stats()`` of fixed corpora of differential programs, and both tiers

@@ -8,20 +8,20 @@ These are the building blocks the network and runtime layers use:
   :class:`Process` it is part of the event-store contract and is
   implemented once per engine tier (``_pyengine.Resource`` is the
   reference; the compiled tier runs the same occupancy state machine
-  inside its dispatch loop).
-* :class:`CPU` — a single-server resource with an ``execute(seconds)``
-  convenience used to charge compute and protocol-overhead time.
+  inside its dispatch loop).  A node or gateway CPU is a capacity-1
+  ``Resource``: compute and protocol overhead are charged with
+  :meth:`~Resource.occupy` / :meth:`~Resource.occupy_quanta`, FIFO.
 * :class:`Barrier` — rendezvous for a fixed number of parties.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator
+from typing import Any, Deque
 
 from .engine import Event, Resource, SimulationError, Simulator, fire
 
-__all__ = ["Channel", "Resource", "CPU", "Barrier"]
+__all__ = ["Channel", "Resource", "Barrier"]
 
 
 class Channel:
@@ -53,40 +53,6 @@ class Channel:
         else:
             self._getters.append(ev)
         return ev
-
-
-class CPU(Resource):
-    """A single-server CPU; ``execute`` charges busy time FIFO.
-
-    All compute *and* per-message protocol overhead on a node goes through
-    its CPU, so a node flooded with incoming messages genuinely loses
-    compute throughput — the mechanism behind RA's WAN collapse.
-    """
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        super().__init__(sim, capacity=1, name=name)
-
-    def execute(self, seconds: float, priority: int = 0) -> Generator:
-        """Process-style: occupy the CPU for ``seconds`` of virtual time.
-
-        ``priority=0`` (default) is protocol/interrupt work; application
-        compute quanta use ``priority=1`` so message handling preempts
-        them at quantum boundaries."""
-        if seconds < 0:
-            raise SimulationError(f"negative execute time: {seconds}")
-        yield self.request(priority)
-        try:
-            yield self.sim.timeout(seconds)
-        finally:
-            self.release()
-
-    #: One-shot ``execute``: returns the completion event directly.
-    #: Exactly :meth:`execute`'s virtual-time semantics without the
-    #: generator — the hot path for per-message protocol overhead in
-    #: the fabric and the Orca runtime.  A class-level alias of
-    #: :meth:`Resource.occupy`, so a charge enters the engine without
-    #: a forwarding frame.
-    execute_ev = Resource.occupy
 
 
 class Barrier:

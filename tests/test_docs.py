@@ -98,12 +98,15 @@ DELETED_SURFACE = (
     "def _pvc_stage(", "def _gw_forward(", "def _wan_tail(",
     "def _striped_stage(", "def _access_up(", "def _access_down(",
     "def _p2p_streams(", "_NO_THEN",
+    "class CPU(", "execute_ev", "def after_call(", "_occupy_ev", "drop_arg",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the
-#: bare-event factory, and what only the other tier or nobody read.
+#: bare-event factory, what only the other tier or nobody read, and the
+#: second spellings of a delay (``leg((delay,))``) and of a call slot
+#: (``call_at``).
 DELETED_ENGINE_MEMBERS = ("interrupt", "is_alive", "processed", "event",
-                          "any_of", "_post")
+                          "any_of", "_post", "after", "after_call")
 
 
 def test_no_deleted_surface_reappears():
@@ -153,7 +156,7 @@ def test_no_deleted_surface_reappears():
         with pytest.raises(TypeError):
             sim.timeout(1.0, "v")
         with pytest.raises(TypeError):
-            sim.after(1.0, lambda _ev: None, "v")
+            sim.call_at(1.0, lambda: None, "v")
         assert "processes_spawned" not in sim.stats()
 
 
@@ -164,14 +167,19 @@ def test_the_machine_defers_at_zero_delay_only_to_retry_parked_rpcs():
     The busy-instant counters are the engine's own: no module but the
     two engine tiers touches them."""
     src = REPO / "src" / "repro"
-    deferrals = [
-        (path.relative_to(src).as_posix(), line.strip())
-        for pkg in ("network", "orca", "core", "apps")
-        for path in sorted((src / pkg).rglob("*.py"))
-        for line in path.read_text().splitlines()
-        if "after(0.0" in line or "after_call(0.0" in line]
-    assert deferrals == [("orca/runtime.py", "sim.after(0.0, lambda _ev: "
-                          "self._retry_rpcs(owner, retries, 0))")]
+    spellings = ("after(0.0", "after_call(0.0", "leg((0.0,", "timeout(0.0")
+    deferrals = []
+    for pkg in ("network", "orca", "core", "apps"):
+        for path in sorted((src / pkg).rglob("*.py")):
+            lines = path.read_text().splitlines() + [""]
+            deferrals += [
+                (path.relative_to(src).as_posix(),
+                 f"{line.strip()} {lines[i + 1].strip()}")
+                for i, line in enumerate(lines)
+                if any(spelling in line for spelling in spellings)]
+    assert deferrals == [(
+        "orca/runtime.py", "sim.leg((0.0,)).callbacks.append( "
+        "lambda _ev: self._retry_rpcs(owner, retries, 0))")]
     for path in src.rglob("*.py"):
         if path.name != "_pyengine.py":
             text = path.read_text()

@@ -30,8 +30,8 @@ Five kinds of coverage:
   pattern run on the python tier, quantized-compute programs whose
   ``occupy_quanta`` must equal the loop of ``occupy`` calls it replaced,
   and delivery-leg programs whose ``Simulator.leg`` must equal the
-  closure chain of ``after``/``occupy`` calls (and call steps run in
-  the same callback) it replaced;
+  closure chain of ``timeout``/``occupy`` callbacks (and call steps run
+  in the same callback) it replaced;
 * subprocess runs of a full application under ``REPRO_ENGINE=python``
   vs ``REPRO_ENGINE=compiled`` whose trace streams must match record
   for record (tiers cannot be mixed in one process, so tier selection
@@ -176,11 +176,25 @@ def _public(obj):
     return {n for n in dir(obj) if not n.startswith("_")}
 
 
+#: The whole public surface of the two contract classes with a second
+#: spelling to lose: one scheduling call per operation (``call_at`` for
+#: a bare callback, ``leg`` for delays and occupancies, ``timeout`` for
+#: an event to wait on) and one charge per occupancy shape.
+SIMULATOR_SURFACE = {"all_of", "call_at", "idle_at_now", "leg", "next_time",
+                     "now", "obs", "run", "run_process", "spawn", "stats",
+                     "timeout"}
+RESOURCE_SURFACE = {"busy_time", "capacity", "in_use", "name", "occupy",
+                    "occupy_quanta", "queue_length", "release", "request",
+                    "sim"}
+
+
 @needs_cc
 def test_tiers_expose_one_surface():
     """``Simulator``, ``Event``, ``Process`` and ``Resource`` instances
     have the same public attributes on both live tiers, so a name added
-    to one tier only fails here."""
+    to one tier only fails here; ``Simulator`` and ``Resource`` have
+    exactly the contract's, so a second spelling added to both fails
+    too."""
     def idle():
         return
         yield  # pragma: no cover - makes this a generator function
@@ -193,8 +207,9 @@ def test_tiers_expose_one_surface():
     py, cc = instances(_pyengine), instances(_cengine)
     for name in py:
         assert _public(py[name]) == _public(cc[name]), name
-    assert {"occupy", "occupy_quanta"} <= _public(cc["Resource"])
-    assert "leg" in _public(cc["Simulator"])
+    for tier in (py, cc):
+        assert _public(tier["Simulator"]) == SIMULATOR_SURFACE
+        assert _public(tier["Resource"]) == RESOURCE_SURFACE
 
 
 # ------------------------------------- cross-tier resource equivalence
@@ -238,11 +253,12 @@ def test_occupy_quanta_equals_the_loop_of_occupies(engine, rng):
 @settings(deadline=None, max_examples=80)
 @given(rng=_randoms)
 def test_leg_equals_the_closure_chain(engine, rng):
-    """One ``Simulator.leg`` is the closure chain of ``after`` and
-    priority-0 ``occupy`` calls it replaced, to the heap entry: the same
-    log (hook arguments, completion values and times, queue samples),
-    ``busy_time()``s, final clock and all four ``stats()`` counters, for
-    every step shape racing plain occupies and quantized computes."""
+    """One ``Simulator.leg`` is the closure chain of ``timeout``
+    callbacks and priority-0 ``occupy`` calls it replaced, to the heap
+    entry: the same log (hook arguments, completion values and times,
+    queue samples), ``busy_time()``s, final clock and all four
+    ``stats()`` counters, for every step shape racing plain occupies and
+    quantized computes."""
     program = golden._leg_program(rng)
     assert (golden._run_leg_program(engine, *program)
             == golden._run_leg_program(engine, *program, loop=True))
@@ -300,6 +316,48 @@ def test_call_step_exception_surfaces_from_run(engine, before):
     sim.leg((first, boom, 1.0))
     with pytest.raises(ValueError, match="call step failed"):
         sim.run()
+
+
+@_tier
+def test_call_at_is_one_bare_call_slot(engine):
+    """``call_at`` refuses a non-callable at the call, with no heap
+    entry; otherwise it returns ``None``, adds exactly one
+    ``events_processed``, runs ``fn()`` at ``now + (when - now)`` (on
+    both tiers; 0.2 + (0.9 - 0.2) is not 0.9), and an exception ``fn``
+    raises surfaces from ``run()``."""
+    sim = engine.Simulator()
+    with pytest.raises(TypeError):
+        sim.call_at(1.0, 42)
+    assert sim.stats()["events_processed"] == 0 and sim.next_time() is None
+
+    seen = []
+    sim.call_at(0.2, lambda: seen.append(
+        sim.call_at(0.9, lambda: seen.append(sim.now))))
+    sim.run()
+    assert seen == [None, 0.2 + (0.9 - 0.2)] and seen[1] != 0.9
+    assert sim.stats()["events_processed"] == 2
+
+    def boom():
+        raise ValueError("call slot failed")
+
+    sim.call_at(sim.now + 1.0, boom)
+    with pytest.raises(ValueError, match="call slot failed"):
+        sim.run()
+    assert sim.stats()["events_processed"] == 3
+
+
+@_tier
+def test_resource_capacity_is_an_integer(engine):
+    """A capacity is a count of slots: a float is a ``TypeError`` on
+    both tiers (the compiled tier parses an integer), even an integral
+    one, and a count below one a ``SimulationError``."""
+    sim = engine.Simulator()
+    for capacity in (1.5, 2.0):
+        with pytest.raises(TypeError):
+            engine.Resource(sim, capacity)
+    with pytest.raises(engine.SimulationError):
+        engine.Resource(sim, 0)
+    assert engine.Resource(sim, 2).capacity == 2
 
 
 @_tier
@@ -387,8 +445,6 @@ def test_engine_env_rejects_unknown_value():
 # a subprocess under a timeout, so a hang fails instead of hanging.
 _NONFINITE = {
     "timeout": ("sim.timeout(nan)", "SimulationError"),
-    "after": ("sim.after(nan, lambda _ev: None)", "SimulationError"),
-    "after_call": ("sim.after_call(nan, lambda: None)", "SimulationError"),
     "call_at": ("sim.call_at(nan, lambda: None)", "SimulationError"),
     "occupy": ("cpu.occupy(nan)", "SimulationError"),
     "occupy_quanta": ("cpu.occupy_quanta(nan, 1e-3)", "SimulationError"),

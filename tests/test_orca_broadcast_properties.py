@@ -136,8 +136,7 @@ def _drive_holdback(order, delays):
         def _charged(_ev):
             log.append((node, payload.seq, sim.now))
             k(payload.seq)
-        fabric.nodes[node].cpu.execute_ev(
-            _APPLY_COST).callbacks.append(_charged)
+        fabric.nodes[node].cpu.occupy(_APPLY_COST).callbacks.append(_charged)
 
     tob = TotalOrderBroadcast(sim, fabric, CentralizedSequencer(sim, 1, 0.0),
                               apply)
@@ -155,7 +154,7 @@ def _drive_holdback(order, delays):
                                args=(), sender=0)
         msg = Message(src=1, dst=0, size=64, payload=payload,
                       port=BCAST_PORT, kind="bcast")
-        sim.after(delay, lambda _ev, m=msg: port.put(m))
+        sim.call_at(delay, lambda m=msg: port.put(m))
     sim.run()
     return log, tob._delivery[0], completions
 

@@ -25,7 +25,7 @@ def test_timeout_value_passthrough():
     an event the timeout's callback succeeds."""
     sim = Simulator()
     ev = Event(sim)
-    sim.after(1.0, lambda _t: ev.succeed("hello"))
+    sim.timeout(1.0).callbacks.append(lambda _t: ev.succeed("hello"))
 
     def proc():
         assert (yield sim.timeout(0.5)) is None

@@ -1,9 +1,10 @@
-"""Unit tests for channels, resources, CPUs, and barriers."""
+"""Unit tests for channels, resources (a CPU is a capacity-1 resource),
+and barriers."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Barrier, Channel, CPU, Resource, SimulationError, Simulator
+from repro.sim import Barrier, Channel, Resource, SimulationError, Simulator
 
 
 # ---------------------------------------------------------------- Channel
@@ -145,14 +146,26 @@ def test_resource_busy_time_accounting():
 
 
 # ---------------------------------------------------------------- CPU
+#
+# A node or gateway CPU is ``Resource(sim, 1)``, charged with ``occupy``.
+
+
+def _execute(sim, cpu, seconds, priority=0):
+    """The request/timeout/release process ``occupy`` stands for: the
+    reference it is held to."""
+    yield cpu.request(priority)
+    try:
+        yield sim.timeout(seconds)
+    finally:
+        cpu.release()
 
 
 def test_cpu_execute_charges_time():
     sim = Simulator()
-    cpu = CPU(sim)
+    cpu = Resource(sim, 1)
 
     def proc():
-        yield sim.spawn(cpu.execute(1.25))
+        yield cpu.occupy(1.25)
         return sim.now
 
     assert sim.run_process(proc()) == pytest.approx(1.25)
@@ -160,11 +173,11 @@ def test_cpu_execute_charges_time():
 
 def test_cpu_execute_serializes():
     sim = Simulator()
-    cpu = CPU(sim)
+    cpu = Resource(sim, 1)
     ends = []
 
     def proc(i):
-        yield sim.spawn(cpu.execute(1.0))
+        yield cpu.occupy(1.0)
         ends.append(sim.now)
 
     for i in range(3):
@@ -175,13 +188,14 @@ def test_cpu_execute_serializes():
 
 def test_cpu_negative_time_rejected():
     sim = Simulator()
-    cpu = CPU(sim)
+    cpu = Resource(sim, 1)
 
     def proc():
-        yield sim.spawn(cpu.execute(-0.1))
+        yield cpu.occupy(-0.1)
 
     with pytest.raises(SimulationError):
         sim.run_process(proc())
+    assert cpu.in_use == 0 and sim.stats()["events_processed"] == 1
 
 
 # ---------------------------------------------------------------- Barrier
@@ -292,7 +306,7 @@ def _via_occupy(capacity, jobs):
         ev.callbacks.append(lambda _e, i=i: done.__setitem__(i, sim.now))
 
     for i, (start, hold, priority) in enumerate(jobs):
-        sim.after(start, lambda _e, i=i, h=hold, p=priority: launch(i, h, p))
+        sim.call_at(start, lambda i=i, h=hold, p=priority: launch(i, h, p))
     sim.run()
     return done, res.busy_time(), res.in_use
 
@@ -316,8 +330,8 @@ def _via_process(capacity, jobs):
         done[i] = sim.now
 
     for i, (start, hold, priority) in enumerate(jobs):
-        sim.after(start, lambda _e, i=i, h=hold, p=priority:
-                  sim.spawn(worker(i, h, p)))
+        sim.call_at(start, lambda i=i, h=hold, p=priority:
+                    sim.spawn(worker(i, h, p)))
     sim.run()
     return done, res.busy_time(), res.in_use
 
@@ -336,28 +350,29 @@ def test_occupy_matches_process_pattern(capacity, jobs):
 @given(st.lists(st.tuples(st.integers(0, 5).map(lambda d: d * 0.125),
                           st.integers(0, 1)),
                 min_size=1, max_size=8))
-def test_execute_ev_matches_execute(charges):
-    """``CPU.execute_ev`` holds the CPU exactly like ``CPU.execute``."""
+def test_occupy_matches_execute(charges):
+    """``occupy`` holds a CPU exactly like the request/timeout/release
+    process ``_execute``."""
     def waiter(ev):
         yield ev
 
-    def via_ev():
+    def via_occupy():
         sim = Simulator()
-        cpu = CPU(sim)
+        cpu = Resource(sim, 1)
         for seconds, priority in charges:
-            sim.spawn(waiter(cpu.execute_ev(seconds, priority)))
+            sim.spawn(waiter(cpu.occupy(seconds, priority)))
         sim.run()
         return sim.now, cpu.busy_time()
 
-    def via_gen():
+    def via_execute():
         sim = Simulator()
-        cpu = CPU(sim)
+        cpu = Resource(sim, 1)
         for seconds, priority in charges:
-            sim.spawn(cpu.execute(seconds, priority))
+            sim.spawn(_execute(sim, cpu, seconds, priority))
         sim.run()
         return sim.now, cpu.busy_time()
 
-    assert via_ev() == via_gen()
+    assert via_occupy() == via_execute()
 
 
 def test_occupy_rejects_negative():

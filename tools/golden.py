@@ -549,7 +549,7 @@ def _run_resource_program(engine: Any, capacities: List[int], ops: list,
         def release(_ev):
             res.release()
             sample("released", i, res)
-        sim.after(hold, release)
+        sim.leg((hold,)).callbacks.append(release)
 
     def worker(i, res, hold, priority, traced):
         t_req = sim.now
@@ -595,12 +595,12 @@ def _run_resource_program(engine: Any, capacities: List[int], ops: list,
                 # while still queued; release() must skip it.
                 if not gate.triggered:
                     gate.succeed("cancelled")
-            sim.after(extra * 0.25, cancel)
+            sim.leg((extra * 0.25,)).callbacks.append(cancel)
 
     for i, (kind, r, start, hold, priority, extra) in enumerate(ops):
         res = resources[r % len(resources)]
-        sim.after(start, lambda _ev, a=(i, kind, res, hold, priority, extra):
-                  launch(*a))
+        sim.leg((start,)).callbacks.append(
+            lambda _ev, a=(i, kind, res, hold, priority, extra): launch(*a))
     sim.run()
     assert all(res.in_use == 0 and res.queue_length == 0
                for res in resources)
@@ -732,13 +732,15 @@ def _run_leg_program(engine: Any, capacities: List[int], q: float,
     """Run ``ops``; return (log, busy times, final clock, stats).
 
     A ``leg`` is one ``Simulator.leg`` call.  With ``loop`` it runs the
-    closure chain that call replaces instead — a delay is ``sim.after``
-    and an occupancy ``occupy(seconds, 0, hook)``, each started by a
-    callback on the completion event of the step before, and a call
-    step runs and then starts the next step in the same dispatch —
-    which it must be indistinguishable from.  The log holds every hook
-    and call step, the value and instant each completion is observed
-    at, and every resource's queue sample there."""
+    closure chain that call replaces instead — a delay is a
+    ``sim.timeout`` (not a one-delay leg, so the reference does not
+    lean on the call it checks) and an occupancy ``occupy(seconds, 0,
+    hook)``, each started by a callback on the completion event of the
+    step before, and a call step runs and then starts the next step in
+    the same dispatch — which it must be indistinguishable from.  The
+    log holds every hook and call step, the value and instant each
+    completion is observed at, and every resource's queue sample
+    there."""
     sim = engine.Simulator()
     resources = [engine.Resource(sim, c, name=f"r{i}")
                  for i, c in enumerate(capacities)]
@@ -773,7 +775,7 @@ def _run_leg_program(engine: Any, capacities: List[int], q: float,
             res, seconds, hook = step
             res.occupy(seconds, 0, hook).callbacks.append(then)
         else:
-            sim.after(step, then)
+            sim.timeout(step).callbacks.append(then)
 
     def launch(i, kind, args):
         if kind == "leg":
