@@ -95,24 +95,20 @@ def _parse_sample(text: Optional[str]) -> Tuple[Tuple[str, int], ...]:
 
 
 def _runner(args) -> ParallelRunner:
-    """Build the sweep runner from the shared --jobs/--no-cache,
-    --trace-* and (where the verb has them) --pdes flags.  Asking for a
-    PDES mode bypasses the result cache: a cached result says nothing
-    about how it was run (it carries no PDES counters), and the point of
-    the flag is to run."""
+    """Build the sweep runner from the shared --jobs/--no-cache and
+    --trace-* flags.  ``repro app --pdes on`` bypasses the result
+    cache: a cached result says nothing about how it was run (it
+    carries no PDES counters), and the point of the flag is to run."""
     trace = None
     if args.trace_dir:
         trace = TraceSpec(ring=args.trace_ring,
                           sample=_parse_sample(args.trace_sample))
     elif args.trace_ring is not None or args.trace_sample:
         raise _CLIError("--trace-ring/--trace-sample require --trace-dir")
-    pdes = getattr(args, "pdes", None)
-    uncached = args.no_cache or pdes in ("on", "auto")
+    uncached = args.no_cache or getattr(args, "pdes", "off") == "on"
     return ParallelRunner(jobs=args.jobs,
                           cache=None if uncached else ResultCache(),
-                          trace=trace, trace_dir=args.trace_dir or None,
-                          pdes=pdes,
-                          pdes_workers=getattr(args, "pdes_workers", None))
+                          trace=trace, trace_dir=args.trace_dir or None)
 
 
 def _spec(args, app: str, **over) -> RunSpec:
@@ -120,7 +116,7 @@ def _spec(args, app: str, **over) -> RunSpec:
     holds what the verb decides itself (scenario, decision, geometry)."""
     fields = dict(variant=args.variant, n_clusters=args.clusters,
                   nodes_per_cluster=args.nodes, params=bench_params(app),
-                  pdes=getattr(args, "pdes", None),
+                  pdes=getattr(args, "pdes", "off"),
                   pdes_workers=getattr(args, "pdes_workers", None))
     return RunSpec(app, **{**fields, **over})
 
@@ -204,8 +200,8 @@ def cmd_app(args) -> int:
                   f"{row['bytes'] / 1024:.0f} kbytes")
     if res.stats:
         print(f"  stats: {res.stats}")
-    if args.pdes in ("on", "auto"):
-        from .obs import format_pdes_summary
+    if args.pdes == "on":
+        from .sim.pdes import format_pdes_summary
         summary = format_pdes_summary(res.sim_stats or {})
         if summary:
             print(f"  {summary}")
@@ -365,7 +361,7 @@ def _scenarios(args):
                        for text in (args.cluster or []))
     except ValueError as exc:
         raise _CLIError(str(exc)) from None
-    seeds = [args.seed + i for i in range(max(1, args.seeds))]
+    seeds = [args.seed + i for i in range(args.seeds)]
     return seeds, [Scenario(seed=s, impairments=tuple(impairments),
                             faults=faults, clusters=tweaks) for s in seeds]
 
@@ -476,7 +472,7 @@ def _group(add):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of a count that must be >= 1 (geometry, repeats)."""
+    """argparse type of a count that must be >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} must be >= 1")
@@ -501,13 +497,15 @@ def _decision_flags(parser) -> None:
 def _seed_flags(parser, seeds_help: str) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="base scenario seed (default 0)")
-    parser.add_argument("--seeds", type=int, default=1, metavar="K",
+    parser.add_argument("--seeds", type=_positive_int, default=1,
+                        metavar="K",
                         help=seeds_help)
 
 
 @_group
 def _sweep_flags(parser) -> None:
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=_positive_int, default=None,
+                        metavar="N",
                         help="worker processes for independent runs "
                              "(default: $REPRO_JOBS or 1)")
     parser.add_argument("--no-cache", action="store_true",
@@ -516,7 +514,8 @@ def _sweep_flags(parser) -> None:
                         help="trace every grid point and write one "
                              "Perfetto file per point into DIR (traced "
                              "points bypass the result cache)")
-    parser.add_argument("--trace-ring", type=int, default=None, metavar="N",
+    parser.add_argument("--trace-ring", type=_positive_int, default=None,
+                        metavar="N",
                         help="with --trace-dir: keep only the last N "
                              "records per run (ring buffer)")
     parser.add_argument("--trace-sample", default=None, metavar="K1=k,...",
@@ -526,18 +525,19 @@ def _sweep_flags(parser) -> None:
 
 @_group
 def _pdes_flags(parser) -> None:
-    parser.add_argument("--pdes", choices=["off", "on", "auto"], default=None,
+    parser.add_argument("--pdes", choices=["off", "on"], default="off",
                         help="partitioned (per-cluster) execution across "
-                             "host cores; identical results (default: "
-                             "the REPRO_PDES environment variable)")
-    parser.add_argument("--pdes-workers", type=int, default=None, metavar="N",
+                             "host cores; identical results (default: off)")
+    parser.add_argument("--pdes-workers", type=_positive_int, default=None,
+                        metavar="N",
                         help="partition worker count (default: one per "
                              "cluster, capped at host cores)")
 
 
 @_group
 def _bound_flags(parser) -> None:
-    parser.add_argument("--ring", type=int, default=None, metavar="N",
+    parser.add_argument("--ring", type=_positive_int, default=None,
+                        metavar="N",
                         help="keep only the last N trace records "
                              "(ring buffer)")
     parser.add_argument("--sample", default=None, metavar="K1=k,...",
@@ -586,7 +586,7 @@ def main(argv=None) -> int:
     p_table.add_argument("number", type=int)
 
     p_fig = sub.add_parser("figure", help="regenerate a figure",
-                           parents=[_pdes_flags(), _sweep_flags()])
+                           parents=[_sweep_flags()])
     p_fig.add_argument("figure")
     p_fig.add_argument("--cpus", type=int, nargs="+",
                        default=list(QUICK_CPUS))
@@ -672,7 +672,7 @@ def main(argv=None) -> int:
                  _seed_flags("average probes over K consecutive seeds "
                              "(impaired scenarios only)"),
                  _sweep_flags()])
-    p_tune.add_argument("--sizes", type=int, nargs="+",
+    p_tune.add_argument("--sizes", type=_positive_int, nargs="+",
                         default=list(DEFAULT_SIZES), metavar="BYTES",
                         help="message sizes to probe "
                              f"(default: {' '.join(map(str, DEFAULT_SIZES))})")
@@ -682,7 +682,7 @@ def main(argv=None) -> int:
                              f"{' '.join(map(str, DEFAULT_CLUSTERS))})")
     p_tune.add_argument("--nodes", type=_positive_int, default=4,
                         help="nodes per cluster in probe topologies (4)")
-    p_tune.add_argument("--reps", type=int, default=3,
+    p_tune.add_argument("--reps", type=_positive_int, default=3,
                         help="repetitions per probe point (3)")
     p_tune.add_argument("--out", default=None, metavar="PATH",
                         help="write the fitted DecisionModel as JSON")
@@ -695,7 +695,8 @@ def main(argv=None) -> int:
                         help="with --apply: restrict to these apps")
     p_tune.add_argument("--variant", default="original",
                         help="with --apply: app variant (original)")
-    p_tune.add_argument("--apply-nodes", type=int, default=8, metavar="N",
+    p_tune.add_argument("--apply-nodes", type=_positive_int, default=8,
+                        metavar="N",
                         help="with --apply: nodes per cluster (8); the "
                              "cluster count is max(--clusters)")
 

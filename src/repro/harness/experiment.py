@@ -97,7 +97,7 @@ def run_app(app: Application, variant: str, n_clusters: int,
             tracer: Optional[Tracer] = None,
             scenario: Optional["Scenario"] = None,
             decision: Optional[Any] = None,
-            pdes: Optional[str] = None,
+            pdes: str = "off",
             pdes_workers: Optional[int] = None) -> AppResult:
     """Run ``app``/``variant`` on ``n_clusters`` x ``nodes_per_cluster``.
 
@@ -126,11 +126,12 @@ def run_app(app: Application, variant: str, n_clusters: int,
     fixed strategy, bit-identical to the pre-tuner stack (see
     docs/TUNING.md).
 
-    ``pdes`` selects partitioned execution (``"off"``/``"on"``/
-    ``"auto"``; ``None`` defers to ``REPRO_PDES``): eligible runs split
-    per cluster block across ``pdes_workers`` forked workers and
-    synchronize conservatively at WAN horizons, producing the identical
-    result (see docs/ARCHITECTURE.md and :mod:`repro.sim.pdes`).
+    ``pdes="on"`` asks for partitioned execution (the default is
+    ``"off"``): an eligible run splits per cluster block across
+    ``pdes_workers`` forked workers that synchronize conservatively at
+    WAN horizons, producing the identical result; an ineligible one
+    warns and runs single-process (see docs/ARCHITECTURE.md and
+    :mod:`repro.sim.pdes`, which only such a run imports).
     """
     app.check_variant(variant)
     topo = topology if topology is not None \
@@ -139,10 +140,11 @@ def run_app(app: Application, variant: str, n_clusters: int,
         from ..scenario import scenario_topology
         topo = scenario_topology(scenario, topo)
 
-    from ..sim.pdes import forced_on_by, pdes_mode, plan
-    mode = pdes_mode(pdes)
-    if mode != "off":
-        from ..sim.pdes import run_app_pdes
+    if pdes not in ("off", "on"):
+        raise SimulationError(
+            f"unknown pdes value {pdes!r} (expected 'off' or 'on')")
+    if pdes == "on":
+        from ..sim.pdes import plan, run_app_pdes
         reason = plan.pdes_ineligible_reason(
             app, topo.n_clusters, scenario=scenario, decision=decision,
             utilization=utilization)
@@ -156,11 +158,10 @@ def run_app(app: Application, variant: str, n_clusters: int,
                 dedicated_sequencer_node=dedicated_sequencer_node,
                 topo=topo, trace=trace, tracer=tracer,
                 scenario=scenario, n_workers=width)
-        if mode == "on":
-            import sys
-            print(f"repro: warning: {forced_on_by(pdes)} but "
-                  f"{app.name}/{variant} cannot be partitioned "
-                  f"({reason}); running single-process", file=sys.stderr)
+        import sys
+        print(f"repro: warning: pdes='on' but {app.name}/{variant} "
+              f"cannot be partitioned ({reason}); running "
+              f"single-process", file=sys.stderr)
 
     seq_kind = sequencer if sequencer is not None else app.sequencer_for(variant)
     sim, fabric, rts = _build_stack(

@@ -133,12 +133,12 @@ class RunSpec:
     #: spells out every fitted coefficient, so tuned and fixed runs have
     #: distinct cache identities.
     decision: Optional[Any] = None
-    #: Partitioned (PDES) execution mode for this run
-    #: (``"off"``/``"on"``/``"auto"``; ``None`` defers to ``REPRO_PDES``)
-    #: and the worker count.  Excluded from the cache key: a PDES run
-    #: produces the identical result, so both execution modes share one
-    #: cache identity — exactly like the trace spec.
-    pdes: Optional[str] = None
+    #: ``"on"`` asks :func:`run_app` for partitioned (PDES) execution
+    #: on ``pdes_workers`` workers; ``"off"`` is the default.  Excluded
+    #: from the cache key: a PDES run produces the identical result, so
+    #: both execution modes share one cache identity — exactly like the
+    #: trace spec.
+    pdes: str = "off"
     pdes_workers: Optional[int] = None
 
     def __post_init__(self):
@@ -196,27 +196,17 @@ def _nested(work: List[RunSpec]) -> List[RunSpec]:
     whole machine) while the sweep already keeps every core busy.  Only
     the runner building the pool knows a spec is about to be pooled —
     so the policy is applied here, in the parent, and travels in the
-    picklable spec: every PDES mode ships as ``pdes="off"``.  ``auto``
-    declines quietly; a forced ``on`` says so once per pool, as ``on``
-    always does when it cannot be honoured.
+    picklable spec: a spec that asks for ``pdes="on"`` ships as
+    ``"off"``, and the pool says so once, as ``on`` always does when it
+    cannot be honoured.
     """
-    from ..sim.pdes import forced_on_by, pdes_mode
-
-    forced = None
-    shipped = []
-    for spec in work:
-        mode = pdes_mode(spec.pdes)
-        if mode != "off":
-            if mode == "on" and forced is None:
-                forced = spec
-            spec = dataclasses.replace(spec, pdes="off")
-        shipped.append(spec)
-    if forced is not None:
-        print(f"repro: warning: {forced_on_by(forced.pdes)} but these "
-              f"{len(work)} points run in a sweep pool (pool workers "
-              f"cannot fork partition workers); running each "
-              f"single-process", file=sys.stderr)
-    return shipped
+    if not any(spec.pdes == "on" for spec in work):
+        return work
+    print(f"repro: warning: pdes='on' but these {len(work)} points run "
+          f"in a sweep pool (pool workers cannot fork partition "
+          f"workers); running each single-process", file=sys.stderr)
+    return [dataclasses.replace(spec, pdes="off") if spec.pdes == "on"
+            else spec for spec in work]
 
 
 def _build_instances(work: List[RunSpec]) -> None:
@@ -342,30 +332,22 @@ class ParallelRunner:
     the in-memory result, so a big sweep never holds every trace at
     once); the paths accumulate on ``trace_files``.
 
-    ``pdes`` (with optional ``pdes_workers``) applies the partitioned
-    execution mode to every spec that does not already pin one — the
-    same mirror pattern as ``trace``.  PDES runs are bit-identical to
-    single-process runs, so cache identities are unchanged; points that
-    execute serially in this process additionally *reuse* the forked
-    PDES worker pool across consecutive grid points of the same
-    topology (see :func:`repro.sim.pdes.shutdown_pool`), so a figure
-    sweep pays the fork cost once per geometry, not once per point.
-    Points dispatched to the pool never nest: the runner ships them
-    ``pdes="off"`` and a forced ``on`` warns once (see :func:`_nested`).
+    A spec that asks for ``pdes="on"`` partitions when it runs in this
+    process (one job, or a batch of one point) and reuses the forked
+    PDES worker pool of the previous run of its topology (see
+    :func:`repro.sim.pdes.shutdown_pool`).  Points dispatched to the
+    sweep pool never nest: the runner ships them ``pdes="off"`` and
+    warns once (see :func:`_nested`).
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  trace: Optional[TraceSpec] = None,
-                 trace_dir: Optional[str] = None,
-                 pdes: Optional[str] = None,
-                 pdes_workers: Optional[int] = None):
+                 trace_dir: Optional[str] = None):
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.cache = cache
         self.trace = trace
         self.trace_dir = trace_dir
-        self.pdes = pdes
-        self.pdes_workers = pdes_workers
         self.trace_files: List[str] = []
         self.hits = 0      # cache hits over this runner's lifetime
         self.computed = 0  # specs actually simulated
@@ -383,13 +365,6 @@ class ParallelRunner:
         if self.trace is not None:
             specs = [dataclasses.replace(spec, trace=self.trace)
                      if spec.trace is None else spec for spec in specs]
-        if self.pdes is not None:
-            specs = [dataclasses.replace(
-                         spec, pdes=self.pdes,
-                         pdes_workers=spec.pdes_workers
-                         if spec.pdes_workers is not None
-                         else self.pdes_workers)
-                     if spec.pdes is None else spec for spec in specs]
         results: List[Optional[AppResult]] = [None] * len(specs)
         # Group uncached work by content key so duplicates run once.
         # The trace spec rides along in the dedup key: a traced and an

@@ -47,7 +47,6 @@ from .profile import (
     PROFILE_KINDS,
     BottleneckReport,
     format_bottleneck,
-    format_pdes_summary,
     format_profile_diff,
     format_profile_table,
     profile_app,
@@ -90,7 +89,6 @@ __all__ = [
     "PROFILE_KINDS",
     "BottleneckReport",
     "format_bottleneck",
-    "format_pdes_summary",
     "format_profile_diff",
     "format_profile_table",
     "profile_app",

@@ -33,7 +33,7 @@ from .schema import KINDS
 
 __all__ = ["PROFILE_KINDS", "BottleneckReport", "profile_app",
            "format_bottleneck", "format_profile_table",
-           "format_profile_diff", "format_pdes_summary"]
+           "format_profile_diff"]
 
 #: The kinds the profiler records.  High-volume per-event kinds that the
 #: analyzers do not consume (process lifecycle, per-copy message
@@ -231,38 +231,6 @@ def format_profile_diff(before: BottleneckReport,
         lines.append(f"  {'busiest PVC':<22} {fa:>13} {fb:>13}")
     lines.append(f"  dominant: {before.narrative}  ->  {after.narrative}")
     return "\n".join(lines)
-
-
-def format_pdes_summary(sim_stats: Dict[str, Any]) -> Optional[str]:
-    """One-line synchronization summary for a partitioned (PDES) run.
-
-    Condenses the ``pdes_*`` counters a partitioned run adds to
-    ``sim_stats`` into the profile-style line ``repro app --pdes``
-    prints: how many epochs the conservative protocol took, how many
-    worker round-trips the quiescence coalescing elided, and what the
-    shared-memory rings actually carried.  Returns ``None`` when the
-    stats do not come from a partitioned run (e.g. ``--pdes auto``
-    fell back to the single-process oracle).
-    """
-    if "pdes_partitions" not in sim_stats:
-        return None
-    epochs = sim_stats.get("pdes_epochs", 0)
-    trips = sim_stats.get("pdes_round_trips", 0)
-    coalesced = sim_stats.get("pdes_coalesced_round_trips", 0)
-    possible = trips + coalesced
-    share = f", {_pct(coalesced / possible)} of possible" if possible else ""
-    kib = sim_stats.get("pdes_channel_bytes", 0) / 1024.0
-    line = (f"pdes: {sim_stats['pdes_partitions']} partitions, "
-            f"{epochs} epochs, {trips} round-trips "
-            f"({coalesced} coalesced{share}), "
-            f"{sim_stats.get('pdes_cross_messages', 0)} cross msgs + "
-            f"{sim_stats.get('pdes_acks', 0)} acks in {kib:.0f} KiB, "
-            f"{sim_stats.get('pdes_epoch_breaks', 0)} epoch breaks, "
-            f"blocked {sim_stats.get('pdes_blocked_s', 0.0):.3f}s")
-    overflows = sim_stats.get("pdes_channel_overflows", 0)
-    if overflows:
-        line += f", {overflows} ring overflows (pipe fallback)"
-    return line
 
 
 def format_profile_table(reports: List[BottleneckReport]) -> str:

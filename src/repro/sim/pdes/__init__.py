@@ -13,22 +13,18 @@ The single-process engine stays the oracle: a PDES run produces
 bit-identical answers, finish times and trace record contents — the
 golden parity suite (``tests/test_pdes_golden.py``) holds that line.
 
-Selection mirrors ``REPRO_ENGINE``, via ``REPRO_PDES`` or the
-``pdes=`` argument to ``run_app`` (CLI: ``--pdes``):
-
-* ``off`` (default, also the empty string) — single-process always;
-* ``on`` — partition when the run is eligible; warn on stderr and fall
-  back to single-process when it is not;
-* ``auto`` — partition eligible runs silently.  A sweep pool resolves
-  it to ``off`` for the specs it dispatches (the host is already busy;
-  see :class:`repro.harness.sweeps.ParallelRunner`).
+A run asks for it one way: ``pdes="on"`` on :func:`run_app
+<repro.harness.experiment.run_app>` or on its
+:class:`~repro.harness.sweeps.RunSpec` (CLI: ``repro app --pdes on``).
+An ineligible run warns on stderr and runs single-process; so does a
+spec a sweep pool dispatches, since pool workers cannot fork partition
+workers.  Nothing imports this package unless a run asks for it.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Any, Dict, Optional
 
-from ..engine import SimulationError
 from .boundary import EpochBreak, PartitionBoundary
 from .channel import ShmChannel, ShmRing
 from .coordinator import (WorkerSpec, compute_caps, run_app_pdes, run_epoch,
@@ -37,9 +33,6 @@ from .plan import (channel_capacity, cluster_partition_map,
                    partition_clusters, pdes_ineligible_reason, wan_lookahead)
 
 __all__ = [
-    "PDES_ENV",
-    "pdes_mode",
-    "forced_on_by",
     "EpochBreak",
     "PartitionBoundary",
     "ShmRing",
@@ -54,30 +47,38 @@ __all__ = [
     "cluster_partition_map",
     "pdes_ineligible_reason",
     "wan_lookahead",
+    "format_pdes_summary",
 ]
 
-PDES_ENV = "REPRO_PDES"
-_MODES = ("off", "on", "auto")
 
+def format_pdes_summary(sim_stats: Dict[str, Any]) -> Optional[str]:
+    """One-line synchronization summary for a partitioned (PDES) run.
 
-def pdes_mode(explicit=None) -> str:
-    """Resolve the PDES mode: explicit argument, else ``REPRO_PDES``.
-
-    Unknown values raise, like ``REPRO_ENGINE``'s selector — a typo
-    silently running everything single-process would defeat the point
-    of asking.
+    Condenses the ``pdes_*`` counters :func:`run_app_pdes` adds to
+    ``sim_stats`` into the profile-style line ``repro app --pdes on``
+    prints: how many epochs the conservative protocol took, how many
+    worker round-trips the quiescence coalescing elided, and what the
+    shared-memory rings actually carried.  Returns ``None`` when the
+    stats do not come from a partitioned run (an ineligible run fell
+    back to the single-process oracle).
     """
-    raw = explicit if explicit is not None \
-        else os.environ.get(PDES_ENV, "off")
-    mode = str(raw).strip().lower() or "off"
-    if mode not in _MODES:
-        raise SimulationError(
-            f"unknown {PDES_ENV} value {raw!r} "
-            f"(expected 'off', 'on', or 'auto')")
-    return mode
-
-
-def forced_on_by(explicit=None) -> str:
-    """How a forced ``on`` was asked for — what the warnings that
-    decline it name, so the user knows which knob to turn."""
-    return f"{PDES_ENV}=on" if explicit is None else "pdes='on' (--pdes on)"
+    if "pdes_partitions" not in sim_stats:
+        return None
+    epochs = sim_stats.get("pdes_epochs", 0)
+    trips = sim_stats.get("pdes_round_trips", 0)
+    coalesced = sim_stats.get("pdes_coalesced_round_trips", 0)
+    possible = trips + coalesced
+    share = (f", {100.0 * coalesced / possible:.0f}% of possible"
+             if possible else "")
+    kib = sim_stats.get("pdes_channel_bytes", 0) / 1024.0
+    line = (f"pdes: {sim_stats['pdes_partitions']} partitions, "
+            f"{epochs} epochs, {trips} round-trips "
+            f"({coalesced} coalesced{share}), "
+            f"{sim_stats.get('pdes_cross_messages', 0)} cross msgs + "
+            f"{sim_stats.get('pdes_acks', 0)} acks in {kib:.0f} KiB, "
+            f"{sim_stats.get('pdes_epoch_breaks', 0)} epoch breaks, "
+            f"blocked {sim_stats.get('pdes_blocked_s', 0.0):.3f}s")
+    overflows = sim_stats.get("pdes_channel_overflows", 0)
+    if overflows:
+        line += f", {overflows} ring overflows (pipe fallback)"
+    return line

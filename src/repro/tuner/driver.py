@@ -221,6 +221,8 @@ def sweep(sizes: Sequence[int] = DEFAULT_SIZES,
     for size in sizes:
         if size < 1:
             raise ValueError(f"probe sizes must be >= 1: {size}")
+    if reps < 1:
+        raise ValueError(f"probe repetitions must be >= 1: {reps}")
     probes: List[Probe] = []
     for n_clusters in cluster_counts:
         variants = _grid_scenarios(scenarios, seeds)

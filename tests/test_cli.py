@@ -51,10 +51,20 @@ def test_cli_requires_command():
     ["scenario", "tsp", "--clusters", "0"],
     ["tune", "--nodes", "0"],
     ["bench", "--repeat", "0"],
+    ["tune", "--reps", "0"],
+    ["tune", "--apply-nodes", "0"],
+    ["tune", "--sizes", "0"],
+    ["figure", "fig7", "--trace-ring", "0"],
+    ["profile", "tsp", "--ring", "0"],
+    ["trace", "tsp", "--ring", "0"],
+    ["table", "1", "--jobs", "0"],
+    ["scenario", "tsp", "--seeds", "0"],
+    ["app", "sor", "--pdes-workers", "0"],
 ])
 def test_cli_rejects_non_positive_counts(argv, capsys):
-    """A zero geometry or repeat count is a usage error (exit 2), not a
-    traceback from deep inside the run."""
+    """A zero geometry, repeat, width, ring or size count is a usage
+    error (exit 2), not a traceback from deep inside the run nor a
+    silent clamp to some other value."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -106,7 +116,7 @@ _SEEDS = "--seed --seeds"
 VERB_SURFACE = {
     "list": ("", ""),
     "table": ("number", _SWEEP),
-    "figure": ("figure", f"--cpus --plot {_PDES} {_SWEEP}"),
+    "figure": ("figure", f"--cpus --plot {_SWEEP}"),
     "app": ("app", f"{_GEOMETRY} --decision {_PDES} {_SWEEP}"),
     "profile": ("app", f"{_GEOMETRY} --diff {_BOUND}"),
     "trace": ("app", f"{_GEOMETRY} --format --out --kinds {_BOUND}"),

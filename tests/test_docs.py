@@ -71,7 +71,9 @@ def test_no_tier_selector_reappears():
 
 #: Options and entry points deleted once a census found no caller (or
 #: only ever one value) for them.  Ids live on the run, pool nesting
-#: travels in the spec, dispatch is ``chunksize``; the engine is what the
+#: travels in the spec, PDES is asked for one way (``pdes="on"`` on one
+#: run: no environment variable, no mode resolver, no ``auto``),
+#: dispatch is ``chunksize``; the engine is what the
 #: simulated machine calls (no first-of waits, no duplicate stats key)
 #: and so are the layers above it; the engine's oracle is the manifest's
 #: ``engine/*`` cells, not a third engine; an app process, an Orca wait
@@ -99,6 +101,7 @@ DELETED_SURFACE = (
     "def _striped_stage(", "def _access_up(", "def _access_down(",
     "def _p2p_streams(", "_NO_THEN",
     "class CPU(", "execute_ev", "def after_call(", "_occupy_ev", "drop_arg",
+    "REPRO_PDES", "pdes_mode", "forced_on_by",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the
@@ -198,10 +201,10 @@ def test_checker_flags_env_table_drift(check_docs):
     doc = check_docs.ARCHITECTURE_DOC
     text = (REPO / doc).read_text()
     assert check_docs.check_env_vars({doc: text}) == []
-    row = "| `REPRO_PDES` |"
+    row = "| `REPRO_JOBS` |"
     assert row in text
     missing = check_docs.check_env_vars({doc: text.replace(row, "| gone |")})
-    assert missing == [f"{doc}: REPRO_PDES is named in the code but has no "
+    assert missing == [f"{doc}: REPRO_JOBS is named in the code but has no "
                        f"row in the Environment variables table"]
     stale = check_docs.check_env_vars(
         {doc: text + "\n| `REPRO_NO_SUCH_KNOB` | x | y | z |\n"})

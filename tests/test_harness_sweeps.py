@@ -1,6 +1,7 @@
 """Tests for the parallel sweep subsystem (runner, cache, determinism,
 host faults)."""
 
+import dataclasses
 import os
 import pickle
 import re
@@ -296,10 +297,11 @@ def test_default_cache_dir_env(monkeypatch, tmp_path):
 # ------------------------------------------------------- traced sweeps
 
 
-def test_runner_pdes_default_mirrors_trace():
-    """A runner-level pdes mode applies to specs that don't pin one,
-    results stay bit-identical to the plain run, and consecutive grid
-    points of one topology reuse the forked partition pool."""
+def test_runner_pdes_specs_reuse_the_partition_pool():
+    """Specs that ask for ``pdes="on"`` run partitioned in a serial
+    runner, bit-identical to the plain run, and consecutive grid points
+    of one topology reuse the forked partition pool; a spec left at
+    ``"off"`` beside them stays single-process."""
     from repro.sim.pdes import coordinator, shutdown_pool
 
     specs = [RunSpec("sor", variant, 2, 3, small_params("sor"))
@@ -307,17 +309,16 @@ def test_runner_pdes_default_mirrors_trace():
     plain = ParallelRunner(jobs=1, cache=None).run(specs)
     shutdown_pool()
     try:
-        runner = ParallelRunner(jobs=1, cache=None, pdes="on",
-                                pdes_workers=2)
-        part = runner.run(specs)
+        runner = ParallelRunner(jobs=1, cache=None)
+        part = runner.run([dataclasses.replace(spec, pdes="on",
+                                               pdes_workers=2)
+                           for spec in specs])
         _same_results(plain, part)
         assert all(r.sim_stats["pdes_partitions"] == 2 for r in part)
         pool = coordinator._POOL
         assert pool is not None and pool.runs == len(specs)
-        # A spec that pins its own mode wins over the runner default.
-        pinned = runner.run([RunSpec("sor", "original", 2, 3,
-                                     small_params("sor"), pdes="off")])[0]
-        assert "pdes_partitions" not in pinned.sim_stats
+        off = runner.run(specs[:1])[0]
+        assert "pdes_partitions" not in off.sim_stats
     finally:
         shutdown_pool()
 

@@ -26,7 +26,6 @@ from repro.sim.pdes import (
     compute_caps,
     partition_clusters,
     pdes_ineligible_reason,
-    pdes_mode,
     plan,
     wan_lookahead,
 )
@@ -85,17 +84,34 @@ def test_wan_lookahead_loss_keeps_latency():
 # ----------------------------------------------------------------- mode
 
 
-def test_pdes_mode_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PDES", "on")
-    assert pdes_mode("off") == "off"
-    assert pdes_mode(None) == "on"
-    monkeypatch.delenv("REPRO_PDES")
-    assert pdes_mode(None) == "off"
-
-
 def test_pdes_mode_invalid_raises():
-    with pytest.raises(SimulationError, match="REPRO_PDES"):
-        pdes_mode("sometimes")
+    """``run_app`` takes ``pdes="off"`` or ``"on"`` and nothing else —
+    not the retired ``auto``, nor a spelling the old selector folded
+    into one of the two — and names the argument it refused."""
+    from repro.apps import make_app
+    from repro.harness import run_app
+    for value in ("auto", "ON", " on", "", None):
+        with pytest.raises(SimulationError, match="unknown pdes value"):
+            run_app(make_app("sor"), "original", 2, 3, small_params("sor"),
+                    pdes=value)
+
+
+def test_default_run_does_not_import_pdes():
+    """The partitioned engine is imported by a run that asks for it and
+    by nothing else: a default ``run_app`` (and the CLI, profiler and
+    sweep modules around it) leave ``repro.sim.pdes`` unloaded."""
+    import subprocess
+    import sys
+    code = (
+        "import sys\n"
+        "import repro.__main__, repro.harness, repro.obs\n"
+        "from repro.apps import make_app, small_params\n"
+        "from repro.harness import run_app\n"
+        "run_app(make_app('sor'), 'original', 2, 3, small_params('sor'))\n"
+        "print(sorted(m for m in sys.modules if 'pdes' in m))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------- eligibility
@@ -144,54 +160,27 @@ def _shipped(monkeypatch, runner, specs):
 def test_pdes_workers_derived_respects_sweep_pool(monkeypatch, capfd):
     """The nesting policy travels in the spec: pool workers do not fork
     partition workers (that would multiply processes), so the runner
-    building the pool ships every PDES mode as ``off`` — whatever the
-    cores or the asked width — and a forced ``on`` says so once, naming
-    how it was asked."""
-    specs = [RunSpec("sor", variant, 4, 2, small_params("sor"))
-             for variant in ("original", "optimized")]
-    monkeypatch.delenv("REPRO_PDES", raising=False)
+    building the pool ships every ``pdes="on"`` spec as ``off`` —
+    whatever the cores or the asked width — and says so once."""
     monkeypatch.setattr("os.cpu_count", lambda: 8)
-    for runner in (ParallelRunner(jobs=2, pdes="on"),
-                   ParallelRunner(jobs=2, pdes="on", pdes_workers=3)):
+    for width in (None, 3):
+        specs = [RunSpec("sor", variant, 4, 2, small_params("sor"),
+                         pdes="on", pdes_workers=width)
+                 for variant in ("original", "optimized")]
         capfd.readouterr()
-        width = runner.pdes_workers
-        assert _shipped(monkeypatch, runner, specs) == [("off", width)] * 2
+        assert _shipped(monkeypatch, ParallelRunner(jobs=2),
+                        specs) == [("off", width)] * 2
         err = capfd.readouterr().err
-        assert err.count("repro: warning: pdes='on' (--pdes on) but") == 1
+        assert err.count("repro: warning: pdes='on' but") == 1
         assert "pool workers cannot fork partition workers" in err
-    assert _shipped(monkeypatch, ParallelRunner(jobs=2, pdes="off"),
-                    specs) == [("off", None)] * 2
+    plain = [RunSpec("sor", variant, 4, 2, small_params("sor"))
+             for variant in ("original", "optimized")]
     assert _shipped(monkeypatch, ParallelRunner(jobs=2),
-                    specs) == [(None, None)] * 2
-    # REPRO_PDES is read in the parent, where the pool is built.
-    monkeypatch.setenv("REPRO_PDES", "auto")
-    assert _shipped(monkeypatch, ParallelRunner(jobs=2),
-                    specs) == [("off", None)] * 2
-    assert capfd.readouterr().err == ""             # auto declines quietly
-    monkeypatch.setenv("REPRO_PDES", "on")
-    assert _shipped(monkeypatch, ParallelRunner(jobs=2),
-                    specs) == [("off", None)] * 2
-    assert capfd.readouterr().err.count(
-        "repro: warning: REPRO_PDES=on but") == 1
-    # A serial runner builds no pool and resolves nothing.
-    monkeypatch.delenv("REPRO_PDES")
-    assert _shipped(monkeypatch, ParallelRunner(jobs=1, pdes="on"),
-                    specs) == [("on", None)] * 2
+                    plain) == [("off", None)] * 2
+    # A serial runner builds no pool and ships each spec as asked.
+    assert _shipped(monkeypatch, ParallelRunner(jobs=1),
+                    specs) == [("on", 3)] * 2
     assert capfd.readouterr().err == ""
-
-
-def test_pdes_auto_partitions_outside_a_pool():
-    """Outside a sweep pool nothing declines: a serial runner lets
-    ``auto`` partition an eligible run (the pooled side of the policy is
-    ``test_pdes_auto_declines_inside_sweep_pool``)."""
-    from repro.sim.pdes import shutdown_pool
-    spec = RunSpec("sor", "original", 2, 3, small_params("sor"))
-    try:
-        res = ParallelRunner(jobs=1, pdes="auto",
-                             pdes_workers=2).run_one(spec)
-    finally:
-        shutdown_pool()
-    assert res.sim_stats["pdes_partitions"] == 2
 
 
 # ----------------------------------------------------------- cap algebra

@@ -209,6 +209,17 @@ def test_fit_requires_ordering_probes():
         fit([])
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(reps=0), "repetitions must be >= 1: 0"),
+    (dict(sizes=(64, 0)), "sizes must be >= 1: 0"),
+])
+def test_tune_rejects_non_positive_counts_at_the_call(kwargs, match):
+    """Zero repetitions would divide by zero in the first probe; the
+    call refuses before any probe runs."""
+    with pytest.raises(ValueError, match=match):
+        tune(cluster_counts=(1,), **kwargs)
+
+
 # ----------------------------------------------------- harness plumbing
 
 def test_runspec_cache_key_distinguishes_decisions():
