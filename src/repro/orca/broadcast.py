@@ -22,10 +22,12 @@ in the single-sequencer Orca runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from ..sim import Event, Simulator
 from ..network import Fabric
+from ..network.fabric import BoundPort
 from .sequencer import SequencerProtocol
 
 __all__ = ["TotalOrderBroadcast", "BcastPayload"]
@@ -53,6 +55,7 @@ class BcastPayload:
 class _NodeDeliveryState:
     next_expected: int = 0
     holdback: Dict[int, BcastPayload] = field(default_factory=dict)
+    applying: Optional[BcastPayload] = None
 
 
 class TotalOrderBroadcast:
@@ -67,8 +70,8 @@ class TotalOrderBroadcast:
         """``apply(node, payload, k)`` is provided by the runtime:
         it executes the operation on ``node``'s replica, charges its
         CPU, and calls ``k(result)`` once the charge completes.
-        Delivery runs as flat callback chains on armed ports (see
-        ``_arm``).
+        Delivery runs as flat callback chains from each node's bound
+        ``orca.bcast`` port (see ``_arrival``).
 
         ``decision`` is an optional :class:`repro.tuner.DecisionModel`:
         when installed, every broadcast asks it for the PB/BB protocol,
@@ -96,11 +99,12 @@ class TotalOrderBroadcast:
         # cluster also runs the sequencer; the paper mentions using a
         # dedicated node as cluster sequencer as a further optimization.
         self._dedicated = dedicated_sequencer_node
-        # Each node's bcast port, looked up once for every re-arm.
-        self._ports = []
-        for node in fabric.nodes:
-            self._ports.append(node.port(BCAST_PORT))
-            self._arm(node.nid)
+        # Each node's bcast port and apply continuation, built once.
+        self._ports = [BoundPort(node, BCAST_PORT,
+                                 partial(self._arrival, node.nid))
+                       for node in fabric.nodes]
+        self._applied = [partial(self._applied_one, nid)
+                         for nid in range(self.topo.n_nodes)]
 
     # ----------------------------------------------------------------- API
 
@@ -214,13 +218,13 @@ class TotalOrderBroadcast:
     #
     # Delivery and dissemination as callback chains, flow by flow:
     #
-    # * arrival — the armed getter's callback runs at the dispatch of
-    #   the put-side succeed (or the get-side immediate grant when a
-    #   message was already queued), where the holdback map mutates;
-    # * apply — ``apply`` attaches its continuation to the CPU
-    #   charge event, so the ``bcast.apply`` emit, ``next_expected``
-    #   advance, completion succeed and the next held payload's apply
-    #   all run at that dispatch;
+    # * arrival — the bound port's handler runs in the call slot its
+    #   put posted (or its re-arm posted, when a message was already
+    #   queued), where the holdback map mutates;
+    # * apply — ``apply`` attaches the node's prebuilt continuation to
+    #   the CPU charge event, so the ``bcast.apply`` emit,
+    #   ``next_expected`` advance, completion succeed and the next held
+    #   payload's apply all run at that dispatch;
     # * re-arm — only once the next payload is not held back;
     # * dissemination — the chain charges the sender CPU costs
     #   back-to-back (the WAN fan-out charge is requested only once the
@@ -246,46 +250,40 @@ class TotalOrderBroadcast:
             fab.multicast_local_chain(origin, size, payload=payload,
                                       port=BCAST_PORT, kind="bcast")
 
-    def _arm(self, node: int) -> None:
-        """Park a one-shot delivery continuation on the node's bcast port."""
-        ev = self._ports[node].get()
-        ev.callbacks.append(lambda _ev, n=node: self._arrival(n, _ev._value))
-
     def _arrival(self, node: int, msg: Any) -> None:
         """Per-node delivery: apply if next in order, else hold back.
 
-        Exactly one of {armed getter, apply chain} is live per node, so
-        while the getter is armed ``next_expected`` is never held back:
-        an in-order arrival applies at once, anything else waits."""
+        Exactly one of {armed or posted port, apply chain} is live per
+        node, so while the port is armed ``next_expected`` is never held
+        back: an in-order arrival applies at once, anything else waits."""
         st = self._delivery[node]
         payload: BcastPayload = msg.payload
         if payload.seq != st.next_expected:
             st.holdback[payload.seq] = payload
-            self._arm(node)  # stalled on a gap: wait for the next arrival
+            self._ports[node].arm()  # stalled on a gap
             return
-        self._apply_one(node, st, payload)
+        st.applying = payload
+        self.apply(node, payload, self._applied[node])
 
-    def _apply_one(self, node: int, st: _NodeDeliveryState,
-                   payload: BcastPayload) -> None:
-        """Apply ``payload`` (which is ``next_expected``); its
-        continuation completes the sender and moves on to the next held
-        payload, or re-arms.  Arrivals during the chain queue in the port
-        channel and are seen at the re-arm."""
-        def _done(result: Any) -> None:
-            seq = payload.seq
-            tr = self.fabric.tracer
-            if tr.enabled:
-                tr.emit(self.sim.now, "bcast.apply", node=node,
-                        seq=seq, sender=payload.sender)
-            st.next_expected = seq + 1
-            completion = self._completions.get(seq)
-            if completion is not None and completion[0] == node:
-                del self._completions[seq]
-                completion[1].succeed(result)
-            held = st.holdback.pop(seq + 1, None)
-            if held is None:
-                self._arm(node)
-            else:
-                self._apply_one(node, st, held)
-
-        self.apply(node, payload, _done)
+    def _applied_one(self, node: int, result: Any) -> None:
+        """``st.applying`` is applied: complete its sender, then apply
+        the next held payload or re-arm the port, where arrivals queued
+        during the chain are seen."""
+        st = self._delivery[node]
+        payload = st.applying
+        seq = payload.seq
+        tr = self.fabric.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, "bcast.apply", node=node,
+                    seq=seq, sender=payload.sender)
+        st.next_expected = seq + 1
+        completion = self._completions.get(seq)
+        if completion is not None and completion[0] == node:
+            del self._completions[seq]
+            completion[1].succeed(result)
+        held = st.holdback.pop(seq + 1, None)
+        if held is None:
+            self._ports[node].arm()
+        else:
+            st.applying = held
+            self.apply(node, held, self._applied[node])

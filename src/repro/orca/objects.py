@@ -14,6 +14,7 @@ write to the object — this is how a worker blocks on an empty job queue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Union
 
@@ -65,7 +66,9 @@ class Operation:
     ``fn(state, *args)`` mutates/queries ``state`` and returns a result.
     ``writes`` decides the protocol (RPC/local for reads, broadcast for
     writes on replicated objects).  ``arg_bytes``/``result_bytes`` size the
-    messages; ``cpu_cost`` charges the executing node's CPU.
+    messages; ``cpu_cost`` charges the executing node's CPU.  A constant
+    of any of the three must be finite and non-negative; a constant
+    ``cpu_cost`` is resolved to a float here, once.
     """
 
     fn: Callable[..., Any]
@@ -73,6 +76,14 @@ class Operation:
     arg_bytes: Optional[SizeSpec] = None
     result_bytes: Optional[SizeSpec] = None
     cpu_cost: CostSpec = DEFAULT_OP_COST
+
+    def __post_init__(self):
+        for name in ("arg_bytes", "result_bytes", "cpu_cost"):
+            spec = getattr(self, name)
+            if not (spec is None or callable(spec) or 0 <= spec < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0: {spec!r}")
+        if not callable(self.cpu_cost):
+            self.cpu_cost = float(self.cpu_cost)
 
     def args_size(self, args: tuple) -> int:
         if self.arg_bytes is None:
@@ -124,7 +135,3 @@ class Replica:
     state: Any
     # Invocations parked on a failed guard, retried after each write.
     parked: list = field(default_factory=list)
-
-    def execute(self, op_name: str, args: tuple) -> Any:
-        """Run the operation against this replica's state (may raise Blocked)."""
-        return self.spec.op(op_name).fn(self.state, *args)

@@ -50,6 +50,21 @@ def test_operation_cost_callable():
     assert op.cost((5,)) == pytest.approx(5e-6)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cpu_cost", -1e-6), ("cpu_cost", float("nan")), ("cpu_cost", float("inf")),
+    ("arg_bytes", -1), ("result_bytes", -1)])
+def test_operation_rejects_bad_constants(field, value):
+    """A constant that would fail mid-run, or hold a CPU forever, is
+    refused where the operation is declared."""
+    with pytest.raises(ValueError, match=field):
+        Operation(fn=lambda s: None, **{field: value})
+
+
+def test_operation_resolves_a_constant_cost_once():
+    op = Operation(fn=lambda s: None, cpu_cost=3)
+    assert type(op.cpu_cost) is float and op.cost(()) == 3.0
+
+
 def test_objectspec_requires_operations():
     with pytest.raises(ValueError):
         ObjectSpec("empty", dict, {})
@@ -69,7 +84,7 @@ def test_replica_execute_and_blocked():
 
     spec = ObjectSpec("q", list, {"deq": Operation(fn=deq, writes=True)})
     rep = Replica(spec, [1, 2])
-    assert rep.execute("deq", ()) == 1
-    assert rep.execute("deq", ()) == 2
+    assert spec.op("deq").fn(rep.state) == 1
+    assert spec.op("deq").fn(rep.state) == 2
     with pytest.raises(Blocked):
-        rep.execute("deq", ())
+        spec.op("deq").fn(rep.state)
