@@ -1,0 +1,66 @@
+"""``tools/ab.py``: the report over paired runs, without cloning anything."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("ab", REPO / "tools" / "ab.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules["ab"] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+ab = _load()
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+
+
+def _run(wall, counts=None, failed=0):
+    return {"header": {"host_cores": "2", "engine_tier": "compiled"},
+            "counts": {"sim.events": "100"} if counts is None else counts,
+            "failed": failed, "correct": failed == 0,
+            "metrics": {"wall_s": wall}}
+
+
+def test_summary_medians_iqr_and_wins():
+    parent = [_run(w) for w in (1.0, 1.2, 1.1, 1.3, 1.0)]
+    change = [_run(w) for w in (0.9, 1.1, 1.2, 1.0, 0.8)]
+    lines, problems = ab.summarize(METRICS, parent, change)
+    assert problems == []
+    assert lines[0] == "pairs=5 host_cores=2 engine_tier=compiled"
+    parent_row, change_row = lines[2].split(), lines[3].split()
+    assert parent_row[:3] == ["wall_s", "parent", "1.1000"]
+    assert "(IQR 0.2500," in lines[2] and "bound 25%)" in lines[2]
+    # Medians 1.1 -> 1.0; the change won pairs 0, 1, 3 and 4.
+    assert change_row == ["change", "1.0000", "-9.1%", "4/5"]
+
+
+def test_summary_reports_moved_counts_and_failures():
+    parent = [_run(1.0), _run(1.0)]
+    change = [_run(0.9, counts={"sim.events": "101"}), _run(0.9, failed=2)]
+    aa = [_run(1.1), _run(0.9)]
+    lines, problems = ab.summarize(METRICS, parent, change, aa)
+    assert problems == ["change run 0: counts differ: sim.events",
+                        "change run 1: 2 failed, correct=False"]
+    assert lines[-1].split() == ["parent-aa", "1.0000", "+0.0%", "1/2"]
+
+
+def test_parse_run_reads_header_counts_and_result():
+    result = {"correct": True, "attempted": 4, "failed": 0,
+              "metrics": {"wall_s": {"value": 0.5, "unit": "s"}}}
+    out = "\n".join([
+        "# workload=bcast_4x15 seed=0 host_cores=2 engine_tier=compiled",
+        "wall_s                                     0.5 s   (median of 3)",
+        "  count orca.bcasts                                  1000",
+        "  count sim.events                                2132361",
+        "operations: 4 attempted, 0 failed",
+        json.dumps(result)])
+    run = ab.parse_run(out)
+    assert run["header"]["engine_tier"] == "compiled"
+    assert run["counts"] == {"orca.bcasts": "1000", "sim.events": "2132361"}
+    assert run["metrics"] == {"wall_s": 0.5} and run["failed"] == 0
