@@ -102,6 +102,7 @@ DELETED_SURFACE = (
     "def _p2p_streams(", "_NO_THEN",
     "class CPU(", "execute_ev", "def after_call(", "_occupy_ev", "drop_arg",
     "REPRO_PDES", "pdes_mode", "forced_on_by",
+    "def replica(",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the
