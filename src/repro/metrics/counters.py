@@ -49,15 +49,14 @@ class TrafficMeter:
     wan_bytes: int = 0
     wan_messages: int = 0
 
-    def _bucket(self, inter: bool, kind: str) -> TrafficRow:
-        table = self.inter if inter else self.intra
+    def record(self, kind: str, size: int, intercluster: bool) -> None:
+        """Count one ``kind`` operation of ``size`` bytes in its row."""
+        table = self.inter if intercluster else self.intra
         row = table.get(kind)
         if row is None:
             row = table[kind] = TrafficRow()
-        return row
-
-    def record(self, kind: str, size: int, intercluster: bool) -> None:
-        self._bucket(intercluster, kind).add(size)
+        row.count += 1
+        row.bytes += size
 
     def record_wan(self, size: int) -> None:
         """Count one WAN transfer (a stripe chunk counts as one; lost

@@ -166,6 +166,16 @@ class _GwForward:
                      dur=now - t0)
 
 
+class _ClusterTable(dict):
+    """Node id -> cluster index, built once per :class:`Fabric`.  A read
+    of an id outside the topology raises what
+    :meth:`Topology.cluster_of <repro.network.topology.Topology.cluster_of>`
+    raises (a dict: ``-1`` never wraps to the last node)."""
+
+    def __missing__(self, nid: int) -> int:
+        raise ValueError(f"node id {nid} out of range 0..{len(self) - 1}")
+
+
 class BoundPort:
     """Port ``name`` of ``node``, bound to its one consumer in place of
     a :class:`~repro.sim.Channel`; deleting ``node._ports[name]``
@@ -246,7 +256,8 @@ class Fabric:
         self.tracer = tracer if tracer is not None else Tracer()
         #: Next message sequence number per source node (see
         #: :data:`~repro.network.message.MSG_ID_STRIDE`): ids are
-        #: run-scoped, so two fabrics never share allocation state.
+        #: run-scoped, so two fabrics never share allocation state.  Read
+        #: inline where messages are built, after the endpoint check.
         self._msg_seq: List[int] = [0] * topo.n_nodes
         #: Optional :class:`repro.scenario.apply.WanImpairments`.  When
         #: installed, every PVC stage draws one perturbation plan from
@@ -270,8 +281,12 @@ class Fabric:
         #: (always, outside PDES workers) keeps every path single-process.
         self.pdes = None
 
+        #: Node id -> cluster index: every endpoint check and locality
+        #: test on the message path is one read of this table.
+        self.node_cluster: Dict[int, int] = _ClusterTable(
+            (nid, topo.cluster_of(nid)) for nid in range(topo.n_nodes))
         self.nodes: List[Node] = [
-            Node(sim, nid, topo.cluster_of(nid)) for nid in range(topo.n_nodes)
+            Node(sim, nid, c) for nid, c in self.node_cluster.items()
         ]
         #: Per-node compute speed multipliers, or ``None`` when every
         #: node runs at 1.0 (the clean model — keeping ``None`` makes
@@ -352,7 +367,7 @@ class Fabric:
         Caller pays sender overhead; returns an event firing when *all*
         receivers have the message.
         """
-        cluster = self.topo.cluster_of(src)
+        cluster = self.node_cluster[src]
         yield self.nodes[src].cpu.occupy(
             self._multicast_cost(cluster, size))
         return self._multicast(src, cluster, size, payload, port, kind)
@@ -375,7 +390,7 @@ class Fabric:
         ``streams`` stripes each WAN transfer over that many parallel
         chunks.  The defaults are bit-identical to the pre-tuner
         fabric."""
-        src_cluster = self.topo.cluster_of(src)
+        src_cluster = self.node_cluster[src]
         remote = [c for c in range(self.topo.n_clusters) if c != src_cluster]
         if not remote:
             done = Event(self.sim)
@@ -421,7 +436,7 @@ class Fabric:
         """:meth:`multicast_local` as a callback chain (see
         :meth:`send_chain`); ``then(done)`` receives the all-delivered
         event."""
-        cluster = self.topo.cluster_of(src)
+        cluster = self.node_cluster[src]
         self._overhead_then(
             src, self._multicast_cost(cluster, size),
             lambda: self._multicast(src, cluster, size, payload, port, kind),
@@ -437,7 +452,7 @@ class Fabric:
         :meth:`send_chain`).  With no remote clusters ``then(None)``
         runs synchronously — no event is created, so a quiet instant
         stays quiet."""
-        src_cluster = self.topo.cluster_of(src)
+        src_cluster = self.node_cluster[src]
         remote = [c for c in range(self.topo.n_clusters) if c != src_cluster]
         if not remote:
             if then is not None:
@@ -453,32 +468,31 @@ class Fabric:
     def _new_message(self, src: int, dst: int, size: int, payload: Any,
                      port: str, kind: str
                      ) -> Tuple[Message, Callable[..., Event], float]:
-        """Build a point-to-point message, emit its ``msg.send`` record
-        and pick its route; returns ``(msg, route, sender CPU cost)``.
-        ``route(msg, wait=False)`` launches the delivery legs and
-        returns the delivery event."""
-        msg = Message(src=src, dst=dst, size=size, payload=payload,
-                      port=port, kind=kind, msg_id=self._next_msg_id(src),
-                      send_time=self.sim.now)
+        """Check both endpoints, then build a point-to-point message,
+        emit its ``msg.send`` record and pick its route; returns ``(msg,
+        route, sender CPU cost)``.  ``route(msg, wait=False)`` launches
+        the delivery legs and returns the delivery event.  A send naming
+        an unknown node raises before it takes an id."""
+        clusters = self.node_cluster
+        src_cluster, dst_cluster = clusters[src], clusters[dst]
+        seq = self._msg_seq[src]
+        self._msg_seq[src] = seq + 1
+        now = self.sim.now
+        msg = Message(src, dst, size, payload, port, kind,
+                      src * MSG_ID_STRIDE + seq, now)
         if src == dst:
             scope, route = "self", self._route_self
-        elif self.topo.same_cluster(src, dst):
+        elif src_cluster == dst_cluster:
             scope, route = "lan", self._route_lan
         else:
             scope, route = "wan", self._route_wan
         tr = self.tracer
         if tr.enabled:
-            tr.emit(self.sim.now, "msg.send", msg_id=msg.msg_id, src=src,
-                    dst=dst, size=size, msg_kind=kind, port=port, scope=scope)
+            tr.emit(now, "msg.send", msg_id=msg.msg_id, src=src, dst=dst,
+                    size=size, msg_kind=kind, port=port, scope=scope)
         link = self.params.access if scope == "wan" \
-            else self._cluster_lan[self.nodes[src].cluster]
+            else self._cluster_lan[src_cluster]
         return msg, route, link.o_send + size * link.per_byte_cpu
-
-    def _next_msg_id(self, src: int) -> int:
-        """The next message id for source node ``src``."""
-        seq = self._msg_seq[src]
-        self._msg_seq[src] = seq + 1
-        return src * MSG_ID_STRIDE + seq
 
     def _multicast_cost(self, cluster: int, size: int) -> float:
         lan = self._cluster_lan[cluster]
@@ -539,7 +553,7 @@ class Fabric:
         # serializes.  The injection and the receive leg join on a
         # countdown.
         src, dst, size = msg.src, msg.dst, msg.size
-        lan = self._cluster_lan[self.nodes[src].cluster]
+        lan = self._cluster_lan[self.node_cluster[src]]
         tx = size / lan.bandwidth
         done = Event(self.sim)
         pending = [2]
@@ -748,8 +762,8 @@ class Fabric:
     def _route_wan(self, msg: Message, wait: bool = False) -> Event:
         done = Event(self.sim)
         size, msg_id = msg.size, msg.msg_id
-        src_cluster = self.nodes[msg.src].cluster
-        dst_cluster = self.nodes[msg.dst].cluster
+        clusters = self.node_cluster
+        src_cluster, dst_cluster = clusters[msg.src], clusters[msg.dst]
         # Striping factor: 1 without a decision model (the fixed default).
         decision = self.decision
         streams = 1 if decision is None else max(
@@ -788,7 +802,7 @@ class Fabric:
         done = Event(sim)
         done.callbacks.append(
             lambda _ev: self.pdes.export_ack(msg.msg_id, sim.now))
-        dst_cluster = self.nodes[msg.dst].cluster
+        dst_cluster = self.node_cluster[msg.dst]
         self._gw_leg((), dst_cluster, msg.size, msg.msg_id,
                      self._down_steps(msg, dst_cluster),
                      partial(self._deposit_complete, msg, done))
@@ -809,12 +823,12 @@ class Fabric:
         traced = self.tracer.enabled
         now = sim.now
         deposit = self._deposit
-        for dst in dsts:
-            msg = Message(src=src, dst=dst, size=size, payload=payload,
-                          port=port, kind=kind,
-                          msg_id=self._next_msg_id(src), send_time=now)
+        seq = self._msg_seq[src]
+        self._msg_seq[src] = seq + len(dsts)
+        for msg_id, dst in enumerate(dsts, src * MSG_ID_STRIDE + seq):
+            msg = Message(src, dst, size, payload, port, kind, msg_id, now)
             lan_in = self._lan_in[dst]
-            hook = (self._link_busy(lan_in, "lan_in", size, msg.msg_id)
+            hook = (self._link_busy(lan_in, "lan_in", size, msg_id)
                     if traced else None)
 
             def delivered(ev: Event, msg: Message = msg) -> None:
@@ -914,12 +928,16 @@ class Fabric:
     # ---------------------------------------------------------------- util
 
     def _deposit(self, msg: Message) -> None:
-        """Hand ``msg`` to its port, bound or channel: one ``put``."""
-        msg.recv_time = self.sim.now
+        """Hand ``msg`` to its port, bound or channel: one ``put``
+        (:meth:`Node.port` only creates a missing mailbox)."""
+        msg.recv_time = now = self.sim.now
         tr = self.tracer
         if tr.enabled:
-            tr.emit(self.sim.now, "msg.deliver", msg_id=msg.msg_id,
-                    src=msg.src, dst=msg.dst, size=msg.size,
-                    msg_kind=msg.kind, port=msg.port,
-                    latency=self.sim.now - msg.send_time)
-        self.nodes[msg.dst].port(msg.port).put(msg)
+            tr.emit(now, "msg.deliver", msg_id=msg.msg_id, src=msg.src,
+                    dst=msg.dst, size=msg.size, msg_kind=msg.kind,
+                    port=msg.port, latency=now - msg.send_time)
+        node = self.nodes[msg.dst]
+        ch = node._ports.get(msg.port)
+        if ch is None:
+            ch = node.port(msg.port)
+        ch.put(msg)

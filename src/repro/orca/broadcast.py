@@ -143,7 +143,7 @@ class TotalOrderBroadcast:
         """Sender-side flow; returns the op result from the sender's replica."""
         if issue is None:
             issue = self.next_issue(sender)
-        sender_cluster = self.topo.cluster_of(sender)
+        sender_cluster = self.fabric.node_cluster[sender]
         stamp_cluster = self.protocol.stamping_cluster(sender_cluster)
         stamp_node = self.stamping_node(stamp_cluster)
         if self.decision is None:
@@ -170,7 +170,7 @@ class TotalOrderBroadcast:
                 now = self.sim.now
                 tr.emit(now, "seq.request", sender=sender,
                         stamp_node=stamp_node, size=req_size, bb=bb_mode,
-                        inter=not self.topo.same_cluster(sender, stamp_node),
+                        inter=stamp_cluster != sender_cluster,
                         t0=t0, dur=now - t0)
 
         # 2. Order.  Same-sender broadcasts take their tickets in issue
@@ -198,7 +198,7 @@ class TotalOrderBroadcast:
                 now = self.sim.now
                 tr.emit(now, "seq.grant", sender=sender,
                         stamp_node=stamp_node,
-                        inter=not self.topo.same_cluster(sender, stamp_node),
+                        inter=stamp_cluster != sender_cluster,
                         t0=t0, dur=now - t0)
         origin = sender if bb_mode else stamp_node
 

@@ -241,7 +241,8 @@ class OrcaRuntime:
             req_id=req_id, obj_name=spec.name, op_name=op_name, args=args,
             caller=caller, result_port=f"orca.rpcret.{req_id}",
             req_size=op.args_size(args))
-        inter = not self.topo.same_cluster(caller, spec.owner)
+        clusters = self.fabric.node_cluster
+        inter = clusters[caller] != clusters[spec.owner]
         tr = self.fabric.tracer
         traced = tr.enabled
         t0 = self.sim.now
@@ -331,6 +332,7 @@ class Context:
         self.sim = rts.sim
         self.topo = rts.topo
         self.cluster = rts.topo.cluster_of(node)
+        self._ports = rts.fabric.nodes[node]._ports
 
     # -- Orca shared objects ------------------------------------------------
     def invoke(self, obj_name: str, op_name: str, *args: Any) -> Generator:
@@ -369,25 +371,30 @@ class Context:
         ``kind`` is the traffic-accounting bucket ("msg" for application
         messages; the core library uses "proto" for internal protocol
         messages it accounts for logically, and "rpc" for request/reply
-        style messages).
+        style messages).  The meter row is written at the call, which
+        returns the fabric's own generator; an unknown ``dst`` raises
+        first.
         """
-        self.rts.meter.record(
-            kind, size, intercluster=not self.topo.same_cluster(self.node, dst))
-        yield from self.rts.fabric.send(self.node, dst, size, payload,
-                                        port=port, kind=kind)
+        rts = self.rts
+        fabric = rts.fabric
+        rts.meter.record(kind, size, fabric.node_cluster[dst] != self.cluster)
+        return fabric.send(self.node, dst, size, payload, port, kind)
 
     def send_wait(self, dst: int, size: int, payload: Any = None,
                   port: str = "app", kind: str = "msg") -> Generator:
-        """Synchronous send: blocks until delivered at the receiver."""
-        self.rts.meter.record(
-            kind, size, intercluster=not self.topo.same_cluster(self.node, dst))
-        msg = yield from self.rts.fabric.send_and_wait(
-            self.node, dst, size, payload, port=port, kind=kind)
-        return msg
+        """Synchronous send: blocks until delivered at the receiver (see
+        :meth:`send`); the generator returns the delivered Message."""
+        rts = self.rts
+        fabric = rts.fabric
+        rts.meter.record(kind, size, fabric.node_cluster[dst] != self.cluster)
+        return fabric.send_and_wait(self.node, dst, size, payload, port, kind)
 
     def receive(self, port: str = "app") -> Generator:
         """Block until a message arrives on ``port``; returns the Message."""
-        msg = yield self.rts.fabric.nodes[self.node].port(port).get()
+        ch = self._ports.get(port)
+        if ch is None:
+            ch = self.rts.fabric.nodes[self.node].port(port)
+        msg = yield ch.get()
         return msg
 
     # -- compute -------------------------------------------------------------

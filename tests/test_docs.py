@@ -103,6 +103,7 @@ DELETED_SURFACE = (
     "class CPU(", "execute_ev", "def after_call(", "_occupy_ev", "drop_arg",
     "REPRO_PDES", "pdes_mode", "forced_on_by",
     "def replica(",
+    "_next_msg_id", "def _bucket(", "._bucket(",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the
