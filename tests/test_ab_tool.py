@@ -34,10 +34,13 @@ def test_summary_medians_iqr_and_wins():
     assert problems == []
     assert lines[0] == "pairs=5 host_cores=2 engine_tier=compiled"
     parent_row, change_row = lines[2].split(), lines[3].split()
-    assert parent_row[:3] == ["wall_s", "parent", "1.1000"]
+    # Each side's median, then its quartiles.
+    assert parent_row[:5] == ["wall_s", "parent", "1.1000", "1.0000",
+                              "1.2500"]
     assert "(IQR 0.2500," in lines[2] and "bound 25%)" in lines[2]
     # Medians 1.1 -> 1.0; the change won pairs 0, 1, 3 and 4.
-    assert change_row == ["change", "1.0000", "-9.1%", "4/5"]
+    assert change_row == ["change", "1.0000", "0.8500", "1.1500", "-9.1%",
+                          "4/5"]
 
 
 def test_summary_reports_moved_counts_and_failures():
@@ -47,7 +50,8 @@ def test_summary_reports_moved_counts_and_failures():
     lines, problems = ab.summarize(METRICS, parent, change, aa)
     assert problems == ["change run 0: counts differ: sim.events",
                         "change run 1: 2 failed, correct=False"]
-    assert lines[-1].split() == ["parent-aa", "1.0000", "+0.0%", "1/2"]
+    assert lines[-1].split() == ["parent-aa", "1.0000", "0.8500", "1.1500",
+                                 "+0.0%", "1/2"]
 
 
 def test_parse_run_reads_header_counts_and_result():
@@ -64,3 +68,31 @@ def test_parse_run_reads_header_counts_and_result():
     assert run["header"]["engine_tier"] == "compiled"
     assert run["counts"] == {"orca.bcasts": "1000", "sim.events": "2132361"}
     assert run["metrics"] == {"wall_s": 0.5} and run["failed"] == 0
+
+
+def _cmd_run(wall, stdout=b"1.2310 virtual seconds\n"):
+    return {"metrics": {"wall_s": wall}, "stdout": stdout}
+
+
+def test_cmd_summary_reports_wall_clock_quartiles_and_wins():
+    runs = {"parent": [_cmd_run(w) for w in (2.0, 2.2, 2.1, 2.4)],
+            "change": [_cmd_run(w) for w in (1.9, 2.3, 2.0, 1.8)]}
+    lines, problems = ab.summarize_cmd(METRICS[0], runs)
+    assert problems == []
+    assert lines[0] == "pairs=4"
+    assert lines[2].split()[:5] == ["wall_s", "parent", "2.1500", "2.0250",
+                                    "2.3500"]
+    assert lines[3].split() == ["change", "1.9500", "1.8250", "2.2250",
+                                "-9.3%", "3/4"]
+
+
+def test_cmd_outputs_must_match_the_parent_byte_for_byte():
+    runs = {"parent": [_cmd_run(1.0), _cmd_run(1.0)],
+            "change": [_cmd_run(0.9), _cmd_run(0.9, b"1.2310 virtual "
+                                                    b"seconds \n")]}
+    assert ab.compare_outputs(runs) == [
+        "change run 1: stdout differs from parent run 0"]
+    _lines, problems = ab.summarize_cmd(METRICS[0], runs)
+    assert problems == ["change run 1: stdout differs from parent run 0"]
+    runs["change"][1] = _cmd_run(0.9)
+    assert ab.compare_outputs(runs) == []

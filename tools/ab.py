@@ -1,42 +1,50 @@
 #!/usr/bin/env python3
-"""Alternating A/B runs of one end-to-end workload against a parent commit.
+"""Alternating A/B runs of one end-to-end workload, or of one command,
+against a parent commit.
 
 Usage::
 
     python tools/ab.py --workload bcast_4x15 --pairs 10
     python tools/ab.py --workload pdes_4x15 --pairs 8 --aa
     python tools/ab.py --workload p2p_4x15 --ref HEAD~3 --seed 1
+    python tools/ab.py --cmd "python -m repro app ra --no-cache" --pairs 6
 
 The tool clones ``--ref`` (default ``HEAD~1``) into a temporary
 directory; ``--aa`` adds a second clone of it, for three-way judging.
-It then runs ``benchmarks/e2e/run.py --workload W --seed S`` from each
-tree in turn, ``--pairs`` times.  The side that goes first rotates from
-one round to the next.  Each tree runs its own copy of the instrument
-and builds its own compiled core; the working tree is the change.
+It then runs, from each tree in turn, ``--pairs`` times:
 
-It prints, per end-to-end metric of ``BENCHMARK.json``:
+* ``--workload W``: ``benchmarks/e2e/run.py --workload W --seed S``.
+  Each tree runs its own copy of the instrument and builds its own
+  compiled core.
+* ``--cmd "..."``: the command (split like a shell would, run without
+  one) in the tree's root with ``PYTHONPATH=<tree>/src``, timed by the
+  wall clock.  One untimed run per tree first builds its compiled core.
 
-* each side's median;
-* the parent's inter-quartile range;
-* how many pairs the change won;
-
-with the ``host_cores`` and ``engine_tier`` of the runs.  With ``--aa``
-the second clone gets the same row, read against the first.  It checks
-that every run's ``count`` lines are identical and that no operation
-failed, and exits 1 if not.  The tool itself writes nothing under
-``benchmarks/e2e/`` and judges no claim: the reader applies the claim
-rule to what it prints.
+The side that goes first rotates from one round to the next; the
+working tree is the change.  It prints, per end-to-end metric of
+``BENCHMARK.json`` (``wall_s`` alone for ``--cmd``), each side's median
+and quartiles, the parent's inter-quartile range and how many pairs the
+change won, with the ``host_cores`` and ``engine_tier`` of the
+workload runs.  With ``--aa`` the second clone gets the same row, read
+against the first.  It exits 1 if a workload run's ``count`` lines
+differ or an operation failed, or if a command's standard output
+differs from the parent's first run byte for byte.  The tool itself
+writes nothing under ``benchmarks/e2e/`` and judges no claim: the
+reader applies the claim rule to what it prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -58,11 +66,46 @@ def parse_run(out: str) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def _iqr(values: List[float]) -> float:
+def _quartiles(values: List[float]) -> Tuple[float, float]:
     if len(values) < 2:
-        return 0.0
+        return values[0], values[0]
     q1, _q2, q3 = statistics.quantiles(values, n=4)
-    return q3 - q1
+    return q1, q3
+
+
+HEAD_ROW = (f"{'metric':<12} {'side':<10} {'median':>10} {'q1':>10} "
+            f"{'q3':>10} {'vs parent':>10} {'wins':>6}  (parent IQR, bound)")
+
+
+def metric_rows(spec: dict, sides: List[Tuple[str, List[dict]]]
+                ) -> Tuple[List[str], List[str]]:
+    """One metric's rows, the parent first: each side's median and
+    quartiles, then the change's (and A/A's) relative median and wins
+    over the pairs.  ``spec`` is one BENCHMARK.json ``end_to_end``
+    entry; a run lacking the metric is a problem."""
+    name, lower = spec["name"], spec["better"] == "lower"
+    vals = {}
+    for label, runs in sides:
+        got = [run["metrics"].get(name) for run in runs]
+        if None in got:
+            return [], [f"{label}: no {name}"]
+        vals[label] = got
+    base = vals["parent"]
+    pmed = statistics.median(base)
+    lines = []
+    for label, got in vals.items():
+        med = statistics.median(got)
+        q1, q3 = _quartiles(got)
+        row = f"{name if label == 'parent' else '':<12} {label:<10} " \
+              f"{med:>10.4f} {q1:>10.4f} {q3:>10.4f}"
+        if label == "parent":
+            lines.append(f"{row} {'':>10} {'':>6}  (IQR {q3 - q1:.4f}, "
+                         f"bound {spec['bound']:.0%})")
+            continue
+        wins = sum((v < b) if lower else (v > b) for v, b in zip(got, base))
+        rel = f"{(med - pmed) / pmed:+.1%}" if pmed else "n/a"
+        lines.append(f"{row} {rel:>10} {wins:>3}/{len(got):<2}")
+    return lines, []
 
 
 def summarize(metrics: List[dict], parent: List[dict], change: List[dict],
@@ -90,31 +133,31 @@ def summarize(metrics: List[dict], parent: List[dict], change: List[dict],
     tiers = sorted({h.get("engine_tier", "?") for h in headers})
     cores = sorted({h.get("host_cores", "?") for h in headers})
     lines = [f"pairs={len(change)} host_cores={','.join(cores)} "
-             f"engine_tier={','.join(tiers)}",
-             f"{'metric':<12} {'side':<10} {'median':>10} {'vs parent':>10} "
-             f"{'wins':>6}  (parent IQR, bound)"]
+             f"engine_tier={','.join(tiers)}", HEAD_ROW]
     for spec in metrics:
-        name, lower = spec["name"], spec["better"] == "lower"
-        base = [run["metrics"].get(name) for run in parent]
-        if None in base:
-            problems.append(f"parent: no {name}")
-            continue
-        pmed = statistics.median(base)
-        lines.append(f"{name:<12} {'parent':<10} {pmed:>10.4f} {'':>10} "
-                     f"{'':>6}  (IQR {_iqr(base):.4f}, bound "
-                     f"{spec['bound']:.0%})")
-        for label, runs in sides[1:]:
-            vals = [run["metrics"].get(name) for run in runs]
-            if None in vals:
-                problems.append(f"{label}: no {name}")
-                continue
-            med = statistics.median(vals)
-            wins = sum((v < b) if lower else (v > b)
-                       for v, b in zip(vals, base))
-            rel = f"{(med - pmed) / pmed:+.1%}" if pmed else "n/a"
-            lines.append(f"{'':<12} {label:<10} {med:>10.4f} {rel:>10} "
-                         f"{wins:>3}/{len(vals):<2}")
+        rows, missing = metric_rows(spec, sides)
+        lines += rows
+        problems += missing
     return lines, problems
+
+
+def compare_outputs(runs: Dict[str, List[dict]]) -> List[str]:
+    """The problems of a ``--cmd`` comparison: each run whose
+    ``stdout`` is not byte-identical to the parent's first run.  Pure."""
+    ref = runs["parent"][0]["stdout"]
+    return [f"{label} run {i}: stdout differs from parent run 0"
+            for label, side in runs.items()
+            for i, run in enumerate(side) if run["stdout"] != ref]
+
+
+def summarize_cmd(wall_spec: dict, runs: Dict[str, List[dict]]
+                  ) -> Tuple[List[str], List[str]]:
+    """The ``--cmd`` report over paired runs (``{"metrics": {"wall_s":
+    seconds}, "stdout": bytes}`` per run, the parent side first): the
+    ``wall_s`` rows and :func:`compare_outputs`.  Pure."""
+    rows, problems = metric_rows(wall_spec, list(runs.items()))
+    return ([f"pairs={len(runs['parent'])}", HEAD_ROW] + rows,
+            problems + compare_outputs(runs))
 
 
 def _clone(ref: str, dest: Path) -> None:
@@ -134,10 +177,19 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
     return parse_run(out)
 
 
+def _run_cmd(tree: Path, argv: List[str]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = time.perf_counter()
+    out = subprocess.run(argv, cwd=tree, env=env, check=True,
+                         stdout=subprocess.PIPE).stdout
+    return {"metrics": {"wall_s": time.perf_counter() - t0}, "stdout": out}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True,
-                    help="one workload of BENCHMARK.json")
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", help="one workload of BENCHMARK.json")
+    what.add_argument("--cmd", help="a command to time in each tree")
     ap.add_argument("--ref", default="HEAD~1",
                     help="the parent to clone (default HEAD~1)")
     ap.add_argument("--seed", type=int, default=0)
@@ -149,8 +201,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.pairs < 1:
         ap.error(f"argument --pairs: {args.pairs} must be >= 1")
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    if args.workload not in {w["name"] for w in spec["workloads"]}:
+    if args.cmd is None and args.workload not in {
+            w["name"] for w in spec["workloads"]}:
         ap.error(f"unknown workload {args.workload!r}")
+    cmd = None if args.cmd is None else shlex.split(args.cmd)
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees: Dict[str, Path] = {"parent": Path(tmp) / "parent",
                                   "change": REPO}
@@ -159,16 +213,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         for label, tree in trees.items():
             if tree != REPO:
                 _clone(args.ref, tree)
+        if cmd is not None:
+            for tree in trees.values():
+                _run_cmd(tree, cmd)
         runs: Dict[str, List[dict]] = {label: [] for label in trees}
         order = list(trees)
         for i in range(args.pairs):
             k = i % len(order)
             for label in order[k:] + order[:k]:
-                runs[label].append(_run(trees[label], args.workload,
-                                        args.seed))
+                runs[label].append(
+                    _run(trees[label], args.workload, args.seed)
+                    if cmd is None else _run_cmd(trees[label], cmd))
                 print(f"# round {i + 1}/{args.pairs} {label}: wall_s "
                       f"{runs[label][-1]['metrics'].get('wall_s')}",
                       file=sys.stderr, flush=True)
+    if cmd is not None:
+        print(f"# cmd={args.cmd!r} ref={args.ref}"
+              + (" (+A/A clone)" if args.aa else ""))
+        lines, problems = summarize_cmd(
+            next(m for m in spec["end_to_end"] if m["name"] == "wall_s"),
+            runs)
+        print("\n".join(lines))
+        for problem in problems:
+            print(f"PROBLEM {problem}")
+        if not problems:
+            print("every run: stdout byte-identical to the parent's")
+        return 1 if problems else 0
     print(f"# {args.workload} seed={args.seed} ref={args.ref}"
           + (" (+A/A clone)" if args.aa else ""))
     lines, problems = summarize(spec["end_to_end"], runs["parent"],
