@@ -56,7 +56,7 @@ class Topology:
 
     clusters: List[ClusterSpec]
     _starts: List[int] = field(init=False)
-    #: node id -> cluster index (``cluster_of`` runs once per message leg).
+    #: node id -> cluster index, behind the validated ``cluster_of``.
     _cluster_of: List[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
