@@ -271,6 +271,10 @@ class Fabric:
         #: means one stream — bit-identical to the pre-tuner fabric.
         #: See docs/TUNING.md.
         self.decision = None
+        #: Transfer size -> striping factor, filled from the decision
+        #: installed before the first send (``decision.wan_streams`` once
+        #: per size): per-run state, so not on the pickled frozen model.
+        self._stripes: Dict[int, int] = {}
         #: Optional :class:`repro.sim.pdes.PartitionBoundary`.  When a
         #: PDES worker installs one, point-to-point WAN deliveries whose
         #: destination cluster lives in *another* partition stop at the
@@ -766,8 +770,12 @@ class Fabric:
         src_cluster, dst_cluster = clusters[msg.src], clusters[msg.dst]
         # Striping factor: 1 without a decision model (the fixed default).
         decision = self.decision
-        streams = 1 if decision is None else max(
-            1, decision.wan_streams(size, self.topo.n_clusters))
+        streams = 1
+        if decision is not None:
+            streams = self._stripes.get(size)
+            if streams is None:
+                streams = self._stripes[size] = max(
+                    1, decision.wan_streams(size, self.topo.n_clusters))
         head = self._up_steps(size, src_cluster, msg_id)
         bnd = self.pdes
         if bnd is not None and not bnd.owns(dst_cluster):

@@ -25,8 +25,10 @@ installed and the run is record-for-record identical to a plain one.
 
 from __future__ import annotations
 
+import math
 import re
-from typing import Generator, List, Optional, Tuple
+from itertools import chain
+from typing import Generator, Iterator, List, Optional, Tuple
 
 from ..network.fabric import Fabric
 from ..network.topology import ClusterSpec, Topology
@@ -73,6 +75,17 @@ class ImpairPlan:
         self.rto = rto          # wait after each lost attempt, seconds
 
 
+#: Draws fetched per numpy call for each (model, directed pair) stream.
+#: Small on purpose: every pair holds one block per drawing model.
+BLOCK = 32
+
+
+def _draws(fill) -> Iterator[float]:
+    """Successive values of ``fill(BLOCK)``, one at a time: numpy's
+    array fills give the values of successive scalar draws, in order."""
+    return chain.from_iterable(iter(lambda: fill(BLOCK).tolist(), None))
+
+
 class WanImpairments:
     """Seeded perturbation of every WAN PVC transfer.
 
@@ -85,9 +98,11 @@ class WanImpairments:
 
     Determinism: each (model, directed pair) owns an independent
     :func:`~repro.sim.rng.substream`; draws happen in transfer order on
-    that pair, which the simulator makes deterministic.  Tracing never
-    draws — ``scn.impair`` records are emitted from values already
-    computed.
+    that pair, which the simulator makes deterministic.  A stream is
+    read :data:`BLOCK` draws at a time (:func:`_draws`) with exactly
+    the values and arithmetic of one scalar draw per use.  Tracing
+    never draws — ``scn.impair`` records are emitted from values
+    already computed.
     """
 
     def __init__(self, sim: Simulator, scenario: Scenario, tracer=None):
@@ -109,32 +124,31 @@ class WanImpairments:
                              imp.param("duty"))
             elif imp.model == "cross_traffic":
                 self._cross = imp.param("load")
-        self._streams = {}
-        self._phases = {}
+        self._pairs = {}
 
-    def _stream(self, model: str, pair: Tuple[int, int]):
-        key = (model, pair)
-        rng = self._streams.get(key)
-        if rng is None:
-            rng = self._streams[key] = substream(
-                self.seed, f"{model}:{pair[0]}->{pair[1]}")
-        return rng
+    def _resolve(self, pair: Tuple[int, int]) -> tuple:
+        """The pair's ``(cross, jitter, loss, phase)``: an iterator per
+        drawing model (None when off) and the ``bw_dip`` phase."""
+        def stream(model: str):
+            return substream(self.seed, f"{model}:{pair[0]}->{pair[1]}")
 
-    def _phase(self, pair: Tuple[int, int]) -> float:
-        phase = self._phases.get(pair)
-        if phase is None:
-            period = self._dip[1]
-            phase = self._phases[pair] = float(
-                self._stream("bw_dip", pair).uniform(0.0, period))
-        return phase
+        # exponential(scale) is scale * standard_exponential();
+        # lognormal(0, sigma) is exp(0.0 + sigma * standard_normal()).
+        draws = self._pairs[pair] = (
+            None if self._cross is None else _draws(
+                stream("cross_traffic").standard_exponential),
+            None if not self._jitter else _draws(
+                stream("jitter").standard_normal),
+            None if self._loss is None else _draws(stream("loss").random),
+            None if self._dip is None else float(
+                stream("bw_dip").uniform(0.0, self._dip[1])))
+        return draws
 
     def _emit(self, model: str, pair: Tuple[int, int], msg_id: int,
               extra: float, retries: int = 0) -> None:
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.emit(self.sim.now, "scn.impair", model=model,
-                    link=f"c{pair[0]}->c{pair[1]}", msg_id=msg_id,
-                    extra=extra, retries=retries)
+        self.tracer.emit(self.sim.now, "scn.impair", model=model,
+                         link=f"c{pair[0]}->c{pair[1]}", msg_id=msg_id,
+                         extra=extra, retries=retries)
 
     def plan(self, src_cluster: int, dst_cluster: int, size: int,
              tx: float, latency: float, msg_id: int) -> ImpairPlan:
@@ -142,40 +156,42 @@ class WanImpairments:
 
         ``tx``/``latency`` are the clean serialization and pipeline
         times; the returned plan carries the impaired values plus the
-        retransmission schedule.  One ``scn.impair`` record is emitted
-        per *contributing* model (a model whose draw changed nothing —
-        e.g. outside a dip window — stays silent).
+        retransmission schedule.  While tracing, one ``scn.impair``
+        record is emitted per *contributing* model (a model whose draw
+        changed nothing — e.g. outside a dip window — stays silent).
         """
         pair = (src_cluster, dst_cluster)
+        cross, jitter, loss, phase = (self._pairs.get(pair)
+                                      or self._resolve(pair))
+        traced = self.tracer is not None and self.tracer.enabled
         bandwidth = size / tx if tx > 0 else 0.0
-        if self._cross is not None and bandwidth > 0:
-            load = self._cross
-            extra_bytes = float(
-                self._stream("cross_traffic", pair).exponential(load * size))
+        if cross is not None and bandwidth > 0:
+            extra_bytes = (self._cross * size) * next(cross)
             if extra_bytes > 0:
                 delta = extra_bytes / bandwidth
                 tx += delta
-                self._emit("cross_traffic", pair, msg_id, delta)
-        if self._dip is not None and tx > 0:
+                if traced:
+                    self._emit("cross_traffic", pair, msg_id, delta)
+        if phase is not None and tx > 0:
             depth, period, duty = self._dip
-            offset = (self.sim.now + self._phase(pair)) % period
+            offset = (self.sim.now + phase) % period
             if offset < duty * period and depth > 0:
                 delta = tx * depth / (1.0 - depth)
                 tx += delta
-                self._emit("bw_dip", pair, msg_id, delta)
-        if self._jitter is not None and self._jitter > 0:
-            factor = float(
-                self._stream("jitter", pair).lognormal(0.0, self._jitter))
+                if traced:
+                    self._emit("bw_dip", pair, msg_id, delta)
+        if jitter is not None:
+            factor = math.exp(0.0 + self._jitter * next(jitter))
             delta = latency * (factor - 1.0)
             latency += delta
-            self._emit("jitter", pair, msg_id, delta)
+            if traced:
+                self._emit("jitter", pair, msg_id, delta)
         retries, rto = 0, 0.0
-        if self._loss is not None:
+        if loss is not None:
             p, rto, cap = self._loss
-            rng = self._stream("loss", pair)
-            while retries < cap and float(rng.random()) < p:
+            while retries < cap and next(loss) < p:
                 retries += 1
-            if retries:
+            if retries and traced:
                 self._emit("loss", pair, msg_id, retries * (tx + rto),
                            retries)
         return ImpairPlan(tx, latency, retries, rto)
