@@ -85,6 +85,9 @@ class TotalOrderBroadcast:
         self.protocol = protocol
         self.apply = apply
         self.decision = decision
+        # The decision's strategy per broadcast size, resolved once per
+        # run (a per-run constant; see docs/TUNING.md).
+        self._strategies: Dict[int, Tuple[bool, str, int]] = {}
         self._delivery = [_NodeDeliveryState() for _ in range(self.topo.n_nodes)]
         # seq -> (sender node, completion event)
         self._completions: Dict[int, Tuple[int, Event]] = {}
@@ -150,8 +153,11 @@ class TotalOrderBroadcast:
             bb_mode = size >= BB_THRESHOLD
             shape, streams = "flat", 1
         else:
-            strat = self.decision.strategy(size, self.topo.n_clusters)
-            bb_mode, shape, streams = strat.bb, strat.shape, strat.streams
+            strat = self._strategies.get(size)
+            if strat is None:
+                s = self.decision.strategy(size, self.topo.n_clusters)
+                strat = self._strategies[size] = (s.bb, s.shape, s.streams)
+            bb_mode, shape, streams = strat
         tr = self.fabric.tracer
         traced = tr.enabled
         t_issue = self.sim.now

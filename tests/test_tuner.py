@@ -144,6 +144,42 @@ def test_no_model_is_bit_identical_to_pre_tuner_fixed_strategy():
     assert none_recs == pinned_recs
 
 
+# ------------------------------------------------- per-run decision tables
+
+def test_per_run_tables_hold_the_models_answers():
+    """The broadcast layer and the fabric resolve the model once per
+    size per run: after broadcasts and point-to-point sends at sizes on
+    both sides of the model's crossovers, each table holds exactly the
+    probed sizes, each with the answer the model itself gives."""
+    from repro.orca import OrcaRuntime
+    from repro.tuner.driver import _PROBE_OBJ, _probe_object
+
+    flat, chain = FittedLine(0.1, 1e-6), FittedLine(0.05, 2e-6)
+    model = _model(thr=4096.0, shapes=(("chain", chain), ("flat", flat)),
+                   streams=((1, flat), (4, chain)))
+    sim = Simulator()
+    fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS)
+    fabric.decision = model
+    rts = OrcaRuntime(sim, fabric, sequencer="centralized", decision=model)
+    rts.register(_probe_object())
+    sizes = (16, 1024, 4096, 50_000, 200_000, 1024, 16)
+
+    def driver():
+        for size in sizes:
+            yield from rts.invoke(2, _PROBE_OBJ, "put", (size,))
+            yield from fabric.send_and_wait(0, 3, size)
+
+    sim.spawn(driver())
+    sim.run()
+    probed = set(sizes)
+    assert {model.strategy(s, 2).shape for s in probed} == {"flat", "chain"}
+    assert {model.wan_streams(s, 2) for s in probed} == {1, 4}
+    assert rts.tob._strategies == {
+        s: (model.strategy(s, 2).bb, model.strategy(s, 2).shape,
+            model.strategy(s, 2).streams) for s in probed}
+    assert fabric._stripes == {s: model.wan_streams(s, 2) for s in probed}
+
+
 # ------------------------------------------------- the physics to find
 
 def _timed_send(streams, scenario, size=65536):
