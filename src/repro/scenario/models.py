@@ -22,19 +22,23 @@ the docs checker and the reference manual all draw from one table.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = ["ModelSpec", "IMPAIRMENTS", "FAULTS", "model_spec"]
+__all__ = ["ModelSpec", "IMPAIRMENTS", "FAULTS", "model_spec", "in_range"]
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """One registered scenario model.
 
-    ``params`` maps parameter name -> (default value, unit/meaning).
-    A parameter whose *default* is an ``int`` is integer-typed: values
-    are validated and stored as ``int`` (``8``, never ``8.0``) at
+    ``params`` lists ``(name, default, range, unit/meaning)``; the
+    range is an interval such as ``[0, 1)`` or ``(0, inf)`` that every
+    value must lie in (:func:`in_range`), checked when an
+    ``Impairment``/``Fault`` is built.  A parameter whose *default* is
+    an ``int`` is integer-typed: values are validated and stored as
+    ``int`` (``8``, never ``8.0``) at
     :class:`~repro.scenario.spec.Scenario` parse time.  ``target``
     describes what the model's target label (faults only) names;
     impairments apply to every WAN PVC and take no target.
@@ -43,25 +47,46 @@ class ModelSpec:
     name: str
     kind: str                                # "impairment" | "fault"
     doc: str                                 # one-line human description
-    params: Tuple[Tuple[str, float, str], ...]
+    params: Tuple[Tuple[str, float, str, str], ...]
     target: str = ""                         # fault target label syntax
 
     def defaults(self) -> Dict[str, float]:
-        return {name: default for name, default, _unit in self.params}
+        return {name: default for name, default, _range, _unit
+                in self.params}
+
+    def ranges(self) -> Dict[str, str]:
+        return {name: interval for name, _default, interval, _unit
+                in self.params}
 
     def integer_params(self) -> Tuple[str, ...]:
         """Names of the integer-typed parameters (int defaults)."""
-        return tuple(name for name, default, _unit in self.params
+        return tuple(name for name, default, _range, _unit in self.params
                      if isinstance(default, int) and not
                      isinstance(default, bool))
 
 
-def _imp(name: str, doc: str, *params: Tuple[str, float, str]) -> ModelSpec:
+_INTERVAL = re.compile(r"^([\[(])(\S+), (\S+)([\])])$")
+
+
+def in_range(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval`` (``[lo, hi]`` notation,
+    ``(``/``)`` for an open end, ``inf`` for no bound)."""
+    match = _INTERVAL.match(interval)
+    if match is None:
+        raise ValueError(f"bad interval {interval!r}")
+    left, lo, hi, right = match.groups()
+    lo_ok = float(lo) <= value if left == "[" else float(lo) < value
+    hi_ok = value <= float(hi) if right == "]" else value < float(hi)
+    return lo_ok and hi_ok
+
+
+def _imp(name: str, doc: str,
+         *params: Tuple[str, float, str, str]) -> ModelSpec:
     return ModelSpec(name=name, kind="impairment", doc=doc, params=params)
 
 
 def _fault(name: str, doc: str, target: str,
-           *params: Tuple[str, float, str]) -> ModelSpec:
+           *params: Tuple[str, float, str, str]) -> ModelSpec:
     return ModelSpec(name=name, kind="fault", doc=doc, params=params,
                      target=target)
 
@@ -71,24 +96,30 @@ def _fault(name: str, doc: str, target: str,
 IMPAIRMENTS: Dict[str, ModelSpec] = {spec.name: spec for spec in [
     _imp("jitter",
          "median-preserving lognormal multiplier on WAN one-way latency",
-         ("sigma", 0.3, "lognormal sigma (dimensionless; 0 disables)")),
+         ("sigma", 0.3, "[0, inf)",
+          "lognormal sigma (dimensionless; 0 disables)")),
     _imp("loss",
          "per-transfer packet loss with retransmission: each lost "
          "attempt pays one extra PVC serialization plus a retransmit "
          "timeout",
-         ("p", 0.01, "loss probability per attempt (0..1)"),
-         ("rto", 0.05, "retransmit timeout per lost attempt, seconds"),
-         ("max_retries", 8, "cap on retransmissions per transfer")),
+         ("p", 0.01, "[0, 1]", "loss probability per attempt"),
+         ("rto", 0.05, "[0, inf)",
+          "retransmit timeout per lost attempt, seconds"),
+         ("max_retries", 8, "[0, inf)",
+          "cap on retransmissions per transfer")),
     _imp("bw_dip",
          "periodic bandwidth dips: during a deterministic, seeded-phase "
          "window the PVC serializes at a fraction of its bandwidth",
-         ("depth", 0.5, "fractional bandwidth loss inside a dip (0..1)"),
-         ("period", 1.0, "dip cycle length, virtual seconds"),
-         ("duty", 0.25, "fraction of each period spent dipped (0..1)")),
+         ("depth", 0.5, "[0, 1)",
+          "fractional bandwidth loss inside a dip"),
+         ("period", 1.0, "(0, inf)", "dip cycle length, virtual seconds"),
+         ("duty", 0.25, "[0, 1]",
+          "fraction of each period spent dipped")),
     _imp("cross_traffic",
          "background cross traffic: each transfer serializes extra "
          "competing bytes drawn from an exponential distribution",
-         ("load", 0.2, "mean competing bytes per payload byte")),
+         ("load", 0.2, "[0, inf)",
+          "mean competing bytes per payload byte")),
 ]}
 
 #: Timed fault models: one onset + duration window each, targeted at a
@@ -108,7 +139,8 @@ FAULTS: Dict[str, ModelSpec] = {spec.name: spec for spec in [
            "window (application compute only; protocol overheads are "
            "NIC/firmware costs and stay fixed)",
            "n<K> (global node id, default n0)",
-           ("factor", 0.25, "speed multiplier inside the window (0..1)")),
+           ("factor", 0.25, "(0, 1]",
+            "speed multiplier inside the window")),
 ]}
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .models import FAULTS, IMPAIRMENTS, model_spec
+from .models import FAULTS, IMPAIRMENTS, in_range, model_spec
 
 __all__ = [
     "Impairment",
@@ -44,6 +44,7 @@ def _freeze_params(name: str, params: Dict[str, float],
         raise ValueError(f"{name!r} is a {spec.kind} model, not a "
                          f"{registry_kind}")
     known = spec.defaults()
+    ranges = spec.ranges()
     integers = set(spec.integer_params())
     for key in params:
         if key not in known:
@@ -57,8 +58,9 @@ def _freeze_params(name: str, params: Dict[str, float],
         value = float(raw)
         if value != value:  # NaN never compares equal to itself
             raise ValueError(f"{name}.{key} must be a number, got NaN")
-        if value < 0:
-            raise ValueError(f"{name}.{key} must be >= 0, got {raw!r}")
+        if not in_range(value, ranges[key]):
+            raise ValueError(
+                f"{name}.{key} must be in {ranges[key]}, got {raw!r}")
         if key in integers:
             # Integer-typed parameter (int default in the registry):
             # store a genuine int so reprs, hashes and cache keys never

@@ -215,6 +215,25 @@ def test_checker_flags_env_table_drift(check_docs):
                      f"or benchmarks/ names"]
 
 
+def test_checker_flags_scenario_param_drift(check_docs):
+    """Each scenario model's parameter table and the registry agree on
+    the parameters, their defaults and their ranges."""
+    doc = check_docs.SCENARIOS_DOC
+    text = (REPO / doc).read_text()
+    assert check_docs.check_scenario_params({doc: text}) == []
+    row = "| `depth` | 0.5 | [0, 1) |"
+    assert row in text
+    widened = text.replace(row, "| `depth` | 0.5 | [0, 1] |")
+    assert check_docs.check_scenario_params({doc: widened}) == [
+        f"{doc}: `bw_dip.depth` documented as 0.5 in [0, 1]; registered "
+        f"0.5 in [0, 1)"]
+    dropped = text.replace(row, "| `deep` | 0.5 | [0, 1) |")
+    assert check_docs.check_scenario_params({doc: dropped}) == [
+        f"{doc}: `bw_dip` has no row for its parameter 'depth'",
+        f"{doc}: `bw_dip` documents parameter 'deep', which it does not "
+        f"take"]
+
+
 def test_checker_flags_undeclared_process_cache(check_docs, tmp_path):
     """State that outlives a run is declared in ARCHITECTURE's
     *Process-level state* table or does not exist: a planted memo (any

@@ -13,7 +13,8 @@ The checks over the repo's markdown:
    scenario registry (``repro.scenario.IMPAIRMENTS`` / ``FAULTS``)
    must agree in both directions: every registered model has a
    ``### `model` `` reference section, and every such section names a
-   registered model.
+   registered model.  Each section's parameter table lists exactly the
+   model's parameters, each with its registered default and range.
 4. **Tuner-primitive lockstep** — ``docs/TUNING.md`` and the tuner
    registry (``repro.tuner.PRIMITIVES``) must agree the same two ways.
 
@@ -165,6 +166,41 @@ def check_scenario_models(texts: dict) -> list:
     return problems
 
 
+_PARAM_ROW = re.compile(r"^\|\s*`([a-z_]+)`\s*\|\s*([^|]+?)\s*\|"
+                        r"\s*([^|]+?)\s*\|", re.M)
+
+
+def check_scenario_params(texts: dict) -> list:
+    """Each model section's parameter table lists exactly the model's
+    registered parameters, with their registered defaults and ranges."""
+    text = texts.get(SCENARIOS_DOC)
+    if text is None:
+        return []  # check_scenario_models reports the missing file
+    problems = []
+    parts = _MODEL_HEADING.split(text)
+    for name, body in zip(parts[1::2], parts[2::2]):
+        spec = IMPAIRMENTS.get(name) or FAULTS.get(name)
+        if spec is None:
+            continue
+        section = re.split(r"^#", body, flags=re.M)[0]
+        rows = {m.group(1): (m.group(2), m.group(3))
+                for m in _PARAM_ROW.finditer(section)}
+        for param, default, interval, _unit in spec.params:
+            row = rows.pop(param, None)
+            if row is None:
+                problems.append(f"{SCENARIOS_DOC}: `{name}` has no row for "
+                                f"its parameter {param!r}")
+            elif float(row[0]) != default or row[1] != interval:
+                problems.append(
+                    f"{SCENARIOS_DOC}: `{name}.{param}` documented as "
+                    f"{row[0]} in {row[1]}; registered {default} in "
+                    f"{interval}")
+        for param in sorted(rows):
+            problems.append(f"{SCENARIOS_DOC}: `{name}` documents "
+                            f"parameter {param!r}, which it does not take")
+    return problems
+
+
 def check_tuner_primitives(texts: dict) -> list:
     """Both directions of the docs <-> tuner-registry lockstep."""
     problems = []
@@ -294,6 +330,7 @@ def main() -> int:
         problems.append(f"{TRACING_DOC}: missing")
     problems += check_kinds(texts)
     problems += check_scenario_models(texts)
+    problems += check_scenario_params(texts)
     problems += check_tuner_primitives(texts)
     problems += check_env_vars(texts)
     problems += check_process_caches(texts)
