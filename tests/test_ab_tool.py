@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -96,3 +98,21 @@ def test_cmd_outputs_must_match_the_parent_byte_for_byte():
     assert problems == ["change run 1: stdout differs from parent run 0"]
     runs["change"][1] = _cmd_run(0.9)
     assert ab.compare_outputs(runs) == []
+
+
+def test_parser_takes_repeated_workloads_and_rejects_unknown(capsys):
+    args = ab.parse_args(["--workload", "p2p_4x15", "--workload",
+                          "rpc_4x15", "--pairs", "4"])
+    assert args.workload == ["p2p_4x15", "rpc_4x15"] and args.cmd is None
+    assert args.pairs == 4 and args.ref == "HEAD~1"
+    assert ab.parse_args(["--cmd", "true"]).workload is None
+    for argv, message in [
+            (["--workload", "p2p_4x15", "--workload", "nope"],
+             "unknown workload 'nope'"),
+            (["--workload", "p2p_4x15", "--pairs", "0"],
+             "argument --pairs: 0 must be >= 1"),
+            (["--workload", "p2p_4x15", "--cmd", "true"], "not allowed"),
+            ([], "required")]:
+        with pytest.raises(SystemExit):
+            ab.parse_args(argv)
+        assert message in capsys.readouterr().err

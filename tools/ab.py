@@ -5,6 +5,7 @@ against a parent commit.
 Usage::
 
     python tools/ab.py --workload bcast_4x15 --pairs 10
+    python tools/ab.py --workload p2p_4x15 --workload rpc_4x15 --pairs 6
     python tools/ab.py --workload pdes_4x15 --pairs 8 --aa
     python tools/ab.py --workload p2p_4x15 --ref HEAD~3 --seed 1
     python tools/ab.py --cmd "python -m repro app ra --no-cache" --pairs 6
@@ -15,7 +16,8 @@ It then runs, from each tree in turn, ``--pairs`` times:
 
 * ``--workload W``: ``benchmarks/e2e/run.py --workload W --seed S``.
   Each tree runs its own copy of the instrument and builds its own
-  compiled core.
+  compiled core.  Repeated, each workload's pairs run in turn on the
+  same clones and builds, and each gets its own block of the report.
 * ``--cmd "..."``: the command (split like a shell would, run without
   one) in the tree's root with ``PYTHONPATH=<tree>/src``, timed by the
   wall clock.  One untimed run per tree first builds its compiled core.
@@ -185,10 +187,14 @@ def _run_cmd(tree: Path, argv: List[str]) -> dict:
     return {"metrics": {"wall_s": time.perf_counter() - t0}, "stdout": out}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """The command line.  ``--workload`` repeats; each name must be a
+    workload of BENCHMARK.json."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     what = ap.add_mutually_exclusive_group(required=True)
-    what.add_argument("--workload", help="one workload of BENCHMARK.json")
+    what.add_argument("--workload", action="append",
+                      help="a workload of BENCHMARK.json; repeat it to "
+                           "run several, one after another")
     what.add_argument("--cmd", help="a command to time in each tree")
     ap.add_argument("--ref", default="HEAD~1",
                     help="the parent to clone (default HEAD~1)")
@@ -200,11 +206,47 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error(f"argument --pairs: {args.pairs} must be >= 1")
-    spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    if args.cmd is None and args.workload not in {
-            w["name"] for w in spec["workloads"]}:
-        ap.error(f"unknown workload {args.workload!r}")
+    known = {w["name"] for w in _benchmark()["workloads"]}
+    for workload in args.workload or ():
+        if workload not in known:
+            ap.error(f"unknown workload {workload!r}")
+    return args
+
+
+def _benchmark() -> dict:
+    return json.loads((REPO / "BENCHMARK.json").read_text())
+
+
+def _report(args, spec: dict, workload: Optional[str],
+            runs: Dict[str, List[dict]]) -> bool:
+    """Print one workload's (or the command's) block; True if it found
+    a problem."""
+    aa = " (+A/A clone)" if args.aa else ""
+    if workload is None:
+        print(f"# cmd={args.cmd!r} ref={args.ref}{aa}")
+        lines, problems = summarize_cmd(
+            next(m for m in spec["end_to_end"] if m["name"] == "wall_s"),
+            runs)
+        ok = "every run: stdout byte-identical to the parent's"
+    else:
+        print(f"# {workload} seed={args.seed} ref={args.ref}{aa}")
+        lines, problems = summarize(spec["end_to_end"], runs["parent"],
+                                    runs["change"], runs.get("parent-aa"))
+        ok = "every run: 0 failed, identical count lines"
+    print("\n".join(lines))
+    for problem in problems:
+        print(f"PROBLEM {problem}")
+    if not problems:
+        print(ok)
+    print(flush=True)
+    return bool(problems)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = parse_args(argv)
+    spec = _benchmark()
     cmd = None if args.cmd is None else shlex.split(args.cmd)
+    failed = False
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees: Dict[str, Path] = {"parent": Path(tmp) / "parent",
                                   "change": REPO}
@@ -216,39 +258,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         if cmd is not None:
             for tree in trees.values():
                 _run_cmd(tree, cmd)
-        runs: Dict[str, List[dict]] = {label: [] for label in trees}
         order = list(trees)
-        for i in range(args.pairs):
-            k = i % len(order)
-            for label in order[k:] + order[:k]:
-                runs[label].append(
-                    _run(trees[label], args.workload, args.seed)
-                    if cmd is None else _run_cmd(trees[label], cmd))
-                print(f"# round {i + 1}/{args.pairs} {label}: wall_s "
-                      f"{runs[label][-1]['metrics'].get('wall_s')}",
-                      file=sys.stderr, flush=True)
-    if cmd is not None:
-        print(f"# cmd={args.cmd!r} ref={args.ref}"
-              + (" (+A/A clone)" if args.aa else ""))
-        lines, problems = summarize_cmd(
-            next(m for m in spec["end_to_end"] if m["name"] == "wall_s"),
-            runs)
-        print("\n".join(lines))
-        for problem in problems:
-            print(f"PROBLEM {problem}")
-        if not problems:
-            print("every run: stdout byte-identical to the parent's")
-        return 1 if problems else 0
-    print(f"# {args.workload} seed={args.seed} ref={args.ref}"
-          + (" (+A/A clone)" if args.aa else ""))
-    lines, problems = summarize(spec["end_to_end"], runs["parent"],
-                                runs["change"], runs.get("parent-aa"))
-    print("\n".join(lines))
-    for problem in problems:
-        print(f"PROBLEM {problem}")
-    if not problems:
-        print("every run: 0 failed, identical count lines")
-    return 1 if problems else 0
+        # One block per workload, all on the same clones and builds.
+        for workload in args.workload or [None]:
+            runs: Dict[str, List[dict]] = {label: [] for label in trees}
+            for i in range(args.pairs):
+                k = i % len(order)
+                for label in order[k:] + order[:k]:
+                    runs[label].append(
+                        _run(trees[label], workload, args.seed)
+                        if cmd is None else _run_cmd(trees[label], cmd))
+                    print(f"# {workload or 'cmd'} round {i + 1}/"
+                          f"{args.pairs} {label}: wall_s "
+                          f"{runs[label][-1]['metrics'].get('wall_s')}",
+                          file=sys.stderr, flush=True)
+            failed |= _report(args, spec, workload, runs)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
