@@ -1,5 +1,7 @@
 """Integration tests for the Orca runtime: RPC, replication, guards, order."""
 
+import hashlib
+
 import pytest
 
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
@@ -429,6 +431,81 @@ def test_broadcasts_queue_behind_a_live_apply_chain():
     assert sim.now == 0.00040399999999999995
     assert sim.stats() == {"events_processed": 455, "spawns": 8,
                            "fast_completions": 27, "fallbacks": 83}
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_rpc_round_trip_is_pinned(traced):
+    """The RPC round trip on a 2x3 stack, LAN and WAN: three RPCs issued
+    at one instant to one owner, a guard-blocked RPC that parks and is
+    retried by a write, a callable cost and callable sizes beside
+    constant ones.  Every reply's clock and result, the engine counters,
+    the meter, the id tables and (traced) the records are literals
+    recorded before the round trip was inlined."""
+    sim = Simulator()
+    tracer = Tracer(enabled=traced)
+    fabric = Fabric(sim, uniform_clusters(2, 3), DAS_PARAMS, tracer=tracer)
+    rts = OrcaRuntime(sim, fabric)
+    rts.register(counter_spec(owner=0))
+
+    def enq(state, item):
+        state.append(item)
+
+    def deq(state):
+        if not state:
+            raise Blocked
+        return state.pop(0)
+
+    rts.register(ObjectSpec(
+        "queue", list,
+        {"enq": Operation(fn=enq, writes=True,
+                          arg_bytes=lambda item: 8 * len(item),
+                          cpu_cost=lambda item: 1e-6 * len(item)),
+         "deq": Operation(fn=deq, writes=True,
+                          result_bytes=lambda item: 8 * len(item))},
+        owner=3))
+    replies = []
+
+    def call(nid, at, obj, op, *args):
+        ctx = rts.context(nid)
+        if at:
+            yield from ctx.sleep(at)
+        got = yield from ctx.invoke(obj, op, *args)
+        replies.append((nid, op, sim.now, got))
+
+    sim.spawn(call(1, 0.0, "counter", "incr", 1))       # LAN
+    sim.spawn(call(4, 0.0, "counter", "incr", 10))      # WAN
+    for nid in (1, 2, 5):                               # one instant
+        sim.spawn(call(nid, 0.01, "counter", "incr", nid))
+    sim.spawn(call(0, 0.02, "queue", "deq"))            # parks at owner 3
+    sim.spawn(call(4, 0.03, "queue", "enq", "job"))    # the retrying write
+    sim.run()
+    assert replies == [
+        (1, "incr", 4.260331825037707e-05, 1),
+        (4, "incr", 0.0027114560706401774, 11),
+        (1, "incr", 0.010049603318250375, 12),
+        (2, "incr", 0.010054603318250374, 14),
+        (5, "incr", 0.012711456070640174, 19),
+        (4, "enq", 0.030045904977375568, None),
+        (0, "deq", 0.031417089083335833, "job")]
+    assert sim.now == 0.031417089083335833
+    assert sim.stats() == {"events_processed": 213, "spawns": 7,
+                           "fast_completions": 67, "fallbacks": 19}
+    meter = rts.meter
+    assert {k: (r.count, r.bytes) for k, r in meter.intra.items()} == {
+        "rpc": (4, 72)}
+    assert {k: (r.count, r.bytes) for k, r in meter.inter.items()} == {
+        "rpc": (3, 64)}
+    assert (meter.wan_messages, meter.wan_bytes) == (6, 64)
+    assert fabric._msg_seq == [6, 2, 1, 2, 2, 1]
+    assert rts._req_seq == [1, 2, 1, 0, 2, 1]
+    assert not [name for node in fabric.nodes for name in node._ports
+                if name.startswith("orca.rpcret.")]
+    recs = [(r.kind, r.time, tuple(sorted(r.detail.items())))
+            for r in tracer.records]
+    assert (len(recs), hashlib.sha256(repr(recs).encode()).hexdigest()) == (
+        (94, "e71c4857175ecbcdc75fb21db28ae3381130d0217263f37d5979e5d57dfb34de")
+        if traced else
+        (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"))
 
 
 # ------------------------------------------------------------- sequencers
