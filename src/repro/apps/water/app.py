@@ -106,6 +106,14 @@ class WaterApp(Application):
             shared["cache"] = cache
             shared["store"] = store
             shared["chans"] = chans
+            # cluster_writers[c][b]: the processors of cluster c whose
+            # window holds block b, each combining into one update.
+            writers = [[0] * p for _ in range(rts.topo.n_clusters)]
+            for a in range(p):
+                row = writers[rts.topo.cluster_of(a)]
+                for b in model.window(p, a):
+                    row[b] += 1
+            shared["cluster_writers"] = writers
         return shared
 
     @staticmethod
@@ -162,11 +170,10 @@ class WaterApp(Application):
                 if variant == "original":
                     yield from ctx.invoke(f"water{b}", "add_forces", step, f_b)
                 else:
-                    expected = self._cluster_writers(ctx, b, p)
                     yield from shared["cache"].write_combined(
                         ctx, b, step, f_b,
                         size=BYTES_PER_MOLECULE * sizes[b] + 8,
-                        expected=expected)
+                        expected=shared["cluster_writers"][ctx.cluster][b])
 
             # Collect contributions computed for us by our writers.
             if variant == "original":
@@ -188,12 +195,6 @@ class WaterApp(Application):
 
         shared["final"][k] = pos
         return None
-
-    @staticmethod
-    def _cluster_writers(ctx: Context, b: int, p: int) -> int:
-        """How many processors in the caller's cluster write forces to b."""
-        return sum(1 for a in ctx.topo.nodes_in(ctx.cluster)
-                   if b in model.window(p, a))
 
     @staticmethod
     def _expected_updates(ctx: Context, writers: List[int]) -> int:

@@ -181,34 +181,31 @@ class BoundPort:
     a :class:`~repro.sim.Channel`; deleting ``node._ports[name]``
     unbinds it.
 
-    A put while armed disarms the port and posts its consumer, the one
-    heap entry a waiting getter would post: ``handler(msg)`` as a call
-    slot now, or ``succeed(msg)`` on a reply :class:`~repro.sim.Event`.
-    Puts while disarmed queue; :meth:`arm` posts the head, or re-arms."""
+    A put while armed disarms the port and posts ``handler(msg)`` as a
+    call slot now, the one heap entry a waiting getter would post.  Puts
+    while disarmed queue; :meth:`arm` posts the head, or re-arms."""
 
     def __init__(self, node: "Node", name: str,
-                 consumer: Callable[[Any], None] | Event):
+                 handler: Callable[[Any], None]):
         if name in node._ports:
             raise SimulationError(f"port {name!r} on {node} exists")
         node._ports[name] = self
         self.sim = node.sim
         self._armed = True
         self._queue: deque = deque()
-        self._handler = consumer
+        self._handler = handler
         self._deliver_slot = self._deliver  # one bound method, reused
-        self._post = (consumer.succeed if isinstance(consumer, Event)
-                      else self._call_slot)
 
     def put(self, msg: Any) -> None:
         if self._armed:
             self._armed = False
-            self._post(msg)
+            self._call_slot(msg)
         else:
             self._queue.append(msg)
 
     def arm(self) -> None:
         if self._queue:
-            self._post(self._queue.popleft())
+            self._call_slot(self._queue.popleft())
         else:
             self._armed = True
 
@@ -406,11 +403,13 @@ class Fabric:
 
     # ----------------------------------------------- chain-style entry points
     #
-    # Non-generator counterparts of send / multicast_local /
+    # Non-generator counterparts of multicast_local and
     # wan_fanout_multicast for callers that are themselves callback
-    # chains (the Orca runtime).  They charge the sender-side CPU
+    # chains (the Orca broadcast).  They charge the sender-side CPU
     # exactly like the generator APIs, then launch the same route;
     # ``then`` runs where a process driving the generator would resume.
+    # A point-to-point chain (an RPC reply) builds its message with
+    # :meth:`_new_message` and charges the sender itself.
 
     def _overhead_then(self, src: int, cost: float,
                      launch: Callable[[], Event],
@@ -422,24 +421,13 @@ class Fabric:
 
         self.nodes[src].cpu.occupy(cost).callbacks.append(_launch)
 
-    def send_chain(self, src: int, dst: int, size: int, payload: Any = None,
-                   port: str = "default", kind: str = "msg",
-                   then: Optional[Callable[[Event], None]] = None) -> None:
-        """:meth:`send` as a callback chain: charge the sender CPU, then
-        launch the delivery legs.  ``then(done)`` — if given — receives
-        the delivery event once the sender-side overhead is paid, the
-        point a driving process resumes at."""
-        msg, route, cost = self._new_message(src, dst, size, payload, port,
-                                             kind)
-        self._overhead_then(src, cost, lambda: route(msg), then)
-
     def multicast_local_chain(self, src: int, size: int, payload: Any = None,
                               port: str = "default", kind: str = "msg",
                               then: Optional[Callable[[Event], None]] = None
                               ) -> None:
-        """:meth:`multicast_local` as a callback chain (see
-        :meth:`send_chain`); ``then(done)`` receives the all-delivered
-        event."""
+        """:meth:`multicast_local` as a callback chain: charge the sender
+        CPU, then launch the delivery legs; ``then(done)`` receives the
+        all-delivered event."""
         cluster = self.node_cluster[src]
         self._overhead_then(
             src, self._multicast_cost(cluster, size),
@@ -453,9 +441,9 @@ class Fabric:
                                    then: Optional[Callable[[Event], None]]
                                    = None) -> None:
         """:meth:`wan_fanout_multicast` as a callback chain (see
-        :meth:`send_chain`).  With no remote clusters ``then(None)``
-        runs synchronously — no event is created, so a quiet instant
-        stays quiet."""
+        :meth:`multicast_local_chain`).  With no remote clusters
+        ``then(None)`` runs synchronously — no event is created, so a
+        quiet instant stays quiet."""
         src_cluster = self.node_cluster[src]
         remote = [c for c in range(self.topo.n_clusters) if c != src_cluster]
         if not remote:

@@ -32,10 +32,6 @@ CostSpec = Union[float, Callable[..., float]]
 DEFAULT_OP_COST = 2e-6
 
 
-def _resolve(spec, *args) -> float:
-    return spec(*args) if callable(spec) else spec
-
-
 def estimate_bytes(value: Any) -> int:
     """Crude structural size estimate used when no explicit size is given."""
     if value is None:
@@ -67,8 +63,8 @@ class Operation:
     ``writes`` decides the protocol (RPC/local for reads, broadcast for
     writes on replicated objects).  ``arg_bytes``/``result_bytes`` size the
     messages; ``cpu_cost`` charges the executing node's CPU.  A constant
-    of any of the three must be finite and non-negative; a constant
-    ``cpu_cost`` is resolved to a float here, once.
+    of any of the three must be finite and non-negative, and is resolved
+    here, once: a size to an ``int``, a cost to a ``float``.
     """
 
     fn: Callable[..., Any]
@@ -78,25 +74,30 @@ class Operation:
     cpu_cost: CostSpec = DEFAULT_OP_COST
 
     def __post_init__(self):
-        for name in ("arg_bytes", "result_bytes", "cpu_cost"):
+        for name, kind in (("arg_bytes", int), ("result_bytes", int),
+                           ("cpu_cost", float)):
             spec = getattr(self, name)
-            if not (spec is None or callable(spec) or 0 <= spec < math.inf):
+            if spec is None or callable(spec):
+                continue
+            if not 0 <= spec < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0: {spec!r}")
-        if not callable(self.cpu_cost):
-            self.cpu_cost = float(self.cpu_cost)
+            setattr(self, name, kind(spec))
 
     def args_size(self, args: tuple) -> int:
-        if self.arg_bytes is None:
-            return estimate_bytes(args)
-        return int(_resolve(self.arg_bytes, *args))
+        spec = self.arg_bytes
+        if type(spec) is int:
+            return spec
+        return estimate_bytes(args) if spec is None else int(spec(*args))
 
     def result_size(self, result: Any) -> int:
-        if self.result_bytes is None:
-            return estimate_bytes(result)
-        return int(_resolve(self.result_bytes, result))
+        spec = self.result_bytes
+        if type(spec) is int:
+            return spec
+        return estimate_bytes(result) if spec is None else int(spec(result))
 
     def cost(self, args: tuple) -> float:
-        return float(_resolve(self.cpu_cost, *args))
+        spec = self.cpu_cost
+        return spec if type(spec) is float else float(spec(*args))
 
 
 @dataclass

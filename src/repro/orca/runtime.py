@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional
 
 from ..metrics.counters import TrafficMeter
 from ..network import Fabric, Message
@@ -44,15 +44,34 @@ GUARD_EVAL_COST = 1e-6
 REQ_ID_STRIDE = 1_000_000
 
 
-@dataclass
+@dataclass(slots=True)
 class _RpcRequest:
-    req_id: int
     obj_name: str
-    op_name: str
+    op: Operation
     args: tuple
     caller: int
     result_port: str
-    req_size: int
+
+
+class _ReplySlot:
+    """One RPC's ``orca.rpcret.<id>`` port: ``put`` is the reply event's
+    ``succeed``; like a bound port, it refuses ``get``."""
+
+    __slots__ = ("put",)
+
+    def __init__(self, reply: Event):
+        self.put = reply.succeed
+
+    get = BoundPort.get
+
+
+def _launch(route: Any, msg: Message, then: Optional[Any],
+            _ev: Event) -> None:
+    """A reply's sender-side overhead is paid: launch its delivery legs,
+    then run the server's ``then()``."""
+    route(msg, False)
+    if then is not None:
+        then()
 
 
 class OrcaRuntime:
@@ -201,14 +220,14 @@ class OrcaRuntime:
 
     def _serve(self, node: int, req: _RpcRequest,
                then: Optional[Any] = None) -> None:
-        """Execute one RPC at its owner and send the reply; ``then()``
-        runs after the reply's sender-side overhead (or after the
-        guard-fail charge when the operation blocks and parks)."""
+        """Execute one RPC at its owner and charge it; ``then()`` runs
+        after the reply's sender-side overhead (or after the guard-fail
+        charge when the operation blocks and parks)."""
         replica = self._replicas[req.obj_name].get(node)
         if replica is None:
             raise RuntimeError(
                 f"RPC for {req.obj_name!r} arrived at non-owner node {node}")
-        op = replica.spec.op(req.op_name)
+        op = req.op
         cpu = self._cpus[node]
         try:
             result = op.fn(replica.state, *req.args)
@@ -219,54 +238,59 @@ class OrcaRuntime:
                     then()
             cpu.occupy(GUARD_EVAL_COST).callbacks.append(_parked)
             return
-
-        def _executed(_ev: Event) -> None:
-            if op.writes:
-                self._kick(node, replica)
-            result_size = op.result_size(result)
-            self.fabric.send_chain(
-                node, req.caller, result_size, payload=(result, result_size),
-                port=req.result_port, kind="rpc",
-                then=None if then is None else (lambda _done: then()))
-
         cpu.occupy(op.cpu_cost if type(op.cpu_cost) is float
-                   else op.cost(req.args)).callbacks.append(_executed)
+                   else op.cost(req.args)).callbacks.append(
+            partial(self._reply, node, replica, req, result, then))
+
+    def _reply(self, node: int, replica: Replica, req: _RpcRequest,
+               result: Any, then: Optional[Any], _ev: Event) -> None:
+        """The charge is paid: wake the object's waiters on a write, then
+        pay the reply's sender-side overhead and launch it."""
+        op = req.op
+        if op.writes:
+            self._kick(node, replica)
+        size = op.result_size(result)
+        msg, route, cost = self.fabric._new_message(
+            node, req.caller, size, (result, size), req.result_port, "rpc")
+        self._cpus[node].occupy(cost).callbacks.append(
+            partial(_launch, route, msg, then))
 
     def _invoke_rpc(self, caller: int, spec: ObjectSpec, op: Operation,
                     op_name: str, args: tuple) -> Generator:
         seq = self._req_seq[caller]
         self._req_seq[caller] = seq + 1
         req_id = caller * REQ_ID_STRIDE + seq
-        req = _RpcRequest(
-            req_id=req_id, obj_name=spec.name, op_name=op_name, args=args,
-            caller=caller, result_port=f"orca.rpcret.{req_id}",
-            req_size=op.args_size(args))
-        clusters = self.fabric.node_cluster
+        result_port = f"orca.rpcret.{req_id}"
+        req_size = op.args_size(args)
+        fabric = self.fabric
+        clusters = fabric.node_cluster
         inter = clusters[caller] != clusters[spec.owner]
-        tr = self.fabric.tracer
+        tr = fabric.tracer
         traced = tr.enabled
         t0 = self.sim.now
         if traced:
             tr.emit(t0, "rpc.issue", req_id=req_id, caller=caller,
                     owner=spec.owner, obj=spec.name, op=op_name,
-                    size=req.req_size, inter=inter)
-        # The reply port is named after this one request and bound to its
-        # reply: nothing will address it again, so it goes with the reply.
-        node = self.fabric.nodes[caller]
+                    size=req_size, inter=inter)
+        # The reply slot is named after this one request: nothing will
+        # address it again, so it goes with the reply.
+        ports = fabric.nodes[caller]._ports
         reply = Event(self.sim)
-        BoundPort(node, req.result_port, reply)
-        yield from self.fabric.send(caller, spec.owner, req.req_size,
-                                    payload=req, port=RPC_PORT, kind="rpc")
-        msg = yield reply
-        del node._ports[req.result_port]
-        result, result_size = msg.payload
-        self.meter.record("rpc", req.req_size + result_size,
-                          intercluster=inter)
+        ports[result_port] = _ReplySlot(reply)
+        msg, route, cost = fabric._new_message(
+            caller, spec.owner, req_size,
+            _RpcRequest(spec.name, op, args, caller, result_port),
+            RPC_PORT, "rpc")
+        yield self._cpus[caller].occupy(cost)
+        route(msg, False)
+        result, result_size = (yield reply).payload
+        del ports[result_port]
+        self.meter.record("rpc", req_size + result_size, intercluster=inter)
         if traced:
             now = self.sim.now
             tr.emit(now, "rpc.complete", req_id=req_id, caller=caller,
                     owner=spec.owner, obj=spec.name, op=op_name,
-                    bytes=req.req_size + result_size, inter=inter,
+                    bytes=req_size + result_size, inter=inter,
                     t0=t0, dur=now - t0)
         return result
 

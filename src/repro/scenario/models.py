@@ -37,9 +37,8 @@ class ModelSpec:
     range is an interval such as ``[0, 1)`` or ``(0, inf)`` that every
     value must lie in (:func:`in_range`), checked when an
     ``Impairment``/``Fault`` is built.  A parameter whose *default* is
-    an ``int`` is integer-typed: values are validated and stored as
-    ``int`` (``8``, never ``8.0``) at
-    :class:`~repro.scenario.spec.Scenario` parse time.  ``target``
+    an ``int`` is integer-typed: its values must be whole, and ``of``
+    stores them as ``int`` (``8``, never ``8.0``).  ``target``
     describes what the model's target label (faults only) names;
     impairments apply to every WAN PVC and take no target.
     """

@@ -23,6 +23,7 @@ values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Dict, Optional, Tuple
 
 from .models import FAULTS, IMPAIRMENTS, in_range, model_spec
@@ -37,41 +38,49 @@ __all__ = [
 ]
 
 
-def _freeze_params(name: str, params: Dict[str, float],
+def _fill_defaults(name: str, params: Dict[str, float],
                    registry_kind: str) -> Tuple[Tuple[str, float], ...]:
+    """``params`` over the model's defaults, as the sorted tuple an
+    :class:`Impairment` or :class:`Fault` holds: a whole value of an
+    integer-typed parameter becomes an ``int`` (``8``, never ``8.0``),
+    every other value a ``float``.  The value built from it checks them
+    (:func:`_check_params`)."""
     spec = model_spec(name)
     if spec.kind != registry_kind:
         raise ValueError(f"{name!r} is a {spec.kind} model, not a "
                          f"{registry_kind}")
-    known = spec.defaults()
-    ranges = spec.ranges()
     integers = set(spec.integer_params())
-    for key in params:
-        if key not in known:
-            raise ValueError(
-                f"{name!r} has no parameter {key!r}; "
-                f"it takes {sorted(known) or 'no parameters'}")
-    merged = dict(known)
+    merged = spec.defaults()
     merged.update(params)
     frozen = []
     for key, raw in merged.items():
         value = float(raw)
-        if value != value:  # NaN never compares equal to itself
-            raise ValueError(f"{name}.{key} must be a number, got NaN")
+        whole = key in integers and value.is_integer()
+        frozen.append((key, int(value) if whole else value))
+    return tuple(sorted(frozen))
+
+
+def _check_params(name: str, params: Tuple[Tuple[str, float], ...]) -> None:
+    """Refuse an unknown key, a NaN, a value outside its documented
+    range, or a fraction for an integer-typed parameter; run by every
+    :class:`Impairment` and :class:`Fault`, however it was built."""
+    spec = model_spec(name)
+    known = spec.defaults()
+    ranges = spec.ranges()
+    integers = set(spec.integer_params())
+    for key, value in params:
+        if key not in known:
+            raise ValueError(
+                f"{name!r} has no parameter {key!r}; "
+                f"it takes {sorted(known) or 'no parameters'}")
+        if not isinstance(value, Real) or value != value:  # NaN != NaN
+            raise ValueError(f"{name}.{key} must be a number, got {value!r}")
         if not in_range(value, ranges[key]):
             raise ValueError(
-                f"{name}.{key} must be in {ranges[key]}, got {raw!r}")
-        if key in integers:
-            # Integer-typed parameter (int default in the registry):
-            # store a genuine int so reprs, hashes and cache keys never
-            # carry `8.0` where `8` is meant.
-            if not value.is_integer():
-                raise ValueError(
-                    f"{name}.{key} must be an integer, got {raw!r}")
-            frozen.append((key, int(value)))
-        else:
-            frozen.append((key, value))
-    return tuple(sorted(frozen))
+                f"{name}.{key} must be in {ranges[key]}, got {value!r}")
+        if key in integers and not float(value).is_integer():
+            raise ValueError(
+                f"{name}.{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,8 @@ class Impairment:
     ``params`` is a sorted tuple of ``(name, value)`` pairs covering
     *every* parameter of the model (defaults filled in), so two
     impairments meaning the same thing always compare and hash equal.
-    Build with :meth:`of` to get validation and default-filling.
+    Build with :meth:`of` to get the defaults filled in; every value is
+    checked against its model however the impairment is built.
     """
 
     model: str
@@ -91,10 +101,11 @@ class Impairment:
         if self.model not in IMPAIRMENTS:
             raise ValueError(f"unknown impairment model {self.model!r}; "
                              f"choose from {sorted(IMPAIRMENTS)}")
+        _check_params(self.model, self.params)
 
     @classmethod
     def of(cls, model: str, **params: float) -> "Impairment":
-        return cls(model, _freeze_params(model, params, "impairment"))
+        return cls(model, _fill_defaults(model, params, "impairment"))
 
     def param(self, name: str) -> float:
         for key, value in self.params:
@@ -131,12 +142,13 @@ class Fault:
             raise ValueError(f"fault onset must be >= 0: {self.at}")
         if self.duration <= 0:
             raise ValueError(f"fault duration must be > 0: {self.duration}")
+        _check_params(self.model, self.params)
 
     @classmethod
     def of(cls, model: str, at: float, duration: float, target: str = "",
            **params: float) -> "Fault":
         return cls(model, at, duration, target,
-                   _freeze_params(model, params, "fault"))
+                   _fill_defaults(model, params, "fault"))
 
     def param(self, name: str) -> float:
         for key, value in self.params:

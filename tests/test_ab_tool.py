@@ -116,3 +116,56 @@ def test_parser_takes_repeated_workloads_and_rejects_unknown(capsys):
         with pytest.raises(SystemExit):
             ab.parse_args(argv)
         assert message in capsys.readouterr().err
+
+
+BENCH_OUT = "\n".join([
+    "metric                          baseline      current   delta  status",
+    "engine/python/event_chain          90000        81000    -10%",
+    "engine/compiled/event_chain      1000000      1200000    +20%",
+    "orca/rpc_lan                       14778        45316   +207%",
+    "orca/rpc_wan                       14778            -       -",
+    "pdes/sor_4x4/overhead_us_per_epoch 173.6        142.0    -18%"])
+
+
+def test_parse_bench_reads_current_and_drops_other_tiers():
+    assert ab.parse_bench(BENCH_OUT)["metrics"] == {
+        "engine/python/event_chain": 81000.0,
+        "engine/compiled/event_chain": 1200000.0,
+        "orca/rpc_lan": 45316.0,
+        "pdes/sor_4x4/overhead_us_per_epoch": 142.0}
+    assert list(ab.parse_bench(BENCH_OUT, "python")["metrics"]) == [
+        "engine/python/event_chain", "orca/rpc_lan",
+        "pdes/sor_4x4/overhead_us_per_epoch"]
+
+
+def test_bench_summary_reads_rates_up_and_costs_down():
+    def run(rate, cost):
+        return {"metrics": {"orca/rpc_lan": rate,
+                            "pdes/sor_4x4/overhead_us_per_epoch": cost}}
+
+    runs = {"parent": [run(100, 10), run(110, 12), run(90, 11)],
+            "change": [run(120, 9), run(100, 13), run(95, 10)]}
+    lines, problems = ab.summarize_bench(runs)
+    assert problems == [] and lines[0] == "pairs=3"
+    assert lines[2].split() == ["orca/rpc_lan", "parent", "100.0000",
+                                "90.0000", "110.0000", "(IQR", "20.0000)"]
+    # Rates: higher wins (pairs 0 and 2); costs: lower wins (0 and 2).
+    assert lines[3].split() == ["change", "100.0000", "95.0000",
+                                "120.0000", "+0.0%", "2/3"]
+    assert lines[5].split()[-2:] == ["-9.1%", "2/3"]
+    runs["change"][1] = {"metrics": {"orca/rpc_lan": 100}}
+    _lines, problems = ab.summarize_bench(runs)
+    assert problems == ["change: no pdes/sor_4x4/overhead_us_per_epoch"]
+
+
+def test_parser_takes_a_bench_suite_and_tier(capsys):
+    args = ab.parse_args(["--bench", "orca:python", "--pairs", "3"])
+    assert args.bench == "orca:python" and args.workload is None
+    assert ab.parse_args(["--bench", "engine"]).bench == "engine"
+    for argv, message in [
+            (["--bench", "nope"], "unknown bench suite 'nope'"),
+            (["--bench", "orca:gpu"], "unknown engine tier 'gpu'"),
+            (["--bench", "orca", "--cmd", "true"], "not allowed")]:
+        with pytest.raises(SystemExit):
+            ab.parse_args(argv)
+        assert message in capsys.readouterr().err

@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.water import WaterApp, WaterParams
 from repro.apps.water import model
 from repro.harness import run_app
+from repro.network import DAS_PARAMS, ClusterSpec, Fabric, Topology
+from repro.orca import OrcaRuntime
+from repro.sim import Simulator
 
 
 # ----------------------------------------------------------------- model
@@ -27,6 +30,24 @@ def test_window_covers_every_pair_exactly_once():
 def test_window_property_all_pairs_once(p):
     count = sum(len(model.window(p, k)) for k in range(p))
     assert count == p * (p - 1) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 16), min_size=1, max_size=8).filter(
+    lambda sizes: sum(sizes) <= 64))
+def test_cluster_writer_table_counts_each_window(sizes):
+    """``register`` builds, once per run, how many processors of each
+    cluster write forces to each block: the count the optimized variant
+    waits for, equal to a brute-force scan of every window."""
+    topo = Topology([ClusterSpec(f"c{i}", n) for i, n in enumerate(sizes)])
+    sim = Simulator()
+    rts = OrcaRuntime(sim, Fabric(sim, topo, DAS_PARAMS))
+    shared = WaterApp().register(rts, WaterParams(), "optimized")
+    p = topo.n_nodes
+    assert shared["cluster_writers"] == [
+        [sum(1 for a in topo.nodes_in(c) if b in model.window(p, a))
+         for b in range(p)]
+        for c in range(topo.n_clusters)]
 
 
 def test_writers_of_is_inverse_of_window():

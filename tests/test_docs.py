@@ -104,6 +104,7 @@ DELETED_SURFACE = (
     "REPRO_PDES", "pdes_mode", "forced_on_by",
     "def replica(",
     "_next_msg_id", "def _bucket(", "._bucket(",
+    "send_chain", "_cluster_writers",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the

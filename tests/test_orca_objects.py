@@ -65,6 +65,12 @@ def test_operation_resolves_a_constant_cost_once():
     assert type(op.cpu_cost) is float and op.cost(()) == 3.0
 
 
+def test_operation_resolves_constant_sizes_once():
+    op = Operation(fn=lambda s: None, arg_bytes=8.0, result_bytes=16.0)
+    assert type(op.arg_bytes) is int and type(op.result_bytes) is int
+    assert op.args_size(("ignored",)) == 8 and op.result_size(None) == 16
+
+
 def test_objectspec_requires_operations():
     with pytest.raises(ValueError):
         ObjectSpec("empty", dict, {})

@@ -82,6 +82,41 @@ def test_impairment_of_fills_defaults_and_validates():
                     factor=1).param("factor") == 1.0
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Impairment("loss", (("p", 1.5),)), r"p must be in \[0, 1\]"),
+    (lambda: Impairment("bw_dip", (("depth", 1.0),)),
+     r"depth must be in \[0, 1\)"),
+    (lambda: Impairment("bw_dip", (("period", 0.0),)),
+     r"period must be in \(0, inf\)"),
+    (lambda: Impairment("jitter", (("sigmaa", 0.3),)), "no parameter"),
+    (lambda: Impairment("jitter", (("sigma", float("nan")),)),
+     "must be a number"),
+    (lambda: Impairment("loss", (("p", "0.5"),)), "must be a number"),
+    (lambda: Impairment("loss", (("max_retries", 2.5),)),
+     "max_retries must be an integer"),
+    (lambda: Fault("slow_node", 0.0, 1.0, "n1", (("factor", 0.0),)),
+     r"factor must be in \(0, 1\]"),
+    (lambda: Fault("gw_outage", 0.0, 1.0, "", (("factor", 0.5),)),
+     "no parameter")], ids=[
+    "loss-p", "bw_dip-depth", "bw_dip-period", "jitter-key", "jitter-nan",
+    "loss-str", "loss-fraction", "slow_node-factor", "gw_outage-key"])
+def test_directly_built_values_are_checked(build, message):
+    """A value built without :meth:`of` is checked like one built with
+    it: a ``bw_dip`` of depth 1.0 used to be accepted and then divide by
+    zero mid-run."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_directly_built_values_in_range_are_accepted():
+    assert Impairment("loss", (("p", 1.0),)).param("p") == 1.0
+    assert Impairment("loss", (("max_retries", 3),)).param("max_retries") == 3
+    assert Fault("slow_node", 0.0, 1.0, "n1",
+                 (("factor", 1.0),)).param("factor") == 1.0
+    assert Impairment.of("loss", max_retries=4.0).params == (
+        ("max_retries", 4), ("p", 0.01), ("rto", 0.05))
+
+
 def test_fault_of_validates_times_and_model():
     flt = Fault.of("slow_node", at=1.0, duration=0.5, target="n3",
                    factor=0.1)

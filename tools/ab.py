@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Alternating A/B runs of one end-to-end workload, or of one command,
-against a parent commit.
+"""Alternating A/B runs of one end-to-end workload, of one command, or
+of one ``repro bench`` suite, against a parent commit.
 
 Usage::
 
@@ -9,6 +9,7 @@ Usage::
     python tools/ab.py --workload pdes_4x15 --pairs 8 --aa
     python tools/ab.py --workload p2p_4x15 --ref HEAD~3 --seed 1
     python tools/ab.py --cmd "python -m repro app ra --no-cache" --pairs 6
+    python tools/ab.py --bench orca:python --pairs 8
 
 The tool clones ``--ref`` (default ``HEAD~1``) into a temporary
 directory; ``--aa`` adds a second clone of it, for three-way judging.
@@ -21,14 +22,21 @@ It then runs, from each tree in turn, ``--pairs`` times:
 * ``--cmd "..."``: the command (split like a shell would, run without
   one) in the tree's root with ``PYTHONPATH=<tree>/src``, timed by the
   wall clock.  One untimed run per tree first builds its compiled core.
+* ``--bench SUITE[:TIER]``: ``python -m repro bench --suite SUITE
+  --repeat 1`` in the tree's root with ``PYTHONPATH=<tree>/src``, each
+  row read from the ``current`` column.  ``TIER`` (``python`` or
+  ``compiled``) sets ``REPRO_ENGINE`` for both trees and drops a tiered
+  suite's rows of the other tier.  A row is higher-is-better (a rate),
+  except a ``_us_per_epoch`` row, a cost.
 
 The side that goes first rotates from one round to the next; the
 working tree is the change.  It prints, per end-to-end metric of
-``BENCHMARK.json`` (``wall_s`` alone for ``--cmd``), each side's median
-and quartiles, the parent's inter-quartile range and how many pairs the
-change won, with the ``host_cores`` and ``engine_tier`` of the
-workload runs.  With ``--aa`` the second clone gets the same row, read
-against the first.  It exits 1 if a workload run's ``count`` lines
+``BENCHMARK.json`` (``wall_s`` alone for ``--cmd``, every row for
+``--bench``), each side's median and quartiles, the parent's
+inter-quartile range and how many pairs the change won, with the
+``host_cores`` and ``engine_tier`` of the workload runs.  With
+``--aa`` the second clone gets the same row, read against the first.
+It exits 1 if a workload run's ``count`` lines
 differ or an operation failed, or if a command's standard output
 differs from the parent's first run byte for byte.  The tool itself
 writes nothing under ``benchmarks/e2e/`` and judges no claim: the
@@ -52,6 +60,7 @@ from typing import Dict, List, Optional, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 COUNT_LINE = re.compile(r"^\s+count (\S+)\s+(\S+)$")
+TIERS = ("python", "compiled")
 
 
 def parse_run(out: str) -> dict:
@@ -66,6 +75,20 @@ def parse_run(out: str) -> dict:
     return {"header": header, "counts": counts,
             "failed": result["failed"], "correct": result["correct"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def parse_bench(out: str, tier: Optional[str] = None) -> dict:
+    """One ``repro bench`` table: ``{"metrics": {row: current}}``, the
+    header and unmeasured rows skipped; with ``tier``, a tiered row
+    (``engine/<tier>/...``) of another tier is dropped."""
+    metrics = {}
+    for line in out.splitlines()[1:]:
+        name, _base, cur, *_rest = line.split()
+        row_tier = name.split("/")[1] if name.count("/") > 1 else None
+        if cur != "-" and (tier is None or row_tier not in TIERS
+                           or row_tier == tier):
+            metrics[name] = float(cur)
+    return {"metrics": metrics}
 
 
 def _quartiles(values: List[float]) -> Tuple[float, float]:
@@ -101,8 +124,10 @@ def metric_rows(spec: dict, sides: List[Tuple[str, List[dict]]]
         row = f"{name if label == 'parent' else '':<12} {label:<10} " \
               f"{med:>10.4f} {q1:>10.4f} {q3:>10.4f}"
         if label == "parent":
-            lines.append(f"{row} {'':>10} {'':>6}  (IQR {q3 - q1:.4f}, "
-                         f"bound {spec['bound']:.0%})")
+            bound = (f", bound {spec['bound']:.0%}" if "bound" in spec
+                     else "")
+            lines.append(f"{row} {'':>10} {'':>6}  (IQR {q3 - q1:.4f}"
+                         f"{bound})")
             continue
         wins = sum((v < b) if lower else (v > b) for v, b in zip(got, base))
         rel = f"{(med - pmed) / pmed:+.1%}" if pmed else "n/a"
@@ -162,6 +187,26 @@ def summarize_cmd(wall_spec: dict, runs: Dict[str, List[dict]]
             problems + compare_outputs(runs))
 
 
+def summarize_bench(runs: Dict[str, List[dict]]
+                    ) -> Tuple[List[str], List[str]]:
+    """The ``--bench`` report over paired runs (:func:`parse_bench` per
+    run, the parent side first): every row any run measured, in
+    first-seen order, with its medians, quartiles and wins, and a
+    problem per row some run lacks.  A ``_us_per_epoch`` row is a cost
+    (lower is better), every other row a rate.  Pure."""
+    lines = [f"pairs={len(runs['parent'])}", HEAD_ROW]
+    problems: List[str] = []
+    names = dict.fromkeys(name for side in runs.values() for run in side
+                          for name in run["metrics"])
+    for name in names:
+        better = "lower" if name.endswith("_us_per_epoch") else "higher"
+        rows, missing = metric_rows({"name": name, "better": better},
+                                    list(runs.items()))
+        lines += rows
+        problems += missing
+    return lines, problems
+
+
 def _clone(ref: str, dest: Path) -> None:
     sha = subprocess.run(["git", "rev-parse", "--verify", ref], cwd=REPO,
                          check=True, capture_output=True,
@@ -187,6 +232,17 @@ def _run_cmd(tree: Path, argv: List[str]) -> dict:
     return {"metrics": {"wall_s": time.perf_counter() - t0}, "stdout": out}
 
 
+def _run_bench(tree: Path, suite: str, tier: Optional[str]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    if tier is not None:
+        env["REPRO_ENGINE"] = tier
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "bench", "--suite", suite,
+         "--repeat", "1"], cwd=tree, env=env, check=True,
+        capture_output=True, text=True).stdout
+    return parse_bench(out, tier)
+
+
 def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     """The command line.  ``--workload`` repeats; each name must be a
     workload of BENCHMARK.json."""
@@ -196,6 +252,9 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
                       help="a workload of BENCHMARK.json; repeat it to "
                            "run several, one after another")
     what.add_argument("--cmd", help="a command to time in each tree")
+    what.add_argument("--bench", metavar="SUITE[:TIER]",
+                      help="a repro bench suite, optionally on one engine "
+                           "tier (python or compiled)")
     ap.add_argument("--ref", default="HEAD~1",
                     help="the parent to clone (default HEAD~1)")
     ap.add_argument("--seed", type=int, default=0)
@@ -210,6 +269,13 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     for workload in args.workload or ():
         if workload not in known:
             ap.error(f"unknown workload {workload!r}")
+    if args.bench is not None:
+        suite, sep, tier = args.bench.partition(":")
+        if not (REPO / "benchmarks" / f"bench_{suite}_micro.py").exists():
+            ap.error(f"unknown bench suite {suite!r}")
+        if sep and tier not in TIERS:
+            ap.error(f"unknown engine tier {tier!r} (want python or "
+                     "compiled)")
     return args
 
 
@@ -222,7 +288,11 @@ def _report(args, spec: dict, workload: Optional[str],
     """Print one workload's (or the command's) block; True if it found
     a problem."""
     aa = " (+A/A clone)" if args.aa else ""
-    if workload is None:
+    if args.bench is not None:
+        print(f"# bench={args.bench} ref={args.ref}{aa}")
+        lines, problems = summarize_bench(runs)
+        ok = "every run: every row measured"
+    elif workload is None:
         print(f"# cmd={args.cmd!r} ref={args.ref}{aa}")
         lines, problems = summarize_cmd(
             next(m for m in spec["end_to_end"] if m["name"] == "wall_s"),
@@ -260,17 +330,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                 _run_cmd(tree, cmd)
         order = list(trees)
         # One block per workload, all on the same clones and builds.
+        suite, _, tier = (args.bench or "").partition(":")
         for workload in args.workload or [None]:
             runs: Dict[str, List[dict]] = {label: [] for label in trees}
             for i in range(args.pairs):
                 k = i % len(order)
                 for label in order[k:] + order[:k]:
+                    tree = trees[label]
                     runs[label].append(
-                        _run(trees[label], workload, args.seed)
-                        if cmd is None else _run_cmd(trees[label], cmd))
-                    print(f"# {workload or 'cmd'} round {i + 1}/"
-                          f"{args.pairs} {label}: wall_s "
-                          f"{runs[label][-1]['metrics'].get('wall_s')}",
+                        _run(tree, workload, args.seed) if workload else
+                        _run_cmd(tree, cmd) if cmd else
+                        _run_bench(tree, suite, tier or None))
+                    got = runs[label][-1]["metrics"]
+                    print(f"# {workload or args.bench or 'cmd'} round "
+                          f"{i + 1}/{args.pairs} {label}: "
+                          f"{got.get('wall_s', f'{len(got)} rows')}",
                           file=sys.stderr, flush=True)
             failed |= _report(args, spec, workload, runs)
     return 1 if failed else 0
