@@ -272,15 +272,6 @@ class Fabric:
         #: installed before the first send (``decision.wan_streams`` once
         #: per size): per-run state, so not on the pickled frozen model.
         self._stripes: Dict[int, int] = {}
-        #: Optional :class:`repro.sim.pdes.PartitionBoundary`.  When a
-        #: PDES worker installs one, point-to-point WAN deliveries whose
-        #: destination cluster lives in *another* partition stop at the
-        #: PVC stage: the source half runs here (access up, gateway
-        #: forward, PVC occupancy, ``wan.xfer`` emit) and the boundary
-        #: exports a timestamped arrival for the owning partition, which
-        #: replays the destination half via :meth:`pdes_arrive`.  ``None``
-        #: (always, outside PDES workers) keeps every path single-process.
-        self.pdes = None
 
         #: Node id -> cluster index: every endpoint check and locality
         #: test on the message path is one read of this table.
@@ -335,27 +326,23 @@ class Fabric:
         return self.nodes[nid]
 
     def send(self, src: int, dst: int, size: int, payload: Any = None,
-             port: str = "default", kind: str = "msg", *,
-             _wait: bool = False) -> Generator:
+             port: str = "default", kind: str = "msg") -> Generator:
         """Generator: caller pays sender overhead, delivery runs in background.
 
         Yields from the calling process; *returns* the delivery
         :class:`Event` (fires with the :class:`Message` once deposited in
-        the destination port).  ``_wait`` marks the send as one the
-        caller will block on (:meth:`send_and_wait` sets it) — only the
-        PDES boundary consumes it, to arm the delivery acknowledgment.
+        the destination port).
         """
         msg, route, cost = self._new_message(src, dst, size, payload, port,
                                              kind)
         # Sender-side CPU overhead, paid synchronously by the caller.
         yield self.nodes[src].cpu.occupy(cost)
-        return route(msg, _wait)
+        return route(msg)
 
     def send_and_wait(self, src: int, dst: int, size: int, payload: Any = None,
                       port: str = "default", kind: str = "msg") -> Generator:
         """Generator: like :meth:`send` but blocks until delivery."""
-        done = yield from self.send(src, dst, size, payload, port, kind,
-                                    _wait=True)
+        done = yield from self.send(src, dst, size, payload, port, kind)
         msg = yield done
         return msg
 
@@ -462,8 +449,8 @@ class Fabric:
                      ) -> Tuple[Message, Callable[..., Event], float]:
         """Check both endpoints, then build a point-to-point message,
         emit its ``msg.send`` record and pick its route; returns ``(msg,
-        route, sender CPU cost)``.  ``route(msg, wait=False)`` launches
-        the delivery legs and returns the delivery event.  A send naming
+        route, sender CPU cost)``.  ``route(msg)`` launches the delivery
+        legs and returns the delivery event.  A send naming
         an unknown node raises before it takes an id."""
         clusters = self.node_cluster
         src_cluster, dst_cluster = clusters[src], clusters[dst]
@@ -530,14 +517,14 @@ class Fabric:
         else:
             done.succeed(msg)
 
-    def _route_self(self, msg: Message, wait: bool = False) -> Event:
+    def _route_self(self, msg: Message) -> Event:
         # Loopback: negligible wire, small fixed cost — one delay.
         done = Event(self.sim)
         self.sim.leg((1e-6,)).callbacks.append(
             partial(self._deposit_complete, msg, done))
         return done
 
-    def _route_lan(self, msg: Message, wait: bool = False) -> Event:
+    def _route_lan(self, msg: Message) -> Event:
         # Cut-through: the injection port and the delivery port are each
         # occupied for one serialization time, but they overlap (the
         # switch forwards as bytes arrive), so an uncontended transfer
@@ -676,12 +663,11 @@ class Fabric:
 
     def _wan_leg(self, size: int, src_cluster: int, dst_cluster: int,
                  msg_id: int, head: tuple, tail: tuple,
-                 then: Optional[Callable[[Event], None]], streams: int = 1,
-                 export: Optional[Callable[[float], None]] = None) -> None:
+                 then: Callable[[Event], None], streams: int = 1) -> None:
         """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths):
         leg A is ``head`` and the source-gateway forward, leg B the PVC
         stage, the remote-gateway forward and ``tail``; ``then`` is leg
-        B's callback (None with ``export``).
+        B's callback.
 
         ``msg_id`` labels the trace records with the point-to-point
         message this leg serves; fan-out paths that share one leg among
@@ -692,47 +678,23 @@ class Fabric:
         — retransmit timeouts overlap.  Each chunk is its own leg, joined
         on a countdown; the last arrival starts one leg, the remote
         forward and ``tail``.
-
-        ``export`` — set only on a PDES partition boundary — cuts leg B
-        at the PVC: a call step hands it the known (possibly
-        impairment-perturbed) arrival time at PVC *release*, leg B ends
-        with the latency and emits its ``wan.xfer`` record there (the
-        PVC is source-owned), and the remote gateway forward is left to
-        the destination partition (:meth:`pdes_arrive`).  Exporting at
-        release rather than arrival is what gives the coordinator a full
-        WAN-latency lookahead window.  Striped transfers cannot be cut
-        (their chunks arrive independently); PDES eligibility excludes
-        them.
         """
-        if streams > 1 and size > 1 and export is not None:
-            raise SimulationError(
-                "striped WAN transfers cannot cross a PDES partition "
-                "boundary (eligibility should have fallen back)")
         self._gw_leg(head, src_cluster, size, msg_id, (),
                      partial(self._pvc_leg, size, src_cluster, dst_cluster,
-                             msg_id, tail, then, streams, export))
+                             msg_id, tail, then, streams))
 
     def _pvc_leg(self, size: int, src_cluster: int, dst_cluster: int,
-                 msg_id: int, tail: tuple,
-                 then: Optional[Callable[[Event], None]], streams: int,
-                 export: Optional[Callable[[float], None]],
-                 _ev: Event) -> None:
+                 msg_id: int, tail: tuple, then: Callable[[Event], None],
+                 streams: int, _ev: Event) -> None:
         """Leg A's completion: start leg B (see :meth:`_wan_leg`), or the
         chunk legs of a striped stage."""
-        sim = self.sim
         if streams <= 1 or size <= 1:
             steps, latency, xfer = self._pvc_steps(size, src_cluster,
                                                    dst_cluster, msg_id)
-            if export is None:
-                self._gw_leg(steps + ((latency, xfer) if xfer else
-                                      (latency,)),
-                             dst_cluster, size, msg_id, tail, then)
-                return
-            done = sim.leg(steps + (lambda: export(sim.now + latency),
-                                    latency))
-            if xfer is not None:
-                done.callbacks.append(xfer)
+            self._gw_leg(steps + ((latency, xfer) if xfer else (latency,)),
+                         dst_cluster, size, msg_id, tail, then)
             return
+        sim = self.sim
         k = min(streams, size)
         base, rem = divmod(size, k)
         pending = [k]
@@ -751,7 +713,7 @@ class Fabric:
                 done.callbacks.append(xfer)
             done.callbacks.append(chunk_arrived)
 
-    def _route_wan(self, msg: Message, wait: bool = False) -> Event:
+    def _route_wan(self, msg: Message) -> Event:
         done = Event(self.sim)
         size, msg_id = msg.size, msg.msg_id
         clusters = self.node_cluster
@@ -764,44 +726,11 @@ class Fabric:
             if streams is None:
                 streams = self._stripes[size] = max(
                     1, decision.wan_streams(size, self.topo.n_clusters))
-        head = self._up_steps(size, src_cluster, msg_id)
-        bnd = self.pdes
-        if bnd is not None and not bnd.owns(dst_cluster):
-            # Partition boundary: run the source half, export the
-            # arrival; the owning partition replays the remote half and
-            # acks the deposit, which fires ``done`` at the delivery
-            # time (only consumed when ``wait`` armed it).
-            bnd.register(msg, done, wait)
-            self._wan_leg(size, src_cluster, dst_cluster, msg_id, head, (),
-                          None, streams,
-                          lambda arrival: bnd.export(msg, arrival))
-            return done
-        self._wan_leg(size, src_cluster, dst_cluster, msg_id, head,
+        self._wan_leg(size, src_cluster, dst_cluster, msg_id,
+                      self._up_steps(size, src_cluster, msg_id),
                       self._down_steps(msg, dst_cluster),
                       partial(self._deposit_complete, msg, done), streams)
         return done
-
-    # --------------------------------------------- PDES partition boundary
-
-    def pdes_arrive(self, msg: Message) -> None:
-        """Replay the destination half of a WAN delivery (PDES injection).
-
-        Called by the partition worker at the exported arrival instant —
-        the moment the payload clears the WAN PVC toward this
-        partition's gateway: one leg, gateway forward -> access down,
-        then the deposit, exactly as the single-process run continues
-        there.  Deposits always ack back through the boundary; the
-        source partition fires the sender's delivery event at that time
-        (or drops the ack when nobody waits).
-        """
-        sim = self.sim
-        done = Event(sim)
-        done.callbacks.append(
-            lambda _ev: self.pdes.export_ack(msg.msg_id, sim.now))
-        dst_cluster = self.node_cluster[msg.dst]
-        self._gw_leg((), dst_cluster, msg.size, msg.msg_id,
-                     self._down_steps(msg, dst_cluster),
-                     partial(self._deposit_complete, msg, done))
 
     # ------------------------------------------------------------ multicast
 

@@ -69,7 +69,7 @@ def _launch(route: Any, msg: Message, then: Optional[Any],
             _ev: Event) -> None:
     """A reply's sender-side overhead is paid: launch its delivery legs,
     then run the server's ``then()``."""
-    route(msg, False)
+    route(msg)
     if then is not None:
         then()
 
@@ -282,7 +282,7 @@ class OrcaRuntime:
             _RpcRequest(spec.name, op, args, caller, result_port),
             RPC_PORT, "rpc")
         yield self._cpus[caller].occupy(cost)
-        route(msg, False)
+        route(msg)
         result, result_size = (yield reply).payload
         del ports[result_port]
         self.meter.record("rpc", req_size + result_size, intercluster=inter)

@@ -1,19 +1,17 @@
-"""The partition boundary: the fabric's window onto the other workers.
+"""The partition boundary: where a worker's fabric meets the others.
 
-One :class:`PartitionBoundary` lives in each partition worker, attached
-to its fabric as ``fabric.pdes``.  The fabric calls four methods:
-
-* :meth:`owns` — routing test: does this partition simulate ``cluster``?
-* :meth:`register` — source side, before the WAN legs launch: remember
-  the sender's delivery event when the send is synchronous.
-* :meth:`export` — source side, at PVC release: the arrival instant at
-  the remote gateway is now known (release + propagation), a full
-  lookahead before it happens.  The message ships to the owning
-  partition through the coordinator.
-* :meth:`export_ack` — destination side, at deposit: every delivered
-  cross-partition message acks its deposit time back to the source
-  partition, which fires the sender's delivery event there (or drops
-  the ack when nobody waits).
+One :class:`PartitionBoundary` lives in each partition worker, and
+:meth:`~PartitionBoundary.attach` installs its ``_route_wan`` and
+``send_and_wait`` on that worker's fabric, which knows nothing of
+partitions.  A WAN send into an owned cluster takes the fabric's own
+route.  A cross-partition send runs the source half of it and, at PVC
+*release*, :meth:`~PartitionBoundary.export` ships the message to the
+owning partition with its arrival instant at the remote gateway, known
+a full lookahead before it happens.  That partition replays the
+destination half and acks the deposit back
+(:meth:`~PartitionBoundary.export_ack`); an awaited send resumes at the
+acked time.  ``attach`` refuses a fabric with a decision model: striped
+chunks arrive independently and cannot be cut.
 
 Synchronous sends are where conservatism gets subtle: the sender blocks
 until a *remote* deposit whose time depends on remote queueing, so the
@@ -38,9 +36,10 @@ this partition at the same ``arrival + lookahead``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..engine import fire
+from ..engine import Event, SimulationError, fire
 
 __all__ = ["EpochBreak", "PartitionBoundary"]
 
@@ -70,7 +69,7 @@ class PartitionBoundary:
         self.part = tuple(cluster_partition)   # cluster -> partition index
         self.part_id = part_id
         self.lookahead = lookahead
-        self.fabric = None                     # attached by the worker
+        self.fabric = None                     # set by attach
         self.outbox: List[tuple] = []          # drained every epoch
         # msg_id -> (msg, done event): synchronous sends awaiting acks.
         self._armed: Dict[int, Tuple[Any, Any]] = {}
@@ -101,13 +100,77 @@ class PartitionBoundary:
 
     # ------------------------------------------------- fabric-facing API
 
-    def owns(self, cluster: int) -> bool:
-        return self.part[cluster] == self.part_id
+    def attach(self, fabric) -> None:
+        """Install this boundary's ``_route_wan`` and ``send_and_wait``
+        on ``fabric``, this worker's own."""
+        if fabric.decision is not None:
+            raise SimulationError(
+                "striped WAN transfers cannot cross a PDES partition "
+                "boundary (eligibility should have fallen back)")
+        self.fabric = fabric
+        self._local_wan = fabric._route_wan
+        fabric._route_wan = self._route_wan
+        fabric.send_and_wait = self.send_and_wait
 
-    def register(self, msg, done, wait: bool) -> None:
-        """Source side, before the WAN legs: arm synchronous sends."""
-        if wait:
-            self._armed[msg.msg_id] = (msg, done)
+    def send_and_wait(self, src: int, dst: int, size: int,
+                      payload: Any = None, port: str = "default",
+                      kind: str = "msg"):
+        """The fabric's ``send_and_wait``.  A cross-partition send is
+        armed before its first yield, and the caller resumes at the
+        deposit the owning partition acks."""
+        fabric = self.fabric
+        msg, route, cost = fabric._new_message(src, dst, size, payload, port,
+                                               kind)
+        acked = None
+        if self.part[fabric.node_cluster[dst]] != self.part_id:
+            acked = Event(self.sim)
+            self._armed[msg.msg_id] = (msg, acked)
+        yield fabric.nodes[src].cpu.occupy(cost)
+        done = route(msg)
+        return (yield done if acked is None else acked)
+
+    def _route_wan(self, msg) -> Event:
+        """The fabric's route into an owned cluster; else the source half
+        of it, whose delivery event never fires (see
+        :meth:`send_and_wait`)."""
+        fabric = self.fabric
+        clusters = fabric.node_cluster
+        src_cluster, dst_cluster = clusters[msg.src], clusters[msg.dst]
+        if self.part[dst_cluster] == self.part_id:
+            return self._local_wan(msg)
+        size, msg_id = msg.size, msg.msg_id
+        fabric._gw_leg(fabric._up_steps(size, src_cluster, msg_id),
+                       src_cluster, size, msg_id, (),
+                       partial(self._pvc_release, msg, src_cluster,
+                               dst_cluster))
+        return Event(self.sim)
+
+    def _pvc_release(self, msg, src_cluster: int, dst_cluster: int,
+                     _ev: Event) -> None:
+        """Leg A's completion on a cross-partition send: leg B is the
+        PVC stage and the latency, the export a call step at PVC
+        release (a full WAN latency of lookahead); ``wan.xfer`` ends
+        it."""
+        sim = self.sim
+        steps, latency, xfer = self.fabric._pvc_steps(
+            msg.size, src_cluster, dst_cluster, msg.msg_id)
+        done = sim.leg(steps + (lambda: self.export(msg, sim.now + latency),
+                                latency))
+        if xfer is not None:
+            done.callbacks.append(xfer)
+
+    def _arrive(self, msg) -> None:
+        """Replay the destination half of a cross-partition delivery at
+        its exported arrival, as the single-process run continues there,
+        and ack the deposit."""
+        fabric, sim = self.fabric, self.sim
+        done = Event(sim)
+        done.callbacks.append(
+            lambda _ev: self.export_ack(msg.msg_id, sim.now))
+        dst_cluster = fabric.node_cluster[msg.dst]
+        fabric._gw_leg((), dst_cluster, msg.size, msg.msg_id,
+                       fabric._down_steps(msg, dst_cluster),
+                       partial(fabric._deposit_complete, msg, done))
 
     def export(self, msg, arrival: float) -> None:
         """Source side, at PVC release: ship the message at ``arrival``."""
@@ -193,8 +256,7 @@ class PartitionBoundary:
         for _kind, _dst, msg, arrival in due:
             self._ack_to[msg.msg_id] = self.part[self.topo.cluster_of(msg.src)]
             self.injected += 1
-            self.sim.call_at(
-                arrival, lambda m=msg: self.fabric.pdes_arrive(m))
+            self.sim.call_at(arrival, partial(self._arrive, msg))
 
     def held_min(self):
         """Earliest held arrival — part of this partition's frontier."""

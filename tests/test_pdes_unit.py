@@ -131,6 +131,22 @@ def test_ineligible_reasons():
     assert "utilization" in pdes_ineligible_reason(sor, 2, utilization=True)
 
 
+def test_attach_refuses_a_fabric_with_a_decision():
+    """A decision model may stripe WAN transfers, whose chunks arrive
+    independently: the boundary cannot cut them, so it refuses to
+    attach to a fabric that has one installed."""
+    from repro.network import ClusterSpec, Fabric, Topology
+    from repro.sim import Simulator
+    from repro.sim.pdes import PartitionBoundary
+    topo = Topology([ClusterSpec("c0", 2), ClusterSpec("c1", 2)])
+    sim = Simulator()
+    fabric = Fabric(sim, topo, DAS_PARAMS)
+    fabric.decision = object()
+    boundary = PartitionBoundary(sim, topo, (0, 1), 0)
+    with pytest.raises(SimulationError, match="striped"):
+        boundary.attach(fabric)
+
+
 # -------------------------------------------------------------- workers
 
 
