@@ -19,12 +19,17 @@ Kernel modes: with ``kernel="real"`` the numeric inner loops actually run
 ``kernel="synthetic"`` the inner loop is replaced by its operation-count
 cost charge while every message keeps its true size and path.  Both modes
 share all communication code, so the *performance* model is identical.
+
+An application knows nothing of partitioned runs: which applications
+the partitioned engine can cut, and how each one's per-partition
+``shared`` ships back and merges, is that engine's own adapter table,
+keyed by :attr:`Application.name`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator
 
 from ..orca import Context, OrcaRuntime
 
@@ -74,14 +79,6 @@ class Application:
         VARIANT_OPTIMIZED: "distributed",
     }
 
-    #: Whether the app is eligible for partitioned (PDES) execution:
-    #: True only for pure message-passing/RPC apps — no totally-ordered
-    #: broadcasts and no sequencer traffic, the two control flows whose
-    #: cross-cluster fan-out the per-cluster partitioning cannot cut
-    #: (see docs/ARCHITECTURE.md).  Capable apps also implement
-    #: :meth:`pdes_merge_shared`.
-    pdes_capable: bool = False
-
     def check_variant(self, variant: str) -> None:
         if variant not in self.variants:
             raise ValueError(
@@ -121,28 +118,3 @@ class Application:
               shared: Any) -> Dict[str, Any]:
         """App-specific counters to attach to the result."""
         return {}
-
-    def pdes_shared_payload(self, shared: Any, params: Any,
-                            variant: str) -> Any:
-        """Reduce per-partition ``shared`` to what ships back (pickled).
-
-        Partition workers send their ``shared`` over a pipe; service
-        objects holding runtime references (combiners, queues) cannot
-        pickle and are not needed for the merge — capable apps override
-        this to drop them.  The default ships everything.
-        """
-        return shared
-
-    def pdes_merge_shared(self, parts: List[Any], params: Any,
-                          variant: str) -> Any:
-        """Merge per-partition ``shared`` states into one whole-run state.
-
-        A PDES run calls :meth:`register` once *per partition* (each
-        worker rebuilds the full stack), and every worker's node
-        processes mutate only their partition's copy.  This hook folds
-        the copies back into the single ``shared`` that
-        :meth:`finalize`/:meth:`stats` expect.  Only apps with
-        ``pdes_capable = True`` need it.
-        """
-        raise NotImplementedError(
-            f"{self.name}: pdes_capable without pdes_merge_shared")

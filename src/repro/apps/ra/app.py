@@ -31,9 +31,6 @@ class RAApp(Application):
     """Retrograde analysis of a game database."""
 
     name = "ra"
-    #: Updates travel as plain (combined) sends between owners — no
-    #: broadcasts, so per-cluster partitioning works.
-    pdes_capable = True
 
     def build_instance(self, params: RAParams) -> None:
         game.build_game(params)
@@ -144,25 +141,3 @@ class RAApp(Application):
     def stats(self, rts: OrcaRuntime, params: RAParams, variant: str,
               shared: Dict[str, Any]) -> Dict[str, Any]:
         return {"updates_sent": shared["messages"]}
-
-    def pdes_shared_payload(self, shared, params: RAParams,
-                            variant: str) -> Dict[str, Any]:
-        # The combiner holds runtime references (sim, fabric) and is
-        # finished by merge time; everything else pickles fine.
-        return {k: v for k, v in shared.items() if k != "combiner"}
-
-    def pdes_merge_shared(self, parts, params: RAParams,
-                          variant: str) -> Dict[str, Any]:
-        # "values" keys are owner-disjoint; "determined" slots are
-        # written only by their own node; "messages" accumulates per
-        # partition.  The game graph is seed-identical everywhere.
-        merged = {"game": parts[0]["game"], "values": {},
-                  "determined": [0] * len(parts[0]["determined"]),
-                  "messages": 0}
-        for part in parts:
-            merged["values"].update(part["values"])
-            merged["messages"] += part["messages"]
-            for i, d in enumerate(part["determined"]):
-                if d:
-                    merged["determined"][i] = d
-        return merged

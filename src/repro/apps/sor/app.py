@@ -40,9 +40,6 @@ class SORApp(Application):
     variants = ("original", "optimized", "splitphase")
     sequencers = {"original": "distributed", "optimized": "distributed",
                   "splitphase": "distributed"}
-    #: Pure message passing (border rows + reduce/scatter trees over
-    #: plain sends) — no broadcasts, so per-cluster partitioning works.
-    pdes_capable = True
 
     def register(self, rts: OrcaRuntime, params: SORParams,
                  variant: str) -> Dict[str, Any]:
@@ -149,16 +146,3 @@ class SORApp(Application):
               shared: Dict[str, Any]) -> Dict[str, Any]:
         return {"iterations": shared["iterations"],
                 "skipped_exchanges": shared["skipped_exchanges"]}
-
-    def pdes_merge_shared(self, parts, params: SORParams,
-                          variant: str) -> Dict[str, Any]:
-        # Each node writes exactly its own block; counters are
-        # partition-local accumulations (skips) or per-node maxima.
-        merged = {"slices": parts[0]["slices"], "blocks": {},
-                  "iterations": 0, "skipped_exchanges": 0}
-        for part in parts:
-            merged["blocks"].update(part["blocks"])
-            merged["iterations"] = max(merged["iterations"],
-                                       part["iterations"])
-            merged["skipped_exchanges"] += part["skipped_exchanges"]
-        return merged

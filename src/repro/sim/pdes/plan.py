@@ -19,9 +19,12 @@ single-process engine, which remains the oracle for every feature.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 __all__ = [
+    "APP_ADAPTERS",
+    "AppAdapter",
     "partition_clusters",
     "cluster_partition_map",
     "channel_capacity",
@@ -29,6 +32,64 @@ __all__ = [
     "pdes_workers",
     "wan_lookahead",
 ]
+
+
+class AppAdapter(NamedTuple):
+    """What a cut needs of one application.  Each worker registers the
+    app and holds a whole ``shared``, mutated for its own nodes only:
+    ``ship(shared)`` keeps what pickles back to the coordinator, and
+    ``merge(parts)`` folds the shipped copies, in partition order, into
+    the one ``shared`` that ``finalize`` and ``stats`` read."""
+
+    ship: Callable[[Any], Any]
+    merge: Callable[[List[Any]], Any]
+
+
+def _ship_all(shared: Any) -> Any:
+    return shared
+
+
+def _ship_ra(shared: Dict[str, Any]) -> Dict[str, Any]:
+    # The combiner holds runtime references (sim, fabric) and is
+    # finished by merge time; everything else pickles fine.
+    return {k: v for k, v in shared.items() if k != "combiner"}
+
+
+def _merge_ra(parts: List[Dict[str, Any]]) -> Dict[str, Any]:
+    # "values" keys are owner-disjoint; "determined" slots are written
+    # only by their own node; "messages" accumulates per partition.
+    # The game graph is seed-identical everywhere.
+    merged = {"game": parts[0]["game"], "values": {},
+              "determined": [0] * len(parts[0]["determined"]),
+              "messages": 0}
+    for part in parts:
+        merged["values"].update(part["values"])
+        merged["messages"] += part["messages"]
+        for i, d in enumerate(part["determined"]):
+            if d:
+                merged["determined"][i] = d
+    return merged
+
+
+def _merge_sor(parts: List[Dict[str, Any]]) -> Dict[str, Any]:
+    # Each node writes exactly its own block; counters are
+    # partition-local accumulations (skips) or per-node maxima.
+    merged = {"slices": parts[0]["slices"], "blocks": {},
+              "iterations": 0, "skipped_exchanges": 0}
+    for part in parts:
+        merged["blocks"].update(part["blocks"])
+        merged["iterations"] = max(merged["iterations"], part["iterations"])
+        merged["skipped_exchanges"] += part["skipped_exchanges"]
+    return merged
+
+
+#: The applications a per-cluster cut can run, by ``Application.name``:
+#: pure message passing.  The others issue totally-ordered broadcasts or
+#: sequencer traffic, whose cross-cluster fan-out no cut can reproduce.
+APP_ADAPTERS: Dict[str, AppAdapter] = {
+    "ra": AppAdapter(_ship_ra, _merge_ra),
+    "sor": AppAdapter(_ship_all, _merge_sor),
+}
 
 
 def partition_clusters(n_clusters: int, n_partitions: int
@@ -88,7 +149,7 @@ def pdes_ineligible_reason(app, n_clusters: int, *, scenario=None,
     """
     if n_clusters < 2:
         return "single-cluster topology has no WAN cut to partition on"
-    if not getattr(app, "pdes_capable", False):
+    if app.name not in APP_ADAPTERS:
         return (f"{app.name} issues totally-ordered broadcasts or "
                 f"sequencer traffic, which fans out across every cluster")
     from ...apps import ALL_APPS

@@ -32,12 +32,12 @@ from repro.apps.sor import SORParams
 from repro.harness.experiment import run_app
 from repro.scenario import Fault, Impairment, Scenario
 from repro.sim import SimulationError, Tracer
+from repro.sim.pdes import APP_ADAPTERS
 
 TOPOLOGIES = [(1, 4), (2, 3), (4, 2)]
 
 #: The partitioned-capable subset (pure message-passing/RPC apps).
-PDES_APPS = [name for name in PAPER_ORDER
-             if make_app(name).pdes_capable]
+PDES_APPS = [name for name in PAPER_ORDER if name in APP_ADAPTERS]
 
 #: Process-lifecycle records differ by construction: each partition
 #: spawns only its own nodes' processes.
@@ -94,7 +94,7 @@ def test_pdes_parity_all_apps(app_name, capsys):
         _assert_parity(serial, pdes, ns, npd,
                        f"{app_name}/{variant} {n_clusters}x{per}")
         partitioned = pdes.sim_stats.get("pdes_partitions", 0) > 0
-        if app.pdes_capable and n_clusters >= 2:
+        if app.name in APP_ADAPTERS and n_clusters >= 2:
             assert partitioned, f"{app_name} {n_clusters}x{per} fell back"
         else:
             assert not partitioned
