@@ -80,6 +80,15 @@ class WaterApp(Application):
         slices = model.block_slices(params.n_molecules, p)
         pos, vel = (model.initial_state(params)
                     if params.kernel == KERNEL_REAL else (None, None))
+        # writers[b]: the processors whose window holds block b, ascending
+        # (model.writers_of); cluster_writers[c][b]: how many are in c.
+        writers: List[List[int]] = [[] for _ in range(p)]
+        cluster_writers = [[0] * p for _ in range(rts.topo.n_clusters)]
+        for a in range(p):
+            row = cluster_writers[rts.topo.cluster_of(a)]
+            for b in model.window(p, a):
+                writers[b].append(a)
+                row[b] += 1
         shared: Dict[str, Any] = {
             "slices": slices,
             "pos0": pos,
@@ -87,6 +96,8 @@ class WaterApp(Application):
             "barrier": Barrier(rts.sim, parties=p),
             "final": {},
             "pairs": 0,
+            "writers": writers,
+            "cluster_writers": cluster_writers,
         }
         if variant == "original":
             for k in range(p):
@@ -106,14 +117,6 @@ class WaterApp(Application):
             shared["cache"] = cache
             shared["store"] = store
             shared["chans"] = chans
-            # cluster_writers[c][b]: the processors of cluster c whose
-            # window holds block b, each combining into one update.
-            writers = [[0] * p for _ in range(rts.topo.n_clusters)]
-            for a in range(p):
-                row = writers[rts.topo.cluster_of(a)]
-                for b in model.window(p, a):
-                    row[b] += 1
-            shared["cluster_writers"] = writers
         return shared
 
     @staticmethod
@@ -134,7 +137,7 @@ class WaterApp(Application):
         pos = shared["pos0"][lo:hi].copy() if real else None
         vel = shared["vel0"][lo:hi].copy() if real else None
         win = model.window(p, k)
-        writers = model.writers_of(p, k)
+        writers = shared["writers"][k]
         sizes = [s[1] - s[0] for s in shared["slices"]]
 
         for step in range(params.n_steps):

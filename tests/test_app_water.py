@@ -36,18 +36,23 @@ def test_window_property_all_pairs_once(p):
 @given(st.lists(st.integers(1, 16), min_size=1, max_size=8).filter(
     lambda sizes: sum(sizes) <= 64))
 def test_cluster_writer_table_counts_each_window(sizes):
-    """``register`` builds, once per run, how many processors of each
-    cluster write forces to each block: the count the optimized variant
-    waits for, equal to a brute-force scan of every window."""
+    """``register`` builds, once per run and for both variants, the
+    writers of each block (equal to ``writers_of``, the reference) and
+    how many processors of each cluster write forces to each block: the
+    count the optimized variant waits for, equal to a brute-force scan
+    of every window."""
     topo = Topology([ClusterSpec(f"c{i}", n) for i, n in enumerate(sizes)])
-    sim = Simulator()
-    rts = OrcaRuntime(sim, Fabric(sim, topo, DAS_PARAMS))
-    shared = WaterApp().register(rts, WaterParams(), "optimized")
     p = topo.n_nodes
-    assert shared["cluster_writers"] == [
-        [sum(1 for a in topo.nodes_in(c) if b in model.window(p, a))
-         for b in range(p)]
-        for c in range(topo.n_clusters)]
+    for variant in WaterApp.variants:
+        sim = Simulator()
+        rts = OrcaRuntime(sim, Fabric(sim, topo, DAS_PARAMS))
+        shared = WaterApp().register(rts, WaterParams(), variant)
+        assert shared["writers"] == [model.writers_of(p, b)
+                                     for b in range(p)]
+        assert shared["cluster_writers"] == [
+            [sum(1 for a in topo.nodes_in(c) if b in model.window(p, a))
+             for b in range(p)]
+            for c in range(topo.n_clusters)]
 
 
 def test_writers_of_is_inverse_of_window():
