@@ -79,7 +79,8 @@ def test_no_tier_selector_reappears():
 #: ``engine/*`` cells, not a third engine; an app process, an Orca wait
 #: and a compute charge each run without a forwarding generator frame;
 #: a broadcast applies in order as one chain per replica application,
-#: with no drain pass, batch snapshot or apply log beside it.
+#: with no drain pass, batch snapshot or apply log beside it; the fabric
+#: and the applications carry no partition boundary hook.
 DELETED_SURFACE = (
     "_legacy",
     "reset_ids", "reset_req_ids", "alloc_msg_id", "_alloc_req_id",
@@ -105,6 +106,8 @@ DELETED_SURFACE = (
     "def replica(",
     "_next_msg_id", "def _bucket(", "._bucket(",
     "send_chain", "_cluster_writers",
+    "pdes_arrive", "pdes_capable", "pdes_shared_payload", "pdes_merge_shared",
+    "_wait=",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the
@@ -164,6 +167,30 @@ def test_no_deleted_surface_reappears():
         with pytest.raises(TypeError):
             sim.call_at(1.0, lambda: None, "v")
         assert "processes_spawned" not in sim.stats()
+
+
+def test_fabric_and_apps_forget_partitions():
+    """The partition boundary lives in ``repro.sim.pdes`` alone: no line
+    of ``fabric.py`` names PDES, neither a fabric nor an application
+    has an attribute that does, and no send or route takes a wait
+    flag."""
+    import inspect
+
+    from repro.apps import ALL_APPS, Application, make_app
+    from repro.network import DAS_PARAMS, ClusterSpec, Fabric, Topology
+    from repro.sim import Simulator
+
+    fabric_py = REPO / "src" / "repro" / "network" / "fabric.py"
+    assert "pdes" not in fabric_py.read_text().lower()
+    topo = Topology([ClusterSpec("c0", 2), ClusterSpec("c1", 2)])
+    objs = [Fabric, Fabric(Simulator(), topo, DAS_PARAMS), Application]
+    objs += [entry[0] for entry in ALL_APPS.values()]
+    objs += [make_app(name) for name in ALL_APPS]
+    for obj in objs:
+        assert not [n for n in dir(obj) if "pdes" in n.lower()], obj
+    for name in ("send", "_route_self", "_route_lan", "_route_wan"):
+        params = inspect.signature(getattr(Fabric, name)).parameters
+        assert not {"wait", "_wait"} & params.keys(), name
 
 
 def test_the_machine_defers_at_zero_delay_only_to_retry_parked_rpcs():
