@@ -1,14 +1,20 @@
 """Tests for the SOR application."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.sor import SORApp, SORParams
 from repro.apps.sor import grid as gridmod
 from repro.harness import run_app
 from repro.sim import engine
 from repro.sim._build import compiler_available
+
+from .test_engine_tiers import _SRC, _copy_package
 
 #: both implementations of ``sweep_phase`` by name, whichever of them the
 #: loaded engine tier bound: a host with a compiler never *runs* the
@@ -98,10 +104,12 @@ def test_single_row_single_column_has_one_colour():
 
 @needs_cc
 @settings(max_examples=300, deadline=None)
-@given(rows=st.integers(1, 40), cols=st.integers(2, 33),
+@given(rows=st.integers(1, 40), cols=st.integers(2, 41),
        parity=st.integers(0, 1), row0=st.integers(-2 ** 40, 2 ** 40),
        omega=st.floats(0, 2, exclude_min=True, exclude_max=True),
        wild=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=58, cols=900, parity=0, row0=58, omega=1.5, wild=0.25, seed=0)
+@example(rows=58, cols=900, parity=1, row0=58, omega=1.5, wild=0.25, seed=1)
 def test_compiled_kernel_equals_reference_bit_for_bit(rows, cols, parity,
                                                       row0, omega, wild,
                                                       seed):
@@ -113,6 +121,12 @@ def test_compiled_kernel_equals_reference_bit_for_bit(rows, cols, parity,
     overflow and then meet as ``inf - inf`` — among ordinary values.
     Only NaN *inputs* are left out: which operand's payload a NaN + NaN
     keeps is numpy's vector loop's business.
+
+    The compiled kernel updates four cells of one colour per vector
+    step, so up to 41 columns every row tail of either colour offset
+    (none to three cells) also follows two or more full steps.  The two
+    examples are one node's block of the paper's grid (58 rows of 900
+    columns, ``SORParams.paper()``'s omega), from either colour.
     """
     rng = np.random.default_rng(seed)
     shape = (rows + 2, cols)
@@ -127,6 +141,58 @@ def test_compiled_kernel_equals_reference_bit_for_bit(rows, cols, parity,
             d_got = KERNELS["compiled"](got, par, omega, row0)
             assert type(d_got) is float and d_got.hex() == d_ref.hex()
             assert got.tobytes() == ref.tobytes()
+
+
+# Builds the extension of the package on PYTHONPATH with _build's flags
+# plus argv, then runs its ``sweep_phase`` over a seeded corpus: every
+# row width up to 41 and three around the paper's 900, both starting
+# colours, wild bit patterns and explicit infinities (no NaN inputs, as
+# in the property above).  Prints one digest of every buffer and every return.
+_CORPUS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from repro.sim import _build
+
+_build._CFLAGS += tuple(sys.argv[1:])
+sweep = _build.load_ccore().sweep_phase
+digest = hashlib.sha256()
+rng = np.random.default_rng(41)
+for cols in [*range(2, 42), 899, 900, 901]:
+    for parity in (0, 1):
+        shape = (int(rng.integers(3, 9)), cols)
+        bits = rng.integers(0, 2 ** 32, size=shape, dtype=np.uint32)
+        cell = rng.random(shape)
+        block = np.where(cell < 0.2, bits.view(np.float32),
+                         rng.random(shape, dtype=np.float32) * 2 - 1)
+        block[np.isnan(block)] = -0.0
+        block[cell > 0.95] = np.inf
+        block[(cell > 0.9) & (cell <= 0.95)] = -np.inf
+        with np.errstate(all="ignore"):
+            for par in (parity, 1 - parity) * 2:
+                digest.update(sweep(block, par, 1.7, cols).hex().encode())
+        digest.update(block.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _corpus_digest(src, *flags):
+    env = dict(os.environ, REPRO_ENGINE="python")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _CORPUS_SCRIPT, *flags],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+@needs_cc
+def test_scalar_fallback_equals_the_vector_kernel(tmp_path):
+    """``_ccore.c`` as a host without SSE2 builds it (``-U__SSE2__``: the
+    scalar loop is the whole kernel) equals the default build byte for
+    byte.  The fallback builds in a private copy of the package, so the
+    extension the rest of the suite runs on stays put."""
+    _copy_package(tmp_path / "repro")
+    fallback = _corpus_digest(str(tmp_path), "-U__SSE2__")
+    assert fallback == _corpus_digest(_SRC)
 
 
 @needs_cc
