@@ -30,6 +30,9 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 /* Injected from _cengine.py via _set_helpers(). */
 static PyObject *Pending;       /* the shared PENDING sentinel */
@@ -1865,7 +1868,30 @@ mod_set_helpers(PyObject *mod, PyObject *args, PyObject *kwds)
  * + nb, |upd - x| — which needs -ffp-contract=off (_build.py): a fused
  * keep * x + nb would round once.  Like the reference's two stride-2
  * slices, each row class keeps its own maximum and a class whose maximum
- * is NaN contributes nothing. */
+ * is NaN contributes nothing.
+ *
+ * Under SSE2 (the x86-64 baseline) a row runs four cells of its colour,
+ * j, j+2, j+4, j+6, per step: two loads of x[j-1 .. j+6] split into the
+ * left neighbours and the centres, x[j+1 ..], up[j ..] and down[j ..]
+ * split the same way, the same float32 steps lane by lane, and the
+ * updates interleaved back with the untouched other colour so that two
+ * stores rewrite x[j-1 .. j+6].  Each lane keeps its own maximum
+ * (_mm_max_ps(d, big) skips a NaN d as d > big does) and its own sum;
+ * they fold into the row's at the end of the vector run.  The scalar
+ * loop finishes the row, and is the whole kernel without SSE2.  The
+ * returned float cannot depend on the order: a maximum is exact, and a
+ * sum of terms >= 0 is NaN exactly when one term is, which is all the
+ * sum decides. */
+#ifdef __SSE2__
+/* p[0], p[2], p[4], p[6]: one colour of eight consecutive cells. */
+static inline __m128
+evens(const float *p)
+{
+    return _mm_shuffle_ps(_mm_loadu_ps(p), _mm_loadu_ps(p + 4),
+                          _MM_SHUFFLE(2, 0, 2, 0));
+}
+#endif
+
 static PyObject *
 mod_sweep_phase(PyObject *mod, PyObject *args, PyObject *kwds)
 {
@@ -1898,11 +1924,44 @@ mod_sweep_phase(PyObject *mod, PyObject *args, PyObject *kwds)
     const float scale = (float)omega * 0.25f, keep = 1.0f - (float)omega;
     const int first = (int)((row0 & 1) + (parity & 1));
     float cls[2] = {0.0f, 0.0f};
+#ifdef __SSE2__
+    const __m128 vscale = _mm_set1_ps(scale), vkeep = _mm_set1_ps(keep);
+    const __m128 mag = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
+#endif
     for (Py_ssize_t i = 1; i <= m; i++) {
         float *x = (float *)view.buf + i * cols;
         const float *up = x - cols, *down = x + cols;
         float big = cls[(i - 1) & 1], sum = 0.0f;
-        for (Py_ssize_t j = 1 + ((first + i) & 1); j < cols - 1; j += 2) {
+        Py_ssize_t j = 1 + ((first + i) & 1);
+#ifdef __SSE2__
+        __m128 vbig = _mm_set1_ps(big), vsum = _mm_setzero_ps();
+        for (; j + 6 < cols - 1; j += 8) {
+            const __m128 lo = _mm_loadu_ps(x + j - 1);
+            const __m128 hi = _mm_loadu_ps(x + j + 3);
+            const __m128 left = _mm_shuffle_ps(lo, hi,
+                                               _MM_SHUFFLE(2, 0, 2, 0));
+            const __m128 mid = _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1));
+            __m128 nb = _mm_add_ps(evens(up + j), evens(down + j));
+            nb = _mm_add_ps(_mm_add_ps(nb, left), evens(x + j + 1));
+            nb = _mm_mul_ps(nb, vscale);
+            __m128 upd = _mm_mul_ps(vkeep, mid);
+            upd = _mm_add_ps(upd, nb);
+            const __m128 d = _mm_and_ps(_mm_sub_ps(upd, mid), mag);
+            vbig = _mm_max_ps(d, vbig);
+            vsum = _mm_add_ps(vsum, d);
+            _mm_storeu_ps(x + j - 1, _mm_unpacklo_ps(left, upd));
+            _mm_storeu_ps(x + j + 3, _mm_unpackhi_ps(left, upd));
+        }
+        float lanes[4], sums[4];
+        _mm_storeu_ps(lanes, vbig);
+        _mm_storeu_ps(sums, vsum);
+        for (int k = 0; k < 4; k++) {
+            if (lanes[k] > big)
+                big = lanes[k];
+            sum += sums[k];
+        }
+#endif
+        for (; j < cols - 1; j += 2) {
             float nb = ((up[j] + down[j]) + x[j - 1]) + x[j + 1];
             nb *= scale;
             float upd = keep * x[j];
