@@ -54,6 +54,7 @@ from .harness import (
     format_curves,
     format_stragglers,
     run_app,
+    write_trace,
 )
 from .harness.claims import EXHIBITS
 from .scenario import Impairment, Scenario, parse_cluster_tweak, parse_fault
@@ -94,31 +95,45 @@ def _parse_sample(text: Optional[str]) -> Tuple[Tuple[str, int], ...]:
     return tuple(pairs)
 
 
+def _trace_spec(args) -> Optional[TraceSpec]:
+    """The tracer the shared --trace-* flags ask for (``None``: none)."""
+    if args.trace_dir:
+        return TraceSpec(ring=args.trace_ring,
+                         sample=_parse_sample(args.trace_sample))
+    if args.trace_ring is not None or args.trace_sample:
+        raise _CLIError("--trace-ring/--trace-sample require --trace-dir")
+    return None
+
+
 def _runner(args) -> ParallelRunner:
     """Build the sweep runner from the shared --jobs/--no-cache and
-    --trace-* flags.  ``repro app --pdes on`` bypasses the result
-    cache: a cached result says nothing about how it was run (it
-    carries no PDES counters), and the point of the flag is to run."""
-    trace = None
-    if args.trace_dir:
-        trace = TraceSpec(ring=args.trace_ring,
-                          sample=_parse_sample(args.trace_sample))
-    elif args.trace_ring is not None or args.trace_sample:
-        raise _CLIError("--trace-ring/--trace-sample require --trace-dir")
-    uncached = args.no_cache or getattr(args, "pdes", "off") == "on"
+    --trace-* flags."""
     return ParallelRunner(jobs=args.jobs,
-                          cache=None if uncached else ResultCache(),
-                          trace=trace, trace_dir=args.trace_dir or None)
+                          cache=None if args.no_cache else ResultCache(),
+                          trace=_trace_spec(args),
+                          trace_dir=args.trace_dir or None)
 
 
 def _spec(args, app: str, **over) -> RunSpec:
     """The grid point the parsed arguments describe for ``app``; ``over``
     holds what the verb decides itself (scenario, decision, geometry)."""
     fields = dict(variant=args.variant, n_clusters=args.clusters,
-                  nodes_per_cluster=args.nodes, params=bench_params(app),
-                  pdes=getattr(args, "pdes", "off"),
-                  pdes_workers=getattr(args, "pdes_workers", None))
+                  nodes_per_cluster=args.nodes, params=bench_params(app))
     return RunSpec(app, **{**fields, **over})
+
+
+def _run_partitioned(args, spec: RunSpec):
+    """A partitioned ``repro app`` run: one direct :func:`run_app` call,
+    never cached (a cached result carries no partition counters)."""
+    trace = _trace_spec(args)
+    tracer = trace.build() if trace is not None else None
+    res = run_app(make_app(spec.app), spec.variant, spec.n_clusters,
+                  spec.nodes_per_cluster, spec.params, decision=spec.decision,
+                  trace=tracer is not None, tracer=tracer,
+                  pdes="on", pdes_workers=args.pdes_workers)
+    if tracer is not None:
+        write_trace(args.trace_dir, spec, tracer.records)
+    return res
 
 
 def _footer(runner: ParallelRunner) -> None:
@@ -190,8 +205,10 @@ def cmd_app(args) -> int:
         make_app(args.app).check_variant(args.variant)
     except ValueError as exc:
         raise _CLIError(str(exc)) from None
-    res = _runner(args).run_one(
-        _spec(args, args.app, decision=_load_decision(args)))
+    spec = _spec(args, args.app, decision=_load_decision(args))
+    partitioned = args.pdes == "on"
+    res = (_run_partitioned(args, spec) if partitioned
+           else _runner(args).run_one(spec))
     print(f"{args.app}/{args.variant} on {args.clusters}x{args.nodes}: "
           f"{res.elapsed:.4f} virtual seconds")
     for key, row in sorted(res.traffic.items()):
@@ -200,7 +217,7 @@ def cmd_app(args) -> int:
                   f"{row['bytes'] / 1024:.0f} kbytes")
     if res.stats:
         print(f"  stats: {res.stats}")
-    if args.pdes == "on":
+    if partitioned:
         from .sim.pdes import format_pdes_summary
         summary = format_pdes_summary(res.sim_stats or {})
         if summary:
@@ -524,7 +541,7 @@ def _sweep_flags(parser) -> None:
 
 
 @_group
-def _pdes_flags(parser) -> None:
+def _partition_flags(parser) -> None:
     parser.add_argument("--pdes", choices=["off", "on"], default="off",
                         help="partitioned (per-cluster) execution across "
                              "host cores; identical results (default: off)")
@@ -595,7 +612,7 @@ def main(argv=None) -> int:
 
     p_app = sub.add_parser(
         "app", help="run one application once",
-        parents=[_geometry_flags(15), _decision_flags(), _pdes_flags(),
+        parents=[_geometry_flags(15), _decision_flags(), _partition_flags(),
                  _sweep_flags()])
     p_app.add_argument("app", choices=PAPER_ORDER)
 

@@ -74,7 +74,7 @@ def build_game(params: RAParams) -> GameGraph:
 
     The graph is a pure function of the (frozen, hashable) params and
     is never mutated by a run — values live in separate tables — so it
-    is memoized (``apps/instance.py``): every PDES partition worker,
+    is memoized (``apps/instance.py``): every partition worker,
     sweep repeat and bench iteration over the same point reuses one build.
     """
     rng = substream(params.seed, "ra.game")

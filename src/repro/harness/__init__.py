@@ -3,7 +3,7 @@
 from .experiment import PAPER_CPU_COUNTS, CurvePoint, run_app, speedup_curve
 from .plot import ascii_speedup_plot
 from .sweeps import (ParallelRunner, ResultCache, RunSpec, default_jobs,
-                     format_stragglers)
+                     format_stragglers, write_trace)
 from .figures import (
     QUICK_CPUS,
     SPEEDUP_FIGURES,
@@ -33,6 +33,7 @@ __all__ = [
     "ParallelRunner",
     "ResultCache",
     "format_stragglers",
+    "write_trace",
     "RunSpec",
     "default_jobs",
     "figure15_bars_many",

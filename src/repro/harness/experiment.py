@@ -33,9 +33,9 @@ def _build_stack(topo: Topology, network: NetworkParams, sequencer: str,
     """One fresh stack on ``topo``: ``(sim, fabric, rts)``.
 
     The single place a simulation is assembled — ``run_app``, every
-    PDES partition worker and the coordinator's finalize stack start
-    here, so a partition cannot be built differently from the serial
-    run it must reproduce.  Message/request ids live on the fabric and
+    worker of a partitioned run and its coordinator's finalize stack
+    start here, so a partition cannot be built differently from the
+    serial run it must reproduce.  Message/request ids live on the fabric and
     the runtime built here, so every stack starts them from zero:
     traces (which join on them) come out identical no matter how many
     runs preceded this one in the process.
@@ -126,12 +126,11 @@ def run_app(app: Application, variant: str, n_clusters: int,
     fixed strategy, bit-identical to the pre-tuner stack (see
     docs/TUNING.md).
 
-    ``pdes="on"`` asks for partitioned execution (the default is
-    ``"off"``): an eligible run splits per cluster block across
-    ``pdes_workers`` forked workers that synchronize conservatively at
-    WAN horizons, producing the identical result; an ineligible one
-    warns and runs single-process (see docs/ARCHITECTURE.md and
-    :mod:`repro.sim.pdes`, which only such a run imports).
+    ``pdes="on"`` asks for a partitioned run on ``pdes_workers`` forked
+    workers (default: every core), with the identical result.  The
+    partitioned engine decides whether the run can be cut; if not, it
+    warns and the run stays single-process.  Only such a run imports
+    that engine (see docs/ARCHITECTURE.md).
     """
     app.check_variant(variant)
     topo = topology if topology is not None \
@@ -144,24 +143,15 @@ def run_app(app: Application, variant: str, n_clusters: int,
         raise SimulationError(
             f"unknown pdes value {pdes!r} (expected 'off' or 'on')")
     if pdes == "on":
-        from ..sim.pdes import plan, run_app_pdes
-        reason = plan.pdes_ineligible_reason(
-            app, topo.n_clusters, scenario=scenario, decision=decision,
-            utilization=utilization)
-        width = plan.pdes_workers(topo.n_clusters, pdes_workers)
-        if reason is None and width < 2:
-            reason = "only one partition worker resolved"
-        if reason is None:
-            return run_app_pdes(
-                app, variant, n_clusters, nodes_per_cluster, params,
-                network=network, sequencer=sequencer,
-                dedicated_sequencer_node=dedicated_sequencer_node,
-                topo=topo, trace=trace, tracer=tracer,
-                scenario=scenario, n_workers=width)
-        import sys
-        print(f"repro: warning: pdes='on' but {app.name}/{variant} "
-              f"cannot be partitioned ({reason}); running "
-              f"single-process", file=sys.stderr)
+        from ..sim.pdes import run_app_pdes
+        result = run_app_pdes(
+            app, variant, n_clusters, nodes_per_cluster, params,
+            network=network, sequencer=sequencer,
+            dedicated_sequencer_node=dedicated_sequencer_node, topo=topo,
+            trace=trace, tracer=tracer, scenario=scenario, decision=decision,
+            utilization=utilization, workers=pdes_workers)
+        if result is not None:
+            return result
 
     seq_kind = sequencer if sequencer is not None else app.sequencer_for(variant)
     sim, fabric, rts = _build_stack(

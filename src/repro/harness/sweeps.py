@@ -51,6 +51,7 @@ __all__ = [
     "default_jobs",
     "default_cache_dir",
     "format_stragglers",
+    "write_trace",
 ]
 
 #: Environment variable supplying the default worker count.
@@ -133,13 +134,6 @@ class RunSpec:
     #: spells out every fitted coefficient, so tuned and fixed runs have
     #: distinct cache identities.
     decision: Optional[Any] = None
-    #: ``"on"`` asks :func:`run_app` for partitioned (PDES) execution
-    #: on ``pdes_workers`` workers; ``"off"`` is the default.  Excluded
-    #: from the cache key: a PDES run produces the identical result, so
-    #: both execution modes share one cache identity — exactly like the
-    #: trace spec.
-    pdes: str = "off"
-    pdes_workers: Optional[int] = None
 
     def __post_init__(self):
         if self.app not in ALL_APPS:
@@ -173,11 +167,26 @@ class RunSpec:
                          network=self.network, sequencer=self.sequencer,
                          dedicated_sequencer_node=self.dedicated_sequencer_node,
                          trace=tracer is not None, tracer=tracer,
-                         scenario=self.scenario, decision=self.decision,
-                         pdes=self.pdes, pdes_workers=self.pdes_workers)
+                         scenario=self.scenario, decision=self.decision)
         if tracer is not None:
             result.trace_records = list(tracer.records)
         return result
+
+
+def write_trace(trace_dir: str, spec: RunSpec,
+                records: Sequence[TraceRecord]) -> str:
+    """Export one traced run of ``spec`` as a Perfetto file
+    ``{app}-{variant}-{C}x{N}-{key8}.trace.json`` in ``trace_dir``
+    (created if missing); returns its path."""
+    from ..obs.export import write_chrome
+
+    os.makedirs(trace_dir, exist_ok=True)
+    name = (f"{spec.app}-{spec.variant}-{spec.n_clusters}x"
+            f"{spec.nodes_per_cluster}-{spec.key()[:8]}.trace.json")
+    path = os.path.join(trace_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        write_chrome(records, fh)
+    return path
 
 
 def _execute_timed(spec: RunSpec) -> Tuple[AppResult, float]:
@@ -186,27 +195,6 @@ def _execute_timed(spec: RunSpec) -> Tuple[AppResult, float]:
     t0 = time.perf_counter()
     result = spec.execute()
     return result, time.perf_counter() - t0
-
-
-def _nested(work: List[RunSpec]) -> List[RunSpec]:
-    """``work`` as the workers of a sweep pool should run it.
-
-    A pool worker does not start a PDES run: nesting would multiply the
-    processes (points x partitions on one host, each pool sized for the
-    whole machine) while the sweep already keeps every core busy.  Only
-    the runner building the pool knows a spec is about to be pooled —
-    so the policy is applied here, in the parent, and travels in the
-    picklable spec: a spec that asks for ``pdes="on"`` ships as
-    ``"off"``, and the pool says so once, as ``on`` always does when it
-    cannot be honoured.
-    """
-    if not any(spec.pdes == "on" for spec in work):
-        return work
-    print(f"repro: warning: pdes='on' but these {len(work)} points run "
-          f"in a sweep pool (pool workers cannot fork partition "
-          f"workers); running each single-process", file=sys.stderr)
-    return [dataclasses.replace(spec, pdes="off") if spec.pdes == "on"
-            else spec for spec in work]
 
 
 def _build_instances(work: List[RunSpec]) -> None:
@@ -327,17 +315,9 @@ class ParallelRunner:
     cache in both directions: a cached result has no records to give,
     and a traced result is not written back (the cache stores slim
     results only).  With ``trace_dir``, each traced grid point's records
-    are exported as a Perfetto file named
-    ``{app}-{variant}-{C}x{N}-{key8}.trace.json`` (and then dropped from
-    the in-memory result, so a big sweep never holds every trace at
-    once); the paths accumulate on ``trace_files``.
-
-    A spec that asks for ``pdes="on"`` partitions when it runs in this
-    process (one job, or a batch of one point) and reuses the forked
-    PDES worker pool of the previous run of its topology (see
-    :func:`repro.sim.pdes.shutdown_pool`).  Points dispatched to the
-    sweep pool never nest: the runner ships them ``pdes="off"`` and
-    warns once (see :func:`_nested`).
+    are exported by :func:`write_trace` (and then dropped from the
+    in-memory result, so a big sweep never holds every trace at once);
+    the paths accumulate on ``trace_files``.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -398,7 +378,9 @@ class ParallelRunner:
                     self.cache.put(dkey[0], result)
                 if (spec.trace is not None and self.trace_dir
                         and getattr(result, "trace_records", None) is not None):
-                    self._write_trace(spec, dkey[0], result)
+                    self.trace_files.append(write_trace(
+                        self.trace_dir, spec, result.trace_records))
+                    result.trace_records = None  # exported; free the batch
                 for i in todo[dkey]:
                     results[i] = result
         return results  # type: ignore[return-value]
@@ -411,20 +393,6 @@ class ParallelRunner:
                     "clusters": spec.n_clusters,
                     "nodes": spec.nodes_per_cluster,
                     "host_s": host_s, "cached": cached}))
-
-    def _write_trace(self, spec: RunSpec, key: str,
-                     result: AppResult) -> str:
-        from ..obs.export import write_chrome
-
-        os.makedirs(self.trace_dir, exist_ok=True)
-        name = (f"{spec.app}-{spec.variant}-{spec.n_clusters}x"
-                f"{spec.nodes_per_cluster}-{key[:8]}.trace.json")
-        path = os.path.join(self.trace_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            write_chrome(result.trace_records, fh)
-        result.trace_records = None  # exported; free the batch's memory
-        self.trace_files.append(path)
-        return path
 
     @contextlib.contextmanager
     def _executed(self, work: List[RunSpec]
@@ -454,7 +422,6 @@ class ParallelRunner:
         except ValueError:  # pragma: no cover - non-POSIX
             ctx = mp.get_context("spawn")
         n = min(self.jobs, len(work))
-        work = _nested(work)
         _build_instances(work)
         pool = ProcessPoolExecutor(max_workers=n, mp_context=ctx,
                                    initializer=signal.signal,

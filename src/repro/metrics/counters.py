@@ -63,8 +63,8 @@ class TrafficMeter:
         copies do not).  The fabric counts it when its PVC stage starts,
         at the end of the source-gateway forward, not at its arrival:
         ``sim.run()`` drains the heap, so a run's totals are the same,
-        and under PDES the count stays in the source partition, which
-        owns the PVC."""
+        and in a partitioned run the count stays in the source
+        partition, which owns the PVC."""
         self.wan_messages += 1
         self.wan_bytes += size
 

@@ -12,7 +12,7 @@ __all__ = ["Message", "MSG_ID_STRIDE"]
 #: run-scoped, so every stack starts each site at sequence 0 no matter
 #: what else ran (or is still alive) in the process.  They do not depend
 #: on how sends from *different* nodes interleave either — which is
-#: exactly what a partitioned (PDES) run cannot reproduce: each
+#: exactly what a partitioned run cannot reproduce: each
 #: partition allocates the same per-site sequences the single-process
 #: oracle does, so merged traces join on identical ids.  Ids only label
 #: trace records and join causal chains within one run.

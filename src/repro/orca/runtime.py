@@ -38,7 +38,7 @@ GUARD_EVAL_COST = 1e-6
 
 #: Request ids are per *caller node* (``caller * STRIDE + seq``) from a
 #: table the runtime owns, like the fabric's message ids — run-scoped
-#: and deterministic per site, so a partitioned (PDES) run allocates
+#: and deterministic per site, so a partitioned run allocates
 #: exactly the ids the single-process oracle does.  They only pair an
 #: RPC with its reply port within one run.
 REQ_ID_STRIDE = 1_000_000

@@ -1550,7 +1550,7 @@ Sim_leg(SimObject *self, PyObject *steps)
 }
 
 /* call_at(when, fn): bare fn() as a call slot at absolute time `when`.
- * A past time is refused (the PDES boundary's no-early-delivery check).
+ * A past time is refused (the partition boundary's no-early-delivery check).
  * The slot lands at now + (when - now), as on the python tier: that
  * can differ from `when` in the last bit, and runs depend on it. */
 static PyObject *

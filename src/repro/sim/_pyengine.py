@@ -343,7 +343,7 @@ class Simulator:
         The slot lands at ``now + (when - now)``, which can differ from
         ``when`` in the last bit; both tiers compute it so.  Nothing can
         wait on a call slot; an exception ``fn`` raises propagates out
-        of :meth:`run`.  A past ``when`` is refused — the PDES boundary
+        of :meth:`run`.  A past ``when`` is refused — the partition boundary
         relies on that as its no-early-delivery check.
         """
         if not when >= self.now:
@@ -419,9 +419,9 @@ class Simulator:
     def next_time(self) -> Optional[float]:
         """Virtual time of the earliest scheduled entry, or ``None``.
 
-        A peek at the top of the event store — the PDES coordinator uses
-        it between epochs to size the next conservative window.  Both
-        tiers expose it.
+        A peek at the top of the event store — a partitioned run's
+        coordinator uses it between epochs to size the next conservative
+        window.  Both tiers expose it.
         """
         heap = self._heap
         return heap[0][0] if heap else None

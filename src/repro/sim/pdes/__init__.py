@@ -19,11 +19,10 @@ bit-identical answers, finish times and trace record contents — the
 golden parity suite (``tests/test_pdes_golden.py``) holds that line.
 
 A run asks for it one way: ``pdes="on"`` on :func:`run_app
-<repro.harness.experiment.run_app>` or on its
-:class:`~repro.harness.sweeps.RunSpec` (CLI: ``repro app --pdes on``).
-An ineligible run warns on stderr and runs single-process; so does a
-spec a sweep pool dispatches, since pool workers cannot fork partition
-workers.  Nothing imports this package unless a run asks for it.
+<repro.harness.experiment.run_app>` (CLI: ``repro app --pdes on``),
+which hands the whole decision to :func:`run_app_pdes`: an ineligible
+run (:func:`.plan.partition_width`) warns on stderr and runs
+single-process.  Nothing imports this package unless a run asks for it.
 """
 
 from __future__ import annotations

@@ -469,18 +469,25 @@ atexit.register(shutdown_pool)
 def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
                  params: Any, *, network, sequencer: Optional[str],
                  dedicated_sequencer_node: bool, topo, trace: bool,
-                 tracer, scenario, n_workers: int):
+                 tracer, scenario, decision, utilization: bool,
+                 workers: Optional[int]):
     """Partitioned ``run_app``: same result, all host cores.
 
-    ``topo`` is the final topology (scenario layout applied); callers
-    resolve eligibility and worker count first (see
-    ``experiment.run_app``).  Returns the same :class:`AppResult` the
-    single-process path would, with PDES counters added to
-    ``sim_stats``.
+    ``topo`` is the final topology (scenario layout applied) and
+    ``workers`` the width asked for (``None``: every core).  Returns the
+    same :class:`AppResult` the single-process path would, with PDES
+    counters added to ``sim_stats`` — or ``None`` when
+    :func:`plan.partition_width` declines the run, which ``run_app``
+    then runs single-process.
     """
     from ...apps.base import AppResult
     from ...harness.experiment import _build_stack
 
+    n_workers = plan.partition_width(
+        app, variant, topo.n_clusters, workers, scenario=scenario,
+        decision=decision, utilization=utilization)
+    if not n_workers:
+        return None
     blocks = plan.partition_clusters(topo.n_clusters, n_workers)
     width = len(blocks)
     part_map = plan.cluster_partition_map(blocks)

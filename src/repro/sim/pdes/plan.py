@@ -19,8 +19,11 @@ single-process engine, which remains the oracle for every feature.
 from __future__ import annotations
 
 import os
+import sys
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
+
+from ..engine import SimulationError
 
 __all__ = [
     "APP_ADAPTERS",
@@ -28,6 +31,7 @@ __all__ = [
     "partition_clusters",
     "cluster_partition_map",
     "channel_capacity",
+    "partition_width",
     "pdes_ineligible_reason",
     "pdes_workers",
     "wan_lookahead",
@@ -168,21 +172,34 @@ def pdes_ineligible_reason(app, n_clusters: int, *, scenario=None,
 def pdes_workers(n_partitions: int, requested: Optional[int]) -> int:
     """Partition-pool width: how many PDES workers to actually fork.
 
-    ``requested`` (``--pdes-workers`` / ``pdes_workers=``) is honoured as
-    asked, even beyond the host's cores — tests and demos need a fixed
-    partition count on any host, and oversubscribed workers still
-    compute the identical result, just slower; ``None`` means every
-    core.  Either way the width is capped at ``n_partitions`` (more
-    workers than partitions is pure overhead).  This rule knows nothing
-    about sweep pools: a :class:`~repro.harness.sweeps.ParallelRunner`
-    that fans specs out over a pool ships each pooled spec ``pdes="off"``,
-    so this is only reached outside one.
+    ``requested`` (``--pdes-workers`` / ``pdes_workers=``, at least 1)
+    is honoured as asked, even beyond the host's cores — tests and demos
+    need a fixed partition count on any host, and oversubscribed workers
+    still compute the identical result, just slower; ``None`` means
+    every core.  Either way the width is capped at ``n_partitions``
+    (more workers than partitions is pure overhead).
     """
-    if requested is not None and requested > 0:
-        width = requested
-    else:
-        width = os.cpu_count() or 1
+    width = requested if requested is not None else os.cpu_count() or 1
     return max(1, min(width, n_partitions))
+
+
+def partition_width(app, variant: str, n_clusters: int,
+                    requested: Optional[int], **features) -> int:
+    """How many workers a run that asks for ``pdes="on"`` forks
+    (:func:`pdes_workers`), or 0 when it must stay single-process — it
+    then says why on stderr.  ``features`` are the keywords of
+    :func:`pdes_ineligible_reason`; a width below 1 is an error."""
+    if requested is not None and requested < 1:
+        raise SimulationError(f"pdes_workers must be >= 1 (or None for "
+                              f"every core): {requested!r}")
+    width = pdes_workers(n_clusters, requested)
+    reason = pdes_ineligible_reason(app, n_clusters, **features) or (
+        "only one partition worker resolved" if width < 2 else None)
+    if reason is None:
+        return width
+    print(f"repro: warning: pdes='on' but {app.name}/{variant} cannot be "
+          f"partitioned ({reason}); running single-process", file=sys.stderr)
+    return 0
 
 
 def wan_lookahead(network, scenario=None) -> float:

@@ -73,17 +73,20 @@ def test_cli_rejects_non_positive_counts(argv, capsys):
         in err
 
 
-def test_cli_app_pdes_runs_through_the_runner(tmp_path, monkeypatch, capsys):
-    """``--pdes on`` takes the same path as every other run: the trace
-    flags apply, and the (uncached) run reports its PDES counters —
-    also on a second invocation, which a result cache would have
-    answered without them."""
+def test_cli_app_pdes_calls_run_app_traced_and_uncached(tmp_path, monkeypatch,
+                                                       capsys):
+    """``--pdes on`` is one direct ``run_app`` call: the trace flags
+    apply, every invocation reports its partition counters (a result
+    cache would have answered the repeats without them), and nothing
+    is written to the result cache."""
     import json
 
     from repro.apps import small_params
     from repro.sim.pdes import shutdown_pool
 
     monkeypatch.setattr("repro.__main__.bench_params", small_params)
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
     traces = tmp_path / "traces"
     argv = ["app", "sor", "--clusters", "2", "--nodes", "2", "--pdes", "on",
             "--pdes-workers", "2", "--trace-dir", str(traces)]
@@ -99,6 +102,7 @@ def test_cli_app_pdes_runs_through_the_runner(tmp_path, monkeypatch, capsys):
     (path,) = traces.glob("sor-original-2x2-*.trace.json")
     events = json.loads(path.read_text())["traceEvents"]
     assert {"M", "X"} <= {ev["ph"] for ev in events}
+    assert not list(cache.rglob("*"))
 
 
 # ------------------------------------------------- the option surface

@@ -70,9 +70,9 @@ def test_no_tier_selector_reappears():
 
 
 #: Options and entry points deleted once a census found no caller (or
-#: only ever one value) for them.  Ids live on the run, pool nesting
-#: travels in the spec, PDES is asked for one way (``pdes="on"`` on one
-#: run: no environment variable, no mode resolver, no ``auto``),
+#: only ever one value) for them.  Ids live on the run, PDES is asked
+#: for one way (``pdes="on"`` on ``run_app``: no environment variable,
+#: no mode resolver, no ``auto``, no sweep-spec field or nesting policy),
 #: dispatch is ``chunksize``; the engine is what the
 #: simulated machine calls (no first-of waits, no duplicate stats key)
 #: and so are the layers above it; the engine's oracle is the manifest's
@@ -108,6 +108,7 @@ DELETED_SURFACE = (
     "send_chain", "_cluster_writers",
     "pdes_arrive", "pdes_capable", "pdes_shared_payload", "pdes_merge_shared",
     "_wait=",
+    "def _nested(", "RunSpec(pdes", "spec.pdes", "_write_trace(",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the
@@ -169,25 +170,48 @@ def test_no_deleted_surface_reappears():
         assert "processes_spawned" not in sim.stats()
 
 
+#: Where a line outside ``sim/pdes/`` may name PDES: ``run_app``'s one
+#: branch, the CLI's flags, direct call and summary line, and the bench
+#: suite.
+PDES_LINE_FILES = {"__main__.py", "harness/experiment.py", "harness/bench.py"}
+#: How many such lines there are; a change may lower this, never raise it.
+PDES_LINE_BUDGET = 18
+
+
 def test_fabric_and_apps_forget_partitions():
     """The partition boundary lives in ``repro.sim.pdes`` alone: no line
-    of ``fabric.py`` names PDES, neither a fabric nor an application
-    has an attribute that does, and no send or route takes a wait
-    flag."""
+    of ``fabric.py`` or ``harness/sweeps.py`` names PDES, neither a
+    fabric, an application, a ``RunSpec`` field nor a ``ParallelRunner``
+    attribute does, no send or route takes a wait flag, and the lines
+    elsewhere that name it stay in three files, within budget."""
+    import dataclasses
     import inspect
 
     from repro.apps import ALL_APPS, Application, make_app
+    from repro.harness import ParallelRunner, RunSpec
     from repro.network import DAS_PARAMS, ClusterSpec, Fabric, Topology
     from repro.sim import Simulator
 
-    fabric_py = REPO / "src" / "repro" / "network" / "fabric.py"
-    assert "pdes" not in fabric_py.read_text().lower()
+    src = REPO / "src" / "repro"
+    for path in (src / "network" / "fabric.py", src / "harness" / "sweeps.py"):
+        assert "pdes" not in path.read_text().lower(), path
+    assert not [f.name for f in dataclasses.fields(RunSpec)
+                if "pdes" in f.name.lower()]
     topo = Topology([ClusterSpec("c0", 2), ClusterSpec("c1", 2)])
-    objs = [Fabric, Fabric(Simulator(), topo, DAS_PARAMS), Application]
+    objs = [Fabric, Fabric(Simulator(), topo, DAS_PARAMS), Application,
+            ParallelRunner, ParallelRunner(jobs=1)]
     objs += [entry[0] for entry in ALL_APPS.values()]
     objs += [make_app(name) for name in ALL_APPS]
     for obj in objs:
         assert not [n for n in dir(obj) if "pdes" in n.lower()], obj
+    lines = [(path.relative_to(src).as_posix(), line)
+             for path in sorted(src.rglob("*"))
+             if path.suffix in (".py", ".c")
+             and not path.relative_to(src).as_posix().startswith("sim/pdes/")
+             for line in path.read_text().splitlines()
+             if "pdes" in line.lower()]
+    assert {name for name, _ in lines} <= PDES_LINE_FILES, lines
+    assert len(lines) <= PDES_LINE_BUDGET, lines
     for name in ("send", "_route_self", "_route_lan", "_route_wan"):
         params = inspect.signature(getattr(Fabric, name)).parameters
         assert not {"wait", "_wait"} & params.keys(), name

@@ -1,7 +1,6 @@
 """Tests for the parallel sweep subsystem (runner, cache, determinism,
 host faults)."""
 
-import dataclasses
 import os
 import pickle
 import re
@@ -295,32 +294,6 @@ def test_default_cache_dir_env(monkeypatch, tmp_path):
 
 
 # ------------------------------------------------------- traced sweeps
-
-
-def test_runner_pdes_specs_reuse_the_partition_pool():
-    """Specs that ask for ``pdes="on"`` run partitioned in a serial
-    runner, bit-identical to the plain run, and consecutive grid points
-    of one topology reuse the forked partition pool; a spec left at
-    ``"off"`` beside them stays single-process."""
-    from repro.sim.pdes import coordinator, shutdown_pool
-
-    specs = [RunSpec("sor", variant, 2, 3, small_params("sor"))
-             for variant in ("original", "optimized")]
-    plain = ParallelRunner(jobs=1, cache=None).run(specs)
-    shutdown_pool()
-    try:
-        runner = ParallelRunner(jobs=1, cache=None)
-        part = runner.run([dataclasses.replace(spec, pdes="on",
-                                               pdes_workers=2)
-                           for spec in specs])
-        _same_results(plain, part)
-        assert all(r.sim_stats["pdes_partitions"] == 2 for r in part)
-        pool = coordinator._POOL
-        assert pool is not None and pool.runs == len(specs)
-        off = runner.run(specs[:1])[0]
-        assert "pdes_partitions" not in off.sim_stats
-    finally:
-        shutdown_pool()
 
 
 def test_trace_spec_is_excluded_from_the_cache_key():

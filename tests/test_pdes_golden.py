@@ -302,39 +302,6 @@ def test_pdes_single_cluster_falls_back(capsys):
     assert "cannot be partitioned" in capsys.readouterr().err
 
 
-def test_pdes_on_inside_sweep_pool_runs_serial_with_one_warning(monkeypatch,
-                                                               capfd):
-    """A forced ``on`` on pooled points used to die in the daemonic pool
-    worker (``AssertionError: daemonic processes are not allowed to have
-    children``) whenever its share of the cores reached two.  The parent
-    now declines for the whole pool: one warning, complete runs,
-    bit-identical to serial ones."""
-    from repro.harness import ParallelRunner, RunSpec
-    from repro.sim.pdes import shutdown_pool
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    serial = ParallelRunner(jobs=1).run(
-        [RunSpec("sor", variant, 2, 3, small_params("sor"))
-         for variant in ("original", "optimized")])
-    capfd.readouterr()
-    for width in (None, 2):
-        specs = [RunSpec("sor", variant, 2, 3, small_params("sor"),
-                         pdes="on", pdes_workers=width)
-                 for variant in ("original", "optimized")]
-        for one, other in zip(serial, ParallelRunner(jobs=2).run(specs)):
-            assert "pdes_partitions" not in other.sim_stats
-            assert (one.elapsed, one.traffic) == (other.elapsed,
-                                                  other.traffic)
-        err = capfd.readouterr().err
-        assert err.count("repro: warning") == 1
-        assert "pool workers cannot fork partition workers" in err
-    # Outside a pool ``on`` still partitions (jobs=1, run_one).
-    try:
-        res = ParallelRunner(jobs=1).run_one(specs[0])
-    finally:
-        shutdown_pool()
-    assert res.sim_stats["pdes_partitions"] == 2
-
-
 def test_pdes_faults_ineligible(capsys):
     scen = Scenario(seed=1, faults=(
         Fault.of("slow_node", at=0.01, duration=0.01, target="n0"),))

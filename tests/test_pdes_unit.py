@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import small_params
-from repro.harness import ParallelRunner, RunSpec
 from repro.network import DAS_PARAMS
 from repro.scenario import Impairment, Scenario
 from repro.sim import SimulationError
@@ -96,6 +95,19 @@ def test_pdes_mode_invalid_raises():
                     pdes=value)
 
 
+@pytest.mark.parametrize("workers", [0, -1, -5])
+def test_pdes_workers_below_one_raises(workers):
+    """A width below 1 is refused by name, before anything forks — it
+    used to run silently at every core — also where the run could not
+    be partitioned anyway (one cluster)."""
+    from repro.apps import make_app
+    from repro.harness import run_app
+    for clusters in (2, 1):
+        with pytest.raises(SimulationError, match="pdes_workers must be >= 1"):
+            run_app(make_app("sor"), "original", clusters, 3,
+                    small_params("sor"), pdes="on", pdes_workers=workers)
+
+
 def test_default_run_does_not_import_pdes():
     """The partitioned engine is imported by a run that asks for it and
     by nothing else: a default ``run_app`` (and the CLI, profiler and
@@ -163,40 +175,6 @@ def test_pdes_workers_explicit_honored_and_capped(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 8)
     assert plan.pdes_workers(16, None) == 8
     assert plan.pdes_workers(4, None) == 4
-
-
-def _shipped(monkeypatch, runner, specs):
-    """What ``runner`` hands its pool workers: ``(pdes, pdes_workers)``
-    per spec, read inside the workers themselves."""
-    monkeypatch.setattr(RunSpec, "execute",
-                        lambda self: (self.pdes, self.pdes_workers))
-    return runner.run(specs)
-
-
-def test_pdes_workers_derived_respects_sweep_pool(monkeypatch, capfd):
-    """The nesting policy travels in the spec: pool workers do not fork
-    partition workers (that would multiply processes), so the runner
-    building the pool ships every ``pdes="on"`` spec as ``off`` —
-    whatever the cores or the asked width — and says so once."""
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
-    for width in (None, 3):
-        specs = [RunSpec("sor", variant, 4, 2, small_params("sor"),
-                         pdes="on", pdes_workers=width)
-                 for variant in ("original", "optimized")]
-        capfd.readouterr()
-        assert _shipped(monkeypatch, ParallelRunner(jobs=2),
-                        specs) == [("off", width)] * 2
-        err = capfd.readouterr().err
-        assert err.count("repro: warning: pdes='on' but") == 1
-        assert "pool workers cannot fork partition workers" in err
-    plain = [RunSpec("sor", variant, 4, 2, small_params("sor"))
-             for variant in ("original", "optimized")]
-    assert _shipped(monkeypatch, ParallelRunner(jobs=2),
-                    plain) == [("off", None)] * 2
-    # A serial runner builds no pool and ships each spec as asked.
-    assert _shipped(monkeypatch, ParallelRunner(jobs=1),
-                    specs) == [("on", 3)] * 2
-    assert capfd.readouterr().err == ""
 
 
 # ----------------------------------------------------------- cap algebra
