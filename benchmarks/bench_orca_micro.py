@@ -10,7 +10,8 @@ the golden manifest; the numbers here are pure host-side cost.
 Each workload returns the operations it completed.  Its default ``n``
 runs it for most of a second on the compiled tier of a 2-core host: the
 earlier rows, five to twenty times shorter, read a wider spread over
-repeated ``--repeat 1`` passes (EXPERIMENTS.md).  Run it with::
+repeated ``--repeat 1`` passes (EXPERIMENTS.md, *Harness performance*:
+the paragraph under the Orca ledger block).  Run it with::
 
     PYTHONPATH=src python -m repro bench --suite orca [--repeat 3]
 

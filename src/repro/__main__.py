@@ -231,9 +231,7 @@ def cmd_profile(args) -> int:
                       format_profile_table, profile_app)
 
     names = PAPER_ORDER if args.app == "all" else [args.app]
-    # Shared across apps; profile_app clears it per run.  Bounds (ring /
-    # sampling) are built in here because profile_app only applies its
-    # own ring/sample arguments when it creates the tracer itself.
+    # Shared across apps; profile_app clears it per run.
     tracer = Tracer(ring=args.ring, sample=dict(_parse_sample(args.sample)))
     variants = args.diff or [args.variant]
     reports = []

@@ -9,7 +9,7 @@ primitives — so these helpers sit on the runtime's raw message layer.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Generator
 
 from ..orca import Context
 
@@ -45,13 +45,3 @@ class SplitPhaseExchange:
             msg = yield from self.ctx.receive(port=self.port)
             msgs.append(msg)
         return msgs
-
-    def collect_by_key(self, expected: int) -> Generator:
-        """Like :meth:`collect` but returns ``{payload_key: payload_value}``
-        for payloads shaped ``(key, value)``."""
-        out: Dict[Any, Any] = {}
-        for _ in range(expected):
-            msg = yield from self.ctx.receive(port=self.port)
-            key, value = msg.payload
-            out[key] = value
-        return out

@@ -52,7 +52,3 @@ class ChaoticExchange(ExchangePolicy):
         if not intercluster:
             return True
         return iteration % self.keep_one_in == 0
-
-    @property
-    def drop_fraction(self) -> float:
-        return 1.0 - 1.0 / self.keep_one_in

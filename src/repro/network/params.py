@@ -58,9 +58,6 @@ class LinkParams:
     o_recv: float
     per_byte_cpu: float = 0.0
 
-    def wire_time(self, size: int) -> float:
-        return self.latency + size / self.bandwidth
-
     def with_(self, **kw) -> "LinkParams":
         return replace(self, **kw)
 

@@ -92,10 +92,6 @@ class Topology:
         start = self._starts[cluster]
         return range(start, start + self.clusters[cluster].n_nodes)
 
-    def local_rank(self, node: int) -> int:
-        """Rank of ``node`` within its own cluster."""
-        return node - self._starts[self.cluster_of(node)]
-
     def same_cluster(self, a: int, b: int) -> bool:
         return self.cluster_of(a) == self.cluster_of(b)
 

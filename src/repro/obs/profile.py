@@ -75,23 +75,15 @@ def profile_app(app_name: str, variant: str = "original",
                 params: Any = None, network: NetworkParams = DAS_PARAMS,
                 sequencer: Optional[str] = None,
                 tracer: Optional[Tracer] = None,
-                n_buckets: int = 60,
-                ring: Optional[int] = None,
-                sample: Optional[Dict[str, int]] = None) -> BottleneckReport:
+                n_buckets: int = 60) -> BottleneckReport:
     """Run ``app_name``/``variant`` traced and condense the diagnosis.
 
     ``params`` defaults to the benchmark problem sizes
     (:func:`repro.harness.figures.bench_params`).  ``tracer`` lets a
     sweep share one trace buffer across grid points (it is cleared
     before the run and after condensing); by default a fresh one is
-    used.  ``ring`` / ``sample`` bound the default tracer's memory (ring
-    buffer of the last N records, deterministic 1-in-k per-kind
-    sampling — see ``docs/TRACING.md``); a bounded trace profiles the
-    *tail* (ring) or a *thinned* view (sampling) of the run, so the
-    attributed seconds shrink accordingly while the diagnosis shape
-    survives.  They are ignored when an explicit ``tracer`` is passed —
-    the caller's bounding wins.  The run itself is bit-identical to an
-    untraced run — tracing only observes.
+    used.  The run itself is bit-identical to an untraced run — tracing
+    only observes.
     """
     from ..apps import make_app
     from ..harness.experiment import run_app
@@ -100,7 +92,7 @@ def profile_app(app_name: str, variant: str = "original",
     if params is None:
         params = bench_params(app_name)
     if tracer is None:
-        tracer = Tracer(ring=ring, sample=sample)
+        tracer = Tracer()
     tracer.clear()
     tracer.enabled = True
     if tracer.kinds is None:

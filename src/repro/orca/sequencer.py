@@ -222,10 +222,6 @@ class DistributedSequencer(_TokenSequencer):
     name = "distributed"
     _direct = False
 
-    @property
-    def token_at(self) -> int:
-        return self._ring.at
-
 
 class MigratingSequencer(_TokenSequencer):
     """A single sequencer that migrates to the requesting cluster.

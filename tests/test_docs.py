@@ -80,7 +80,8 @@ def test_no_tier_selector_reappears():
 #: and a compute charge each run without a forwarding generator frame;
 #: a broadcast applies in order as one chain per replica application,
 #: with no drain pass, batch snapshot or apply log beside it; the fabric
-#: and the applications carry no partition boundary hook.
+#: and the applications carry no partition boundary hook; and a helper
+#: that nothing calls is deleted, not kept for its test.
 DELETED_SURFACE = (
     "_legacy",
     "reset_ids", "reset_req_ids", "alloc_msg_id", "_alloc_req_id",
@@ -109,6 +110,8 @@ DELETED_SURFACE = (
     "pdes_arrive", "pdes_capable", "pdes_shared_payload", "pdes_merge_shared",
     "_wait=",
     "def _nested(", "RunSpec(pdes", "spec.pdes", "_write_trace(",
+    "def token_at(", "def wire_time(", "def local_rank(", "def drop_fraction(",
+    "def collect_by_key(",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the
@@ -343,3 +346,42 @@ def test_checker_flags_edited_measured_block(check_docs):
         f"{doc}: block out:table9 names no file under benchmarks/out",
         f"{doc}: benchmarks/out/table1.txt is not included as an "
         f"out:table1 block"]
+
+
+#: How long EXPERIMENTS.md is: the results, one ledger block per
+#: ``BENCH_*.json`` and one PR-table row per perf PR, with no per-PR log;
+#: a change may lower this, never raise it.
+EXPERIMENTS_LINE_BUDGET = 1147
+
+
+def test_checker_flags_edited_ledger_block(check_docs):
+    """A ``bench:`` block of EXPERIMENTS.md is the rendering of its
+    ``BENCH_*.json``, and every ledger has one: an edited digit, a block
+    naming no ledger and a dropped block are each flagged by suite.  The
+    doc stays within its line budget, and ``--render`` prints a block
+    exactly as the doc holds it."""
+    import subprocess
+
+    doc = check_docs.EXPERIMENTS_DOC
+    text = (REPO / doc).read_text()
+    assert check_docs.check_bench_blocks({doc: text}) == []
+    assert len(text.splitlines()) <= EXPERIMENTS_LINE_BUDGET
+    rendered = subprocess.run(
+        [sys.executable, str(CHECKER), "--render", "orca"],
+        capture_output=True, text=True, check=True).stdout
+    assert rendered.startswith("<!-- bench:orca -->\n") and rendered in text
+    row = "\nbcast_bb         6888\n"
+    assert text.count(row) == 1
+    edited = text.replace(row, "\nbcast_bb         6889\n")
+    assert check_docs.check_bench_blocks({doc: edited}) == [
+        f"{doc}: block bench:orca differs from the rendering of "
+        f"BENCH_orca.json"]
+    renamed = text.replace("bench:orca -->", "bench:nosuch -->")
+    assert check_docs.check_bench_blocks({doc: renamed}) == [
+        f"{doc}: block bench:nosuch names no BENCH_nosuch.json",
+        f"{doc}: BENCH_orca.json has no bench:orca block"]
+    start = text.index("<!-- bench:pdes -->\n")
+    end = text.index("<!-- /bench:pdes -->\n") + len("<!-- /bench:pdes -->\n")
+    dropped = text[:start] + text[end:]
+    assert check_docs.check_bench_blocks({doc: dropped}) == [
+        f"{doc}: BENCH_pdes.json has no bench:pdes block"]

@@ -1,14 +1,11 @@
 """Unit tests for network parameter sets and presets."""
 
-import pytest
-
 from repro.network import (
     ATM_DAS,
     DAS_PARAMS,
     FAST_ETHERNET,
     INTERNET_PARAMS,
     INTERNET_SUNDAY,
-    LinkParams,
     MYRINET,
     SLOW_WAN,
     SLOW_WAN_PARAMS,
@@ -20,12 +17,6 @@ from repro.network import (
 def test_unit_helpers():
     assert mbit(8) == 1e6  # 8 Mbit/s == 1 MB/s
     assert usec(1) == 1e-6
-
-
-def test_wire_time_combines_latency_and_serialization():
-    link = LinkParams("t", latency=1e-3, bandwidth=1e6, o_send=0, o_recv=0)
-    assert link.wire_time(0) == pytest.approx(1e-3)
-    assert link.wire_time(10**6) == pytest.approx(1e-3 + 1.0)
 
 
 def test_with_returns_modified_copy():

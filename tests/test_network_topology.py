@@ -42,14 +42,6 @@ def test_cluster_of_out_of_range():
         topo.cluster_of(-1)
 
 
-def test_local_rank():
-    topo = uniform_clusters(4, 15)
-    assert topo.local_rank(0) == 0
-    assert topo.local_rank(14) == 14
-    assert topo.local_rank(15) == 0
-    assert topo.local_rank(59) == 14
-
-
 def test_same_cluster():
     topo = uniform_clusters(2, 16)
     assert topo.same_cluster(0, 15)
@@ -83,7 +75,6 @@ def test_nonuniform_topology():
     assert topo.n_nodes == 12
     assert topo.cluster_of(9) == 0
     assert topo.cluster_of(10) == 1
-    assert topo.local_rank(11) == 1
 
 
 def test_invalid_specs_rejected():

@@ -35,10 +35,17 @@ The checks over the repo's markdown:
    numbers of the paper exhibits exist once, as the committed
    expectations ``benchmarks/bench_paper.py`` checks (this check reads
    files only — it runs no simulation).
+8. **Ledger-block lockstep** — every ``<!-- bench:SUITE -->`` fenced
+   block in the scanned docs is the rendering of ``BENCH_SUITE.json``
+   (:func:`render_ledger`), and ``EXPERIMENTS.md`` has a block for every
+   ``BENCH_*.json`` at the repo root: each host-time baseline exists
+   once, as the committed ledger ``repro bench --check`` reads (this
+   check reads files only — it measures nothing).
 
 Usage::
 
-    python tools/check_docs.py          # exit 0 = consistent
+    python tools/check_docs.py                # exit 0 = consistent
+    python tools/check_docs.py --render orca  # the bench:orca block
 
 The kind-shaped pattern is ``<prefix>.<word>`` for the prefixes the
 schema uses (proc, msg, link, gw, wan, rpc, seq, bcast, scn, sweep),
@@ -47,7 +54,9 @@ so module paths like ``repro.sim.engine`` never false-positive.
 
 from __future__ import annotations
 
+import argparse
 import ast
+import json
 import re
 import sys
 from pathlib import Path
@@ -85,6 +94,12 @@ OUT_DIR = ROOT / "benchmarks" / "out"
 EXPERIMENTS_DOC = "EXPERIMENTS.md"
 _OUT_BLOCK = re.compile(
     r"^<!-- out:(\w+) -->\n```\n(.*?)```\n<!-- /out:\1 -->$", re.M | re.S)
+
+#: The host-time ledgers ``BENCH_<suite>.json`` at the repo root, each
+#: rendered once into a ``bench:<suite>`` block of the doc.
+_BENCH_BLOCK = re.compile(
+    r"^<!-- bench:(\w+) -->\n```\n(.*?)```\n<!-- /bench:\1 -->$", re.M | re.S)
+_LEDGER_STAMP = ("bench", "python", "machine", "host_cores", "engine_tier")
 
 #: The package whose process-level state the table declares.
 PACKAGE = ROOT / "src" / "repro"
@@ -274,6 +289,45 @@ def check_out_blocks(texts: dict, out_dir: Path) -> list:
     return problems
 
 
+def render_ledger(ledger: dict) -> str:
+    """The body of a ``bench:`` block: the stamp on one line, then one
+    row per ``results`` key in file order and one per ``info`` key,
+    marked ``(info)``; every value as the JSON holds it, unrounded."""
+    rows = [(key, json.dumps(value), "")
+            for key, value in ledger["results"].items()]
+    rows += [(key, json.dumps(value), "  (info)")
+             for key, value in ledger["info"].items()]
+    key_w = max(len(key) for key, _, _ in rows)
+    value_w = max(len(value) for _, value, _ in rows)
+    lines = ["  ".join(f"{key}: {ledger[key]}" for key in _LEDGER_STAMP)]
+    lines += [f"{key:<{key_w}}  {value:>{value_w}}{mark}"
+              for key, value, mark in rows]
+    return "\n".join(lines) + "\n"
+
+
+def check_bench_blocks(texts: dict) -> list:
+    """Tagged ledger blocks are the renderings of their ``BENCH_*.json``."""
+    problems = []
+    included = set()
+    for rel, text in texts.items():
+        for suite, body in _BENCH_BLOCK.findall(text):
+            path = ROOT / f"BENCH_{suite}.json"
+            if not path.exists():
+                problems.append(f"{rel}: block bench:{suite} names no "
+                                f"{path.name}")
+            elif body != render_ledger(
+                    json.loads(path.read_text(encoding="utf-8"))):
+                problems.append(f"{rel}: block bench:{suite} differs from "
+                                f"the rendering of {path.name}")
+            if rel == EXPERIMENTS_DOC:
+                included.add(suite)
+    problems += [
+        f"{EXPERIMENTS_DOC}: {path.name} has no bench:{suite} block"
+        for path in sorted(ROOT.glob("BENCH_*.json"))
+        if (suite := path.stem[len("BENCH_"):]) not in included]
+    return problems
+
+
 def _memoised(package: Path) -> set:
     """Dotted names of everything under ``package`` that keeps values
     across runs: ``lru_cache``/``cache``-decorated functions and
@@ -335,6 +389,7 @@ def main() -> int:
     problems += check_env_vars(texts)
     problems += check_process_caches(texts)
     problems += check_out_blocks(texts, OUT_DIR)
+    problems += check_bench_blocks(texts)
     if problems:
         for problem in problems:
             print(problem)
@@ -347,4 +402,18 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    parser = argparse.ArgumentParser(
+        description="Check the docs against the code and the committed "
+                    "files.")
+    parser.add_argument("--render", metavar="SUITE",
+                        help="print the bench:SUITE block of "
+                             "BENCH_SUITE.json and exit")
+    args = parser.parse_args()
+    if args.render is None:
+        sys.exit(main())
+    ledger = ROOT / f"BENCH_{args.render}.json"
+    if not ledger.exists():
+        parser.error(f"no {ledger.name} at the repo root")
+    print(f"<!-- bench:{args.render} -->\n```\n"
+          f"{render_ledger(json.loads(ledger.read_text(encoding='utf-8')))}"
+          f"```\n<!-- /bench:{args.render} -->")
