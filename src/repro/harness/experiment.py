@@ -48,11 +48,9 @@ def _build_stack(topo: Topology, network: NetworkParams, sequencer: str,
     if scenario is not None:
         from ..scenario import install
         install(sim, fabric, scenario)
-    if decision is not None:
-        fabric.decision = decision
+    fabric.decision = decision
     rts = OrcaRuntime(sim, fabric, sequencer=sequencer,
-                      dedicated_sequencer_node=dedicated_sequencer_node,
-                      decision=decision)
+                      dedicated_sequencer_node=dedicated_sequencer_node)
     return sim, fabric, rts
 
 

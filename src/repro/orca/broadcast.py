@@ -65,26 +65,25 @@ class TotalOrderBroadcast:
                  protocol: SequencerProtocol,
                  apply: Callable[[int, BcastPayload,
                                        Callable[[Any], None]], None],
-                 dedicated_sequencer_node: bool = False,
-                 decision: Optional[Any] = None):
+                 dedicated_sequencer_node: bool = False):
         """``apply(node, payload, k)`` is provided by the runtime:
         it executes the operation on ``node``'s replica, charges its
         CPU, and calls ``k(result)`` once the charge completes.
         Delivery runs as flat callback chains from each node's bound
         ``orca.bcast`` port (see ``_arrival``).
 
-        ``decision`` is an optional :class:`repro.tuner.DecisionModel`:
-        when installed, every broadcast asks it for the PB/BB protocol,
-        the WAN fan-out shape, and the striping factor instead of using
-        the fixed ``size >= BB_THRESHOLD`` rule and the flat tree.
-        ``None`` keeps the fixed strategy — bit-identical to the
-        pre-tuner runtime (see docs/TUNING.md)."""
+        The decision model is the fabric's (``fabric.decision``, a
+        :class:`repro.tuner.DecisionModel` or ``None``): when installed,
+        every broadcast asks it for the PB/BB protocol, the WAN fan-out
+        shape, and the striping factor instead of using the fixed
+        ``size >= BB_THRESHOLD`` rule and the flat tree.  ``None`` keeps
+        the fixed strategy — bit-identical to the pre-tuner runtime
+        (see docs/TUNING.md)."""
         self.sim = sim
         self.fabric = fabric
         self.topo = fabric.topo
         self.protocol = protocol
         self.apply = apply
-        self.decision = decision
         # The decision's strategy per broadcast size, resolved once per
         # run (a per-run constant; see docs/TUNING.md).
         self._strategies: Dict[int, Tuple[bool, str, int]] = {}
@@ -141,21 +140,21 @@ class TotalOrderBroadcast:
             waiter.succeed(None)
 
     def broadcast(self, sender: int, obj_name: str, op_name: str,
-                  args: tuple, size: int,
-                  issue: Optional[int] = None) -> Generator:
-        """Sender-side flow; returns the op result from the sender's replica."""
-        if issue is None:
-            issue = self.next_issue(sender)
+                  args: tuple, size: int, issue: int) -> Generator:
+        """Sender-side flow; returns the op result from the sender's
+        replica.  ``issue`` is the sender's ticket from
+        :meth:`next_issue`."""
         sender_cluster = self.fabric.node_cluster[sender]
         stamp_cluster = self.protocol.stamping_cluster(sender_cluster)
         stamp_node = self.stamping_node(stamp_cluster)
-        if self.decision is None:
+        decision = self.fabric.decision
+        if decision is None:
             bb_mode = size >= BB_THRESHOLD
             shape, streams = "flat", 1
         else:
             strat = self._strategies.get(size)
             if strat is None:
-                s = self.decision.strategy(size, self.topo.n_clusters)
+                s = decision.strategy(size, self.topo.n_clusters)
                 strat = self._strategies[size] = (s.bb, s.shape, s.streams)
             bb_mode, shape, streams = strat
         tr = self.fabric.tracer

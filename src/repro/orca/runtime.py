@@ -79,15 +79,14 @@ class OrcaRuntime:
 
     def __init__(self, sim: Simulator, fabric: Fabric,
                  sequencer: str = "distributed",
-                 dedicated_sequencer_node: bool = False,
-                 decision: Optional[Any] = None):
+                 dedicated_sequencer_node: bool = False):
         """Broadcast delivery and RPC service run as flat callback
         chains over the fabric's chain-style entry points (ports bound
         to their one consumer, no per-node server processes).
 
-        ``decision`` is an optional :class:`repro.tuner.DecisionModel`
-        consulted per broadcast for the PB/BB protocol, WAN fan-out
-        shape, and striping factor; ``None`` keeps the fixed strategy
+        Broadcasts consult the fabric's decision model
+        (``fabric.decision``) for the PB/BB protocol, WAN fan-out shape
+        and striping factor; ``None`` keeps the fixed strategy
         (bit-identical to the pre-tuner runtime).  See docs/TUNING.md."""
         self.sim = sim
         self.fabric = fabric
@@ -101,8 +100,7 @@ class OrcaRuntime:
             tracer=fabric.tracer)
         self.tob = TotalOrderBroadcast(
             sim, fabric, self.protocol, self._apply_bcast,
-            dedicated_sequencer_node=dedicated_sequencer_node,
-            decision=decision)
+            dedicated_sequencer_node=dedicated_sequencer_node)
         self.specs: Dict[str, ObjectSpec] = {}
         # Replicated objects: one replica per node.  Non-replicated: the
         # owner's replica only, at [owner].
@@ -314,15 +312,17 @@ class OrcaRuntime:
             self._kick(node, replica)
         k(result)
 
-    def _invoke_bcast(self, node: int, spec: ObjectSpec, op: Operation,
+    def _invoke_bcast(self, node: int, obj_name: str, op: Operation,
                       op_name: str, args: tuple) -> Generator:
-        """A write to a replicated object: one totally-ordered broadcast."""
+        """A write to a replicated object: one totally-ordered broadcast.
+
+        The meter row and the sender's issue ticket are taken at the
+        call; returns the broadcast's own generator."""
         size = op.args_size(args)
         self.meter.record("bcast", size,
                           intercluster=self.topo.n_clusters > 1)
-        issue = self.tob.next_issue(node)
-        return (yield from self.tob.broadcast(
-            node, spec.name, op_name, args, size, issue=issue))
+        return self.tob.broadcast(node, obj_name, op_name, args, size,
+                                  self.tob.next_issue(node))
 
     # ----------------------------------------------------------- public ops
 
@@ -338,7 +338,7 @@ class OrcaRuntime:
         op = spec.op(op_name)
         if spec.replicated:
             if op.writes:
-                return self._invoke_bcast(node, spec, op, op_name, args)
+                return self._invoke_bcast(node, obj_name, op, op_name, args)
             return self._execute_blocking(
                 node, self._replicas[obj_name][node], op, args)
         if spec.owner == node:
@@ -378,13 +378,8 @@ class Context:
             raise ValueError(
                 "invoke_async is only meaningful for writes to replicated "
                 f"objects; {obj_name}.{op_name} is not one")
-        size = op.args_size(args)
-        self.rts.meter.record("bcast", size,
-                              intercluster=self.topo.n_clusters > 1)
-        issue = self.rts.tob.next_issue(self.node)
         return self.sim.spawn(
-            self.rts.tob.broadcast(self.node, obj_name, op_name, args, size,
-                                   issue=issue),
+            self.rts._invoke_bcast(self.node, obj_name, op, op_name, args),
             name="asyncbcast")
 
     # -- low-level messages (Orca RTS primitives) ----------------------------

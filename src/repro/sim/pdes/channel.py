@@ -1,25 +1,21 @@
-"""The PDES sync fast lane: packed epoch blocks over shared memory.
+"""The PDES sync fast lane: pickled epoch blocks over shared memory.
 
-PR 9's epoch protocol pickled four Python tuples through a
-``multiprocessing.Pipe`` per partition per epoch — ~0.1 ms of
-syscall + pickle round-trip, times thousands of epochs, times every
-partition.  This module replaces the transport with the same treatment
-the paper applies to wide-area links: pack the records flat, coalesce
-the round-trips, keep the expensive channel for the rare paths.
+Each epoch a partition worker receives one *grant* and answers with one
+*report*; at thousands of epochs per run the transport, not the
+payload, is the cost, so the blocks ride shared-memory rings and the
+setup pipe keeps only the rare paths.
 
 Three pieces live here:
 
-* **The packing codec** — one struct-packed wire format shared by
-  worker and coordinator.  A *section* is one epoch's routed items for
-  one destination partition, laid out struct-of-arrays (arrival and
-  send/recv-time doubles, node ids, sizes, message ids, then a small
-  string table for port/kind names and *one* length-prefixed
-  pickle blob for the whole payload tuple — only the payload objects
-  still meet pickle, and they amortize its fixed cost across the
-  section).
-  The coordinator never decodes a section: it routes the raw bytes
-  into the destination's next grant and reads only the section header
-  (destination, counts, minimum time — all ``compute_caps`` needs).
+* **The block format** — every block is one ``pickle.dumps``.  A
+  *section* is one epoch's routed items for one destination partition:
+  :class:`Section` carries the destination, the message and ack counts
+  and the minimum item time beside ``raw``, one pickle of the items
+  (messages first, then acks, each kind in outbox order).  A report
+  ships the worker's sections whole; the coordinator reads only their
+  header fields (all ``compute_caps`` needs) and routes ``raw``
+  unopened into the destination's next grant, where the worker
+  unpickles it.
 
 * **:class:`ShmRing`** — a single-producer single-consumer byte ring
   over a fork-inherited ``multiprocessing.RawArray``, length-prefixed
@@ -33,12 +29,13 @@ Three pieces live here:
 * **:class:`ShmChannel`** — the one transport: a ring and a semaphore
   per direction, plus a duplex pipe for setup/final/error traffic (and
   for the block that outgrows its ring).  Worker death and worker
-  errors surface as the same exceptions the PR-9 protocol raised.
+  errors surface as typed exceptions on the parent side.
 
-The codec changes no virtual-time behavior: it is a byte-level
-representation of exactly the items ``PartitionBoundary`` exported,
-and the golden parity suite pins it record-for-record against the
-single-process oracle.
+The blocks change no virtual-time behavior: a section holds exactly the
+items ``PartitionBoundary`` exported, and the golden parity suite pins
+partitioned runs record-for-record against the single-process oracle.
+The trust domain is the pool's own: the forked workers already
+unpickle everything the setup pipe carries.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 import struct
-from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..engine import SimulationError
 
@@ -66,37 +63,29 @@ __all__ = [
     "decode_report",
 ]
 
-INF = float("inf")
-NAN = float("nan")
-
-# Block kinds (first byte of every block).
+# Block kinds (first field of every block).
 GRANT = 1
 REPORT = 2
 FINISH = 3
 
-# Single-byte ring records pointing at the pipe (rare paths).
+# Single-byte ring records pointing at the pipe (rare paths).  Every
+# pickled block is longer than one byte, so neither can be mistaken
+# for one.
 _VIA_PIPE = b"\xff"                 # block outgrew the ring: pipe carries it
 _ERROR_MARK = b"\xfe"               # worker failed: pipe carries the error
 
-_GRANT_HDR = struct.Struct("<BddH")     # kind, cap, gmin, n_sections
-_REPORT_HDR = struct.Struct("<BddHH")   # kind, clock, frontier, n_pend, n_sec
-_PEND = struct.Struct("<id")            # owing partition, arrival floor
-_SEC_HDR = struct.Struct("<HHHHdI")     # dst, n_msgs, n_acks, n_strs,
-                                        #   min_time, body length
-_U32 = struct.Struct("<I")
-
-_Message = None                     # lazy class ref, bound on first decode
+_U32 = struct.Struct("<I")          # ring record length prefix
 
 
-# ------------------------------------------------------------------ codec
+# ----------------------------------------------------------------- blocks
 
 class Section(NamedTuple):
     """One source epoch's routed items for one destination partition.
 
-    The coordinator routes ``raw`` verbatim (header included) into the
-    destination's next grant; only the header fields are read on the
-    way through — ``min_time`` is the minimum over message arrivals and
-    ack deposit times, which is exactly the term ``reals`` needs.
+    The coordinator routes ``raw`` verbatim into the destination's next
+    grant; only the other fields are read on the way through —
+    ``min_time`` is the minimum over message arrivals and ack deposit
+    times, which is exactly the term ``reals`` needs.
     """
 
     dst: int
@@ -106,208 +95,64 @@ class Section(NamedTuple):
     raw: bytes
 
 
-def _encode_section(dst: int, items: Sequence[tuple]) -> bytes:
-    """Pack one destination's items (struct-of-arrays + string table)."""
-    msgs = [it for it in items if it[0] == "msg"]
-    acks = [it for it in items if it[0] == "ack"]
-    na = len(acks)
-    if not msgs:
-        # Ack-only fast path (the synchronous-send protocol makes these
-        # as common as the messages themselves): no string table, no
-        # payload blob, two flat arrays.
-        ack_ts = [it[3] for it in acks]
-        body = struct.pack(f"<{na}q", *[it[2] for it in acks]) \
-            + struct.pack(f"<{na}d", *ack_ts)
-        return _SEC_HDR.pack(dst, 0, na, 0, min(ack_ts), len(body)) + body
-    strs: List[bytes] = []
-    index = {}
-
-    def sid(s: str) -> int:
-        slot = index.get(s)
-        if slot is None:
-            slot = index[s] = len(strs)
-            strs.append(s.encode())
-        return slot
-
-    min_time = INF
-    arrivals, send_times, recv_times = [], [], []
-    srcs, dsts, sizes, ids = [], [], [], []
-    port_idx, kind_idx = [], []
-    payloads = []
-    for _tag, _dst, msg, arrival in msgs:
-        min_time = min(min_time, arrival)
-        arrivals.append(arrival)
-        send_times.append(msg.send_time)
-        recv_times.append(msg.recv_time)
-        srcs.append(msg.src)
-        dsts.append(msg.dst)
-        sizes.append(msg.size)
-        ids.append(msg.msg_id)
-        port_idx.append(sid(msg.port))
-        kind_idx.append(sid(msg.kind))
-        payloads.append(msg.payload)
-
-    ack_ids, ack_ts = [], []
-    for _tag, _dst, msg_id, t_deposit in acks:
-        min_time = min(min_time, t_deposit)
-        ack_ids.append(msg_id)
-        ack_ts.append(t_deposit)
-
-    nm, na = len(msgs), len(acks)
-    parts = [b"".join(struct.pack("<H", len(s)) + s for s in strs)]
-    if nm:
-        # One pickle for the whole payload tuple (all-None rides as an
-        # empty blob): the per-call cost of pickle dwarfs the bytes for
-        # the tiny payloads fine-grain apps ship.
-        blob = b"" if all(p is None for p in payloads) \
-            else pickle.dumps(tuple(payloads), -1)
-        parts += [
-            struct.pack(f"<{nm}d", *arrivals),
-            struct.pack(f"<{nm}d", *send_times),
-            struct.pack(f"<{nm}d", *recv_times),
-            struct.pack(f"<{nm}i", *srcs),
-            struct.pack(f"<{nm}i", *dsts),
-            struct.pack(f"<{nm}q", *sizes),
-            struct.pack(f"<{nm}q", *ids),
-            struct.pack(f"<{nm}H", *port_idx),
-            struct.pack(f"<{nm}H", *kind_idx),
-            _U32.pack(len(blob)), blob,
-        ]
-    if na:
-        parts += [struct.pack(f"<{na}q", *ack_ids),
-                  struct.pack(f"<{na}d", *ack_ts)]
-    body = b"".join(parts)
-    return _SEC_HDR.pack(dst, nm, na, len(strs), min_time, len(body)) + body
-
-
-def encode_sections(items: Sequence[tuple]) -> List[bytes]:
-    """Group one epoch's outbox by destination, preserving item order."""
+def encode_sections(items: Sequence[tuple]) -> List[Section]:
+    """Group one epoch's outbox by destination: one :class:`Section`
+    each, messages before acks, each kind in outbox order."""
     groups = {}
     for item in items:
         groups.setdefault(item[1], []).append(item)
-    return [_encode_section(dst, group) for dst, group in groups.items()]
-
-
-def _parse_section(block: bytes, off: int) -> Tuple[Section, int]:
-    dst, nm, na, _ns, min_time, blen = _SEC_HDR.unpack_from(block, off)
-    end = off + _SEC_HDR.size + blen
-    return Section(dst, nm, na, min_time, block[off:end]), end
+    sections = []
+    for dst, group in groups.items():
+        msgs = [it for it in group if it[0] == "msg"]
+        acks = [it for it in group if it[0] == "ack"]
+        sections.append(Section(dst, len(msgs), len(acks),
+                                min(it[3] for it in group),
+                                pickle.dumps(msgs + acks, -1)))
+    return sections
 
 
 def decode_section_items(raw: bytes) -> List[tuple]:
-    """Rebuild the routed item tuples ``PartitionBoundary.receive``
-    expects from one packed section."""
-    dst, nm, na, ns, _min_time, _blen = _SEC_HDR.unpack_from(raw, 0)
-    off = _SEC_HDR.size
-    strs = []
-    for _ in range(ns):
-        (ln,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        strs.append(raw[off:off + ln].decode())
-        off += ln
-    items: List[tuple] = []
-    if nm:
-        arrivals = struct.unpack_from(f"<{nm}d", raw, off); off += 8 * nm
-        send_times = struct.unpack_from(f"<{nm}d", raw, off); off += 8 * nm
-        recv_times = struct.unpack_from(f"<{nm}d", raw, off); off += 8 * nm
-        srcs = struct.unpack_from(f"<{nm}i", raw, off); off += 4 * nm
-        dsts = struct.unpack_from(f"<{nm}i", raw, off); off += 4 * nm
-        sizes = struct.unpack_from(f"<{nm}q", raw, off); off += 8 * nm
-        ids = struct.unpack_from(f"<{nm}q", raw, off); off += 8 * nm
-        ports = struct.unpack_from(f"<{nm}H", raw, off); off += 2 * nm
-        kinds = struct.unpack_from(f"<{nm}H", raw, off); off += 2 * nm
-        (ln,) = _U32.unpack_from(raw, off)
-        off += 4
-        payloads = pickle.loads(raw[off:off + ln]) if ln else (None,) * nm
-        off += ln
-        global _Message
-        if _Message is None:        # deferred: message -> sim cycles
-            from ...network.message import Message as _Message
-        Message = _Message
-        for k in range(nm):
-            msg = Message(src=srcs[k], dst=dsts[k], size=sizes[k],
-                          payload=payloads[k], port=strs[ports[k]],
-                          kind=strs[kinds[k]], msg_id=ids[k],
-                          send_time=send_times[k], recv_time=recv_times[k])
-            items.append(("msg", dst, msg, arrivals[k]))
-    if na:
-        ack_ids = struct.unpack_from(f"<{na}q", raw, off); off += 8 * na
-        ack_ts = struct.unpack_from(f"<{na}d", raw, off); off += 8 * na
-        for k in range(na):
-            items.append(("ack", dst, ack_ids[k], ack_ts[k]))
-    return items
+    """The routed item tuples ``PartitionBoundary.receive`` expects."""
+    return pickle.loads(raw)
 
 
 def encode_grant(cap: Optional[float], gmin: float,
-                 sections: Sequence[bytes]) -> bytes:
-    """One epoch grant: cap (``None`` rides as inf), gmin, routed items."""
-    cap_w = INF if cap is None else cap
-    if not sections:
-        return _GRANT_HDR.pack(GRANT, cap_w, gmin, 0)
-    return b"".join([_GRANT_HDR.pack(GRANT, cap_w, gmin, len(sections)),
-                     *sections])
+                 raws: Sequence[bytes]) -> bytes:
+    """One epoch grant: cap (``None`` when unbounded), gmin, and the
+    routed sections' ``raw`` bytes."""
+    return pickle.dumps((GRANT, cap, gmin, raws), -1)
 
 
 def encode_finish() -> bytes:
-    return _GRANT_HDR.pack(FINISH, 0.0, 0.0, 0)
+    return pickle.dumps((FINISH, None, 0.0, ()), -1)
 
 
 def decode_grant(block: bytes):
     """``(kind, cap_or_None, gmin, items)`` from a grant/finish block."""
-    kind, cap, gmin, n_sec = _GRANT_HDR.unpack_from(block, 0)
-    if kind == FINISH:
-        return FINISH, None, 0.0, ()
-    if not n_sec:
-        return GRANT, (None if cap == INF else cap), gmin, _NO_ITEMS
+    kind, cap, gmin, raws = pickle.loads(block)
+    if not raws:
+        return kind, cap, gmin, ()
     items: List[tuple] = []
-    off = _GRANT_HDR.size
-    for _ in range(n_sec):
-        blen = _SEC_HDR.unpack_from(block, off)[5]
-        end = off + _SEC_HDR.size + blen
-        items.extend(decode_section_items(block[off:end]))
-        off = end
-    return GRANT, (None if cap == INF else cap), gmin, items
+    for raw in raws:
+        items += pickle.loads(raw)
+    return kind, cap, gmin, items
 
 
 def encode_report(clock: float, frontier: Optional[float],
                   pendings: Sequence[Tuple[int, float]],
-                  sections: Sequence[bytes]) -> bytes:
-    """One epoch report: clock, frontier (``None`` rides as NaN), the
-    un-acked floor list, and the packed outbox sections."""
-    hdr = _REPORT_HDR.pack(REPORT, clock,
-                           NAN if frontier is None else frontier,
-                           len(pendings), len(sections))
-    if not pendings and not sections:
-        return hdr
-    parts = [hdr]
-    parts += [_PEND.pack(owing, floor) for owing, floor in pendings]
-    parts += list(sections)
-    return b"".join(parts)
-
-
-_NO_ITEMS: tuple = ()
+                  sections: Sequence[Section]) -> bytes:
+    """One epoch report: clock, frontier (``None`` when the worker is
+    dry), the un-acked floor list, and the outbox sections."""
+    return pickle.dumps((REPORT, clock, frontier, pendings, sections), -1)
 
 
 def decode_report(block: bytes):
-    """``(clock, frontier, pendings, [Section])`` — sections unparsed."""
-    kind, clock, frontier, n_pend, n_sec = _REPORT_HDR.unpack_from(block, 0)
-    if kind != REPORT:
-        raise SimulationError(f"pdes: bad report block kind {kind}")
-    if frontier != frontier:            # NaN: the worker is dry
-        frontier = None
-    if not n_pend and not n_sec:        # quiet epoch: the common case
-        return clock, frontier, _NO_ITEMS, _NO_ITEMS
-    off = _REPORT_HDR.size
-    pendings = []
-    for _ in range(n_pend):
-        owing, floor = _PEND.unpack_from(block, off)
-        off += _PEND.size
-        pendings.append((owing, floor))
-    sections = []
-    for _ in range(n_sec):
-        sec, off = _parse_section(block, off)
-        sections.append(sec)
-    return clock, frontier, pendings, sections
+    """``(clock, frontier, pendings, [Section])`` — section items stay
+    pickled in each ``raw``."""
+    report = pickle.loads(block)
+    if report[0] != REPORT:
+        raise SimulationError(f"pdes: bad report block kind {report[0]}")
+    return report[1:]
 
 
 # ------------------------------------------------------------------- ring
@@ -393,7 +238,7 @@ class ShmRing:
 # --------------------------------------------------------------- channels
 
 def _raise_worker_error(msg, part_id: int):
-    """Re-raise a worker's shipped error exactly as the PR-9 pool did."""
+    """Re-raise a worker's shipped error on the parent side."""
     if isinstance(msg, tuple) and msg and msg[0] == "error":
         exc = msg[2] if len(msg) > 2 else None
         if exc is not None:

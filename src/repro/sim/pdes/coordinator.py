@@ -34,7 +34,7 @@ injection before its clock — the conservative guarantee is asserted on
 every delivery, not assumed.
 
 **The sync fast lane** (see :mod:`.channel`): grants and reports cross
-per-partition shared-memory rings as struct-packed blocks — the setup
+per-partition shared-memory rings as pickled blocks — the setup
 pipe carries only run dispatch, the final payload, and errors — and
 the coordinator runs the cap algebra every round but only *delivers* a
 grant to partitions that can act on it.  A partition is skipped when
@@ -85,9 +85,9 @@ INF = float("inf")
 #                      ("final", payload_dict)      after a FINISH grant
 #                      ("error", tb, exc_or_None)   any state, fatal
 #
-# Fast lane (per worker, packed blocks — see channel.py):
-#   Parent -> worker:  GRANT(cap_or_inf, gmin, sections) | FINISH
-#   Worker -> parent:  REPORT(clock, frontier, pendings, sections)
+# Fast lane (per worker, pickled blocks — see channel.py):
+#   Parent -> worker:  (GRANT, cap_or_None, gmin, section raws) | FINISH
+#   Worker -> parent:  (REPORT, clock, frontier, pendings, sections)
 #
 # Routed items inside sections (built by PartitionBoundary.export /
 # export_ack; index 3 is always the item's virtual time, which

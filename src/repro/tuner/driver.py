@@ -97,8 +97,7 @@ def _stack(n_clusters: int, nodes_per_cluster: int, scenario,
         fabric.tracer.enabled = True
     if scenario is not None:
         install(sim, fabric, scenario)
-    if decision is not None:
-        fabric.decision = decision
+    fabric.decision = decision
     return sim, topo, fabric
 
 
@@ -122,7 +121,7 @@ def _measure_bcast(bb: bool, size: int, n_clusters: int,
     # Centralized sequencer, stamping at cluster 0's first node; the
     # sender sits as far from it as the topology allows so the PB/BB
     # shipping difference is on the probed path.
-    rts = OrcaRuntime(sim, fabric, sequencer="centralized", decision=forced)
+    rts = OrcaRuntime(sim, fabric, sequencer="centralized")
     rts.register(_probe_object())
     if n_clusters > 1:
         sender = topo.nodes_in(n_clusters - 1)[0]

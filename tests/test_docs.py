@@ -112,6 +112,8 @@ DELETED_SURFACE = (
     "def _nested(", "RunSpec(pdes", "spec.pdes", "_write_trace(",
     "def token_at(", "def wire_time(", "def local_rank(", "def drop_fraction(",
     "def collect_by_key(",
+    "_GRANT_HDR", "_REPORT_HDR", "_PEND", "_SEC_HDR", "_encode_section",
+    "_parse_section", "_NO_ITEMS", "_Message",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the

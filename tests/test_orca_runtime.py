@@ -184,7 +184,7 @@ def test_invoke_returns_the_protocol_body_itself():
     rts.register(counter_spec("rc", replicated=True))
     rts.register(counter_spec(owner=0))
     cases = [(0, "rc", "read", "_execute_blocking"),
-             (0, "rc", "incr", "_invoke_bcast"),
+             (0, "rc", "incr", "broadcast"),
              (0, "counter", "incr", "_invoke_local"),
              (5, "counter", "incr", "_invoke_rpc")]
     for node, obj, op, body in cases:

@@ -1,10 +1,10 @@
-"""The PDES fast lane in isolation: codec round-trips and the ring.
+"""The PDES fast lane in isolation: block round-trips and the ring.
 
 The golden suite (``test_pdes_golden.py``) pins the *end-to-end*
 contract — partitioned runs bit-identical to the oracle over the one
 transport.  This file pins the transport pieces directly, where
 hypothesis can reach states real workloads rarely visit: every record
-kind and payload shape through the packing codec, ring wraparound at
+kind and payload shape through the pickled blocks, ring wraparound at
 awkward capacities, and the full-buffer overflow path that falls back
 to the pipe (loudly, counted) instead of corrupting or blocking.
 """
@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 
 from repro.network.message import Message
 from repro.sim import SimulationError
-from repro.sim.pdes.channel import (FINISH, GRANT, ShmChannel, ShmRing,
-                                    decode_grant, decode_report,
-                                    decode_section_items, encode_finish,
-                                    encode_grant, encode_report,
-                                    encode_sections)
-
-INF = float("inf")
+from repro.sim.pdes.channel import (_ERROR_MARK, _VIA_PIPE, FINISH, GRANT,
+                                    ShmChannel, ShmRing, decode_grant,
+                                    decode_report, decode_section_items,
+                                    encode_finish, encode_grant,
+                                    encode_report, encode_sections)
 
 finite_t = st.floats(min_value=0.0, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -79,9 +77,9 @@ def _by_dst(items):
 @settings(max_examples=150, deadline=None)
 @given(routed_items(min_size=1))
 def test_codec_sections_round_trip(items):
-    """Every record kind and payload shape survives the packing codec."""
+    """Every record kind and payload shape survives a section."""
     sections = encode_sections(items)
-    decoded = [decode_section_items(raw) for raw in sections]
+    decoded = [decode_section_items(sec.raw) for sec in sections]
     expected = _by_dst(items)
     assert len(decoded) == len(expected)
     for group in decoded:
@@ -93,10 +91,10 @@ def test_codec_sections_round_trip(items):
 @given(routed_items(),
        st.one_of(st.none(), finite_t), finite_t)
 def test_codec_grant_round_trip(items, cap, gmin):
-    """cap (None rides as inf), gmin, and all routed items come back."""
+    """cap (None when unbounded), gmin, and all routed items come back."""
     sections = encode_sections(items)
     kind, cap2, gmin2, decoded = decode_grant(
-        encode_grant(cap, gmin, sections))
+        encode_grant(cap, gmin, [sec.raw for sec in sections]))
     assert kind == GRANT
     assert cap2 == cap
     assert gmin2 == gmin
@@ -113,8 +111,8 @@ def test_codec_grant_round_trip(items, cap, gmin):
        st.lists(st.tuples(st.integers(min_value=0, max_value=7), finite_t),
                 max_size=4))
 def test_codec_report_round_trip(items, clock, frontier, pendings):
-    """clock, the dry-frontier None/NaN dance, floors and section
-    headers (the only part the coordinator reads) all round-trip."""
+    """clock, the dry frontier's None, floors and section headers (the
+    only part the coordinator reads) all round-trip."""
     sections = encode_sections(items)
     clock2, frontier2, pend2, secs2 = decode_report(
         encode_report(clock, frontier, pendings, sections))
@@ -141,7 +139,33 @@ def test_codec_finish_block():
 def test_decode_report_rejects_foreign_block():
     sections = encode_sections([("ack", 0, 1, 1.0)])
     with pytest.raises(SimulationError, match="bad report block"):
-        decode_report(encode_grant(None, 0.0, sections))
+        decode_report(encode_grant(None, 0.0, [sec.raw for sec in sections]))
+
+
+def test_codec_section_holds_more_acks_than_a_u16():
+    """A section's counts have no 16-bit ceiling: 70 000 acks to one
+    destination (a geometry wider than any committed one) round-trip
+    through a report and a grant."""
+    items = [("ack", 1, k, float(k)) for k in range(70_000)]
+    (sec,) = encode_sections(items)
+    _clock, _frontier, _pend, (sec2,) = decode_report(
+        encode_report(0.0, None, [], [sec]))
+    assert (sec2.dst, sec2.n_msgs, sec2.n_acks, sec2.min_time) == \
+        (1, 0, 70_000, 0.0)
+    kind, _cap, _gmin, decoded = decode_grant(
+        encode_grant(None, 0.0, [sec2.raw]))
+    assert kind == GRANT
+    assert decoded == items
+
+
+def test_quiet_blocks_cannot_pass_for_a_pipe_marker():
+    """The ring's one-byte ``_VIA_PIPE``/``_ERROR_MARK`` records are
+    told apart from blocks by content: the shortest blocks the protocol
+    sends — finish, a quiet grant, a quiet report — are each longer."""
+    for block in (encode_finish(), encode_grant(None, 0.0, ()),
+                  encode_report(0.0, None, [], ())):
+        assert len(block) > 1
+        assert block not in (_VIA_PIPE, _ERROR_MARK)
 
 
 # ------------------------------------------------------------------- ring

@@ -160,7 +160,7 @@ def test_per_run_tables_hold_the_models_answers():
     sim = Simulator()
     fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS)
     fabric.decision = model
-    rts = OrcaRuntime(sim, fabric, sequencer="centralized", decision=model)
+    rts = OrcaRuntime(sim, fabric, sequencer="centralized")
     rts.register(_probe_object())
     sizes = (16, 1024, 4096, 50_000, 200_000, 1024, 16)
 

@@ -311,8 +311,8 @@ def _bb_cell(case: str, side: int):
     tracer = Tracer()
     tracer.enabled = True
     fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS, tracer=tracer)
-    rts = OrcaRuntime(sim, fabric, sequencer="centralized",
-                      decision=decision)
+    fabric.decision = decision
+    rts = OrcaRuntime(sim, fabric, sequencer="centralized")
     rts.register(ObjectSpec(
         name="blob", state_factory=list,
         operations={"put": Operation(fn=lambda st, n: st.append(n) or len(st),
