@@ -11,8 +11,8 @@ i.e. what every conservative synchronization round costs on top of the
 work the oracle does anyway.  Unlike raw runs/s it is meaningful on any
 host: on a one-core machine the partitions time-slice, the wall clock
 is the *sum* of all partitions' CPU, and the difference against serial
-is exactly the fast-lane protocol cost (channel codec, ring transfer,
-semaphore handoff, cap algebra).  Lower is better; ``repro bench
+is exactly the fast-lane protocol cost (block codec, pipe transfer and
+wake-up, cap algebra).  Lower is better; ``repro bench
 --check`` enforces a ceiling instead of a floor for it.
 
 Epoch counts, throughput and the wall-clock speedup ride along in the

@@ -10,7 +10,7 @@ produce the numbers behind Figures 1-14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..apps import ALL_APPS

@@ -30,19 +30,15 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from .boundary import EpochBreak, PartitionBoundary
-from .channel import ShmChannel, ShmRing
 from .coordinator import (WorkerSpec, compute_caps, run_app_pdes, run_epoch,
                           shutdown_pool)
-from .plan import (APP_ADAPTERS, channel_capacity, cluster_partition_map,
-                   partition_clusters, pdes_ineligible_reason, wan_lookahead)
+from .plan import (APP_ADAPTERS, cluster_partition_map, partition_clusters,
+                   pdes_ineligible_reason, wan_lookahead)
 
 __all__ = [
     "APP_ADAPTERS",
     "EpochBreak",
     "PartitionBoundary",
-    "ShmRing",
-    "ShmChannel",
-    "channel_capacity",
     "WorkerSpec",
     "compute_caps",
     "run_epoch",
@@ -62,10 +58,10 @@ def format_pdes_summary(sim_stats: Dict[str, Any]) -> Optional[str]:
     Condenses the ``pdes_*`` counters :func:`run_app_pdes` adds to
     ``sim_stats`` into the profile-style line ``repro app --pdes on``
     prints: how many epochs the conservative protocol took, how many
-    worker round-trips the quiescence coalescing elided, and what the
-    shared-memory rings actually carried.  Returns ``None`` when the
-    stats do not come from a partitioned run (an ineligible run fell
-    back to the single-process oracle).
+    worker round-trips the quiescence coalescing elided, and how many
+    grant, report and finish bytes the worker pipes carried.  Returns
+    ``None`` when the stats do not come from a partitioned run (an
+    ineligible run fell back to the single-process oracle).
     """
     if "pdes_partitions" not in sim_stats:
         return None
@@ -76,14 +72,10 @@ def format_pdes_summary(sim_stats: Dict[str, Any]) -> Optional[str]:
     share = (f", {100.0 * coalesced / possible:.0f}% of possible"
              if possible else "")
     kib = sim_stats.get("pdes_channel_bytes", 0) / 1024.0
-    line = (f"pdes: {sim_stats['pdes_partitions']} partitions, "
+    return (f"pdes: {sim_stats['pdes_partitions']} partitions, "
             f"{epochs} epochs, {trips} round-trips "
             f"({coalesced} coalesced{share}), "
             f"{sim_stats.get('pdes_cross_messages', 0)} cross msgs + "
             f"{sim_stats.get('pdes_acks', 0)} acks in {kib:.0f} KiB, "
             f"{sim_stats.get('pdes_epoch_breaks', 0)} epoch breaks, "
             f"blocked {sim_stats.get('pdes_blocked_s', 0.0):.3f}s")
-    overflows = sim_stats.get("pdes_channel_overflows", 0)
-    if overflows:
-        line += f", {overflows} ring overflows (pipe fallback)"
-    return line

@@ -34,17 +34,17 @@ injection before its clock — the conservative guarantee is asserted on
 every delivery, not assumed.
 
 **The sync fast lane** (see :mod:`.channel`): grants and reports cross
-per-partition shared-memory rings as pickled blocks — the setup
-pipe carries only run dispatch, the final payload, and errors — and
-the coordinator runs the cap algebra every round but only *delivers* a
-grant to partitions that can act on it.  A partition is skipped when
+each worker's one pipe as pickled blocks, in protocol order beside the
+run dispatch, the handshakes and errors — and the coordinator runs
+the cap algebra every round but only *delivers* a grant to partitions
+that can act on it.  A partition is skipped when
 its inbox is empty and its cap is at or below its own frontier (and it
 does not own ``gmin``): granting it would route nothing, release no
 held arrival, and dispatch no event, so eliding the round-trip leaves
 the worker's state bit-identical and the next grant it does receive
 subsumes every elided epoch — a multi-epoch cap.  Workers are pooled:
-the forked processes persist across runs of the same width and ring
-capacity, so a figure sweep re-synchronizes instead of re-forking.
+the forked processes persist across runs of the same width, so a
+figure sweep re-synchronizes instead of re-forking.
 
 Determinism: partitions allocate the same per-site message/request ids
 as the single-process run, impairment randomness is drawn from
@@ -79,15 +79,18 @@ INF = float("inf")
 
 # --------------------------------------------------------------- protocol
 #
-# Setup pipe (per worker, long-lived across runs):
+# One duplex pipe per worker, long-lived across runs; every message is
+# one pickled tuple, in this order (see channel.py for the blocks):
 #   Parent -> worker:  ("run", WorkerSpec)          start one simulation
 #   Worker -> parent:  ("ready", next_time)         stack built
-#                      ("final", payload_dict)      after a FINISH grant
-#                      ("error", tb, exc_or_None)   any state, fatal
-#
-# Fast lane (per worker, pickled blocks — see channel.py):
-#   Parent -> worker:  (GRANT, cap_or_None, gmin, section raws) | FINISH
+#   then per granted epoch:
+#   Parent -> worker:  (GRANT, cap_or_None, gmin, section raws)
 #   Worker -> parent:  (REPORT, clock, frontier, pendings, sections)
+#   and to end the run:
+#   Parent -> worker:  (FINISH, None, 0.0, ())
+#   Worker -> parent:  ("final", payload_dict)
+# In place of any worker message, fatal:
+#                      ("error", part_id, tb, exc_or_None)
 #
 # Routed items inside sections (built by PartitionBoundary.export /
 # export_ack; index 3 is always the item's virtual time, which
@@ -234,19 +237,21 @@ def run_epoch(sim, boundary: PartitionBoundary, cap: Optional[float],
 
 # ----------------------------------------------------------------- worker
 
-def _worker_loop(chan, part_id: int) -> None:
+def _worker_loop(conn, part_id: int, parent_ends) -> None:
     """Pooled worker body: one forked process, many runs.
 
-    Each ``("run", spec)`` on the setup pipe drives one full
-    simulation; the per-run state (message/request id counters, the
-    whole simulator stack) is rebuilt from the spec exactly as a fresh
-    process would — running many simulations in one process is the
-    same invariant the test suite and the sweep pool already rely on.
-    A worker that fails ships the error and exits; the coordinator
-    then retires the whole pool.
+    Each ``("run", spec)`` on the pipe drives one full simulation; the
+    per-run state (message/request id counters, the whole simulator
+    stack) is rebuilt from the spec exactly as a fresh process would —
+    running many simulations in one process is the same invariant the
+    test suite and the sweep pool already rely on.  A worker that fails
+    ships the error and exits; the coordinator then retires the whole
+    pool.  ``parent_ends`` are the parent's pipe ends this fork
+    inherited (its own and its elder siblings'): closed, so that only
+    the parent holds them.
     """
-    chan.w_setup()
-    conn = chan.wconn
+    for end in parent_ends:
+        end.close()
     while True:
         try:
             cmd = conn.recv()
@@ -255,7 +260,7 @@ def _worker_loop(chan, part_id: int) -> None:
         if not isinstance(cmd, tuple) or cmd[0] != "run":
             return
         try:
-            _worker_run(conn, chan, cmd[1])
+            _worker_run(conn, cmd[1])
         except BaseException as exc:
             # Ship the exception object itself when it pickles: the
             # coordinator then re-raises the app's real error (the
@@ -267,14 +272,13 @@ def _worker_loop(chan, part_id: int) -> None:
             except Exception:
                 exc = None
             try:
-                conn.send(("error", traceback.format_exc(), exc))
+                conn.send(("error", part_id, traceback.format_exc(), exc))
             except Exception:
                 pass
-            chan.w_post_error()
             return
 
 
-def _worker_run(conn, chan, spec: WorkerSpec) -> None:
+def _worker_run(conn, spec: WorkerSpec) -> None:
     # Deferred imports: the worker is forked, so these are usually
     # already loaded; top-level imports here would cycle (apps -> orca
     # -> sim -> pdes).
@@ -302,7 +306,7 @@ def _worker_run(conn, chan, spec: WorkerSpec) -> None:
     blocked = 0.0
     # Hot-path bindings: this loop turns over once per granted epoch.
     perf = time.perf_counter
-    w_recv, w_send = chan.w_recv, chan.w_send
+    w_recv, w_send = conn.recv_bytes, conn.send_bytes
     decode_grant = channel.decode_grant
     encode_report = channel.encode_report
     encode_sections = channel.encode_sections
@@ -357,27 +361,31 @@ def _worker_run(conn, chan, spec: WorkerSpec) -> None:
 # ------------------------------------------------------------ coordinator
 
 class _WorkerPool:
-    """Persistent forked partition workers, one channel each.
+    """Persistent forked partition workers, one duplex pipe each.
 
-    Forked once per (width, capacity) and reused across runs: ``repro
-    figure`` grid points and bench repeats of the same topology
-    re-synchronize over the existing channels instead of re-forking the
-    whole stack.  Any error retires the pool (the failing worker has
-    exited; the rest are terminated).
+    Forked once per width and reused across runs: ``repro figure`` grid
+    points and bench repeats of the same topology re-synchronize over
+    the existing pipes instead of re-forking the whole stack.  Any
+    error retires the pool (the failing worker has exited; the rest are
+    terminated).
     """
 
-    def __init__(self, width: int, capacity: int):
+    def __init__(self, width: int):
         ctx = mp.get_context("fork")
         self.width = width
-        self.capacity = capacity
-        self.chans = [channel.ShmChannel(ctx, capacity)
-                      for _ in range(width)]
+        self.conns = []
         self.procs = []
-        for i, chan in enumerate(self.chans):
-            proc = ctx.Process(target=_worker_loop, args=(chan, i),
+        for i in range(width):
+            # Made just before this worker forks, so no sibling inherits
+            # its worker end: the worker's death closes the last copy,
+            # and the parent's next read of the pipe ends at EOF.
+            conn, wconn = ctx.Pipe()
+            proc = ctx.Process(target=_worker_loop,
+                               args=(wconn, i, self.conns + [conn]),
                                daemon=True)
             proc.start()
-            chan.p_setup()
+            wconn.close()
+            self.conns.append(conn)
             self.procs.append(proc)
         self.runs = 0
 
@@ -386,41 +394,17 @@ class _WorkerPool:
 
     def start(self, specs: Sequence[WorkerSpec]) -> None:
         self.runs += 1
-        for chan, spec in zip(self.chans, specs):
-            chan.conn.send(("run", spec))
+        for i, spec in enumerate(specs):
+            channel.send(self.conns[i], i, pickle.dumps(("run", spec), -1))
 
-    def _recv_pipe(self, i: int, want: str):
-        conn = self.chans[i].conn
-        while not conn.poll(0.5):
-            if not self.procs[i].is_alive():
-                self.chans[i]._died(self.procs[i], i)
-        try:
-            msg = conn.recv()
-        except EOFError:
-            self.chans[i]._died(self.procs[i], i)
-        if msg[0] == "error":
-            channel._raise_worker_error(msg, i)
-        if msg[0] != want:
-            raise SimulationError(
-                f"pdes: partition {i} protocol error: "
-                f"expected {want!r}, got {msg[0]!r}")
-        return msg
-
-    def recv_ready(self, i: int):
-        return self._recv_pipe(i, "ready")[1]
-
-    def recv_final(self, i: int) -> dict:
-        return self._recv_pipe(i, "final")[1]
-
-    def channel_totals(self) -> Tuple[int, int]:
-        """Lifetime (bytes, overflows) across every channel — callers
-        snapshot before/after a run for per-run numbers."""
-        return (sum(c.bytes_out + c.bytes_in for c in self.chans),
-                sum(c.overflows for c in self.chans))
+    def recv(self, i: int, want: str):
+        """Worker ``i``'s ``("ready", ...)`` or ``("final", ...)``
+        handshake payload."""
+        return channel.expect(channel.receive(self.conns[i], i), want)[1]
 
     def close(self) -> None:
-        for chan in self.chans:
-            chan.close()
+        for conn in self.conns:
+            conn.close()
         for proc in self.procs:
             if proc.is_alive():
                 proc.terminate()
@@ -430,17 +414,15 @@ class _WorkerPool:
 _POOL: Optional[_WorkerPool] = None
 
 
-def _acquire_pool(width: int, capacity: int) -> _WorkerPool:
-    """The module-level pool singleton, re-forked only when the
-    geometry or ring capacity changes (or a worker died)."""
+def _acquire_pool(width: int) -> _WorkerPool:
+    """The module-level pool singleton, re-forked only when the width
+    changes (or a worker died)."""
     global _POOL
-    if _POOL is not None and not (
-            _POOL.width == width and _POOL.capacity == capacity
-            and _POOL.alive()):
+    if _POOL is not None and not (_POOL.width == width and _POOL.alive()):
         _POOL.close()
         _POOL = None
     if _POOL is None:
-        _POOL = _WorkerPool(width, capacity)
+        _POOL = _WorkerPool(width)
     return _POOL
 
 
@@ -515,13 +497,13 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
         scenario=scenario, trace=trace_spec, lookahead=lookahead)
         for pi, block in enumerate(blocks)]
 
-    pool = _acquire_pool(width, plan.channel_capacity(width, topo.n_nodes))
+    pool = _acquire_pool(width)
     epochs = 0
     round_trips = 0
     coalesced = 0
     cross_msgs = 0
     cross_acks = 0
-    bytes0, over0 = pool.channel_totals()
+    channel_bytes = 0               # grant, report and finish blocks
     ok = False
     try:
         pool.start(specs)
@@ -531,13 +513,12 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
         inboxes: List[List[channel.Section]] = [[] for _ in range(width)]
         inbox_min = [INF] * width       # min over queued sections' times
         for i in range(width):
-            nexts.append(pool.recv_ready(i))
+            nexts.append(pool.recv(i, "ready"))
 
         stall = 0
         # Hot-path bindings: this loop turns over once per epoch.
-        sends = [chan.send for chan in pool.chans]
-        recvs = [chan.recv for chan in pool.chans]
-        procs = pool.procs
+        conns = pool.conns
+        send, receive = channel.send, channel.receive
         encode_grant = channel.encode_grant
         decode_report = channel.decode_report
         part_range = range(width)
@@ -591,16 +572,19 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
                 cap = None if caps[i] == INF else caps[i]
                 inbox = inboxes[i]
                 if inbox:
-                    sends[i](encode_grant(
-                        cap, gmin, [sec.raw for sec in inbox]))
+                    block = encode_grant(cap, gmin,
+                                         [sec.raw for sec in inbox])
                     inboxes[i] = []
                     inbox_min[i] = INF
                 else:
-                    sends[i](encode_grant(cap, gmin, ()))
+                    block = encode_grant(cap, gmin, ())
+                channel_bytes += len(block)
+                send(conns[i], i, block)
             routed = 0
             moved = False
             for i in active:
-                block = recvs[i](procs[i], i)
+                block = receive(conns[i], i)
+                channel_bytes += len(block)
                 clock, nt, pending, sections = decode_report(block)
                 moved = moved or clock != clocks[i] or nt != nexts[i] \
                     or pending != pendings[i]
@@ -626,16 +610,14 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
                     f"(clocks={clocks}, frontiers={nexts}, "
                     f"pending={pendings})")
 
-        finals = [None] * width
-        for i in range(width):
-            pool.chans[i].send(channel.encode_finish())
-        for i in range(width):
-            finals[i] = pool.recv_final(i)
+        finish = channel.encode_finish()
+        for i in part_range:
+            channel_bytes += len(finish)
+            send(conns[i], i, finish)
+        finals = [pool.recv(i, "final") for i in part_range]
         ok = True
     finally:
         _release_pool(pool, ok)
-
-    bytes1, over1 = pool.channel_totals()
 
     for payload in finals:
         if payload["failure"]:
@@ -682,8 +664,7 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
     sim_stats["pdes_epochs"] = epochs
     sim_stats["pdes_round_trips"] = round_trips
     sim_stats["pdes_coalesced_round_trips"] = coalesced
-    sim_stats["pdes_channel_bytes"] = bytes1 - bytes0
-    sim_stats["pdes_channel_overflows"] = over1 - over0
+    sim_stats["pdes_channel_bytes"] = channel_bytes
     sim_stats["pdes_cross_messages"] = cross_msgs
     sim_stats["pdes_acks"] = cross_acks
     sim_stats["pdes_epoch_breaks"] = sum(

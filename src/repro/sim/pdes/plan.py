@@ -30,7 +30,6 @@ __all__ = [
     "AppAdapter",
     "partition_clusters",
     "cluster_partition_map",
-    "channel_capacity",
     "partition_width",
     "pdes_ineligible_reason",
     "pdes_workers",
@@ -126,20 +125,6 @@ def cluster_partition_map(blocks: Sequence[Sequence[int]]) -> Tuple[int, ...]:
         for c in block:
             owner[c] = pi
     return tuple(owner)
-
-
-def channel_capacity(n_partitions: int, n_nodes: int) -> int:
-    """Fast-lane ring bytes per direction for this geometry.
-
-    A grant must hold one round's worth of routed sections for one
-    partition; traffic scales with the node count (every node's border
-    exchange can land in one epoch), so wide topologies (the 64-cluster
-    demo) get proportionally bigger rings, never less than 128 KiB.
-    This is the only source of the figure; a block that still outgrows
-    the ring falls back to the setup pipe, loudly and counted, with no
-    correctness impact (see :mod:`.channel`).
-    """
-    return max(1 << 17, 2048 * n_nodes)
 
 
 def pdes_ineligible_reason(app, n_clusters: int, *, scenario=None,

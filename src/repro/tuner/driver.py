@@ -23,8 +23,8 @@ from ..network import DAS_PARAMS, Fabric, uniform_clusters
 from ..orca import OrcaRuntime
 from ..orca.objects import ObjectSpec, Operation
 from ..sim import Simulator, Tracer
-from .model import (STREAM_CHOICES, ContextModel, DecisionModel, FittedLine,
-                    Strategy, crossover, fit_line)
+from .model import (STREAM_CHOICES, ContextModel, DecisionModel, Strategy,
+                    crossover, fit_line)
 from .primitives import PRIMITIVES
 
 __all__ = ["Probe", "sweep", "fit", "tune", "format_model",

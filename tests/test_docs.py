@@ -80,7 +80,9 @@ def test_no_tier_selector_reappears():
 #: and a compute charge each run without a forwarding generator frame;
 #: a broadcast applies in order as one chain per replica application,
 #: with no drain pass, batch snapshot or apply log beside it; the fabric
-#: and the applications carry no partition boundary hook; and a helper
+#: and the applications carry no partition boundary hook; the PDES fast
+#: lane has one transport, each worker's pipe, with no shared-memory
+#: ring, ring capacity or overflow fallback beside it; and a helper
 #: that nothing calls is deleted, not kept for its test.
 DELETED_SURFACE = (
     "_legacy",
@@ -114,6 +116,8 @@ DELETED_SURFACE = (
     "def collect_by_key(",
     "_GRANT_HDR", "_REPORT_HDR", "_PEND", "_SEC_HDR", "_encode_section",
     "_parse_section", "_NO_ITEMS", "_Message",
+    "ShmRing", "channel_capacity", "pdes_channel_overflows", "_VIA_PIPE",
+    "_ERROR_MARK", "w_post_error", "RawArray",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the

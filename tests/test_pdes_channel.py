@@ -1,15 +1,16 @@
-"""The PDES fast lane in isolation: block round-trips and the ring.
+"""The PDES fast lane in isolation: block round-trips and the pipe.
 
 The golden suite (``test_pdes_golden.py``) pins the *end-to-end*
 contract — partitioned runs bit-identical to the oracle over the one
 transport.  This file pins the transport pieces directly, where
 hypothesis can reach states real workloads rarely visit: every record
-kind and payload shape through the pickled blocks, ring wraparound at
-awkward capacities, and the full-buffer overflow path that falls back
-to the pipe (loudly, counted) instead of corrupting or blocking.
+kind and payload shape through the pickled blocks, a block larger than
+the OS pipe buffer through a real forked worker, and a worker's death
+or shipped error as the typed errors the parent raises.
 """
 
 import multiprocessing as mp
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,11 @@ from hypothesis import strategies as st
 
 from repro.network.message import Message
 from repro.sim import SimulationError
-from repro.sim.pdes.channel import (_ERROR_MARK, _VIA_PIPE, FINISH, GRANT,
-                                    ShmChannel, ShmRing, decode_grant,
+from repro.sim.pdes.channel import (FINISH, GRANT, decode_grant,
                                     decode_report, decode_section_items,
                                     encode_finish, encode_grant,
-                                    encode_report, encode_sections)
+                                    encode_report, encode_sections, expect,
+                                    receive, send)
 
 finite_t = st.floats(min_value=0.0, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -158,93 +159,71 @@ def test_codec_section_holds_more_acks_than_a_u16():
     assert decoded == items
 
 
-def test_quiet_blocks_cannot_pass_for_a_pipe_marker():
-    """The ring's one-byte ``_VIA_PIPE``/``_ERROR_MARK`` records are
-    told apart from blocks by content: the shortest blocks the protocol
-    sends — finish, a quiet grant, a quiet report — are each longer."""
-    for block in (encode_finish(), encode_grant(None, 0.0, ()),
-                  encode_report(0.0, None, [], ())):
-        assert len(block) > 1
-        assert block not in (_VIA_PIPE, _ERROR_MARK)
+# ------------------------------------------------------------------ pipe
 
 
-# ------------------------------------------------------------------- ring
+def _echo_worker(conn):
+    """A forked stand-in for a partition worker: each grant comes back
+    as a report whose one section holds the grant's items."""
+    while True:
+        kind, _cap, _gmin, items = decode_grant(conn.recv_bytes())
+        if kind == FINISH:
+            return
+        conn.send_bytes(encode_report(1.0, None, [],
+                                      encode_sections(list(items))))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=64, max_value=257),
-       st.lists(st.binary(max_size=48), min_size=1, max_size=64))
-def test_ring_round_trip_with_wraparound(capacity, blobs):
-    """Alternating write/read at arbitrary capacities: every record
-    comes back intact across the wrap seam (split copies both ways)."""
-    ring = ShmRing(capacity)
-    for blob in blobs:
-        if len(blob) + 4 > capacity:
-            assert not ring.try_write(blob)
-            continue
-        assert ring.try_write(blob)
-        assert ring.read() == blob
-    assert ring.head == ring.tail
-
-
-def test_ring_queues_multiple_records():
-    ring = ShmRing(64)
-    assert ring.try_write(b"abc")
-    assert ring.try_write(b"")
-    assert ring.try_write(b"d" * 20)
-    assert ring.read() == b"abc"
-    assert ring.read() == b""
-    assert ring.read() == b"d" * 20
-
-
-def test_ring_full_refuses_without_corruption():
-    """A record that cannot fit leaves the ring (and cursors) untouched;
-    space freed by the consumer becomes writable again."""
-    ring = ShmRing(64)
-    assert ring.try_write(b"x" * 40)
-    head, tail = ring.head, ring.tail
-    assert not ring.try_write(b"y" * 40)        # 44 > 64-44 free
-    assert (ring.head, ring.tail) == (head, tail)
-    assert ring.read() == b"x" * 40
-    assert ring.try_write(b"y" * 40)            # freed space reusable
-    assert ring.read() == b"y" * 40
-
-
-# ----------------------------------------------------- overflow fallback
-
-
-def _loopback_channel(capacity=64):
-    """An ShmChannel with both ends live in this process (no fork), so
-    parent-side and worker-side calls can be driven directly."""
-    return ShmChannel(mp.get_context("fork"), capacity)
-
-
-def test_shm_overflow_falls_back_to_pipe_and_counts():
-    """A block bigger than the ring rides the setup pipe behind the
-    1-byte marker — delivered intact, counted on the parent side."""
-    chan = _loopback_channel(64)
-    big = bytes(range(256)) * 4                 # 1 KiB >> 64 B ring
+def test_pipe_carries_a_block_larger_than_its_buffer():
+    """A 70 000-ack grant (over a megabyte, far past the OS pipe
+    buffer) crosses a real forked worker and comes back intact."""
+    items = [("ack", 1, k, float(k)) for k in range(70_000)]
+    (sec,) = encode_sections(items)
+    grant = encode_grant(None, 0.0, [sec.raw])
+    ctx = mp.get_context("fork")
+    conn, wconn = ctx.Pipe()
+    proc = ctx.Process(target=_echo_worker, args=(wconn,), daemon=True)
+    proc.start()
+    wconn.close()
     try:
-        chan.send(big)
-        assert chan.overflows == 1
-        assert chan.w_recv() == big
-
-        chan.w_send(big)                        # worker -> parent leg
-        assert chan.recv(None, 0) == big
-        assert chan.overflows == 2
-        assert chan.bytes_in == len(big)
+        assert len(grant) > 1 << 20
+        send(conn, 0, grant)
+        _clock, _frontier, _pend, (back,) = decode_report(receive(conn, 0))
+        assert (back.n_acks, back.raw) == (70_000, sec.raw)
+        assert decode_section_items(back.raw) == items
+        send(conn, 0, encode_finish())
+        proc.join(timeout=10)
+        assert proc.exitcode == 0
     finally:
-        chan.close()
+        conn.close()
+        if proc.is_alive():
+            proc.terminate()
 
 
-def test_shm_small_blocks_never_touch_the_pipe():
-    chan = _loopback_channel(256)
-    try:
-        chan.send(b"grant")
-        assert chan.w_recv() == b"grant"
-        chan.w_send(b"report")
-        assert chan.recv(None, 0) == b"report"
-        assert chan.overflows == 0
-        assert not chan.conn.poll(0)            # pipe stayed idle
-    finally:
-        chan.close()
+def test_dead_worker_is_a_typed_error_at_once():
+    """The worker end closing (its process gone) turns the next read
+    or write into the typed error naming the partition."""
+    conn, wconn = mp.get_context("fork").Pipe()
+    wconn.close()
+    with pytest.raises(SimulationError,
+                       match="partition 3 worker died without reporting"):
+        receive(conn, 3)
+    with pytest.raises(SimulationError,
+                       match="partition 3 worker died without reporting"):
+        send(conn, 3, encode_finish())
+    conn.close()
+
+
+def test_shipped_error_is_reraised_in_place_of_any_message():
+    """An error the worker shipped in place of a report or a handshake
+    is re-raised: its own exception when it pickled, else a typed error
+    carrying the worker's traceback."""
+    shipped = pickle.dumps(("error", 1, "tb", ValueError("bad rows")))
+    with pytest.raises(ValueError, match="bad rows"):
+        decode_report(shipped)
+    with pytest.raises(ValueError, match="bad rows"):
+        expect(shipped, "ready")
+    with pytest.raises(SimulationError, match="partition 1 worker failed"):
+        expect(pickle.dumps(("error", 1, "tb", None)), "final")
+    with pytest.raises(SimulationError, match="bad ready block kind"):
+        expect(pickle.dumps(("final", {})), "ready")
+    assert expect(pickle.dumps(("ready", 2.5)), "ready") == ("ready", 2.5)
