@@ -23,7 +23,11 @@ Five kinds of coverage:
   an already-processed resume);
 * hypothesis-drawn op programs run on both tiers, whose value log, final
   clock and ``stats()`` counters must be identical — the counter-parity
-  contract that keeps ``events_processed`` comparable across tiers;
+  contract that keeps ``events_processed`` comparable across tiers —
+  and same-instant programs, which mix entries scheduled ahead for an
+  instant with pushes made at it (from inside the loop and from outside,
+  after a ``run(until=)`` or ``run_process`` stop) and log
+  ``next_time()``, ``idle_at_now()`` and ``stats()`` at every step;
 * hypothesis-drawn resource programs (request/release/occupy at quiet
   and busy instants, cancelled waiters, traced occupancies) whose whole
   log must be identical across the tiers and equal to the process
@@ -44,6 +48,7 @@ Five kinds of coverage:
 """
 
 import gc
+import itertools
 import json
 import os
 import re
@@ -399,6 +404,175 @@ def test_resource_event_cycle_is_collected(engine):
     del sim, res
     gc.collect()
     assert probe() is None
+
+# ------------------------------------------------ same-instant entries
+
+# What the simulated machine schedules, at the instant it runs at (a
+# zero delay, a ``succeed``, ``call_at(now)``, a process start, an
+# occupancy at a quiet or busy instant, a leg) or at a later one.
+_ENTRY_KINDS = ("timeout", "succeed", "call_at", "spawn", "occupy", "leg")
+_entry = st.tuples(st.sampled_from(_ENTRY_KINDS),
+                   st.sampled_from((0.0, 0.0, 0.5, 1.0)))
+_outside_step = st.one_of(
+    st.tuples(st.just("push"), _entry),
+    st.tuples(st.just("until"), st.sampled_from((-0.5, 0.0, 0.5, 1.0))),
+    st.tuples(st.just("process"), _entry),
+    st.tuples(st.just("run"), st.none()))
+
+
+def _run_same_instant_program(engine, fans, steps):
+    """Run ``steps`` from outside the loop; return the whole log.
+
+    Each entry logs its dispatch and, below depth 2, schedules the
+    entries of ``fans[id % len(fans)]`` from inside the loop.  A
+    ``process`` step is a ``run_process`` whose process returns with
+    two entries pending at its instant; an ``until`` step stops at
+    ``now + dt``, on a tied instant or (``dt < 0``) behind the clock.
+    Every log line carries ``now``, ``next_time()``, ``idle_at_now()``
+    and ``stats()``."""
+    sim = engine.Simulator()
+    cpu = engine.Resource(sim, 1)
+    ids = itertools.count()
+    log = []
+
+    def observe(*tag):
+        log.append((*tag, sim.now, sim.next_time(), sim.idle_at_now(),
+                    tuple(sim.stats().items())))
+
+    def schedule(kind, delay, depth=0):
+        i = next(ids)
+
+        def fire(_ev=None):
+            observe("fire", i)
+            if depth < 2:
+                for entry in fans[i % len(fans)]:
+                    schedule(*entry, depth=depth + 1)
+
+        if kind == "timeout":
+            sim.timeout(delay).callbacks.append(fire)
+        elif kind == "succeed":
+            ev = engine.Event(sim)
+            ev.callbacks.append(fire)
+            ev.succeed(i)
+        elif kind == "call_at":
+            sim.call_at(sim.now + delay, fire)
+        elif kind == "spawn":
+            def proc():
+                fire()
+                yield sim.timeout(delay)
+                observe("woke", i)
+            sim.spawn(proc())
+        elif kind == "occupy":
+            cpu.occupy(delay).callbacks.append(fire)
+        else:
+            sim.leg((delay, (cpu, 0.5, None))).callbacks.append(fire)
+
+    def returns_with_work_pending(kind, delay):
+        yield sim.timeout(delay)
+        schedule(kind, 0.0)
+        schedule("timeout", 0.0)
+        return "done"
+
+    for op, arg in steps:
+        if op == "push":
+            schedule(*arg)
+        elif op == "until":
+            sim.run(until=sim.now + arg)
+        elif op == "process":
+            observe("returned", sim.run_process(returns_with_work_pending(*arg)))
+        else:
+            sim.run()
+        observe("step", op)
+    sim.run()
+    observe("end")
+    return log
+
+
+@needs_cc
+@settings(deadline=None, max_examples=150)
+@given(fans=st.lists(st.lists(_entry, max_size=3), min_size=1, max_size=4),
+       steps=st.lists(_outside_step, min_size=1, max_size=10))
+def test_tiers_agree_on_same_instant_order(fans, steps):
+    """Entries scheduled ahead for an instant and entries pushed at it
+    dispatch in one ``(time, seq)`` order on both tiers, and every
+    reader of the event store (``now``, ``next_time()``,
+    ``idle_at_now()``, ``stats()``) agrees at every dispatch and after
+    every step taken from outside the loop."""
+    assert (_run_same_instant_program(_cengine, fans, steps)
+            == _run_same_instant_program(_pyengine, fans, steps))
+
+
+def _run_crowded_instant(engine, queued=500, ahead=40):
+    """``ahead`` entries scheduled for t=1 from t=0, then ``queued``
+    entries pushed at t=1 two at a time by the entries dispatched there:
+    the same-instant queue grows while its head advances.  Returns the
+    dispatch log, the final clock and ``stats()``."""
+    sim = engine.Simulator()
+    log = []
+    pushes = itertools.count()
+
+    def entry(tag):
+        log.append((tag, sim.now, sim.next_time(), sim.idle_at_now(),
+                    sim.stats()["events_processed"]))
+        for _ in range(2):
+            j = next(pushes)
+            if j >= queued:
+                return
+            if j % 2:
+                sim.timeout(0.0).callbacks.append(lambda _ev, j=j: entry(j))
+            else:
+                sim.call_at(sim.now, lambda j=j: entry(j))
+
+    for k in range(ahead):
+        sim.call_at(1.0, lambda k=k: entry(("ahead", k)))
+    sim.run()
+    return log, sim.now, sim.stats()
+
+
+@_tier
+def test_crowded_instant_is_fifo(engine):
+    """Hundreds of entries at one instant dispatch after the entries
+    scheduled ahead for it, then in push order."""
+    log, now, stats = _run_crowded_instant(engine)
+    assert [tag for tag, *_ in log] == (
+        [("ahead", k) for k in range(40)] + list(range(500)))
+    assert now == 1.0 and stats["events_processed"] == 540
+
+
+@needs_cc
+def test_tiers_agree_on_a_crowded_instant():
+    assert _run_crowded_instant(_cengine) == _run_crowded_instant(_pyengine)
+
+
+@_tier
+def test_pending_same_instant_entries_die_with_the_simulator(engine):
+    """A simulator dropped with a hundred entries still pending at its
+    instant releases them, also when a pending entry closes over the
+    simulator (a cycle only the collector can see through)."""
+    def stop_early():
+        yield sim.timeout(1.0)
+        for _ in range(100):
+            sim.call_at(sim.now, lambda: None)
+
+    sim = engine.Simulator()
+    sim.run_process(stop_early())
+    plain = lambda: None                              # noqa: E731
+    sim.call_at(sim.now, plain)
+    probe = weakref.ref(plain)
+    del sim, plain
+    gc.collect()
+    assert probe() is None
+
+    sim = engine.Simulator()
+    sim.run_process(stop_early())
+    cyclic = lambda: sim                              # sim -> entry -> sim
+    sim.call_at(sim.now, cyclic)
+    assert sim.next_time() == sim.now and not sim.idle_at_now()
+    probe = weakref.ref(cyclic)
+    del sim, cyclic
+    gc.collect()
+    assert probe() is None
+
 
 # ---------------------------------------------- tier selection (subproc)
 
