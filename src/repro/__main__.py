@@ -221,7 +221,9 @@ def cmd_app(args) -> int:
         from .sim.pdes import format_pdes_summary
         summary = format_pdes_summary(res.sim_stats or {})
         if summary:
-            print(f"  {summary}")
+            line, host_time = summary
+            print(f"  {line}")
+            print(host_time, file=sys.stderr)
     return 0
 
 

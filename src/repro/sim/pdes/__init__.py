@@ -27,7 +27,7 @@ single-process.  Nothing imports this package unless a run asks for it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from .boundary import EpochBreak, PartitionBoundary
 from .coordinator import (WorkerSpec, compute_caps, run_app_pdes, run_epoch,
@@ -52,15 +52,19 @@ __all__ = [
 ]
 
 
-def format_pdes_summary(sim_stats: Dict[str, Any]) -> Optional[str]:
-    """One-line synchronization summary for a partitioned (PDES) run.
+def format_pdes_summary(sim_stats: Dict[str, Any]
+                        ) -> Optional[Tuple[str, str]]:
+    """Synchronization summary for a partitioned (PDES) run.
 
     Condenses the ``pdes_*`` counters :func:`run_app_pdes` adds to
     ``sim_stats`` into the profile-style line ``repro app --pdes on``
-    prints: how many epochs the conservative protocol took, how many
-    worker round-trips the quiescence coalescing elided, and how many
-    grant, report and finish bytes the worker pipes carried.  Returns
-    ``None`` when the stats do not come from a partitioned run (an
+    prints on stdout: how many epochs the conservative protocol took,
+    how many worker round-trips the quiescence coalescing elided, and
+    how many grant, report and finish bytes the worker pipes carried.
+    That line holds counts only, so stdout is a function of the run's
+    inputs; the workers' blocked host time (``pdes_blocked_s``) is the
+    second line, for stderr.  Returns ``(stdout line, stderr line)``,
+    or ``None`` when the stats do not come from a partitioned run (an
     ineligible run fell back to the single-process oracle).
     """
     if "pdes_partitions" not in sim_stats:
@@ -77,5 +81,6 @@ def format_pdes_summary(sim_stats: Dict[str, Any]) -> Optional[str]:
             f"({coalesced} coalesced{share}), "
             f"{sim_stats.get('pdes_cross_messages', 0)} cross msgs + "
             f"{sim_stats.get('pdes_acks', 0)} acks in {kib:.0f} KiB, "
-            f"{sim_stats.get('pdes_epoch_breaks', 0)} epoch breaks, "
-            f"blocked {sim_stats.get('pdes_blocked_s', 0.0):.3f}s")
+            f"{sim_stats.get('pdes_epoch_breaks', 0)} epoch breaks",
+            f"(pdes workers blocked "
+            f"{sim_stats.get('pdes_blocked_s', 0.0):.3f}s)")

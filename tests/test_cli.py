@@ -105,6 +105,27 @@ def test_cli_app_pdes_calls_run_app_traced_and_uncached(tmp_path, monkeypatch,
     assert not list(cache.rglob("*"))
 
 
+def test_cli_app_pdes_stdout_is_a_function_of_its_inputs(capsys):
+    """Two identical partitioned runs print byte-identical stdout, so
+    ``tools/ab.py --cmd`` can pair them; the workers' blocked host time
+    goes to stderr."""
+    from repro.sim.pdes import shutdown_pool
+
+    argv = ["app", "sor", "--clusters", "4", "--nodes", "2", "--pdes", "on",
+            "--pdes-workers", "2", "--no-cache"]
+    runs = []
+    try:
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append(capsys.readouterr())
+    finally:
+        shutdown_pool()
+    assert runs[0].out == runs[1].out
+    assert "  pdes: " in runs[0].out
+    assert "blocked" not in runs[0].out
+    assert all("pdes workers blocked" in run.err for run in runs)
+
+
 # ------------------------------------------------- the option surface
 
 _SWEEP = "--jobs --no-cache --trace-dir --trace-ring --trace-sample"

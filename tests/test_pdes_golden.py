@@ -246,12 +246,14 @@ def test_pdes_stats_aggregation():
 
 
 def test_pdes_summary_line():
-    """The counters condense to the one-line ``repro app`` summary."""
+    """The counters condense to the one-line ``repro app`` summary; the
+    blocked host time is a line of its own, off that one."""
     from repro.sim.pdes import format_pdes_summary
     _serial, pdes, _ns, _npd = _pair("sor", "original", 2, 3)
-    line = format_pdes_summary(pdes.sim_stats)
+    line, host_time = format_pdes_summary(pdes.sim_stats)
     assert line.startswith("pdes: 2 partitions,")
     assert "round-trips" in line and "coalesced" in line
+    assert "blocked" not in line and "blocked" in host_time
     assert format_pdes_summary({"events_processed": 5}) is None
 
 
