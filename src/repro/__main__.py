@@ -129,8 +129,7 @@ def _run_partitioned(args, spec: RunSpec):
     tracer = trace.build() if trace is not None else None
     res = run_app(make_app(spec.app), spec.variant, spec.n_clusters,
                   spec.nodes_per_cluster, spec.params, decision=spec.decision,
-                  trace=tracer is not None, tracer=tracer,
-                  pdes="on", pdes_workers=args.pdes_workers)
+                  tracer=tracer, pdes="on", pdes_workers=args.pdes_workers)
     if tracer is not None:
         write_trace(args.trace_dir, spec, tracer.records)
     return res
@@ -273,8 +272,7 @@ def cmd_trace(args) -> int:
     tracer = Tracer(kinds=kinds, ring=args.ring,
                     sample=dict(_parse_sample(args.sample)))
     res = run_app(make_app(args.app), args.variant, args.clusters,
-                  args.nodes, bench_params(args.app), trace=True,
-                  tracer=tracer)
+                  args.nodes, bench_params(args.app), tracer=tracer)
     out = args.out or f"{args.app}-{args.variant}.{_TRACE_EXT[args.format]}"
     with open(out, "w") as fh:
         if args.format == "chrome":
@@ -304,7 +302,7 @@ def cmd_chains(args) -> int:
     tracer = Tracer(kinds=CHAIN_KINDS)
     res = run_app(make_app(args.app), args.variant, args.clusters,
                   args.nodes, bench_params(args.app),
-                  sequencer=args.sequencer, trace=True, tracer=tracer)
+                  sequencer=args.sequencer, tracer=tracer)
     chains, counts = build_chains(tracer.records)
     print(f"{args.app}/{args.variant} on {args.clusters}x{args.nodes}: "
           f"{res.elapsed:.4f} virtual seconds")

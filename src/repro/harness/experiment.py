@@ -27,7 +27,7 @@ PAPER_CPU_COUNTS = (1, 8, 16, 32, 60)
 
 def _build_stack(topo: Topology, network: NetworkParams, sequencer: str,
                  dedicated_sequencer_node: bool = False, *,
-                 tracer: Optional[Tracer] = None, trace: bool = False,
+                 tracer: Optional[Tracer] = None,
                  scenario: Optional["Scenario"] = None,
                  decision: Optional[Any] = None):
     """One fresh stack on ``topo``: ``(sim, fabric, rts)``.
@@ -38,13 +38,13 @@ def _build_stack(topo: Topology, network: NetworkParams, sequencer: str,
     serial run it must reproduce.  Message/request ids live on the fabric and
     the runtime built here, so every stack starts them from zero:
     traces (which join on them) come out identical no matter how many
-    runs preceded this one in the process.
+    runs preceded this one in the process.  The stack is traced exactly
+    when ``tracer`` is given: the fabric and the layers above it emit
+    through it, and ``sim.obs`` carries the process-lifecycle records.
     """
     sim = Simulator()
     fabric = Fabric(sim, topo, network, tracer=tracer)
-    if trace:
-        fabric.tracer.enabled = True
-        sim.obs = fabric.tracer  # process-lifecycle records
+    sim.obs = tracer
     if scenario is not None:
         from ..scenario import install
         install(sim, fabric, scenario)
@@ -88,7 +88,7 @@ def run_app(app: Application, variant: str, n_clusters: int,
             nodes_per_cluster: int, params: Any,
             network: NetworkParams = DAS_PARAMS,
             sequencer: Optional[str] = None,
-            trace: bool = False,
+            trace: Optional[bool] = None,
             utilization: bool = False,
             dedicated_sequencer_node: bool = False,
             topology: Optional[Topology] = None,
@@ -108,10 +108,14 @@ def run_app(app: Application, variant: str, n_clusters: int,
     :func:`repro.network.das_real` to run on the real, nonuniform DAS;
     ``n_clusters``/``nodes_per_cluster`` then only label the result.
 
-    ``trace=True`` enables structured tracing (see ``docs/TRACING.md``);
-    ``tracer`` supplies the collection buffer, letting a sweep share one
-    tracer across grid points (call ``tracer.clear()`` between points —
-    the profiler does).  Tracing never changes virtual-time results.
+    ``tracer`` turns on structured tracing (see ``docs/TRACING.md``):
+    the run is traced exactly when one is given, and its records collect
+    there, letting a sweep share one tracer across grid points (call
+    ``tracer.clear()`` between points — the profiler does).  Tracing
+    never changes virtual-time results.  ``trace`` is not a second
+    switch: it stays only because the end-to-end benchmark's child
+    still passes ``trace=True, tracer=...``, and a value that disagrees
+    with ``tracer is not None`` is a :class:`SimulationError`.
 
     ``scenario`` (a :class:`repro.scenario.Scenario`) applies WAN
     impairments, heterogeneity tweaks and timed faults to the run; a
@@ -131,6 +135,11 @@ def run_app(app: Application, variant: str, n_clusters: int,
     that engine (see docs/ARCHITECTURE.md).
     """
     app.check_variant(variant)
+    if trace is not None and trace != (tracer is not None):
+        raise SimulationError(
+            f"trace={trace!r} but tracer is "
+            f"{'None' if tracer is None else 'given'}: a run is traced "
+            f"exactly when it is given a tracer")
     topo = topology if topology is not None \
         else uniform_clusters(n_clusters, nodes_per_cluster)
     if scenario is not None:
@@ -146,7 +155,7 @@ def run_app(app: Application, variant: str, n_clusters: int,
             app, variant, n_clusters, nodes_per_cluster, params,
             network=network, sequencer=sequencer,
             dedicated_sequencer_node=dedicated_sequencer_node, topo=topo,
-            trace=trace, tracer=tracer, scenario=scenario, decision=decision,
+            tracer=tracer, scenario=scenario, decision=decision,
             utilization=utilization, workers=pdes_workers)
         if result is not None:
             return result
@@ -154,7 +163,7 @@ def run_app(app: Application, variant: str, n_clusters: int,
     seq_kind = sequencer if sequencer is not None else app.sequencer_for(variant)
     sim, fabric, rts = _build_stack(
         topo, network, seq_kind, dedicated_sequencer_node, tracer=tracer,
-        trace=trace, scenario=scenario, decision=decision)
+        scenario=scenario, decision=decision)
     shared = app.register(rts, params, variant)
     finished_at: List[float] = [0.0] * topo.n_nodes
     workers = _spawn_workers(sim, app, rts, params, variant, shared,

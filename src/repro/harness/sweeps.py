@@ -166,7 +166,7 @@ class RunSpec:
                          self.nodes_per_cluster, self.params,
                          network=self.network, sequencer=self.sequencer,
                          dedicated_sequencer_node=self.dedicated_sequencer_node,
-                         trace=tracer is not None, tracer=tracer,
+                         tracer=tracer,
                          scenario=self.scenario, decision=self.decision)
         if tracer is not None:
             result.trace_records = list(tracer.records)

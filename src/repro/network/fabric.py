@@ -250,7 +250,7 @@ class Fabric:
         self.topo = topo
         self.params = params
         self.meter = TrafficMeter()
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = tracer
         #: Next message sequence number per source node (see
         #: :data:`~repro.network.message.MSG_ID_STRIDE`): ids are
         #: run-scoped, so two fabrics never share allocation state.  Read
@@ -466,7 +466,7 @@ class Fabric:
         else:
             scope, route = "wan", self._route_wan
         tr = self.tracer
-        if tr.enabled:
+        if tr is not None:
             tr.emit(now, "msg.send", msg_id=msg.msg_id, src=src, dst=dst,
                     size=size, msg_kind=kind, port=port, scope=scope)
         link = self.params.access if scope == "wan" \
@@ -544,11 +544,11 @@ class Fabric:
 
         lan_out = self._lan_out[src]
         hook = (self._link_busy(lan_out, "lan_out", size, msg.msg_id)
-                if self.tracer.enabled else None)
+                if self.tracer is not None else None)
         lan_out.occupy(tx, 0, hook).callbacks.append(leg_done)
         lan_in = self._lan_in[dst]
         hook = (self._link_busy(lan_in, "lan_in", size, msg.msg_id)
-                if self.tracer.enabled else None)
+                if self.tracer is not None else None)
         self.sim.leg((lan.latency, (lan_in, tx, hook),
                       (self.nodes[dst].cpu,
                        lan.o_recv + size * lan.per_byte_cpu, None))
@@ -578,7 +578,7 @@ class Fabric:
         access = self.params.access
         link = self._gw_access[src_cluster]
         hook = (self._link_busy(link, "access", size, msg_id)
-                if self.tracer.enabled else None)
+                if self.tracer is not None else None)
         return ((link, size / access.bandwidth, hook), access.latency)
 
     def _down_steps(self, msg: Message, dst_cluster: int) -> tuple:
@@ -588,7 +588,7 @@ class Fabric:
         dst, size = msg.dst, msg.size
         link = self._gw_access[dst_cluster]
         hook = (self._link_busy(link, "access", size, msg.msg_id)
-                if self.tracer.enabled else None)
+                if self.tracer is not None else None)
         return ((link, size / access.bandwidth, hook), access.latency,
                 (self.nodes[dst].cpu,
                  access.o_recv + size * access.per_byte_cpu, None))
@@ -610,7 +610,7 @@ class Fabric:
         gwp = self.params.gateway
         cost = gwp.forward_cost + size * gwp.per_byte_cost
         tr = self.tracer
-        if not tr.enabled:
+        if tr is None:
             self.sim.leg(head + ((gw, cost, None),) + tail).callbacks.append(
                 then)
             return
@@ -647,7 +647,7 @@ class Fabric:
                                     latency, msg_id)
             tx, latency = plan.tx, plan.latency
         self.meter.record_wan(size)
-        traced = self.tracer.enabled
+        traced = self.tracer is not None
         xfer = None
         delivered = (pvc, tx, None)
         if traced:
@@ -745,7 +745,7 @@ class Fabric:
         tx = size / lan.bandwidth
         latency = lan.latency
         cost = lan.o_recv + size * lan.per_byte_cpu
-        traced = self.tracer.enabled
+        traced = self.tracer is not None
         now = sim.now
         deposit = self._deposit
         seq = self._msg_seq[src]
@@ -780,7 +780,7 @@ class Fabric:
         # Injection overlaps delivery (spanning-tree forwarding in the NIC).
         lan_out = self._lan_out[src]
         hook = (self._link_busy(lan_out, "lan_out", size, -1)
-                if self.tracer.enabled else None)
+                if self.tracer is not None else None)
         lan_out.occupy(size / lan.bandwidth, 0, hook).callbacks.append(
             leg_done)
         self._lan_receive(src, dsts, lan, size, payload, port, kind,
@@ -857,7 +857,7 @@ class Fabric:
         (:meth:`Node.port` only creates a missing mailbox)."""
         msg.recv_time = now = self.sim.now
         tr = self.tracer
-        if tr.enabled:
+        if tr is not None:
             tr.emit(now, "msg.deliver", msg_id=msg.msg_id, src=msg.src,
                     dst=msg.dst, size=msg.size, msg_kind=msg.kind,
                     port=msg.port, latency=now - msg.send_time)

@@ -94,13 +94,11 @@ def profile_app(app_name: str, variant: str = "original",
     if tracer is None:
         tracer = Tracer()
     tracer.clear()
-    tracer.enabled = True
     if tracer.kinds is None:
         tracer.kinds = PROFILE_KINDS
     result = run_app(make_app(app_name), variant, n_clusters,
                      nodes_per_cluster, params, network=network,
-                     sequencer=sequencer, trace=True, utilization=True,
-                     tracer=tracer)
+                     sequencer=sequencer, utilization=True, tracer=tracer)
 
     records = tracer.records
     categories = intercluster_breakdown(records)

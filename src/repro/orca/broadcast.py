@@ -158,7 +158,7 @@ class TotalOrderBroadcast:
                 strat = self._strategies[size] = (s.bb, s.shape, s.streams)
             bb_mode, shape, streams = strat
         tr = self.fabric.tracer
-        traced = tr.enabled
+        traced = tr is not None
         t_issue = self.sim.now
         if traced:
             tr.emit(t_issue, "bcast.issue", sender=sender, obj=obj_name,
@@ -212,7 +212,7 @@ class TotalOrderBroadcast:
 
         # 4./5. Wait until our own node applied it.
         result = yield done
-        if tr.enabled:
+        if traced:
             now = self.sim.now
             tr.emit(now, "bcast.complete", sender=sender, seq=seq,
                     obj=obj_name, op=op_name, size=size,
@@ -278,7 +278,7 @@ class TotalOrderBroadcast:
         payload = st.applying
         seq = payload.seq
         tr = self.fabric.tracer
-        if tr.enabled:
+        if tr is not None:
             tr.emit(self.sim.now, "bcast.apply", node=node,
                     seq=seq, sender=payload.sender)
         st.next_expected = seq + 1

@@ -264,7 +264,7 @@ class OrcaRuntime:
         clusters = fabric.node_cluster
         inter = clusters[caller] != clusters[spec.owner]
         tr = fabric.tracer
-        traced = tr.enabled
+        traced = tr is not None
         t0 = self.sim.now
         if traced:
             tr.emit(t0, "rpc.issue", req_id=req_id, caller=caller,

@@ -55,14 +55,14 @@ class SequencerProtocol:
         self.hop_latency = hop_latency
         self._next_seq = 0
         #: optional repro.sim.Tracer; ``seq.acquire``/``seq.migrate``
-        #: records are emitted through it when enabled.
+        #: records are emitted through it when one is held (not None).
         self.tracer = tracer
 
     def _stamp(self, cluster: int, t0: float) -> int:
         seq = self._next_seq
         self._next_seq += 1
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             now = self.sim.now
             tr.emit(now, "seq.acquire", cluster=cluster, seq=seq,
                     protocol=self.name, t0=t0, dur=now - t0)
@@ -247,7 +247,7 @@ class MigratingSequencer(_TokenSequencer):
             # Counted at request time, before the token travels.
             self.migrations += 1
             tr = self.tracer
-            if tr is not None and tr.enabled:
+            if tr is not None:
                 tr.emit(self.sim.now, "seq.migrate", frm=frm, to=cluster)
         return super().acquire(cluster)
 

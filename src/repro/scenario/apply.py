@@ -163,7 +163,7 @@ class WanImpairments:
         pair = (src_cluster, dst_cluster)
         cross, jitter, loss, phase = (self._pairs.get(pair)
                                       or self._resolve(pair))
-        traced = self.tracer is not None and self.tracer.enabled
+        traced = self.tracer is not None
         bandwidth = size / tx if tx > 0 else 0.0
         if cross is not None and bandwidth > 0:
             extra_bytes = (self._cross * size) * next(cross)
@@ -235,7 +235,7 @@ def _parse_target(fault: Fault, fabric: Fabric):
 def _emit_fault(fabric: Fabric, fault: Fault, target_label: str,
                 t0: float) -> None:
     tr = fabric.tracer
-    if tr.enabled:
+    if tr is not None:
         now = fabric.sim.now
         tr.emit(now, "scn.fault", model=fault.model, target=target_label,
                 t0=t0, dur=now - t0)

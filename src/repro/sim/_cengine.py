@@ -50,13 +50,12 @@ __all__ = [
 def _spawn_obs(sim, proc):
     """Emit proc.spawn / proc.finish records for a traced spawn.
 
-    Called by the C core only when ``sim.obs`` is set; mirrors the pure
-    tier's spawn() observability branch exactly (same record kinds,
-    same pid numbering from the spawn counter).
+    Called by the C core only when ``sim.obs`` holds a tracer (is not
+    ``None``); mirrors the pure tier's spawn() observability branch
+    exactly (same record kinds, same pid numbering from the spawn
+    counter).
     """
     obs = sim.obs
-    if obs is None or not obs.enabled:
-        return
     pid = sim._n_spawned
     obs.emit(sim.now, "proc.spawn", pid=pid, name=proc.name)
     proc.callbacks.append(

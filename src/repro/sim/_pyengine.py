@@ -325,7 +325,7 @@ class Simulator:
         """Start a new simulation process from a generator."""
         proc = Process(self, gen, name=name)
         obs = self.obs
-        if obs is not None and obs.enabled:
+        if obs is not None:
             pid = self._n_spawned
             obs.emit(self.now, "proc.spawn", pid=pid, name=proc.name)
             # The finish record rides on the process's own completion

@@ -291,7 +291,7 @@ def _worker_run(conn, spec: WorkerSpec) -> None:
     tracer = spec.trace.build() if spec.trace is not None else None
     sim, fabric, rts = _build_stack(
         topo, spec.network, spec.sequencer, spec.dedicated_sequencer_node,
-        tracer=tracer, trace=tracer is not None, scenario=spec.scenario)
+        tracer=tracer, scenario=spec.scenario)
     boundary = PartitionBoundary(sim, topo, spec.cluster_partition,
                                  spec.part_id, lookahead=spec.lookahead)
     boundary.attach(fabric)
@@ -344,7 +344,6 @@ def _worker_run(conn, spec: WorkerSpec) -> None:
         "traffic": rts.meter.snapshot(),
         "sim_stats": sim.stats(),
         "records": list(tracer.records) if tracer is not None else None,
-        "dropped": tracer.dropped if tracer is not None else 0,
         "blocked_s": blocked,
         "deadlocked": deadlocked,
         "failure": failure,
@@ -450,7 +449,7 @@ atexit.register(shutdown_pool)
 
 def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
                  params: Any, *, network, sequencer: Optional[str],
-                 dedicated_sequencer_node: bool, topo, trace: bool,
+                 dedicated_sequencer_node: bool, topo,
                  tracer, scenario, decision, utilization: bool,
                  workers: Optional[int]):
     """Partitioned ``run_app``: same result, all host cores.
@@ -467,7 +466,7 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
 
     n_workers = plan.partition_width(
         app, variant, topo.n_clusters, workers, scenario=scenario,
-        decision=decision, utilization=utilization)
+        decision=decision, utilization=utilization, tracer=tracer)
     if not n_workers:
         return None
     blocks = plan.partition_clusters(topo.n_clusters, n_workers)
@@ -477,17 +476,10 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
     seq_kind = sequencer if sequencer is not None \
         else app.sequencer_for(variant)
 
-    trace_spec = None
-    if trace:
-        if tracer is not None:
-            trace_spec = TraceSpec(
-                kinds=tuple(sorted(tracer.kinds))
-                if tracer.kinds is not None else None,
-                ring=tracer.ring,
-                sample=tuple(sorted(tracer.sample.items()))
-                if tracer.sample else ())
-        else:
-            trace_spec = TraceSpec()
+    # Only the kinds filter ships: plan declines ring and sample bounds.
+    trace_spec = None if tracer is None else TraceSpec(
+        kinds=tuple(sorted(tracer.kinds))
+        if tracer.kinds is not None else None)
 
     specs = [WorkerSpec(
         part_id=pi, n_partitions=width, clusters=block,
@@ -671,11 +663,10 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
         p["counters"]["epoch_breaks"] for p in finals)
     sim_stats["pdes_blocked_s"] = sum(p["blocked_s"] for p in finals)
 
-    if trace and tracer is not None:
-        merged = [r for p in finals for r in (p["records"] or [])]
+    if tracer is not None:
+        merged = [r for p in finals for r in p["records"]]
         merged.sort(key=lambda r: r.time)   # stable: partition order ties
         tracer.records.extend(merged)
-        tracer.dropped += sum(p["dropped"] for p in finals)
 
     return AppResult(
         app=app.name, variant=variant, n_clusters=n_clusters,

@@ -128,8 +128,8 @@ def cluster_partition_map(blocks: Sequence[Sequence[int]]) -> Tuple[int, ...]:
 
 
 def pdes_ineligible_reason(app, n_clusters: int, *, scenario=None,
-                           decision=None,
-                           utilization: bool = False) -> Optional[str]:
+                           decision=None, utilization: bool = False,
+                           tracer=None) -> Optional[str]:
     """Why this run must stay single-process, or ``None`` if it may split.
 
     Every reason names a feature whose cross-cluster behavior the
@@ -151,6 +151,10 @@ def pdes_ineligible_reason(app, n_clusters: int, *, scenario=None,
         return "a decision model may stripe WAN transfers across the cut"
     if utilization:
         return "utilization collection reads one shared fabric"
+    if tracer is not None and (tracer.ring is not None or tracer.sample):
+        return ("bounded tracing counts emissions in one global order, "
+                "and same-instant records of different partitions have "
+                "none")
     return None
 
 

@@ -1,9 +1,12 @@
 """Structured event tracing: the collection substrate for ``repro.obs``.
 
 A :class:`Tracer` is a cheap append-only log of ``(time, kind, detail)``
-records.  It is off by default — every instrumented call site guards on
-``tracer.enabled`` before building its record, so a disabled tracer
-costs one attribute load and a branch on the paths it observes and
+records.  Holding one is the only switch: a run, fabric or simulator
+is traced exactly when it is handed a tracer, and a tracer always
+records, subject only to its ``kinds``, ``ring`` and ``sample`` bounds.
+An untraced run holds ``None``, and every instrumented call site tests
+``tracer is not None`` before building its record, so an untraced run
+pays one identity test and a branch on the paths it observes and
 nothing anywhere else.  The record *kinds* the instrumented layers emit,
 their fields and their units are registered in :mod:`repro.obs.schema`
 and documented in ``docs/TRACING.md``.
@@ -15,7 +18,7 @@ is no way to recover it later.  Analyses that need a kind must enable it
 keeping everything, and full traces of paper-scale runs are large).
 
 Memory caveat — an unbounded tracer grows with every record for as long
-as it is enabled.  Three complementary bounds exist:
+as it is held.  Three complementary bounds exist:
 
 * ``kinds`` — the emit-time filter above;
 * ``ring`` — keep only the *last* ``ring`` records (a ring buffer: the
@@ -59,7 +62,6 @@ class TraceRecord:
 
 @dataclass
 class Tracer:
-    enabled: bool = False
     records: Any = field(default_factory=list)  # List, or deque when ring set
     # Emit-time filter: kinds to keep (None = keep all).  Records of
     # other kinds are dropped as they are emitted and are unrecoverable.
@@ -81,8 +83,6 @@ class Tracer:
             self.records = deque(self.records, maxlen=self.ring)
 
     def emit(self, time: float, kind: str, **detail: Any) -> None:
-        if not self.enabled:
-            return
         if self.kinds is not None and kind not in self.kinds:
             return
         if self.sample:
@@ -105,7 +105,7 @@ class Tracer:
 
     def clear(self) -> None:
         """Drop all collected records and reset the sampling state
-        (``enabled``/``kinds``/``ring``/``sample`` unchanged).
+        (``kinds``/``ring``/``sample`` unchanged).
 
         Call between sweep grid points when one tracer is shared across
         many runs, so memory is bounded by a single run's trace and each

@@ -93,8 +93,6 @@ def _stack(n_clusters: int, nodes_per_cluster: int, scenario,
         from ..scenario import install, scenario_topology
         topo = scenario_topology(scenario, topo)
     fabric = Fabric(sim, topo, DAS_PARAMS, tracer=tracer)
-    if tracer is not None:
-        fabric.tracer.enabled = True
     if scenario is not None:
         install(sim, fabric, scenario)
     fabric.decision = decision
@@ -104,7 +102,7 @@ def _stack(n_clusters: int, nodes_per_cluster: int, scenario,
 def _emit_probe(fabric: Fabric, label: str, size: int, n_clusters: int,
                 rep: int, t0: float) -> None:
     tr = fabric.tracer
-    if tr.enabled:
+    if tr is not None:
         now = fabric.sim.now
         tr.emit(now, "tune.probe", primitive=label, size=size,
                 clusters=n_clusters, rep=rep, t0=t0, dur=now - t0)

@@ -118,6 +118,7 @@ DELETED_SURFACE = (
     "_parse_section", "_NO_ITEMS", "_Message",
     "ShmRing", "channel_capacity", "pdes_channel_overflows", "_VIA_PIPE",
     "_ERROR_MARK", "w_post_error", "RawArray",
+    "tracer.enabled", "obs.enabled", "Tracer(enabled",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the

@@ -65,14 +65,14 @@ def test_meter_totals_property(events):
         assert split == len(expected)
 
 
-def test_tracer_disabled_by_default():
+def test_bare_tracer_records():
     t = Tracer()
     t.emit(1.0, "deliver", src=0)
-    assert len(t) == 0
+    assert len(t) == 1
 
 
 def test_tracer_kind_filter():
-    t = Tracer(enabled=True, kinds=frozenset({"send"}))
+    t = Tracer(kinds=frozenset({"send"}))
     t.emit(1.0, "deliver", x=1)
     t.emit(2.0, "send", x=2)
     assert len(t) == 1

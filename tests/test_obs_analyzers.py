@@ -147,7 +147,7 @@ def test_gateway_littles_law_holds_on_congested_ra_run():
 
     tracer = Tracer(kinds=frozenset({"gw.forward"}))
     run_app(make_app("ra"), "original", 2, 4, small_params("ra"),
-            trace=True, tracer=tracer)
+            tracer=tracer)
     out = gateway_littles_law(tracer.records)
     assert set(out) == {0, 1}  # both gateways forwarded traffic
     for law in out.values():

@@ -135,7 +135,7 @@ def test_every_app_yields_attributed_intercluster_chains(app_name):
     # uses the centralized sequencer protocol.
     tracer = Tracer(kinds=CHAIN_KINDS)
     run_app(make_app(app_name), "original", 2, 2, small_params(app_name),
-            sequencer="centralized", trace=True, tracer=tracer)
+            sequencer="centralized", tracer=tracer)
     chains, counts = build_chains(tracer.records)
     assert counts["chains"] == len(chains) > 0
     wan = [c for c in chains if c.intercluster]
@@ -155,7 +155,7 @@ def test_chains_join_on_run_local_ids_across_repeat_runs():
     def chains_of():
         tracer = Tracer(kinds=CHAIN_KINDS)
         run_app(make_app("tsp"), "original", 2, 2, small_params("tsp"),
-                trace=True, tracer=tracer)
+                tracer=tracer)
         return build_chains(tracer.records)
 
     first, counts1 = chains_of()

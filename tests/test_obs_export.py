@@ -27,7 +27,7 @@ from repro.sim.trace import TraceRecord
 def traced_records():
     tracer = Tracer()
     run_app(make_app("asp"), "original", 2, 2, small_params("asp"),
-            trace=True, tracer=tracer)
+            tracer=tracer)
     return list(tracer.records)
 
 
@@ -113,7 +113,7 @@ def test_jsonl_round_trip_lossless_for_every_kind_in_schema():
 def test_jsonl_round_trip_lossless_on_real_traces(app_name):
     tracer = Tracer()
     run_app(make_app(app_name), "original", 2, 2, small_params(app_name),
-            trace=True, tracer=tracer)
+            tracer=tracer)
     records = list(tracer.records)
     assert records
     buf = io.StringIO()

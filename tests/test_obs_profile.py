@@ -96,8 +96,7 @@ def test_tracing_does_not_change_results(app_name):
     app = make_app(app_name)
     params = small_params(app_name)
     plain = run_app(app, "original", 2, 2, params)
-    traced = run_app(app, "original", 2, 2, params, trace=True,
-                     tracer=Tracer())
+    traced = run_app(app, "original", 2, 2, params, tracer=Tracer())
     assert traced.elapsed == plain.elapsed  # bit-identical, not approx
     same = traced.answer == plain.answer
     assert same if isinstance(same, bool) else bool(numpy.all(same))

@@ -86,7 +86,7 @@ def test_classify_link():
 def test_real_traces_validate(app_name):
     tracer = Tracer()
     run_app(make_app(app_name), "original", 2, 2, small_params(app_name),
-            trace=True, tracer=tracer)
+            tracer=tracer)
     assert len(tracer.records) > 0
     assert validate_records(tracer.records) == []
 
@@ -94,7 +94,7 @@ def test_real_traces_validate(app_name):
 def test_traced_run_emits_the_expected_kinds():
     tracer = Tracer()
     run_app(make_app("asp"), "original", 2, 2, small_params("asp"),
-            trace=True, tracer=tracer)
+            tracer=tracer)
     kinds = {r.kind for r in tracer.records}
     # ASP is broadcast-bound: the whole ordered-broadcast story plus the
     # message/link substrate must appear.
@@ -108,13 +108,6 @@ def test_traced_run_emits_the_expected_kinds():
 def test_emit_time_filter_drops_other_kinds():
     tracer = Tracer(kinds=frozenset({"msg.send"}))
     run_app(make_app("tsp"), "original", 2, 2, small_params("tsp"),
-            trace=True, tracer=tracer)
+            tracer=tracer)
     assert tracer.records
     assert {r.kind for r in tracer.records} == {"msg.send"}
-
-
-def test_untraced_run_collects_nothing():
-    tracer = Tracer()
-    run_app(make_app("tsp"), "original", 2, 2, small_params("tsp"),
-            tracer=tracer)  # trace not requested
-    assert tracer.records == []

@@ -51,7 +51,6 @@ DECISION_CASES = [
 def _run_write(size, decision=None):
     sim = Simulator()
     tracer = Tracer()
-    tracer.enabled = True
     fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS, tracer=tracer)
     fabric.decision = decision
     rts = OrcaRuntime(sim, fabric, sequencer="centralized")

@@ -22,7 +22,7 @@ def build(n_clusters, nodes_per_cluster, sequencer):
     # Each node's apply order is read off its ``bcast.apply`` records.
     fabric = Fabric(sim, uniform_clusters(n_clusters, nodes_per_cluster),
                     DAS_PARAMS, tracer=Tracer(
-                        enabled=True, kinds=frozenset({"bcast.apply"})))
+                        kinds=frozenset({"bcast.apply"})))
     rts = OrcaRuntime(sim, fabric, sequencer=sequencer)
 
     def append(state, item):

@@ -14,7 +14,7 @@ def make_rts(n_clusters=2, nodes_per_cluster=4, sequencer="distributed",
     """A runtime whose tracer keeps only ``bcast.apply`` records: the
     witness :func:`applied` reads each node's apply order from."""
     sim = Simulator()
-    tracer = Tracer(enabled=True, kinds=frozenset({"bcast.apply"}))
+    tracer = Tracer(kinds=frozenset({"bcast.apply"}))
     fabric = Fabric(sim, uniform_clusters(n_clusters, nodes_per_cluster),
                     params, tracer=tracer)
     rts = OrcaRuntime(sim, fabric, sequencer=sequencer)
@@ -153,7 +153,6 @@ def test_two_live_runtimes_allocate_independent_request_ids():
     def stack():
         sim = Simulator()
         tracer = Tracer()
-        tracer.enabled = True
         fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS,
                         tracer=tracer)
         rts = OrcaRuntime(sim, fabric)
@@ -442,7 +441,7 @@ def test_rpc_round_trip_is_pinned(traced):
     the meter, the id tables and (traced) the records are literals
     recorded before the round trip was inlined."""
     sim = Simulator()
-    tracer = Tracer(enabled=traced)
+    tracer = Tracer() if traced else None
     fabric = Fabric(sim, uniform_clusters(2, 3), DAS_PARAMS, tracer=tracer)
     rts = OrcaRuntime(sim, fabric)
     rts.register(counter_spec(owner=0))
@@ -500,12 +499,13 @@ def test_rpc_round_trip_is_pinned(traced):
     assert rts._req_seq == [1, 2, 1, 0, 2, 1]
     assert not [name for node in fabric.nodes for name in node._ports
                 if name.startswith("orca.rpcret.")]
+    if not traced:
+        assert fabric.tracer is None
+        return
     recs = [(r.kind, r.time, tuple(sorted(r.detail.items())))
             for r in tracer.records]
     assert (len(recs), hashlib.sha256(repr(recs).encode()).hexdigest()) == (
-        (94, "e71c4857175ecbcdc75fb21db28ae3381130d0217263f37d5979e5d57dfb34de")
-        if traced else
-        (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"))
+        94, "e71c4857175ecbcdc75fb21db28ae3381130d0217263f37d5979e5d57dfb34de")
 
 
 # ------------------------------------------------------------- sequencers

@@ -71,9 +71,9 @@ def _pair(app_name, variant, n_clusters, per, *, scenario=None,
     params = params if params is not None else small_params(app_name)
     ts, tp = Tracer(), Tracer()
     serial = run_app(make_app(app_name), variant, n_clusters, per, params,
-                     trace=True, tracer=ts, scenario=scenario, pdes="off")
+                     tracer=ts, scenario=scenario, pdes="off")
     pdes = run_app(make_app(app_name), variant, n_clusters, per, params,
-                   trace=True, tracer=tp, scenario=scenario, pdes="on",
+                   tracer=tp, scenario=scenario, pdes="on",
                    pdes_workers=workers or min(n_clusters, 4))
     return serial, pdes, _norm(ts.records), _norm(tp.records)
 
@@ -344,6 +344,53 @@ def test_pdes_faults_ineligible(capsys):
     assert "cannot be partitioned" in capsys.readouterr().err
 
 
+#: Bounded tracers: both count emissions in one global order, which
+#: same-instant records of different partitions do not have.
+BOUNDED = {"ring": dict(ring=500),
+           "sample": dict(sample={"msg.send": 4, "msg.deliver": 4})}
+
+
+@pytest.mark.parametrize("bound", sorted(BOUNDED))
+@pytest.mark.parametrize("app_name", ["ra", "sor"])
+def test_pdes_bounded_tracer_falls_back_exactly(app_name, bound, capsys):
+    """A ring- or sample-bounded tracer keeps a run single-process, with
+    a warning, and records exactly what the serial run records."""
+    def run(pdes):
+        tracer = Tracer(**BOUNDED[bound])
+        res = run_app(make_app(app_name), "optimized", 4, 2,
+                      small_params(app_name), tracer=tracer, pdes=pdes,
+                      pdes_workers=2)
+        return res, list(tracer.records), tracer.dropped
+
+    serial, s_records, s_dropped = run("off")
+    assert not capsys.readouterr().err
+    asked, p_records, p_dropped = run("on")
+    err = capsys.readouterr().err
+    assert "cannot be partitioned" in err and "bounded tracing" in err
+    assert "pdes_partitions" not in asked.sim_stats
+    assert serial.elapsed == asked.elapsed
+    assert p_records == s_records
+    assert p_dropped == s_dropped > 0
+
+
+@pytest.mark.parametrize("app_name", ["ra", "sor"])
+def test_pdes_kinds_only_tracer_still_partitions(app_name, capsys):
+    """An unbounded tracer filtered by ``kinds`` still partitions, with
+    record parity."""
+    kinds = frozenset({"msg.send", "msg.deliver", "wan.xfer"})
+    ts, tp = Tracer(kinds=kinds), Tracer(kinds=kinds)
+    params = small_params(app_name)
+    serial = run_app(make_app(app_name), "optimized", 4, 2, params,
+                     tracer=ts)
+    pdes = run_app(make_app(app_name), "optimized", 4, 2, params,
+                   tracer=tp, pdes="on", pdes_workers=2)
+    assert not capsys.readouterr().err
+    assert pdes.sim_stats["pdes_partitions"] == 2
+    _assert_parity(serial, pdes, _norm(ts.records), _norm(tp.records),
+                   f"{app_name} kinds-only")
+    assert len(tp.records) > 0 and tp.dropped == ts.dropped == 0
+
+
 def test_pdes_worker_errors_keep_their_type():
     """An app error inside a partition worker surfaces as the same
     exception type the serial engine raises (not a wrapped pdes error)."""
@@ -370,7 +417,7 @@ from repro.sim import Tracer
 
 tracer = Tracer()
 res = run_app(make_app("sor"), "original", 2, 3, small_params("sor"),
-              trace=True, tracer=tracer, pdes={pdes!r}, pdes_workers=2)
+              tracer=tracer, pdes={pdes!r}, pdes_workers=2)
 norm = sorted((r.time, r.kind, tuple(sorted((k, repr(v))
               for k, v in r.detail.items())))
               for r in tracer.records if not r.kind.startswith("proc."))

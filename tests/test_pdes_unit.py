@@ -141,6 +141,12 @@ def test_ineligible_reasons():
     assert "faults" in pdes_ineligible_reason(sor, 2, scenario=scen)
     assert "decision" in pdes_ineligible_reason(sor, 2, decision=object())
     assert "utilization" in pdes_ineligible_reason(sor, 2, utilization=True)
+    from repro.sim import Tracer
+    for bounded in (Tracer(ring=5), Tracer(sample={"msg.send": 2})):
+        assert "bounded tracing" in pdes_ineligible_reason(
+            sor, 2, tracer=bounded)
+    assert pdes_ineligible_reason(
+        sor, 2, tracer=Tracer(kinds=frozenset({"msg.send"}))) is None
 
 
 def test_attach_refuses_a_fabric_with_a_decision():

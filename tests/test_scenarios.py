@@ -41,10 +41,10 @@ from repro.tuner import ContextModel, DecisionModel, FittedLine
 
 
 def _run(app="ra", variant="original", clusters=2, nodes=2, scenario=None,
-         trace=False, tracer=None, decision=None):
+         tracer=None, decision=None):
     return run_app(make_app(app), variant, clusters, nodes,
-                   small_params(app), scenario=scenario, trace=trace,
-                   tracer=tracer, decision=decision)
+                   small_params(app), scenario=scenario, tracer=tracer,
+                   decision=decision)
 
 
 # ------------------------------------------------------------ spec values
@@ -219,8 +219,7 @@ def test_scenario_topology_applies_tweaks():
 
 def _records(scenario):
     tracer = Tracer()
-    res = _run("tsp", clusters=2, nodes=2, scenario=scenario, trace=True,
-               tracer=tracer)
+    res = _run("tsp", clusters=2, nodes=2, scenario=scenario, tracer=tracer)
     return res, list(tracer.records)
 
 
@@ -284,8 +283,7 @@ def test_gw_outage_delays_elapsed_and_traces_its_window():
     scn = Scenario(faults=(
         Fault.of("gw_outage", at=0.001, duration=0.05, target="c0"),))
     tracer = Tracer(kinds={"scn.fault"})
-    res = _run("tsp", clusters=2, nodes=2, scenario=scn, trace=True,
-               tracer=tracer)
+    res = _run("tsp", clusters=2, nodes=2, scenario=scn, tracer=tracer)
     assert res.elapsed > clean.elapsed
     assert res.answer == clean.answer
     windows = fault_windows(tracer.records)
@@ -306,7 +304,7 @@ def test_link_flap_and_slow_node_run_and_trace():
         Fault.of("slow_node", at=0.0, duration=0.2, target="n1",
                  factor=0.5)))
     tracer = Tracer(kinds={"scn.fault"})
-    res = _run(scenario=scn, trace=True, tracer=tracer)
+    res = _run(scenario=scn, tracer=tracer)
     clean = _run()
     assert res.answer == clean.answer
     assert res.elapsed >= clean.elapsed
@@ -374,7 +372,7 @@ def test_impairment_summary_totals_scn_impair_records():
     scn = Scenario(impairments=(Impairment.of("loss", p=0.2, rto=0.01),
                                 Impairment.of("cross_traffic", load=1.0)))
     tracer = Tracer(kinds={"scn.impair"})
-    _run(scenario=scn, trace=True, tracer=tracer)
+    _run(scenario=scn, tracer=tracer)
     summary = impairment_summary(tracer.records)
     assert summary["cross_traffic"]["events"] > 0
     assert summary["cross_traffic"]["extra_s"] > 0
@@ -411,7 +409,7 @@ def test_traced_impaired_run_matches_untraced():
              dict(app="asp", clusters=4, nodes=2))
     for kwargs in cases:
         untraced = _run(scenario=scn, **kwargs)
-        traced = _run(scenario=scn, trace=True, tracer=Tracer(), **kwargs)
+        traced = _run(scenario=scn, tracer=Tracer(), **kwargs)
         for field in ("elapsed", "traffic", "stats", "sim_stats"):
             assert getattr(traced, field) == getattr(untraced, field), (
                 kwargs, field)
@@ -429,8 +427,7 @@ def test_traced_wan_fanout_matches_untraced(shape):
     def run(traced):
         sim = Simulator()
         fabric = Fabric(sim, uniform_clusters(4, 3), DAS_PARAMS,
-                        tracer=Tracer())
-        fabric.tracer.enabled = traced
+                        tracer=Tracer() if traced else None)
         install(sim, fabric, _impaired_scenario())
         times = []
 
@@ -443,13 +440,12 @@ def test_traced_wan_fanout_matches_untraced(shape):
         for src in (0, 1, 3):
             sim.spawn(source(src))
         sim.run()
-        return (times, fabric.meter.snapshot(), sim.stats(),
-                len(fabric.tracer.records))
+        return times, fabric.meter.snapshot(), sim.stats(), fabric.tracer
 
-    *untraced, no_records = run(False)
-    *traced, records = run(True)
+    *untraced, no_tracer = run(False)
+    *traced, tracer = run(True)
     assert traced == untraced
-    assert no_records == 0 < records
+    assert no_tracer is None and len(tracer.records) > 0
 
 
 # ------------------------------------------------- pinned impairment plans
@@ -475,8 +471,7 @@ def _plan_sequence(traced, scenario=ALL_IMPAIRMENTS, n=1200):
     of four clusters (sizes include 0 and 1 byte, the clock advances
     between transfers) and the ``scn.impair`` records they emitted."""
     clock = _Clock()
-    tracer = Tracer()
-    tracer.enabled = traced
+    tracer = Tracer() if traced else None
     impair = WanImpairments(clock, scenario, tracer=tracer)
     pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
     sizes = (0, 1, 64, 1500, 65536, 1 << 20, 333)
@@ -489,7 +484,7 @@ def _plan_sequence(traced, scenario=ALL_IMPAIRMENTS, n=1200):
                            i)
         plans.append((plan.tx, plan.latency, plan.retries, plan.rto))
     records = [(r.time, r.kind, tuple(sorted(r.detail.items())))
-               for r in tracer.records]
+               for r in (tracer.records if traced else ())]
     return plans, records
 
 

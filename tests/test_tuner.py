@@ -132,8 +132,8 @@ def test_no_model_is_bit_identical_to_pre_tuner_fixed_strategy():
     def traced(decision):
         tracer = Tracer()
         res = run_app(make_app("asp"), "original", 2, 2,
-                      small_params("asp"), scenario=LOSSY, trace=True,
-                      tracer=tracer, decision=decision)
+                      small_params("asp"), scenario=LOSSY, tracer=tracer,
+                      decision=decision)
         return res, [(r.time, r.kind, tuple(sorted(r.detail.items())))
                      for r in tracer.records]
 
@@ -213,7 +213,6 @@ def test_striping_overlaps_loss_retransmits():
 
 def test_sweep_probes_traced_and_fit_covers_primitives():
     tracer = Tracer()
-    tracer.enabled = True
     probes = sweep(sizes=(512, 8192), cluster_counts=(1, 2),
                    nodes_per_cluster=2, scenarios=(None,), reps=1,
                    tracer=tracer)

@@ -154,7 +154,7 @@ def _app_cell(app_name: str, variant: str, n_clusters: int, nodes: int,
     tracer = Tracer()
     result = run_app(make_app(app_name), variant, n_clusters, nodes,
                      params if params is not None else small_params(app_name),
-                     trace=True, tracer=tracer, **kwargs)
+                     tracer=tracer, **kwargs)
     return _app_print(result, tracer), _stats(result.sim_stats)
 
 
@@ -166,7 +166,6 @@ def _fanout_cell(scenario: Optional[Scenario], shape: str = "flat",
     tracer = Tracer()
     fabric = Fabric(sim, uniform_clusters(n_clusters, 3), DAS_PARAMS,
                     tracer=tracer)
-    fabric.tracer.enabled = True
     if scenario is not None:
         install(sim, fabric, scenario)
     times: List[float] = []
@@ -200,7 +199,6 @@ def _concurrent_cell(scenario: Optional[Scenario], shapes: Tuple[str, ...],
     tracer = Tracer()
     topo = uniform_clusters(n_clusters, nodes)
     fabric = Fabric(sim, topo, DAS_PARAMS, tracer=tracer)
-    fabric.tracer.enabled = True
     if scenario is not None:
         install(sim, fabric, scenario)
     log: List[tuple] = []
@@ -256,7 +254,6 @@ def _p2p_cell(scenario: Optional[Scenario], streams: int = 1,
     tracer = Tracer()
     topo = uniform_clusters(3, 2)
     fabric = Fabric(sim, topo, DAS_PARAMS, tracer=tracer)
-    fabric.tracer.enabled = True
     if scenario is not None:
         install(sim, fabric, scenario)
     if streams > 1:
@@ -309,7 +306,6 @@ def _bb_cell(case: str, side: int):
     decision, threshold = BB_CASES[case]
     sim = Simulator()
     tracer = Tracer()
-    tracer.enabled = True
     fabric = Fabric(sim, uniform_clusters(2, 2), DAS_PARAMS, tracer=tracer)
     fabric.decision = decision
     rts = OrcaRuntime(sim, fabric, sequencer="centralized")
@@ -352,7 +348,6 @@ def _seq_cell(kind: str):
     for dedicated in (False, True):
         sim = Simulator()
         tracer = Tracer()
-        tracer.enabled = True
         fabric = Fabric(sim, uniform_clusters(3, 3), DAS_PARAMS,
                         tracer=tracer)
         rts = OrcaRuntime(sim, fabric, sequencer=kind,
