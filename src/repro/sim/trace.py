@@ -36,7 +36,10 @@ the records sampling skipped or the ring evicted.  Long sweeps that
 reuse one tracer across grid points must still call
 :meth:`Tracer.clear` between points (the profiler in
 :mod:`repro.obs.profile` does this); ``clear`` also resets the sampling
-counters so every grid point samples identically.
+counters so every grid point samples identically.  Both the sampling
+counters and the ring count emissions in one global order, which a
+partitioned run does not have, so a run that asks to be partitioned
+with a ring- or sample-bounded tracer warns and runs single-process.
 
 :class:`TraceSpec` is the frozen, picklable description of a tracer
 configuration — the sweep harness ships it to worker processes so

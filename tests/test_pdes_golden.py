@@ -66,10 +66,10 @@ def _norm(records):
 
 
 def _pair(app_name, variant, n_clusters, per, *, scenario=None,
-          workers=None, params=None):
+          workers=None, params=None, kinds=None):
     """Run serial and partitioned; return both results and norm traces."""
     params = params if params is not None else small_params(app_name)
-    ts, tp = Tracer(), Tracer()
+    ts, tp = Tracer(kinds=kinds), Tracer(kinds=kinds)
     serial = run_app(make_app(app_name), variant, n_clusters, per, params,
                      tracer=ts, scenario=scenario, pdes="off")
     pdes = run_app(make_app(app_name), variant, n_clusters, per, params,
@@ -377,18 +377,14 @@ def test_pdes_bounded_tracer_falls_back_exactly(app_name, bound, capsys):
 def test_pdes_kinds_only_tracer_still_partitions(app_name, capsys):
     """An unbounded tracer filtered by ``kinds`` still partitions, with
     record parity."""
-    kinds = frozenset({"msg.send", "msg.deliver", "wan.xfer"})
-    ts, tp = Tracer(kinds=kinds), Tracer(kinds=kinds)
-    params = small_params(app_name)
-    serial = run_app(make_app(app_name), "optimized", 4, 2, params,
-                     tracer=ts)
-    pdes = run_app(make_app(app_name), "optimized", 4, 2, params,
-                   tracer=tp, pdes="on", pdes_workers=2)
+    serial, pdes, ns, npd = _pair(
+        app_name, "optimized", 4, 2, workers=2,
+        kinds=frozenset({"msg.send", "msg.deliver", "wan.xfer"}))
     assert not capsys.readouterr().err
     assert pdes.sim_stats["pdes_partitions"] == 2
-    _assert_parity(serial, pdes, _norm(ts.records), _norm(tp.records),
-                   f"{app_name} kinds-only")
-    assert len(tp.records) > 0 and tp.dropped == ts.dropped == 0
+    _assert_parity(serial, pdes, ns, npd, f"{app_name} kinds-only")
+    assert npd and {kind for _t, kind, _d in npd} <= {
+        "msg.send", "msg.deliver", "wan.xfer"}
 
 
 def test_pdes_worker_errors_keep_their_type():
