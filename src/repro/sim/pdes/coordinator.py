@@ -11,12 +11,22 @@ story.  With ``N_j`` the earliest event time partition ``j`` could
 still dispatch (its next heap entry, or anything routed to it this
 epoch) and ``L`` the WAN lookahead:
 
-    cap_i = min( min_{j != i} N_j + L,
+    cap_i = min( H_i,
                  min over i's un-acked floors (p, A) of max(A, N_p) )
+
+    H_i = M_i + L                          (M_i = min_{j != i} N_j)
+    H_o = min( M_o + L, max(N_o + L, M_o) )    o the lone owner of min N
 
 The first term is classic conservative synchronization — nothing
 another partition does before ``N_j`` can reach ``i`` before
-``N_j + L``.  The second handles synchronous sends: until the
+``N_j + L``.  The lone owner ``o`` of the earliest frontier stops
+sooner: at its peers' next event or one lookahead past its own,
+whichever is later.  Its full ``M_o + L`` window would carry it a
+lookahead past the runner-up, which would then run the next window
+alone while ``o`` sat skipped — two dense partitions would take turns
+instead of running together.  Every ``H_i`` is at most ``M_i + L``,
+so the peer-horizon argument covers the owner too; at ``L = 0`` the
+two agree.  The second term handles synchronous sends: until the
 destination ``p`` acks the deposit of an armed message arriving at
 ``A``, partition ``i`` may not outrun ``max(A, N_p)``; the deposit
 happens strictly after the arrival, and ``N_p`` tracks the
@@ -25,10 +35,10 @@ planted in ``i``'s future.  Every term is ``>= min_j N_j``, so the
 globally-earliest event is always dispatchable: the protocol cannot
 deadlock.
 
-Workers run each epoch *inclusively* to their cap (the engine's
-``run(until=...)`` dispatches events at the horizon), report their new
-frontier plus everything they exported, and the coordinator routes
-messages/acks into the next epoch's injections.  A worker's own
+Workers run each epoch up to their cap (exclusive, but for the
+exceptions :func:`run_epoch` lists), report their new frontier plus
+everything they exported, and the coordinator routes messages/acks
+into the next epoch's injections.  A worker's own
 :class:`~.boundary.PartitionBoundary` refuses (`call_at` raises) any
 injection before its clock — the conservative guarantee is asserted on
 every delivery, not assumed.
@@ -139,10 +149,14 @@ def compute_caps(neff: Sequence[float], reals: Sequence[float],
     chains that produce the deposits.  Pure, so the safety properties
     are directly property-testable.
 
-    ``min_{j != i} neff_j`` is computed from the two smallest values
-    (the minimum, unless ``i`` is its only holder, else the runner-up)
-    — one pass instead of a scan per partition; this runs every epoch
-    on the coordinator's critical path.
+    The peer term is ``min_{j != i} neff_j + L`` for every partition
+    but the lone holder of the smallest ``neff`` (``m1``), whose term
+    is ``min(m2 + L, max(m1 + L, m2))`` with ``m2`` the runner-up: it
+    runs to its peers' next event or one lookahead past its own,
+    whichever is later, so that two dense partitions share each window
+    instead of leapfrogging one another.  Both come from the two
+    smallest values — one pass instead of a scan per partition; this
+    runs every epoch on the coordinator's critical path.
     """
     width = len(neff)
     m1 = INF        # smallest neff
@@ -160,16 +174,13 @@ def compute_caps(neff: Sequence[float], reals: Sequence[float],
         if p:
             no_floors = False
             break
+    e1 = m1 + lookahead
+    own = min(m2 + lookahead, max(e1, m2)) if m1_count == 1 else e1
     if no_floors:
-        e1 = m1 + lookahead
-        e2 = m2 + lookahead
-        lone = m1_count == 1
-        return [e2 if (lone and neff[i] == m1) else e1
-                for i in range(width)]
+        return [own if neff[i] == m1 else e1 for i in range(width)]
     caps = []
     for i in range(width):
-        others = m2 if (neff[i] == m1 and m1_count == 1) else m1
-        cap = others + lookahead
+        cap = own if neff[i] == m1 else e1
         for owing, floor in pendings[i]:
             cap = min(cap, max(floor, reals[owing]))
         caps.append(cap)

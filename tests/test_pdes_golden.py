@@ -245,6 +245,19 @@ def test_pdes_stats_aggregation():
     assert ss["pdes_epoch_breaks"] >= 0
 
 
+def test_pdes_dense_partitions_share_epochs():
+    """Two dense partitions run their windows together: at least three
+    epochs in four grant both, so round trips exceed epochs by 75 % of
+    the epochs.  A lone-owner cap of the runner-up's frontier plus the
+    lookahead makes them take turns instead (85 epochs, 89 round
+    trips)."""
+    serial, pdes, ns, npd = _pair("ra", "optimized", 4, 4, workers=2)
+    _assert_parity(serial, pdes, ns, npd, "ra/optimized 4x4")
+    ss = pdes.sim_stats
+    epochs = ss["pdes_epochs"]
+    assert ss["pdes_round_trips"] - epochs >= 0.75 * epochs, ss
+
+
 def test_pdes_summary_line():
     """The counters condense to the one-line ``repro app`` summary; the
     blocked host time is a line of its own, off that one."""

@@ -236,20 +236,54 @@ def test_caps_respect_ack_floors(state):
             assert caps[i] <= max(floor, reals[owing])
 
 
-@given(cap_states())
-def test_caps_ignore_own_frontier(state):
-    """cap_i is independent of partition i's own frontier — lowering
-    reals[i]/neff[i] must not change cap_i (no self-capping)."""
+def _lone_owner(neff):
+    """The one partition holding the smallest ``neff``, else ``None``."""
+    m1 = min(neff)
+    return neff.index(m1) if neff.count(m1) == 1 else None
+
+
+@given(cap_states(), maybe_t)
+def test_non_owner_caps_ignore_own_frontier(state, moved):
+    """Every cap but the lone owner's is independent of the partition's
+    own frontier: moving reals[i]/neff[i] anywhere that keeps ``i`` a
+    non-owner must not change cap_i (no self-capping)."""
     neff, reals, pendings, lookahead = state
     caps = compute_caps(neff, reals, pendings, lookahead)
     for i in range(len(neff)):
-        neff2, reals2 = list(neff), list(reals)
-        neff2[i] = reals2[i] = 0.0
+        if i == _lone_owner(neff):
+            continue
         # Floors owed *by others to i* reference reals[i]; keep those.
         if any(owing == i for fl in pendings for owing, _f in fl):
             continue
+        reals2 = list(reals)
+        reals2[i] = moved
+        neff2 = list(neff)
+        neff2[i] = min([moved] + [f for _owing, f in pendings[i]])
+        if _lone_owner(neff2) == i:
+            continue
         caps2 = compute_caps(neff2, reals2, pendings, lookahead)
         assert caps2[i] == caps[i]
+
+
+@given(cap_states())
+def test_lone_owner_cap_is_one_lookahead_or_the_runner_up(state):
+    """The lone owner (own frontier m1, runner-up m2) runs to its peers'
+    next event or one lookahead past its own, whichever is later:
+    cap <= max(m1 + L, m2), and without floors of its own exactly
+    min(m2 + L, max(m1 + L, m2)).  A full ``m2 + L`` window would carry
+    it one lookahead past the runner-up, which would then run the next
+    window alone — the two would take turns instead of running
+    together."""
+    neff, reals, pendings, lookahead = state
+    owner = _lone_owner(neff)
+    if owner is None:
+        return
+    caps = compute_caps(neff, reals, pendings, lookahead)
+    m1 = neff[owner]
+    m2 = min(v for j, v in enumerate(neff) if j != owner)
+    assert caps[owner] <= max(m1 + lookahead, m2)
+    if not pendings[owner]:
+        assert caps[owner] == min(m2 + lookahead, max(m1 + lookahead, m2))
 
 
 @given(cap_states(), st.floats(min_value=0.0, max_value=5.0,
@@ -370,13 +404,14 @@ def test_never_delivers_early(model):
     assert all(not q for q in queues)
 
 
-def _run_epoch_model(model, skip):
+def _run_epoch_model(model, skip, grants=None):
     """The abstract model again, now with coordinator-style routing:
     emissions land in per-partition *inboxes* and reach the destination
     with its next grant, exactly like the real section routing.  With
     ``skip`` the grant/report round-trip is elided for partitions the
     quiescence rule marks inert; without it every partition is granted
-    every round.  Returns the processed-event sequence and final clocks.
+    every round.  Returns the processed-event sequence and final clocks;
+    a ``grants`` list collects each round's granted partitions.
     """
     width, lookahead, events, emissions = model
     queues = [list(ts) for ts in events]
@@ -405,6 +440,8 @@ def _run_epoch_model(model, skip):
                           and (caps[i] > reals[i] or reals[i] == gmin))]
         else:
             active = list(range(width))
+        if grants is not None:
+            grants.append(active)
         outbox = []
         for i in active:
             for arrival in inboxes[i]:      # the grant delivers the inbox
@@ -460,3 +497,21 @@ def test_quiescence_skip_equals_full_protocol(model):
         full = _run_epoch_model(m, skip=False)
         skipped = _run_epoch_model(m, skip=True)
         assert full == skipped
+
+
+@pytest.mark.parametrize("lag", [1.0, 1.5])
+def test_dense_partitions_run_in_step(lag):
+    """Two dense partitions (an event every L/4 for 20 L, the second
+    starting ``lag`` lookaheads later) share their windows: under the
+    coordinator's skip rule, all but at most two rounds grant both.  A
+    lone-owner cap of the runner-up's frontier plus L makes them take
+    turns instead — each round one partition runs a 2L window while the
+    other is skipped, and no round grants both."""
+    lookahead = 1.0
+    step = lookahead / 4
+    events = [[k * step for k in range(80)],
+              [lag + k * step for k in range(80)]]
+    grants = []
+    _run_epoch_model((2, lookahead, events, []), skip=True, grants=grants)
+    both = sum(len(active) == 2 for active in grants)
+    assert both >= len(grants) - 2, grants
