@@ -2,7 +2,8 @@
 
 Measures *host* wall-clock for the same simulation twice — the
 single-process oracle and the per-cluster partitioned engine with one
-forked worker per cluster — on the PDES-capable apps.  The checked
+partition per cluster (the coordinator runs the first, forked workers
+the rest) — on the PDES-capable apps.  The checked
 number is the **per-epoch protocol overhead**::
 
     overhead_us_per_epoch = (best_pdes - best_serial) / epochs * 1e6
@@ -13,7 +14,10 @@ host: on a one-core machine the partitions time-slice, the wall clock
 is the *sum* of all partitions' CPU, and the difference against serial
 is exactly the fast-lane protocol cost (block codec, pipe transfer and
 wake-up, cap algebra).  Lower is better; ``repro bench
---check`` enforces a ceiling instead of a floor for it.
+--check`` enforces a ceiling instead of a floor for it.  Read it
+with the ``epochs`` beside it: a change that adds epochs lowers the
+per-epoch figure without lowering the run's total overhead,
+``overhead_us_per_epoch * epochs``.
 
 Epoch counts, throughput and the wall-clock speedup ride along in the
 baseline's ``info`` — the speedup approaches the partition count only

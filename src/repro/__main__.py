@@ -545,8 +545,10 @@ def _partition_flags(parser) -> None:
                              "host cores; identical results (default: off)")
     parser.add_argument("--pdes-workers", type=_positive_int, default=None,
                         metavar="N",
-                        help="partition worker count (default: one per "
-                             "cluster, capped at host cores)")
+                        help="partition count: the run forks N-1 "
+                             "workers and runs partition 0 itself "
+                             "(default: one per cluster, capped at host "
+                             "cores)")
 
 
 @_group

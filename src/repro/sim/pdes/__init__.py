@@ -1,16 +1,17 @@
 """Conservative parallel discrete-event simulation of the cluster model.
 
 One simulation, all host cores: the simulated clusters are split into
-contiguous blocks (:mod:`.plan`), each block runs in a forked worker on
-its own core, and the workers synchronize conservatively at WAN
-horizons — the WAN propagation latency is the lookahead
-(:mod:`.coordinator`).  Cross-partition sends become timestamped
-messages exported a full lookahead before they land (:mod:`.boundary`);
+contiguous blocks (:mod:`.plan`), each block runs on its own core (the
+first in the coordinator's process, the others in forked workers),
+and the partitions synchronize conservatively at WAN horizons — the
+WAN propagation latency is the lookahead (:mod:`.coordinator`).
+Cross-partition sends become timestamped messages exported a full
+lookahead before they land (:mod:`.boundary`);
 everything inside a partition (LAN chains, the compiled event core,
 tracing, scenarios) runs unchanged.
 
 Neither the fabric nor the applications know about partitions: each
-worker attaches a :class:`PartitionBoundary` to its own fabric, and
+partition attaches a :class:`PartitionBoundary` to its own fabric, and
 :data:`APP_ADAPTERS` names the applications a cut can run and how their
 per-partition shared state ships back and merges.
 
@@ -60,10 +61,10 @@ def format_pdes_summary(sim_stats: Dict[str, Any]
     ``sim_stats`` into the profile-style line ``repro app --pdes on``
     prints on stdout: how many epochs the conservative protocol took,
     how many worker round-trips the quiescence coalescing elided, and
-    how many grant, report and finish bytes the worker pipes carried.
+    how many grant, report and finish bytes the partitions exchanged.
     That line holds counts only, so stdout is a function of the run's
-    inputs; the workers' blocked host time (``pdes_blocked_s``) is the
-    second line, for stderr.  Returns ``(stdout line, stderr line)``,
+    inputs; the partitions' blocked host time (``pdes_blocked_s``) is
+    the second line, for stderr.  Returns ``(stdout line, stderr line)``,
     or ``None`` when the stats do not come from a partitioned run (an
     ineligible run fell back to the single-process oracle).
     """

@@ -1,8 +1,9 @@
-"""The partition boundary: where a worker's fabric meets the others.
+"""The partition boundary: where a partition's fabric meets the others.
 
-One :class:`PartitionBoundary` lives in each partition worker, and
+One :class:`PartitionBoundary` lives in each partition (partition 0's
+in the coordinator's process, the others' in forked workers), and
 :meth:`~PartitionBoundary.attach` installs its ``_route_wan`` and
-``send_and_wait`` on that worker's fabric, which knows nothing of
+``send_and_wait`` on that partition's fabric, which knows nothing of
 partitions.  A WAN send into an owned cluster takes the fabric's own
 route.  A cross-partition send runs the source half of it and, at PVC
 *release*, :meth:`~PartitionBoundary.export` ships the message to the

@@ -5,7 +5,9 @@ Each epoch a partition worker receives one *grant* and answers with one
 makes 730 round trips of about 1.2 KB), so a plain duplex pipe per
 pooled worker carries them, in protocol order, beside the rest of the
 worker's traffic: the run dispatch, the ready and final handshakes,
-and a shipped error.
+and a shipped error.  Partition 0 runs in the coordinator's own
+process and takes the same grant and report blocks by call, with no
+pipe.
 
 Two pieces live here:
 

@@ -2,9 +2,14 @@
 
 ``run_app_pdes`` is the partitioned twin of
 :func:`repro.harness.experiment.run_app`.  It splits the topology's
-clusters into contiguous blocks (:mod:`.plan`), forks one worker per
-block, and drives them through *epochs*: windows of virtual time each
-partition may simulate without hearing from the others.
+clusters into contiguous blocks (:mod:`.plan`), runs partition 0 in
+its own process and forks one worker for each other block, and drives
+them all through *epochs*: windows of virtual time each partition may
+simulate without hearing from the others.  A coordinator that only
+relayed would sit idle in ``recv`` through every epoch, one process
+more than the partitions on the host's cores and one pipe round trip
+more per epoch; running partition 0 itself removes that hop, and
+partition 0's final state never crosses a pipe.
 
 The window algebra (:func:`compute_caps`) is the whole correctness
 story.  With ``N_j`` the earliest event time partition ``j`` could
@@ -35,26 +40,29 @@ planted in ``i``'s future.  Every term is ``>= min_j N_j``, so the
 globally-earliest event is always dispatchable: the protocol cannot
 deadlock.
 
-Workers run each epoch up to their cap (exclusive, but for the
+Partitions run each epoch up to their cap (exclusive, but for the
 exceptions :func:`run_epoch` lists), report their new frontier plus
 everything they exported, and the coordinator routes messages/acks
-into the next epoch's injections.  A worker's own
+into the next epoch's injections.  A partition's own
 :class:`~.boundary.PartitionBoundary` refuses (`call_at` raises) any
 injection before its clock — the conservative guarantee is asserted on
 every delivery, not assumed.
 
 **The sync fast lane** (see :mod:`.channel`): grants and reports cross
-each worker's one pipe as pickled blocks, in protocol order beside the
-run dispatch, the handshakes and errors — and the coordinator runs
+each forked worker's one pipe as pickled blocks, in protocol order
+beside the run dispatch, the handshakes and errors; partition 0 turns
+the same grant blocks into the same report blocks in-process
+(:class:`_Partition` is the one partition body both drive), so the
+counters cannot tell it from a forked one.  The coordinator runs
 the cap algebra every round but only *delivers* a grant to partitions
 that can act on it.  A partition is skipped when
 its inbox is empty and its cap is at or below its own frontier (and it
 does not own ``gmin``): granting it would route nothing, release no
 held arrival, and dispatch no event, so eliding the round-trip leaves
-the worker's state bit-identical and the next grant it does receive
+the partition's state bit-identical and the next grant it does receive
 subsumes every elided epoch — a multi-epoch cap.  Workers are pooled:
-the forked processes persist across runs of the same width, so a
-figure sweep re-synchronizes instead of re-forking.
+the forked processes persist across runs of the same width, so
+repeated runs re-synchronize instead of re-forking.
 
 Determinism: partitions allocate the same per-site message/request ids
 as the single-process run, impairment randomness is drawn from
@@ -89,8 +97,10 @@ INF = float("inf")
 
 # --------------------------------------------------------------- protocol
 #
-# One duplex pipe per worker, long-lived across runs; every message is
-# one pickled tuple, in this order (see channel.py for the blocks):
+# Partition 0 runs in the coordinator's process; partitions 1..width-1
+# are forked workers, each with one duplex pipe, long-lived across runs.
+# Every pipe message is one pickled tuple, in this order (see
+# channel.py for the blocks):
 #   Parent -> worker:  ("run", WorkerSpec)          start one simulation
 #   Worker -> parent:  ("ready", next_time)         stack built
 #   then per granted epoch:
@@ -101,6 +111,13 @@ INF = float("inf")
 #   Worker -> parent:  ("final", payload_dict)
 # In place of any worker message, fatal:
 #                      ("error", part_id, tb, exc_or_None)
+# Partition 0 takes the same GRANT blocks and returns the same REPORT
+# blocks through _Partition.epoch, in-process; its run, ready, FINISH
+# and final steps are plain calls, and its final payload is never
+# pickled.  Each epoch the grants go to the forked workers first, then
+# partition 0 runs its epoch while they run theirs, and only then does
+# the coordinator read their reports: partition 0 first would
+# serialize the run.
 #
 # Routed items inside sections (built by PartitionBoundary.export /
 # export_ack; index 3 is always the item's virtual time, which
@@ -248,18 +265,107 @@ def run_epoch(sim, boundary: PartitionBoundary, cap: Optional[float],
 
 # ----------------------------------------------------------------- worker
 
+class _Partition:
+    """One partition's simulation, driven one epoch block at a time.
+
+    Built from its :class:`WorkerSpec` exactly as a fresh process would
+    build it: the per-run state (message/request id counters, the whole
+    simulator stack) starts over, so running many simulations in one
+    process is the same invariant the test suite and the sweep pool
+    already rely on.  :meth:`epoch` turns one grant block into one
+    report block and :meth:`final` collects what the coordinator
+    merges.  A forked worker drives it over its pipe
+    (:func:`_worker_run`) and the coordinator drives partition 0 in its
+    own process, on the same blocks.
+    """
+
+    def __init__(self, spec: WorkerSpec):
+        # Deferred imports: top-level imports here would cycle (apps ->
+        # orca -> sim -> pdes); a forked worker has them loaded already.
+        from ...apps import make_app
+        from ...harness.experiment import _build_stack, _spawn_workers
+
+        app = make_app(spec.app)
+        topo = spec.topology
+        self.part_id = spec.part_id
+        self.tracer = spec.trace.build() if spec.trace is not None else None
+        self.sim, fabric, self.rts = _build_stack(
+            topo, spec.network, spec.sequencer,
+            spec.dedicated_sequencer_node, tracer=self.tracer,
+            scenario=spec.scenario)
+        self.boundary = PartitionBoundary(
+            self.sim, topo, spec.cluster_partition, spec.part_id,
+            lookahead=spec.lookahead)
+        self.boundary.attach(fabric)
+        self.shared = app.register(self.rts, spec.params, spec.variant)
+        self.finished_at: Dict[int, float] = {}
+        self.workers = _spawn_workers(
+            self.sim, app, self.rts, spec.params, spec.variant, self.shared,
+            [n for c in spec.clusters for n in topo.nodes_in(c)],
+            self.finished_at)
+
+    def epoch(self, block: bytes) -> Optional[bytes]:
+        """Run the epoch one grant block grants; its report block, or
+        ``None`` for the ``FINISH`` block."""
+        kind, cap, gmin, incoming = channel.decode_grant(block)
+        if kind == channel.FINISH:
+            return None
+        sim, boundary = self.sim, self.boundary
+        if incoming:
+            boundary.receive(incoming)
+        boundary.flush(cap, gmin)
+        run_epoch(sim, boundary, cap, gmin)
+        frontier = sim.next_time()
+        held = boundary.held_min()
+        if frontier is None or (held is not None and held < frontier):
+            frontier = held
+        outbox = boundary.drain_outbox()
+        return channel.encode_report(
+            sim.now, frontier, boundary.pending(),
+            channel.encode_sections(outbox) if outbox else ())
+
+    def final(self, blocked_s: float) -> Dict[str, Any]:
+        """The run's outcome for the merge, ``shared`` whole (unshipped).
+
+        ``run_app``'s post-run check is reported instead of raised: the
+        coordinator re-raises with the partition attached."""
+        from ...harness.experiment import _scan_workers
+
+        deadlocked, failure = _scan_workers(self.workers)
+        if failure is not None:
+            failure = "".join(traceback.format_exception(
+                type(failure), failure, failure.__traceback__))
+        tracer, boundary = self.tracer, self.boundary
+        return {
+            "part": self.part_id,
+            "clock": self.sim.now,
+            "finished_at": self.finished_at,
+            "shared": self.shared,
+            "traffic": self.rts.meter.snapshot(),
+            "sim_stats": self.sim.stats(),
+            "records": list(tracer.records) if tracer is not None else None,
+            "blocked_s": blocked_s,
+            "deadlocked": deadlocked,
+            "failure": failure,
+            "counters": {
+                "exported": boundary.exported,
+                "injected": boundary.injected,
+                "acks_out": boundary.acks_out,
+                "acks_in": boundary.acks_in,
+                "epoch_breaks": boundary.epoch_breaks,
+            },
+        }
+
+
 def _worker_loop(conn, part_id: int, parent_ends) -> None:
     """Pooled worker body: one forked process, many runs.
 
-    Each ``("run", spec)`` on the pipe drives one full simulation; the
-    per-run state (message/request id counters, the whole simulator
-    stack) is rebuilt from the spec exactly as a fresh process would —
-    running many simulations in one process is the same invariant the
-    test suite and the sweep pool already rely on.  A worker that fails
-    ships the error and exits; the coordinator then retires the whole
-    pool.  ``parent_ends`` are the parent's pipe ends this fork
-    inherited (its own and its elder siblings'): closed, so that only
-    the parent holds them.
+    Each ``("run", spec)`` on the pipe drives one full simulation
+    (:func:`_worker_run`).  A worker that fails ships the error and
+    exits; the coordinator then retires the whole pool.
+    ``parent_ends`` are the parent's pipe ends this fork inherited (its
+    own and its elder siblings'): closed, so that only the parent holds
+    them.
     """
     for end in parent_ends:
         end.close()
@@ -290,94 +396,38 @@ def _worker_loop(conn, part_id: int, parent_ends) -> None:
 
 
 def _worker_run(conn, spec: WorkerSpec) -> None:
-    # Deferred imports: the worker is forked, so these are usually
-    # already loaded; top-level imports here would cycle (apps -> orca
-    # -> sim -> pdes).
-    from ...apps import make_app
-    from ...harness.experiment import (_build_stack, _scan_workers,
-                                       _spawn_workers)
-
-    app = make_app(spec.app)
-    topo = spec.topology
-    tracer = spec.trace.build() if spec.trace is not None else None
-    sim, fabric, rts = _build_stack(
-        topo, spec.network, spec.sequencer, spec.dedicated_sequencer_node,
-        tracer=tracer, scenario=spec.scenario)
-    boundary = PartitionBoundary(sim, topo, spec.cluster_partition,
-                                 spec.part_id, lookahead=spec.lookahead)
-    boundary.attach(fabric)
-
-    shared = app.register(rts, spec.params, spec.variant)
-    finished_at: Dict[int, float] = {}
-    workers = _spawn_workers(
-        sim, app, rts, spec.params, spec.variant, shared,
-        [n for c in spec.clusters for n in topo.nodes_in(c)], finished_at)
-
-    conn.send(("ready", sim.next_time()))
+    """One run of a forked partition over its pipe: ready, one report
+    per grant until ``FINISH``, then the final payload, shipped."""
+    part = _Partition(spec)
+    conn.send(("ready", part.sim.next_time()))
     blocked = 0.0
     # Hot-path bindings: this loop turns over once per granted epoch.
     perf = time.perf_counter
-    w_recv, w_send = conn.recv_bytes, conn.send_bytes
-    decode_grant = channel.decode_grant
-    encode_report = channel.encode_report
-    encode_sections = channel.encode_sections
+    w_recv, w_send, step = conn.recv_bytes, conn.send_bytes, part.epoch
     while True:
         t0 = perf()
         block = w_recv()
         blocked += perf() - t0
-        kind, cap, gmin, incoming = decode_grant(block)
-        if kind == channel.FINISH:
+        report = step(block)
+        if report is None:
             break
-        if incoming:
-            boundary.receive(incoming)
-        boundary.flush(cap, gmin)
-        run_epoch(sim, boundary, cap, gmin)
-        frontier = sim.next_time()
-        held = boundary.held_min()
-        if frontier is None or (held is not None and held < frontier):
-            frontier = held
-        outbox = boundary.drain_outbox()
-        w_send(encode_report(
-            sim.now, frontier, boundary.pending(),
-            encode_sections(outbox) if outbox else ()))
-
-    # run_app's post-run check, reported instead of raised: the
-    # coordinator re-raises with the partition attached.
-    deadlocked, failure = _scan_workers(workers)
-    if failure is not None:
-        failure = "".join(traceback.format_exception(
-            type(failure), failure, failure.__traceback__))
-    conn.send(("final", {
-        "part": spec.part_id,
-        "clock": sim.now,
-        "finished_at": finished_at,
-        "shared": plan.APP_ADAPTERS[spec.app].ship(shared),
-        "traffic": rts.meter.snapshot(),
-        "sim_stats": sim.stats(),
-        "records": list(tracer.records) if tracer is not None else None,
-        "blocked_s": blocked,
-        "deadlocked": deadlocked,
-        "failure": failure,
-        "counters": {
-            "exported": boundary.exported,
-            "injected": boundary.injected,
-            "acks_out": boundary.acks_out,
-            "acks_in": boundary.acks_in,
-            "epoch_breaks": boundary.epoch_breaks,
-        },
-    }))
+        w_send(report)
+    payload = part.final(blocked)
+    payload["shared"] = plan.APP_ADAPTERS[spec.app].ship(payload["shared"])
+    conn.send(("final", payload))
 
 
 # ------------------------------------------------------------ coordinator
 
 class _WorkerPool:
-    """Persistent forked partition workers, one duplex pipe each.
+    """Persistent forked workers for partitions ``1 .. width - 1``, one
+    duplex pipe each (partition 0 runs in the coordinator's process).
 
-    Forked once per width and reused across runs: ``repro figure`` grid
-    points and bench repeats of the same topology re-synchronize over
-    the existing pipes instead of re-forking the whole stack.  Any
-    error retires the pool (the failing worker has exited; the rest are
-    terminated).
+    ``procs[i - 1]`` and ``conns[i - 1]`` belong to partition ``i``.
+    Forked once per width and reused across runs: bench repeats and
+    consecutive runs of one topology re-synchronize over the existing
+    pipes instead of re-forking the whole stack.  Any error retires the
+    pool (a failing worker has exited; the rest are terminated).
     """
 
     def __init__(self, width: int):
@@ -385,7 +435,7 @@ class _WorkerPool:
         self.width = width
         self.conns = []
         self.procs = []
-        for i in range(width):
+        for i in range(1, width):
             # Made just before this worker forks, so no sibling inherits
             # its worker end: the worker's death closes the last copy,
             # and the parent's next read of the pipe ends at EOF.
@@ -403,14 +453,18 @@ class _WorkerPool:
         return all(proc.is_alive() for proc in self.procs)
 
     def start(self, specs: Sequence[WorkerSpec]) -> None:
+        """Dispatch one run to each forked partition's worker."""
         self.runs += 1
-        for i, spec in enumerate(specs):
-            channel.send(self.conns[i], i, pickle.dumps(("run", spec), -1))
+        for spec in specs:
+            i = spec.part_id
+            channel.send(self.conns[i - 1], i,
+                         pickle.dumps(("run", spec), -1))
 
     def recv(self, i: int, want: str):
-        """Worker ``i``'s ``("ready", ...)`` or ``("final", ...)``
+        """Partition ``i``'s ``("ready", ...)`` or ``("final", ...)``
         handshake payload."""
-        return channel.expect(channel.receive(self.conns[i], i), want)[1]
+        return channel.expect(channel.receive(self.conns[i - 1], i),
+                              want)[1]
 
     def close(self) -> None:
         for conn in self.conns:
@@ -507,20 +561,24 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
     cross_msgs = 0
     cross_acks = 0
     channel_bytes = 0               # grant, report and finish blocks
+    blocked = 0.0                   # partition 0's wait on the workers
     ok = False
     try:
-        pool.start(specs)
+        pool.start(specs[1:])
+        # Partition 0 builds its stack while the workers build theirs.
+        local = _Partition(specs[0])
         clocks = [0.0] * width
-        nexts: List[Optional[float]] = []
+        nexts: List[Optional[float]] = [local.sim.next_time()]
         pendings: List[List[Tuple[int, float]]] = [[] for _ in range(width)]
         inboxes: List[List[channel.Section]] = [[] for _ in range(width)]
         inbox_min = [INF] * width       # min over queued sections' times
-        for i in range(width):
+        for i in range(1, width):
             nexts.append(pool.recv(i, "ready"))
 
         stall = 0
         # Hot-path bindings: this loop turns over once per epoch.
         conns = pool.conns
+        perf = time.perf_counter
         send, receive = channel.send, channel.receive
         encode_grant = channel.encode_grant
         decode_report = channel.decode_report
@@ -571,6 +629,7 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
                           and (caps[i] > reals[i] or reals[i] == gmin))]
             round_trips += len(active)
             coalesced += width - len(active)
+            grant0 = None
             for i in active:
                 cap = None if caps[i] == INF else caps[i]
                 inbox = inboxes[i]
@@ -582,11 +641,22 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
                 else:
                     block = encode_grant(cap, gmin, ())
                 channel_bytes += len(block)
-                send(conns[i], i, block)
+                if i:
+                    send(conns[i - 1], i, block)
+                else:
+                    grant0 = block
+            # The workers have their grants: partition 0 runs its epoch
+            # beside theirs, and only then are their reports read.
+            report0 = local.epoch(grant0) if grant0 is not None else None
             routed = 0
             moved = False
             for i in active:
-                block = receive(conns[i], i)
+                if i:
+                    t0 = perf()
+                    block = receive(conns[i - 1], i)
+                    blocked += perf() - t0
+                else:
+                    block = report0
                 channel_bytes += len(block)
                 clock, nt, pending, sections = decode_report(block)
                 moved = moved or clock != clocks[i] or nt != nexts[i] \
@@ -614,10 +684,14 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
                     f"pending={pendings})")
 
         finish = channel.encode_finish()
-        for i in part_range:
-            channel_bytes += len(finish)
-            send(conns[i], i, finish)
-        finals = [pool.recv(i, "final") for i in part_range]
+        channel_bytes += width * len(finish)
+        for i in range(1, width):
+            send(conns[i - 1], i, finish)
+        # Partition 0's payload stays in-process, unpickled; its stack
+        # goes before the workers' finals arrive.
+        finals = [local.final(blocked)]
+        local = None
+        finals += [pool.recv(i, "final") for i in range(1, width)]
         ok = True
     finally:
         _release_pool(pool, ok)

@@ -38,11 +38,14 @@ __all__ = [
 
 
 class AppAdapter(NamedTuple):
-    """What a cut needs of one application.  Each worker registers the
-    app and holds a whole ``shared``, mutated for its own nodes only:
-    ``ship(shared)`` keeps what pickles back to the coordinator, and
-    ``merge(parts)`` folds the shipped copies, in partition order, into
-    the one ``shared`` that ``finalize`` and ``stats`` read."""
+    """What a cut needs of one application.  Each partition registers
+    the app and holds a whole ``shared``, mutated for its own nodes
+    only: ``ship(shared)`` keeps what a forked worker pickles back to
+    the coordinator, and ``merge(parts)`` folds the copies, in
+    partition order, into the one ``shared`` that ``finalize`` and
+    ``stats`` read.  ``parts[0]`` is partition 0's ``shared`` whole —
+    it ran in the coordinator's process and was never shipped — so
+    what every partition holds alike is read from there."""
 
     ship: Callable[[Any], Any]
     merge: Callable[[List[Any]], Any]
@@ -54,14 +57,15 @@ def _ship_all(shared: Any) -> Any:
 
 def _ship_ra(shared: Dict[str, Any]) -> Dict[str, Any]:
     # The combiner holds runtime references (sim, fabric) and is
-    # finished by merge time; everything else pickles fine.
-    return {k: v for k, v in shared.items() if k != "combiner"}
+    # finished by merge time; the game graph is seed-identical in every
+    # partition, and the merge reads partition 0's in-process copy.
+    return {k: v for k, v in shared.items() if k not in ("combiner", "game")}
 
 
 def _merge_ra(parts: List[Dict[str, Any]]) -> Dict[str, Any]:
     # "values" keys are owner-disjoint; "determined" slots are written
     # only by their own node; "messages" accumulates per partition.
-    # The game graph is seed-identical everywhere.
+    # The game graph comes from partition 0, the only unshipped part.
     merged = {"game": parts[0]["game"], "values": {},
               "determined": [0] * len(parts[0]["determined"]),
               "messages": 0}
@@ -159,14 +163,16 @@ def pdes_ineligible_reason(app, n_clusters: int, *, scenario=None,
 
 
 def pdes_workers(n_partitions: int, requested: Optional[int]) -> int:
-    """Partition-pool width: how many PDES workers to actually fork.
+    """Partition count of a PDES run: the coordinator runs partition 0
+    in its own process and forks one worker for each of the rest, so a
+    run of width ``w`` uses ``w`` processes and forks ``w - 1``.
 
     ``requested`` (``--pdes-workers`` / ``pdes_workers=``, at least 1)
     is honoured as asked, even beyond the host's cores — tests and demos
-    need a fixed partition count on any host, and oversubscribed workers
-    still compute the identical result, just slower; ``None`` means
-    every core.  Either way the width is capped at ``n_partitions``
-    (more workers than partitions is pure overhead).
+    need a fixed partition count on any host, and oversubscribed
+    partitions still compute the identical result, just slower; ``None``
+    means every core.  Either way the width is capped at
+    ``n_partitions``, the most blocks the topology can be cut into.
     """
     width = requested if requested is not None else os.cpu_count() or 1
     return max(1, min(width, n_partitions))
@@ -174,7 +180,7 @@ def pdes_workers(n_partitions: int, requested: Optional[int]) -> int:
 
 def partition_width(app, variant: str, n_clusters: int,
                     requested: Optional[int], **features) -> int:
-    """How many workers a run that asks for ``pdes="on"`` forks
+    """How many partitions a run that asks for ``pdes="on"`` runs
     (:func:`pdes_workers`), or 0 when it must stay single-process — it
     then says why on stderr.  ``features`` are the keywords of
     :func:`pdes_ineligible_reason`; a width below 1 is an error."""

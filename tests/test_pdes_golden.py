@@ -272,7 +272,8 @@ def test_pdes_summary_line():
 
 def test_pdes_pool_reuse_same_topology():
     """Consecutive runs of one topology reuse the forked worker pool
-    (same PIDs, run counter advances); a different width re-forks."""
+    (same PIDs, run counter advances); a different width re-forks.
+    The coordinator runs partition 0, so a width-w pool forks w - 1."""
     from repro.sim.pdes import coordinator, shutdown_pool
     shutdown_pool()
     try:
@@ -280,6 +281,7 @@ def test_pdes_pool_reuse_same_topology():
                 pdes="on", pdes_workers=2)
         pool = coordinator._POOL
         assert pool is not None and pool.width == 2
+        assert len(pool.procs) == pool.width - 1
         pids = [p.pid for p in pool.procs]
         runs = pool.runs
         run_app(make_app("sor"), "optimized", 2, 3, small_params("sor"),
@@ -291,6 +293,7 @@ def test_pdes_pool_reuse_same_topology():
                 pdes="on", pdes_workers=4)
         assert coordinator._POOL is not pool
         assert coordinator._POOL.width == 4
+        assert len(coordinator._POOL.procs) == 4 - 1
     finally:
         shutdown_pool()
 
@@ -305,7 +308,7 @@ def test_pdes_killed_worker_is_a_typed_error():
     try:
         run_app(sor, "original", 4, 4, params, pdes="on", pdes_workers=2)
         pool = coordinator._POOL
-        victim = pool.procs[1]
+        victim = pool.procs[0]      # partition 1: partition 0 has none
         killed_at = []
 
         def kill():
@@ -325,6 +328,56 @@ def test_pdes_killed_worker_is_a_typed_error():
             timer.cancel()
         assert surfaced < 2.0, surfaced
         assert coordinator._POOL is None
+
+        serial = run_app(sor, "original", 4, 4, params, pdes="off")
+        again = run_app(sor, "original", 4, 4, params, pdes="on",
+                        pdes_workers=2)
+        assert coordinator._POOL is not None \
+            and coordinator._POOL is not pool
+        assert again.elapsed == serial.elapsed
+        assert _eq(again.answer, serial.answer)
+        assert again.stats == serial.stats
+    finally:
+        shutdown_pool()
+
+
+def test_pdes_coordinator_epoch_error_retires_the_pool(monkeypatch):
+    """Partition 0 runs in the coordinator's process: an error in its
+    epoch step partway through a run ends the run in that error, the
+    pool is retired with no forked worker left alive, and the next run
+    forks a fresh pool and still equals serial."""
+    from repro.sim.pdes import coordinator, shutdown_pool
+    sor, params = make_app("sor"), small_params("sor")
+    shutdown_pool()
+    try:
+        run_app(sor, "original", 4, 4, params, pdes="on", pdes_workers=2)
+        pool = coordinator._POOL
+        procs = list(pool.procs)
+        parent = os.getpid()
+        steps = []
+        real_epoch = coordinator._Partition.epoch
+
+        class Boom(RuntimeError):
+            pass
+
+        def failing_epoch(self, block):
+            # Forked workers inherit the patch only if forked after it;
+            # the pool above was forked first, and the pid check keeps
+            # the failure on the coordinator's side regardless.
+            if os.getpid() == parent:
+                steps.append(self.part_id)
+                if len(steps) == 5:
+                    raise Boom("partition 0 epoch failed")
+            return real_epoch(self, block)
+
+        monkeypatch.setattr(coordinator._Partition, "epoch", failing_epoch)
+        with pytest.raises(Boom, match="partition 0 epoch failed"):
+            run_app(sor, "original", 4, 4, params, pdes="on",
+                    pdes_workers=2)
+        monkeypatch.undo()
+        assert steps == [0] * 5
+        assert coordinator._POOL is None
+        assert not any(proc.is_alive() for proc in procs)
 
         serial = run_app(sor, "original", 4, 4, params, pdes="off")
         again = run_app(sor, "original", 4, 4, params, pdes="on",
