@@ -12,8 +12,8 @@ i.e. what every conservative synchronization round costs on top of the
 work the oracle does anyway.  Unlike raw runs/s it is meaningful on any
 host: on a one-core machine the partitions time-slice, the wall clock
 is the *sum* of all partitions' CPU, and the difference against serial
-is exactly the fast-lane protocol cost (block codec, pipe transfer and
-wake-up, cap algebra).  Lower is better; ``repro bench
+is exactly the fast-lane protocol cost (pipe transfer and wake-up, cap
+algebra).  Lower is better; ``repro bench
 --check`` enforces a ceiling instead of a floor for it.  Read it
 with the ``epochs`` beside it: a change that adds epochs lowers the
 per-epoch figure without lowering the run's total overhead,

@@ -61,7 +61,8 @@ def format_pdes_summary(sim_stats: Dict[str, Any]
     ``sim_stats`` into the profile-style line ``repro app --pdes on``
     prints on stdout: how many epochs the conservative protocol took,
     how many worker round-trips the quiescence coalescing elided, and
-    how many grant, report and finish bytes the partitions exchanged.
+    how many bytes of grants, reports and end messages crossed the
+    forked workers' pipes.
     That line holds counts only, so stdout is a function of the run's
     inputs; the partitions' blocked host time (``pdes_blocked_s``) is
     the second line, for stderr.  Returns ``(stdout line, stderr line)``,

@@ -33,20 +33,58 @@ running under a loose cap could sail past its own traffic's echoes.
 Next round the coordinator takes over seamlessly: the routed message
 lowers the destination's effective frontier to ``arrival``, capping
 this partition at the same ``arrival + lookahead``.
+
+An epoch's exports leave the boundary as sections (:class:`Section`),
+one per destination partition, and reach the destination's boundary as
+their ``raw`` pickles, which the coordinator routes unopened.
 """
 
 from __future__ import annotations
 
+import pickle
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..engine import Event, SimulationError, fire
 
-__all__ = ["EpochBreak", "PartitionBoundary"]
+__all__ = ["EpochBreak", "PartitionBoundary", "Section", "pack_sections"]
 
 
 class EpochBreak(Exception):
     """Raised inside ``Simulator.run`` when an ack floor comes due."""
+
+
+class Section(NamedTuple):
+    """One epoch's routed items for one destination partition.
+
+    ``raw`` is one pickle of the items, messages first, then acks, each
+    kind in outbox order.  The coordinator routes ``raw`` verbatim into
+    the destination's next grant and reads only the other fields —
+    ``min_time`` is the minimum over message arrivals and ack deposit
+    times, which is exactly the term its cap algebra needs.
+    """
+
+    dst: int
+    n_msgs: int
+    n_acks: int
+    min_time: float
+    raw: bytes
+
+
+def pack_sections(items: Sequence[tuple]) -> List[Section]:
+    """Group one epoch's outbox by destination: one :class:`Section`
+    each, in order of each destination's first item."""
+    groups: Dict[int, List[tuple]] = {}
+    for item in items:
+        groups.setdefault(item[1], []).append(item)
+    sections = []
+    for dst, group in groups.items():
+        msgs = [it for it in group if it[0] == "msg"]
+        acks = [it for it in group if it[0] == "ack"]
+        sections.append(Section(dst, len(msgs), len(acks),
+                                min(it[3] for it in group),
+                                pickle.dumps(msgs + acks, -1)))
+    return sections
 
 
 def _inject_key(item) -> tuple:
@@ -92,11 +130,7 @@ class PartitionBoundary:
         self._ack_to: Dict[int, int] = {}
         # Routed-in message deliveries not yet proven dispatchable.
         self._hold: List[tuple] = []
-        # Counters (merged into the run's sim_stats by the coordinator).
-        self.exported = 0
-        self.injected = 0
-        self.acks_out = 0
-        self.acks_in = 0
+        # Merged into the run's sim_stats by the coordinator.
         self.epoch_breaks = 0
 
     # ------------------------------------------------- fabric-facing API
@@ -177,7 +211,6 @@ class PartitionBoundary:
         """Source side, at PVC release: ship the message at ``arrival``."""
         dst_part = self.part[self.topo.cluster_of(msg.dst)]
         self.outbox.append(("msg", dst_part, msg, arrival))
-        self.exported += 1
         if msg.msg_id in self._armed:
             self._floors[msg.msg_id] = (arrival, dst_part)
             self._fresh.add(msg.msg_id)
@@ -191,12 +224,12 @@ class PartitionBoundary:
         """Destination side, at deposit: ack back to the source partition."""
         src_part = self._ack_to.pop(msg_id)
         self.outbox.append(("ack", src_part, msg_id, t_deposit))
-        self.acks_out += 1
 
     # ------------------------------------------------- worker-facing API
 
-    def receive(self, items) -> None:
-        """Take one epoch's routed items: acks apply now, messages hold.
+    def receive(self, raws: Sequence[bytes]) -> None:
+        """Take one epoch's routed sections (their ``raw`` pickles):
+        acks apply now, messages hold.
 
         Message deliveries are *not* scheduled immediately: same-instant
         arrivals from different partitions can reach this worker in
@@ -207,12 +240,11 @@ class PartitionBoundary:
         at their instant is present, then enter the heap in the serial
         engine's tie order.
         """
-        for item in items:
+        for item in [it for raw in raws for it in pickle.loads(raw)]:
             if item[0] == "msg":
                 self._hold.append(item)
             else:
                 _kind, _dst, msg_id, t_deposit = item
-                self.acks_in += 1
                 entry = self._armed.pop(msg_id, None)
                 self._floors.pop(msg_id, None)
                 self._fresh.discard(msg_id)
@@ -256,7 +288,6 @@ class PartitionBoundary:
         due.sort(key=_inject_key)
         for _kind, _dst, msg, arrival in due:
             self._ack_to[msg.msg_id] = self.part[self.topo.cluster_of(msg.src)]
-            self.injected += 1
             self.sim.call_at(arrival, partial(self._arrive, msg))
 
     def held_min(self):
@@ -265,8 +296,9 @@ class PartitionBoundary:
             return None
         return min(item[3] for item in self._hold)
 
-    def drain_outbox(self) -> List[tuple]:
-        """End of epoch: hand over exports, promote fresh floors.
+    def drain_outbox(self) -> List[Section]:
+        """End of epoch: hand over exports as sections, promote fresh
+        floors.
 
         Clearing ``_fresh`` (and the echo bound) is what lets the
         partition move again next epoch — the floors it reported become
@@ -277,7 +309,7 @@ class PartitionBoundary:
         self._fresh.clear()
         self._echo = None
         out, self.outbox = self.outbox, []
-        return out
+        return pack_sections(out)
 
     def pending(self) -> List[Tuple[int, float]]:
         """Armed, exported, un-acked sends: ``(owing partition, floor)``."""

@@ -48,12 +48,15 @@ into the next epoch's injections.  A partition's own
 injection before its clock — the conservative guarantee is asserted on
 every delivery, not assumed.
 
-**The sync fast lane** (see :mod:`.channel`): grants and reports cross
-each forked worker's one pipe as pickled blocks, in protocol order
-beside the run dispatch, the handshakes and errors; partition 0 turns
-the same grant blocks into the same report blocks in-process
-(:class:`_Partition` is the one partition body both drive), so the
-counters cannot tell it from a forked one.  The coordinator runs
+**The sync fast lane**: a grant is the plain tuple ``(cap, gmin,
+raws)`` and a report ``(clock, frontier, pendings, sections)``, and
+:meth:`_Partition.epoch`, the one partition body's step, turns one into
+the other.  The coordinator calls partition 0's directly, so its grants
+and reports are never pickled.  A forked worker's grants and reports
+cross its one pipe, one pickle per message, through the one
+:func:`_send` / :func:`_receive` pair, which also carries the run
+dispatch, the handshakes and a shipped error, and returns the bytes
+each message took (``pdes_channel_bytes`` sums the epoch ones).  The coordinator runs
 the cap algebra every round but only *delivers* a grant to partitions
 that can act on it.  A partition is skipped when
 its inbox is empty and its cap is at or below its own frontier (and it
@@ -86,8 +89,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..engine import SimulationError
 from ..trace import TraceSpec
-from . import channel, plan
-from .boundary import EpochBreak, PartitionBoundary
+from . import plan
+from .boundary import EpochBreak, PartitionBoundary, Section
 
 __all__ = ["WorkerSpec", "compute_caps", "run_app_pdes", "run_epoch",
            "shutdown_pool"]
@@ -99,28 +102,27 @@ INF = float("inf")
 #
 # Partition 0 runs in the coordinator's process; partitions 1..width-1
 # are forked workers, each with one duplex pipe, long-lived across runs.
-# Every pipe message is one pickled tuple, in this order (see
-# channel.py for the blocks):
+# Every pipe message is one pickle, in this order:
 #   Parent -> worker:  ("run", WorkerSpec)          start one simulation
 #   Worker -> parent:  ("ready", next_time)         stack built
 #   then per granted epoch:
-#   Parent -> worker:  (GRANT, cap_or_None, gmin, section raws)
-#   Worker -> parent:  (REPORT, clock, frontier, pendings, sections)
+#   Parent -> worker:  (cap_or_None, gmin, raws)    the grant
+#   Worker -> parent:  ("report", (clock, frontier, pendings, sections))
 #   and to end the run:
-#   Parent -> worker:  (FINISH, None, 0.0, ())
+#   Parent -> worker:  None
 #   Worker -> parent:  ("final", payload_dict)
 # In place of any worker message, fatal:
-#                      ("error", part_id, tb, exc_or_None)
-# Partition 0 takes the same GRANT blocks and returns the same REPORT
-# blocks through _Partition.epoch, in-process; its run, ready, FINISH
-# and final steps are plain calls, and its final payload is never
-# pickled.  Each epoch the grants go to the forked workers first, then
-# partition 0 runs its epoch while they run theirs, and only then does
-# the coordinator read their reports: partition 0 first would
-# serialize the run.
+#                      ("error", (tb, exc_or_None))
+# Partition 0 takes the same grant tuples and returns the same report
+# bodies through _Partition.epoch, by call; its run, ready, end and
+# final steps are plain calls too, and nothing of it is pickled but the
+# sections' raws.  Each epoch the grants go to the forked workers
+# first, then partition 0 runs its epoch while they run theirs, and
+# only then does the coordinator read their reports: partition 0 first
+# would serialize the run.
 #
-# Routed items inside sections (built by PartitionBoundary.export /
-# export_ack; index 3 is always the item's virtual time, which
+# Routed items inside a Section's raw (built by PartitionBoundary.export
+# / export_ack; index 3 is always the item's virtual time, which
 # compute_caps relies on via the section's min_time):
 #   ("msg", dst_partition, Message, arrival)
 #   ("ack", dst_partition, msg_id, t_deposit)
@@ -131,7 +133,6 @@ class WorkerSpec:
     """Everything a forked partition worker needs to rebuild its stack."""
 
     part_id: int
-    n_partitions: int
     clusters: Tuple[int, ...]
     cluster_partition: Tuple[int, ...]
     app: str
@@ -266,17 +267,17 @@ def run_epoch(sim, boundary: PartitionBoundary, cap: Optional[float],
 # ----------------------------------------------------------------- worker
 
 class _Partition:
-    """One partition's simulation, driven one epoch block at a time.
+    """One partition's simulation, driven one epoch grant at a time.
 
     Built from its :class:`WorkerSpec` exactly as a fresh process would
     build it: the per-run state (message/request id counters, the whole
     simulator stack) starts over, so running many simulations in one
     process is the same invariant the test suite and the sweep pool
-    already rely on.  :meth:`epoch` turns one grant block into one
-    report block and :meth:`final` collects what the coordinator
-    merges.  A forked worker drives it over its pipe
-    (:func:`_worker_run`) and the coordinator drives partition 0 in its
-    own process, on the same blocks.
+    already rely on.  :meth:`epoch` turns one grant into one report
+    and :meth:`final` collects what the coordinator merges.  A forked
+    worker drives it over its pipe (:func:`_worker_run`) and the
+    coordinator drives partition 0 in its own process, on the same
+    tuples.
     """
 
     def __init__(self, spec: WorkerSpec):
@@ -304,25 +305,24 @@ class _Partition:
             [n for c in spec.clusters for n in topo.nodes_in(c)],
             self.finished_at)
 
-    def epoch(self, block: bytes) -> Optional[bytes]:
-        """Run the epoch one grant block grants; its report block, or
-        ``None`` for the ``FINISH`` block."""
-        kind, cap, gmin, incoming = channel.decode_grant(block)
-        if kind == channel.FINISH:
-            return None
+    def epoch(self, grant: tuple) -> tuple:
+        """Run the epoch ``(cap, gmin, raws)`` grants — ``cap`` is
+        ``None`` when unbounded, ``raws`` the routed sections' — and
+        report ``(clock, frontier, pendings, sections)``: ``frontier``
+        is ``None`` when the partition is dry, ``pendings`` its un-acked
+        floors and ``sections`` its outbox."""
+        cap, gmin, raws = grant
         sim, boundary = self.sim, self.boundary
-        if incoming:
-            boundary.receive(incoming)
+        if raws:
+            boundary.receive(raws)
         boundary.flush(cap, gmin)
         run_epoch(sim, boundary, cap, gmin)
         frontier = sim.next_time()
         held = boundary.held_min()
         if frontier is None or (held is not None and held < frontier):
             frontier = held
-        outbox = boundary.drain_outbox()
-        return channel.encode_report(
-            sim.now, frontier, boundary.pending(),
-            channel.encode_sections(outbox) if outbox else ())
+        return (sim.now, frontier, boundary.pending(),
+                boundary.drain_outbox())
 
     def final(self, blocked_s: float) -> Dict[str, Any]:
         """The run's outcome for the merge, ``shared`` whole (unshipped).
@@ -335,7 +335,7 @@ class _Partition:
         if failure is not None:
             failure = "".join(traceback.format_exception(
                 type(failure), failure, failure.__traceback__))
-        tracer, boundary = self.tracer, self.boundary
+        tracer = self.tracer
         return {
             "part": self.part_id,
             "clock": self.sim.now,
@@ -347,13 +347,7 @@ class _Partition:
             "blocked_s": blocked_s,
             "deadlocked": deadlocked,
             "failure": failure,
-            "counters": {
-                "exported": boundary.exported,
-                "injected": boundary.injected,
-                "acks_out": boundary.acks_out,
-                "acks_in": boundary.acks_in,
-                "epoch_breaks": boundary.epoch_breaks,
-            },
+            "epoch_breaks": self.boundary.epoch_breaks,
         }
 
 
@@ -389,7 +383,7 @@ def _worker_loop(conn, part_id: int, parent_ends) -> None:
             except Exception:
                 exc = None
             try:
-                conn.send(("error", part_id, traceback.format_exc(), exc))
+                conn.send(("error", (traceback.format_exc(), exc)))
             except Exception:
                 pass
             return
@@ -397,24 +391,72 @@ def _worker_loop(conn, part_id: int, parent_ends) -> None:
 
 def _worker_run(conn, spec: WorkerSpec) -> None:
     """One run of a forked partition over its pipe: ready, one report
-    per grant until ``FINISH``, then the final payload, shipped."""
+    per grant until ``None``, then the final payload, shipped."""
     part = _Partition(spec)
     conn.send(("ready", part.sim.next_time()))
     blocked = 0.0
     # Hot-path bindings: this loop turns over once per granted epoch.
     perf = time.perf_counter
-    w_recv, w_send, step = conn.recv_bytes, conn.send_bytes, part.epoch
+    w_recv, w_send, step = conn.recv, conn.send, part.epoch
     while True:
         t0 = perf()
-        block = w_recv()
+        grant = w_recv()
         blocked += perf() - t0
-        report = step(block)
-        if report is None:
+        if grant is None:
             break
-        w_send(report)
+        w_send(("report", step(grant)))
     payload = part.final(blocked)
     payload["shared"] = plan.APP_ADAPTERS[spec.app].ship(payload["shared"])
     conn.send(("final", payload))
+
+
+# ------------------------------------------------------------------ pipes
+
+def _died(part_id: int) -> SimulationError:
+    return SimulationError(
+        f"pdes: partition {part_id} worker died without reporting")
+
+
+def _send(conn, part_id: int, msg) -> int:
+    """Write ``msg``, pickled, to partition ``part_id``'s worker; the
+    bytes it took.  A worker gone from the far end is the typed error
+    :func:`_receive` raises."""
+    data = pickle.dumps(msg, -1)
+    try:
+        conn.send_bytes(data)
+    except OSError:
+        raise _died(part_id) from None
+    return len(data)
+
+
+def _receive(conn, part_id: int, want: str) -> Tuple[Any, int]:
+    """The body of partition ``part_id``'s next message, whose tag the
+    protocol says is ``want``, and the bytes it took.
+
+    The parent's one read of a worker pipe, for the handshakes and the
+    epochs alike.  Each pipe is made just before its worker forks and
+    the parent closes the worker's end, so only the worker holds it: a
+    worker that dies closes it, and the read ends at EOF at once.  A
+    worker that failed sends ``("error", (tb, exc))`` in place of the
+    message: ``exc`` is re-raised when it pickled, so the app's own
+    error keeps the type the serial engine gives it.  Any other tag is
+    a protocol error.
+    """
+    try:
+        data = conn.recv_bytes()
+    except (EOFError, OSError):
+        raise _died(part_id) from None
+    tag, body = pickle.loads(data)
+    if tag == want:
+        return body, len(data)
+    if tag == "error":
+        tb, exc = body
+        if exc is not None:
+            raise exc
+        raise SimulationError(
+            f"pdes: partition {part_id} worker failed:\n{tb}")
+    raise SimulationError(
+        f"pdes: partition {part_id} sent {tag!r} where {want!r} was due")
 
 
 # ------------------------------------------------------------ coordinator
@@ -457,14 +499,11 @@ class _WorkerPool:
         self.runs += 1
         for spec in specs:
             i = spec.part_id
-            channel.send(self.conns[i - 1], i,
-                         pickle.dumps(("run", spec), -1))
+            _send(self.conns[i - 1], i, ("run", spec))
 
     def recv(self, i: int, want: str):
-        """Partition ``i``'s ``("ready", ...)`` or ``("final", ...)``
-        handshake payload."""
-        return channel.expect(channel.receive(self.conns[i - 1], i),
-                              want)[1]
+        """Partition ``i``'s ``"ready"`` or ``"final"`` handshake body."""
+        return _receive(self.conns[i - 1], i, want)[0]
 
     def close(self) -> None:
         for conn in self.conns:
@@ -547,7 +586,7 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
         if tracer.kinds is not None else None)
 
     specs = [WorkerSpec(
-        part_id=pi, n_partitions=width, clusters=block,
+        part_id=pi, clusters=block,
         cluster_partition=part_map, app=app.name, variant=variant,
         params=params, network=network, sequencer=seq_kind,
         dedicated_sequencer_node=dedicated_sequencer_node, topology=topo,
@@ -560,7 +599,7 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
     coalesced = 0
     cross_msgs = 0
     cross_acks = 0
-    channel_bytes = 0               # grant, report and finish blocks
+    channel_bytes = 0               # epoch messages that crossed a pipe
     blocked = 0.0                   # partition 0's wait on the workers
     ok = False
     try:
@@ -570,7 +609,7 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
         clocks = [0.0] * width
         nexts: List[Optional[float]] = [local.sim.next_time()]
         pendings: List[List[Tuple[int, float]]] = [[] for _ in range(width)]
-        inboxes: List[List[channel.Section]] = [[] for _ in range(width)]
+        inboxes: List[List[Section]] = [[] for _ in range(width)]
         inbox_min = [INF] * width       # min over queued sections' times
         for i in range(1, width):
             nexts.append(pool.recv(i, "ready"))
@@ -579,9 +618,7 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
         # Hot-path bindings: this loop turns over once per epoch.
         conns = pool.conns
         perf = time.perf_counter
-        send, receive = channel.send, channel.receive
-        encode_grant = channel.encode_grant
-        decode_report = channel.decode_report
+        send, receive = _send, _receive
         part_range = range(width)
         neff = [INF] * width        # per-round scratch, reused
         reals = [INF] * width
@@ -634,17 +671,15 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
                 cap = None if caps[i] == INF else caps[i]
                 inbox = inboxes[i]
                 if inbox:
-                    block = encode_grant(cap, gmin,
-                                         [sec.raw for sec in inbox])
+                    grant = (cap, gmin, [sec.raw for sec in inbox])
                     inboxes[i] = []
                     inbox_min[i] = INF
                 else:
-                    block = encode_grant(cap, gmin, ())
-                channel_bytes += len(block)
+                    grant = (cap, gmin, ())
                 if i:
-                    send(conns[i - 1], i, block)
+                    channel_bytes += send(conns[i - 1], i, grant)
                 else:
-                    grant0 = block
+                    grant0 = grant
             # The workers have their grants: partition 0 runs its epoch
             # beside theirs, and only then are their reports read.
             report0 = local.epoch(grant0) if grant0 is not None else None
@@ -653,12 +688,12 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
             for i in active:
                 if i:
                     t0 = perf()
-                    block = receive(conns[i - 1], i)
+                    report, nbytes = receive(conns[i - 1], i, "report")
                     blocked += perf() - t0
+                    channel_bytes += nbytes
                 else:
-                    block = report0
-                channel_bytes += len(block)
-                clock, nt, pending, sections = decode_report(block)
+                    report = report0
+                clock, nt, pending, sections = report
                 moved = moved or clock != clocks[i] or nt != nexts[i] \
                     or pending != pendings[i]
                 clocks[i] = clock
@@ -683,10 +718,8 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
                     f"(clocks={clocks}, frontiers={nexts}, "
                     f"pending={pendings})")
 
-        finish = channel.encode_finish()
-        channel_bytes += width * len(finish)
         for i in range(1, width):
-            send(conns[i - 1], i, finish)
+            channel_bytes += send(conns[i - 1], i, None)
         # Partition 0's payload stays in-process, unpickled; its stack
         # goes before the workers' finals arrive.
         finals = [local.final(blocked)]
@@ -744,8 +777,7 @@ def run_app_pdes(app, variant: str, n_clusters: int, nodes_per_cluster: int,
     sim_stats["pdes_channel_bytes"] = channel_bytes
     sim_stats["pdes_cross_messages"] = cross_msgs
     sim_stats["pdes_acks"] = cross_acks
-    sim_stats["pdes_epoch_breaks"] = sum(
-        p["counters"]["epoch_breaks"] for p in finals)
+    sim_stats["pdes_epoch_breaks"] = sum(p["epoch_breaks"] for p in finals)
     sim_stats["pdes_blocked_s"] = sum(p["blocked_s"] for p in finals)
 
     if tracer is not None:

@@ -82,8 +82,9 @@ def test_no_tier_selector_reappears():
 #: with no drain pass, batch snapshot or apply log beside it; the fabric
 #: and the applications carry no partition boundary hook; the PDES fast
 #: lane has one transport, each worker's pipe, with no shared-memory
-#: ring, ring capacity or overflow fallback beside it; and a helper
-#: that nothing calls is deleted, not kept for its test.
+#: ring, ring capacity or overflow fallback beside it, and no block codec
+#: wrapping its pickles; and a helper that nothing calls is deleted, not
+#: kept for its test.
 DELETED_SURFACE = (
     "_legacy",
     "reset_ids", "reset_req_ids", "alloc_msg_id", "_alloc_req_id",
@@ -119,6 +120,8 @@ DELETED_SURFACE = (
     "ShmRing", "channel_capacity", "pdes_channel_overflows", "_VIA_PIPE",
     "_ERROR_MARK", "w_post_error", "RawArray",
     "tracer.enabled", "obs.enabled", "Tracer(enabled",
+    "encode_grant", "decode_grant", "encode_report", "decode_report",
+    "encode_finish", "decode_section_items", "acks_out", "acks_in",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the
@@ -145,6 +148,7 @@ def test_no_deleted_surface_reappears():
         for name in DELETED_SURFACE:
             assert name not in text, (path, name)
     assert not (REPO / "src" / "repro" / "harness" / "jobs.py").exists()
+    assert not (REPO / "src" / "repro" / "sim" / "pdes" / "channel.py").exists()
 
     import repro.sim
     from repro.sim import _pyengine, engine

@@ -245,6 +245,46 @@ def test_pdes_stats_aggregation():
     assert ss["pdes_epoch_breaks"] >= 0
 
 
+def test_pdes_channel_bytes_are_the_pipe_bytes(monkeypatch):
+    """``pdes_channel_bytes`` is exactly what the epoch messages took
+    on the forked workers' pipes — grants, reports and the end of the
+    run — as the send/receive pair counted them; partition 0 is handed
+    its grants as tuples, crossing no pipe and counting nothing."""
+    from repro.sim.pdes import coordinator
+    real_send, real_receive = coordinator._send, coordinator._receive
+    real_epoch = coordinator._Partition.epoch
+    piped, grants0 = [], []
+
+    def send(conn, part_id, msg):
+        nbytes = real_send(conn, part_id, msg)
+        if not (isinstance(msg, tuple) and msg[0] == "run"):
+            piped.append(nbytes)
+        return nbytes
+
+    def receive(conn, part_id, want):
+        body, nbytes = real_receive(conn, part_id, want)
+        if want == "report":
+            piped.append(nbytes)
+        return body, nbytes
+
+    def epoch(self, grant):
+        # Only the coordinator's calls land here: a worker forked after
+        # the patch appends to its own copy of the list.
+        grants0.append(grant)
+        return real_epoch(self, grant)
+
+    monkeypatch.setattr(coordinator, "_send", send)
+    monkeypatch.setattr(coordinator, "_receive", receive)
+    monkeypatch.setattr(coordinator._Partition, "epoch", epoch)
+    res = run_app(make_app("sor"), "original", 4, 4, small_params("sor"),
+                  pdes="on", pdes_workers=2)
+    ss = res.sim_stats
+    assert ss["pdes_partitions"] == 2
+    assert piped and ss["pdes_channel_bytes"] == sum(piped)
+    assert grants0
+    assert all(type(g) is tuple for g in grants0)
+
+
 def test_pdes_dense_partitions_share_epochs():
     """Two dense partitions run their windows together: at least three
     epochs in four grant both, so round trips exceed epochs by 75 % of
