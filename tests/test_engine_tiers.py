@@ -43,8 +43,9 @@ Five kinds of coverage:
   point that takes a time, fed a NaN or infinity under a timeout;
 * host faults of the one native artefact (``_ccore``: the event core
   *and* SOR's ``sweep_phase``), each in a private copy of the package:
-  a failing C build, a stale extension, an extension that lacks a
-  symbol — every one ends in a whole tier or a typed error.
+  a failing C build, a stale extension (other source, flags or
+  ``$CC``), an extension that lacks a symbol — every one ends in a
+  whole tier or a typed error.
 """
 
 import gc
@@ -802,3 +803,31 @@ def test_stale_extension_is_rebuilt_and_a_partial_one_never_loads(
     out = _subprocess(_SOR_SCRIPT, "compiled", private_src)
     assert out.returncode != 0
     assert "SimulationError" in out.stderr and "sweep_phase" in out.stderr
+
+
+@needs_cc
+def test_changed_flags_or_compiler_rebuild_the_extension(private_src,
+                                                         monkeypatch):
+    """Same source, other flags: an extension built under the old ones
+    (say, before ``-ffp-contract=off``) could round differently, so it
+    is rebuilt, not reused.  ``$CC`` is in the stamp as given."""
+    def load(*flags):
+        out = _subprocess(
+            "import os\n"
+            "from repro.sim import _build\n"
+            f"_build._CFLAGS += {flags!r}\n"
+            "_build.load_ccore()\n"
+            "print(os.stat(_build._ext_path()).st_ino)",
+            "python", private_src)
+        assert out.returncode == 0, out.stderr
+        return out.stdout.strip()
+
+    built = load()
+    assert load() == built
+    assert load("-DCCORE_NO_AVX2") != built
+
+    from repro.sim import _build
+    monkeypatch.delenv("CC", raising=False)
+    unset = _build._signature()
+    monkeypatch.setenv("CC", "cc")
+    assert _build._signature() != unset
