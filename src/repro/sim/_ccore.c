@@ -1656,8 +1656,9 @@ Sim_leg(SimObject *self, PyObject *steps)
 
 /* call_at(when, fn): bare fn() as a call slot at absolute time `when`.
  * A past time is refused (the partition boundary's no-early-delivery check).
- * The slot lands at now + (when - now), as on the python tier: that
- * can differ from `when` in the last bit, and runs depend on it. */
+ * The slot lands at `when` exactly, as on the python tier: a routed
+ * arrival must land on the instant its source partition exported, and
+ * now + (when - now) can miss that in the last bit. */
 static PyObject *
 Sim_call_at(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1684,7 +1685,7 @@ Sim_call_at(SimObject *self, PyObject *const *args, Py_ssize_t nargs)
                      args[1]);
         return NULL;
     }
-    if (heap_push(self, self->now + (when - self->now), args[1], K_CALL) < 0)
+    if (heap_push(self, when, args[1], K_CALL) < 0)
         return NULL;
     Py_RETURN_NONE;
 }

@@ -340,9 +340,10 @@ class Simulator:
         """Schedule bare ``fn()`` as a *call slot* at absolute virtual
         time ``when`` (>= now): one heap entry, no event object.
 
-        The slot lands at ``now + (when - now)``, which can differ from
-        ``when`` in the last bit; both tiers compute it so.  Nothing can
-        wait on a call slot; an exception ``fn`` raises propagates out
+        The slot lands at ``when`` exactly, on both tiers: the partition
+        boundary schedules an arrival at the instant its source exported,
+        and ``now + (when - now)`` can miss that in the last bit.  Nothing
+        can wait on a call slot; an exception ``fn`` raises propagates out
         of :meth:`run`.  A past ``when`` is refused — the partition boundary
         relies on that as its no-early-delivery check.
         """
@@ -351,7 +352,7 @@ class Simulator:
         if not callable(fn):
             raise TypeError(f"call_at needs a callable, got {fn!r}")
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (self.now + (when - self.now), seq, fn))
+        heapq.heappush(self._heap, (when, seq, fn))
 
     def leg(self, steps: tuple) -> Event:
         """Run ``steps`` one after another; returns the one completion event.
