@@ -15,9 +15,11 @@ partition attaches a :class:`PartitionBoundary` to its own fabric, and
 :data:`APP_ADAPTERS` names the applications a cut can run and how their
 per-partition shared state ships back and merges.
 
-The single-process engine stays the oracle: a PDES run produces
-bit-identical answers, finish times and trace record contents — the
-golden parity suite (``tests/test_pdes_golden.py``) holds that line.
+A PDES run produces bit-identical answers, finish times and trace
+record contents to the single-process engine.  Its oracle is the
+committed golden manifest, not a serial rerun: ``tools/golden.py``
+runs every manifest cell this package can partition with
+``pdes="on"`` and holds it to the committed cell.
 
 A run asks for it one way: ``pdes="on"`` on :func:`run_app
 <repro.harness.experiment.run_app>` (CLI: ``repro app --pdes on``),
@@ -67,7 +69,7 @@ def format_pdes_summary(sim_stats: Dict[str, Any]
     inputs; the partitions' blocked host time (``pdes_blocked_s``) is
     the second line, for stderr.  Returns ``(stdout line, stderr line)``,
     or ``None`` when the stats do not come from a partitioned run (an
-    ineligible run fell back to the single-process oracle).
+    ineligible run fell back to the single-process engine).
     """
     if "pdes_partitions" not in sim_stats:
         return None

@@ -72,8 +72,10 @@ as the single-process run, impairment randomness is drawn from
 per-(model, directed pair) substreams, and every cross-partition
 delivery replays the destination half of the serial fabric code at the
 exported instant — so answers, finish times and trace *contents* are
-bit-identical to the oracle; only same-instant interleavings across
-independent partitions (invisible in any record field) may differ.
+bit-identical to the golden manifest's cells (``tools/golden.py``);
+only same-instant interleavings across independent partitions may
+differ: the record order and, where two partitions' messages tie at
+one gateway instant, which message the tied records name.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ Eligibility is decided statically, before any process forks.  The
 rules are conservative: anything whose cross-cluster control flow the
 cut cannot reproduce (totally-ordered broadcasts, striped transfers,
 faults that seize both directions of a PVC) keeps the run on the
-single-process engine, which remains the oracle for every feature.
+single-process engine.  A partitioned run must reproduce the golden
+manifest's cell for the same inputs, as the single-process engine does.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ def pdes_ineligible_reason(app, n_clusters: int, *, scenario=None,
     """Why this run must stay single-process, or ``None`` if it may split.
 
     Every reason names a feature whose cross-cluster behavior the
-    per-cluster cut cannot reproduce bit-identically; the single-process
-    engine stays the oracle for all of them.
+    per-cluster cut cannot reproduce bit-identically; such a run stays
+    on the single-process engine.
     """
     if n_clusters < 2:
         return "single-cluster topology has no WAN cut to partition on"

@@ -1,7 +1,8 @@
 """The PDES fast lane in isolation: sections and the worker pipe.
 
-The golden suite (``test_pdes_golden.py``) pins the *end-to-end*
-contract — partitioned runs bit-identical to the oracle.  This file
+The golden manifest (``tools/golden.py``, which also runs every cell
+the engine can partition with ``pdes="on"``) pins the *end-to-end*
+contract — partitioned runs bit-identical to the committed cells.  This file
 pins the pieces directly, where hypothesis can reach states real
 workloads rarely visit: every record kind and payload shape through a
 section, a message larger than the OS pipe buffer through a real forked
