@@ -407,7 +407,8 @@ class ParallelRunner:
         and leaving the block — normally, on that error or on Ctrl-C —
         cancels the points not yet started and reaps every worker.
         Workers take SIGINT's default action, so a Ctrl-C at the
-        terminal ends them at once, without a traceback each.
+        terminal ends them at once, without a traceback each; when this
+        process ignores SIGINT (a background job), they ignore it too.
         """
         if self.jobs == 1 or len(work) <= 1:
             yield map(_execute_timed, work)
@@ -423,9 +424,12 @@ class ParallelRunner:
             ctx = mp.get_context("spawn")
         n = min(self.jobs, len(work))
         _build_instances(work)
+        on_int = signal.SIG_IGN \
+            if signal.getsignal(signal.SIGINT) is signal.SIG_IGN \
+            else signal.SIG_DFL
         pool = ProcessPoolExecutor(max_workers=n, mp_context=ctx,
                                    initializer=signal.signal,
-                                   initargs=(signal.SIGINT, signal.SIG_DFL))
+                                   initargs=(signal.SIGINT, on_int))
         try:
             # At least four dispatches per worker: chunking never costs
             # more than ~25% tail latency to a straggler chunk while

@@ -2,9 +2,10 @@
 
 One simulation, all host cores: the simulated clusters are split into
 contiguous blocks (:mod:`.plan`), each block runs on its own core (the
-first in the coordinator's process, the others in forked workers),
-and the partitions synchronize conservatively at WAN horizons — the
-WAN propagation latency is the lookahead (:mod:`.coordinator`).
+first in the coordinator's process, the others in workers the run
+forks at its start and reaps before it returns or raises), and the
+partitions synchronize conservatively at WAN horizons — the WAN
+propagation latency is the lookahead (:mod:`.coordinator`).
 Cross-partition sends become timestamped messages exported a full
 lookahead before they land (:mod:`.boundary`);
 everything inside a partition (LAN chains, the compiled event core,

@@ -200,8 +200,6 @@ def tiny_suites(monkeypatch):
         bench, "_time_in_tier", lambda suite, _tier, repeat:
         bench._time(bench._module(suite).WORKLOADS, repeat))
     yield
-    from repro.sim.pdes import shutdown_pool
-    shutdown_pool()
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)

@@ -82,7 +82,6 @@ def test_cli_app_pdes_calls_run_app_traced_and_uncached(tmp_path, monkeypatch,
     import json
 
     from repro.apps import small_params
-    from repro.sim.pdes import shutdown_pool
 
     monkeypatch.setattr("repro.__main__.bench_params", small_params)
     cache = tmp_path / "cache"
@@ -90,12 +89,9 @@ def test_cli_app_pdes_calls_run_app_traced_and_uncached(tmp_path, monkeypatch,
     traces = tmp_path / "traces"
     argv = ["app", "sor", "--clusters", "2", "--nodes", "2", "--pdes", "on",
             "--pdes-workers", "2", "--trace-dir", str(traces)]
-    try:
-        assert main(argv) == 0
-        assert main(argv[:-2]) == 0
-        assert main(argv[:-2]) == 0
-    finally:
-        shutdown_pool()
+    assert main(argv) == 0
+    assert main(argv[:-2]) == 0
+    assert main(argv[:-2]) == 0
     out = capsys.readouterr().out
     assert out.count("sor/original on 2x2") == 3
     assert out.count("pdes: 2 partitions,") == 3
@@ -109,17 +105,12 @@ def test_cli_app_pdes_stdout_is_a_function_of_its_inputs(capsys):
     """Two identical partitioned runs print byte-identical stdout, so
     ``tools/ab.py --cmd`` can pair them; the workers' blocked host time
     goes to stderr."""
-    from repro.sim.pdes import shutdown_pool
-
     argv = ["app", "sor", "--clusters", "4", "--nodes", "2", "--pdes", "on",
             "--pdes-workers", "2", "--no-cache"]
     runs = []
-    try:
-        for _ in range(2):
-            assert main(argv) == 0
-            runs.append(capsys.readouterr())
-    finally:
-        shutdown_pool()
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append(capsys.readouterr())
     assert runs[0].out == runs[1].out
     assert "  pdes: " in runs[0].out
     assert "blocked" not in runs[0].out

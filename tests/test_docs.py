@@ -122,6 +122,7 @@ DELETED_SURFACE = (
     "tracer.enabled", "obs.enabled", "Tracer(enabled",
     "encode_grant", "decode_grant", "encode_report", "decode_report",
     "encode_finish", "decode_section_items", "acks_out", "acks_in",
+    "_acquire_pool", "_release_pool", "_worker_loop",
 )
 
 #: Engine members neither live tier has: preemption, first-of waits, the

@@ -32,15 +32,7 @@ golden = _load()
 MANIFEST = golden.load_manifest()
 
 
-def _pool_width(name):
-    """The partition count a cell's partitioned run uses, 0 for none."""
-    return golden._width(name) if name in golden._PARTITIONED else 0
-
-
-# Cells of one partition width run together: the worker pool is kept
-# per width, so each width forks it once instead of at every change.
-@pytest.mark.parametrize("cell", sorted(golden.CELLS,
-                                        key=lambda n: (_pool_width(n), n)))
+@pytest.mark.parametrize("cell", sorted(golden.CELLS))
 def test_cell_matches_manifest(cell):
     assert golden.check_cell(cell, MANIFEST) == []
 

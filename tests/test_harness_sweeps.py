@@ -615,12 +615,17 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 
 
-def _start(args, cache_dir):
+def _start(args, cache_dir, sigint=signal.SIG_DFL):
+    """Python with ``args`` in a process group of its own, SIGINT's
+    disposition ``sigint`` however this process was started (a
+    background job inherits SIGINT ignored)."""
     env = dict(os.environ, REPRO_CACHE_DIR=str(cache_dir))
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen([sys.executable, *args], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, start_new_session=True)
+                            text=True, start_new_session=True,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT,
+                                                             sigint))
 
 
 def _finish(proc, timeout=10.0):
@@ -718,3 +723,21 @@ def test_ctrl_c_mid_sweep_exits_130_and_keeps_finished_points(tmp_path):
                               timeout=60.0)
     assert code == 0, err
     assert rerun == cold
+
+
+def test_sweep_that_ignores_sigint_keeps_its_workers_through_one(tmp_path):
+    """A sweep started with SIGINT ignored, as a background job is,
+    gives its pool workers the same immunity: a SIGINT to its whole
+    process group ends nothing, and the sweep prints what a cold run
+    prints."""
+    argv = ["-m", "repro", "figure", "fig9", "--cpus", "4", "--jobs", "2"]
+    cache = tmp_path / "cache"
+    proc = _start(argv, cache, sigint=signal.SIG_IGN)
+    _wait_for(lambda: list(cache.rglob("*.pkl")), proc)
+    os.killpg(proc.pid, signal.SIGINT)
+    code, out, err = _finish(proc, timeout=60.0)
+    assert code == 0, err
+    code, cold, err = _finish(_start(argv + ["--no-cache"], cache),
+                              timeout=60.0)
+    assert code == 0, err
+    assert out == cold

@@ -17,12 +17,13 @@ their messages merge inside it, and hold each run to its cell by that
 same check.  The rest of this file holds what is not a cell run one
 cluster per partition: the fallback to the single-process engine of
 every other app, of one cluster and of a bounded tracer (warned, and
-matching its cell exactly), the merged counters, the worker pool and
+matching its cell exactly), the merged counters, the run's own workers and
 pipes, the epoch protocol's shape, the summary line, worker errors and
 deaths, filtered tracers, and one cell checked under each engine tier
 in a subprocess.  No test here reruns a serial twin.
 """
 
+import multiprocessing as mp
 import os
 import signal
 import subprocess
@@ -222,115 +223,78 @@ def test_pdes_summary_line():
     assert format_pdes_summary({"events_processed": 5}) is None
 
 
-def test_pdes_pool_reuse_same_topology():
-    """Consecutive runs of one topology reuse the forked worker pool
-    (same PIDs, run counter advances); a different width re-forks.
-    The coordinator runs partition 0, so a width-w pool forks w - 1."""
-    from repro.sim.pdes import coordinator, shutdown_pool
-    shutdown_pool()
-    try:
-        run_app(make_app("sor"), "original", 2, 3, small_params("sor"),
-                pdes="on", pdes_workers=2)
-        pool = coordinator._POOL
-        assert pool is not None and pool.width == 2
-        assert len(pool.procs) == pool.width - 1
-        pids = [p.pid for p in pool.procs]
-        runs = pool.runs
-        run_app(make_app("sor"), "optimized", 2, 3, small_params("sor"),
-                pdes="on", pdes_workers=2)
-        assert coordinator._POOL is pool
-        assert [p.pid for p in pool.procs] == pids
-        assert pool.runs == runs + 1
-        run_app(make_app("sor"), "original", 4, 2, small_params("sor"),
-                pdes="on", pdes_workers=4)
-        assert coordinator._POOL is not pool
-        assert coordinator._POOL.width == 4
-        assert len(coordinator._POOL.procs) == 4 - 1
-    finally:
-        shutdown_pool()
+def test_pdes_run_reaps_its_workers():
+    """A partitioned run forks its workers (``width - 1``: the
+    coordinator runs partition 0) and reaps them before it returns, so
+    no process outlives it, at either width."""
+    sor, params = make_app("sor"), small_params("sor")
+    for c, n, width in ((2, 3, 2), (4, 2, 4)):
+        res = run_app(sor, "original", c, n, params, pdes="on",
+                      pdes_workers=width)
+        assert res.sim_stats["pdes_partitions"] == width
+        assert mp.active_children() == []
 
 
 def test_pdes_killed_worker_is_a_typed_error():
-    """A pooled worker SIGKILLed mid-run ends that run in a typed error
-    naming its partition, promptly; the pool is retired, and the next
-    run forks a fresh one and still matches its manifest cell."""
-    from repro.sim.pdes import coordinator, shutdown_pool
+    """A worker SIGKILLed mid-run ends that run in a typed error naming
+    its partition, promptly, with no worker left alive; the next run
+    still matches its manifest cell."""
     sor, params = make_app("sor"), small_params("sor")
-    shutdown_pool()
+    killed_at = []
+
+    def kill():
+        # Two partitions: the run's one forked worker is partition 1's.
+        (victim,) = mp.active_children()
+        killed_at.append(time.perf_counter())
+        os.kill(victim.pid, signal.SIGKILL)
+
+    timer = threading.Timer(0.3, kill)
+    timer.start()
     try:
-        run_app(sor, "original", 4, 4, params, pdes="on", pdes_workers=2)
-        pool = coordinator._POOL
-        victim = pool.procs[0]      # partition 1: partition 0 has none
-        killed_at = []
-
-        def kill():
-            killed_at.append(time.perf_counter())
-            os.kill(victim.pid, signal.SIGKILL)
-
-        timer = threading.Timer(0.3, kill)
-        timer.start()
-        try:
-            # ~3.5 s on 2 cores uninterrupted: the kill lands mid-epochs.
-            with pytest.raises(SimulationError, match="partition 1 "):
-                run_app(sor, "original", 4, 4,
-                        params.with_(n_iterations=600), pdes="on",
-                        pdes_workers=2)
-            surfaced = time.perf_counter() - killed_at[0]
-        finally:
-            timer.cancel()
-        assert surfaced < 2.0, surfaced
-        assert coordinator._POOL is None
-
-        _check_partitioned("suite/sor/original/4x4/64", 2)
-        assert coordinator._POOL is not None \
-            and coordinator._POOL is not pool
+        # ~3.5 s on 2 cores uninterrupted: the kill lands mid-epochs.
+        with pytest.raises(SimulationError, match="partition 1 "):
+            run_app(sor, "original", 4, 4, params.with_(n_iterations=600),
+                    pdes="on", pdes_workers=2)
+        surfaced = time.perf_counter() - killed_at[0]
     finally:
-        shutdown_pool()
+        timer.cancel()
+    assert surfaced < 2.0, surfaced
+    assert mp.active_children() == []
+
+    _check_partitioned("suite/sor/original/4x4/64", 2)
 
 
-def test_pdes_coordinator_epoch_error_retires_the_pool(monkeypatch):
+def test_pdes_coordinator_epoch_error_reaps_the_workers(monkeypatch):
     """Partition 0 runs in the coordinator's process: an error in its
-    epoch step partway through a run ends the run in that error, the
-    pool is retired with no forked worker left alive, and the next run
-    forks a fresh pool and still matches its manifest cell."""
-    from repro.sim.pdes import coordinator, shutdown_pool
+    epoch step partway through a run ends the run in that error with no
+    forked worker left alive, and the next run still matches its
+    manifest cell."""
+    from repro.sim.pdes import coordinator
     sor, params = make_app("sor"), small_params("sor")
-    shutdown_pool()
-    try:
+    parent = os.getpid()
+    steps = []
+    real_epoch = coordinator._Partition.epoch
+
+    class Boom(RuntimeError):
+        pass
+
+    def failing_epoch(self, block):
+        # The workers fork after the patch and inherit it: the pid
+        # check keeps the failure on the coordinator's side.
+        if os.getpid() == parent:
+            steps.append(self.part_id)
+            if len(steps) == 5:
+                raise Boom("partition 0 epoch failed")
+        return real_epoch(self, block)
+
+    monkeypatch.setattr(coordinator._Partition, "epoch", failing_epoch)
+    with pytest.raises(Boom, match="partition 0 epoch failed"):
         run_app(sor, "original", 4, 4, params, pdes="on", pdes_workers=2)
-        pool = coordinator._POOL
-        procs = list(pool.procs)
-        parent = os.getpid()
-        steps = []
-        real_epoch = coordinator._Partition.epoch
+    monkeypatch.undo()
+    assert steps == [0] * 5
+    assert mp.active_children() == []
 
-        class Boom(RuntimeError):
-            pass
-
-        def failing_epoch(self, block):
-            # Forked workers inherit the patch only if forked after it;
-            # the pool above was forked first, and the pid check keeps
-            # the failure on the coordinator's side regardless.
-            if os.getpid() == parent:
-                steps.append(self.part_id)
-                if len(steps) == 5:
-                    raise Boom("partition 0 epoch failed")
-            return real_epoch(self, block)
-
-        monkeypatch.setattr(coordinator._Partition, "epoch", failing_epoch)
-        with pytest.raises(Boom, match="partition 0 epoch failed"):
-            run_app(sor, "original", 4, 4, params, pdes="on",
-                    pdes_workers=2)
-        monkeypatch.undo()
-        assert steps == [0] * 5
-        assert coordinator._POOL is None
-        assert not any(proc.is_alive() for proc in procs)
-
-        _check_partitioned("suite/sor/original/4x2/24", 2)
-        assert coordinator._POOL is not None \
-            and coordinator._POOL is not pool
-    finally:
-        shutdown_pool()
+    _check_partitioned("suite/sor/original/4x2/24", 2)
 
 
 # ------------------------------------------------------------- fallback
